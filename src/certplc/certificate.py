@@ -35,7 +35,7 @@ from .model import SfcModel, canonical_text, model_digest, parse_model
 from .parsing import ParseError
 from .prooftree import ProofSyntaxError, ProofTree, parse_proof_lines, \
     proof_lines
-from .semantics import init_state
+from .semantics import init_state, rule_instances
 
 MAGIC = "CERTPLC/1"
 
@@ -69,7 +69,7 @@ def emit(model: SfcModel, inv: P.Invariant, tree: ProofTree) -> bytes:
         raise EmitError("no proof tree to embed; the result is not a "
                         "certifiable proof")
     labels = [c.label for c in tree.cases]
-    expected = [r.label() for r in O.rule_instances(model)]
+    expected = [r.label() for r in rule_instances(model)]
     if labels != expected:
         raise EmitError("proof tree does not cover the rule instances")
     parts = [MAGIC, f"digest: {model_digest(model)}", "--- model",
@@ -152,7 +152,7 @@ def _check(data: bytes) -> CheckVerdict:
                          "base")
 
     # exhaustive case distinction over the model's own rule instances
-    rules = O.rule_instances(model)
+    rules = rule_instances(model)
     labels = [c.label for c in tree.cases]
     if labels != [r.label() for r in rules]:
         return _rejected("coverage: case distinction does not match the "

@@ -102,8 +102,7 @@ def _cmd_explore(args) -> int:
 def _verify_all(model, invs, args):
     results = []
     for inv in invs:
-        res = V.verify_invariant(model, inv, jobs=args.jobs,
-                                 init_actions=args.init_actions)
+        res = V.verify_invariant(model, inv, init_actions=args.init_actions)
         results.append((inv, res))
     return results
 
@@ -151,7 +150,7 @@ def _cmd_certify(args) -> int:
               "(or use --name)", file=sys.stderr)
         return 2
     inv = invs[0]
-    res = V.verify_invariant(model, inv, jobs=args.jobs)
+    res = V.verify_invariant(model, inv)
     if not isinstance(res, V.Proved):
         print(f"{inv.name}: {_describe(res)}")
         return 1
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         if props:
             p.add_argument("--prop", required=True,
                            help="invariant properties file")
-            p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("parse", help="parse, validate and print canonically")
     p.add_argument("model")

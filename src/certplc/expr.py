@@ -8,6 +8,7 @@ all-literal expression defaults to 32 bit at the point a width is required.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -206,37 +207,6 @@ def typecheck(e: Expr, env: dict[str, str]) -> tuple[Expr, str]:
 
 # --- evaluation -----------------------------------------------------------
 
-def _eval_int(e: Expr, m: Memory) -> tuple[str | None, int]:
-    """Evaluate an integer expression to (tag, value).
-
-    The tag is None while only literals have been seen; the value is then
-    exact.  As soon as a tagged operand joins, results wrap at its width.
-    """
-    if isinstance(e, IntLit):
-        return None, e.value
-    if isinstance(e, Var):
-        v = m.get(e.name)
-        if v is None:
-            raise ExprError(f"unbound variable {e.name!r}")
-        if v.tag == "bool":
-            raise ExprError(f"boolean variable {e.name!r} in arithmetic")
-        return v.tag, v.payload
-    if isinstance(e, (Add, Sub, Mul)):
-        tl, a = _eval_int(e.lhs, m)
-        tr, b = _eval_int(e.rhs, m)
-        tag = _join(tl, tr, "arithmetic")
-        if isinstance(e, Add):
-            n = a + b
-        elif isinstance(e, Sub):
-            n = a - b
-        else:
-            n = a * b
-        if tag is not None:
-            n &= max_of(tag)
-        return tag, n
-    raise ExprError(f"expected integer expression, got {type(e).__name__}")
-
-
 _CMP_FUNCS = {
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
@@ -245,6 +215,74 @@ _CMP_FUNCS = {
     ">=": lambda a, b: a >= b,
     ">": lambda a, b: a > b,
 }
+
+
+class IntDomain:
+    """Concrete value domain: exact Python ints, booleans as 0/1.
+
+    Addition, subtraction and multiplication are congruent mod 2**w, so
+    wrapping once after a computation at one width equals wrapping after
+    every operation.  The symbolic counterpart is ``linear.LinDomain``.
+    """
+
+    const = int
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+
+    @staticmethod
+    def cmp(op: str, a: int, b: int) -> int:
+        return int(_CMP_FUNCS[op](a, b))
+
+    @staticmethod
+    def mux(sel: int, a: int, b: int) -> int:
+        return a if sel else b
+
+    @staticmethod
+    def wrap(n: int, ty: str) -> int:
+        return n & max_of(ty)
+
+
+def fold_int(e: Expr, dom, read):
+    """Value of an integer expression in a value domain, unwrapped.
+
+    *dom* supplies ``const``, ``add``, ``sub`` and ``mul``; *read* maps a
+    variable name to its value in the domain.
+    """
+    if isinstance(e, Var):
+        return read(e.name)
+    if isinstance(e, IntLit):
+        return dom.const(e.value)
+    if isinstance(e, Add):
+        return dom.add(fold_int(e.lhs, dom, read), fold_int(e.rhs, dom, read))
+    if isinstance(e, Sub):
+        return dom.sub(fold_int(e.lhs, dom, read), fold_int(e.rhs, dom, read))
+    if isinstance(e, Mul):
+        return dom.mul(fold_int(e.lhs, dom, read), fold_int(e.rhs, dom, read))
+    raise ExprError(f"expected integer expression, got {type(e).__name__}")
+
+
+def _eval_ints(m: Memory, *es: Expr) -> tuple[str | None, list[int]]:
+    """Evaluate integer expressions, unwrapped, and join their widths.
+
+    The width is None when only literals occur, else the one width of all
+    variables read.
+    """
+    tag = None
+
+    def read(name):
+        nonlocal tag
+        v = m.get(name)
+        if v is None:
+            raise ExprError(f"unbound variable {name!r}")
+        if v.tag != tag:
+            if v.tag == "bool":
+                raise ExprError(f"boolean variable {name!r} in arithmetic")
+            tag = _join(tag, v.tag, "integer operands")
+        return v.payload
+
+    values = [fold_int(e, IntDomain, read) for e in es]
+    return tag, values
 
 
 def eval_expr(e: Expr, m: Memory) -> Value:
@@ -257,16 +295,13 @@ def eval_expr(e: Expr, m: Memory) -> Value:
             raise ExprError(f"unbound variable {e.name!r}")
         return v
     if isinstance(e, (IntLit, Add, Sub, Mul)):
-        tag, n = _eval_int(e, m)
+        tag, (n,) = _eval_ints(m, e)
         tag = tag or DEFAULT_INT
         return Value(tag, n & max_of(tag))
     if isinstance(e, Cmp):
-        tl, a = _eval_int(e.lhs, m)
-        tr, b = _eval_int(e.rhs, m)
-        tag = _join(tl, tr, "comparison") or e.width or DEFAULT_INT
-        a &= max_of(tag)
-        b &= max_of(tag)
-        return Value("bool", int(_CMP_FUNCS[e.op](a, b)))
+        tag, (a, b) = _eval_ints(m, e.lhs, e.rhs)
+        mask = max_of(tag or e.width or DEFAULT_INT)
+        return Value("bool", IntDomain.cmp(e.op, a & mask, b & mask))
     if isinstance(e, And):
         return Value("bool", int(eval_expr(e.lhs, m).as_bool()
                                  and eval_expr(e.rhs, m).as_bool()))

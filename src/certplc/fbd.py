@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as E
-from .linear import LinForm
+from .linear import FragmentError, LinDomain, LinForm
 from .parsing import ParseError, TokenStream
 
 ARITH_KINDS = ("add", "sub", "mul")
@@ -122,8 +122,12 @@ def has_delay(f: Fbd) -> bool:
     return any(b.kind == "delay" for b in f.blocks)
 
 
-def validate_fbd(f: Fbd, env: dict[str, str]) -> dict[str, str]:
-    """Check structure and infer port types; returns block id -> type."""
+def validate_fbd(f: Fbd, env: dict[str, str]):
+    """Check structure and infer port types.
+
+    Returns the evaluation order (block ids, see ``topo_order``) and the
+    port types (block id -> type).
+    """
     if f.time_slice < 1:
         raise FbdError(f"time slice must be positive, got {f.time_slice}")
     seen = set()
@@ -144,7 +148,7 @@ def validate_fbd(f: Fbd, env: dict[str, str]) -> dict[str, str]:
     for v in targets:
         if targets.count(v) > 1:
             raise FbdError(f"variable {v!r} written by more than one block")
-    topo_order(f)  # rejects undelayed cycles
+    order = topo_order(f)  # rejects undelayed cycles
 
     types: dict[str, str] = {}
 
@@ -205,99 +209,86 @@ def validate_fbd(f: Fbd, env: dict[str, str]) -> dict[str, str]:
             raise FbdError(f"block {b.id!r}: boolean input to {b.kind}")
 
     for b in f.blocks:
-        ins = [op_type(op) for op in b.inputs]
+        ports = (ConstIn(b.value),) if b.kind == "const" else b.inputs
+        ins = [op_type(op) for op in ports]
         if b.kind in ARITH_KINDS or b.kind in CMP_KINDS:
             for t in ins:
                 check_int(b, t)
+        if b.kind in CMP_KINDS:
             if ins[0] and ins[1] and ins[0] != ins[1]:
                 raise FbdError(f"block {b.id!r}: width mismatch "
                                f"{ins[0]} vs {ins[1]}")
-        elif b.kind == "mux":
-            if ins[0] is not None and ins[0] != "bool":
-                raise FbdError(f"block {b.id!r}: mux selector must be bool")
-            if ins[1] and ins[2] and ins[1] != ins[2]:
-                raise FbdError(f"block {b.id!r}: mux arm type mismatch")
-        elif b.kind == "write":
-            want = env[b.var]
-            got = ins[0]
+            continue
+        # Every other port carries the block's own type, except the mux
+        # selector and the written variable.  One width along each dataflow
+        # path is what lets the symbolic summary wrap once, at the end.
+        ty = env[b.var] if b.kind == "write" else types[b.id]
+        wants = ("bool", ty, ty) if b.kind == "mux" else (ty,) * len(ins)
+        for got, want in zip(ins, wants):
+            if got is None and want == "bool":
+                raise FbdError(f"block {b.id!r}: integer constant in "
+                               f"boolean position")
             if got is not None and got != want:
-                raise FbdError(f"block {b.id!r}: writing {got} into "
-                               f"{want} variable {b.var!r}")
-    return types
+                raise FbdError(f"block {b.id!r}: {got} input to {want} "
+                               f"{b.kind}")
+    return order, types
 
 
 # --- evaluation -----------------------------------------------------------
 
-def _coerce(value, ty: str) -> E.Value:
-    if isinstance(value, E.Value):
-        if value.tag == ty:
-            return value
-        if value.tag != "bool" and ty != "bool":
-            return E.int_value(ty, value.payload)
-        raise FbdError(f"cannot coerce {value.tag} to {ty}")
-    if isinstance(value, bool):
-        if ty != "bool":
-            raise FbdError("boolean constant in integer position")
-        return E.Value("bool", int(value))
-    if ty == "bool":
-        raise FbdError("integer constant in boolean position")
-    return E.int_value(ty, value)
+def _run(f: Fbd, env: dict[str, str], dom, read) -> dict:
+    """Run the diagram for exactly its time slice in a value domain.
+
+    *dom* is ``expr.IntDomain`` or ``linear.LinDomain``; *read* gives a
+    global's value at iteration start.  Block outputs and delays are wrapped
+    to their port type, writes to the variable's type.  Returns variable ->
+    value written in the final iteration.
+    """
+    order, types = validate_fbd(f, env)
+    byid = {b.id: b for b in f.blocks}
+    order = [byid[bid] for bid in order if byid[bid].kind != "delay"]
+    delays = [b for b in f.blocks if b.kind == "delay"]
+    vals = {b.id: dom.const(0) for b in delays}
+    writes = {}
+
+    def port(op):
+        if isinstance(op, ConstIn):
+            return dom.const(op.value)
+        return vals[op.block]
+
+    for _ in range(f.time_slice):
+        writes = {}
+        for b in order:
+            if b.kind == "read":
+                v = read(b.var)
+            elif b.kind == "const":
+                v = dom.const(b.value)
+            elif b.kind in ARITH_KINDS:
+                v = getattr(dom, b.kind)(port(b.inputs[0]), port(b.inputs[1]))
+            elif b.kind == "write":
+                writes[b.var] = dom.wrap(port(b.inputs[0]), env[b.var])
+                continue
+            elif b.kind == "mux":
+                v = dom.mux(*map(port, b.inputs))
+            else:
+                tys = [types[op.block] for op in b.inputs
+                       if isinstance(op, PortRef)]
+                w = tys[0] if tys else E.DEFAULT_INT
+                a, c = (dom.wrap(port(op), w) for op in b.inputs)
+                v = dom.cmp(_CMP_OPS[b.kind], a, c)
+            vals[b.id] = dom.wrap(v, types[b.id])
+        vals = {b.id: dom.wrap(port(b.inputs[0]), types[b.id])
+                for b in delays}
+    return writes
 
 
 def eval_iterative(f: Fbd, m: E.Memory) -> E.Memory:
     """Run the diagram for exactly its time slice and write back results."""
     env = {name: v.tag for name, v in m.items()}
-    types = validate_fbd(f, env)
-    order = topo_order(f)
-    byid = {b.id: b for b in f.blocks}
-    delays = {b.id: E.default_value(types[b.id])
-              for b in f.blocks if b.kind == "delay"}
-    writes: dict[str, E.Value] = {}
-
-    for _ in range(f.time_slice):
-        vals: dict[str, E.Value] = dict(delays)
-
-        def operand(op, ty):
-            if isinstance(op, ConstIn):
-                return _coerce(op.value, ty)
-            return _coerce(vals[op.block], ty)
-
-        writes = {}
-        for bid in order:
-            b = byid[bid]
-            if b.kind == "delay":
-                continue
-            if b.kind == "read":
-                vals[bid] = m[b.var]
-            elif b.kind == "const":
-                vals[bid] = _coerce(b.value, types[bid])
-            elif b.kind in ARITH_KINDS:
-                ty = types[bid]
-                a = operand(b.inputs[0], ty).payload
-                c = operand(b.inputs[1], ty).payload
-                n = a + c if b.kind == "add" else a - c if b.kind == "sub" else a * c
-                vals[bid] = E.int_value(ty, n)
-            elif b.kind in CMP_KINDS:
-                tys = [types[op.block] for op in b.inputs
-                       if isinstance(op, PortRef)]
-                ty = tys[0] if tys else E.DEFAULT_INT
-                a = operand(b.inputs[0], ty).payload
-                c = operand(b.inputs[1], ty).payload
-                vals[bid] = E.Value("bool", int(
-                    E._CMP_FUNCS[_CMP_OPS[b.kind]](a, c)))
-            elif b.kind == "mux":
-                sel = operand(b.inputs[0], "bool").as_bool()
-                ty = types[bid]
-                vals[bid] = operand(b.inputs[1 if sel else 2], ty)
-            elif b.kind == "write":
-                ty = env[b.var]
-                writes[b.var] = operand(b.inputs[0], ty)
-        for bid in delays:
-            blk = byid[bid]
-            delays[bid] = operand(blk.inputs[0], types[bid])
-
+    writes = _run(f, env, E.IntDomain, lambda var: m[var].payload)
     out = dict(m)
-    out.update(writes)
+    for var, n in writes.items():
+        out[var] = E.Value(env[var], n)
     return out
 
 
@@ -319,60 +310,14 @@ def linear_summary(f: Fbd, env: dict[str, str]):
     """Exact parallel update computed by the diagram, when it is linear.
 
     Returns written-variable -> raw linear form over the pre-state, or None
-    when the diagram uses comparisons, muxes or non-constant multiplication.
-    Raw forms defer wrapping: all block arithmetic is congruent mod 2**w, so
-    a single wrap at the end is exact.
+    when the diagram is invalid or uses comparisons, muxes or non-constant
+    multiplication.  Raw forms defer wrapping: all block arithmetic is
+    congruent mod 2**w, so a single wrap at the end is exact.
     """
     try:
-        validate_fbd(f, env)
-    except FbdError:
+        return _run(f, env, LinDomain, LinForm.of_var)
+    except (FbdError, FragmentError):
         return None
-    order = topo_order(f)
-    byid = {b.id: b for b in f.blocks}
-    delays = {b.id: LinForm.of_const(0) for b in f.blocks if b.kind == "delay"}
-    writes: dict[str, LinForm] = {}
-
-    def operand(op, vals):
-        if isinstance(op, ConstIn):
-            if isinstance(op.value, bool):
-                return LinForm.of_const(int(op.value))
-            return LinForm.of_const(op.value)
-        return vals[op.block]
-
-    for _ in range(f.time_slice):
-        vals = dict(delays)
-        writes = {}
-        for bid in order:
-            b = byid[bid]
-            if b.kind == "delay":
-                continue
-            if b.kind == "read":
-                vals[bid] = LinForm.of_var(b.var)
-            elif b.kind == "const":
-                v = int(b.value) if isinstance(b.value, bool) else b.value
-                vals[bid] = LinForm.of_const(v)
-            elif b.kind == "add":
-                vals[bid] = operand(b.inputs[0], vals).add(
-                    operand(b.inputs[1], vals))
-            elif b.kind == "sub":
-                vals[bid] = operand(b.inputs[0], vals).sub(
-                    operand(b.inputs[1], vals))
-            elif b.kind == "mul":
-                a = operand(b.inputs[0], vals)
-                c = operand(b.inputs[1], vals)
-                if a.is_const():
-                    vals[bid] = c.scale(a.const)
-                elif c.is_const():
-                    vals[bid] = a.scale(c.const)
-                else:
-                    return None
-            elif b.kind == "write":
-                writes[b.var] = operand(b.inputs[0], vals)
-            else:
-                return None  # comparisons and muxes are not linear
-        for bid in delays:
-            delays[bid] = operand(byid[bid].inputs[0], vals)
-    return writes
 
 
 # --- surface syntax -------------------------------------------------------

@@ -212,37 +212,70 @@ def eval_dnf(dnf: Dnf, assignment) -> bool:
 
 # --- lowering expressions -------------------------------------------------
 
+class LinDomain:
+    """Symbolic value domain: raw linear forms over the pre-state.
+
+    ``wrap`` is the identity: consumers wrap once at the end, which is exact
+    because arithmetic at one width is congruent mod 2**w.  Comparisons,
+    muxes and products of two non-constant forms are outside the fragment.
+    The concrete counterpart is ``expr.IntDomain``.
+    """
+
+    @staticmethod
+    def const(v: int | bool) -> LinForm:
+        return LinForm.of_const(int(v))
+
+    add = staticmethod(LinForm.add)
+    sub = staticmethod(LinForm.sub)
+
+    @staticmethod
+    def mul(a: LinForm, b: LinForm) -> LinForm:
+        if a.is_const():
+            return b.scale(a.const)
+        if b.is_const():
+            return a.scale(b.const)
+        raise FragmentError("multiplication of two non-constant expressions")
+
+    @staticmethod
+    def cmp(op: str, a: LinForm, b: LinForm) -> LinForm:
+        raise FragmentError(f"comparison {op!r} has no linear form")
+
+    @staticmethod
+    def mux(sel: LinForm, a: LinForm, b: LinForm) -> LinForm:
+        raise FragmentError("mux has no linear form")
+
+    @staticmethod
+    def wrap(form: LinForm, ty: str) -> LinForm:
+        return form
+
+
 def linear_form(e: E.Expr, subst=None) -> LinForm:
     """Raw linear form of an integer expression (no wrapping applied).
 
-    *subst* optionally maps variable names to linear forms; unmapped
-    variables stand for themselves.
+    Booleans read as 0/1: literals and variables directly, ``!a`` as
+    ``1 - a``.  *subst* optionally maps variable names to linear forms;
+    unmapped variables stand for themselves.
     """
-    if isinstance(e, E.IntLit):
-        return LinForm.of_const(e.value)
-    if isinstance(e, E.Var):
-        if subst is not None and e.name in subst:
-            return subst[e.name]
-        return LinForm.of_var(e.name)
-    if isinstance(e, E.Add):
-        return linear_form(e.lhs, subst).add(linear_form(e.rhs, subst))
-    if isinstance(e, E.Sub):
-        return linear_form(e.lhs, subst).sub(linear_form(e.rhs, subst))
-    if isinstance(e, E.Mul):
-        lhs = linear_form(e.lhs, subst)
-        rhs = linear_form(e.rhs, subst)
-        if lhs.is_const():
-            return rhs.scale(lhs.const)
-        if rhs.is_const():
-            return lhs.scale(rhs.const)
-        raise FragmentError("multiplication of two non-constant expressions")
-    raise FragmentError(f"not an integer expression: {type(e).__name__}")
+    if isinstance(e, E.BoolLit):
+        return LinDomain.const(e.value)
+    if isinstance(e, E.Not):
+        return LinForm.of_const(1).sub(linear_form(e.arg, subst))
+
+    def read(name):
+        if subst is not None and name in subst:
+            return subst[name]
+        return LinForm.of_var(name)
+
+    try:
+        return E.fold_int(e, LinDomain, read)
+    except E.ExprError as err:
+        raise FragmentError(str(err))
 
 
 _NEG_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
 
 
-def _wrap_cases(form: LinForm, bits: int, bounds) -> list[tuple[LinForm, Cube]]:
+def wrap_cases(form: LinForm, bits: int, bounds) -> list[tuple[LinForm, Cube]]:
     """Enumerate wrapped values of *form* at the given width.
 
     Returns (wrapped form, side conditions) per feasible quotient.  The side
@@ -269,8 +302,8 @@ def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds,
         return dnf_or(_cmp_atom("<", la, lb, bits, bounds, cap),
                       _cmp_atom(">", la, lb, bits, bounds, cap), cap)
     out = []
-    for wa, side_a in _wrap_cases(la, bits, bounds):
-        for wb, side_b in _wrap_cases(lb, bits, bounds):
+    for wa, side_a in wrap_cases(la, bits, bounds):
+        for wb, side_b in wrap_cases(lb, bits, bounds):
             diff = wa.sub(wb)
             if op == "<":
                 rels = [LinCon.make(diff, "<=", -1)]
@@ -310,7 +343,7 @@ def normalize(e: E.Expr, env: dict[str, str], *, subst=None, negate=False,
     return tuple(out)
 
 
-def _bounds_fn(env):
+def bounds_fn(env):
     def bounds(name):
         ty = env.get(name)
         if ty is None:
@@ -338,9 +371,8 @@ def _normalize(e, env, subst, negate, cap) -> Dnf:
             raise FragmentError(f"unbound variable {e.name!r}")
         if ty != "bool":
             raise FragmentError(f"integer variable {e.name!r} used as condition")
-        form = subst[e.name] if subst and e.name in subst else LinForm.of_var(e.name)
         want = 0 if negate else 1
-        cube = clean_cube((LinCon.make(form, "==", want),))
+        cube = clean_cube((LinCon.make(linear_form(e, subst), "==", want),))
         return FALSE_DNF if cube is None else (cube,)
     if isinstance(e, E.Cmp):
         op = _NEG_OP[e.op] if negate else e.op
@@ -350,5 +382,5 @@ def _normalize(e, env, subst, negate, cap) -> Dnf:
         bits = E.bits_of(width)
         la = linear_form(e.lhs, subst)
         lb = linear_form(e.rhs, subst)
-        return _cmp_atom(op, la, lb, bits, _bounds_fn(env), cap)
+        return _cmp_atom(op, la, lb, bits, bounds_fn(env), cap)
     raise FragmentError(f"not a boolean expression: {type(e).__name__}")

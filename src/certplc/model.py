@@ -182,6 +182,12 @@ def validate(model: SfcModel) -> list[str]:
             if (ty == "bool") != (et == "bool"):
                 out.append(f"action {a.id!r}: type mismatch assigning "
                            f"{et} to {ty} variable {name!r}")
+            # the symbolic effect wraps once, at the target's width, so the
+            # right-hand side must already compute at that width; all-literal
+            # right-hand sides have no width and adopt the target's
+            elif ty != "bool" and et != ty and E.vars_of(e):
+                out.append(f"action {a.id!r}: width mismatch assigning "
+                           f"{et} to {ty} variable {name!r}")
 
     mapped = set()
     hosts: dict[str, list[str]] = {}

@@ -28,8 +28,8 @@ from . import expr as E
 from . import fbd as F
 from . import properties as P
 from .linear import (CubeOverflow, Dnf, FragmentError, LinCon, LinForm,
-                     attach_bounds, dnf_and, dnf_or, linear_form, normalize,
-                     TRUE_DNF, FALSE_DNF, clean_cube)
+                     attach_bounds, bounds_fn, dnf_and, dnf_or, linear_form,
+                     normalize, wrap_cases, TRUE_DNF, FALSE_DNF, clean_cube)
 from .model import SfcModel
 from .semantics import (ExecuteAction, Reactivate, RuleInstance,
                         StepTransition)
@@ -75,14 +75,6 @@ def symbolic_env(model: SfcModel) -> dict[str, str]:
     for v in model.vars:
         env[post_var(v.name)] = v.ty
     return env
-
-
-def rule_instances(model: SfcModel) -> list[RuleInstance]:
-    out: list[RuleInstance] = []
-    out.extend(ExecuteAction(a.id) for a in model.actions)
-    out.extend(StepTransition(i) for i in range(len(model.transitions)))
-    out.extend(Reactivate(s) for s in model.steps)
-    return out
 
 
 def _eq01(name: str, value: int) -> LinCon:
@@ -155,21 +147,6 @@ def _subset_dnf(outside_values, negated: bool, cap: int) -> Dnf:
 
 # --- action effects ---------------------------------------------------------
 
-_BOOL_OK = (E.BoolLit, E.Var, E.Not)
-
-
-def _bool_form(e: E.Expr, cur: dict) -> LinForm:
-    """Linear 0/1 form of a restricted boolean expression."""
-    if isinstance(e, E.BoolLit):
-        return LinForm.of_const(int(e.value))
-    if isinstance(e, E.Var):
-        return cur.get(e.name, LinForm.of_var(e.name))
-    if isinstance(e, E.Not):
-        return LinForm.of_const(1).sub(_bool_form(e.arg, cur))
-    raise UnsupportedEffect(
-        f"boolean effect {type(e).__name__} has no linear form")
-
-
 def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
     """Parallel update map of an action: raw forms over the pre-state.
 
@@ -187,43 +164,25 @@ def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
         return dict(summary)
     cur: dict[str, LinForm] = {}
     for name, rhs in action.assigns:
-        if env[name] == "bool":
-            cur[name] = _bool_form(rhs, cur)
-        else:
-            try:
-                cur[name] = linear_form(rhs, cur)
-            except FragmentError as err:
-                raise UnsupportedEffect(f"action {aid!r}: {err}")
+        try:
+            cur[name] = linear_form(rhs, cur)
+        except FragmentError as err:
+            raise UnsupportedEffect(f"action {aid!r}: {err}")
     return cur
 
 
-def _post_definitions(model: SfcModel, summary: dict[str, LinForm],
-                      env, cap: int) -> Dnf:
+def _post_definitions(summary: dict[str, LinForm], env, cap: int) -> Dnf:
     """Hypothesis disjuncts defining post:V = wrap(form) per written var."""
-    model_env = model.env()
-
-    def bounds(name):
-        ty = env.get(name)
-        if ty is None:
-            raise FragmentError(f"no declaration for variable {name!r}")
-        return 0, E.max_of(ty)
-
+    bounds = bounds_fn(env)
     acc = TRUE_DNF
     for name in sorted(summary):
-        ty = model_env[name]
-        bits = E.bits_of(ty)
-        modulus = 1 << bits
-        form = summary[name]
-        lo, hi = form.interval(bounds)
         cases = []
-        for q in range(lo // modulus, hi // modulus + 1):
-            shifted = form.shift(-q * modulus)
+        for wrapped, side in wrap_cases(summary[name], E.bits_of(env[name]),
+                                        bounds):
             # post:name == form - q*2**bits, within the type range
-            defn = LinCon.make(shifted.sub(LinForm.of_var(post_var(name))),
+            defn = LinCon.make(wrapped.sub(LinForm.of_var(post_var(name))),
                                "==", 0)
-            cube = clean_cube((defn,) + tuple(
-                [LinCon.make(shifted.scale(-1), "<=", 0),
-                 LinCon.make(shifted, "<=", modulus - 1)]))
+            cube = clean_cube((defn,) + side)
             if cube is not None:
                 cases.append(cube)
         acc = dnf_and(acc, tuple(cases), cap)
@@ -298,8 +257,7 @@ def build_obligation(model: SfcModel, formula: P.Formula, rule: RuleInstance,
             summary = effect_summary(model, rule.action)
             hyp = ((_eq01(act_var(rule.action), 1),),)
             hyp = dnf_and(hyp, formula_dnf(formula, pre, env, cap), cap)
-            hyp = dnf_and(hyp, _post_definitions(model, summary, env, cap),
-                          cap)
+            hyp = dnf_and(hyp, _post_definitions(summary, env, cap), cap)
             actions = {a: act_var(a) for a in model.action_ids()}
             actions[rule.action] = 0  # every occurrence is removed
             post = _StateMap(dict(pre.steps), actions, _post_subst(summary))
@@ -327,7 +285,3 @@ def build_obligation(model: SfcModel, formula: P.Formula, rule: RuleInstance,
 def joint_cube(hyp_cube, neg_cube):
     """Deterministic join replayed by both the verifier and the checker."""
     return clean_cube(hyp_cube + neg_cube)
-
-
-def base_holds(model: SfcModel, formula: P.Formula, init_state) -> bool:
-    return P.holds_on(formula, init_state)

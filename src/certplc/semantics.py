@@ -82,20 +82,6 @@ class Reactivate:
 RuleInstance = Union[ExecuteAction, StepTransition, Reactivate]
 
 
-def parse_rule_label(text: str, model: SfcModel) -> RuleInstance:
-    kind, _, arg = text.partition(":")
-    if kind == "exec" and arg in model.action_ids():
-        return ExecuteAction(arg)
-    if kind == "trans":
-        i = int(arg)
-        if 0 <= i < len(model.transitions):
-            return StepTransition(i)
-        raise ValueError(f"transition index {arg} out of range")
-    if kind == "react" and arg in model.steps:
-        return Reactivate(arg)
-    raise ValueError(f"bad rule label {text!r}")
-
-
 def state_text(s: SfcState) -> str:
     """Canonical serialization: memory keys sorted, actions sorted."""
     mem = ",".join(f"{k}={v.payload}" for k, v in sorted(s.mem.items()))

@@ -15,7 +15,6 @@ configuration.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import obligations as O
@@ -26,7 +25,7 @@ from .lia.witness import Witness
 from .linear import TRUE_DNF, attach_bounds, dnf_and, normalize
 from .model import SfcModel
 from .prooftree import ArithLeaf, CaseProof, HypEntry, ProofTree
-from .semantics import RuleInstance, init_state
+from .semantics import RuleInstance, init_state, rule_instances
 
 
 @dataclass
@@ -69,7 +68,7 @@ def inductive_obligations(model: SfcModel, formula: P.Formula, *,
     them instead of silently skipping.
     """
     out = []
-    for rule in O.rule_instances(model):
+    for rule in rule_instances(model):
         try:
             out.append((rule, O.build_obligation(model, formula, rule,
                                                  cap=cap)))
@@ -110,42 +109,30 @@ def discharge(model: SfcModel, ob: O.CaseObligation, *,
     return CaseProof(ob.rule.label(), tuple(entries))
 
 
-def verify_invariant(model: SfcModel, inv: P.Invariant, *, jobs: int = 1,
-                     cap: int = 512, max_derived: int = 50_000,
-                     split_limit: int = 4096,
+def verify_invariant(model: SfcModel, inv: P.Invariant, *, cap: int = 512,
+                     max_derived: int = 50_000, split_limit: int = 4096,
                      init_actions: str = "from-steps") -> VerifyResult:
     """Induction proof attempt for one invariant."""
     base = check_base(model, inv.formula, init_actions)
     if base is not None:
         return base
     pending = inductive_obligations(model, inv.formula, cap=cap)
-
-    def close(item):
-        rule, ob = item
-        if isinstance(ob, Undecided):
-            return ob
-        return discharge(model, ob, max_derived=max_derived,
-                         split_limit=split_limit)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(close, pending))
-    else:
-        results = [close(item) for item in pending]
-
-    cases = {}
+    cases = []
     undecided = None
-    for (rule, _), res in zip(pending, results):
+    for _, ob in pending:
+        res = ob
+        if not isinstance(ob, Undecided):
+            res = discharge(model, ob, max_derived=max_derived,
+                            split_limit=split_limit)
         if isinstance(res, Refuted):
             return res
         if isinstance(res, Undecided):
             undecided = undecided or res
         else:
-            cases[rule.label()] = res
+            cases.append(res)
     if undecided is not None:
         return undecided
-    ordered = tuple(cases[rule.label()] for rule in O.rule_instances(model))
-    return Proved(ProofTree(ordered), obligations=len(pending))
+    return Proved(ProofTree(tuple(cases)), obligations=len(pending))
 
 
 def gen_basic_lemmas(model: SfcModel, **opts):

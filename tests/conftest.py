@@ -6,6 +6,14 @@ from certplc import parse_model, parse_properties
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
+# y := x + 1 wraps at int8 but stores into int16.  Accepting it would let
+# `always (y >= 1)` be proved although x = 255 makes y = 0.
+MIXED_WIDTH = """var x : int8 = 255
+var y : int16 = 1
+step S [initial]
+action A on S { y := x + 1; }
+"""
+
 
 def fixture_names():
     return sorted(p.stem for p in FIXTURES.glob("*.sfc"))

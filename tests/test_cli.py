@@ -4,7 +4,7 @@ import pytest
 
 from certplc.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, MIXED_WIDTH
 
 
 def fx(name):
@@ -38,6 +38,11 @@ class TestParse:
             assert main(["parse", str(bad)]) == 2
         finally:
             bad.unlink()
+
+    def test_width_changing_assignment_exits_2(self, tmp_path):
+        bad = tmp_path / "mixed.sfc"
+        bad.write_text(MIXED_WIDTH)
+        assert main(["parse", str(bad)]) == 2
 
 
 class TestSimulate:
@@ -122,11 +127,6 @@ class TestVerifyCertify:
                      fx("hold_positive.inv"), "--out", "/tmp/ignored.cert"])
         capsys.readouterr()
         assert code == 2
-
-    def test_jobs_flag(self, capsys):
-        code, out = run(capsys, "verify", fx("hold_positive.sfc"),
-                        "--prop", fx("hold_positive.inv"), "--jobs", "4")
-        assert code == 0
 
 
 class TestEndToEnd:

@@ -65,6 +65,24 @@ class TestAcyclic:
         with pytest.raises(F.FbdError, match="cycle"):
             F.validate_fbd(f, {})
 
+    @pytest.mark.parametrize("body", [
+        # the delay is typed int16 from its consumer, its input int8 from
+        # the read: x + 1 wrapped at 8 bits, then stored at 16
+        "{ block a = add(r.out, const 1)\n  block d = delay(a.out)\n"
+        "  block r = read x\n  block w = write y (d.out)\n  timeslice 2 }",
+        "{ block a = add(r.out, const 1)\n  block r = read x\n"
+        "  block w = write y (a.out) }",
+    ], ids=["delay", "add"])
+    def test_width_change_inside_diagram_rejected(self, body):
+        with pytest.raises(F.FbdError, match="int8 input to int16"):
+            F.validate_fbd(parse(body), {"x": "int8", "y": "int16"})
+
+    def test_integer_constant_into_boolean_rejected(self):
+        f = parse("{ block m = mux(const 1, const 2, const 3)\n"
+                  "  block w = write b (m.out) }")
+        with pytest.raises(F.FbdError, match="boolean position"):
+            F.validate_fbd(f, {"b": "bool"})
+
     def test_result_independent_of_block_names(self):
         # same dataflow under reversed id ordering evaluates identically
         f1 = parse("{ block a = read x\n block b = add(a.out, const 2)\n"

@@ -5,7 +5,7 @@ from certplc.model import SfcModel, Transition
 from certplc.parsing import ParseError
 from certplc import expr as E
 
-from conftest import FIXTURES, fixture_names, load_model
+from conftest import FIXTURES, MIXED_WIDTH, fixture_names, load_model
 
 MINIMAL = "step Only [initial]\n"
 
@@ -50,6 +50,17 @@ class TestParse:
         bad = "var x : int16\n" + MINIMAL + "trans {Only} -[ x + 1 ]-> {Only}\n"
         with pytest.raises(ParseError, match="boolean"):
             parse_model(bad)
+
+    def test_width_changing_assignment_rejected(self):
+        # wrapping at int8 and then storing into int16 differs from one wrap
+        # at int16, which is what the symbolic effect encodes
+        with pytest.raises(ParseError, match="width mismatch"):
+            parse_model(MIXED_WIDTH)
+
+    def test_literal_assignment_adopts_target_width(self):
+        model = parse_model("var x : int8\nvar y : int16\n" + MINIMAL +
+                            "action A on Only { y := 300; x := 7 * 3; }\n")
+        assert validate(model) == []
 
     def test_initializer_out_of_range(self):
         with pytest.raises(ParseError, match="range"):
