@@ -158,10 +158,12 @@ def _check(data: bytes) -> CheckVerdict:
         return _rejected("coverage: case distinction does not match the "
                          "rule instances", "cases")
 
+    context = O.DerivationContext(model, inv.formula)
     for rule, case in zip(rules, tree.cases):
         where = ("cases", case.label)
         try:
-            ob = O.build_obligation(model, inv.formula, rule)
+            ob = O.build_obligation(model, inv.formula, rule,
+                                    context=context)
         except O.UnsupportedEffect as err:
             return _rejected(f"unsupported-effect: {err}", *where)
         except O.ObligationOverflow as err:

@@ -23,6 +23,7 @@ Everything here is deterministic in the model and property alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import expr as E
 from . import fbd as F
@@ -102,36 +103,6 @@ def _activity_dnf(value, want: int) -> Dnf:
     return ((_eq01(value, want),),)
 
 
-def formula_dnf(f: P.Formula, sm: _StateMap, env, cap: int,
-                 negated: bool = False) -> Dnf:
-    if isinstance(f, P.PNot):
-        return formula_dnf(f.arg, sm, env, cap, not negated)
-    if isinstance(f, P.PAnd):
-        l = formula_dnf(f.lhs, sm, env, cap, negated)
-        r = formula_dnf(f.rhs, sm, env, cap, negated)
-        return dnf_or(l, r, cap) if negated else dnf_and(l, r, cap)
-    if isinstance(f, P.POr):
-        l = formula_dnf(f.lhs, sm, env, cap, negated)
-        r = formula_dnf(f.rhs, sm, env, cap, negated)
-        return dnf_and(l, r, cap) if negated else dnf_or(l, r, cap)
-    if isinstance(f, P.ArithAtom):
-        return normalize(f.expr, env, subst=sm.subst, negate=negated,
-                         max_cubes=cap)
-    if isinstance(f, P.StepActive):
-        return _activity_dnf(sm.steps[f.step], 0 if negated else 1)
-    if isinstance(f, P.ActionActive):
-        return _activity_dnf(sm.actions[f.action], 0 if negated else 1)
-    if isinstance(f, P.ActionsWithin):
-        outside = [a for a in sm.actions if a not in f.actions]
-        return _subset_dnf([sm.actions[a] for a in sorted(outside)],
-                           negated, cap)
-    if isinstance(f, P.StepsWithin):
-        outside = [s for s in sm.steps if s not in f.steps]
-        return _subset_dnf([sm.steps[s] for s in sorted(outside)],
-                           negated, cap)
-    raise P.PropertyError(f"unknown formula node {type(f).__name__}")
-
-
 def _subset_dnf(outside_values, negated: bool, cap: int) -> Dnf:
     # subset holds iff every activity value outside the set is 0
     if not negated:
@@ -193,9 +164,104 @@ def _post_subst(summary: dict[str, LinForm]) -> dict[str, LinForm]:
     return {name: LinForm.of_var(post_var(name)) for name in summary}
 
 
+# --- one derivation context per (model, formula, cap) ----------------------
+
+class DerivationContext:
+    """Obligation pieces shared by every rule instance of one property.
+
+    The symbolic env, the pre-state map, the property's pre-state DNF and
+    each pre-state normalization of a guard or atom are computed at most
+    once, on first use.  (An action's effect summary and post-value
+    definitions need no memo: only its one execute instance reads them.)
+    build_obligation asks for the pieces in a fixed order, so an obligation
+    and any error it raises equal those of a fresh context; a piece that
+    failed (CubeOverflow, FragmentError) fails again on every later use.  A
+    context serves one verify_invariant or one certificate check and is
+    dropped afterwards: the checker still derives everything from the
+    certificate's own model and property.
+
+    Normalizations are keyed by the expression, whose equality ignores
+    ``E.Cmp.width``.  That is exact here: every comparison reaching a
+    context was annotated by ``E.typecheck`` under the model's env (the
+    model parser annotates guards, ``properties.check_refs`` atoms) or is
+    unannotated and annotated by ``normalize`` under the same declarations,
+    and typecheck's width depends only on the operands and the env, so equal
+    expressions carry equal widths.
+    """
+
+    def __init__(self, model: SfcModel, formula: P.Formula, cap: int = 512):
+        self.model = model
+        self.formula = formula
+        self.cap = cap
+        self._memo: dict = {}
+
+    @cached_property
+    def env(self) -> dict[str, str]:
+        return symbolic_env(self.model)
+
+    @cached_property
+    def pre(self) -> _StateMap:
+        return pre_state_map(self.model)
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            try:
+                self._memo[key] = (compute(), None)
+            except (CubeOverflow, FragmentError) as err:
+                self._memo[key] = (None, err)
+        value, err = self._memo[key]
+        if err is not None:
+            raise err.with_traceback(None)
+        return value
+
+    def normalized(self, e: E.Expr, negate: bool = False) -> Dnf:
+        """``normalize`` of a guard or atom over the pre-state."""
+        return self._once(("normalize", e, negate), lambda: normalize(
+            e, self.env, negate=negate, max_cubes=self.cap))
+
+    def pre_dnf(self) -> Dnf:
+        """The property on the pre-state."""
+        return self._once("pre", lambda: self.formula_dnf(self.formula,
+                                                          self.pre))
+
+    def formula_dnf(self, f: P.Formula, sm: _StateMap,
+                    negated: bool = False) -> Dnf:
+        """DNF of a formula read through *sm*, under this context's cap."""
+        cap = self.cap
+        if isinstance(f, P.PNot):
+            return self.formula_dnf(f.arg, sm, not negated)
+        if isinstance(f, P.PAnd):
+            l = self.formula_dnf(f.lhs, sm, negated)
+            r = self.formula_dnf(f.rhs, sm, negated)
+            return dnf_or(l, r, cap) if negated else dnf_and(l, r, cap)
+        if isinstance(f, P.POr):
+            l = self.formula_dnf(f.lhs, sm, negated)
+            r = self.formula_dnf(f.rhs, sm, negated)
+            return dnf_and(l, r, cap) if negated else dnf_or(l, r, cap)
+        if isinstance(f, P.ArithAtom):
+            if sm.subst is None:  # memory reads as in the pre-state
+                return self.normalized(f.expr, negated)
+            return normalize(f.expr, self.env, subst=sm.subst,
+                             negate=negated, max_cubes=cap)
+        if isinstance(f, P.StepActive):
+            return _activity_dnf(sm.steps[f.step], 0 if negated else 1)
+        if isinstance(f, P.ActionActive):
+            return _activity_dnf(sm.actions[f.action], 0 if negated else 1)
+        if isinstance(f, P.ActionsWithin):
+            outside = [a for a in sm.actions if a not in f.actions]
+            return _subset_dnf([sm.actions[a] for a in sorted(outside)],
+                               negated, cap)
+        if isinstance(f, P.StepsWithin):
+            outside = [s for s in sm.steps if s not in f.steps]
+            return _subset_dnf([sm.steps[s] for s in sorted(outside)],
+                               negated, cap)
+        raise P.PropertyError(f"unknown formula node {type(f).__name__}")
+
+
 # --- rule hypotheses and post-state maps ------------------------------------
 
-def _transition_pre(model: SfcModel, index: int, env, cap: int) -> Dnf:
+def _transition_pre(ctx: DerivationContext, index: int) -> Dnf:
+    model = ctx.model
     t = model.transitions[index]
     cons = [_eq01(step_var(s), 1) for s in t.sources]
     source_actions = []
@@ -205,80 +271,88 @@ def _transition_pre(model: SfcModel, index: int, env, cap: int) -> Dnf:
                 source_actions.append(a)
     cons.extend(_eq01(act_var(a), 0) for a in source_actions)
     hyp = (tuple(cons),)
-    guard = normalize(t.guard, env, max_cubes=cap)
-    return dnf_and(hyp, guard, cap)
+    return dnf_and(hyp, ctx.normalized(t.guard), ctx.cap)
 
 
-def _transition_post(model: SfcModel, index: int) -> _StateMap:
+def _transition_post(ctx: DerivationContext, index: int) -> _StateMap:
+    model = ctx.model
     t = model.transitions[index]
-    sm = pre_state_map(model)
-    steps = dict(sm.steps)
+    steps = dict(ctx.pre.steps)
     for s in t.sources:
         steps[s] = 0
     for s in t.targets:
         steps[s] = 1
-    actions = dict(sm.actions)
+    actions = dict(ctx.pre.actions)
     for s in t.targets:
         for a in model.actions_of(s):
             actions[a] = 1
     return _StateMap(steps, actions, None)
 
 
-def _reactivate_pre(model: SfcModel, step: str, env, cap: int) -> Dnf:
+def _reactivate_pre(ctx: DerivationContext, step: str) -> Dnf:
     hyp: Dnf = ((_eq01(step_var(step), 1),),)
-    for t in model.transitions:
+    for t in ctx.model.transitions:
         if step in t.sources:
-            hyp = dnf_and(hyp,
-                          normalize(t.guard, env, negate=True, max_cubes=cap),
-                          cap)
+            hyp = dnf_and(hyp, ctx.normalized(t.guard, negate=True), ctx.cap)
     return hyp
 
 
-def _reactivate_post(model: SfcModel, step: str) -> _StateMap:
-    sm = pre_state_map(model)
-    actions = dict(sm.actions)
-    for a in model.actions_of(step):
+def _reactivate_post(ctx: DerivationContext, step: str) -> _StateMap:
+    actions = dict(ctx.pre.actions)
+    for a in ctx.model.actions_of(step):
         actions[a] = 1
-    return _StateMap(dict(sm.steps), actions, None)
+    return _StateMap(dict(ctx.pre.steps), actions, None)
 
 
 def build_obligation(model: SfcModel, formula: P.Formula, rule: RuleInstance,
-                     *, cap: int = 512) -> CaseObligation:
+                     *, cap: int = 512,
+                     context: DerivationContext | None = None
+                     ) -> CaseObligation:
     """Induction obligation for one rule instance.
 
-    Raises UnsupportedEffect for opaque effects and ObligationOverflow when
-    the disjunct caps are exceeded; both leave the property undecided, never
-    wrongly proved.
+    Pass the same *context* for every rule instance of one property to
+    derive the shared pieces once; without one a fresh context is used.
+    Raises UnsupportedEffect for opaque effects and for guards or atoms
+    outside the linear fragment, and ObligationOverflow when the disjunct
+    caps are exceeded; both leave the property undecided, never wrongly
+    proved.
     """
-    env = symbolic_env(model)
-    pre = pre_state_map(model)
+    ctx = context if context is not None else DerivationContext(
+        model, formula, cap)
+    if ctx.model is not model or ctx.formula is not formula or ctx.cap != cap:
+        raise ValueError("derivation context of another model, property "
+                         "or cap")
+    env = ctx.env
     try:
         if isinstance(rule, ExecuteAction):
             summary = effect_summary(model, rule.action)
             hyp = ((_eq01(act_var(rule.action), 1),),)
-            hyp = dnf_and(hyp, formula_dnf(formula, pre, env, cap), cap)
+            hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
             hyp = dnf_and(hyp, _post_definitions(summary, env, cap), cap)
-            actions = {a: act_var(a) for a in model.action_ids()}
+            actions = dict(ctx.pre.actions)
             actions[rule.action] = 0  # every occurrence is removed
-            post = _StateMap(dict(pre.steps), actions, _post_subst(summary))
+            post = _StateMap(dict(ctx.pre.steps), actions,
+                             _post_subst(summary))
         elif isinstance(rule, StepTransition):
-            hyp = _transition_pre(model, rule.index, env, cap)
-            hyp = dnf_and(hyp, formula_dnf(formula, pre, env, cap), cap)
-            post = _transition_post(model, rule.index)
+            hyp = _transition_pre(ctx, rule.index)
+            hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
+            post = _transition_post(ctx, rule.index)
         elif isinstance(rule, Reactivate):
-            hyp = _reactivate_pre(model, rule.step, env, cap)
-            hyp = dnf_and(hyp, formula_dnf(formula, pre, env, cap), cap)
-            post = _reactivate_post(model, rule.step)
+            hyp = _reactivate_pre(ctx, rule.step)
+            hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
+            post = _reactivate_post(ctx, rule.step)
         else:
             raise TypeError(f"not a rule instance: {rule!r}")
 
         hyp = tuple(attach_bounds(c, env) for c in hyp)
         neg = []
         for conjunct in P.conjuncts(formula):
-            dnf = formula_dnf(conjunct, post, env, cap, negated=True)
+            dnf = ctx.formula_dnf(conjunct, post, negated=True)
             neg.append(tuple(attach_bounds(c, env) for c in dnf))
     except CubeOverflow as err:
         raise ObligationOverflow(str(err))
+    except FragmentError as err:
+        raise UnsupportedEffect(f"{rule.label()}: {err}")
     return CaseObligation(rule, hyp, tuple(neg))
 
 

@@ -22,7 +22,10 @@ from . import properties as P
 from .lia.solver import (DeciderResourceError, FragmentViolation, Sat,
                          decide_sat)
 from .lia.witness import Witness
-from .linear import TRUE_DNF, attach_bounds, dnf_and, normalize
+# normalize is not called here, but perfbench/tracing.py wraps
+# verifier.normalize, so the name stays importable
+from .linear import (TRUE_DNF, CubeOverflow, FragmentError, attach_bounds,
+                     dnf_and, normalize)
 from .model import SfcModel
 from .prooftree import ArithLeaf, CaseProof, HypEntry, ProofTree
 from .semantics import RuleInstance, init_state, rule_instances
@@ -60,21 +63,27 @@ def check_base(model: SfcModel, formula: P.Formula,
     return Refuted(None, mem, "fails in the initial configuration")
 
 
-def inductive_obligations(model: SfcModel, formula: P.Formula, *,
-                          cap: int = 512):
-    """One obligation per rule instance, in enumeration order.
+def iter_obligations(model: SfcModel, formula: P.Formula, *,
+                     cap: int = 512):
+    """One obligation per rule instance, in enumeration order, each derived
+    when the caller asks for it from one shared derivation context.
 
     Opaque or oversized cases yield (rule, Undecided) so callers report
     them instead of silently skipping.
     """
-    out = []
+    ctx = O.DerivationContext(model, formula, cap)
     for rule in rule_instances(model):
         try:
-            out.append((rule, O.build_obligation(model, formula, rule,
-                                                 cap=cap)))
+            yield rule, O.build_obligation(model, formula, rule, cap=cap,
+                                           context=ctx)
         except (O.UnsupportedEffect, O.ObligationOverflow) as err:
-            out.append((rule, Undecided(rule, str(err))))
-    return out
+            yield rule, Undecided(rule, str(err))
+
+
+def inductive_obligations(model: SfcModel, formula: P.Formula, *,
+                          cap: int = 512):
+    """All of iter_obligations as a list."""
+    return list(iter_obligations(model, formula, cap=cap))
 
 
 def discharge(model: SfcModel, ob: O.CaseObligation, *,
@@ -116,10 +125,11 @@ def verify_invariant(model: SfcModel, inv: P.Invariant, *, cap: int = 512,
     base = check_base(model, inv.formula, init_actions)
     if base is not None:
         return base
-    pending = inductive_obligations(model, inv.formula, cap=cap)
     cases = []
     undecided = None
-    for _, ob in pending:
+    # deriving each case just before discharging it stops the derivation
+    # at the first refuted case
+    for _, ob in iter_obligations(model, inv.formula, cap=cap):
         res = ob
         if not isinstance(ob, Undecided):
             res = discharge(model, ob, max_derived=max_derived,
@@ -132,7 +142,7 @@ def verify_invariant(model: SfcModel, inv: P.Invariant, *, cap: int = 512,
             cases.append(res)
     if undecided is not None:
         return undecided
-    return Proved(ProofTree(tuple(cases)), obligations=len(pending))
+    return Proved(ProofTree(tuple(cases)), obligations=len(cases))
 
 
 def gen_basic_lemmas(model: SfcModel, **opts):
@@ -177,28 +187,30 @@ def check_guard_unreachable(model: SfcModel, target: str,
     into the certified property and re-proved with it, so the result is
     self-contained even though callers normally prove the context first.
     When some guard stays satisfiable the result is Undecided and names
-    the transition.
+    the transition; a guard outside the linear fragment is Undecided too.
     """
     if target in model.initial:
         raise ValueError(f"step {target!r} is initial")
     if target not in model.steps:
         raise ValueError(f"unknown step {target!r}")
-    env = O.symbolic_env(model)
-    sm = O.pre_state_map(model)
-    ctx_dnf = TRUE_DNF
-    for f in context:
-        ctx_dnf = dnf_and(ctx_dnf, O.formula_dnf(f, sm, env, 512), 512)
-    for i, t in enumerate(model.transitions):
-        if target not in t.targets:
-            continue
-        guard = normalize(t.guard, env, max_cubes=512)
-        for cube in dnf_and(ctx_dnf, guard, 4096):
-            cube = attach_bounds(cube, env)
-            if isinstance(decide_sat(cube), Sat):
-                return Undecided(None,
-                                 f"guard of transition {i} into {target!r} "
-                                 f"is satisfiable under the context")
     prop = _conjoin(tuple(context) + (P.PNot(P.StepActive(target)),))
+    der = O.DerivationContext(model, prop, 512)
+    try:
+        ctx_dnf = TRUE_DNF
+        for f in context:
+            ctx_dnf = dnf_and(ctx_dnf, der.formula_dnf(f, der.pre), 512)
+        for i, t in enumerate(model.transitions):
+            if target not in t.targets:
+                continue
+            for cube in dnf_and(ctx_dnf, der.normalized(t.guard), 4096):
+                cube = attach_bounds(cube, der.env)
+                if isinstance(decide_sat(cube), Sat):
+                    return Undecided(None,
+                                     f"guard of transition {i} into "
+                                     f"{target!r} is satisfiable under the "
+                                     f"context")
+    except (CubeOverflow, FragmentError) as err:
+        return Undecided(None, str(err))
     inv = P.Invariant(f"unreachable_{target}", prop)
     return verify_invariant(model, inv, **opts)
 
@@ -224,16 +236,14 @@ def check_determined_successor(model: SfcModel, trigger: P.Formula,
     """
     if step not in model.steps:
         raise ValueError(f"unknown step {step!r}")
-    env = O.symbolic_env(model)
-    sm = O.pre_state_map(model)
     cap = 4096
-    hyp = O.formula_dnf(trigger, sm, env, cap)
-    for f in context:
-        hyp = dnf_and(hyp, O.formula_dnf(f, sm, env, cap), cap)
-
+    der = O.DerivationContext(model, trigger, cap)
     offenders = []
     candidates = []
     try:
+        hyp = der.pre_dnf()
+        for f in context:
+            hyp = dnf_and(hyp, der.formula_dnf(f, der.pre), cap)
         for i, t in enumerate(model.transitions):
             enabled = P.ArithAtom(t.guard)
             for s in t.sources:
@@ -241,9 +251,9 @@ def check_determined_successor(model: SfcModel, trigger: P.Formula,
             if set(t.targets) == {step}:
                 candidates.append(enabled)
                 continue
-            enabled_dnf = O.formula_dnf(enabled, sm, env, cap)
+            enabled_dnf = der.formula_dnf(enabled, der.pre)
             for cube in dnf_and(hyp, enabled_dnf, cap):
-                cube = attach_bounds(cube, env)
+                cube = attach_bounds(cube, der.env)
                 res = decide_sat(cube)
                 if isinstance(res, Sat):
                     offenders.append((i, res.assignment))
@@ -258,13 +268,14 @@ def check_determined_successor(model: SfcModel, trigger: P.Formula,
         want = candidates[0]
         for c in candidates[1:]:
             want = P.POr(want, c)
-        neg = O.formula_dnf(P.negate(want), sm, env, cap)
+        neg = der.formula_dnf(P.negate(want), der.pre)
         for cube in dnf_and(hyp, neg, cap):
-            cube = attach_bounds(cube, env)
+            cube = attach_bounds(cube, der.env)
             if isinstance(decide_sat(cube), Sat):
                 return DeterminedResult(
                     "undecided", (),
                     "trigger does not force any candidate transition")
-    except (DeciderResourceError, FragmentViolation) as err:
+    except (CubeOverflow, FragmentError, DeciderResourceError,
+            FragmentViolation) as err:
         return DeterminedResult("undecided", (), str(err))
     return DeterminedResult("proved")

@@ -14,6 +14,18 @@ step S [initial]
 action A on S { y := x + 1; }
 """
 
+# Products of two variables are outside the linear fragment: verify must
+# report the case Undecided, naming the rule, and the checker must reject.
+NONLINEAR_GUARD = """var x : int16
+var y : int16
+step S [initial]
+step T
+action A on S { x := x + 1; }
+trans {S} -[ x * y < 3 ]-> {T}
+"""
+NONLINEAR_ATOM = NONLINEAR_GUARD.replace("x * y < 3", "x < 3")
+NONLINEAR_ATOM_PROP = "invariant p : always (x * y <= 5000);\n"
+
 
 def fixture_names():
     return sorted(p.stem for p in FIXTURES.glob("*.sfc"))

@@ -84,6 +84,24 @@ class TestCheckRejections:
         assert not v.accepted
         assert v.reason.startswith("replay")
 
+    def test_nonlinear_guard_is_unsupported_effect(self):
+        _, _, data = proved_certificate()
+        bad = refresh_digest(data.decode().replace("x < 10", "x * x < 10"))
+        v = C.check(bad.encode())
+        assert not v.accepted
+        assert v.reason == ("unsupported-effect: trans:0: multiplication of "
+                            "two non-constant expressions")
+        assert v.path == ("cases", "trans:0")
+
+    def test_nonlinear_property_atom_is_unsupported_effect(self):
+        _, _, data = proved_certificate()
+        bad = data.decode().replace("always (x <= 10 &&",
+                                    "always (x * x <= 100 &&", 1)
+        v = C.check(bad.encode())
+        assert not v.accepted
+        assert v.reason.startswith("unsupported-effect: exec:A_Init: "
+                                   "multiplication")
+
     def test_case_deletion_is_coverage_error(self):
         _, _, data = proved_certificate()
         lines = data.decode().split("\n")

@@ -4,7 +4,8 @@ import pytest
 
 from certplc.cli import main
 
-from conftest import FIXTURES, MIXED_WIDTH
+from conftest import (FIXTURES, MIXED_WIDTH, NONLINEAR_ATOM,
+                      NONLINEAR_ATOM_PROP, NONLINEAR_GUARD)
 
 
 def fx(name):
@@ -121,6 +122,22 @@ class TestVerifyCertify:
         code, out = run(capsys, "check-cert", str(cert))
         assert code == 1
         assert "Rejected" in out
+
+    @pytest.mark.parametrize("model, prop, rule", [
+        (NONLINEAR_GUARD, "invariant t : always (x <= 65535);\n", "trans:0"),
+        (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, "exec:A"),
+    ], ids=["guard", "atom"])
+    def test_nonlinear_is_undecided_not_a_crash(self, tmp_path, capsys,
+                                                model, prop, rule):
+        (tmp_path / "m.sfc").write_text(model)
+        (tmp_path / "m.inv").write_text(prop)
+        code = main(["verify", str(tmp_path / "m.sfc"),
+                     "--prop", str(tmp_path / "m.inv")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert f"Undecided ({rule}: multiplication of two non-constant " \
+            "expressions)" in out
+        assert "Traceback" not in out + err
 
     def test_certify_requires_single_invariant(self, capsys):
         code = main(["certify", fx("hold_positive.sfc"), "--prop",

@@ -7,7 +7,8 @@ from certplc import verifier as V
 from certplc.model import parse_model
 from certplc.semantics import BudgetExceeded, reachable_bounded
 
-from conftest import fixture_names, load_invariants, load_model
+from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
+                      fixture_names, load_invariants, load_model)
 
 
 def formula(text, model):
@@ -85,6 +86,23 @@ class TestObligations:
         res = V.verify_invariant(m, P.Invariant("t", formula("y <= 65535", m)))
         assert isinstance(res, V.Undecided)
         assert "linear" in res.reason
+
+    def test_nonlinear_guard_reported_undecided(self):
+        m = parse_model(NONLINEAR_GUARD)
+        res = V.verify_invariant(m, P.Invariant("t",
+                                                formula("x <= 65535", m)))
+        assert isinstance(res, V.Undecided)
+        assert res.rule == S.StepTransition(0)
+        assert res.reason == ("trans:0: multiplication of two non-constant "
+                              "expressions")
+
+    def test_nonlinear_atom_reported_undecided(self):
+        m = parse_model(NONLINEAR_ATOM)
+        inv = P.parse_properties(NONLINEAR_ATOM_PROP, m)[0]
+        res = V.verify_invariant(m, inv)
+        assert isinstance(res, V.Undecided)
+        assert res.rule == S.ExecuteAction("A")
+        assert res.reason.startswith("exec:A: multiplication")
 
 
 class TestDischarge:
@@ -207,6 +225,11 @@ class TestGuardUnreachable:
         assert isinstance(res, V.Undecided)
         assert "transition 2" in res.reason
 
+    def test_nonlinear_guard_stays_undecided(self):
+        res = V.check_guard_unreachable(parse_model(NONLINEAR_GUARD), "T")
+        assert isinstance(res, V.Undecided)
+        assert "multiplication" in res.reason
+
     def test_initial_target_rejected(self, loop_model):
         with pytest.raises(ValueError):
             V.check_guard_unreachable(loop_model, "Init")
@@ -247,6 +270,12 @@ class TestDeterminedSuccessor:
         res_b = V.check_determined_successor(m, trigger, "B")
         assert res_b.status == "refuted"
         assert [i for i, _ in res_b.offenders] == [0]
+
+    def test_nonlinear_guard_undecided(self):
+        m = parse_model(NONLINEAR_GUARD)
+        res = V.check_determined_successor(m, formula("step(S)", m), "T")
+        assert res.status == "undecided"
+        assert "multiplication" in res.reason
 
 
 class TestTreeShape:
