@@ -151,13 +151,18 @@ def _cmd_certify(args) -> int:
         return 2
     inv = invs[0]
     res = V.verify_invariant(model, inv)
+    payload = {"invariant": inv.name, "result": _describe(res),
+               "certificate": None}
+    line = f"{inv.name}: {_describe(res)}"
     if not isinstance(res, V.Proved):
-        print(f"{inv.name}: {_describe(res)}")
+        _emit_report(args, payload, [line])
         return 1
     data = C.emit(model, inv, res.tree)
     with open(args.out, "wb") as fh:
         fh.write(data)
-    print(f"{inv.name}: {_describe(res)}; certificate written to {args.out}")
+    payload["certificate"] = args.out
+    _emit_report(args, payload,
+                 [f"{line}; certificate written to {args.out}"])
     return 0
 
 
@@ -165,12 +170,14 @@ def _cmd_check_cert(args) -> int:
     with open(args.cert, "rb") as fh:
         data = fh.read()
     verdict = C.check(data)
+    payload = {"accepted": verdict.accepted, "reason": verdict.reason,
+               "path": list(verdict.path)}
     if verdict.accepted:
-        print("Accepted")
+        _emit_report(args, payload, ["Accepted"])
         return 0
     where = "/".join(verdict.path)
     suffix = f" at {where}" if where else ""
-    print(f"Rejected: {verdict.reason}{suffix}")
+    _emit_report(args, payload, [f"Rejected: {verdict.reason}{suffix}"])
     return 1
 
 
@@ -224,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-cert", help="check a certificate")
     p.add_argument("cert")
+    p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_check_cert)
     return parser
 

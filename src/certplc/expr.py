@@ -1,9 +1,11 @@
 """Typed expression language shared by guards, action effects and invariants.
 
 Values are unsigned fixed-width integers (8, 16 or 32 bit) or booleans.
-Integer arithmetic wraps modulo 2**width. Integer literals are polymorphic:
-they adopt the width of the variables they are combined with, and an
-all-literal expression defaults to 32 bit at the point a width is required.
+A memory maps each variable to a plain int (booleans 0/1); its width is the
+variable's declared type.  Integer arithmetic wraps modulo 2**width.
+Integer literals are polymorphic: they adopt the width of the variables
+they are combined with, and an all-literal expression defaults to 32 bit at
+the point a width is required.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class ExprError(Exception):
 
 
 def bits_of(ty: str) -> int:
-    """Number of payload bits for a declared type (bool counts as one)."""
+    """Number of value bits for a declared type (bool counts as one)."""
     if ty == "bool":
         return 1
     return INT_WIDTHS[ty]
@@ -33,35 +35,6 @@ def bits_of(ty: str) -> int:
 
 def max_of(ty: str) -> int:
     return (1 << bits_of(ty)) - 1
-
-
-@dataclass(frozen=True)
-class Value:
-    tag: str
-    payload: int
-
-    def __post_init__(self):
-        if self.tag not in TYPES:
-            raise ExprError(f"unknown type tag {self.tag!r}")
-        if not 0 <= self.payload <= max_of(self.tag):
-            raise ExprError(
-                f"payload {self.payload} out of range for {self.tag}")
-
-    def as_bool(self) -> bool:
-        if self.tag != "bool":
-            raise ExprError(f"expected bool, got {self.tag}")
-        return bool(self.payload)
-
-
-def default_value(ty: str) -> Value:
-    return Value(ty, 0)
-
-
-def int_value(ty: str, n: int) -> Value:
-    """Wrap an arbitrary integer into the given integer type."""
-    if ty == "bool":
-        raise ExprError("int_value on bool type")
-    return Value(ty, n & max_of(ty))
 
 
 # --- abstract syntax ------------------------------------------------------
@@ -126,7 +99,7 @@ class Not:
 
 Expr = Union[IntLit, BoolLit, Var, Add, Sub, Mul, Cmp, And, Or, Not]
 
-Memory = dict  # variable name -> Value
+Memory = dict  # variable name -> int (booleans 0/1)
 
 
 def vars_of(e: Expr) -> set[str]:
@@ -262,77 +235,53 @@ def fold_int(e: Expr, dom, read):
     raise ExprError(f"expected integer expression, got {type(e).__name__}")
 
 
-def _eval_ints(m: Memory, *es: Expr) -> tuple[str | None, list[int]]:
-    """Evaluate integer expressions, unwrapped, and join their widths.
-
-    The width is None when only literals occur, else the one width of all
-    variables read.
-    """
-    tag = None
-
+def _reader(m: Memory):
     def read(name):
-        nonlocal tag
         v = m.get(name)
         if v is None:
             raise ExprError(f"unbound variable {name!r}")
-        if v.tag != tag:
-            if v.tag == "bool":
-                raise ExprError(f"boolean variable {name!r} in arithmetic")
-            tag = _join(tag, v.tag, "integer operands")
-        return v.payload
-
-    values = [fold_int(e, IntDomain, read) for e in es]
-    return tag, values
-
-
-def eval_expr(e: Expr, m: Memory) -> Value:
-    """Evaluate an expression against a memory of tagged values."""
-    if isinstance(e, BoolLit):
-        return Value("bool", int(e.value))
-    if isinstance(e, Var):
-        v = m.get(e.name)
-        if v is None:
-            raise ExprError(f"unbound variable {e.name!r}")
         return v
-    if isinstance(e, (IntLit, Add, Sub, Mul)):
-        tag, (n,) = _eval_ints(m, e)
-        tag = tag or DEFAULT_INT
-        return Value(tag, n & max_of(tag))
+    return read
+
+
+def eval_expr(e: Expr, m: Memory) -> int:
+    """Value of a typechecked expression on a memory of plain ints.
+
+    Booleans are 0/1.  Integer expressions come back unwrapped: arithmetic
+    is congruent mod 2**w, so the caller wraps once at the width it needs.
+    Comparisons wrap their operands at the width ``typecheck`` annotated.
+    """
     if isinstance(e, Cmp):
-        tag, (a, b) = _eval_ints(m, e.lhs, e.rhs)
-        mask = max_of(tag or e.width or DEFAULT_INT)
-        return Value("bool", IntDomain.cmp(e.op, a & mask, b & mask))
+        if e.width is None:
+            raise ExprError(f"comparison {e.op!r} was not typechecked")
+        mask = max_of(e.width)
+        read = _reader(m)
+        return IntDomain.cmp(e.op, fold_int(e.lhs, IntDomain, read) & mask,
+                             fold_int(e.rhs, IntDomain, read) & mask)
+    if isinstance(e, BoolLit):
+        return int(e.value)
     if isinstance(e, And):
-        return Value("bool", int(eval_expr(e.lhs, m).as_bool()
-                                 and eval_expr(e.rhs, m).as_bool()))
+        return eval_expr(e.lhs, m) and eval_expr(e.rhs, m)
     if isinstance(e, Or):
-        return Value("bool", int(eval_expr(e.lhs, m).as_bool()
-                                 or eval_expr(e.rhs, m).as_bool()))
+        return eval_expr(e.lhs, m) or eval_expr(e.rhs, m)
     if isinstance(e, Not):
-        return Value("bool", int(not eval_expr(e.arg, m).as_bool()))
-    raise ExprError(f"unknown expression node {type(e).__name__}")
+        return 1 - eval_expr(e.arg, m)
+    return fold_int(e, IntDomain, _reader(m))
 
 
-def apply_effect(assigns, m: Memory) -> Memory:
+def apply_effect(assigns, m: Memory, env: dict[str, str]) -> Memory:
     """Apply an ordered assignment list to memory, left to right.
 
-    Each assignment sees the updates made by the previous ones.  The result
-    is a fresh memory; the input is not modified.
+    Each assignment sees the updates made by the previous ones and stores
+    its value wrapped at the target's declared type.  The result is a fresh
+    memory; the input is not modified.
     """
     out = dict(m)
     for name, e in assigns:
-        old = out.get(name)
-        if old is None:
+        ty = env.get(name)
+        if ty is None:
             raise ExprError(f"assignment to undeclared variable {name!r}")
-        v = eval_expr(e, out)
-        if old.tag == "bool":
-            if v.tag != "bool":
-                raise ExprError(f"assigning integer to boolean {name!r}")
-            out[name] = v
-        else:
-            if v.tag == "bool":
-                raise ExprError(f"assigning boolean to integer {name!r}")
-            out[name] = int_value(old.tag, v.payload)
+        out[name] = eval_expr(e, out) & max_of(ty)
     return out
 
 

@@ -60,12 +60,6 @@ class Fbd:
     blocks: tuple[Block, ...]  # sorted by id
     time_slice: int
 
-    def block(self, bid: str) -> Block:
-        for b in self.blocks:
-            if b.id == bid:
-                return b
-        raise FbdError(f"unknown block {bid!r}")
-
 
 def _dependencies(f: Fbd) -> dict[str, list[str]]:
     """Evaluation dependencies with delay outputs cut.
@@ -282,27 +276,22 @@ def _run(f: Fbd, env: dict[str, str], dom, read) -> dict:
     return writes
 
 
-def eval_iterative(f: Fbd, m: E.Memory) -> E.Memory:
+def eval_iterative(f: Fbd, m: E.Memory, env: dict[str, str]) -> E.Memory:
     """Run the diagram for exactly its time slice and write back results."""
-    env = {name: v.tag for name, v in m.items()}
-    writes = _run(f, env, E.IntDomain, lambda var: m[var].payload)
-    out = dict(m)
-    for var, n in writes.items():
-        out[var] = E.Value(env[var], n)
-    return out
+    return {**m, **_run(f, env, E.IntDomain, m.__getitem__)}
 
 
-def eval_acyclic(f: Fbd, m: E.Memory) -> E.Memory:
+def eval_acyclic(f: Fbd, m: E.Memory, env: dict[str, str]) -> E.Memory:
     """Single-pass evaluation; rejects diagrams that need iteration."""
     if has_delay(f):
         raise FbdError("diagram has delay blocks, use eval_iterative")
-    return eval_iterative(Fbd(f.name, f.blocks, 1), m)
+    return eval_iterative(Fbd(f.name, f.blocks, 1), m, env)
 
 
-def fbd_to_action(f: Fbd):
+def fbd_to_action(f: Fbd, env: dict[str, str]):
     """Compile the diagram to an opaque memory-to-memory effect."""
     def effect(m: E.Memory) -> E.Memory:
-        return eval_iterative(f, m)
+        return eval_iterative(f, m, env)
     return effect
 
 

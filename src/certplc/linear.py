@@ -140,13 +140,9 @@ TRUE_DNF: Dnf = ((),)
 FALSE_DNF: Dnf = ()
 
 
-def upper_bound(ty: str) -> int:
-    return E.max_of(ty)
-
-
 def bound_constraints(name: str, ty: str) -> tuple[LinCon, LinCon]:
     lo = LinCon(((name, -1),), "<=", 0)
-    hi = LinCon(((name, 1),), "<=", upper_bound(ty))
+    hi = LinCon(((name, 1),), "<=", E.max_of(ty))
     return lo, hi
 
 
@@ -348,7 +344,7 @@ def bounds_fn(env):
         ty = env.get(name)
         if ty is None:
             raise FragmentError(f"no declaration for variable {name!r}")
-        return 0, upper_bound(ty)
+        return 0, E.max_of(ty)
     return bounds
 
 
@@ -376,9 +372,7 @@ def _normalize(e, env, subst, negate, cap) -> Dnf:
         return FALSE_DNF if cube is None else (cube,)
     if isinstance(e, E.Cmp):
         op = _NEG_OP[e.op] if negate else e.op
-        ann, _ = E.typecheck(e, env) if e.width is None else (e, "bool")
-        width = ann.width if isinstance(ann, E.Cmp) else None
-        width = width or E.DEFAULT_INT
+        width = e.width or E.typecheck(e, env)[0].width
         bits = E.bits_of(width)
         la = linear_form(e.lhs, subst)
         lb = linear_form(e.rhs, subst)

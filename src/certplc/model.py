@@ -40,10 +40,8 @@ class VarDecl:
     is_time: bool = False
     init: int | None = None  # bools use 0/1
 
-    def initial_value(self) -> E.Value:
-        if self.init is None:
-            return E.default_value(self.ty)
-        return E.Value(self.ty, self.init)
+    def initial_value(self) -> int:
+        return 0 if self.init is None else self.init
 
 
 @dataclass(frozen=True)
@@ -323,16 +321,6 @@ def parse_model(text: str) -> SfcModel:
             decl_lines[("fbd", name)] = t.line
         else:
             ts.error(f"expected declaration, found {t.text!r}")
-
-    for kind, names in (("variable", [v.name for v in vars_]),
-                        ("step", steps),
-                        ("action", [a.id for a in actions]),
-                        ("fbd", [f.name for f in fbds])):
-        seen = set()
-        for n in names:
-            if n in seen:
-                raise ParseError(f"duplicate {kind} {n!r}")
-            seen.add(n)
 
     full_map = {s: step_actions.get(s, []) for s in steps}
     for host in step_actions:

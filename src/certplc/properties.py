@@ -100,7 +100,7 @@ def negate(f: Formula) -> Formula:
 def holds_on(f: Formula, state: SfcState) -> bool:
     """Concrete truth of a formula on a configuration."""
     if isinstance(f, ArithAtom):
-        return E.eval_expr(f.expr, state.mem).as_bool()
+        return bool(E.eval_expr(f.expr, state.mem))
     if isinstance(f, StepActive):
         return f.step in state.active_steps
     if isinstance(f, ActionActive):

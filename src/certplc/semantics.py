@@ -84,7 +84,7 @@ RuleInstance = Union[ExecuteAction, StepTransition, Reactivate]
 
 def state_text(s: SfcState) -> str:
     """Canonical serialization: memory keys sorted, actions sorted."""
-    mem = ",".join(f"{k}={v.payload}" for k, v in sorted(s.mem.items()))
+    mem = ",".join(f"{k}={v}" for k, v in sorted(s.mem.items()))
     steps = ",".join(s.active_steps)
     acts = ",".join(sorted(s.active_actions))
     return f"mem{{{mem}}} steps[{steps}] acts[{acts}]"
@@ -110,12 +110,13 @@ def init_state(model: SfcModel, init_actions: str = "from-steps") -> SfcState:
 
 def _effect_of(model: SfcModel, aid: str):
     a = model.action(aid)
+    env = model.env()
     if a.fbd_ref is not None:
-        return F.fbd_to_action(model.fbd(a.fbd_ref))
+        return F.fbd_to_action(model.fbd(a.fbd_ref), env)
     assigns = a.assigns
 
     def effect(m):
-        return E.apply_effect(assigns, m)
+        return E.apply_effect(assigns, m, env)
     return effect
 
 
@@ -128,7 +129,7 @@ def execute_action(model: SfcModel, c: SfcState, aid: str) -> SfcState:
 
 
 def _guard_true(model: SfcModel, t, mem) -> bool:
-    return E.eval_expr(t.guard, mem).as_bool()
+    return bool(E.eval_expr(t.guard, mem))
 
 
 def step_transition(model: SfcModel, c: SfcState, index: int) -> SfcState:

@@ -59,8 +59,7 @@ def check_base(model: SfcModel, formula: P.Formula,
     state = init_state(model, init_actions)
     if P.holds_on(formula, state):
         return None
-    mem = {k: v.payload for k, v in state.mem.items()}
-    return Refuted(None, mem, "fails in the initial configuration")
+    return Refuted(None, dict(state.mem), "fails in the initial configuration")
 
 
 def iter_obligations(model: SfcModel, formula: P.Formula, *,
@@ -78,12 +77,6 @@ def iter_obligations(model: SfcModel, formula: P.Formula, *,
                                            context=ctx)
         except (O.UnsupportedEffect, O.ObligationOverflow) as err:
             yield rule, Undecided(rule, str(err))
-
-
-def inductive_obligations(model: SfcModel, formula: P.Formula, *,
-                          cap: int = 512):
-    """All of iter_obligations as a list."""
-    return list(iter_obligations(model, formula, cap=cap))
 
 
 def discharge(model: SfcModel, ob: O.CaseObligation, *,

@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from certplc import parse_model, parse_properties
+from certplc import (BudgetExceeded, parse_model, parse_properties,
+                     reachable_bounded)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -38,6 +39,15 @@ def load_model(name):
 def load_invariants(name, model=None):
     model = model if model is not None else load_model(name)
     return parse_properties((FIXTURES / f"{name}.inv").read_text(), model)
+
+
+def states_of(model, depth, budget=50_000):
+    """Reachable states up to *depth*, or those found before the budget
+    ran out."""
+    try:
+        return reachable_bounded(model, depth, state_budget=budget)
+    except BudgetExceeded as err:
+        return err.partial
 
 
 @pytest.fixture

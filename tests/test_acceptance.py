@@ -20,10 +20,9 @@ from certplc.lia.solver import (Sat, Unsat, Valid, decide_sat,
 from certplc.lia.witness import replay_witness
 from certplc.linear import LinCon
 from certplc.model import model_digest, parse_model
-from certplc.semantics import (BudgetExceeded, StepTransition,
-                               reachable_bounded, successors)
+from certplc.semantics import StepTransition, reachable_bounded, successors
 
-from conftest import fixture_names, load_invariants, load_model
+from conftest import fixture_names, load_invariants, load_model, states_of
 
 
 def report(criterion, ok, detail=""):
@@ -32,19 +31,12 @@ def report(criterion, ok, detail=""):
     assert ok, line
 
 
-def states_of(model, depth, budget=50_000):
-    try:
-        return reachable_bounded(model, depth, state_budget=budget)
-    except BudgetExceeded as err:
-        return err.partial
-
-
 def test_criterion_1_loop_fidelity():
     t0 = time.perf_counter()
     model = load_model("loop")
     states = reachable_bounded(model, 40)
-    xs = [s.mem["x"].payload for s in states]
-    return_xs = {s.mem["x"].payload for s in states
+    xs = [s.mem["x"] for s in states]
+    return_xs = {s.mem["x"] for s in states
                  if "Return" in s.active_steps}
     elapsed = time.perf_counter() - t0
     ok = max(xs) == 10 and return_xs == {10} and elapsed < 1.0
@@ -344,18 +336,20 @@ def test_criterion_7_library_lemmas():
 
 def test_criterion_8_fbd_equivalence():
     inc_model = load_model("fbd_inc")
-    inc_effect = F.fbd_to_action(inc_model.fbd("FInc"))
+    inc_env = inc_model.env()
+    inc_effect = F.fbd_to_action(inc_model.fbd("FInc"), inc_env)
     inc_oracle = [("x", E.Add(E.Var("x"), E.IntLit(1)))]
     cnt_model = load_model("fbd_counter")
-    cnt_effect = F.fbd_to_action(cnt_model.fbd("FCnt"))
+    cnt_env = cnt_model.env()
+    cnt_effect = F.fbd_to_action(cnt_model.fbd("FCnt"), cnt_env)
     cnt_oracle = [("out", E.IntLit(3))]
     bad = 0
     for v in range(16):  # the full width-4 domain
-        m = {"x": E.Value("int16", v)}
-        if inc_effect(m) != E.apply_effect(inc_oracle, m):
+        m = {"x": v}
+        if inc_effect(m) != E.apply_effect(inc_oracle, m, inc_env):
             bad += 1
-        m = {"out": E.Value("int16", v)}
-        if cnt_effect(m) != E.apply_effect(cnt_oracle, m):
+        m = {"out": v}
+        if cnt_effect(m) != E.apply_effect(cnt_oracle, m, cnt_env):
             bad += 1
     report(8, bad == 0, f"increment and 3-step counter match their "
                         f"assignment oracles on 16 points each, "

@@ -1,59 +1,83 @@
-"""Concrete and symbolic semantics agree on generated actions.
+"""Concrete and symbolic semantics agree on generated models.
 
 The verifier reasons about an action through its symbolic summary (raw
 linear forms, wrapped once per written variable); the explorer runs it
 concretely.  Proofs are sound only if both give the same post-state, so
-this compares them on random same-width assignment lists and diagrams.
+this compares them on random same-width assignment lists and diagrams,
+and checks that every invariant proved on a random two-step chart holds
+on the states the explorer reaches and certifies.
 """
 
 import random
 
+from certplc import certificate as C
 from certplc import expr as E
 from certplc import fbd as F
 from certplc import obligations as O
+from certplc import properties as P
 from certplc import semantics as S
+from certplc import verifier as V
 from certplc.model import parse_model
 from certplc.parsing import TokenStream, lex
+
+from conftest import states_of
 
 WIDTHS = ("int8", "int16", "int32")
 INTS = ("x", "y", "z")
 BOOLS = ("b", "c")
+# constants and multipliers drawn below this overflow every width; the
+# soundness test draws below 8, because large multipliers make most proofs
+# end Undecided at the disjunct cap
+WIDE = 70000
 
 
-def _int_expr(rng, depth=0):
+def _int_expr(rng, span, depth=0):
     r = rng.random()
     if depth > 2 or r < 0.3:
         return rng.choice(INTS) if rng.random() < 0.7 else \
             str(rng.randrange(300))
     op = rng.choice(["+", "-", "*"])
-    lhs = _int_expr(rng, depth + 1)
+    lhs = _int_expr(rng, span, depth + 1)
     if op == "*":  # one factor constant keeps the product linear
-        return f"{rng.randrange(1, 70000)} * ({lhs})"
-    return f"({lhs}) {op} ({_int_expr(rng, depth + 1)})"
+        return f"{rng.randrange(1, span)} * ({lhs})"
+    return f"({lhs}) {op} ({_int_expr(rng, span, depth + 1)})"
+
+
+def _condition(rng):
+    """Linear comparison with small coefficients, maybe with a flag."""
+    terms = " + ".join(f"{rng.randint(1, 5)} * {v}"
+                       for v in rng.sample(INTS, rng.randint(1, 2)))
+    cond = f"{terms} {rng.choice(E.CMP_OPS)} {rng.randrange(300)}"
+    if rng.random() < 0.3:
+        cond += f" {rng.choice(['&&', '||'])} {rng.choice(BOOLS)}"
+    return cond
 
 
 def _bool_expr(rng):
     return rng.choice(["true", "false", "b", "c", "!b", "!c", "!!c"])
 
 
-def _assignments(rng):
+def _assignments(rng, span):
     out = []
     for _ in range(rng.randint(1, 4)):
         if rng.random() < 0.25:
             out.append(f"{rng.choice(BOOLS)} := {_bool_expr(rng)};")
         else:
-            out.append(f"{rng.choice(INTS)} := {_int_expr(rng)};")
+            out.append(f"{rng.choice(INTS)} := {_int_expr(rng, span)};")
     return " ".join(out)
 
 
-def _port(rng, earlier):
+def _port(rng, earlier, span):
     if not earlier or rng.random() < 0.2:
-        return f"const {rng.randrange(70000)}"
+        return f"const {rng.randrange(span)}"
     return f"{rng.choice(earlier)}.out"
 
 
-def _diagram_blocks(rng):
-    """Linear blocks; delays may read later blocks, closing loops."""
+def _diagram_blocks(rng, span):
+    """Linear blocks; delays may read later blocks, closing loops.
+
+    Constants and multipliers are drawn below *span*.
+    """
     n = rng.randint(2, 7)
     ids = [f"b{i}" for i in range(n)]
     lines = []
@@ -63,36 +87,41 @@ def _diagram_blocks(rng):
         if kind == "read":
             lines.append(f"block {bid} = read {rng.choice(INTS)}")
         elif kind == "const":
-            lines.append(f"block {bid} = const {rng.randrange(70000)}")
+            lines.append(f"block {bid} = const {rng.randrange(span)}")
         elif kind == "delay":
-            lines.append(f"block {bid} = delay({_port(rng, ids)})")
+            lines.append(f"block {bid} = delay({_port(rng, ids, span)})")
         elif kind == "mul":
-            lines.append(f"block {bid} = mul({_port(rng, earlier)}, "
-                         f"const {rng.randrange(70000)})")
+            lines.append(f"block {bid} = mul({_port(rng, earlier, span)}, "
+                         f"const {rng.randrange(span)})")
         else:
-            lines.append(f"block {bid} = {kind}({_port(rng, earlier)}, "
-                         f"{_port(rng, earlier)})")
+            lines.append(f"block {bid} = {kind}({_port(rng, earlier, span)}, "
+                         f"{_port(rng, earlier, span)})")
     for j, var in enumerate(rng.sample(INTS, rng.randint(1, len(INTS)))):
-        lines.append(f"block w{j} = write {var} ({_port(rng, ids)})")
+        lines.append(f"block w{j} = write {var} ({_port(rng, ids, span)})")
     return lines
 
 
-def _model(rng, width):
-    decls = [f"var {v} : {width}" for v in INTS]
+def _model(rng, width, span=WIDE):
+    """Steps S and T; S runs both actions, a guard and its negation
+    lead from S to T and back."""
+    decls = [f"var {v} : {width} = {rng.randrange(256)}" for v in INTS]
     decls += [f"var {v} : bool" for v in BOOLS]
     decls.append("step S [initial]")
-    decls.append(f"action A on S {{ {_assignments(rng)} }}")
+    decls.append("step T")
+    decls.append(f"action A on S {{ {_assignments(rng, span)} }}")
     decls.append("action D on S = fbd F")
     decls.append("fbd F {")
-    decls += ["  " + ln for ln in _diagram_blocks(rng)]
+    decls += ["  " + ln for ln in _diagram_blocks(rng, span)]
     decls.append(f"  timeslice {rng.randint(1, 5)}")
     decls.append("}")
+    guard = _condition(rng)
+    decls.append(f"trans {{S}} -[ {guard} ]-> {{T}}")
+    decls.append(f"trans {{T}} -[ !({guard}) ]-> {{S}}")
     return parse_model("\n".join(decls) + "\n")
 
 
 def _memory(rng, model):
-    return {v.name: E.Value(v.ty, rng.randrange(E.max_of(v.ty) + 1))
-            for v in model.vars}
+    return {v.name: rng.randrange(E.max_of(v.ty) + 1) for v in model.vars}
 
 
 def test_effect_summary_matches_execution():
@@ -102,25 +131,24 @@ def test_effect_summary_matches_execution():
         for aid in ("A", "D"):
             summary = O.effect_summary(model, aid)
             for _ in range(4):
-                mem = _memory(rng, model)
-                pre = {k: v.payload for k, v in mem.items()}
-                state = S.SfcState(mem, ("S",), (aid,))
+                pre = _memory(rng, model)
+                state = S.SfcState(pre, ("S",), (aid,))
                 post = S.execute_action(model, state, aid).mem
                 for v in model.vars:
-                    want = post[v.name].payload
+                    want = post[v.name]
                     if v.name in summary:
                         got = summary[v.name].evaluate(pre) \
                             & E.max_of(v.ty)
                     else:
                         got = pre[v.name]
-                    assert got == want, (aid, v.name, mem)
+                    assert got == want, (aid, v.name, pre)
 
 
 def test_comparisons_and_muxes_have_no_summary():
     rng = random.Random(12)
     for _ in range(50):
         env = dict.fromkeys(INTS, rng.choice(WIDTHS))
-        lines = _diagram_blocks(rng)
+        lines = _diagram_blocks(rng, WIDE)
         kind = rng.choice(["lt", "le", "eq", "ne", "ge", "gt"])
         lines.append(f"block k = {kind}(b0.out, const 5)")
         if rng.random() < 0.5:
@@ -128,3 +156,39 @@ def test_comparisons_and_muxes_have_no_summary():
         f = F.parse_fbd(TokenStream(lex("{" + "\n".join(lines) + "}")), "F")
         F.validate_fbd(f, env)
         assert F.linear_summary(f, env) is None
+
+
+def _invariants(rng, model):
+    """Four kinds that hold on most generated charts, then two random
+    arithmetic ones that seldom do."""
+    guard = E.pretty(model.transitions[0].guard)
+    atom = _condition(rng)
+    return [
+        "steps_within {S, T}",
+        "!(step(S) && step(T))",
+        # T is entered with the guard true and nothing pending, and
+        # nothing runs until it is left
+        f"!step(T) || ({guard}) && !action(A) && !action(D)",
+        f"({atom}) || !step(S) || step(S)",
+        _condition(rng),
+        f"step(T) || ({_condition(rng)})",
+    ]
+
+
+def test_proved_invariants_hold_and_certify():
+    rng = random.Random(13)
+    proved = set()
+    for _ in range(8):
+        model = _model(rng, rng.choice(WIDTHS), span=8)
+        states = states_of(model, 10, 2000)
+        for i, text in enumerate(_invariants(rng, model)):
+            inv, = P.parse_properties(f"invariant p : always ({text});",
+                                      model)
+            res = V.verify_invariant(model, inv)
+            if not isinstance(res, V.Proved):
+                continue
+            proved.add(i)
+            for s in states:
+                assert P.holds_on(inv.formula, s), (text, S.state_text(s))
+            assert C.check(C.emit(model, inv, res.tree)).accepted, text
+    assert {0, 1, 2, 3} <= proved and proved & {4, 5}, proved

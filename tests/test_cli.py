@@ -139,6 +139,38 @@ class TestVerifyCertify:
             "expressions)" in out
         assert "Traceback" not in out + err
 
+    def test_certify_and_check_json_reports(self, tmp_path, capsys):
+        cert = tmp_path / "y.cert"
+        code, out = run(capsys, "certify", fx("hold_positive.sfc"),
+                        "--prop", fx("hold_positive.inv"),
+                        "--name", "y_positive", "--out", str(cert),
+                        "--report", "json")
+        assert code == 0
+        assert json.loads(out) == {"invariant": "y_positive",
+                                   "result": "Proved (6 obligations)",
+                                   "certificate": str(cert)}
+        code, out = run(capsys, "check-cert", str(cert), "--report", "json")
+        assert code == 0
+        assert json.loads(out) == {"accepted": True, "reason": "",
+                                   "path": []}
+        cert.write_bytes(cert.read_bytes().replace(b"steps 1", b"steps 0"))
+        code, out = run(capsys, "check-cert", str(cert), "--report", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["accepted"] is False and report["reason"]
+
+    def test_certify_json_report_when_not_proved(self, tmp_path, capsys):
+        cert = tmp_path / "x.cert"
+        code, out = run(capsys, "certify", fx("loop.sfc"),
+                        "--prop", fx("loop.inv"), "--name", "x_capped",
+                        "--out", str(cert), "--report", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["invariant"] == "x_capped"
+        assert report["result"].startswith("Refuted")
+        assert report["certificate"] is None
+        assert not cert.exists()
+
     def test_certify_requires_single_invariant(self, capsys):
         code = main(["certify", fx("hold_positive.sfc"), "--prop",
                      fx("hold_positive.inv"), "--out", "/tmp/ignored.cert"])

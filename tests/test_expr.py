@@ -7,96 +7,127 @@ from certplc import linear as L
 from certplc.parsing import ParseError, parse_expression_text
 
 
-def val(ty, n):
-    return E.Value(ty, n)
-
-
-def ev(text, mem, env=None):
-    e = parse_expression_text(text)
-    if env:
-        e, _ = E.typecheck(e, env)
+def ev(text, mem, env):
+    e, _ = E.typecheck(parse_expression_text(text), env)
     return E.eval_expr(e, mem)
+
+
+def assign(target, text, mem, env):
+    return E.apply_effect([(target, parse_expression_text(text))], mem, env)
 
 
 class TestEval:
     def test_guard_comparison(self):
-        assert ev("x < 10", {"x": val("int16", 5)}).payload == 1
-        assert ev("x < 10", {"x": val("int16", 10)}).payload == 0
+        assert ev("x < 10", {"x": 5}, {"x": "int16"}) == 1
+        assert ev("x < 10", {"x": 10}, {"x": "int16"}) == 0
 
     def test_constant_true_guard(self):
-        assert ev("true", {}).payload == 1
-        assert ev("true", {"x": val("int16", 3)}).payload == 1
+        assert ev("true", {}, {}) == 1
+        assert ev("true", {"x": 3}, {"x": "int16"}) == 1
 
     def test_add_wraps_at_width(self):
-        assert ev("x + 1", {"x": val("int16", 65535)}) == val("int16", 0)
-        assert ev("x + 1", {"x": val("int8", 255)}) == val("int8", 0)
+        assert assign("x", "x + 1", {"x": 65535}, {"x": "int16"}) == {"x": 0}
+        assert assign("x", "x + 1", {"x": 255}, {"x": "int8"}) == {"x": 0}
 
     def test_sub_wraps_below_zero(self):
-        assert ev("x - 1", {"x": val("int16", 0)}) == val("int16", 65535)
+        assert assign("x", "x - 1", {"x": 0}, {"x": "int16"}) == \
+            {"x": 65535}
+
+    def test_comparison_wraps_operands_at_annotated_width(self):
+        assert ev("x + 1 == 0", {"x": 65535}, {"x": "int16"}) == 1
+        assert ev("x + 1 == 0", {"x": 255}, {"x": "int8"}) == 1
+        assert ev("x + 1 == 0", {"x": 255}, {"x": "int16"}) == 0
+        assert ev("x - 1 == 255", {"x": 0}, {"x": "int8"}) == 1
+
+    def test_all_literal_comparison_defaults_to_32_bit(self):
+        assert ev("4294967295 + 1 == 0", {}, {}) == 1
+
+    def test_untypechecked_comparison_rejected(self):
+        with pytest.raises(E.ExprError, match="not typechecked"):
+            E.eval_expr(parse_expression_text("x < 10"), {"x": 5})
 
     def test_unbound_variable(self):
-        with pytest.raises(E.ExprError):
-            ev("y + 1", {"x": val("int16", 0)})
+        with pytest.raises(E.ExprError, match="unbound"):
+            E.eval_expr(parse_expression_text("y + 1"), {"x": 0})
 
     def test_bool_ops(self):
-        mem = {"a": val("bool", 1), "b": val("bool", 0)}
-        assert ev("a && !b", mem).payload == 1
-        assert ev("a && b || !b", mem).payload == 1
-        assert ev("!(a || b)", mem).payload == 0
+        mem = {"a": 1, "b": 0}
+        env = {"a": "bool", "b": "bool"}
+        assert ev("a && !b", mem, env) == 1
+        assert ev("a && b || !b", mem, env) == 1
+        assert ev("!(a || b)", mem, env) == 0
 
     def test_mixed_width_rejected(self):
-        mem = {"a": val("int8", 1), "b": val("int16", 1)}
+        # widths are joined by typecheck; evaluation trusts its annotation
+        with pytest.raises(E.ExprError, match="width mismatch"):
+            E.typecheck(parse_expression_text("a + b"),
+                        {"a": "int8", "b": "int16"})
+
+
+class TestTypecheck:
+    @pytest.mark.parametrize("text, env", [
+        ("a < b", {"a": "int8", "b": "int16"}),
+        ("a + 1", {"a": "bool"}),
+        ("a && x", {"a": "bool", "x": "int8"}),
+        ("!x", {"x": "int8"}),
+        ("y + 1", {"x": "int8"}),
+    ], ids=["mixed-width-cmp", "bool-arith", "int-logic",
+            "int-not", "unbound"])
+    def test_type_errors_rejected(self, text, env):
         with pytest.raises(E.ExprError):
-            ev("a + b", mem)
+            E.typecheck(parse_expression_text(text), env)
+
+    def test_comparison_width_annotated(self):
+        e, ty = E.typecheck(parse_expression_text("x + 1 < 3"),
+                            {"x": "int8"})
+        assert ty == "bool" and e.width == "int8"
+        e, _ = E.typecheck(parse_expression_text("1 < 3"), {})
+        assert e.width == E.DEFAULT_INT
 
 
 class TestValues:
-    def test_payload_range_enforced(self):
-        with pytest.raises(E.ExprError):
-            E.Value("int8", 256)
-        with pytest.raises(E.ExprError):
-            E.Value("bool", 2)
-        with pytest.raises(E.ExprError):
-            E.Value("int16", -1)
-
     def test_arithmetic_stays_in_range(self):
         rng = random.Random(7)
         for _ in range(300):
             ty = rng.choice(["int8", "int16", "int32"])
             a = rng.randrange(E.max_of(ty) + 1)
             b = rng.randrange(E.max_of(ty) + 1)
-            mem = {"a": val(ty, a), "b": val(ty, b)}
+            env = {"a": ty, "b": ty}
             for text in ("a + b", "a - b", "a * b", "a * 3 + b"):
-                out = ev(text, mem)
-                assert 0 <= out.payload <= E.max_of(ty)
+                out = assign("a", text, {"a": a, "b": b}, env)
+                assert 0 <= out["a"] <= E.max_of(ty)
 
 
 class TestApplyEffect:
     def test_single_increment(self):
-        mem = {"x": val("int16", 5)}
-        out = E.apply_effect([("x", parse_expression_text("x + 1"))], mem)
-        assert out["x"] == val("int16", 6)
-        assert mem["x"] == val("int16", 5)  # input untouched
+        mem = {"x": 5}
+        assert assign("x", "x + 1", mem, {"x": "int16"}) == {"x": 6}
+        assert mem == {"x": 5}  # input untouched
+
+    def test_literal_wraps_at_target_width(self):
+        assert assign("x", "300", {"x": 0}, {"x": "int8"}) == {"x": 44}
 
     def test_empty_effect_is_identity(self):
-        mem = {"x": val("int16", 3)}
-        assert E.apply_effect([], mem) == mem
+        mem = {"x": 3}
+        assert E.apply_effect([], mem, {"x": "int16"}) == mem
 
     def test_assignments_are_sequential(self):
-        mem = {"x": val("int16", 3), "y": val("int16", 9)}
+        mem = {"x": 3, "y": 9}
         effect = [("x", parse_expression_text("0")),
                   ("y", parse_expression_text("x"))]
-        out = E.apply_effect(effect, mem)
-        assert out == {"x": val("int16", 0), "y": val("int16", 0)}
+        out = E.apply_effect(effect, mem, {"x": "int16", "y": "int16"})
+        assert out == {"x": 0, "y": 0}
 
     def test_assign_undeclared(self):
         with pytest.raises(E.ExprError):
-            E.apply_effect([("z", parse_expression_text("1"))], {})
+            E.apply_effect([("z", parse_expression_text("1"))], {}, {})
 
     def test_purity(self):
-        mem = {"x": val("int16", 7)}
+        mem = {"x": 7}
         effect = [("x", parse_expression_text("x * 2"))]
-        assert E.apply_effect(effect, mem) == E.apply_effect(effect, mem)
+        env = {"x": "int16"}
+        assert E.apply_effect(effect, mem, env) == \
+            E.apply_effect(effect, mem, env)
 
 
 class TestPrinter:
@@ -138,8 +169,7 @@ def _agree(text, env, points):
     assert ty == "bool"
     dnf = L.normalize(e, env)
     for point in points:
-        mem = {k: val(env[k], v) for k, v in point.items()}
-        direct = E.eval_expr(e, mem).payload == 1
+        direct = E.eval_expr(e, point) == 1
         lowered = L.eval_dnf(dnf, point)
         assert direct == lowered, (text, point, direct, lowered)
 

@@ -33,31 +33,30 @@ def parse(body, name="f"):
     return F.parse_fbd(TokenStream(lex(body)), name)
 
 
-def mem16(**kw):
-    return {k: E.Value("int16", v) for k, v in kw.items()}
+ENV16 = dict.fromkeys(("out", "x", "y", "z"), "int16")
 
 
 class TestAcyclic:
     def test_increment(self):
         f = parse(INC)
-        out = F.eval_acyclic(f, mem16(x=5))
-        assert out["x"].payload == 6
+        out = F.eval_acyclic(f, dict(x=5), ENV16)
+        assert out["x"] == 6
 
     def test_no_write_leaves_memory(self):
         f = parse("{ block r = read x\n block a = add(r.out, const 1) }")
-        m = mem16(x=5)
-        assert F.eval_acyclic(f, m) == m
+        m = dict(x=5)
+        assert F.eval_acyclic(f, m, ENV16) == m
 
     def test_two_reads(self):
         f = parse(TWO_IN)
-        out = F.eval_acyclic(f, mem16(x=2, y=3, z=0))
-        assert out["z"].payload == 5
-        assert out["x"].payload == 2
+        out = F.eval_acyclic(f, dict(x=2, y=3, z=0), ENV16)
+        assert out["z"] == 5
+        assert out["x"] == 2
 
     def test_rejects_delay(self):
         f = parse(COUNTER)
         with pytest.raises(F.FbdError):
-            F.eval_acyclic(f, mem16(out=0))
+            F.eval_acyclic(f, dict(out=0), ENV16)
 
     def test_undelayed_cycle_rejected(self):
         f = parse("{ block a = add(b.out, const 1)\n"
@@ -89,19 +88,20 @@ class TestAcyclic:
                    "  block c = write x (b.out) }")
         f2 = parse("{ block z = read x\n block y = add(z.out, const 2)\n"
                    "  block q = write x (y.out) }")
-        m = mem16(x=7)
-        assert F.eval_acyclic(f1, m)["x"] == F.eval_acyclic(f2, m)["x"]
+        m = dict(x=7)
+        assert (F.eval_acyclic(f1, m, ENV16)["x"]
+                == F.eval_acyclic(f2, m, ENV16)["x"])
 
 
 class TestIterative:
     def test_counter_counts_time_slice(self):
         f = parse(COUNTER)
-        out = F.eval_iterative(f, mem16(out=0))
-        assert out["out"].payload == 3
+        out = F.eval_iterative(f, dict(out=0), ENV16)
+        assert out["out"] == 3
 
     def test_counter_overwrites_start_value(self):
         f = parse(COUNTER)
-        assert F.eval_iterative(f, mem16(out=40))["out"].payload == 3
+        assert F.eval_iterative(f, dict(out=40), ENV16)["out"] == 3
 
     def test_time_slice_zero_rejected_at_parse(self):
         with pytest.raises(Exception, match="positive"):
@@ -109,40 +109,40 @@ class TestIterative:
 
     def test_one_slice_equals_acyclic(self):
         f = parse(INC)
-        m = mem16(x=11)
-        assert F.eval_iterative(f, m) == F.eval_acyclic(f, m)
+        m = dict(x=11)
+        assert F.eval_iterative(f, m, ENV16) == F.eval_acyclic(f, m, ENV16)
 
     def test_deterministic(self):
         f = parse(COUNTER)
-        m = mem16(out=0)
-        assert F.eval_iterative(f, m) == F.eval_iterative(f, m)
+        m = dict(out=0)
+        assert F.eval_iterative(f, m, ENV16) == F.eval_iterative(f, m, ENV16)
 
     def test_mux_and_comparison(self):
         f = parse("{ block r = read x\n block c = lt(r.out, const 10)\n"
                   "  block m = mux(c.out, const 1, const 0)\n"
                   "  block w = write y (m.out) }")
-        assert F.eval_iterative(f, mem16(x=5, y=9))["y"].payload == 1
-        assert F.eval_iterative(f, mem16(x=55, y=9))["y"].payload == 0
+        assert F.eval_iterative(f, dict(x=5, y=9), ENV16)["y"] == 1
+        assert F.eval_iterative(f, dict(x=55, y=9), ENV16)["y"] == 0
 
 
 class TestCompile:
     def test_increment_matches_assignment_oracle(self):
         f = parse(INC)
-        effect = F.fbd_to_action(f)
+        effect = F.fbd_to_action(f, ENV16)
         inc = [("x", E.Add(E.Var("x"), E.IntLit(1)))]
         for v in itertools.chain(range(16), (254, 255, 65534, 65535)):
-            m = mem16(x=v)
-            assert effect(m) == E.apply_effect(inc, m), v
+            m = dict(x=v)
+            assert effect(m) == E.apply_effect(inc, m, ENV16), v
 
     def test_empty_diagram_is_identity(self):
         f = parse("{ timeslice 1 }")
-        m = mem16(x=3)
-        assert F.fbd_to_action(f)(m) == m
+        m = dict(x=3)
+        assert F.fbd_to_action(f, ENV16)(m) == m
 
     def test_counter_effect_writes_three(self):
-        effect = F.fbd_to_action(parse(COUNTER))
+        effect = F.fbd_to_action(parse(COUNTER), ENV16)
         for v in range(16):
-            assert effect(mem16(out=v))["out"].payload == 3
+            assert effect(dict(out=v))["out"] == 3
 
 
 class TestLinearSummary:
@@ -168,8 +168,8 @@ class TestLinearSummary:
         s = F.linear_summary(f, {"x": "int16", "y": "int16", "z": "int16"})
         for x in (0, 1, 7, 65535):
             for y in (0, 3, 65535):
-                m = mem16(x=x, y=y, z=0)
-                got = F.eval_iterative(f, m)["z"].payload
+                m = dict(x=x, y=y, z=0)
+                got = F.eval_iterative(f, m, ENV16)["z"]
                 raw = s["z"].evaluate({"x": x, "y": y, "z": 0})
                 assert got == raw % (1 << 16)
 

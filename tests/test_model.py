@@ -32,13 +32,16 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown step"):
             parse_model(bad)
 
-    def test_duplicate_step(self):
-        with pytest.raises(ParseError, match="duplicate"):
-            parse_model("step A [initial]\nstep A\n")
-
-    def test_duplicate_variable(self):
-        with pytest.raises(ParseError, match="duplicate"):
-            parse_model("var x : int8\nvar x : int16\n" + MINIMAL)
+    @pytest.mark.parametrize("kind, text", [
+        ("variable 'x'", "var x : int8\nvar x : int16\n" + MINIMAL),
+        ("step 'A'", "step A [initial]\nstep A\n"),
+        ("action 'A'",
+         MINIMAL + "action A on Only { }\naction A on Only { }\n"),
+        ("fbd 'F'", MINIMAL + "fbd F { }\nfbd F { }\n"),
+    ], ids=["variable", "step", "action", "fbd"])
+    def test_duplicate_declaration(self, kind, text):
+        with pytest.raises(ParseError, match=f"duplicate {kind}"):
+            parse_model(text)
 
     def test_type_mismatch_in_guard(self):
         bad = ("var x : int16\nvar b : bool\n" + MINIMAL +

@@ -196,7 +196,7 @@ class TestWorkCount:
 
         normalized = self._counting(monkeypatch, "normalize")
         envs = self._counting(monkeypatch, "symbolic_env")
-        obs = V.inductive_obligations(model, inv.formula)
+        obs = list(V.iter_obligations(model, inv.formula))
         assert len(obs) == len(rules)
         assert not any(isinstance(ob, V.Undecided) for _, ob in obs)
         assert len(normalized) <= bound < len(rules)

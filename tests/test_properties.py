@@ -1,14 +1,8 @@
 import pytest
 
-from certplc import expr as E
 from certplc import properties as P
 from certplc.parsing import ParseError
 from certplc.semantics import SfcState, init_state
-
-
-
-def val(n, ty="int16"):
-    return E.Value(ty, n)
 
 
 class TestParsing:
@@ -85,7 +79,7 @@ class TestSemantics:
             P.parse_formula_text("step(Return)", loop_model), s)
 
     def test_subset_atoms(self, loop_model):
-        s = SfcState({"x": val(0)}, ("Init",), ("A_Init", "A_Init"))
+        s = SfcState({"x": 0}, ("Init",), ("A_Init", "A_Init"))
         assert P.holds_on(P.ActionsWithin(("A_Init",)), s)
         assert not P.holds_on(P.ActionsWithin(()), s)
         assert P.holds_on(P.StepsWithin(("Init", "Step2")), s)

@@ -11,14 +11,10 @@ from certplc.semantics import (BudgetExceeded, ExecuteAction, NotApplicable,
 from conftest import fixture_names, load_model
 
 
-def payload(state, var):
-    return state.mem[var].payload
-
-
 class TestInitState:
     def test_loop_initial_configuration(self, loop_model):
         c = init_state(loop_model)
-        assert payload(c, "x") == 0
+        assert c.mem["x"] == 0
         assert c.active_steps == ("Init",)
         assert c.active_actions == ("A_Init",)
 
@@ -28,7 +24,7 @@ class TestInitState:
 
     def test_declared_initializer(self):
         m = parse_model("var x : int16 = 7\nstep A [initial]\n")
-        assert payload(init_state(m), "x") == 7
+        assert init_state(m).mem["x"] == 7
 
     def test_empty_init_actions_mode(self, loop_model):
         c = init_state(loop_model, "empty")
@@ -43,7 +39,7 @@ class TestExecuteAction:
     def test_updates_memory_and_retires_action(self, loop_model):
         c = S.SfcState(init_state(loop_model).mem, ("Init",), ("A_Init",))
         c2 = S.execute_action(loop_model, c, "A_Init")
-        assert payload(c2, "x") == 1
+        assert c2.mem["x"] == 1
         assert c2.active_actions == ()
         assert c2.active_steps == c.active_steps
 
@@ -62,7 +58,7 @@ class TestExecuteAction:
 
 class TestStepTransition:
     def test_fires_when_guard_holds(self, loop_model):
-        mem = {"x": E.Value("int16", 5)}
+        mem = {"x": 5}
         c = S.SfcState(mem, ("Init",), ())
         c2 = S.step_transition(loop_model, c, 0)
         assert c2.active_steps == ("Step2",)
@@ -70,20 +66,20 @@ class TestStepTransition:
         assert c2.mem == mem  # memory frame
 
     def test_guard_false_blocks(self, loop_model):
-        c = S.SfcState({"x": E.Value("int16", 12)}, ("Init",), ())
+        c = S.SfcState({"x": 12}, ("Init",), ())
         with pytest.raises(NotApplicable):
             S.step_transition(loop_model, c, 0)
         c2 = S.step_transition(loop_model, c, 2)
         assert c2.active_steps == ("Return",)
 
     def test_pending_source_action_blocks(self, loop_model):
-        c = S.SfcState({"x": E.Value("int16", 5)}, ("Init",), ("A_Init",))
+        c = S.SfcState({"x": 5}, ("Init",), ("A_Init",))
         with pytest.raises(NotApplicable, match="pending"):
             S.step_transition(loop_model, c, 0)
 
     def test_multi_source_requires_all_active(self):
         m = load_model("parallel")
-        mem = {"x": E.Value("int16", 2)}
+        mem = {"x": 2}
         with pytest.raises(NotApplicable, match="inactive"):
             S.step_transition(m, S.SfcState(mem, ("L1",), ()), 1)
         c2 = S.step_transition(m, S.SfcState(mem, ("L1", "L2"), ()), 1)
@@ -97,14 +93,14 @@ class TestStepTransition:
         assert c2.active_steps == ("A", "C")
 
     def test_target_actions_prepended(self, loop_model):
-        c = S.SfcState({"x": E.Value("int16", 1)}, ("Step2",), ())
+        c = S.SfcState({"x": 1}, ("Step2",), ())
         c2 = S.step_transition(loop_model, c, 1)
         assert c2.active_actions == ("A_Init",)
 
 
 class TestReactivate:
     def test_blocked_by_enabled_guard(self, loop_model):
-        c = S.SfcState({"x": E.Value("int16", 12)}, ("Step2",), ())
+        c = S.SfcState({"x": 12}, ("Step2",), ())
         with pytest.raises(NotApplicable):
             S.reactivate(loop_model, c, "Step2")
 
@@ -124,7 +120,7 @@ class TestReactivate:
     def test_all_guards_false_enables(self, loop_model):
         # from Init both outgoing guards cannot be false at once
         for x in (5, 12):
-            c = S.SfcState({"x": E.Value("int16", x)}, ("Init",), ())
+            c = S.SfcState({"x": x}, ("Init",), ())
             with pytest.raises(NotApplicable):
                 S.reactivate(loop_model, c, "Init")
 
@@ -137,7 +133,7 @@ def _enabled_by_scan(model, c, rule):
         t = model.transitions[rule.index]
         if not set(t.sources) <= set(c.active_steps):
             return False
-        if not E.eval_expr(t.guard, c.mem).as_bool():
+        if not E.eval_expr(t.guard, c.mem):
             return False
         pending = set(c.active_actions)
         return all(a not in pending
@@ -145,7 +141,7 @@ def _enabled_by_scan(model, c, rule):
     if isinstance(rule, Reactivate):
         if rule.step not in c.active_steps:
             return False
-        return all(not E.eval_expr(t.guard, c.mem).as_bool()
+        return all(not E.eval_expr(t.guard, c.mem)
                    for t in model.transitions if rule.step in t.sources)
     raise TypeError(rule)
 
@@ -165,7 +161,7 @@ class TestSuccessors:
                 assert got == want, (name, state_text(c))
 
     def test_only_transition_after_action_executed(self, loop_model):
-        c = S.SfcState({"x": E.Value("int16", 5)}, ("Init",), ())
+        c = S.SfcState({"x": 5}, ("Init",), ())
         got = [r.label() for r, _ in successors(loop_model, c)]
         assert got == ["trans:0"]
 
@@ -207,10 +203,10 @@ class TestReachable:
 
     def test_loop_explorer_is_the_oracle(self, loop_model):
         states = reachable_bounded(loop_model, 40)
-        assert max(payload(s, "x") for s in states) == 10
+        assert max(s.mem["x"] for s in states) == 10
         for s in states:
             if "Return" in s.active_steps:
-                assert payload(s, "x") == 10
+                assert s.mem["x"] == 10
 
     def test_monotone_in_depth(self, loop_model):
         for d in range(0, 12, 3):
@@ -248,7 +244,7 @@ class TestTraces:
         assert "trans:2" in labels
         final = trace[labels.index("trans:2")][1]
         assert final.active_steps == ("Return",)
-        assert payload(final, "x") == 10
+        assert final.mem["x"] == 10
 
     def test_max_steps_zero(self, loop_model):
         assert run_trace(loop_model, "priority", max_steps=0) == []
@@ -274,7 +270,7 @@ class TestTraces:
 
 class TestStateText:
     def test_canonical_serialization(self):
-        mem = {"y": E.Value("bool", 1), "x": E.Value("int16", 5)}
+        mem = {"y": 1, "x": 5}
         s = S.SfcState(mem, ("Init",), ("B", "A"))
         assert state_text(s) == "mem{x=5,y=1} steps[Init] acts[A,B]"
 

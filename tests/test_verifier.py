@@ -5,10 +5,10 @@ from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
 from certplc.model import parse_model
-from certplc.semantics import BudgetExceeded, reachable_bounded
+from certplc.semantics import reachable_bounded
 
 from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
-                      fixture_names, load_invariants, load_model)
+                      fixture_names, load_invariants, load_model, states_of)
 
 
 def formula(text, model):
@@ -16,11 +16,7 @@ def formula(text, model):
 
 
 def oracle_holds(model, f, depth=25, budget=20_000):
-    try:
-        states = reachable_bounded(model, depth, state_budget=budget)
-    except BudgetExceeded as err:
-        states = err.partial
-    return all(P.holds_on(f, s) for s in states)
+    return all(P.holds_on(f, s) for s in states_of(model, depth, budget))
 
 
 class TestCheckBase:
@@ -39,15 +35,15 @@ class TestCheckBase:
 
 class TestObligations:
     def test_one_per_rule_instance(self, loop_model):
-        obs = V.inductive_obligations(loop_model,
-                                      formula("x <= 10", loop_model))
+        obs = list(V.iter_obligations(loop_model,
+                                      formula("x <= 10", loop_model)))
         labels = [rule.label() for rule, _ in obs]
         assert labels == ["exec:A_Init", "trans:0", "trans:1", "trans:2",
                           "react:Init", "react:Return", "react:Step2"]
 
     def test_no_transitions_still_covers_actions_and_steps(self):
         m = load_model("multi_action")
-        obs = V.inductive_obligations(m, formula("true", m))
+        obs = list(V.iter_obligations(m, formula("true", m)))
         labels = [rule.label() for rule, _ in obs]
         assert labels == ["exec:A_One", "exec:A_Two", "react:Idle"]
 
