@@ -271,16 +271,21 @@ def linear_form(e: E.Expr, subst=None) -> LinForm:
 _NEG_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
 
 
-def wrap_cases(form: LinForm, bits: int, bounds) -> list[tuple[LinForm, Cube]]:
+def wrap_cases(form: LinForm, bits: int, bounds,
+               cap: int) -> list[tuple[LinForm, Cube]]:
     """Enumerate wrapped values of *form* at the given width.
 
     Returns (wrapped form, side conditions) per feasible quotient.  The side
     conditions pin the quotient: 0 <= form - q*2**bits <= 2**bits - 1.
+    Raises CubeOverflow, before enumerating, when there are more than *cap*.
     """
     modulus = 1 << bits
     lo, hi = form.interval(bounds)
     q_lo = lo // modulus
     q_hi = hi // modulus
+    count = q_hi - q_lo + 1
+    if count > cap:
+        raise CubeOverflow(f"{count} wrap quotients exceed cap {cap}")
     cases = []
     for q in range(q_lo, q_hi + 1):
         wrapped = form.shift(-q * modulus)
@@ -298,8 +303,8 @@ def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds,
         return dnf_or(_cmp_atom("<", la, lb, bits, bounds, cap),
                       _cmp_atom(">", la, lb, bits, bounds, cap), cap)
     out = []
-    for wa, side_a in wrap_cases(la, bits, bounds):
-        for wb, side_b in wrap_cases(lb, bits, bounds):
+    for wa, side_a in wrap_cases(la, bits, bounds, cap):
+        for wb, side_b in wrap_cases(lb, bits, bounds, cap):
             diff = wa.sub(wb)
             if op == "<":
                 rels = [LinCon.make(diff, "<=", -1)]

@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Union
 
 from . import expr as E
 from . import fbd as F
@@ -60,6 +62,63 @@ class Transition:
 
 
 @dataclass(frozen=True)
+class ExecuteAction:
+    action: str
+
+    def label(self) -> str:
+        return f"exec:{self.action}"
+
+
+@dataclass(frozen=True)
+class StepTransition:
+    index: int
+
+    def label(self) -> str:
+        return f"trans:{self.index}"
+
+
+@dataclass(frozen=True)
+class Reactivate:
+    step: str
+
+    def label(self) -> str:
+        return f"react:{self.step}"
+
+
+RuleInstance = Union[ExecuteAction, StepTransition, Reactivate]
+
+
+@dataclass(frozen=True)
+class RuleShape:
+    """What one rule instance needs of a configuration and what it changes.
+
+    The three rule schemata are stated here once; the concrete semantics
+    (``semantics.apply_rule``) and the symbolic obligations
+    (``obligations.build_obligation``) both read the shape.
+
+    * execute A: A is pending.  A's effect updates memory and every
+      occurrence of A leaves the pending list; active steps are untouched.
+    * transition: all source steps are active, no action of a source step
+      is pending and the guard holds.  Source steps leave the active list
+      (order kept) and targets are appended in declared order; the targets'
+      actions are prepended to the pending list.  Memory is unchanged.
+    * reactivate S: S is active and every guard leaving S is false.  S's
+      actions are prepended to the pending list; nothing else changes.
+    """
+
+    pending: tuple[str, ...] = ()      # actions that must be pending
+    steps: tuple[str, ...] = ()        # steps that must be active
+    idle: tuple[str, ...] = ()         # actions that must not be pending
+    guards: tuple[E.Expr, ...] = ()    # guards that must hold
+    blocked: tuple[E.Expr, ...] = ()   # guards that must all fail
+    steps_off: tuple[str, ...] = ()    # steps turned off
+    steps_on: tuple[str, ...] = ()     # steps appended, in order
+    acts_off: tuple[str, ...] = ()     # actions whose every occurrence leaves
+    acts_on: tuple[str, ...] = ()      # actions prepended, in order
+    action: str | None = None          # action whose memory effect runs
+
+
+@dataclass(frozen=True)
 class SfcModel:
     vars: tuple[VarDecl, ...]
     steps: tuple[str, ...]
@@ -92,6 +151,34 @@ class SfcModel:
 
     def action_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.actions)
+
+    @cached_property
+    def rules(self) -> dict[RuleInstance, RuleShape]:
+        """Every rule instance and its shape, in enumeration order: one
+        execute per declared action, one transition per declared
+        transition, one reactivation per step."""
+        acts_of = dict(self.step_actions)
+        leaving: dict[str, list[E.Expr]] = {s: [] for s in self.steps}
+        for t in self.transitions:
+            for s in t.sources:
+                leaving.setdefault(s, []).append(t.guard)
+        table: dict[RuleInstance, RuleShape] = {}
+        for a in self.actions:
+            table[ExecuteAction(a.id)] = RuleShape(
+                pending=(a.id,), acts_off=(a.id,), action=a.id)
+        for i, t in enumerate(self.transitions):
+            table[StepTransition(i)] = RuleShape(
+                steps=t.sources,
+                idle=tuple(dict.fromkeys(
+                    a for s in t.sources for a in acts_of.get(s, ()))),
+                guards=(t.guard,), steps_off=t.sources, steps_on=t.targets,
+                acts_on=tuple(a for s in t.targets
+                              for a in acts_of.get(s, ())))
+        for s in self.steps:
+            table[Reactivate(s)] = RuleShape(
+                steps=(s,), blocked=tuple(leaving[s]),
+                acts_on=acts_of.get(s, ()))
+        return table
 
 
 def _normalized(vars, steps, initial, actions, step_actions, transitions,

@@ -8,14 +8,16 @@ over the pre-state (all block arithmetic is congruent mod 2**w, so one wrap
 per written variable is exact); the wrap is encoded by enumerating the
 quotient, one hypothesis disjunct per feasible choice.
 
-An obligation is a list of hypothesis cubes (rule preconditions, the
-invariant on the pre-state, and the post-value definitions) plus, for each
-top-level conjunct of the invariant, the negated conclusion on the
-post-state as a disjunction of cubes.  The rule holds when every hypothesis
-cube is jointly unsatisfiable with every negated-conclusion cube.  Both the
-verifier and the certificate checker derive obligations through this
-module, so a certificate only needs to say which cubes are contradictory
-and supply the witnesses.
+The rules are described once, on ``model.RuleShape``, which the concrete
+semantics reads too.  An obligation is a list of hypothesis cubes (the
+shape's activity literals, guards and failing guards, the invariant on the
+pre-state, and the post-value definitions) plus, for each top-level
+conjunct of the invariant, the negated conclusion on the post-state the
+shape describes, as a disjunction of cubes.  The rule holds when every
+hypothesis cube is jointly unsatisfiable with every negated-conclusion
+cube.  Both the verifier and the certificate checker derive obligations
+through this module, so a certificate only needs to say which cubes are
+contradictory and supply the witnesses.
 
 Everything here is deterministic in the model and property alone.
 """
@@ -31,9 +33,7 @@ from . import properties as P
 from .linear import (CubeOverflow, Dnf, FragmentError, LinCon, LinForm,
                      attach_bounds, bounds_fn, dnf_and, dnf_or, linear_form,
                      normalize, wrap_cases, TRUE_DNF, FALSE_DNF, clean_cube)
-from .model import SfcModel
-from .semantics import (ExecuteAction, Reactivate, RuleInstance,
-                        StepTransition)
+from .model import RuleInstance, SfcModel
 
 STEP_PREFIX = "step:"
 ACT_PREFIX = "act:"
@@ -149,7 +149,7 @@ def _post_definitions(summary: dict[str, LinForm], env, cap: int) -> Dnf:
     for name in sorted(summary):
         cases = []
         for wrapped, side in wrap_cases(summary[name], E.bits_of(env[name]),
-                                        bounds):
+                                        bounds, cap):
             # post:name == form - q*2**bits, within the type range
             defn = LinCon.make(wrapped.sub(LinForm.of_var(post_var(name))),
                                "==", 0)
@@ -258,52 +258,6 @@ class DerivationContext:
         raise P.PropertyError(f"unknown formula node {type(f).__name__}")
 
 
-# --- rule hypotheses and post-state maps ------------------------------------
-
-def _transition_pre(ctx: DerivationContext, index: int) -> Dnf:
-    model = ctx.model
-    t = model.transitions[index]
-    cons = [_eq01(step_var(s), 1) for s in t.sources]
-    source_actions = []
-    for s in t.sources:
-        for a in model.actions_of(s):
-            if a not in source_actions:
-                source_actions.append(a)
-    cons.extend(_eq01(act_var(a), 0) for a in source_actions)
-    hyp = (tuple(cons),)
-    return dnf_and(hyp, ctx.normalized(t.guard), ctx.cap)
-
-
-def _transition_post(ctx: DerivationContext, index: int) -> _StateMap:
-    model = ctx.model
-    t = model.transitions[index]
-    steps = dict(ctx.pre.steps)
-    for s in t.sources:
-        steps[s] = 0
-    for s in t.targets:
-        steps[s] = 1
-    actions = dict(ctx.pre.actions)
-    for s in t.targets:
-        for a in model.actions_of(s):
-            actions[a] = 1
-    return _StateMap(steps, actions, None)
-
-
-def _reactivate_pre(ctx: DerivationContext, step: str) -> Dnf:
-    hyp: Dnf = ((_eq01(step_var(step), 1),),)
-    for t in ctx.model.transitions:
-        if step in t.sources:
-            hyp = dnf_and(hyp, ctx.normalized(t.guard, negate=True), ctx.cap)
-    return hyp
-
-
-def _reactivate_post(ctx: DerivationContext, step: str) -> _StateMap:
-    actions = dict(ctx.pre.actions)
-    for a in ctx.model.actions_of(step):
-        actions[a] = 1
-    return _StateMap(dict(ctx.pre.steps), actions, None)
-
-
 def build_obligation(model: SfcModel, formula: P.Formula, rule: RuleInstance,
                      *, cap: int = 512,
                      context: DerivationContext | None = None
@@ -322,28 +276,29 @@ def build_obligation(model: SfcModel, formula: P.Formula, rule: RuleInstance,
     if ctx.model is not model or ctx.formula is not formula or ctx.cap != cap:
         raise ValueError("derivation context of another model, property "
                          "or cap")
+    shape = model.rules[rule]
     env = ctx.env
     try:
-        if isinstance(rule, ExecuteAction):
-            summary = effect_summary(model, rule.action)
-            hyp = ((_eq01(act_var(rule.action), 1),),)
-            hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
+        summary = None if shape.action is None else \
+            effect_summary(model, shape.action)
+        hyp: Dnf = (tuple([_eq01(act_var(a), 1) for a in shape.pending]
+                          + [_eq01(step_var(s), 1) for s in shape.steps]
+                          + [_eq01(act_var(a), 0) for a in shape.idle]),)
+        for g in shape.guards:
+            hyp = dnf_and(hyp, ctx.normalized(g), cap)
+        for g in shape.blocked:
+            hyp = dnf_and(hyp, ctx.normalized(g, negate=True), cap)
+        hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
+        if summary is not None:
             hyp = dnf_and(hyp, _post_definitions(summary, env, cap), cap)
-            actions = dict(ctx.pre.actions)
-            actions[rule.action] = 0  # every occurrence is removed
-            post = _StateMap(dict(ctx.pre.steps), actions,
-                             _post_subst(summary))
-        elif isinstance(rule, StepTransition):
-            hyp = _transition_pre(ctx, rule.index)
-            hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
-            post = _transition_post(ctx, rule.index)
-        elif isinstance(rule, Reactivate):
-            hyp = _reactivate_pre(ctx, rule.step)
-            hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
-            post = _reactivate_post(ctx, rule.step)
-        else:
-            raise TypeError(f"not a rule instance: {rule!r}")
-
+        steps = dict(ctx.pre.steps)
+        steps.update(dict.fromkeys(shape.steps_off, 0))
+        steps.update(dict.fromkeys(shape.steps_on, 1))
+        actions = dict(ctx.pre.actions)
+        actions.update(dict.fromkeys(shape.acts_off, 0))
+        actions.update(dict.fromkeys(shape.acts_on, 1))
+        post = _StateMap(steps, actions,
+                         None if summary is None else _post_subst(summary))
         hyp = tuple(attach_bounds(c, env) for c in hyp)
         neg = []
         for conjunct in P.conjuncts(formula):

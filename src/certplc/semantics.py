@@ -1,28 +1,21 @@
-"""Small-step execution rules, successor enumeration and exploration.
+"""Small-step execution, successor enumeration and exploration.
 
-A configuration is (memory, active action list, active step list).  Three
-rule schemata produce successors:
-
-* execute: an active action block updates memory and every occurrence of
-  that block leaves the active list; active steps are untouched.
-* transition: fires when all source steps are active, the guard holds and
-  no action block of a source step is still pending.  Source steps are
-  filtered out of the active list (order preserved) and targets appended in
-  declared order; the targets' action blocks are prepended to the pending
-  list.  Memory is unchanged.
-* reactivate: an active step whose outgoing guards are all false re-enqueues
-  its action blocks.  Only the pending list changes.
+A configuration is (memory, pending action list, active step list).  The
+execute, transition and reactivate rules are described once, on
+``model.RuleShape``; ``apply_rule`` runs a rule instance by reading its
+shape from the model's rule table.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Union
+from itertools import islice
 
 from . import expr as E
 from . import fbd as F
-from .model import SfcModel
+from .model import (ExecuteAction, Reactivate, RuleInstance, SfcModel,
+                    StepTransition)
 
 
 class NotApplicable(Exception):
@@ -53,33 +46,6 @@ class SfcState:
 
     def __hash__(self):
         return hash(self.key())
-
-
-@dataclass(frozen=True)
-class ExecuteAction:
-    action: str
-
-    def label(self) -> str:
-        return f"exec:{self.action}"
-
-
-@dataclass(frozen=True)
-class StepTransition:
-    index: int
-
-    def label(self) -> str:
-        return f"trans:{self.index}"
-
-
-@dataclass(frozen=True)
-class Reactivate:
-    step: str
-
-    def label(self) -> str:
-        return f"react:{self.step}"
-
-
-RuleInstance = Union[ExecuteAction, StepTransition, Reactivate]
 
 
 def state_text(s: SfcState) -> str:
@@ -120,76 +86,54 @@ def _effect_of(model: SfcModel, aid: str):
     return effect
 
 
-def execute_action(model: SfcModel, c: SfcState, aid: str) -> SfcState:
-    if aid not in c.active_actions:
-        raise NotApplicable(f"action {aid!r} is not pending")
-    mem = _effect_of(model, aid)(c.mem)
-    remaining = tuple(a for a in c.active_actions if a != aid)
-    return SfcState(mem, c.active_steps, remaining)
-
-
-def _guard_true(model: SfcModel, t, mem) -> bool:
-    return bool(E.eval_expr(t.guard, mem))
-
-
-def step_transition(model: SfcModel, c: SfcState, index: int) -> SfcState:
-    t = model.transitions[index]
-    for s in t.sources:
-        if s not in c.active_steps:
-            raise NotApplicable(f"source step {s!r} inactive")
-    if not _guard_true(model, t, c.mem):
-        raise NotApplicable("guard is false")
-    pending = set(c.active_actions)
-    for s in t.sources:
-        for aid in model.actions_of(s):
-            if aid in pending:
-                raise NotApplicable(
-                    f"action {aid!r} of source step {s!r} still pending")
-    src = set(t.sources)
-    steps = tuple(s for s in c.active_steps if s not in src) + t.targets
-    new_acts = tuple(a for s in t.targets for a in model.actions_of(s))
-    return SfcState(c.mem, steps, new_acts + c.active_actions)
-
-
-def reactivate(model: SfcModel, c: SfcState, step: str) -> SfcState:
-    if step not in c.active_steps:
-        raise NotApplicable(f"step {step!r} inactive")
-    for i, t in enumerate(model.transitions):
-        if step in t.sources and _guard_true(model, t, c.mem):
-            raise NotApplicable(f"outgoing transition {i} is enabled")
-    acts = tuple(model.actions_of(step)) + c.active_actions
-    return SfcState(c.mem, c.active_steps, acts)
-
-
 def rule_instances(model: SfcModel, c: SfcState | None = None):
     """All rule instances, in the fixed enumeration order.
 
     With a configuration, execute instances are restricted to pending
-    actions (first occurrence order); otherwise one per declared action.
+    actions (first occurrence order) and reactivations to active steps;
+    otherwise it is every instance of the model's rule table.
     """
-    out: list[RuleInstance] = []
     if c is None:
-        out.extend(ExecuteAction(a.id) for a in model.actions)
-    else:
-        seen = set()
-        for aid in c.active_actions:
-            if aid not in seen:
-                seen.add(aid)
-                out.append(ExecuteAction(aid))
-    out.extend(StepTransition(i) for i in range(len(model.transitions)))
-    steps = model.steps if c is None else c.active_steps
-    out.extend(Reactivate(s) for s in steps)
+        return list(model.rules)
+    out: list[RuleInstance] = [ExecuteAction(a)
+                               for a in dict.fromkeys(c.active_actions)]
+    # the table's own transition keys: apply_rule then finds each by
+    # identity, without building and comparing a fresh instance
+    n = len(model.actions)
+    out.extend(islice(model.rules, n, n + len(model.transitions)))
+    out.extend(Reactivate(s) for s in c.active_steps)
     return out
 
 
 def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
-    if isinstance(rule, ExecuteAction):
-        return execute_action(model, c, rule.action)
-    if isinstance(rule, StepTransition):
-        return step_transition(model, c, rule.index)
-    if isinstance(rule, Reactivate):
-        return reactivate(model, c, rule.step)
-    raise TypeError(f"not a rule instance: {rule!r}")
+    """Successor of *c* under *rule*, as its ``RuleShape`` describes;
+    raises NotApplicable when the rule is not enabled in *c*."""
+    r = model.rules[rule]
+    acts = c.active_actions
+    for a in r.pending:
+        if a not in acts:
+            raise NotApplicable(f"action {a!r} is not pending")
+    for s in r.steps:
+        if s not in c.active_steps:
+            raise NotApplicable(f"step {s!r} inactive")
+    for a in r.idle:
+        if a in acts:
+            raise NotApplicable(f"action {a!r} still pending")
+    for g in r.guards:
+        if not E.eval_expr(g, c.mem):
+            raise NotApplicable("guard is false")
+    for g in r.blocked:
+        if E.eval_expr(g, c.mem):
+            raise NotApplicable("an outgoing transition is enabled")
+    mem = c.mem if r.action is None else _effect_of(model, r.action)(c.mem)
+    # an unchanged list is shared with the predecessor, not copied
+    # (concatenating an empty tuple returns the other operand)
+    steps = c.active_steps
+    if r.steps_off:
+        steps = tuple(s for s in steps if s not in r.steps_off)
+    if r.acts_off:
+        acts = tuple(a for a in acts if a not in r.acts_off)
+    return SfcState(mem, steps + r.steps_on, r.acts_on + acts)
 
 
 def successors(model: SfcModel, c: SfcState):

@@ -27,6 +27,15 @@ trans {S} -[ x * y < 3 ]-> {T}
 NONLINEAR_ATOM = NONLINEAR_GUARD.replace("x * y < 3", "x < 3")
 NONLINEAR_ATOM_PROP = "invariant p : always (x * y <= 5000);\n"
 
+# The stored form 11945250*y + 13500 wraps through about 11.9 million
+# quotients at 8 bits; enumerating them must stop at the disjunct cap.
+WRAP_BLOWUP = """var y : int8
+var z : int8
+step S [initial]
+action A on S { z := 750 * (15928 * y - (y - 18)); }
+"""
+WRAP_BLOWUP_PROP = "invariant p : always (steps_within {S});\n"
+
 
 def fixture_names():
     return sorted(p.stem for p in FIXTURES.glob("*.sfc"))

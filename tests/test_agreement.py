@@ -1,11 +1,14 @@
-"""Concrete and symbolic semantics agree on generated models.
+"""Concrete and symbolic semantics agree on fixtures and generated models.
 
 The verifier reasons about an action through its symbolic summary (raw
 linear forms, wrapped once per written variable); the explorer runs it
 concretely.  Proofs are sound only if both give the same post-state, so
 this compares them on random same-width assignment lists and diagrams,
-and checks that every invariant proved on a random two-step chart holds
-on the states the explorer reaches and certifies.
+checks that every rule instance's obligation hypothesis holds on exactly
+the reachable fixture states where the rule fires, with the successor the
+obligation's post-state describes, and checks that every invariant proved
+on a random two-step chart holds on the states the explorer reaches and
+certifies.
 """
 
 import random
@@ -17,10 +20,11 @@ from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
+from certplc.linear import eval_dnf
 from certplc.model import parse_model
 from certplc.parsing import TokenStream, lex
 
-from conftest import states_of
+from conftest import fixture_names, load_model, states_of
 
 WIDTHS = ("int8", "int16", "int32")
 INTS = ("x", "y", "z")
@@ -133,7 +137,7 @@ def test_effect_summary_matches_execution():
             for _ in range(4):
                 pre = _memory(rng, model)
                 state = S.SfcState(pre, ("S",), (aid,))
-                post = S.execute_action(model, state, aid).mem
+                post = S.apply_rule(model, state, S.ExecuteAction(aid)).mem
                 for v in model.vars:
                     want = post[v.name]
                     if v.name in summary:
@@ -142,6 +146,60 @@ def test_effect_summary_matches_execution():
                     else:
                         got = pre[v.name]
                     assert got == want, (aid, v.name, pre)
+
+
+def _encoding(model, state, post_mem):
+    """A configuration as the obligations' variables: memory as-is,
+    activity as 0/1 and post:V read from *post_mem*."""
+    enc = dict(state.mem)
+    for s in model.steps:
+        enc[O.step_var(s)] = int(s in state.active_steps)
+    for a in model.action_ids():
+        enc[O.act_var(a)] = int(a in state.active_actions)
+    for v in model.vars:
+        enc[O.post_var(v.name)] = post_mem[v.name]
+    return enc
+
+
+def _obligations(model, text):
+    """Obligation per rule instance for an invariant."""
+    f = P.parse_formula_text(text, model)
+    ctx = O.DerivationContext(model, f)
+    return {rule: O.build_obligation(model, f, rule, context=ctx)
+            for rule in S.rule_instances(model)}
+
+
+def test_rule_shapes_agree_on_fixtures():
+    """A rule fires concretely iff its hypothesis holds, and the symbolic
+    post-state has exactly the successor's steps and pending actions."""
+    enabled = 0
+    for name in fixture_names():
+        model = load_model(name)
+        pre = _obligations(model,
+                           f"steps_within {{{', '.join(model.steps)}}}")
+        atoms = [(f"step({s})", lambda c, s=s: s in c.active_steps)
+                 for s in model.steps]
+        atoms += [(f"action({a})", lambda c, a=a: a in c.active_actions)
+                  for a in model.action_ids()]
+        posts = [(_obligations(model, text), has) for text, has in atoms]
+        for state in states_of(model, 6, 3000):
+            for rule in S.rule_instances(model):
+                try:
+                    succ = S.apply_rule(model, state, rule)
+                except S.NotApplicable:
+                    succ = None
+                enc = _encoding(model, state,
+                                state.mem if succ is None else succ.mem)
+                where = (name, rule.label(), S.state_text(state))
+                assert eval_dnf(pre[rule].hyp_cubes, enc) == \
+                    (succ is not None), where
+                if succ is None:
+                    continue
+                enabled += 1
+                for obs, has in posts:
+                    neg, = obs[rule].neg_concl
+                    assert eval_dnf(neg, enc) != has(succ), where
+    assert enabled >= 400, enabled
 
 
 def test_comparisons_and_muxes_have_no_summary():

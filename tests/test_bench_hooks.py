@@ -58,7 +58,8 @@ def test_diagram_actions_run_through_the_wrapped_evaluator(bench):
     tracing.install(tracer, api)
     try:
         state = S.init_state(model)
-        S.execute_action(model, state, state.active_actions[0])
+        S.apply_rule(model, state,
+                     S.ExecuteAction(state.active_actions[0]))
     finally:
         tracer.restore()
     assert tracer.calls["fbd.eval"] == 1

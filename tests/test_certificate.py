@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from certplc import properties as P
 from certplc import verifier as V
 from certplc.model import canonical_text, model_digest, parse_model
 
-from conftest import load_invariants, load_model
+from conftest import WRAP_BLOWUP, WRAP_BLOWUP_PROP, load_invariants, load_model
 
 
 def proved_certificate(name="loop", index=1):
@@ -101,6 +102,24 @@ class TestCheckRejections:
         assert not v.accepted
         assert v.reason.startswith("unsupported-effect: exec:A_Init: "
                                    "multiplication")
+
+    def test_wrap_blowup_is_a_resource_rejection(self):
+        # prove the property on a harmless effect, then swap the effect
+        mild = parse_model(WRAP_BLOWUP.replace("750 * (15928 * y - (y - 18))",
+                                               "y"))
+        inv = P.parse_properties(WRAP_BLOWUP_PROP, mild)[0]
+        res = V.verify_invariant(mild, inv)
+        assert isinstance(res, V.Proved)
+        text = C.emit(mild, inv, res.tree).decode()
+        bad = refresh_digest(text.replace(
+            "z := y;", "z := 750 * (15928 * y - (y - 18));"))
+        assert bad != text
+        t0 = time.perf_counter()
+        v = C.check(bad.encode())
+        assert time.perf_counter() - t0 < 1.0
+        assert not v.accepted
+        assert v.reason.startswith("resource:")
+        assert v.path == ("cases", "exec:A")
 
     def test_case_deletion_is_coverage_error(self):
         _, _, data = proved_certificate()

@@ -38,7 +38,7 @@ class TestInitState:
 class TestExecuteAction:
     def test_updates_memory_and_retires_action(self, loop_model):
         c = S.SfcState(init_state(loop_model).mem, ("Init",), ("A_Init",))
-        c2 = S.execute_action(loop_model, c, "A_Init")
+        c2 = S.apply_rule(loop_model, c, ExecuteAction("A_Init"))
         assert c2.mem["x"] == 1
         assert c2.active_actions == ()
         assert c2.active_steps == c.active_steps
@@ -47,20 +47,20 @@ class TestExecuteAction:
         m = load_model("multi_action")
         c = S.SfcState(init_state(m).mem, ("Idle",),
                        ("A_One", "A_Two", "A_One"))
-        c2 = S.execute_action(m, c, "A_One")
+        c2 = S.apply_rule(m, c, ExecuteAction("A_One"))
         assert c2.active_actions == ("A_Two",)
 
     def test_inactive_action_not_applicable(self, loop_model):
         c = S.SfcState(init_state(loop_model).mem, ("Init",), ())
         with pytest.raises(NotApplicable):
-            S.execute_action(loop_model, c, "A_Init")
+            S.apply_rule(loop_model, c, ExecuteAction("A_Init"))
 
 
 class TestStepTransition:
     def test_fires_when_guard_holds(self, loop_model):
         mem = {"x": 5}
         c = S.SfcState(mem, ("Init",), ())
-        c2 = S.step_transition(loop_model, c, 0)
+        c2 = S.apply_rule(loop_model, c, StepTransition(0))
         assert c2.active_steps == ("Step2",)
         assert c2.active_actions == ()
         assert c2.mem == mem  # memory frame
@@ -68,33 +68,35 @@ class TestStepTransition:
     def test_guard_false_blocks(self, loop_model):
         c = S.SfcState({"x": 12}, ("Init",), ())
         with pytest.raises(NotApplicable):
-            S.step_transition(loop_model, c, 0)
-        c2 = S.step_transition(loop_model, c, 2)
+            S.apply_rule(loop_model, c, StepTransition(0))
+        c2 = S.apply_rule(loop_model, c, StepTransition(2))
         assert c2.active_steps == ("Return",)
 
     def test_pending_source_action_blocks(self, loop_model):
         c = S.SfcState({"x": 5}, ("Init",), ("A_Init",))
         with pytest.raises(NotApplicable, match="pending"):
-            S.step_transition(loop_model, c, 0)
+            S.apply_rule(loop_model, c, StepTransition(0))
 
     def test_multi_source_requires_all_active(self):
         m = load_model("parallel")
         mem = {"x": 2}
         with pytest.raises(NotApplicable, match="inactive"):
-            S.step_transition(m, S.SfcState(mem, ("L1",), ()), 1)
-        c2 = S.step_transition(m, S.SfcState(mem, ("L1", "L2"), ()), 1)
+            S.apply_rule(m, S.SfcState(mem, ("L1",), ()),
+                         StepTransition(1))
+        c2 = S.apply_rule(m, S.SfcState(mem, ("L1", "L2"), ()),
+                          StepTransition(1))
         assert c2.active_steps == ("J",)
 
     def test_filter_then_append_order(self):
         m = parse_model("step A [initial]\nstep B [initial]\nstep C\n"
                         "trans {B} -[ true ]-> {C}\n")
         c = S.SfcState({}, ("A", "B"), ())
-        c2 = S.step_transition(m, c, 0)
+        c2 = S.apply_rule(m, c, StepTransition(0))
         assert c2.active_steps == ("A", "C")
 
     def test_target_actions_prepended(self, loop_model):
         c = S.SfcState({"x": 1}, ("Step2",), ())
-        c2 = S.step_transition(loop_model, c, 1)
+        c2 = S.apply_rule(loop_model, c, StepTransition(1))
         assert c2.active_actions == ("A_Init",)
 
 
@@ -102,18 +104,19 @@ class TestReactivate:
     def test_blocked_by_enabled_guard(self, loop_model):
         c = S.SfcState({"x": 12}, ("Step2",), ())
         with pytest.raises(NotApplicable):
-            S.reactivate(loop_model, c, "Step2")
+            S.apply_rule(loop_model, c, Reactivate("Step2"))
 
     def test_step_without_transitions_always_reactivates(self):
         m = load_model("multi_action")
         c = init_state(m)
-        c2 = S.reactivate(m, c, "Idle")
+        c2 = S.apply_rule(m, c, Reactivate("Idle"))
         assert c2.active_actions == ("A_One", "A_Two") + c.active_actions
 
     def test_double_reactivation_duplicates(self):
         m = load_model("multi_action")
         c = S.SfcState(init_state(m).mem, ("Idle",), ())
-        c2 = S.reactivate(m, S.reactivate(m, c, "Idle"), "Idle")
+        c2 = S.apply_rule(m, S.apply_rule(m, c, Reactivate("Idle")),
+                          Reactivate("Idle"))
         assert sorted(c2.active_actions) == ["A_One", "A_One",
                                              "A_Two", "A_Two"]
 
@@ -122,7 +125,7 @@ class TestReactivate:
         for x in (5, 12):
             c = S.SfcState({"x": x}, ("Init",), ())
             with pytest.raises(NotApplicable):
-                S.reactivate(loop_model, c, "Init")
+                S.apply_rule(loop_model, c, Reactivate("Init"))
 
 
 def _enabled_by_scan(model, c, rule):

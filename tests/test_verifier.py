@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from certplc import obligations as O
@@ -8,7 +10,8 @@ from certplc.model import parse_model
 from certplc.semantics import reachable_bounded
 
 from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
-                      fixture_names, load_invariants, load_model, states_of)
+                      WRAP_BLOWUP, WRAP_BLOWUP_PROP, fixture_names,
+                      load_invariants, load_model, states_of)
 
 
 def formula(text, model):
@@ -99,6 +102,16 @@ class TestObligations:
         assert isinstance(res, V.Undecided)
         assert res.rule == S.ExecuteAction("A")
         assert res.reason.startswith("exec:A: multiplication")
+
+    def test_wrap_quotients_stop_at_the_cap(self):
+        m = parse_model(WRAP_BLOWUP)
+        inv = P.parse_properties(WRAP_BLOWUP_PROP, m)[0]
+        t0 = time.perf_counter()
+        res = V.verify_invariant(m, inv)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(res, V.Undecided)
+        assert res.rule == S.ExecuteAction("A")
+        assert "exceed cap 512" in res.reason
 
 
 class TestDischarge:
