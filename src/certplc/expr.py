@@ -33,8 +33,12 @@ def bits_of(ty: str) -> int:
     return INT_WIDTHS[ty]
 
 
+_MAX = {ty: (1 << bits_of(ty)) - 1 for ty in TYPES}
+
+
 def max_of(ty: str) -> int:
-    return (1 << bits_of(ty)) - 1
+    """Largest value of a declared type; KeyError for an unknown type."""
+    return _MAX[ty]
 
 
 # --- abstract syntax ------------------------------------------------------
@@ -213,7 +217,7 @@ class IntDomain:
 
     @staticmethod
     def wrap(n: int, ty: str) -> int:
-        return n & max_of(ty)
+        return n & _MAX[ty]
 
 
 def fold_int(e: Expr, dom, read):

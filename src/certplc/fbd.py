@@ -6,11 +6,17 @@ through delay blocks, which emit the value captured in the previous
 iteration and start from the type default.  A diagram runs for exactly
 ``time_slice`` iterations; globals are read at iteration start and written
 back from the final iteration only.
+
+A diagram is compiled once (``compile_fbd``): validated, put in delay-cut
+evaluation order, and its ports resolved to slots with their wrap types.
+``_run`` is the one interpreter of compiled diagrams.  It runs the concrete
+semantics (``eval_iterative``, over ``expr.IntDomain``) and the symbolic
+summary (``linear_summary``, over ``linear.LinDomain``) alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import expr as E
 from .linear import FragmentError, LinDomain, LinForm
@@ -110,10 +116,6 @@ def topo_order(f: Fbd) -> list[str]:
     for b in f.blocks:
         visit(b.id, [])
     return order
-
-
-def has_delay(f: Fbd) -> bool:
-    return any(b.kind == "delay" for b in f.blocks)
 
 
 def validate_fbd(f: Fbd, env: dict[str, str]):
@@ -228,70 +230,126 @@ def validate_fbd(f: Fbd, env: dict[str, str]):
     return order, types
 
 
-# --- evaluation -----------------------------------------------------------
+# --- compilation and evaluation -------------------------------------------
 
-def _run(f: Fbd, env: dict[str, str], dom, read) -> dict:
-    """Run the diagram for exactly its time slice in a value domain.
+@dataclass(frozen=True)
+class Program:
+    """A validated diagram, compiled for ``_run``.
+
+    Every block output and every inline constant owns a slot.  Constants and
+    reads are loaded once per run: memory does not change during a run, so a
+    read gives the same value in every iteration.  ``body`` lists the
+    remaining blocks in delay-cut evaluation order as ``(method, slot,
+    input slots, wrap type, comparison)``: *method* names the value-domain
+    operation, and *comparison* is ``(operator, operand width)`` for
+    comparisons, None otherwise.
+    """
+
+    name: str
+    time_slice: int
+    slots: int
+    consts: tuple[tuple[int, int | bool, str | None], ...]  # slot, value, wrap
+    reads: tuple[tuple[int, str, str], ...]            # slot, variable, type
+    body: tuple[tuple[str, int, tuple[int, ...], str,
+                      tuple[str, str] | None], ...]
+    delays: tuple[tuple[int, int, str], ...]           # slot, source, type
+    writes: tuple[tuple[str, int, str], ...]           # variable, source, type
+
+
+def compile_fbd(f: Fbd, env: dict[str, str]) -> Program:
+    """Validate the diagram once and resolve its dataflow to slots.
+
+    Raises FbdError when ``validate_fbd`` does.
+    """
+    order, types = validate_fbd(f, env)
+    slot = {b.id: i for i, b in enumerate(f.blocks)}
+    consts, reads, body, delays, writes = [], [], [], [], []
+
+    def operand(op):
+        if isinstance(op, PortRef):
+            return slot[op.block]
+        consts.append((len(slot) + len(consts), op.value, None))
+        return consts[-1][0]
+
+    byid = {b.id: b for b in f.blocks}
+    for b in (byid[bid] for bid in order):
+        ins = tuple(operand(op) for op in b.inputs)
+        out = slot[b.id]
+        if b.kind == "read":
+            reads.append((out, b.var, types[b.id]))
+        elif b.kind == "const":
+            consts.append((out, b.value, types[b.id]))
+        elif b.kind == "write":
+            writes.append((b.var, ins[0], env[b.var]))
+        elif b.kind == "delay":
+            delays.append((out, ins[0], types[b.id]))
+        elif b.kind in CMP_KINDS:
+            tys = [types[op.block] for op in b.inputs
+                   if isinstance(op, PortRef)]
+            width = tys[0] if tys else E.DEFAULT_INT
+            body.append(("cmp", out, ins, types[b.id],
+                         (_CMP_OPS[b.kind], width)))
+        else:
+            body.append((b.kind, out, ins, types[b.id], None))
+    return Program(f.name, f.time_slice, len(slot) + len(consts),
+                   tuple(consts), tuple(reads), tuple(body), tuple(delays),
+                   tuple(writes))
+
+
+def _run(p: Program, dom, read) -> dict:
+    """Run a compiled diagram for exactly its time slice in a value domain.
 
     *dom* is ``expr.IntDomain`` or ``linear.LinDomain``; *read* gives a
     global's value at iteration start.  Block outputs and delays are wrapped
     to their port type, writes to the variable's type.  Returns variable ->
     value written in the final iteration.
     """
-    order, types = validate_fbd(f, env)
-    byid = {b.id: b for b in f.blocks}
-    order = [byid[bid] for bid in order if byid[bid].kind != "delay"]
-    delays = [b for b in f.blocks if b.kind == "delay"]
-    vals = {b.id: dom.const(0) for b in delays}
-    writes = {}
-
-    def port(op):
-        if isinstance(op, ConstIn):
-            return dom.const(op.value)
-        return vals[op.block]
-
-    for _ in range(f.time_slice):
-        writes = {}
-        for b in order:
-            if b.kind == "read":
-                v = read(b.var)
-            elif b.kind == "const":
-                v = dom.const(b.value)
-            elif b.kind in ARITH_KINDS:
-                v = getattr(dom, b.kind)(port(b.inputs[0]), port(b.inputs[1]))
-            elif b.kind == "write":
-                writes[b.var] = dom.wrap(port(b.inputs[0]), env[b.var])
-                continue
-            elif b.kind == "mux":
-                v = dom.mux(*map(port, b.inputs))
-            else:
-                tys = [types[op.block] for op in b.inputs
-                       if isinstance(op, PortRef)]
-                w = tys[0] if tys else E.DEFAULT_INT
-                a, c = (dom.wrap(port(op), w) for op in b.inputs)
-                v = dom.cmp(_CMP_OPS[b.kind], a, c)
-            vals[b.id] = dom.wrap(v, types[b.id])
-        vals = {b.id: dom.wrap(port(b.inputs[0]), types[b.id])
-                for b in delays}
-    return writes
+    wrap = dom.wrap
+    vals = [None] * p.slots
+    for i, value, ty in p.consts:
+        vals[i] = dom.const(value) if ty is None \
+            else wrap(dom.const(value), ty)
+    for i, var, ty in p.reads:
+        vals[i] = wrap(read(var), ty)
+    for i, _, _ in p.delays:
+        vals[i] = dom.const(0)
+    for n in range(p.time_slice):
+        if n:
+            # delays capture the previous iteration's inputs, all at once
+            new = [wrap(vals[src], ty) for _, src, ty in p.delays]
+            for (i, _, _), v in zip(p.delays, new):
+                vals[i] = v
+        for method, i, ins, ty, cmp in p.body:
+            args = [vals[j] for j in ins]
+            if cmp is not None:
+                op, width = cmp
+                args = [op] + [wrap(a, width) for a in args]
+            vals[i] = wrap(getattr(dom, method)(*args), ty)
+    return {var: wrap(vals[src], ty) for var, src, ty in p.writes}
 
 
-def eval_iterative(f: Fbd, m: E.Memory, env: dict[str, str]) -> E.Memory:
+def eval_iterative(p: Program, m: E.Memory) -> E.Memory:
     """Run the diagram for exactly its time slice and write back results."""
-    return {**m, **_run(f, env, E.IntDomain, m.__getitem__)}
+    return {**m, **_run(p, E.IntDomain, m.__getitem__)}
 
 
-def eval_acyclic(f: Fbd, m: E.Memory, env: dict[str, str]) -> E.Memory:
+def eval_acyclic(p: Program, m: E.Memory) -> E.Memory:
     """Single-pass evaluation; rejects diagrams that need iteration."""
-    if has_delay(f):
+    if p.delays:
         raise FbdError("diagram has delay blocks, use eval_iterative")
-    return eval_iterative(Fbd(f.name, f.blocks, 1), m, env)
+    return eval_iterative(replace(p, time_slice=1), m)
 
 
 def fbd_to_action(f: Fbd, env: dict[str, str]):
-    """Compile the diagram to an opaque memory-to-memory effect."""
+    """Compile the diagram to an opaque memory-to-memory effect.
+
+    Raises FbdError at once for an invalid diagram.  Each execution goes
+    through the module's ``eval_iterative``.
+    """
+    p = compile_fbd(f, env)
+
     def effect(m: E.Memory) -> E.Memory:
-        return eval_iterative(f, m, env)
+        return eval_iterative(p, m)
     return effect
 
 
@@ -304,7 +362,7 @@ def linear_summary(f: Fbd, env: dict[str, str]):
     congruent mod 2**w, so a single wrap at the end is exact.
     """
     try:
-        return _run(f, env, LinDomain, LinForm.of_var)
+        return _run(compile_fbd(f, env), LinDomain, LinForm.of_var)
     except (FbdError, FragmentError):
         return None
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Union
+from functools import cached_property, partial
+from typing import Callable, Union
 
 from . import expr as E
 from . import fbd as F
@@ -131,23 +131,21 @@ class SfcModel:
     def env(self) -> dict[str, str]:
         return {v.name: v.ty for v in self.vars}
 
+    @cached_property
+    def _names(self):
+        """Name indexes: action id -> block, fbd name -> diagram, step ->
+        its action ids."""
+        return ({a.id: a for a in self.actions},
+                {f.name: f for f in self.fbds}, dict(self.step_actions))
+
     def action(self, aid: str) -> ActionBlock:
-        for a in self.actions:
-            if a.id == aid:
-                return a
-        raise KeyError(aid)
+        return self._names[0][aid]
 
     def fbd(self, name: str) -> F.Fbd:
-        for f in self.fbds:
-            if f.name == name:
-                return f
-        raise KeyError(name)
+        return self._names[1][name]
 
     def actions_of(self, step: str) -> tuple[str, ...]:
-        for s, acts in self.step_actions:
-            if s == step:
-                return acts
-        return ()
+        return self._names[2].get(step, ())
 
     def action_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.actions)
@@ -157,7 +155,7 @@ class SfcModel:
         """Every rule instance and its shape, in enumeration order: one
         execute per declared action, one transition per declared
         transition, one reactivation per step."""
-        acts_of = dict(self.step_actions)
+        acts_of = self._names[2]
         leaving: dict[str, list[E.Expr]] = {s: [] for s in self.steps}
         for t in self.transitions:
             for s in t.sources:
@@ -179,6 +177,17 @@ class SfcModel:
                 steps=(s,), blocked=tuple(leaving[s]),
                 acts_on=acts_of.get(s, ()))
         return table
+
+    @cached_property
+    def effects(self) -> dict[str, Callable[[E.Memory], E.Memory]]:
+        """Each action's memory effect, built on first use: a diagram is
+        compiled once (``fbd.fbd_to_action``, which raises FbdError for an
+        invalid one), an assignment list is bound to the declarations."""
+        env = self.env()
+        return {a.id: F.fbd_to_action(self.fbd(a.fbd_ref), env)
+                if a.fbd_ref is not None
+                else partial(E.apply_effect, a.assigns, env=env)
+                for a in self.actions}
 
 
 def _normalized(vars, steps, initial, actions, step_actions, transitions,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import expr as E
-from . import fbd as F
 from .model import (ExecuteAction, Reactivate, RuleInstance, SfcModel,
                     StepTransition)
 
@@ -74,18 +73,6 @@ def init_state(model: SfcModel, init_actions: str = "from-steps") -> SfcState:
     return SfcState(mem, steps, acts)
 
 
-def _effect_of(model: SfcModel, aid: str):
-    a = model.action(aid)
-    env = model.env()
-    if a.fbd_ref is not None:
-        return F.fbd_to_action(model.fbd(a.fbd_ref), env)
-    assigns = a.assigns
-
-    def effect(m):
-        return E.apply_effect(assigns, m, env)
-    return effect
-
-
 def rule_instances(model: SfcModel, c: SfcState | None = None):
     """All rule instances, in the fixed enumeration order.
 
@@ -125,7 +112,7 @@ def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
     for g in r.blocked:
         if E.eval_expr(g, c.mem):
             raise NotApplicable("an outgoing transition is enabled")
-    mem = c.mem if r.action is None else _effect_of(model, r.action)(c.mem)
+    mem = c.mem if r.action is None else model.effects[r.action](c.mem)
     # an unchanged list is shared with the predecessor, not copied
     # (concatenating an empty tuple returns the other operand)
     steps = c.active_steps

@@ -37,6 +37,26 @@ action A on S { z := 750 * (15928 * y - (y - 18)); }
 WRAP_BLOWUP_PROP = "invariant p : always (steps_within {S});\n"
 
 
+def _counter_fbd(i, t):
+    return (f"fbd Cnt{i} {{\n  block d = delay(a.out)\n"
+            f"  block a = add(d.out, const 1)\n  block r = read n{i}\n"
+            f"  block s = add(r.out, a.out)\n  block w = write n{i} (s.out)\n"
+            f"  timeslice {t}\n}}\n")
+
+
+# A fork into three branches, each running a dataflow counter with its own
+# time slice, then a join that resets the counters: many interleavings, so
+# each diagram runs many times during one exploration.
+FANOUT = ("var n0 : int8\nvar n1 : int8\nvar n2 : int16\n"
+          "step F [initial]\nstep B0\nstep B1\nstep B2\nstep J\n"
+          + "".join(f"action C{i} on B{i} = fbd Cnt{i}\n" for i in range(3))
+          + "action R on J { n0 := 0; n1 := 0; n2 := 0; }\n"
+          + "".join(_counter_fbd(i, t) for i, t in enumerate((2, 3, 4)))
+          + "trans {F} -[ true ]-> {B0, B1, B2}\n"
+          "trans {B0, B1, B2} -[ n0 >= 2 && n1 >= 3 && n2 >= 4 ]-> {J}\n"
+          "trans {J} -[ true ]-> {F}\n")
+
+
 def fixture_names():
     return sorted(p.stem for p in FIXTURES.glob("*.sfc"))
 

@@ -63,3 +63,23 @@ def test_diagram_actions_run_through_the_wrapped_evaluator(bench):
     finally:
         tracer.restore()
     assert tracer.calls["fbd.eval"] == 1
+
+
+def test_exploration_counts_one_evaluation_per_diagram_execution(bench):
+    tracing, api = bench
+    model = load_model("fbd_inc")
+    depth = 40
+    diagram_actions = {a.id for a in model.actions if a.fbd_ref is not None}
+    tracer = tracing.Tracer()
+    tracing.install(tracer, api)
+    try:
+        states = S.reachable_bounded(model, depth)
+    finally:
+        tracer.restore()
+    # nothing new at the last level: every state was expanded exactly once
+    assert len(S.reachable_bounded(model, depth - 1)) == len(states)
+    executions = sum(1 for s in states for rule, _ in S.successors(model, s)
+                     if isinstance(rule, S.ExecuteAction)
+                     and rule.action in diagram_actions)
+    assert executions > 1
+    assert tracer.calls["fbd.eval"] == executions

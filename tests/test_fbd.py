@@ -28,35 +28,35 @@ TWO_IN = """{
   timeslice 1
 }"""
 
+ENV16 = dict.fromkeys(("out", "x", "y", "z"), "int16")
+
 
 def parse(body, name="f"):
     return F.parse_fbd(TokenStream(lex(body)), name)
 
 
-ENV16 = dict.fromkeys(("out", "x", "y", "z"), "int16")
+def program(body):
+    return F.compile_fbd(parse(body), ENV16)
 
 
 class TestAcyclic:
     def test_increment(self):
-        f = parse(INC)
-        out = F.eval_acyclic(f, dict(x=5), ENV16)
+        out = F.eval_acyclic(program(INC), dict(x=5))
         assert out["x"] == 6
 
     def test_no_write_leaves_memory(self):
-        f = parse("{ block r = read x\n block a = add(r.out, const 1) }")
+        p = program("{ block r = read x\n block a = add(r.out, const 1) }")
         m = dict(x=5)
-        assert F.eval_acyclic(f, m, ENV16) == m
+        assert F.eval_acyclic(p, m) == m
 
     def test_two_reads(self):
-        f = parse(TWO_IN)
-        out = F.eval_acyclic(f, dict(x=2, y=3, z=0), ENV16)
+        out = F.eval_acyclic(program(TWO_IN), dict(x=2, y=3, z=0))
         assert out["z"] == 5
         assert out["x"] == 2
 
     def test_rejects_delay(self):
-        f = parse(COUNTER)
         with pytest.raises(F.FbdError):
-            F.eval_acyclic(f, dict(out=0), ENV16)
+            F.eval_acyclic(program(COUNTER), dict(out=0))
 
     def test_undelayed_cycle_rejected(self):
         f = parse("{ block a = add(b.out, const 1)\n"
@@ -84,45 +84,42 @@ class TestAcyclic:
 
     def test_result_independent_of_block_names(self):
         # same dataflow under reversed id ordering evaluates identically
-        f1 = parse("{ block a = read x\n block b = add(a.out, const 2)\n"
-                   "  block c = write x (b.out) }")
-        f2 = parse("{ block z = read x\n block y = add(z.out, const 2)\n"
-                   "  block q = write x (y.out) }")
+        p1 = program("{ block a = read x\n block b = add(a.out, const 2)\n"
+                     "  block c = write x (b.out) }")
+        p2 = program("{ block z = read x\n block y = add(z.out, const 2)\n"
+                     "  block q = write x (y.out) }")
         m = dict(x=7)
-        assert (F.eval_acyclic(f1, m, ENV16)["x"]
-                == F.eval_acyclic(f2, m, ENV16)["x"])
+        assert F.eval_acyclic(p1, m)["x"] == F.eval_acyclic(p2, m)["x"]
 
 
 class TestIterative:
     def test_counter_counts_time_slice(self):
-        f = parse(COUNTER)
-        out = F.eval_iterative(f, dict(out=0), ENV16)
+        out = F.eval_iterative(program(COUNTER), dict(out=0))
         assert out["out"] == 3
 
     def test_counter_overwrites_start_value(self):
-        f = parse(COUNTER)
-        assert F.eval_iterative(f, dict(out=40), ENV16)["out"] == 3
+        assert F.eval_iterative(program(COUNTER), dict(out=40))["out"] == 3
 
     def test_time_slice_zero_rejected_at_parse(self):
         with pytest.raises(Exception, match="positive"):
             parse("{ block r = read x\n timeslice 0 }")
 
     def test_one_slice_equals_acyclic(self):
-        f = parse(INC)
+        p = program(INC)
         m = dict(x=11)
-        assert F.eval_iterative(f, m, ENV16) == F.eval_acyclic(f, m, ENV16)
+        assert F.eval_iterative(p, m) == F.eval_acyclic(p, m)
 
     def test_deterministic(self):
-        f = parse(COUNTER)
+        p = program(COUNTER)
         m = dict(out=0)
-        assert F.eval_iterative(f, m, ENV16) == F.eval_iterative(f, m, ENV16)
+        assert F.eval_iterative(p, m) == F.eval_iterative(p, m)
 
     def test_mux_and_comparison(self):
-        f = parse("{ block r = read x\n block c = lt(r.out, const 10)\n"
-                  "  block m = mux(c.out, const 1, const 0)\n"
-                  "  block w = write y (m.out) }")
-        assert F.eval_iterative(f, dict(x=5, y=9), ENV16)["y"] == 1
-        assert F.eval_iterative(f, dict(x=55, y=9), ENV16)["y"] == 0
+        p = program("{ block r = read x\n block c = lt(r.out, const 10)\n"
+                    "  block m = mux(c.out, const 1, const 0)\n"
+                    "  block w = write y (m.out) }")
+        assert F.eval_iterative(p, dict(x=5, y=9))["y"] == 1
+        assert F.eval_iterative(p, dict(x=55, y=9))["y"] == 0
 
 
 class TestCompile:
@@ -166,10 +163,11 @@ class TestLinearSummary:
     def test_summary_agrees_with_evaluation(self):
         f = parse(TWO_IN)
         s = F.linear_summary(f, {"x": "int16", "y": "int16", "z": "int16"})
+        p = F.compile_fbd(f, ENV16)
         for x in (0, 1, 7, 65535):
             for y in (0, 3, 65535):
                 m = dict(x=x, y=y, z=0)
-                got = F.eval_iterative(f, m, ENV16)["z"]
+                got = F.eval_iterative(p, m)["z"]
                 raw = s["z"].evaluate({"x": x, "y": y, "z": 0})
                 assert got == raw % (1 << 16)
 

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from certplc import expr as E
+from certplc import fbd as F
 from certplc import semantics as S
 from certplc.model import parse_model
 from certplc.semantics import (BudgetExceeded, ExecuteAction, NotApplicable,
@@ -8,7 +11,7 @@ from certplc.semantics import (BudgetExceeded, ExecuteAction, NotApplicable,
                                reachable_bounded, run_trace, state_text,
                                successors)
 
-from conftest import fixture_names, load_model
+from conftest import FANOUT, fixture_names, load_model
 
 
 class TestInitState:
@@ -286,3 +289,60 @@ class TestStateText:
 
     def test_step_order_is_significant(self):
         assert S.SfcState({}, ("A", "B"), ()) != S.SfcState({}, ("B", "A"), ())
+
+
+class TestCompiledEffects:
+    """A diagram is validated and compiled once per model, on first use,
+    however often its action runs; an invalid one never runs."""
+
+    @pytest.mark.parametrize("load", [lambda: load_model("fbd_inc"),
+                                      lambda: parse_model(FANOUT)],
+                             ids=["fbd_inc", "fanout"])
+    def test_each_diagram_validated_at_most_once(self, monkeypatch, load):
+        model = load()  # parsing validates the model, diagrams included
+        validated, executed = [], []
+        validate, evaluate = F.validate_fbd, F.eval_iterative
+
+        def counted_validate(f, env):
+            validated.append(f.name)
+            return validate(f, env)
+
+        def counted_eval(p, *args):
+            executed.append(p.name)
+            return evaluate(p, *args)
+
+        monkeypatch.setattr(F, "validate_fbd", counted_validate)
+        monkeypatch.setattr(F, "eval_iterative", counted_eval)
+        reachable_bounded(model, 8)
+        run_trace(model, "random", 200, seed=1)
+        assert len(validated) == len(set(validated))
+        assert set(validated) <= {f.name for f in model.fbds}
+        assert set(executed) == {f.name for f in model.fbds}
+        assert len(executed) > 2 * len(model.fbds)
+
+    @pytest.mark.parametrize("blocks, match", [
+        ((F.Block("a", "add", (F.PortRef("b"), F.ConstIn(1))),
+          F.Block("b", "add", (F.PortRef("a"), F.ConstIn(1))),
+          F.Block("w", "write", (F.PortRef("a"),), var="x")), "cycle"),
+        ((F.Block("a", "add", (F.PortRef("r"), F.ConstIn(1))),
+          F.Block("r", "read", var="b"),
+          F.Block("w", "write", (F.PortRef("a"),), var="x")),
+         "boolean input"),
+    ], ids=["undelayed-cycle", "bool-into-add"])
+    def test_invalid_diagram_raises_and_never_runs(self, monkeypatch,
+                                                   blocks, match):
+        ran = []
+        monkeypatch.setattr(F, "_run", lambda *args: ran.append(args))
+        model = parse_model("var x : int16\nvar b : bool\n"
+                            "step S [initial]\naction A on S = fbd D\n"
+                            "fbd D { timeslice 1 }\n")
+        bad = replace(model, fbds=(F.Fbd("D", blocks, 1),))
+        with pytest.raises(F.FbdError, match=match):
+            F.fbd_to_action(bad.fbds[0], bad.env())
+        c = init_state(bad)
+        for _ in range(2):  # a failed compilation is not cached
+            with pytest.raises(F.FbdError, match=match):
+                S.apply_rule(bad, c, ExecuteAction("A"))
+        with pytest.raises(F.FbdError, match=match):
+            successors(bad, c)
+        assert ran == []
