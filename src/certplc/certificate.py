@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from . import obligations as O
 from . import properties as P
 from .lia.witness import replay_witness
-from .model import SfcModel, canonical_text, model_digest, parse_model
+from .model import (SfcModel, canonical_text, init_state, model_digest,
+                    parse_model)
 from .parsing import ParseError
 from .prooftree import ProofSyntaxError, ProofTree, parse_proof_lines, \
     proof_lines
-from .semantics import init_state, rule_instances
 
 MAGIC = "CERTPLC/1"
 
@@ -69,7 +69,7 @@ def emit(model: SfcModel, inv: P.Invariant, tree: ProofTree) -> bytes:
         raise EmitError("no proof tree to embed; the result is not a "
                         "certifiable proof")
     labels = [c.label for c in tree.cases]
-    expected = [r.label() for r in rule_instances(model)]
+    expected = [r.label() for r in model.rules]
     if labels != expected:
         raise EmitError("proof tree does not cover the rule instances")
     parts = [MAGIC, f"digest: {model_digest(model)}", "--- model",
@@ -152,18 +152,16 @@ def _check(data: bytes) -> CheckVerdict:
                          "base")
 
     # exhaustive case distinction over the model's own rule instances
-    rules = rule_instances(model)
     labels = [c.label for c in tree.cases]
-    if labels != [r.label() for r in rules]:
+    if labels != [r.label() for r in model.rules]:
         return _rejected("coverage: case distinction does not match the "
                          "rule instances", "cases")
 
     context = O.DerivationContext(model, inv.formula)
-    for rule, case in zip(rules, tree.cases):
+    for rule, case in zip(model.rules, tree.cases):
         where = ("cases", case.label)
         try:
-            ob = O.build_obligation(model, inv.formula, rule,
-                                    context=context)
+            ob = O.build_obligation(context, rule)
         except O.UnsupportedEffect as err:
             return _rejected(f"unsupported-effect: {err}", *where)
         except O.ObligationOverflow as err:
@@ -216,5 +214,4 @@ def trusted_core_inventory() -> tuple[str, ...]:
         "certplc.parsing",
         "certplc.prooftree",
         "certplc.properties",
-        "certplc.semantics",
     )

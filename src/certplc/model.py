@@ -1,4 +1,4 @@
-"""Chart structure: steps, transitions, action blocks, variables.
+"""Chart structure, the rule table and the initial configuration.
 
 The external text format is line oriented with ``#`` comments:
 
@@ -9,10 +9,11 @@ The external text format is line oriented with ``#`` comments:
     trans {Init} -[ x < 10 ]-> {Step2} [prio 1]
     fbd F1 { ... }                # body grammar in the fbd module
 
-Models are normalized on construction: variables, steps and actions are
-stored sorted by name and per-step action lists sorted by action id, so the
-canonical printer (declarations sorted by kind then name, transitions in
-source order) round-trips exactly.  Transitions keep their declared order;
+Every action is attached to exactly one step.  Models are normalized on
+construction: variables, steps and actions are stored sorted by name, so
+per-step action lists come out sorted by action id and the canonical
+printer (declarations sorted by kind then name, transitions in source
+order) round-trips exactly.  Transitions keep their declared order;
 target lists keep their declared order because step activation order is
 observable.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Union
 
@@ -49,6 +50,7 @@ class VarDecl:
 @dataclass(frozen=True)
 class ActionBlock:
     id: str
+    step: str  # the step the action is attached to
     assigns: tuple[tuple[str, E.Expr], ...] | None = None
     fbd_ref: str | None = None
 
@@ -124,7 +126,6 @@ class SfcModel:
     steps: tuple[str, ...]
     initial: tuple[str, ...]
     actions: tuple[ActionBlock, ...]
-    step_actions: tuple[tuple[str, tuple[str, ...]], ...]  # step -> action ids
     transitions: tuple[Transition, ...]
     fbds: tuple[F.Fbd, ...] = ()
 
@@ -135,8 +136,11 @@ class SfcModel:
     def _names(self):
         """Name indexes: action id -> block, fbd name -> diagram, step ->
         its action ids."""
+        by_step: dict[str, tuple[str, ...]] = {}
+        for a in self.actions:
+            by_step[a.step] = by_step.get(a.step, ()) + (a.id,)
         return ({a.id: a for a in self.actions},
-                {f.name: f for f in self.fbds}, dict(self.step_actions))
+                {f.name: f for f in self.fbds}, by_step)
 
     def action(self, aid: str) -> ActionBlock:
         return self._names[0][aid]
@@ -190,15 +194,50 @@ class SfcModel:
                 for a in self.actions}
 
 
-def _normalized(vars, steps, initial, actions, step_actions, transitions,
-                fbds) -> SfcModel:
+@dataclass(frozen=True, eq=False)
+class SfcState:
+    """A configuration: memory, active step list, pending action list."""
+
+    mem: dict
+    active_steps: tuple[str, ...]
+    active_actions: tuple[str, ...]
+
+    def key(self):
+        """Structural identity: steps as a list, actions as a multiset."""
+        return (tuple(sorted(self.mem.items())), self.active_steps,
+                tuple(sorted(self.active_actions)))
+
+    def __eq__(self, other):
+        return isinstance(other, SfcState) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+
+def init_state(model: SfcModel, init_actions: str = "from-steps") -> SfcState:
+    """Defaults (or declared initializers) plus the initial steps.
+
+    With ``init_actions="from-steps"`` the initial pending list is the
+    concatenation of the initial steps' action lists; ``"empty"`` starts
+    with nothing pending.
+    """
+    mem = {v.name: v.initial_value() for v in model.vars}
+    steps = tuple(model.initial)
+    if init_actions == "from-steps":
+        acts = tuple(a for s in steps for a in model.actions_of(s))
+    elif init_actions == "empty":
+        acts = ()
+    else:
+        raise ValueError(f"unknown init_actions mode {init_actions!r}")
+    return SfcState(mem, steps, acts)
+
+
+def _normalized(vars, steps, initial, actions, transitions, fbds) -> SfcModel:
     return SfcModel(
         vars=tuple(sorted(vars, key=lambda v: v.name)),
         steps=tuple(sorted(steps)),
         initial=tuple(sorted(initial)),
         actions=tuple(sorted(actions, key=lambda a: a.id)),
-        step_actions=tuple(sorted((s, tuple(sorted(acts)))
-                                  for s, acts in step_actions)),
         transitions=tuple(transitions),
         fbds=tuple(sorted(fbds, key=lambda f: f.name)),
     )
@@ -254,6 +293,9 @@ def validate(model: SfcModel) -> list[str]:
         if a.id in action_ids:
             out.append(f"duplicate action {a.id!r}")
         action_ids.add(a.id)
+        if a.step not in steps:
+            out.append(f"action {a.id!r} attached to unknown step "
+                       f"{a.step!r}")
         if (a.assigns is None) == (a.fbd_ref is None):
             out.append(f"action {a.id!r} must have exactly one body")
             continue
@@ -282,27 +324,6 @@ def validate(model: SfcModel) -> list[str]:
             elif ty != "bool" and et != ty and E.vars_of(e):
                 out.append(f"action {a.id!r}: width mismatch assigning "
                            f"{et} to {ty} variable {name!r}")
-
-    mapped = set()
-    hosts: dict[str, list[str]] = {}
-    for s, acts in model.step_actions:
-        if s not in steps:
-            out.append(f"step_actions entry for unknown step {s!r}")
-        mapped.add(s)
-        if len(set(acts)) != len(acts):
-            out.append(f"step {s!r} lists an action twice")
-        for aid in acts:
-            hosts.setdefault(aid, []).append(s)
-            if aid not in action_ids:
-                out.append(f"step {s!r} lists unknown action {aid!r}")
-    missing = steps - mapped
-    for s in sorted(missing):
-        out.append(f"step_actions not total: missing step {s!r}")
-    # the text format attaches each action to exactly one step
-    for aid in sorted(action_ids):
-        n = len(hosts.get(aid, []))
-        if n != 1:
-            out.append(f"action {aid!r} attached to {n} steps, expected 1")
 
     for i, t in enumerate(model.transitions):
         if not t.sources:
@@ -333,8 +354,7 @@ def parse_model(text: str) -> SfcModel:
     """Parse and fully check a model document."""
     ts = TokenStream(lex(text))
     vars_, steps, initial = [], [], []
-    actions, step_actions, transitions, fbds = [], {}, [], []
-    decl_lines = {}
+    actions, transitions, fbds = [], [], []
 
     while ts.peek().kind != "eof":
         t = ts.peek()
@@ -369,7 +389,6 @@ def parse_model(text: str) -> SfcModel:
                     raise ParseError("time flag on boolean variable",
                                      tyt.line, tyt.col)
             vars_.append(VarDecl(name, tyt.text, is_time, init))
-            decl_lines[("var", name)] = t.line
         elif ts.accept("step"):
             name = ts.ident().text
             if ts.accept("["):
@@ -377,15 +396,15 @@ def parse_model(text: str) -> SfcModel:
                 ts.expect("]")
                 initial.append(name)
             steps.append(name)
-            decl_lines[("step", name)] = t.line
         elif ts.accept("action"):
             aid = ts.ident().text
             ts.expect("on")
-            host = ts.ident().text
+            host = ts.ident()
             if ts.accept("="):
                 ts.expect("fbd")
                 ref = ts.ident().text
-                actions.append(ActionBlock(aid, fbd_ref=ref))
+                actions.append((host, ActionBlock(aid, host.text,
+                                                  fbd_ref=ref)))
             else:
                 ts.expect("{")
                 assigns = []
@@ -395,9 +414,8 @@ def parse_model(text: str) -> SfcModel:
                     rhs = parse_expression(ts)
                     ts.expect(";")
                     assigns.append((target, rhs))
-                actions.append(ActionBlock(aid, assigns=tuple(assigns)))
-            step_actions.setdefault(host, []).append(aid)
-            decl_lines[("action", aid)] = t.line
+                actions.append((host, ActionBlock(aid, host.text,
+                                                  assigns=tuple(assigns))))
         elif ts.accept("trans"):
             sources = _parse_step_set(ts)
             ts.expect("-[")
@@ -410,25 +428,18 @@ def parse_model(text: str) -> SfcModel:
                 prio = ts.integer()
                 ts.expect("]")
             transitions.append(Transition(sources, guard, targets, prio))
-            decl_lines[("trans", len(transitions) - 1)] = t.line
         elif ts.accept("fbd"):
             name = ts.ident().text
             fbds.append(F.parse_fbd(ts, name))
-            decl_lines[("fbd", name)] = t.line
         else:
             ts.error(f"expected declaration, found {t.text!r}")
 
-    full_map = {s: step_actions.get(s, []) for s in steps}
-    for host in step_actions:
-        if host not in steps:
-            line = None
-            for (k, n), ln in decl_lines.items():
-                if k == "action" and n in step_actions[host]:
-                    line = ln
-            raise ParseError(f"action attached to unknown step {host!r}",
-                             line)
+    for host, _ in actions:
+        if host.text not in steps:
+            raise ParseError(f"action attached to unknown step {host.text!r}",
+                             host.line, host.col)
 
-    model = _normalized(vars_, steps, initial, actions, full_map.items(),
+    model = _normalized(vars_, steps, initial, [a for _, a in actions],
                         transitions, fbds)
     problems = validate(model)
     if problems:
@@ -439,12 +450,12 @@ def parse_model(text: str) -> SfcModel:
         Transition(t.sources, E.typecheck(t.guard, env)[0], t.targets,
                    t.priority) for t in model.transitions)
     actions = tuple(
-        ActionBlock(a.id, tuple((n, E.typecheck(e, env)[0])
-                                for n, e in a.assigns), None)
+        replace(a, assigns=tuple((n, E.typecheck(e, env)[0])
+                                 for n, e in a.assigns))
         if a.assigns is not None else a
         for a in model.actions)
     return SfcModel(model.vars, model.steps, model.initial, actions,
-                    model.step_actions, transitions, model.fbds)
+                    transitions, model.fbds)
 
 
 def _parse_step_set(ts: TokenStream) -> tuple[str, ...]:
@@ -473,18 +484,13 @@ def canonical_text(model: SfcModel) -> str:
     initial = set(model.initial)
     for s in sorted(model.steps):
         lines.append(f"step {s}" + (" [initial]" if s in initial else ""))
-    hosts = {}
-    for s, acts in model.step_actions:
-        for aid in acts:
-            hosts[aid] = s
     for a in sorted(model.actions, key=lambda a: a.id):
-        host = hosts.get(a.id)
         if a.fbd_ref is not None:
-            lines.append(f"action {a.id} on {host} = fbd {a.fbd_ref}")
+            lines.append(f"action {a.id} on {a.step} = fbd {a.fbd_ref}")
         else:
             body = " ".join(f"{n} := {E.pretty(e)};" for n, e in a.assigns)
             body = f"{{ {body} }}" if a.assigns else "{ }"
-            lines.append(f"action {a.id} on {host} {body}")
+            lines.append(f"action {a.id} on {a.step} {body}")
     for f in sorted(model.fbds, key=lambda f: f.name):
         lines.extend(F.fbd_lines(f))
     for t in model.transitions:

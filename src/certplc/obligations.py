@@ -167,7 +167,8 @@ def _post_subst(summary: dict[str, LinForm]) -> dict[str, LinForm]:
 # --- one derivation context per (model, formula, cap) ----------------------
 
 class DerivationContext:
-    """Obligation pieces shared by every rule instance of one property.
+    """The inputs of a derivation (model, property, disjunct cap) and the
+    obligation pieces shared by every rule instance of that property.
 
     The symbolic env, the pre-state map, the property's pre-state DNF and
     each pre-state normalization of a guard or atom are computed at most
@@ -258,26 +259,19 @@ class DerivationContext:
         raise P.PropertyError(f"unknown formula node {type(f).__name__}")
 
 
-def build_obligation(model: SfcModel, formula: P.Formula, rule: RuleInstance,
-                     *, cap: int = 512,
-                     context: DerivationContext | None = None
-                     ) -> CaseObligation:
-    """Induction obligation for one rule instance.
+def build_obligation(ctx: DerivationContext,
+                     rule: RuleInstance) -> CaseObligation:
+    """Induction obligation for one rule instance of *ctx*'s model and
+    property.
 
-    Pass the same *context* for every rule instance of one property to
-    derive the shared pieces once; without one a fresh context is used.
-    Raises UnsupportedEffect for opaque effects and for guards or atoms
-    outside the linear fragment, and ObligationOverflow when the disjunct
-    caps are exceeded; both leave the property undecided, never wrongly
-    proved.
+    Pass the same context for every rule instance of one property to derive
+    the shared pieces once.  Raises UnsupportedEffect for opaque effects and
+    for guards or atoms outside the linear fragment, and ObligationOverflow
+    when the disjunct caps are exceeded; both leave the property undecided,
+    never wrongly proved.
     """
-    ctx = context if context is not None else DerivationContext(
-        model, formula, cap)
-    if ctx.model is not model or ctx.formula is not formula or ctx.cap != cap:
-        raise ValueError("derivation context of another model, property "
-                         "or cap")
+    model, cap, env = ctx.model, ctx.cap, ctx.env
     shape = model.rules[rule]
-    env = ctx.env
     try:
         summary = None if shape.action is None else \
             effect_summary(model, shape.action)
@@ -301,7 +295,7 @@ def build_obligation(model: SfcModel, formula: P.Formula, rule: RuleInstance,
                          None if summary is None else _post_subst(summary))
         hyp = tuple(attach_bounds(c, env) for c in hyp)
         neg = []
-        for conjunct in P.conjuncts(formula):
+        for conjunct in P.conjuncts(ctx.formula):
             dnf = ctx.formula_dnf(conjunct, post, negated=True)
             neg.append(tuple(attach_bounds(c, env) for c in dnf))
     except CubeOverflow as err:

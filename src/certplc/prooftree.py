@@ -84,6 +84,17 @@ def proof_lines(tree: ProofTree) -> list[str]:
     return out
 
 
+def _count(text: str, what: str, line: str) -> int:
+    """Entry count of a header: an integer in 0..1,000,000."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or not 0 <= n <= 1_000_000:
+        raise ProofSyntaxError(f"bad {what} count in {line!r}")
+    return n
+
+
 def parse_proof_lines(lines: list[str]) -> ProofTree:
     lines = [ln for ln in (ln.strip() for ln in lines) if ln]
     if not lines or lines[0] != "base":
@@ -95,12 +106,7 @@ def parse_proof_lines(lines: list[str]) -> ProofTree:
         if len(parts) != 4 or parts[0] != "case" or parts[2] != "hyps":
             raise ProofSyntaxError(f"expected case header, got {lines[at]!r}")
         label = parts[1]
-        try:
-            n_hyps = int(parts[3])
-        except ValueError:
-            raise ProofSyntaxError(f"bad hyp count in {lines[at]!r}")
-        if n_hyps < 0 or n_hyps > 1_000_000:
-            raise ProofSyntaxError("bad hyp count")
+        n_hyps = _count(parts[3], "hyp", lines[at])
         at += 1
         hyps = []
         for i in range(n_hyps):
@@ -119,12 +125,7 @@ def parse_proof_lines(lines: list[str]) -> ProofTree:
                     raise ProofSyntaxError(str(err))
                 hyps.append(HypEntry(contradiction=w))
             elif parts[2] == "conjuncts" and len(parts) == 4:
-                try:
-                    n_conj = int(parts[3])
-                except ValueError:
-                    raise ProofSyntaxError("bad conjunct count")
-                if n_conj < 0 or n_conj > 1_000_000:
-                    raise ProofSyntaxError("bad conjunct count")
+                n_conj = _count(parts[3], "conjunct", lines[at - 1])
                 leaves = []
                 for j in range(n_conj):
                     if at >= len(lines):
@@ -134,12 +135,7 @@ def parse_proof_lines(lines: list[str]) -> ProofTree:
                             or parts[1] != str(j) or parts[2] != "cubes"):
                         raise ProofSyntaxError(
                             f"expected conj {j}, got {lines[at]!r}")
-                    try:
-                        n_cubes = int(parts[3])
-                    except ValueError:
-                        raise ProofSyntaxError("bad cube count")
-                    if n_cubes < 0 or n_cubes > 1_000_000:
-                        raise ProofSyntaxError("bad cube count")
+                    n_cubes = _count(parts[3], "cube", lines[at])
                     at += 1
                     witnesses = []
                     for _ in range(n_cubes):

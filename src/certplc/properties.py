@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import expr as E
-from .model import SfcModel
+from .model import SfcModel, SfcState
 from .parsing import ParseError, TokenStream, lex
 from .parsing import parse_comparison as _parse_arith_atom
-from .semantics import SfcState
 
 
 @dataclass(frozen=True)

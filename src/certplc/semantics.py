@@ -1,20 +1,21 @@
 """Small-step execution, successor enumeration and exploration.
 
-A configuration is (memory, pending action list, active step list).  The
-execute, transition and reactivate rules are described once, on
-``model.RuleShape``; ``apply_rule`` runs a rule instance by reading its
-shape from the model's rule table.
+A configuration (``model.SfcState``) is (memory, pending action list, active
+step list); ``model.init_state`` builds the initial one.  The execute,
+transition and reactivate rules are described once, on ``model.RuleShape``;
+``apply_rule`` runs a rule instance by reading its shape from the model's
+rule table.  Nothing here is in the trusted core: the certificate checker
+reads the rule table and the initial configuration from ``model`` itself.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import islice
 
 from . import expr as E
 from .model import (ExecuteAction, Reactivate, RuleInstance, SfcModel,
-                    StepTransition)
+                    SfcState, StepTransition, init_state)
 
 
 class NotApplicable(Exception):
@@ -29,48 +30,12 @@ class BudgetExceeded(Exception):
         super().__init__(f"state budget exceeded after {len(partial)} states")
 
 
-@dataclass(frozen=True, eq=False)
-class SfcState:
-    mem: dict
-    active_steps: tuple[str, ...]
-    active_actions: tuple[str, ...]
-
-    def key(self):
-        """Structural identity: steps as a list, actions as a multiset."""
-        return (tuple(sorted(self.mem.items())), self.active_steps,
-                tuple(sorted(self.active_actions)))
-
-    def __eq__(self, other):
-        return isinstance(other, SfcState) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-
 def state_text(s: SfcState) -> str:
     """Canonical serialization: memory keys sorted, actions sorted."""
     mem = ",".join(f"{k}={v}" for k, v in sorted(s.mem.items()))
     steps = ",".join(s.active_steps)
     acts = ",".join(sorted(s.active_actions))
     return f"mem{{{mem}}} steps[{steps}] acts[{acts}]"
-
-
-def init_state(model: SfcModel, init_actions: str = "from-steps") -> SfcState:
-    """Defaults (or declared initializers) plus the initial steps.
-
-    With ``init_actions="from-steps"`` the initial pending list is the
-    concatenation of the initial steps' action lists; ``"empty"`` starts
-    with nothing pending.
-    """
-    mem = {v.name: v.initial_value() for v in model.vars}
-    steps = tuple(model.initial)
-    if init_actions == "from-steps":
-        acts = tuple(a for s in steps for a in model.actions_of(s))
-    elif init_actions == "empty":
-        acts = ()
-    else:
-        raise ValueError(f"unknown init_actions mode {init_actions!r}")
-    return SfcState(mem, steps, acts)
 
 
 def rule_instances(model: SfcModel, c: SfcState | None = None):

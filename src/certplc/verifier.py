@@ -26,9 +26,8 @@ from .lia.witness import Witness
 # verifier.normalize, so the name stays importable
 from .linear import (TRUE_DNF, CubeOverflow, FragmentError, attach_bounds,
                      dnf_and, normalize)
-from .model import SfcModel
+from .model import RuleInstance, SfcModel, init_state
 from .prooftree import ArithLeaf, CaseProof, HypEntry, ProofTree
-from .semantics import RuleInstance, init_state, rule_instances
 
 
 @dataclass
@@ -62,31 +61,27 @@ def check_base(model: SfcModel, formula: P.Formula,
     return Refuted(None, dict(state.mem), "fails in the initial configuration")
 
 
-def iter_obligations(model: SfcModel, formula: P.Formula, *,
-                     cap: int = 512):
+def iter_obligations(model: SfcModel, formula: P.Formula):
     """One obligation per rule instance, in enumeration order, each derived
     when the caller asks for it from one shared derivation context.
 
     Opaque or oversized cases yield (rule, Undecided) so callers report
     them instead of silently skipping.
     """
-    ctx = O.DerivationContext(model, formula, cap)
-    for rule in rule_instances(model):
+    ctx = O.DerivationContext(model, formula)
+    for rule in model.rules:
         try:
-            yield rule, O.build_obligation(model, formula, rule, cap=cap,
-                                           context=ctx)
+            yield rule, O.build_obligation(ctx, rule)
         except (O.UnsupportedEffect, O.ObligationOverflow) as err:
             yield rule, Undecided(rule, str(err))
 
 
-def discharge(model: SfcModel, ob: O.CaseObligation, *,
-              max_derived: int = 50_000, split_limit: int = 4096):
+def discharge(model: SfcModel, ob: O.CaseObligation):
     """Close one obligation; returns CaseProof, Refuted or Undecided."""
     entries = []
     try:
         for hyp_cube in ob.hyp_cubes:
-            res = decide_sat(hyp_cube, max_derived=max_derived,
-                             split_limit=split_limit)
+            res = decide_sat(hyp_cube)
             if not isinstance(res, Sat):
                 entries.append(HypEntry(contradiction=res.witness))
                 continue
@@ -98,8 +93,7 @@ def discharge(model: SfcModel, ob: O.CaseObligation, *,
                     if joint is None:  # visibly false join
                         witnesses.append(Witness(()))
                         continue
-                    sub = decide_sat(joint, max_derived=max_derived,
-                                     split_limit=split_limit)
+                    sub = decide_sat(joint)
                     if isinstance(sub, Sat):
                         return Refuted(ob.rule, sub.assignment,
                                        "inductive step violated")
@@ -111,8 +105,7 @@ def discharge(model: SfcModel, ob: O.CaseObligation, *,
     return CaseProof(ob.rule.label(), tuple(entries))
 
 
-def verify_invariant(model: SfcModel, inv: P.Invariant, *, cap: int = 512,
-                     max_derived: int = 50_000, split_limit: int = 4096,
+def verify_invariant(model: SfcModel, inv: P.Invariant, *,
                      init_actions: str = "from-steps") -> VerifyResult:
     """Induction proof attempt for one invariant."""
     base = check_base(model, inv.formula, init_actions)
@@ -122,11 +115,10 @@ def verify_invariant(model: SfcModel, inv: P.Invariant, *, cap: int = 512,
     undecided = None
     # deriving each case just before discharging it stops the derivation
     # at the first refuted case
-    for _, ob in iter_obligations(model, inv.formula, cap=cap):
+    for _, ob in iter_obligations(model, inv.formula):
         res = ob
         if not isinstance(ob, Undecided):
-            res = discharge(model, ob, max_derived=max_derived,
-                            split_limit=split_limit)
+            res = discharge(model, ob)
         if isinstance(res, Refuted):
             return res
         if isinstance(res, Undecided):
@@ -138,7 +130,7 @@ def verify_invariant(model: SfcModel, inv: P.Invariant, *, cap: int = 512,
     return Proved(ProofTree(tuple(cases)), obligations=len(cases))
 
 
-def gen_basic_lemmas(model: SfcModel, **opts):
+def gen_basic_lemmas(model: SfcModel):
     """Structural facts proved for every model and reusable as context.
 
     Active action blocks stay within the declared set, and active steps
@@ -153,7 +145,7 @@ def gen_basic_lemmas(model: SfcModel, **opts):
     ]
     out = []
     for inv in lemmas:
-        res = verify_invariant(model, inv, **opts)
+        res = verify_invariant(model, inv)
         if not isinstance(res, Proved):
             raise AssertionError(
                 f"structural lemma {inv.name!r} failed: {res!r}")
@@ -171,8 +163,8 @@ def _conjoin(formulas) -> P.Formula:
 
 
 def check_guard_unreachable(model: SfcModel, target: str,
-                            context: tuple[P.Formula, ...] = (),
-                            **opts) -> VerifyResult:
+                            context: tuple[P.Formula, ...] = ()
+                            ) -> VerifyResult:
     """Prove a non-initial step can never activate.
 
     Every transition into the target must have a guard that is
@@ -187,11 +179,11 @@ def check_guard_unreachable(model: SfcModel, target: str,
     if target not in model.steps:
         raise ValueError(f"unknown step {target!r}")
     prop = _conjoin(tuple(context) + (P.PNot(P.StepActive(target)),))
-    der = O.DerivationContext(model, prop, 512)
+    der = O.DerivationContext(model, prop)
     try:
         ctx_dnf = TRUE_DNF
         for f in context:
-            ctx_dnf = dnf_and(ctx_dnf, der.formula_dnf(f, der.pre), 512)
+            ctx_dnf = dnf_and(ctx_dnf, der.formula_dnf(f, der.pre), der.cap)
         for i, t in enumerate(model.transitions):
             if target not in t.targets:
                 continue
@@ -205,7 +197,7 @@ def check_guard_unreachable(model: SfcModel, target: str,
     except (CubeOverflow, FragmentError) as err:
         return Undecided(None, str(err))
     inv = P.Invariant(f"unreachable_{target}", prop)
-    return verify_invariant(model, inv, **opts)
+    return verify_invariant(model, inv)
 
 
 @dataclass

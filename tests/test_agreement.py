@@ -165,7 +165,7 @@ def _obligations(model, text):
     """Obligation per rule instance for an invariant."""
     f = P.parse_formula_text(text, model)
     ctx = O.DerivationContext(model, f)
-    return {rule: O.build_obligation(model, f, rule, context=ctx)
+    return {rule: O.build_obligation(ctx, rule)
             for rule in S.rule_instances(model)}
 
 

@@ -137,6 +137,23 @@ class TestCheckRejections:
         bad = b"\n".join(data.split(b"\n")[:-10])
         assert not C.check(bad).accepted
 
+    @pytest.mark.parametrize("count", ["x", "-1", "1000001"],
+                             ids=["non-numeric", "negative", "over-limit"])
+    @pytest.mark.parametrize("header, what", [
+        (r"case \S+ hyps", "hyp"),
+        (r"hyp \d+ conjuncts", "conjunct"),
+        (r"conj \d+ cubes", "cube"),
+    ], ids=["hyps", "conjuncts", "cubes"])
+    def test_bad_header_count(self, header, what, count):
+        _, _, data = proved_certificate()
+        text = data.decode()
+        m = re.search(rf"^({header}) \d+$", text, re.M)
+        assert m
+        bad = text[:m.start()] + f"{m.group(1)} {count}" + text[m.end():]
+        v = C.check(bad.encode())
+        assert not v.accepted
+        assert v.reason.startswith(f"proof-parse: bad {what} count")
+
     def test_witness_coefficient_corruption(self):
         _, _, data = proved_certificate()
         text = data.decode()
@@ -335,7 +352,8 @@ class TestTrustedCore:
     def test_inventory_contents(self):
         inv = C.trusted_core_inventory()
         assert "certplc.lia.witness" in inv
-        assert "certplc.semantics" in inv  # initial-state re-evaluation
+        assert "certplc.model" in inv  # initial configuration, rule table
+        assert "certplc.semantics" not in inv  # execution and exploration
         assert "certplc.obligations" in inv  # cube re-derivation
         assert "certplc.lia.solver" not in inv
         assert "certplc.verifier" not in inv

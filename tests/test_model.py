@@ -1,7 +1,7 @@
 import pytest
 
 from certplc import (canonical_text, model_digest, parse_model, validate)
-from certplc.model import SfcModel, Transition
+from certplc.model import ActionBlock, SfcModel, Transition
 from certplc.parsing import ParseError
 from certplc import expr as E
 
@@ -42,6 +42,18 @@ class TestParse:
     def test_duplicate_declaration(self, kind, text):
         with pytest.raises(ParseError, match=f"duplicate {kind}"):
             parse_model(text)
+
+    def test_duplicate_action_is_one_problem(self):
+        with pytest.raises(ParseError) as err:
+            parse_model(MINIMAL + "action A on Only { }\n"
+                        "action A on Only { }\n")
+        assert str(err.value) == "duplicate action 'A'"
+
+    def test_action_on_unknown_step_carries_position(self):
+        with pytest.raises(ParseError, match="unknown step 'Ghost'") as err:
+            parse_model(MINIMAL + "action A on Ghost { }\n")
+        assert err.value.line == 2
+        assert err.value.col == 13
 
     def test_type_mismatch_in_guard(self):
         bad = ("var x : int16\nvar b : bool\n" + MINIMAL +
@@ -101,27 +113,22 @@ class TestValidate:
     def test_empty_initial_set(self):
         model = parse_model(MINIMAL)
         broken = SfcModel(model.vars, model.steps, (), model.actions,
-                          model.step_actions, model.transitions)
+                          model.transitions)
         assert any("initial" in v for v in validate(broken))
 
-    def test_step_actions_not_total(self):
+    def test_action_on_unknown_step(self):
         model = parse_model(MINIMAL)
         broken = SfcModel(model.vars, model.steps, model.initial,
-                          model.actions, (), model.transitions)
-        assert any("not total" in v for v in validate(broken))
-
-    def test_unknown_action_reference(self):
-        model = parse_model(MINIMAL)
-        broken = SfcModel(model.vars, model.steps, model.initial,
-                          model.actions, (("Only", ("Ghost",)),),
+                          (ActionBlock("A", "Ghost", assigns=()),),
                           model.transitions)
-        assert any("unknown action" in v for v in validate(broken))
+        assert validate(broken) == [
+            "action 'A' attached to unknown step 'Ghost'"]
 
     def test_duplicate_transition_source(self):
         model = parse_model(MINIMAL)
         t = Transition(("Only", "Only"), E.BoolLit(True), ("Only",))
         broken = SfcModel(model.vars, model.steps, model.initial,
-                          model.actions, model.step_actions, (t,))
+                          model.actions, (t,))
         assert any("duplicate source" in v for v in validate(broken))
 
 

@@ -43,10 +43,9 @@ def _cases():
                                                   m)[0].formula
 
 
-def _outcome(model, formula, rule, cap, context=None):
+def _outcome(ctx, rule):
     try:
-        return O.build_obligation(model, formula, rule, cap=cap,
-                                  context=context)
+        return O.build_obligation(ctx, rule)
     except (O.UnsupportedEffect, O.ObligationOverflow) as err:
         return type(err), str(err)
 
@@ -58,8 +57,9 @@ class TestSharedEqualsFresh:
         for name, model, formula in _cases():
             ctx = O.DerivationContext(model, formula, cap)
             for rule in S.rule_instances(model):
-                shared = _outcome(model, formula, rule, cap, ctx)
-                fresh = _outcome(model, formula, rule, cap)
+                shared = _outcome(ctx, rule)
+                fresh = _outcome(O.DerivationContext(model, formula, cap),
+                                 rule)
                 assert shared == fresh, (name, rule.label())
                 if isinstance(shared, tuple):
                     seen.add(shared[0])
@@ -76,18 +76,10 @@ class TestSharedEqualsFresh:
         rules = S.rule_instances(m)
         assert len(rules) == 4  # exec:A, trans:0, react:S, react:T
         for rule in rules:
-            assert _outcome(m, f, rule, 512, ctx) == (
+            assert _outcome(ctx, rule) == (
                 O.UnsupportedEffect,
                 f"{rule.label()}: multiplication of two non-constant "
                 f"expressions")
-
-    def test_context_of_another_property_is_refused(self, loop_model):
-        f = P.parse_formula_text("x <= 10", loop_model)
-        ctx = O.DerivationContext(loop_model, f)
-        other = P.parse_formula_text("x <= 11", loop_model)
-        with pytest.raises(ValueError):
-            O.build_obligation(loop_model, other, S.StepTransition(0),
-                               context=ctx)
 
 
 def _strip_widths(e):
@@ -218,9 +210,9 @@ class TestStopsAfterRefutation:
         built = []
         original = O.build_obligation
 
-        def counted(model, formula, rule, **kwargs):
+        def counted(ctx, rule):
             built.append(rule)
-            return original(model, formula, rule, **kwargs)
+            return original(ctx, rule)
 
         monkeypatch.setattr(O, "build_obligation", counted)
         inv = P.Invariant("cap", P.parse_formula_text("x <= 10", loop_model))

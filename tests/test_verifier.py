@@ -60,15 +60,17 @@ class TestObligations:
             assert labels == expected
 
     def test_guard_enters_hypothesis_cube(self, loop_model):
-        ob = O.build_obligation(loop_model, formula("true", loop_model),
-                                S.StepTransition(0))
+        ob = O.build_obligation(
+            O.DerivationContext(loop_model, formula("true", loop_model)),
+            S.StepTransition(0))
         from certplc.linear import LinCon
         want = LinCon((("x", 1),), "<=", 9)
         assert all(want in cube for cube in ob.hyp_cubes)
 
     def test_transition_hypothesis_names_sources_and_actions(self, loop_model):
-        ob = O.build_obligation(loop_model, formula("true", loop_model),
-                                S.StepTransition(0))
+        ob = O.build_obligation(
+            O.DerivationContext(loop_model, formula("true", loop_model)),
+            S.StepTransition(0))
         from certplc.linear import LinCon
         cube = ob.hyp_cubes[0]
         assert LinCon((("step:Init", 1),), "==", 1) in cube
@@ -117,8 +119,9 @@ class TestObligations:
 class TestDischarge:
     def test_contradictory_hypothesis_closes_case(self, loop_model):
         # reactivating Init requires both outgoing guards false: impossible
-        ob = O.build_obligation(loop_model, formula("true", loop_model),
-                                S.Reactivate("Init"))
+        ob = O.build_obligation(
+            O.DerivationContext(loop_model, formula("true", loop_model)),
+            S.Reactivate("Init"))
         case = V.discharge(loop_model, ob)
         assert all(entry.contradiction is not None for entry in case.hyps)
 
