@@ -322,6 +322,8 @@ def _show(e: Expr, parent: int) -> str:
     elif isinstance(e, Not):
         mine = _PREC["!"]
         s = f"!{_show(e.arg, mine + 1)}"
+    elif hasattr(e, "pretty"):  # a leaf of an extension, e.g. step(S)
+        return e.pretty()
     else:
         raise ExprError(f"unknown expression node {type(e).__name__}")
     return f"({s})" if mine < parent else s

@@ -32,10 +32,6 @@ from .parsing import ParseError, TokenStream, lex, parse_expression
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_KEYWORDS = {"var", "step", "action", "trans", "fbd", "true", "false",
-             "on", "time", "initial", "prio", "block", "timeslice"}
-
-
 @dataclass(frozen=True)
 class VarDecl:
     name: str

@@ -229,21 +229,16 @@ class DerivationContext:
                     negated: bool = False) -> Dnf:
         """DNF of a formula read through *sm*, under this context's cap."""
         cap = self.cap
-        if isinstance(f, P.PNot):
+        if isinstance(f, E.Not):
             return self.formula_dnf(f.arg, sm, not negated)
-        if isinstance(f, P.PAnd):
+        if isinstance(f, E.And):
             l = self.formula_dnf(f.lhs, sm, negated)
             r = self.formula_dnf(f.rhs, sm, negated)
             return dnf_or(l, r, cap) if negated else dnf_and(l, r, cap)
-        if isinstance(f, P.POr):
+        if isinstance(f, E.Or):
             l = self.formula_dnf(f.lhs, sm, negated)
             r = self.formula_dnf(f.rhs, sm, negated)
             return dnf_and(l, r, cap) if negated else dnf_or(l, r, cap)
-        if isinstance(f, P.ArithAtom):
-            if sm.subst is None:  # memory reads as in the pre-state
-                return self.normalized(f.expr, negated)
-            return normalize(f.expr, self.env, subst=sm.subst,
-                             negate=negated, max_cubes=cap)
         if isinstance(f, P.StepActive):
             return _activity_dnf(sm.steps[f.step], 0 if negated else 1)
         if isinstance(f, P.ActionActive):
@@ -256,7 +251,11 @@ class DerivationContext:
             outside = [s for s in sm.steps if s not in f.steps]
             return _subset_dnf([sm.steps[s] for s in sorted(outside)],
                                negated, cap)
-        raise P.PropertyError(f"unknown formula node {type(f).__name__}")
+        # an arithmetic atom
+        if sm.subst is None:  # memory reads as in the pre-state
+            return self.normalized(f, negated)
+        return normalize(f, self.env, subst=sm.subst, negate=negated,
+                         max_cubes=cap)
 
 
 def build_obligation(ctx: DerivationContext,

@@ -86,8 +86,9 @@ class TokenStream:
         self._toks = tokens
         self._pos = 0
 
-    def peek(self) -> Token:
-        return self._toks[self._pos]
+    def peek(self, ahead: int = 0) -> Token:
+        """The token *ahead* places past the current one (eof at the end)."""
+        return self._toks[min(self._pos + ahead, len(self._toks) - 1)]
 
     def next(self) -> Token:
         t = self._toks[self._pos]
@@ -136,7 +137,7 @@ class TokenStream:
 #
 # or   := and ('||' and)*
 # and  := not ('&&' not)*
-# not  := '!' not | cmp
+# not  := '!' not | hook | cmp
 # cmp  := sum (('<'|'<='|'>'|'>='|'=='|'='|'!=') sum)?
 # sum  := prod (('+'|'-') prod)*
 # prod := atom ('*' atom)*
@@ -145,64 +146,71 @@ class TokenStream:
 _CMP_TOKENS = {"<", "<=", ">", ">=", "==", "=", "!="}
 
 
-def parse_expression(ts: TokenStream) -> E.Expr:
-    return _parse_or(ts)
+def parse_expression(ts: TokenStream, hook=None) -> E.Expr:
+    """Parse one expression.
+
+    *hook*, if given, is tried first wherever a comparison may start: it
+    parses and returns an extra boolean leaf (the property language's
+    activity atoms), or returns None without consuming a token.  So a hooked
+    leaf is an operand of arithmetic or of a comparison only inside
+    parentheses, where typechecking rejects it.
+    """
+    return _parse_or(ts, hook)
 
 
-def parse_comparison(ts: TokenStream) -> E.Expr:
-    """Entry at comparison precedence, below the logical connectives."""
-    return _parse_cmp(ts)
-
-
-def _parse_or(ts):
-    e = _parse_and(ts)
+def _parse_or(ts, hook):
+    e = _parse_and(ts, hook)
     while ts.accept("||"):
-        e = E.Or(e, _parse_and(ts))
+        e = E.Or(e, _parse_and(ts, hook))
     return e
 
 
-def _parse_and(ts):
-    e = _parse_not(ts)
+def _parse_and(ts, hook):
+    e = _parse_not(ts, hook)
     while ts.accept("&&"):
-        e = E.And(e, _parse_not(ts))
+        e = E.And(e, _parse_not(ts, hook))
     return e
 
 
-def _parse_not(ts):
+def _parse_not(ts, hook):
     if ts.accept("!"):
-        return E.Not(_parse_not(ts))
-    return _parse_cmp(ts)
+        return E.Not(_parse_not(ts, hook))
+    if hook is not None:
+        e = hook(ts)
+        if e is not None:
+            return e
+    return _parse_cmp(ts, hook)
 
 
-def _parse_cmp(ts):
-    e = _parse_sum(ts)
+def _parse_cmp(ts, hook):
+    e = _parse_sum(ts, hook)
     t = ts.peek()
     if t.kind == "op" and t.text in _CMP_TOKENS:
         ts.next()
         op = "==" if t.text == "=" else t.text
-        return E.Cmp(op, e, _parse_sum(ts))
+        return E.Cmp(op, e, _parse_sum(ts, hook))
     return e
 
 
-def _parse_sum(ts):
-    e = _parse_prod(ts)
+def _parse_sum(ts, hook):
+    e = _parse_prod(ts, hook)
     while True:
         if ts.accept("+"):
-            e = E.Add(e, _parse_prod(ts))
+            e = E.Add(e, _parse_prod(ts, hook))
         elif ts.accept("-"):
-            e = E.Sub(e, _parse_prod(ts))
+            e = E.Sub(e, _parse_prod(ts, hook))
         else:
             return e
 
 
-def _parse_prod(ts):
-    e = _parse_atom(ts)
+def _parse_prod(ts, hook):
+    e = _parse_atom(ts, hook)
     while ts.accept("*"):
-        e = E.Mul(e, _parse_atom(ts))
+        e = E.Mul(e, _parse_atom(ts, hook))
     return e
 
 
-def _parse_atom(ts):
+def _parse_atom(ts, hook):
     t = ts.peek()
     if t.kind == "int":
         return E.IntLit(ts.integer())
@@ -214,7 +222,7 @@ def _parse_atom(ts):
             return E.BoolLit(False)
         return E.Var(t.text)
     if ts.accept("("):
-        e = _parse_or(ts)
+        e = _parse_or(ts, hook)
         ts.expect(")")
         return e
     ts.error(f"expected expression, found {t.text or 'end of input'!r}")

@@ -1,70 +1,60 @@
 """Invariant property language.
 
-Atoms are arithmetic conditions over declared variables, step or action
-activity tests, and subset bounds on what may be active:
+A formula is a boolean expression of the expression language whose leaves
+may also be activity atoms: step or action activity tests, and subset
+bounds on what may be active.  They combine with &&, || and ! like any
+boolean expression:
 
     invariant safe_x : always (x <= 10 && !step(Dead));
     invariant acts : always (actions_within {A_Init, A_Step1});
 
-Negation applies to activity atoms; arithmetic atoms combine with && and ||
-(their negations are expressed inside the expression language).
+Every other leaf is an arithmetic atom: a boolean expression over the
+declared variables, evaluated on the configuration's memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from . import expr as E
 from .model import SfcModel, SfcState
-from .parsing import ParseError, TokenStream, lex
-from .parsing import parse_comparison as _parse_arith_atom
-
-
-@dataclass(frozen=True)
-class ArithAtom:
-    expr: E.Expr
+from .parsing import ParseError, TokenStream, lex, parse_expression
 
 
 @dataclass(frozen=True)
 class StepActive:
     step: str
 
+    def pretty(self) -> str:
+        return f"step({self.step})"
+
 
 @dataclass(frozen=True)
 class ActionActive:
     action: str
+
+    def pretty(self) -> str:
+        return f"action({self.action})"
 
 
 @dataclass(frozen=True)
 class ActionsWithin:
     actions: tuple[str, ...]  # sorted
 
+    def pretty(self) -> str:
+        return "actions_within {" + ", ".join(self.actions) + "}"
+
 
 @dataclass(frozen=True)
 class StepsWithin:
     steps: tuple[str, ...]  # sorted
 
-
-@dataclass(frozen=True)
-class PAnd:
-    lhs: "Formula"
-    rhs: "Formula"
+    def pretty(self) -> str:
+        return "steps_within {" + ", ".join(self.steps) + "}"
 
 
-@dataclass(frozen=True)
-class POr:
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(frozen=True)
-class PNot:
-    arg: "Formula"
-
-
-Formula = Union[ArithAtom, StepActive, ActionActive, ActionsWithin,
-                StepsWithin, PAnd, POr, PNot]
+# an E.Expr whose leaves may also be the four activity atoms above
+Formula = E.Expr
 
 
 @dataclass(frozen=True)
@@ -78,28 +68,19 @@ class PropertyError(Exception):
 
 
 def conjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, PAnd):
+    if isinstance(f, E.And):
         return conjuncts(f.lhs) + conjuncts(f.rhs)
     return [f]
 
 
-def negate(f: Formula) -> Formula:
-    """Push one negation through connectives down to the atoms."""
-    if isinstance(f, PAnd):
-        return POr(negate(f.lhs), negate(f.rhs))
-    if isinstance(f, POr):
-        return PAnd(negate(f.lhs), negate(f.rhs))
-    if isinstance(f, PNot):
-        return f.arg
-    if isinstance(f, ArithAtom):
-        return ArithAtom(E.Not(f.expr))
-    return PNot(f)
-
-
 def holds_on(f: Formula, state: SfcState) -> bool:
     """Concrete truth of a formula on a configuration."""
-    if isinstance(f, ArithAtom):
-        return bool(E.eval_expr(f.expr, state.mem))
+    if isinstance(f, E.And):
+        return holds_on(f.lhs, state) and holds_on(f.rhs, state)
+    if isinstance(f, E.Or):
+        return holds_on(f.lhs, state) or holds_on(f.rhs, state)
+    if isinstance(f, E.Not):
+        return not holds_on(f.arg, state)
     if isinstance(f, StepActive):
         return f.step in state.active_steps
     if isinstance(f, ActionActive):
@@ -108,49 +89,40 @@ def holds_on(f: Formula, state: SfcState) -> bool:
         return set(state.active_actions) <= set(f.actions)
     if isinstance(f, StepsWithin):
         return set(state.active_steps) <= set(f.steps)
-    if isinstance(f, PAnd):
-        return holds_on(f.lhs, state) and holds_on(f.rhs, state)
-    if isinstance(f, POr):
-        return holds_on(f.lhs, state) or holds_on(f.rhs, state)
-    if isinstance(f, PNot):
-        return not holds_on(f.arg, state)
-    raise PropertyError(f"unknown formula node {type(f).__name__}")
+    return bool(E.eval_expr(f, state.mem))
 
 
 def check_refs(f: Formula, model: SfcModel):
+    """Check activity names against the model and typecheck each arithmetic
+    atom; returns the formula with comparison widths annotated."""
     steps = set(model.steps)
     actions = set(model.action_ids())
     env = model.env()
 
+    def known(names, declared, kind):
+        for n in names:
+            if n not in declared:
+                raise PropertyError(f"unknown {kind} {n!r}")
+
     def walk(g):
-        if isinstance(g, ArithAtom):
-            ann, ty = E.typecheck(g.expr, env)
+        if isinstance(g, (E.And, E.Or)):
+            return type(g)(walk(g.lhs), walk(g.rhs))
+        if isinstance(g, E.Not):
+            return E.Not(walk(g.arg))
+        if isinstance(g, StepActive):
+            known((g.step,), steps, "step")
+        elif isinstance(g, StepsWithin):
+            known(g.steps, steps, "step")
+        elif isinstance(g, ActionActive):
+            known((g.action,), actions, "action")
+        elif isinstance(g, ActionsWithin):
+            known(g.actions, actions, "action")
+        else:
+            ann, ty = E.typecheck(g, env)
             if ty != "bool":
                 raise PropertyError("arithmetic atom is not boolean")
-            return ArithAtom(ann)
-        if isinstance(g, StepActive):
-            if g.step not in steps:
-                raise PropertyError(f"unknown step {g.step!r}")
-            return g
-        if isinstance(g, ActionActive):
-            if g.action not in actions:
-                raise PropertyError(f"unknown action {g.action!r}")
-            return g
-        if isinstance(g, ActionsWithin):
-            for a in g.actions:
-                if a not in actions:
-                    raise PropertyError(f"unknown action {a!r}")
-            return g
-        if isinstance(g, StepsWithin):
-            for s in g.steps:
-                if s not in steps:
-                    raise PropertyError(f"unknown step {s!r}")
-            return g
-        if isinstance(g, (PAnd, POr)):
-            return type(g)(walk(g.lhs), walk(g.rhs))
-        if isinstance(g, PNot):
-            return PNot(walk(g.arg))
-        raise PropertyError(f"unknown formula node {type(g).__name__}")
+            return ann
+        return g
 
     return walk(f)
 
@@ -159,12 +131,12 @@ def check_refs(f: Formula, model: SfcModel):
 #
 # file       := invariant*
 # invariant  := 'invariant' NAME ':' 'always' '(' formula ')' ';'
-# formula    := por;  por := pand ('||' pand)*;  pand := punit ('&&' punit)*
-# punit      := '!' punit | 'step' '(' NAME ')' | 'action' '(' NAME ')'
+# formula    := an expression (parsing.parse_expression) whose atoms may also
+#               be 'step' '(' NAME ')' | 'action' '(' NAME ')'
 #             | 'actions_within' '{' names '}' | 'steps_within' '{' names '}'
-#             | '(' formula ')' | arithmetic-comparison
-
-_ATOM_KEYWORDS = ("step", "action", "actions_within", "steps_within")
+#
+# 'step' and 'action' start an atom only when '(' follows, so variables of
+# those names stay usable in arithmetic.
 
 
 def _parse_name_set(ts: TokenStream) -> tuple[str, ...]:
@@ -178,62 +150,27 @@ def _parse_name_set(ts: TokenStream) -> tuple[str, ...]:
     return tuple(sorted(set(names)))
 
 
-def parse_formula(ts: TokenStream) -> Formula:
-    f = _parse_pand(ts)
-    while ts.accept("||"):
-        f = POr(f, _parse_pand(ts))
-    return f
-
-
-def _parse_pand(ts: TokenStream) -> Formula:
-    f = _parse_punit(ts)
-    while ts.accept("&&"):
-        f = PAnd(f, _parse_punit(ts))
-    return f
-
-
-def _starts_atom_keyword(ts: TokenStream) -> str | None:
+def _activity_atom(ts: TokenStream):
     t = ts.peek()
-    if t.kind != "ident" or t.text not in _ATOM_KEYWORDS:
+    if t.kind != "ident":
         return None
-    if t.text in ("step", "action"):
-        nxt = ts._toks[ts._pos + 1]
-        if nxt.text != "(":
-            return None
-    return t.text
-
-
-def _parse_punit(ts: TokenStream) -> Formula:
-    if ts.accept("!"):
-        return PNot(_parse_punit(ts))
-    kw = _starts_atom_keyword(ts)
-    if kw is not None:
+    if t.text in ("step", "action") and ts.peek(1).text == "(":
         ts.next()
-        if kw in ("step", "action"):
-            ts.expect("(")
-            name = ts.ident().text
-            ts.expect(")")
-            return StepActive(name) if kw == "step" else ActionActive(name)
-        names = _parse_name_set(ts)
-        return ActionsWithin(names) if kw == "actions_within" \
-            else StepsWithin(names)
-    if ts.at("("):
-        # either a parenthesized formula or a parenthesized arithmetic
-        # expression; try the formula grammar and fall back when the text
-        # continues as arithmetic (e.g. "(x + 1) <= 2")
-        mark = ts._pos
-        try:
-            ts.expect("(")
-            f = parse_formula(ts)
-            ts.expect(")")
-            nxt = ts.peek()
-            if nxt.kind == "op" and nxt.text in ("+", "-", "*", "<", "<=",
-                                                 ">", ">=", "==", "=", "!="):
-                raise ParseError("arithmetic continues", nxt.line, nxt.col)
-            return f
-        except ParseError:
-            ts._pos = mark
-    return ArithAtom(_parse_arith_atom(ts))
+        ts.expect("(")
+        name = ts.ident().text
+        ts.expect(")")
+        return StepActive(name) if t.text == "step" else ActionActive(name)
+    if t.text == "actions_within":
+        ts.next()
+        return ActionsWithin(_parse_name_set(ts))
+    if t.text == "steps_within":
+        ts.next()
+        return StepsWithin(_parse_name_set(ts))
+    return None
+
+
+def parse_formula(ts: TokenStream) -> Formula:
+    return parse_expression(ts, _activity_atom)
 
 
 def parse_properties(text: str, model: SfcModel | None = None) -> list[Invariant]:
@@ -277,40 +214,7 @@ def parse_formula_text(text: str, model: SfcModel | None = None) -> Formula:
     return f
 
 
-# --- printing ---------------------------------------------------------------
-
-_PPREC = {"or": 1, "and": 2, "not": 3}
-
-
-def _show(f: Formula, parent: int) -> str:
-    if isinstance(f, ArithAtom):
-        text = E.pretty(f.expr)
-        # parenthesize if the expression's own operators would bind wrong
-        return f"({text})" if (" || " in text or " && " in text) else text
-    if isinstance(f, StepActive):
-        return f"step({f.step})"
-    if isinstance(f, ActionActive):
-        return f"action({f.action})"
-    if isinstance(f, ActionsWithin):
-        return "actions_within {" + ", ".join(f.actions) + "}"
-    if isinstance(f, StepsWithin):
-        return "steps_within {" + ", ".join(f.steps) + "}"
-    if isinstance(f, PAnd):
-        mine = _PPREC["and"]
-        s = f"{_show(f.lhs, mine)} && {_show(f.rhs, mine)}"
-    elif isinstance(f, POr):
-        mine = _PPREC["or"]
-        s = f"{_show(f.lhs, mine)} || {_show(f.rhs, mine)}"
-    elif isinstance(f, PNot):
-        mine = _PPREC["not"]
-        s = f"!{_show(f.arg, mine + 1)}"
-    else:
-        raise PropertyError(f"unknown formula node {type(f).__name__}")
-    return f"({s})" if mine < parent else s
-
-
-def formula_text(f: Formula) -> str:
-    return _show(f, 0)
+formula_text = E.pretty
 
 
 def invariant_text(inv: Invariant) -> str:

@@ -38,15 +38,12 @@ def state_text(s: SfcState) -> str:
     return f"mem{{{mem}}} steps[{steps}] acts[{acts}]"
 
 
-def rule_instances(model: SfcModel, c: SfcState | None = None):
-    """All rule instances, in the fixed enumeration order.
-
-    With a configuration, execute instances are restricted to pending
-    actions (first occurrence order) and reactivations to active steps;
-    otherwise it is every instance of the model's rule table.
+def rule_instances(model: SfcModel, c: SfcState):
+    """The rule instances that may apply in *c*, in the fixed enumeration
+    order: execute instances of pending actions (first occurrence order),
+    every transition, and reactivations of active steps.  Every instance of
+    the model is in ``model.rules``.
     """
-    if c is None:
-        return list(model.rules)
     out: list[RuleInstance] = [ExecuteAction(a)
                                for a in dict.fromkeys(c.active_actions)]
     # the table's own transition keys: apply_rule then finds each by

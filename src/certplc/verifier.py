@@ -16,7 +16,9 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
+from . import expr as E
 from . import obligations as O
 from . import properties as P
 from .lia.solver import (DeciderResourceError, FragmentViolation, Sat,
@@ -76,7 +78,7 @@ def iter_obligations(model: SfcModel, formula: P.Formula):
             yield rule, Undecided(rule, str(err))
 
 
-def discharge(model: SfcModel, ob: O.CaseObligation):
+def discharge(ob: O.CaseObligation):
     """Close one obligation; returns CaseProof, Refuted or Undecided."""
     entries = []
     try:
@@ -118,7 +120,7 @@ def verify_invariant(model: SfcModel, inv: P.Invariant, *,
     for _, ob in iter_obligations(model, inv.formula):
         res = ob
         if not isinstance(ob, Undecided):
-            res = discharge(model, ob)
+            res = discharge(ob)
         if isinstance(res, Refuted):
             return res
         if isinstance(res, Undecided):
@@ -153,13 +155,17 @@ def gen_basic_lemmas(model: SfcModel):
     return out
 
 
-def _conjoin(formulas) -> P.Formula:
-    acc = None
-    for f in formulas:
-        acc = f if acc is None else P.PAnd(acc, f)
-    if acc is None:
-        raise ValueError("empty conjunction")
-    return acc
+# disjunct cap of the lemma checks' hypothesis products
+LEMMA_CAP = 4096
+
+
+def _first_sat(der: O.DerivationContext, hyp, dnf):
+    """An assignment satisfying some cube of hyp ∧ dnf, or None."""
+    for cube in dnf_and(hyp, dnf, LEMMA_CAP):
+        res = decide_sat(attach_bounds(cube, der.env))
+        if isinstance(res, Sat):
+            return res.assignment
+    return None
 
 
 def check_guard_unreachable(model: SfcModel, target: str,
@@ -178,7 +184,7 @@ def check_guard_unreachable(model: SfcModel, target: str,
         raise ValueError(f"step {target!r} is initial")
     if target not in model.steps:
         raise ValueError(f"unknown step {target!r}")
-    prop = _conjoin(tuple(context) + (P.PNot(P.StepActive(target)),))
+    prop = reduce(E.And, (*context, E.Not(P.StepActive(target))))
     der = O.DerivationContext(model, prop)
     try:
         ctx_dnf = TRUE_DNF
@@ -187,13 +193,11 @@ def check_guard_unreachable(model: SfcModel, target: str,
         for i, t in enumerate(model.transitions):
             if target not in t.targets:
                 continue
-            for cube in dnf_and(ctx_dnf, der.normalized(t.guard), 4096):
-                cube = attach_bounds(cube, der.env)
-                if isinstance(decide_sat(cube), Sat):
-                    return Undecided(None,
-                                     f"guard of transition {i} into "
-                                     f"{target!r} is satisfiable under the "
-                                     f"context")
+            if _first_sat(der, ctx_dnf, der.normalized(t.guard)) is not None:
+                return Undecided(None,
+                                 f"guard of transition {i} into "
+                                 f"{target!r} is satisfiable under the "
+                                 f"context")
     except (CubeOverflow, FragmentError) as err:
         return Undecided(None, str(err))
     inv = P.Invariant(f"unreachable_{target}", prop)
@@ -221,28 +225,21 @@ def check_determined_successor(model: SfcModel, trigger: P.Formula,
     """
     if step not in model.steps:
         raise ValueError(f"unknown step {step!r}")
-    cap = 4096
-    der = O.DerivationContext(model, trigger, cap)
+    der = O.DerivationContext(model, trigger, LEMMA_CAP)
     offenders = []
     candidates = []
     try:
         hyp = der.pre_dnf()
         for f in context:
-            hyp = dnf_and(hyp, der.formula_dnf(f, der.pre), cap)
+            hyp = dnf_and(hyp, der.formula_dnf(f, der.pre), LEMMA_CAP)
         for i, t in enumerate(model.transitions):
-            enabled = P.ArithAtom(t.guard)
-            for s in t.sources:
-                enabled = P.PAnd(enabled, P.StepActive(s))
+            enabled = reduce(E.And, map(P.StepActive, t.sources), t.guard)
             if set(t.targets) == {step}:
                 candidates.append(enabled)
                 continue
-            enabled_dnf = der.formula_dnf(enabled, der.pre)
-            for cube in dnf_and(hyp, enabled_dnf, cap):
-                cube = attach_bounds(cube, der.env)
-                res = decide_sat(cube)
-                if isinstance(res, Sat):
-                    offenders.append((i, res.assignment))
-                    break
+            hit = _first_sat(der, hyp, der.formula_dnf(enabled, der.pre))
+            if hit is not None:
+                offenders.append((i, hit))
         if offenders:
             return DeterminedResult("refuted", tuple(offenders),
                                     "trigger enables a transition with a "
@@ -250,16 +247,11 @@ def check_determined_successor(model: SfcModel, trigger: P.Formula,
         if not candidates:
             return DeterminedResult(
                 "undecided", (), f"no transition targets exactly {{{step}}}")
-        want = candidates[0]
-        for c in candidates[1:]:
-            want = P.POr(want, c)
-        neg = der.formula_dnf(P.negate(want), der.pre)
-        for cube in dnf_and(hyp, neg, cap):
-            cube = attach_bounds(cube, der.env)
-            if isinstance(decide_sat(cube), Sat):
-                return DeterminedResult(
-                    "undecided", (),
-                    "trigger does not force any candidate transition")
+        neg = der.formula_dnf(reduce(E.Or, candidates), der.pre, negated=True)
+        if _first_sat(der, hyp, neg) is not None:
+            return DeterminedResult(
+                "undecided", (),
+                "trigger does not force any candidate transition")
     except (CubeOverflow, FragmentError, DeciderResourceError,
             FragmentViolation) as err:
         return DeterminedResult("undecided", (), str(err))

@@ -166,7 +166,7 @@ def _obligations(model, text):
     f = P.parse_formula_text(text, model)
     ctx = O.DerivationContext(model, f)
     return {rule: O.build_obligation(ctx, rule)
-            for rule in S.rule_instances(model)}
+            for rule in model.rules}
 
 
 def test_rule_shapes_agree_on_fixtures():
@@ -183,7 +183,7 @@ def test_rule_shapes_agree_on_fixtures():
                   for a in model.action_ids()]
         posts = [(_obligations(model, text), has) for text, has in atoms]
         for state in states_of(model, 6, 3000):
-            for rule in S.rule_instances(model):
+            for rule in model.rules:
                 try:
                     succ = S.apply_rule(model, state, rule)
                 except S.NotApplicable:

@@ -189,6 +189,63 @@ class TestCheckRejections:
                    for s in reachable_bounded(model, 25))
 
 
+CMP_OPS = ("<=", "<", ">=", ">", "==", "!=")
+
+
+def property_mutants(line: str, model, rng, count: int = 12) -> list[str]:
+    """Up to *count* single edits of a property line, drawn at random: a
+    constant moved by one, a comparison swapped, && and || swapped, a !
+    dropped, or a step or action name replaced by another declared one."""
+    names = list(model.steps) + list(model.action_ids())
+    edits = []
+    for m in re.finditer(r"(?<!\w)\d+(?!\w)", line):
+        edits += [(m, str(int(m.group()) + d)) for d in (1, -1)]
+    for m in re.finditer(r"<=|>=|==|!=|<|>", line):
+        edits += [(m, op) for op in CMP_OPS]
+    for m in re.finditer(r"&&|\|\|", line):
+        edits.append((m, "||" if m.group() == "&&" else "&&"))
+    for m in re.finditer(r"!(?!=)", line):
+        edits.append((m, ""))
+    for m in re.finditer(r"\w+", line):
+        if m.group() in names:
+            edits += [(m, n) for n in names]
+    mutants = {line[:m.start()] + new + line[m.end():] for m, new in edits}
+    mutants.discard(line)
+    return rng.sample(sorted(mutants), min(count, len(mutants)))
+
+
+class TestPropertyMutants:
+    def test_checker_never_raises_and_accepts_only_true_mutants(self):
+        """Edit the property line of every fixture certificate.  The
+        checker must return a verdict for each mutant, and each mutant it
+        accepts must hold on every state found within 25 steps."""
+        import random
+        from conftest import fixture_names
+        from certplc.semantics import reachable_bounded
+        rng = random.Random(9)
+        tried = accepted = 0
+        for name in fixture_names():
+            model = load_model(name)
+            states = reachable_bounded(model, 25)
+            for inv in load_invariants(name, model):
+                res = V.verify_invariant(model, inv)
+                if not isinstance(res, V.Proved):
+                    continue
+                text = C.emit(model, inv, res.tree).decode()
+                line = P.invariant_text(inv)
+                assert text.count(line + "\n") == 1
+                for mutant in property_mutants(line, model, rng):
+                    tried += 1
+                    verdict = C.check(text.replace(line, mutant).encode())
+                    if not verdict.accepted:
+                        continue
+                    accepted += 1
+                    f = P.parse_properties(mutant, model)[0].formula
+                    assert all(P.holds_on(f, s) for s in states), \
+                        (name, mutant)
+        assert tried > 200 and 0 < accepted < tried
+
+
 class TestAllFixturesRoundTrip:
     def test_every_proved_invariant_certifies(self):
         from conftest import fixture_names

@@ -56,7 +56,7 @@ class TestSharedEqualsFresh:
         seen = set()
         for name, model, formula in _cases():
             ctx = O.DerivationContext(model, formula, cap)
-            for rule in S.rule_instances(model):
+            for rule in model.rules:
                 shared = _outcome(ctx, rule)
                 fresh = _outcome(O.DerivationContext(model, formula, cap),
                                  rule)
@@ -73,7 +73,7 @@ class TestSharedEqualsFresh:
         m = parse_model(NONLINEAR_ATOM)
         f = P.parse_properties(NONLINEAR_ATOM_PROP, m)[0].formula
         ctx = O.DerivationContext(m, f)
-        rules = S.rule_instances(m)
+        rules = list(m.rules)
         assert len(rules) == 4  # exec:A, trans:0, react:S, react:T
         for rule in rules:
             assert _outcome(ctx, rule) == (
@@ -103,13 +103,14 @@ def _cmps(e):
 
 
 def _atoms(f):
-    if isinstance(f, P.ArithAtom):
-        yield f.expr
-    elif isinstance(f, (P.PAnd, P.POr)):
+    if isinstance(f, (E.And, E.Or)):
         yield from _atoms(f.lhs)
         yield from _atoms(f.rhs)
-    elif isinstance(f, P.PNot):
+    elif isinstance(f, E.Not):
         yield from _atoms(f.arg)
+    elif not isinstance(f, (P.StepActive, P.ActionActive, P.ActionsWithin,
+                            P.StepsWithin)):
+        yield f
 
 
 class TestNormalizationKey:
@@ -177,7 +178,7 @@ class TestWorkCount:
             f"invariant p : always (c <= {self.N - 1} && "
             f"(!action(A{self.N // 2}) || step(S{self.N // 2})));\n",
             model)[0]
-        rules = S.rule_instances(model)
+        rules = list(model.rules)
         assert len(rules) == 3 * self.N
         atoms = list(_atoms(inv.formula))
         guards = {t.guard for t in model.transitions}
@@ -219,4 +220,4 @@ class TestStopsAfterRefutation:
         res = V.verify_invariant(loop_model, inv)
         assert isinstance(res, V.Refuted)
         assert built[-1] == res.rule
-        assert len(built) < len(S.rule_instances(loop_model))
+        assert len(built) < len(loop_model.rules)

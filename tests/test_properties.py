@@ -1,6 +1,9 @@
 import pytest
 
+from certplc import expr as E
 from certplc import properties as P
+from certplc import verifier as V
+from certplc.model import parse_model
 from certplc.parsing import ParseError
 from certplc.semantics import SfcState, init_state
 
@@ -26,7 +29,7 @@ class TestParsing:
                     walk(getattr(g, attr))
         walk(f)
         assert {"StepActive", "ActionActive", "ActionsWithin",
-                "StepsWithin", "PNot", "PAnd"} <= kinds
+                "StepsWithin", "Not", "And"} <= kinds
 
     def test_unknown_step_rejected(self, loop_model):
         with pytest.raises(ParseError, match="unknown step"):
@@ -47,7 +50,34 @@ class TestParsing:
 
     def test_parenthesized_arithmetic(self, loop_model):
         f = P.parse_formula_text("(x + 1) <= 10", loop_model)
-        assert isinstance(f, P.ArithAtom)
+        assert isinstance(f, E.Cmp)
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("text", ["step(Init) + 1 <= 2",
+                                      "action(A_Init) == 1"])
+    def test_activity_atom_is_not_a_number(self, text, loop_model):
+        with pytest.raises(ParseError):
+            P.parse_properties(f"invariant p : always ({text});", loop_model)
+        with pytest.raises(ParseError):
+            P.parse_formula_text(text)
+
+    def test_activity_atom_in_model_guard_rejected(self):
+        with pytest.raises(ParseError):
+            parse_model("step S [initial]\nstep T\n"
+                        "trans {S} -[ step(S) ]-> {T}\n")
+
+    def test_variables_named_step_and_action(self):
+        m = parse_model("var action : int8\nvar step : int8\n"
+                        "step S [initial]\n"
+                        "action A on S { action := 3; step := action + 1; }\n")
+        inv = P.parse_properties(
+            "invariant p : always (action <= 3 && step <= 4"
+            " && (!action(A) || step(S)));", m)[0]
+        assert P.conjuncts(inv.formula)[:2] == [
+            E.Cmp("<=", E.Var("action"), E.IntLit(3)),
+            E.Cmp("<=", E.Var("step"), E.IntLit(4))]
+        assert isinstance(V.verify_invariant(m, inv), V.Proved)
 
 
 class TestPrinting:
@@ -58,6 +88,8 @@ class TestPrinting:
         "actions_within {A_Init}",
         "x <= 10 && (!action(A_Init) || x <= 9)",
         "steps_within {Init, Return, Step2}",
+        "(x + 1) <= 10",
+        "!x + 1 <= 2",
     ])
     def test_round_trip(self, text, loop_model):
         f = P.parse_formula_text(text, loop_model)
@@ -89,7 +121,7 @@ class TestSemantics:
         for text in ("x <= 10", "step(Init) && x <= 0",
                      "actions_within {} || step(Return)"):
             f = P.parse_formula_text(text, loop_model)
-            assert P.holds_on(f, s) != P.holds_on(P.negate(f), s)
+            assert P.holds_on(f, s) != P.holds_on(E.Not(f), s)
 
     def test_conjuncts_flatten(self, loop_model):
         f = P.parse_formula_text("x <= 10 && step(Init) && x <= 9",

@@ -162,7 +162,7 @@ class TestSuccessors:
                 states = err.partial
             for c in states[:60]:
                 got = {r.label() for r, _ in successors(model, c)}
-                want = {r.label() for r in S.rule_instances(model)
+                want = {r.label() for r in model.rules
                         if _enabled_by_scan(model, c, r)}
                 assert got == want, (name, state_text(c))
 

@@ -53,7 +53,7 @@ class TestObligations:
     def test_bijection_with_model_structure(self):
         for name in fixture_names():
             model = load_model(name)
-            labels = [r.label() for r in S.rule_instances(model)]
+            labels = [r.label() for r in model.rules]
             expected = [f"exec:{a}" for a in model.action_ids()]
             expected += [f"trans:{i}" for i in range(len(model.transitions))]
             expected += [f"react:{s}" for s in model.steps]
@@ -122,7 +122,7 @@ class TestDischarge:
         ob = O.build_obligation(
             O.DerivationContext(loop_model, formula("true", loop_model)),
             S.Reactivate("Init"))
-        case = V.discharge(loop_model, ob)
+        case = V.discharge(ob)
         assert all(entry.contradiction is not None for entry in case.hyps)
 
     def test_wraparound_increment_is_caught(self):
@@ -295,7 +295,7 @@ class TestTreeShape:
         inv = load_invariants("loop", loop_model)[1]
         res = V.verify_invariant(loop_model, inv)
         labels = [c.label for c in res.tree.cases]
-        assert labels == [r.label() for r in S.rule_instances(loop_model)]
+        assert labels == [r.label() for r in loop_model.rules]
 
     def test_leaf_count_positive(self, loop_model):
         inv = load_invariants("loop", loop_model)[1]
