@@ -56,9 +56,8 @@ def _cmd_parse(args) -> int:
 def _cmd_simulate(args) -> int:
     model = _load_model(args.model)
     trace = S.run_trace(model, scheduler=args.scheduler,
-                        max_steps=args.max_steps, seed=args.seed,
-                        init_actions=args.init_actions)
-    start = S.init_state(model, args.init_actions)
+                        max_steps=args.max_steps, seed=args.seed)
+    start = S.init_state(model)
     lines = [f"init: {S.state_text(start)}"]
     payload_steps = []
     for i, (rule, state) in enumerate(trace, 1):
@@ -74,8 +73,7 @@ def _cmd_explore(args) -> int:
     model = _load_model(args.model)
     try:
         states = S.reachable_bounded(model, args.depth,
-                                     state_budget=args.state_budget,
-                                     init_actions=args.init_actions)
+                                     state_budget=args.state_budget)
         partial = False
     except S.BudgetExceeded as err:
         states = err.partial
@@ -99,14 +97,6 @@ def _cmd_explore(args) -> int:
     return 0
 
 
-def _verify_all(model, invs, args):
-    results = []
-    for inv in invs:
-        res = V.verify_invariant(model, inv, init_actions=args.init_actions)
-        results.append((inv, res))
-    return results
-
-
 def _describe(res) -> str:
     if isinstance(res, V.Proved):
         return f"Proved ({res.obligations} obligations)"
@@ -119,11 +109,11 @@ def _describe(res) -> str:
 def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     invs = _load_properties(args.prop, model)
-    results = _verify_all(model, invs, args)
     lines = []
     payload = {}
     ok = True
-    for inv, res in results:
+    for inv in invs:
+        res = V.verify_invariant(model, inv)
         lines.append(f"{inv.name}: {_describe(res)}")
         payload[inv.name] = _describe(res)
         ok = ok and isinstance(res, V.Proved)
@@ -132,12 +122,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.init_actions != "from-steps":
-        # certificates pin the default initial configuration; the checker
-        # re-derives the base case with it
-        print("certify supports only --init-actions from-steps",
-              file=sys.stderr)
-        return 2
     model = _load_model(args.model)
     invs = _load_properties(args.prop, model)
     if args.name is not None:
@@ -191,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, props=False):
         p.add_argument("model", help="model file")
         p.add_argument("--report", choices=("text", "json"), default="text")
-        p.add_argument("--init-actions", choices=("from-steps", "empty"),
-                       default="from-steps")
         if props:
             p.add_argument("--prop", required=True,
                            help="invariant properties file")

@@ -6,6 +6,10 @@ variable's declared type.  Integer arithmetic wraps modulo 2**width.
 Integer literals are polymorphic: they adopt the width of the variables
 they are combined with, and an all-literal expression defaults to 32 bit at
 the point a width is required.
+
+A module may add boolean leaves of its own (``properties``' activity atoms):
+each prints by its ``pretty()``, and ``typecheck``, ``eval_expr`` and
+``linear.lower`` pass it to the *leaf* function their caller supplies.
 """
 
 from __future__ import annotations
@@ -144,14 +148,14 @@ def _check_int(e: Expr, env: dict[str, str]):
         rhs, wr = _check_int(e.rhs, env)
         w = _join(wl, wr, type(e).__name__.lower())
         return type(e)(lhs, rhs), w
-    raise ExprError(f"expected integer expression, got {type(e).__name__}")
+    raise ExprError(f"expected integer expression, got {pretty(e)}")
 
 
-def typecheck(e: Expr, env: dict[str, str]) -> tuple[Expr, str]:
+def typecheck(e: Expr, env: dict[str, str], leaf=None) -> tuple[Expr, str]:
     """Check *e* against variable declarations.
 
     Returns the annotated expression (comparison widths filled in) and its
-    type: one of the integer type names or "bool".
+    type, an integer type name or "bool"; *leaf* gives both for an added leaf.
     """
     if isinstance(e, BoolLit):
         return e, "bool"
@@ -169,16 +173,18 @@ def typecheck(e: Expr, env: dict[str, str]) -> tuple[Expr, str]:
         w = _join(wl, wr, f"comparison {e.op!r}") or DEFAULT_INT
         return Cmp(e.op, lhs, rhs, w), "bool"
     if isinstance(e, (And, Or)):
-        lhs, tl = typecheck(e.lhs, env)
-        rhs, tr = typecheck(e.rhs, env)
+        lhs, tl = typecheck(e.lhs, env, leaf)
+        rhs, tr = typecheck(e.rhs, env, leaf)
         if tl != "bool" or tr != "bool":
             raise ExprError("logical operator on non-boolean operand")
         return type(e)(lhs, rhs), "bool"
     if isinstance(e, Not):
-        arg, t = typecheck(e.arg, env)
+        arg, t = typecheck(e.arg, env, leaf)
         if t != "bool":
             raise ExprError("'!' on non-boolean operand")
         return Not(arg), "bool"
+    if leaf is not None:
+        return leaf(e)
     raise ExprError(f"unknown expression node {type(e).__name__}")
 
 
@@ -248,12 +254,13 @@ def _reader(m: Memory):
     return read
 
 
-def eval_expr(e: Expr, m: Memory) -> int:
+def eval_expr(e: Expr, m: Memory, leaf=None) -> int:
     """Value of a typechecked expression on a memory of plain ints.
 
     Booleans are 0/1.  Integer expressions come back unwrapped: arithmetic
     is congruent mod 2**w, so the caller wraps once at the width it needs.
-    Comparisons wrap their operands at the width ``typecheck`` annotated.
+    Comparisons wrap their operands at the width ``typecheck`` annotated;
+    *leaf* gives the value of an added leaf.
     """
     if isinstance(e, Cmp):
         if e.width is None:
@@ -265,12 +272,14 @@ def eval_expr(e: Expr, m: Memory) -> int:
     if isinstance(e, BoolLit):
         return int(e.value)
     if isinstance(e, And):
-        return eval_expr(e.lhs, m) and eval_expr(e.rhs, m)
+        return eval_expr(e.lhs, m, leaf) and eval_expr(e.rhs, m, leaf)
     if isinstance(e, Or):
-        return eval_expr(e.lhs, m) or eval_expr(e.rhs, m)
+        return eval_expr(e.lhs, m, leaf) or eval_expr(e.rhs, m, leaf)
     if isinstance(e, Not):
-        return 1 - eval_expr(e.arg, m)
-    return fold_int(e, IntDomain, _reader(m))
+        return 1 - eval_expr(e.arg, m, leaf)
+    if leaf is None or isinstance(e, (Var, IntLit, Add, Sub, Mul)):
+        return fold_int(e, IntDomain, _reader(m))
+    return leaf(e)
 
 
 def apply_effect(assigns, m: Memory, env: dict[str, str]) -> Memory:
@@ -322,8 +331,10 @@ def _show(e: Expr, parent: int) -> str:
     elif isinstance(e, Not):
         mine = _PREC["!"]
         s = f"!{_show(e.arg, mine + 1)}"
-    elif hasattr(e, "pretty"):  # a leaf of an extension, e.g. step(S)
-        return e.pretty()
+    elif hasattr(e, "pretty"):  # an added leaf, e.g. step(S)
+        # binds like a comparison: parenthesized only as an operand
+        mine = _PREC["cmp"]
+        s = e.pretty()
     else:
         raise ExprError(f"unknown expression node {type(e).__name__}")
     return f"({s})" if mine < parent else s

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ..linear import Cube, Dnf, LinCon, clean_cube
+from ..linear import Cube, LinCon
 from .witness import Combine, RangeSplit, Tighten, Witness
 
 
@@ -398,66 +398,3 @@ def decide_sat(cube: Cube, *, max_derived: int = 50_000,
             raise AssertionError(
                 f"internal error: model fails {con.pretty()}")
     return Sat(payload)
-
-
-@dataclass
-class Valid:
-    witnesses: tuple[Witness, ...]
-
-
-@dataclass
-class Invalid:
-    assignment: dict
-
-
-def negate_constraint(con: LinCon) -> tuple[LinCon, ...]:
-    """Negation as a disjunction of constraints."""
-    flipped = tuple((v, -c) for v, c in con.coeffs)
-    if con.rel == "<=":
-        return (LinCon(flipped, "<=", -con.rhs - 1),)
-    return (LinCon(con.coeffs, "<=", con.rhs - 1),
-            LinCon(flipped, "<=", -con.rhs - 1))
-
-
-def negate_dnf(dnf: Dnf, cap: int = 1024) -> Dnf:
-    """Negation of a disjunction of cubes, again in disjunctive form."""
-    acc: list = [()]
-    for cube in dnf:
-        nxt = []
-        for prefix in acc:
-            for con in cube:
-                for neg in negate_constraint(con):
-                    merged = clean_cube(prefix + (neg,))
-                    if merged is not None:
-                        nxt.append(merged)
-                    if len(nxt) > cap:
-                        raise DeciderResourceError(
-                            "negation exceeds the disjunct cap")
-        acc = nxt
-        if not acc:
-            return ()
-    return tuple(acc)
-
-
-def decide_valid_implication(hyp: Dnf, concl: Dnf, *, cap: int = 1024,
-                             max_derived: int = 50_000,
-                             split_limit: int = 4096):
-    """Valid when hyp and the negated conclusion cannot meet.
-
-    Valid carries one witness per counterexample cube (hypothesis cube
-    joined with one negated-conclusion cube, constant-false joins skipped);
-    Invalid carries a falsifying assignment.
-    """
-    neg = negate_dnf(concl, cap)
-    witnesses = []
-    for h in hyp:
-        for n in neg:
-            cube = clean_cube(h + n)
-            if cube is None:
-                continue
-            res = decide_sat(cube, max_derived=max_derived,
-                             split_limit=split_limit)
-            if isinstance(res, Sat):
-                return Invalid(res.assignment)
-            witnesses.append(res.witness)
-    return Valid(tuple(witnesses))

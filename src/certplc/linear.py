@@ -1,18 +1,20 @@
 """Linear integer constraints and normalization of boolean expressions.
 
-Guards and invariant atoms are lowered to disjunctions of conjunctions of
-linear constraints over unbounded integers.  Modular wraparound is made
-exact by case-splitting: for a comparison at width w, every operand's raw
-linear form L is replaced by L - q*2**w for each feasible quotient q (the
-range of q is computed from the operands' width bounds), together with the
-range constraints 0 <= L - q*2**w <= 2**w - 1.  Each quotient choice
-becomes its own disjunct, so the output is plain Presburger arithmetic and
-agrees with wrapped evaluation on every memory.
+``lower`` is the one walk of the boolean connectives into disjunctive
+normal form; ``normalize`` lowers guards and invariant atoms through it to
+disjunctions of conjunctions of linear constraints over unbounded integers.
+Modular wraparound is made exact by case-splitting: for a comparison at
+width w, every operand's raw linear form L is replaced by L - q*2**w for
+each feasible quotient q (the range of q is computed from the operands'
+width bounds), with the range constraints 0 <= L - q*2**w <= 2**w - 1.
+Each quotient choice becomes its own disjunct, so the output is plain
+Presburger arithmetic and agrees with wrapped evaluation on every memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import expr as E
 
@@ -326,6 +328,25 @@ def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds,
     return tuple(out)
 
 
+def lower(e: E.Expr, negate: bool, leaf, cap: int) -> Dnf:
+    """DNF of a boolean expression (its negation with *negate*), negation
+    pushed to the leaves: every node other than a literal or connective goes
+    to ``leaf(node, negate)``.  Raises CubeOverflow past *cap* disjuncts."""
+    if isinstance(e, E.BoolLit):
+        return FALSE_DNF if e.value == negate else TRUE_DNF
+    if isinstance(e, E.Not):
+        return lower(e.arg, not negate, leaf, cap)
+    if isinstance(e, E.And):
+        l = lower(e.lhs, negate, leaf, cap)
+        r = lower(e.rhs, negate, leaf, cap)
+        return dnf_or(l, r, cap) if negate else dnf_and(l, r, cap)
+    if isinstance(e, E.Or):
+        l = lower(e.lhs, negate, leaf, cap)
+        r = lower(e.rhs, negate, leaf, cap)
+        return dnf_and(l, r, cap) if negate else dnf_or(l, r, cap)
+    return leaf(e, negate)
+
+
 def normalize(e: E.Expr, env: dict[str, str], *, subst=None, negate=False,
               max_cubes: int = 256) -> Dnf:
     """Lower a boolean expression to DNF over linear constraints.
@@ -335,13 +356,9 @@ def normalize(e: E.Expr, env: dict[str, str], *, subst=None, negate=False,
     variable names to linear forms over other declared variables; it is used
     for symbolic post-state reasoning and applies to arithmetic atoms only.
     """
-    dnf = _normalize(e, env, subst, negate, max_cubes)
-    out = []
-    for cube in dnf:
-        bounded = attach_bounds(cube, env)
-        if bounded is not None:
-            out.append(bounded)
-    return tuple(out)
+    leaf = partial(_lower_atom, env=env, subst=subst, cap=max_cubes)
+    return tuple(attach_bounds(cube, env)
+                 for cube in lower(e, negate, leaf, max_cubes))
 
 
 def bounds_fn(env):
@@ -353,19 +370,8 @@ def bounds_fn(env):
     return bounds
 
 
-def _normalize(e, env, subst, negate, cap) -> Dnf:
-    if isinstance(e, E.BoolLit):
-        return FALSE_DNF if e.value == negate else TRUE_DNF
-    if isinstance(e, E.Not):
-        return _normalize(e.arg, env, subst, not negate, cap)
-    if isinstance(e, E.And):
-        l = _normalize(e.lhs, env, subst, negate, cap)
-        r = _normalize(e.rhs, env, subst, negate, cap)
-        return dnf_or(l, r, cap) if negate else dnf_and(l, r, cap)
-    if isinstance(e, E.Or):
-        l = _normalize(e.lhs, env, subst, negate, cap)
-        r = _normalize(e.rhs, env, subst, negate, cap)
-        return dnf_and(l, r, cap) if negate else dnf_or(l, r, cap)
+def _lower_atom(e, negate, env, subst, cap) -> Dnf:
+    """DNF of a boolean variable or a comparison, wraparound made exact."""
     if isinstance(e, E.Var):
         ty = env.get(e.name)
         if ty is None:

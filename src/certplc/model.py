@@ -210,21 +210,12 @@ class SfcState:
         return hash(self.key())
 
 
-def init_state(model: SfcModel, init_actions: str = "from-steps") -> SfcState:
-    """Defaults (or declared initializers) plus the initial steps.
-
-    With ``init_actions="from-steps"`` the initial pending list is the
-    concatenation of the initial steps' action lists; ``"empty"`` starts
-    with nothing pending.
-    """
+def init_state(model: SfcModel) -> SfcState:
+    """Defaults (or declared initializers) plus the initial steps, whose
+    action lists, concatenated, are the initial pending list."""
     mem = {v.name: v.initial_value() for v in model.vars}
     steps = tuple(model.initial)
-    if init_actions == "from-steps":
-        acts = tuple(a for s in steps for a in model.actions_of(s))
-    elif init_actions == "empty":
-        acts = ()
-    else:
-        raise ValueError(f"unknown init_actions mode {init_actions!r}")
+    acts = tuple(a for s in steps for a in model.actions_of(s))
     return SfcState(mem, steps, acts)
 
 

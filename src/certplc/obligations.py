@@ -2,10 +2,11 @@
 
 The state is encoded over integer variables: model variables keep their
 names, step and action activity become 0/1 variables named ``step:S`` and
-``act:A``, and values after an action effect get fresh ``post:V`` variables
-of the target's width.  Effects fold to a parallel map of raw linear forms
-over the pre-state (all block arithmetic is congruent mod 2**w, so one wrap
-per written variable is exact); the wrap is encoded by enumerating the
+``act:A`` (a subset atom lowers as ``!step(T)`` for each step T outside it),
+and values after an action effect get fresh ``post:V`` variables of the
+target's width.  Effects fold to a parallel map of raw linear forms over
+the pre-state (all block arithmetic is congruent mod 2**w, so one wrap per
+written variable is exact); the wrap is encoded by enumerating the
 quotient, one hypothesis disjunct per feasible choice.
 
 The rules are described once, on ``model.RuleShape``, which the concrete
@@ -13,11 +14,12 @@ semantics reads too.  An obligation is a list of hypothesis cubes (the
 shape's activity literals, guards and failing guards, the invariant on the
 pre-state, and the post-value definitions) plus, for each top-level
 conjunct of the invariant, the negated conclusion on the post-state the
-shape describes, as a disjunction of cubes.  The rule holds when every
-hypothesis cube is jointly unsatisfiable with every negated-conclusion
-cube.  Both the verifier and the certificate checker derive obligations
-through this module, so a certificate only needs to say which cubes are
-contradictory and supply the witnesses.
+shape describes, as a disjunction of cubes; ``linear.lower`` lowers every
+formula.  The rule holds when every hypothesis cube is jointly
+unsatisfiable with every negated-conclusion cube.  Both the verifier and
+the certificate checker derive obligations through this module, so a
+certificate only needs to say which cubes are contradictory and supply the
+witnesses.
 
 Everything here is deterministic in the model and property alone.
 """
@@ -31,7 +33,7 @@ from . import expr as E
 from . import fbd as F
 from . import properties as P
 from .linear import (CubeOverflow, Dnf, FragmentError, LinCon, LinForm,
-                     attach_bounds, bounds_fn, dnf_and, dnf_or, linear_form,
+                     attach_bounds, bounds_fn, dnf_and, linear_form, lower,
                      normalize, wrap_cases, TRUE_DNF, FALSE_DNF, clean_cube)
 from .model import RuleInstance, SfcModel
 
@@ -103,17 +105,14 @@ def _activity_dnf(value, want: int) -> Dnf:
     return ((_eq01(value, want),),)
 
 
-def _subset_dnf(outside_values, negated: bool, cap: int) -> Dnf:
-    # subset holds iff every activity value outside the set is 0
-    if not negated:
-        acc = TRUE_DNF
-        for value in outside_values:
-            acc = dnf_and(acc, _activity_dnf(value, 0), cap)
-        return acc
-    acc = FALSE_DNF
-    for value in outside_values:
-        acc = dnf_or(acc, _activity_dnf(value, 1), cap)
-    return acc
+def _none_of(atom, names, within) -> P.Formula:
+    """``!atom(n)`` for each name outside *within*, in name order, joined by
+    ``&&`` in a balanced tree: lowering it recurses log n deep, not n."""
+    fs = [E.Not(atom(n)) for n in sorted(names) if n not in within]
+    while len(fs) > 1:  # join neighbours, keeping the order
+        fs = [E.And(*fs[i:i + 2]) if i + 1 < len(fs) else fs[i]
+              for i in range(0, len(fs), 2)]
+    return fs[0] if fs else E.BoolLit(True)
 
 
 # --- action effects ---------------------------------------------------------
@@ -228,34 +227,24 @@ class DerivationContext:
     def formula_dnf(self, f: P.Formula, sm: _StateMap,
                     negated: bool = False) -> Dnf:
         """DNF of a formula read through *sm*, under this context's cap."""
-        cap = self.cap
-        if isinstance(f, E.Not):
-            return self.formula_dnf(f.arg, sm, not negated)
-        if isinstance(f, E.And):
-            l = self.formula_dnf(f.lhs, sm, negated)
-            r = self.formula_dnf(f.rhs, sm, negated)
-            return dnf_or(l, r, cap) if negated else dnf_and(l, r, cap)
-        if isinstance(f, E.Or):
-            l = self.formula_dnf(f.lhs, sm, negated)
-            r = self.formula_dnf(f.rhs, sm, negated)
-            return dnf_and(l, r, cap) if negated else dnf_or(l, r, cap)
-        if isinstance(f, P.StepActive):
-            return _activity_dnf(sm.steps[f.step], 0 if negated else 1)
-        if isinstance(f, P.ActionActive):
-            return _activity_dnf(sm.actions[f.action], 0 if negated else 1)
-        if isinstance(f, P.ActionsWithin):
-            outside = [a for a in sm.actions if a not in f.actions]
-            return _subset_dnf([sm.actions[a] for a in sorted(outside)],
-                               negated, cap)
-        if isinstance(f, P.StepsWithin):
-            outside = [s for s in sm.steps if s not in f.steps]
-            return _subset_dnf([sm.steps[s] for s in sorted(outside)],
-                               negated, cap)
-        # an arithmetic atom
-        if sm.subst is None:  # memory reads as in the pre-state
-            return self.normalized(f, negated)
-        return normalize(f, self.env, subst=sm.subst, negate=negated,
-                         max_cubes=cap)
+        def leaf(atom, neg):
+            if isinstance(atom, P.StepActive):
+                return _activity_dnf(sm.steps[atom.step], 0 if neg else 1)
+            if isinstance(atom, P.ActionActive):
+                return _activity_dnf(sm.actions[atom.action], 0 if neg else 1)
+            if isinstance(atom, P.StepsWithin):
+                return lower(_none_of(P.StepActive, sm.steps, atom.steps),
+                             neg, leaf, self.cap)
+            if isinstance(atom, P.ActionsWithin):
+                return lower(_none_of(P.ActionActive, sm.actions,
+                                      atom.actions), neg, leaf, self.cap)
+            # an arithmetic atom
+            if sm.subst is None:  # memory reads as in the pre-state
+                return self.normalized(atom, neg)
+            return normalize(atom, self.env, subst=sm.subst, negate=neg,
+                             max_cubes=self.cap)
+
+        return lower(f, negated, leaf, self.cap)
 
 
 def build_obligation(ctx: DerivationContext,

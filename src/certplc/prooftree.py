@@ -52,16 +52,6 @@ class CaseProof:
 class ProofTree:
     cases: tuple[CaseProof, ...]
 
-    def leaf_count(self) -> int:
-        n = 1  # base
-        for case in self.cases:
-            for entry in case.hyps:
-                if entry.contradiction is not None:
-                    n += 1
-                else:
-                    n += sum(1 for _ in entry.conjuncts)
-        return n
-
 
 class ProofSyntaxError(Exception):
     pass

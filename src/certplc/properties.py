@@ -8,8 +8,8 @@ boolean expression:
     invariant safe_x : always (x <= 10 && !step(Dead));
     invariant acts : always (actions_within {A_Init, A_Step1});
 
-Every other leaf is an arithmetic atom: a boolean expression over the
-declared variables, evaluated on the configuration's memory.
+Every other leaf is an arithmetic atom.  ``expr`` and ``linear.lower`` walk
+the connectives; here each activity atom gets its check and its value.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ class Invariant:
     formula: Formula
 
 
-class PropertyError(Exception):
-    pass
-
-
 def conjuncts(f: Formula) -> list[Formula]:
     if isinstance(f, E.And):
         return conjuncts(f.lhs) + conjuncts(f.rhs)
@@ -75,56 +71,46 @@ def conjuncts(f: Formula) -> list[Formula]:
 
 def holds_on(f: Formula, state: SfcState) -> bool:
     """Concrete truth of a formula on a configuration."""
-    if isinstance(f, E.And):
-        return holds_on(f.lhs, state) and holds_on(f.rhs, state)
-    if isinstance(f, E.Or):
-        return holds_on(f.lhs, state) or holds_on(f.rhs, state)
-    if isinstance(f, E.Not):
-        return not holds_on(f.arg, state)
-    if isinstance(f, StepActive):
-        return f.step in state.active_steps
-    if isinstance(f, ActionActive):
-        return f.action in state.active_actions
-    if isinstance(f, ActionsWithin):
-        return set(state.active_actions) <= set(f.actions)
-    if isinstance(f, StepsWithin):
-        return set(state.active_steps) <= set(f.steps)
-    return bool(E.eval_expr(f, state.mem))
+    def leaf(g):
+        if isinstance(g, StepActive):
+            return g.step in state.active_steps
+        if isinstance(g, ActionActive):
+            return g.action in state.active_actions
+        if isinstance(g, ActionsWithin):
+            return set(state.active_actions) <= set(g.actions)
+        if isinstance(g, StepsWithin):
+            return set(state.active_steps) <= set(g.steps)
+        raise E.ExprError(f"unknown formula node {type(g).__name__}")
+
+    return bool(E.eval_expr(f, state.mem, leaf))
 
 
 def check_refs(f: Formula, model: SfcModel):
-    """Check activity names against the model and typecheck each arithmetic
-    atom; returns the formula with comparison widths annotated."""
+    """Typecheck a formula against the model's variables and check its
+    step and action names; returns it with comparison widths annotated."""
     steps = set(model.steps)
     actions = set(model.action_ids())
-    env = model.env()
 
-    def known(names, declared, kind):
+    def leaf(g):
+        if isinstance(g, StepActive):
+            names, declared, kind = (g.step,), steps, "step"
+        elif isinstance(g, StepsWithin):
+            names, declared, kind = g.steps, steps, "step"
+        elif isinstance(g, ActionActive):
+            names, declared, kind = (g.action,), actions, "action"
+        elif isinstance(g, ActionsWithin):
+            names, declared, kind = g.actions, actions, "action"
+        else:
+            raise E.ExprError(f"unknown formula node {type(g).__name__}")
         for n in names:
             if n not in declared:
-                raise PropertyError(f"unknown {kind} {n!r}")
+                raise E.ExprError(f"unknown {kind} {n!r}")
+        return g, "bool"
 
-    def walk(g):
-        if isinstance(g, (E.And, E.Or)):
-            return type(g)(walk(g.lhs), walk(g.rhs))
-        if isinstance(g, E.Not):
-            return E.Not(walk(g.arg))
-        if isinstance(g, StepActive):
-            known((g.step,), steps, "step")
-        elif isinstance(g, StepsWithin):
-            known(g.steps, steps, "step")
-        elif isinstance(g, ActionActive):
-            known((g.action,), actions, "action")
-        elif isinstance(g, ActionsWithin):
-            known(g.actions, actions, "action")
-        else:
-            ann, ty = E.typecheck(g, env)
-            if ty != "bool":
-                raise PropertyError("arithmetic atom is not boolean")
-            return ann
-        return g
-
-    return walk(f)
+    ann, ty = E.typecheck(f, model.env(), leaf)
+    if ty != "bool":
+        raise E.ExprError("arithmetic atom is not boolean")
+    return ann
 
 
 # --- parsing ----------------------------------------------------------------
@@ -193,7 +179,7 @@ def parse_properties(text: str, model: SfcModel | None = None) -> list[Invariant
         if model is not None:
             try:
                 f = check_refs(f, model)
-            except (PropertyError, E.ExprError) as err:
+            except E.ExprError as err:
                 raise ParseError(f"invariant {name_tok.text!r}: {err}",
                                  name_tok.line, name_tok.col)
         out.append(Invariant(name_tok.text, f))
@@ -209,7 +195,7 @@ def parse_formula_text(text: str, model: SfcModel | None = None) -> Formula:
     if model is not None:
         try:
             f = check_refs(f, model)
-        except (PropertyError, E.ExprError) as err:
+        except E.ExprError as err:
             raise ParseError(str(err))
     return f
 

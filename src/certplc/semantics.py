@@ -97,10 +97,9 @@ def successors(model: SfcModel, c: SfcState):
 
 
 def reachable_bounded(model: SfcModel, depth: int, *,
-                      state_budget: int = 100_000,
-                      init_actions: str = "from-steps") -> list[SfcState]:
+                      state_budget: int = 100_000) -> list[SfcState]:
     """Breadth-first closure up to `depth` rule applications, deduplicated."""
-    start = init_state(model, init_actions)
+    start = init_state(model)
     seen = {start.key()}
     states = [start]
     frontier = [start]
@@ -127,8 +126,7 @@ def _priority_key(model: SfcModel, index: int):
 
 
 def run_trace(model: SfcModel, scheduler: str = "priority",
-              max_steps: int = 100, seed: int = 0,
-              init_actions: str = "from-steps"):
+              max_steps: int = 100, seed: int = 0):
     """Deterministic simulation; returns [(rule, state-after)] pairs.
 
     priority: pending actions first (pending order), then enabled
@@ -138,7 +136,7 @@ def run_trace(model: SfcModel, scheduler: str = "priority",
     among enabled rules, driven by the seed.
     """
     rng = random.Random(seed)
-    c = init_state(model, init_actions)
+    c = init_state(model)
     trace = []
     for _ in range(max_steps):
         succ = successors(model, c)

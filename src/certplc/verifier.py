@@ -54,10 +54,9 @@ class Undecided:
 VerifyResult = Proved | Refuted | Undecided
 
 
-def check_base(model: SfcModel, formula: P.Formula,
-               init_actions: str = "from-steps"):
+def check_base(model: SfcModel, formula: P.Formula):
     """Concrete evaluation on the initial configuration; None when it holds."""
-    state = init_state(model, init_actions)
+    state = init_state(model)
     if P.holds_on(formula, state):
         return None
     return Refuted(None, dict(state.mem), "fails in the initial configuration")
@@ -107,10 +106,9 @@ def discharge(ob: O.CaseObligation):
     return CaseProof(ob.rule.label(), tuple(entries))
 
 
-def verify_invariant(model: SfcModel, inv: P.Invariant, *,
-                     init_actions: str = "from-steps") -> VerifyResult:
+def verify_invariant(model: SfcModel, inv: P.Invariant) -> VerifyResult:
     """Induction proof attempt for one invariant."""
-    base = check_base(model, inv.formula, init_actions)
+    base = check_base(model, inv.formula)
     if base is not None:
         return base
     cases = []

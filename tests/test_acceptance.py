@@ -15,8 +15,7 @@ from certplc import expr as E
 from certplc import fbd as F
 from certplc import properties as P
 from certplc import verifier as V
-from certplc.lia.solver import (Sat, Unsat, Valid, decide_sat,
-                                decide_valid_implication)
+from certplc.lia.solver import Sat, Unsat, decide_sat
 from certplc.lia.witness import replay_witness
 from certplc.linear import LinCon
 from certplc.model import model_digest, parse_model
@@ -159,34 +158,9 @@ def test_criterion_5_decider_oracle():
         if isinstance(res, Unsat) and not replay_witness(cube, res.witness):
             replay_failures += 1
 
-    for _ in range(500):
-        names = _NAMES[:rng.randint(1, 3)]
-        hyp = tuple(_bounded(_random_cons(rng, names, rng.randint(1, 3)),
-                             names) for _ in range(rng.randint(1, 2)))
-        concl = tuple(_bounded(_random_cons(rng, names, rng.randint(1, 2)),
-                               names) for _ in range(rng.randint(1, 2)))
-        res = decide_valid_implication(hyp, concl)
-        hyp_mask = np.zeros(n, dtype=bool)
-        for cube in hyp:
-            hyp_mask |= _cube_mask(cube, grid, n)
-        concl_mask = np.zeros(n, dtype=bool)
-        for cube in concl:
-            concl_mask |= _cube_mask(cube, grid, n)
-        brute_valid = not (hyp_mask & ~concl_mask).any()
-        if isinstance(res, Valid) != brute_valid:
-            mismatches += 1
-        if isinstance(res, Valid):
-            continue
-        point = {v: int(res.assignment[v]) for v in names}
-        sat_hyp = any(all(c.evaluate(point) for c in cube) for cube in hyp)
-        sat_concl = any(all(c.evaluate(point) for c in cube)
-                        for cube in concl)
-        if not sat_hyp or sat_concl:
-            mismatches += 1
-
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and replay_failures == 0 and elapsed < 30.0
-    report(5, ok, f"500 cubes + 500 implications at width {_WIDTH}: "
+    report(5, ok, f"500 cubes at width {_WIDTH}: "
                   f"{mismatches} mismatches, {replay_failures} replay "
                   f"failures, {elapsed:.2f}s")
 

@@ -8,10 +8,15 @@ checks that every rule instance's obligation hypothesis holds on exactly
 the reachable fixture states where the rule fires, with the successor the
 obligation's post-state describes, and checks that every invariant proved
 on a random two-step chart holds on the states the explorer reaches and
-certifies.
+certifies, and checks that a property's concrete truth and its lowering to
+cubes agree on random formulas and configurations of a small chart.
 """
 
 import random
+from functools import reduce
+
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from certplc import certificate as C
 from certplc import expr as E
@@ -20,8 +25,8 @@ from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
-from certplc.linear import eval_dnf
-from certplc.model import parse_model
+from certplc.linear import CubeOverflow, eval_dnf
+from certplc.model import SfcState, parse_model
 from certplc.parsing import TokenStream, lex
 
 from conftest import fixture_names, load_model, states_of
@@ -250,3 +255,68 @@ def test_proved_invariants_hold_and_certify():
                 assert P.holds_on(inv.formula, s), (text, S.state_text(s))
             assert C.check(C.emit(model, inv, res.tree)).accepted, text
     assert {0, 1, 2, 3} <= proved and proved & {4, 5}, proved
+
+
+# --- one boolean semantics: evaluation versus lowering ----------------------
+
+CHART = parse_model("""var x : int8
+var y : int8
+var b : bool
+step S [initial]
+step T
+step U
+action A on S { x := x + 1; }
+action B on T { y := y + 3; }
+trans {S} -[ x >= 3 ]-> {T}
+trans {T} -[ b ]-> {U, S}
+""")
+_STEPS = CHART.steps
+_ACTS = tuple(CHART.action_ids())
+
+
+def _names(pool):
+    return st.lists(st.sampled_from(pool), unique=True).map(
+        lambda names: tuple(sorted(names)))
+
+
+# sums of c*v at int8, so comparisons wrap; constants up to 300 wrap too
+_SUMS = st.lists(st.tuples(st.integers(1, 3), st.sampled_from(("x", "y"))),
+                 min_size=1, max_size=2).map(lambda terms: reduce(
+                     E.Add, [E.Mul(E.IntLit(c), E.Var(v)) for c, v in terms]))
+_LEAVES = st.one_of(
+    st.builds(E.Cmp, st.sampled_from(E.CMP_OPS), _SUMS,
+              st.integers(0, 300).map(E.IntLit)),
+    st.just(E.Var("b")),
+    st.booleans().map(E.BoolLit),
+    st.sampled_from(_STEPS).map(P.StepActive),
+    st.sampled_from(_ACTS).map(P.ActionActive),
+    _names(_STEPS).map(P.StepsWithin),
+    _names(_ACTS).map(P.ActionsWithin))
+_FORMULAS = st.recursive(_LEAVES, lambda kids: st.one_of(
+    kids.map(E.Not), st.builds(E.And, kids, kids),
+    st.builds(E.Or, kids, kids)), max_leaves=6)
+_CONFIGS = st.builds(
+    SfcState,
+    st.fixed_dictionaries({"x": st.integers(0, 255),
+                           "y": st.integers(0, 255),
+                           "b": st.integers(0, 1)}),
+    st.lists(st.sampled_from(_STEPS), unique=True).map(tuple),
+    st.lists(st.sampled_from(_ACTS), max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_FORMULAS, _CONFIGS)
+def test_evaluation_agrees_with_lowering(formula, config):
+    """holds_on and the pre-state DNF give the same truth value on every
+    configuration, and the negated DNF gives the opposite one."""
+    f = P.check_refs(formula, CHART)
+    ctx = O.DerivationContext(CHART, f)
+    try:
+        dnf = ctx.formula_dnf(f, ctx.pre)
+        neg = ctx.formula_dnf(f, ctx.pre, negated=True)
+    except CubeOverflow:
+        reject()
+    enc = _encoding(CHART, config, config.mem)
+    truth = P.holds_on(f, config)
+    assert eval_dnf(dnf, enc) == truth
+    assert eval_dnf(neg, enc) != truth

@@ -3,9 +3,7 @@ import random
 
 import pytest
 
-from certplc.lia.solver import (DeciderResourceError, Invalid, Sat, Unsat,
-                                Valid, decide_sat, decide_valid_implication,
-                                negate_dnf)
+from certplc.lia.solver import DeciderResourceError, Sat, Unsat, decide_sat
 from certplc.lia.witness import (Combine, RangeSplit, Tighten, Witness,
                                  parse_witness_lines, replay_witness,
                                  witness_lines)
@@ -123,41 +121,6 @@ class TestOracleAgreement:
             else:
                 assert brute is None, cube
                 assert replay_witness(cube, res.witness), cube
-
-
-class TestImplication:
-    def test_weakening_is_valid(self):
-        hyp = (boxed([con({"x": 1}, "<=", 9)], 65535, ["x"]),)
-        concl = (boxed([con({"x": 1}, "<=", 10)], 65535, ["x"]),)
-        res = decide_valid_implication(hyp, concl)
-        assert isinstance(res, Valid)
-        assert len(res.witnesses) >= 1
-
-    def test_strengthening_has_boundary_counterexample(self):
-        hyp = (boxed([con({"x": 1}, "<=", 9)], 65535, ["x"]),)
-        concl = ((con({"x": 1}, "<=", 8),),)
-        res = decide_valid_implication(hyp, concl)
-        assert isinstance(res, Invalid)
-        assert res.assignment["x"] == 9
-
-    def test_witness_per_counterexample_cube(self):
-        hyp = (boxed([con({"x": 1}, "<=", 9)], 65535, ["x"]),)
-        concl = (boxed([con({"x": 1}, "<=", 10)], 65535, ["x"]),)
-        res = decide_valid_implication(hyp, concl)
-        neg = negate_dnf(concl)
-        joinable = 0
-        for n in neg:
-            from certplc.linear import clean_cube
-            if clean_cube(hyp[0] + n) is not None:
-                joinable += 1
-        assert len(res.witnesses) == joinable
-
-    def test_disjunctive_hypothesis(self):
-        hyp = (boxed([con({"x": 1}, "<=", 3)], 15, ["x"]),
-               boxed([con({"x": -1}, "<=", -12)], 15, ["x"]))
-        concl = (boxed([con({"x": 1}, "<=", 3)], 15, ["x"]),
-                 boxed([con({"x": -1}, "<=", -10)], 15, ["x"]))
-        assert isinstance(decide_valid_implication(hyp, concl), Valid)
 
 
 class TestWitnessReplay:

@@ -96,6 +96,17 @@ class TestPrinting:
         printed = P.formula_text(f)
         assert P.parse_formula_text(printed, loop_model) == f
 
+    def test_activity_atom_as_operand(self, loop_model):
+        # parenthesized where it is an operand, bare where it is boolean
+        f = P.parse_formula_text("(step(Init)) <= 2")
+        assert P.formula_text(f) == "(step(Init)) <= 2"
+        assert P.parse_formula_text(P.formula_text(f)) == f
+        g = E.Or(E.Not(P.StepActive("Init")),
+                 E.And(E.Var("x"), P.ActionActive("A_Init")))
+        assert P.formula_text(g) == "!step(Init) || x && action(A_Init)"
+        with pytest.raises(ParseError, match=r"got step\(Init\)$"):
+            P.parse_formula_text("(step(Init)) <= 2", loop_model)
+
     def test_invariant_text(self, loop_model):
         inv = P.parse_properties("invariant a : always (x <= 10);",
                                  loop_model)[0]

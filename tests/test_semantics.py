@@ -29,10 +29,6 @@ class TestInitState:
         m = parse_model("var x : int16 = 7\nstep A [initial]\n")
         assert init_state(m).mem["x"] == 7
 
-    def test_empty_init_actions_mode(self, loop_model):
-        c = init_state(loop_model, "empty")
-        assert c.active_actions == ()
-
     def test_multiple_entry_steps(self):
         m = load_model("init_multi")
         assert init_state(m).active_steps == ("A", "B")

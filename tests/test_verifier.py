@@ -296,8 +296,3 @@ class TestTreeShape:
         res = V.verify_invariant(loop_model, inv)
         labels = [c.label for c in res.tree.cases]
         assert labels == [r.label() for r in loop_model.rules]
-
-    def test_leaf_count_positive(self, loop_model):
-        inv = load_invariants("loop", loop_model)[1]
-        res = V.verify_invariant(loop_model, inv)
-        assert res.tree.leaf_count() > len(res.tree.cases)
