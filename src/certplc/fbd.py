@@ -7,16 +7,17 @@ iteration and start from the type default.  A diagram runs for exactly
 ``time_slice`` iterations; globals are read at iteration start and written
 back from the final iteration only.
 
-A diagram is compiled once (``compile_fbd``): validated, put in delay-cut
-evaluation order, and its ports resolved to slots with their wrap types.
-``_run`` is the one interpreter of compiled diagrams.  It runs the concrete
-semantics (``eval_iterative``, over ``expr.IntDomain``) and the symbolic
-summary (``linear_summary``, over ``linear.LinDomain``) alike.
+``compile_fbd`` validates a diagram, puts it in delay-cut evaluation order
+and resolves its ports to slots with their wrap types; ``semantics``
+compiles each action's diagram once per model.  ``_run`` is the one
+interpreter of compiled diagrams.  It runs the concrete semantics
+(``eval_iterative``, over ``expr.IntDomain``) and the symbolic summary
+(``linear_summary``, over ``linear.LinDomain``) alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import expr as E
 from .linear import FragmentError, LinDomain, LinForm
@@ -331,26 +332,6 @@ def _run(p: Program, dom, read) -> dict:
 def eval_iterative(p: Program, m: E.Memory) -> E.Memory:
     """Run the diagram for exactly its time slice and write back results."""
     return {**m, **_run(p, E.IntDomain, m.__getitem__)}
-
-
-def eval_acyclic(p: Program, m: E.Memory) -> E.Memory:
-    """Single-pass evaluation; rejects diagrams that need iteration."""
-    if p.delays:
-        raise FbdError("diagram has delay blocks, use eval_iterative")
-    return eval_iterative(replace(p, time_slice=1), m)
-
-
-def fbd_to_action(f: Fbd, env: dict[str, str]):
-    """Compile the diagram to an opaque memory-to-memory effect.
-
-    Raises FbdError at once for an invalid diagram.  Each execution goes
-    through the module's ``eval_iterative``.
-    """
-    p = compile_fbd(f, env)
-
-    def effect(m: E.Memory) -> E.Memory:
-        return eval_iterative(p, m)
-    return effect
 
 
 def linear_summary(f: Fbd, env: dict[str, str]):

@@ -16,6 +16,10 @@ printer (declarations sorted by kind then name, transitions in source
 order) round-trips exactly.  Transitions keep their declared order;
 target lists keep their declared order because step activation order is
 observable.
+
+``SfcModel.rules`` states what each rule instance needs and changes, for
+the checker and the verifier alike.  Nothing here runs a guard or an
+action: ``semantics`` compiles the table for execution.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from typing import Callable, Union
+from functools import cached_property
+from typing import Union
 
 from . import expr as E
 from . import fbd as F
@@ -91,7 +95,7 @@ class RuleShape:
     """What one rule instance needs of a configuration and what it changes.
 
     The three rule schemata are stated here once; the concrete semantics
-    (``semantics.apply_rule``) and the symbolic obligations
+    (``semantics.rule_table``) and the symbolic obligations
     (``obligations.build_obligation``) both read the shape.
 
     * execute A: A is pending.  A's effect updates memory and every
@@ -177,17 +181,6 @@ class SfcModel:
                 steps=(s,), blocked=tuple(leaving[s]),
                 acts_on=acts_of.get(s, ()))
         return table
-
-    @cached_property
-    def effects(self) -> dict[str, Callable[[E.Memory], E.Memory]]:
-        """Each action's memory effect, built on first use: a diagram is
-        compiled once (``fbd.fbd_to_action``, which raises FbdError for an
-        invalid one), an assignment list is bound to the declarations."""
-        env = self.env()
-        return {a.id: F.fbd_to_action(self.fbd(a.fbd_ref), env)
-                if a.fbd_ref is not None
-                else partial(E.apply_effect, a.assigns, env=env)
-                for a in self.actions}
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,20 +2,30 @@
 
 A configuration (``model.SfcState``) is (memory, pending action list, active
 step list); ``model.init_state`` builds the initial one.  The execute,
-transition and reactivate rules are described once, on ``model.RuleShape``;
-``apply_rule`` runs a rule instance by reading its shape from the model's
-rule table.  Nothing here is in the trusted core: the certificate checker
+transition and reactivate rules are described once, on ``model.RuleShape``.
+``rule_table`` compiles a model's shapes once into rows whose guards and
+action effects are ``Evaluator``s: pure functions of the variables they
+read, each with a small integer id and its read set.  One exploration
+(``reachable_bounded``) or simulation (``run_trace``) shares a memo keyed by
+``(id, values read)``, so each guard and each effect runs once per distinct
+input; the memo is dropped on return.  ``apply_rule`` runs one rule
+instance.  Nothing here is in the trusted core: the certificate checker
 reads the rule table and the initial configuration from ``model`` itself.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain, count
+from operator import itemgetter
+from typing import Callable
 
 from . import expr as E
-from .model import (ExecuteAction, Reactivate, RuleInstance, SfcModel,
-                    SfcState, StepTransition, init_state)
+from . import fbd as F
+from .model import (ExecuteAction, Reactivate, RuleInstance, RuleShape,
+                    SfcModel, SfcState, StepTransition, init_state)
 
 
 class NotApplicable(Exception):
@@ -38,43 +48,143 @@ def state_text(s: SfcState) -> str:
     return f"mem{{{mem}}} steps[{steps}] acts[{acts}]"
 
 
-def rule_instances(model: SfcModel, c: SfcState):
-    """The rule instances that may apply in *c*, in the fixed enumeration
-    order: execute instances of pending actions (first occurrence order),
-    every transition, and reactivations of active steps.  Every instance of
-    the model is in ``model.rules``.
+class Evaluator:
+    """A guard, or an action's memory effect, as a pure function of the
+    variables it reads.
+
+    ``run(mem)`` gives a guard's value (0/1), or the values an action
+    writes as a dict over ``writes``.  ``id`` is unique within one rule
+    table.
     """
-    out: list[RuleInstance] = [ExecuteAction(a)
-                               for a in dict.fromkeys(c.active_actions)]
-    # the table's own transition keys: apply_rule then finds each by
-    # identity, without building and comparing a fresh instance
-    n = len(model.actions)
-    out.extend(islice(model.rules, n, n + len(model.transitions)))
-    out.extend(Reactivate(s) for s in c.active_steps)
-    return out
+
+    __slots__ = ("id", "reads", "writes", "run", "_values")
+
+    def __init__(self, id: int, reads: tuple[str, ...],
+                 writes: tuple[str, ...], run: Callable[[E.Memory], object]):
+        self.id, self.reads, self.writes, self.run = id, reads, writes, run
+        # the values read: one value for one variable, else a tuple
+        self._values = itemgetter(*reads) if reads else lambda m: ()
+
+    def value(self, mem: E.Memory, memo: dict):
+        """``run(mem)``, run once per distinct ``(id, values read)`` key
+        of *memo*."""
+        try:
+            key = self.id, self._values(mem)
+        except KeyError:  # an unbound variable, which run reports
+            return self.run(mem)
+        try:
+            return memo[key]
+        except KeyError:
+            out = memo[key] = self.run(mem)
+            return out
 
 
-def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
-    """Successor of *c* under *rule*, as its ``RuleShape`` describes;
-    raises NotApplicable when the rule is not enabled in *c*."""
-    r = model.rules[rule]
+@dataclass(frozen=True, eq=False)
+class Row:
+    """One rule instance: its shape, with guards and action compiled."""
+
+    rule: RuleInstance
+    shape: RuleShape
+    guards: tuple[Evaluator, ...]
+    blocked: tuple[Evaluator, ...]
+    action: Evaluator | None
+
+
+@dataclass(frozen=True, eq=False)
+class RuleTable:
+    """A model's rows, indexed the ways ``successors`` enumerates them."""
+
+    rows: dict[RuleInstance, Row]   # every instance, as in ``model.rules``
+    execute: dict[str, Row]         # action id -> its execute row
+    transitions: tuple[Row, ...]    # in declaration order
+    reactivate: dict[str, Row]      # step -> its reactivation row
+
+
+def _writes_of(run, writes):
+    """Restrict a memory-to-memory effect to the values it writes."""
+    def written(m):
+        out = run(m)
+        return {v: out[v] for v in writes}
+    return written
+
+
+def _compile(model: SfcModel) -> RuleTable:
+    env = model.env()
+    ids = count()
+    # keyed by value: typecheck annotates equal guards alike in one model
+    guards: dict[E.Expr, Evaluator] = {}
+
+    def guard(g):
+        ev = guards.get(g)
+        if ev is None:
+            ev = guards[g] = Evaluator(next(ids), tuple(sorted(E.vars_of(g))),
+                                       (), partial(E.eval_expr, g))
+        return ev
+
+    def action(a):
+        if a.fbd_ref is not None:
+            # compiled here, once per model; raises FbdError for an invalid
+            # diagram.  Runs go through the module's eval_iterative.
+            p = F.compile_fbd(model.fbd(a.fbd_ref), env)
+            reads = tuple(dict.fromkeys(v for _, v, _ in p.reads))
+            writes = tuple(v for v, _, _ in p.writes)
+
+            def run(m):
+                return F.eval_iterative(p, m)
+        else:
+            reads = tuple(sorted(set().union(
+                *(E.vars_of(e) for _, e in a.assigns))))
+            writes = tuple(dict.fromkeys(v for v, _ in a.assigns))
+            run = partial(E.apply_effect, a.assigns, env=env)
+        return Evaluator(next(ids), reads, writes, _writes_of(run, writes))
+
+    effects = {a.id: action(a) for a in model.actions}
+    rows = {rule: Row(rule, r, tuple(map(guard, r.guards)),
+                      tuple(map(guard, r.blocked)),
+                      None if r.action is None else effects[r.action])
+            for rule, r in model.rules.items()}
+    return RuleTable(
+        rows,
+        {r.action: row for r, row in rows.items()
+         if isinstance(r, ExecuteAction)},
+        tuple(row for r, row in rows.items()
+              if isinstance(r, StepTransition)),
+        {r.step: row for r, row in rows.items() if isinstance(r, Reactivate)})
+
+
+def rule_table(model: SfcModel) -> RuleTable:
+    """The model's compiled rule table, built on first use and then kept on
+    the model object, the way ``functools.cached_property`` keeps a value
+    (a failed build, such as an invalid diagram, is not kept)."""
+    table = model.__dict__.get("_rule_table")
+    if table is None:
+        table = model.__dict__["_rule_table"] = _compile(model)
+    return table
+
+
+def _fire(row: Row, c: SfcState, memo: dict) -> SfcState | str:
+    """Successor of *c* under *row*'s rule, or why the rule is not enabled
+    in *c*."""
+    r = row.shape
     acts = c.active_actions
     for a in r.pending:
         if a not in acts:
-            raise NotApplicable(f"action {a!r} is not pending")
+            return f"action {a!r} is not pending"
     for s in r.steps:
         if s not in c.active_steps:
-            raise NotApplicable(f"step {s!r} inactive")
+            return f"step {s!r} inactive"
     for a in r.idle:
         if a in acts:
-            raise NotApplicable(f"action {a!r} still pending")
-    for g in r.guards:
-        if not E.eval_expr(g, c.mem):
-            raise NotApplicable("guard is false")
-    for g in r.blocked:
-        if E.eval_expr(g, c.mem):
-            raise NotApplicable("an outgoing transition is enabled")
-    mem = c.mem if r.action is None else model.effects[r.action](c.mem)
+            return f"action {a!r} still pending"
+    mem = c.mem
+    for g in row.guards:
+        if not g.value(mem, memo):
+            return "guard is false"
+    for g in row.blocked:
+        if g.value(mem, memo):
+            return "an outgoing transition is enabled"
+    if row.action is not None:
+        mem = {**mem, **row.action.value(mem, memo)}
     # an unchanged list is shared with the predecessor, not copied
     # (concatenating an empty tuple returns the other operand)
     steps = c.active_steps
@@ -85,14 +195,34 @@ def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
     return SfcState(mem, steps + r.steps_on, r.acts_on + acts)
 
 
-def successors(model: SfcModel, c: SfcState):
-    """Enabled (rule, successor) pairs in enumeration order."""
+def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
+    """Successor of *c* under *rule*, as its ``RuleShape`` describes;
+    raises NotApplicable when the rule is not enabled in *c*."""
+    out = _fire(rule_table(model).rows[rule], c, {})
+    if isinstance(out, str):
+        raise NotApplicable(out)
+    return out
+
+
+def successors(model: SfcModel, c: SfcState, memo: dict | None = None):
+    """Enabled (rule, successor) pairs in enumeration order: execute
+    instances of pending actions (first occurrence order), every
+    transition, and reactivations of active steps.
+
+    *memo* holds ``Evaluator`` results; calls within one exploration share
+    it, and a fresh one is used when it is None.
+    """
+    t = rule_table(model)
+    if memo is None:
+        memo = {}
     out = []
-    for rule in rule_instances(model, c):
-        try:
-            out.append((rule, apply_rule(model, c, rule)))
-        except NotApplicable:
-            pass
+    for row in chain(map(t.execute.__getitem__,
+                         dict.fromkeys(c.active_actions)),
+                     t.transitions,
+                     map(t.reactivate.__getitem__, c.active_steps)):
+        c2 = _fire(row, c, memo)
+        if not isinstance(c2, str):
+            out.append((row.rule, c2))
     return out
 
 
@@ -103,12 +233,13 @@ def reachable_bounded(model: SfcModel, depth: int, *,
     seen = {start.key()}
     states = [start]
     frontier = [start]
+    memo: dict = {}
     for _ in range(depth):
         if not frontier:
             break
         nxt = []
         for c in frontier:
-            for _, c2 in successors(model, c):
+            for _, c2 in successors(model, c, memo):
                 k = c2.key()
                 if k not in seen:
                     seen.add(k)
@@ -138,8 +269,9 @@ def run_trace(model: SfcModel, scheduler: str = "priority",
     rng = random.Random(seed)
     c = init_state(model)
     trace = []
+    memo: dict = {}
     for _ in range(max_steps):
-        succ = successors(model, c)
+        succ = successors(model, c, memo)
         if not succ:
             break
         if scheduler == "fixed":

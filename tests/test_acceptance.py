@@ -311,19 +311,21 @@ def test_criterion_7_library_lemmas():
 def test_criterion_8_fbd_equivalence():
     inc_model = load_model("fbd_inc")
     inc_env = inc_model.env()
-    inc_effect = F.fbd_to_action(inc_model.fbd("FInc"), inc_env)
+    inc_prog = F.compile_fbd(inc_model.fbd("FInc"), inc_env)
     inc_oracle = [("x", E.Add(E.Var("x"), E.IntLit(1)))]
     cnt_model = load_model("fbd_counter")
     cnt_env = cnt_model.env()
-    cnt_effect = F.fbd_to_action(cnt_model.fbd("FCnt"), cnt_env)
+    cnt_prog = F.compile_fbd(cnt_model.fbd("FCnt"), cnt_env)
     cnt_oracle = [("out", E.IntLit(3))]
     bad = 0
     for v in range(16):  # the full width-4 domain
         m = {"x": v}
-        if inc_effect(m) != E.apply_effect(inc_oracle, m, inc_env):
+        if F.eval_iterative(inc_prog, m) != \
+                E.apply_effect(inc_oracle, m, inc_env):
             bad += 1
         m = {"out": v}
-        if cnt_effect(m) != E.apply_effect(cnt_oracle, m, cnt_env):
+        if F.eval_iterative(cnt_prog, m) != \
+                E.apply_effect(cnt_oracle, m, cnt_env):
             bad += 1
     report(8, bad == 0, f"increment and 3-step counter match their "
                         f"assignment oracles on 16 points each, "

@@ -13,9 +13,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from certplc import fbd as F
 from certplc import semantics as S
+from certplc.model import parse_model
 
-from conftest import load_model
+from conftest import FANOUT, load_model
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,21 +67,35 @@ def test_diagram_actions_run_through_the_wrapped_evaluator(bench):
     assert tracer.calls["fbd.eval"] == 1
 
 
-def test_exploration_counts_one_evaluation_per_diagram_execution(bench):
+# fbd_inc executes its diagram on a new value each time; FANOUT's branches
+# interleave, so the same counter value is executed from many states
+@pytest.mark.parametrize("load, depth, repeats", [
+    (lambda: load_model("fbd_inc"), 40, False),
+    (lambda: parse_model(FANOUT), 10, True),
+], ids=["fbd_inc", "fanout"])
+def test_exploration_counts_one_evaluation_per_distinct_diagram_input(
+        bench, load, depth, repeats):
+    """One exploration runs a diagram once per distinct (action, values
+    read) input among the diagram executions it makes."""
     tracing, api = bench
-    model = load_model("fbd_inc")
-    depth = 40
-    diagram_actions = {a.id for a in model.actions if a.fbd_ref is not None}
+    model = load()
+    env = model.env()
+    reads = {a.id: tuple(v for _, v, _ in
+                         F.compile_fbd(model.fbd(a.fbd_ref), env).reads)
+             for a in model.actions if a.fbd_ref is not None}
     tracer = tracing.Tracer()
     tracing.install(tracer, api)
     try:
-        states = S.reachable_bounded(model, depth)
+        S.reachable_bounded(model, depth)
     finally:
         tracer.restore()
-    # nothing new at the last level: every state was expanded exactly once
-    assert len(S.reachable_bounded(model, depth - 1)) == len(states)
-    executions = sum(1 for s in states for rule, _ in S.successors(model, s)
-                     if isinstance(rule, S.ExecuteAction)
-                     and rule.action in diagram_actions)
-    assert executions > 1
-    assert tracer.calls["fbd.eval"] == executions
+    # the states expanded at this depth are those found one level earlier
+    executions = [(rule.action, tuple(s.mem[v] for v in reads[rule.action]))
+                  for s in S.reachable_bounded(model, depth - 1)
+                  for rule, _ in S.successors(model, s)
+                  if isinstance(rule, S.ExecuteAction)
+                  and rule.action in reads]
+    distinct = len(set(executions))
+    assert distinct > 1
+    assert (distinct < len(executions)) == repeats
+    assert tracer.calls["fbd.eval"] == distinct

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -41,22 +42,18 @@ def program(body):
 
 class TestAcyclic:
     def test_increment(self):
-        out = F.eval_acyclic(program(INC), dict(x=5))
+        out = F.eval_iterative(program(INC), dict(x=5))
         assert out["x"] == 6
 
     def test_no_write_leaves_memory(self):
         p = program("{ block r = read x\n block a = add(r.out, const 1) }")
         m = dict(x=5)
-        assert F.eval_acyclic(p, m) == m
+        assert F.eval_iterative(p, m) == m
 
     def test_two_reads(self):
-        out = F.eval_acyclic(program(TWO_IN), dict(x=2, y=3, z=0))
+        out = F.eval_iterative(program(TWO_IN), dict(x=2, y=3, z=0))
         assert out["z"] == 5
         assert out["x"] == 2
-
-    def test_rejects_delay(self):
-        with pytest.raises(F.FbdError):
-            F.eval_acyclic(program(COUNTER), dict(out=0))
 
     def test_undelayed_cycle_rejected(self):
         f = parse("{ block a = add(b.out, const 1)\n"
@@ -89,7 +86,7 @@ class TestAcyclic:
         p2 = program("{ block z = read x\n block y = add(z.out, const 2)\n"
                      "  block q = write x (y.out) }")
         m = dict(x=7)
-        assert F.eval_acyclic(p1, m)["x"] == F.eval_acyclic(p2, m)["x"]
+        assert F.eval_iterative(p1, m)["x"] == F.eval_iterative(p2, m)["x"]
 
 
 class TestIterative:
@@ -105,9 +102,11 @@ class TestIterative:
             parse("{ block r = read x\n timeslice 0 }")
 
     def test_one_slice_equals_acyclic(self):
-        p = program(INC)
+        # without delays, every iteration computes the same values
+        p = program(INC.replace("timeslice 1", "timeslice 4"))
         m = dict(x=11)
-        assert F.eval_iterative(p, m) == F.eval_acyclic(p, m)
+        assert F.eval_iterative(p, m) == \
+            F.eval_iterative(replace(p, time_slice=1), m)
 
     def test_deterministic(self):
         p = program(COUNTER)
@@ -124,22 +123,21 @@ class TestIterative:
 
 class TestCompile:
     def test_increment_matches_assignment_oracle(self):
-        f = parse(INC)
-        effect = F.fbd_to_action(f, ENV16)
+        p = F.compile_fbd(parse(INC), ENV16)
         inc = [("x", E.Add(E.Var("x"), E.IntLit(1)))]
         for v in itertools.chain(range(16), (254, 255, 65534, 65535)):
             m = dict(x=v)
-            assert effect(m) == E.apply_effect(inc, m, ENV16), v
+            assert F.eval_iterative(p, m) == E.apply_effect(inc, m, ENV16), v
 
     def test_empty_diagram_is_identity(self):
-        f = parse("{ timeslice 1 }")
+        p = F.compile_fbd(parse("{ timeslice 1 }"), ENV16)
         m = dict(x=3)
-        assert F.fbd_to_action(f, ENV16)(m) == m
+        assert F.eval_iterative(p, m) == m
 
     def test_counter_effect_writes_three(self):
-        effect = F.fbd_to_action(parse(COUNTER), ENV16)
+        p = F.compile_fbd(parse(COUNTER), ENV16)
         for v in range(16):
-            assert effect(dict(out=v))["out"] == 3
+            assert F.eval_iterative(p, dict(out=v))["out"] == 3
 
 
 class TestLinearSummary:

@@ -11,7 +11,7 @@ from certplc.semantics import (BudgetExceeded, ExecuteAction, NotApplicable,
                                reachable_bounded, run_trace, state_text,
                                successors)
 
-from conftest import FANOUT, fixture_names, load_model
+from conftest import FANOUT, fixture_names, load_model, states_of
 
 
 class TestInitState:
@@ -92,6 +92,11 @@ class TestStepTransition:
         c = S.SfcState({}, ("A", "B"), ())
         c2 = S.apply_rule(m, c, StepTransition(0))
         assert c2.active_steps == ("A", "C")
+
+    def test_unbound_guard_variable_reported(self, loop_model):
+        c = S.SfcState({}, ("Init",), ())
+        with pytest.raises(E.ExprError, match="unbound variable 'x'"):
+            S.apply_rule(loop_model, c, StepTransition(0))
 
     def test_target_actions_prepended(self, loop_model):
         c = S.SfcState({"x": 1}, ("Step2",), ())
@@ -287,6 +292,60 @@ class TestStateText:
         assert S.SfcState({}, ("A", "B"), ()) != S.SfcState({}, ("B", "A"), ())
 
 
+class TestMemo:
+    """One exploration or simulation shares a memo of guard and effect
+    results keyed by (id, values read); sharing it changes no result."""
+
+    @pytest.mark.parametrize("name", fixture_names() + ["FANOUT"])
+    def test_shared_memo_matches_fresh_memo_per_state(self, monkeypatch,
+                                                      name):
+        model = parse_model(FANOUT) if name == "FANOUT" else load_model(name)
+
+        def outputs():
+            states = [(state_text(s), s.mem) for s in states_of(model, 8,
+                                                                  3000)]
+            traces = [[(r, state_text(s), s.mem)
+                       for r, s in run_trace(model, sched, 150, seed=5)]
+                      for sched in ("priority", "fixed", "random")]
+            return states, traces
+
+        shared = outputs()
+        plain, calls = S.successors, []
+
+        def fresh(model, c, memo=None):
+            calls.append(memo)
+            return plain(model, c)
+
+        monkeypatch.setattr(S, "successors", fresh)
+        assert outputs() == shared
+        assert calls and all(m is not None for m in calls)
+
+    @pytest.mark.parametrize("body", [
+        "{ x := x + 1; }",
+        "= fbd Inc\nfbd Inc {\n  block r = read x\n"
+        "  block a = add(r.out, const 1)\n  block w = write x (a.out)\n}",
+    ], ids=["assignments", "diagram"])
+    def test_entries_keyed_by_the_values_read(self, body):
+        model = parse_model("var x : int16\nvar y : int16\n"
+                            f"step S [initial]\naction A on S {body}\n")
+        memo = {}
+
+        def executed(mem):
+            c = S.SfcState(mem, ("S",), ("A",))
+            (rule, c2), = [p for p in successors(model, c, memo)
+                           if isinstance(p[0], ExecuteAction)]
+            return c2.mem
+
+        assert executed({"x": 1, "y": 0}) == {"x": 2, "y": 0}
+        assert len(memo) == 1
+        # y is not read: the entry is shared, y is kept from the memory
+        assert executed({"x": 1, "y": 7}) == {"x": 2, "y": 7}
+        assert len(memo) == 1
+        # x is read: a new entry
+        assert executed({"x": 5, "y": 7}) == {"x": 6, "y": 7}
+        assert len(memo) == 2
+
+
 class TestCompiledEffects:
     """A diagram is validated and compiled once per model, on first use,
     however often its action runs; an invalid one never runs."""
@@ -334,7 +393,7 @@ class TestCompiledEffects:
                             "fbd D { timeslice 1 }\n")
         bad = replace(model, fbds=(F.Fbd("D", blocks, 1),))
         with pytest.raises(F.FbdError, match=match):
-            F.fbd_to_action(bad.fbds[0], bad.env())
+            F.compile_fbd(bad.fbds[0], bad.env())
         c = init_state(bad)
         for _ in range(2):  # a failed compilation is not cached
             with pytest.raises(F.FbdError, match=match):
