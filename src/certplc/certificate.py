@@ -187,8 +187,6 @@ def _check(data: bytes) -> CheckVerdict:
                                      "count mismatch", *spot)
                 for k, neg_cube in enumerate(neg_dnf):
                     joint = O.joint_cube(hyp_cube, neg_cube)
-                    if joint is None:
-                        continue  # join is visibly false, nothing to prove
                     if not replay_witness(joint, leaf.witnesses[k]):
                         return _rejected("replay: witness does not refute "
                                          "the counterexample cube",

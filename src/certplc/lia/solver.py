@@ -78,6 +78,13 @@ def _combine_nodes(terms) -> _Node:
     return _Node(LinCon(items, rel, rhs), "combine", tuple(terms))
 
 
+def _coeff(con: LinCon, var: str) -> int:
+    for v, c in con.coeffs:
+        if v == var:
+            return c
+    return 0
+
+
 def _tighten_node(node: _Node) -> _Node:
     con = node.con
     g = 0
@@ -151,15 +158,16 @@ class _Limits:
 def _simplify(cons: list[_Node], limits: _Limits):
     """Tighten, deduplicate and substitute unit equalities away.
 
-    Returns (active nodes, eliminated (var, eq-node) stack, contradiction
-    node or None).
+    The input nodes are tight and each substituted node is tightened when
+    it is made, so no node is tightened twice (that would return it
+    unchanged).  Returns (active nodes, eliminated (var, eq-node) stack,
+    contradiction node or None).
     """
     eliminated: list[tuple[str, _Node]] = []
-    work = list(cons)
+    work = cons
     while True:
         best: dict[tuple, _Node] = {}
         for nd in work:
-            nd = _tighten_node(nd)
             con = nd.con
             if con.is_const():
                 if con.const_false():
@@ -175,8 +183,7 @@ def _simplify(cons: list[_Node], limits: _Limits):
             elif con.rhs != other.con.rhs:
                 limits.count()
                 return [], eliminated, _combine_nodes(((nd, 1), (other, -1)))
-        active = sorted(best.values(),
-                        key=lambda nd: (nd.con.coeffs, nd.con.rel, nd.con.rhs))
+        active = [best[key] for key in sorted(best)]  # the keys are unique
         pick = None
         for nd in active:
             if nd.con.rel != "==":
@@ -188,17 +195,18 @@ def _simplify(cons: list[_Node], limits: _Limits):
         if pick is None:
             return active, eliminated, None
         eq, var = pick
-        c_eq = dict(eq.con.coeffs)[var]
+        c_eq = _coeff(eq.con, var)
         work = []
         for nd in active:
             if nd is eq:
                 continue
-            c = dict(nd.con.coeffs).get(var, 0)
+            c = _coeff(nd.con, var)
             if c == 0:
                 work.append(nd)
             else:
                 limits.count()
-                work.append(_combine_nodes(((nd, 1), (eq, -c // c_eq))))
+                work.append(_tighten_node(
+                    _combine_nodes(((nd, 1), (eq, -c // c_eq)))))
         eliminated.append((var, eq))
 
 
@@ -209,7 +217,7 @@ class _Solver:
         self.roots = [_Node(con, "orig", i) for i, con in enumerate(cube)]
 
     def solve(self):
-        return self._solve(list(self.roots), 0)
+        return self._solve([_tighten_node(nd) for nd in self.roots], 0)
 
     def _solve(self, cons: list[_Node], n_assume: int):
         """Returns ("sat", assignment) or ("unsat", witness)."""
@@ -236,7 +244,7 @@ class _Solver:
     def _entries(nodes, var):
         lowers, uppers, rest = [], [], []
         for nd in nodes:
-            c = dict(nd.con.coeffs).get(var, 0)
+            c = _coeff(nd.con, var)
             if c == 0:
                 rest.append(nd)
                 continue
@@ -289,7 +297,7 @@ class _Solver:
         for var in variables:
             lo_coefs, up_coefs = [], []
             for nd in active:
-                c = dict(nd.con.coeffs).get(var, 0)
+                c = _coeff(nd.con, var)
                 if c == 0:
                     continue
                 if nd.con.rel == "==":
@@ -338,24 +346,24 @@ class _Solver:
         return lo
 
     def _unit_bounds(self, active, var):
-        """Tightened single-variable bounds on var, as unit-coefficient nodes."""
+        """Single-variable bounds on var among the (tight, so
+        unit-coefficient) active nodes."""
         lo = hi = None
         lo_nd = hi_nd = None
         for nd in active:
             con = nd.con
             if con.rel != "<=" or len(con.coeffs) != 1:
                 continue
-            if con.coeffs[0][0] != var:
+            v, c = con.coeffs[0]
+            if v != var:
                 continue
-            unit = _tighten_node(nd)
-            v, c = unit.con.coeffs[0]
             if c == 1:
-                if hi is None or unit.con.rhs < hi:
-                    hi, hi_nd = unit.con.rhs, unit
+                if hi is None or con.rhs < hi:
+                    hi, hi_nd = con.rhs, nd
             else:
-                b = -unit.con.rhs
+                b = -con.rhs
                 if lo is None or b > lo:
-                    lo, lo_nd = b, unit
+                    lo, lo_nd = b, nd
         return lo, hi, lo_nd, hi_nd
 
     def _range_split(self, active: list[_Node], var: str, n_assume: int):

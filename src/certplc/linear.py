@@ -98,9 +98,6 @@ class LinCon:
         # form REL rhs  with the form's constant folded into the rhs
         return LinCon(form.coeffs, rel, rhs - form.const)
 
-    def form(self) -> LinForm:
-        return LinForm(self.coeffs, 0)
-
     def is_const(self) -> bool:
         return not self.coeffs
 
@@ -111,9 +108,6 @@ class LinCon:
 
     def const_false(self) -> bool:
         return self.is_const() and not self.const_true()
-
-    def vars(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.coeffs)
 
     def evaluate(self, assignment) -> bool:
         n = sum(c * assignment[v] for v, c in self.coeffs)
@@ -136,38 +130,37 @@ class LinCon:
 
 
 Cube = tuple  # tuple[LinCon, ...]
-Dnf = tuple   # tuple[Cube, ...]
+Dnf = tuple   # tuple[Cube, ...], every cube clean (see clean_cube)
 
 TRUE_DNF: Dnf = ((),)
 FALSE_DNF: Dnf = ()
 
 
-def bound_constraints(name: str, ty: str) -> tuple[LinCon, LinCon]:
-    lo = LinCon(((name, -1),), "<=", 0)
-    hi = LinCon(((name, 1),), "<=", E.max_of(ty))
-    return lo, hi
-
-
 def attach_bounds(cube: Cube, env: dict[str, str]) -> Cube:
-    """Add width bounds for every variable occurring in the cube."""
-    seen = []
-    names = set()
+    """Append width bounds, in order of first occurrence, for the variables
+    of the clean *cube* that it lacks; the result is clean."""
+    names: dict[str, None] = {}
+    present = set()
     for con in cube:
-        for v in con.vars():
-            if v not in names:
-                names.add(v)
-                seen.append(v)
+        if len(con.coeffs) == 1 and con.rel == "<=":  # maybe a bound
+            present.add((con.coeffs[0], con.rhs))
+        for v, _ in con.coeffs:
+            names[v] = None
     extra = []
-    for v in seen:
+    for v in names:
         ty = env.get(v)
         if ty is None:
             raise FragmentError(f"no declaration for variable {v!r}")
-        extra.extend(bound_constraints(v, ty))
-    return clean_cube(cube + tuple(extra))
+        # 0 <= v <= max as -v <= 0 and v <= max
+        for term, rhs in (((v, -1), 0), ((v, 1), E.max_of(ty))):
+            if (term, rhs) not in present:
+                extra.append(LinCon((term,), "<=", rhs))
+    return cube + tuple(extra)
 
 
 def clean_cube(cube: Cube) -> Cube | None:
-    """Drop duplicates and constant-true members; None if constant-false."""
+    """Drop duplicates and constant-true members; None if constant-false.
+    Run where a cube is built from raw constraints: Dnf cubes are clean."""
     out = []
     seen = set()
     for con in cube:
@@ -189,12 +182,13 @@ def dnf_or(a: Dnf, b: Dnf, cap: int) -> Dnf:
 
 
 def dnf_and(a: Dnf, b: Dnf, cap: int) -> Dnf:
+    """Each clean cube of *a* joined with each of *b*: the left cube, then
+    the right cube's members it lacks, which equals ``clean_cube(ca + cb)``."""
     out = []
     for ca in a:
+        have = set(ca)
         for cb in b:
-            merged = clean_cube(ca + cb)
-            if merged is not None:
-                out.append(merged)
+            out.append(ca + tuple(c for c in cb if c not in have))
             if len(out) > cap:
                 raise CubeOverflow(f"{len(out)} disjuncts exceed cap {cap}")
     return tuple(out)

@@ -32,9 +32,10 @@ from functools import cached_property
 from . import expr as E
 from . import fbd as F
 from . import properties as P
-from .linear import (CubeOverflow, Dnf, FragmentError, LinCon, LinForm,
-                     attach_bounds, bounds_fn, dnf_and, linear_form, lower,
-                     normalize, wrap_cases, TRUE_DNF, FALSE_DNF, clean_cube)
+from .linear import (Cube, CubeOverflow, Dnf, FragmentError, LinCon,
+                     LinForm, attach_bounds, bounds_fn, dnf_and, linear_form,
+                     lower, normalize, wrap_cases, TRUE_DNF, FALSE_DNF,
+                     clean_cube)
 from .model import RuleInstance, SfcModel
 
 STEP_PREFIX = "step:"
@@ -169,10 +170,11 @@ class DerivationContext:
     """The inputs of a derivation (model, property, disjunct cap) and the
     obligation pieces shared by every rule instance of that property.
 
-    The symbolic env, the pre-state map, the property's pre-state DNF and
-    each pre-state normalization of a guard or atom are computed at most
-    once, on first use.  (An action's effect summary and post-value
-    definitions need no memo: only its one execute instance reads them.)
+    The symbolic env, the pre-state map, the property's pre-state DNF, each
+    pre-state normalization of a guard or atom and each subset atom's
+    conjunction are computed at most once, on first use.  (An action's
+    effect summary and post-value definitions need no memo: only its one
+    execute instance reads them.)
     build_obligation asks for the pieces in a fixed order, so an obligation
     and any error it raises equal those of a fresh context; a piece that
     failed (CubeOverflow, FragmentError) fails again on every later use.  A
@@ -232,12 +234,15 @@ class DerivationContext:
                 return _activity_dnf(sm.steps[atom.step], 0 if neg else 1)
             if isinstance(atom, P.ActionActive):
                 return _activity_dnf(sm.actions[atom.action], 0 if neg else 1)
+            # a subset atom's names outside the set are the model's, the
+            # same in every state map, so its formula is built once
             if isinstance(atom, P.StepsWithin):
-                return lower(_none_of(P.StepActive, sm.steps, atom.steps),
-                             neg, leaf, self.cap)
+                return lower(self._once(atom, lambda: _none_of(
+                    P.StepActive, sm.steps, atom.steps)), neg, leaf, self.cap)
             if isinstance(atom, P.ActionsWithin):
-                return lower(_none_of(P.ActionActive, sm.actions,
-                                      atom.actions), neg, leaf, self.cap)
+                return lower(self._once(atom, lambda: _none_of(
+                    P.ActionActive, sm.actions, atom.actions)),
+                    neg, leaf, self.cap)
             # an arithmetic atom
             if sm.subst is None:  # memory reads as in the pre-state
                 return self.normalized(atom, neg)
@@ -263,9 +268,10 @@ def build_obligation(ctx: DerivationContext,
     try:
         summary = None if shape.action is None else \
             effect_summary(model, shape.action)
-        hyp: Dnf = (tuple([_eq01(act_var(a), 1) for a in shape.pending]
-                          + [_eq01(step_var(s), 1) for s in shape.steps]
-                          + [_eq01(act_var(a), 0) for a in shape.idle]),)
+        hyp: Dnf = (clean_cube(
+            tuple([_eq01(act_var(a), 1) for a in shape.pending]
+                  + [_eq01(step_var(s), 1) for s in shape.steps]
+                  + [_eq01(act_var(a), 0) for a in shape.idle])),)
         for g in shape.guards:
             hyp = dnf_and(hyp, ctx.normalized(g), cap)
         for g in shape.blocked:
@@ -293,6 +299,6 @@ def build_obligation(ctx: DerivationContext,
     return CaseObligation(rule, hyp, tuple(neg))
 
 
-def joint_cube(hyp_cube, neg_cube):
+def joint_cube(hyp_cube: Cube, neg_cube: Cube) -> Cube:
     """Deterministic join replayed by both the verifier and the checker."""
-    return clean_cube(hyp_cube + neg_cube)
+    return dnf_and((hyp_cube,), (neg_cube,), 1)[0]

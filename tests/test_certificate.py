@@ -358,6 +358,34 @@ class TestCertificateBytes:
                         hashlib.sha256(data).hexdigest()
         assert got == FIXTURE_CERT_SHA256
 
+    # `y == c * x` stepped in lockstep: the decider's refutations divide by
+    # gcds, so these certificates carry tighten steps, which no fixture
+    # certificate does
+    LOCKSTEP_CERT_SHA256 = {
+        ("int8", 5):
+            "986e7e4125f65a2e43824c6305507a905945eedfb673863a559c7da71af2ec8b",
+        ("int16", 12):
+            "6ca0d483d7597e989dba928852cab866dda33ffb0e58bbf8e8bf65fe994472d0",
+    }
+
+    @pytest.mark.parametrize("width, c", sorted(LOCKSTEP_CERT_SHA256))
+    def test_tighten_certificates_are_byte_identical(self, width, c):
+        import hashlib
+        model = parse_model(
+            f"var x : {width} = 0\nvar y : {width} = 0\n"
+            "step P [initial]\nstep Q\n"
+            f"action Inc on P {{ x := x + 1; y := y + {c}; }}\n"
+            "trans {P} -[ true ]-> {Q}\ntrans {Q} -[ true ]-> {P}\n")
+        inv = P.parse_properties(f"invariant rel : always (y == {c} * x);\n",
+                                 model)[0]
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Proved)
+        data = C.emit(model, inv, res.tree)
+        assert any(ln.lstrip().startswith("tighten ")
+                   for ln in data.decode().split("\n"))
+        assert hashlib.sha256(data).hexdigest() == \
+            self.LOCKSTEP_CERT_SHA256[(width, c)]
+
 
 def _module_imports(modname: str) -> set[str]:
     """Modules whose code `modname` references, resolved from its AST.

@@ -4,10 +4,13 @@ The verifier and the checker derive every rule instance's obligation
 through one ``DerivationContext``, which computes the symbolic env, the
 pre-state DNF and the guard and atom normalizations once.  These tests pin
 that sharing changes nothing (obligations, exception types and messages)
-and that it really removes the per-rule-instance work.
+and that it really removes the per-rule-instance work.  They also pin that
+every obligation cube is clean, which lets cube joins skip cleaning.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certplc import certificate as C
 from certplc import expr as E
@@ -15,7 +18,8 @@ from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
-from certplc.linear import normalize
+from certplc.linear import (LinCon, attach_bounds, clean_cube, dnf_and,
+                            normalize)
 from certplc.model import parse_model
 
 from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
@@ -80,6 +84,73 @@ class TestSharedEqualsFresh:
                 O.UnsupportedEffect,
                 f"{rule.label()}: multiplication of two non-constant "
                 f"expressions")
+
+
+_ENV = {"a": "int8", "b": "int16", "c": "bool"}
+# per variable: -v <= 0, then v <= max
+_BOUNDS = [LinCon(((v, k),), "<=", 0 if k < 0 else E.max_of(ty))
+           for v, ty in _ENV.items() for k in (-1, 1)]
+_CONS = st.one_of(
+    st.sampled_from(_BOUNDS),
+    st.builds(LinCon,
+              st.dictionaries(st.sampled_from(sorted(_ENV)),
+                              st.integers(-3, 3).filter(bool), min_size=1,
+                              max_size=3).map(lambda d: tuple(sorted(
+                                  d.items()))),
+              st.sampled_from(["<=", "=="]), st.integers(-3, 3)))
+
+
+@st.composite
+def _dnf_pairs(draw):
+    """Two DNFs of clean cubes drawn from one pool of constraints, so that
+    their cubes share members and sometimes hold width bounds already."""
+    pool = draw(st.lists(_CONS, min_size=1, max_size=10, unique=True))
+    cube = st.lists(st.sampled_from(pool), max_size=6, unique=True).map(tuple)
+    return (tuple(draw(st.lists(cube, min_size=1, max_size=3))),
+            tuple(draw(st.lists(cube, min_size=1, max_size=3))))
+
+
+def _with_bounds(cube):
+    """Reference for attach_bounds: append every bound, then clean."""
+    names = dict.fromkeys(v for con in cube for v, _ in con.coeffs)
+    bounds = (b for v in names for b in _BOUNDS if b.coeffs[0][0] == v)
+    return clean_cube(cube + tuple(bounds))
+
+
+def _is_clean(cube):
+    return all(con.coeffs for con in cube) and len(set(cube)) == len(cube)
+
+
+class TestCleanCubes:
+    """Every cube of a Dnf is clean (no constant member, no duplicate), so
+    joins and bounding skip cleaning; they must equal cleaning anyway."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_dnf_pairs())
+    def test_fast_paths_equal_cleaning(self, pair):
+        a, b = pair
+        assert dnf_and(a, b, 64) == tuple(clean_cube(x + y)
+                                          for x in a for y in b)
+        for x in a:
+            for y in b:
+                assert O.joint_cube(x, y) == clean_cube(x + y)
+            assert attach_bounds(x, _ENV) == _with_bounds(x)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixture_obligation_cubes_are_clean(self, name):
+        model = load_model(name)
+        for inv in load_invariants(name, model):
+            ctx = O.DerivationContext(model, inv.formula)
+            for rule in model.rules:
+                ob = _outcome(ctx, rule)
+                if isinstance(ob, tuple):  # not derivable
+                    continue
+                for cube in ob.hyp_cubes:
+                    assert _is_clean(cube), (name, rule.label())
+                for dnf in ob.neg_concl:
+                    for cube in dnf:
+                        assert _is_clean(cube), (name, rule.label())
 
 
 def _strip_widths(e):
@@ -203,6 +274,26 @@ class TestWorkCount:
         assert C.check(cert).accepted
         assert len(normalized) <= bound
         assert len(envs) == 1
+
+    def test_subset_atoms_built_once_per_context(self, monkeypatch):
+        """Each subset atom's ``!step(T)`` / ``!action(B)`` conjunction is
+        built once per context, not once per rule instance and conjunct."""
+        model = parse_model(_ring(self.N))
+        steps = ", ".join(f"S{k}" for k in range(self.N))
+        half = ", ".join(f"A{k}" for k in range(self.N // 2))
+        inv = P.parse_properties(
+            f"invariant p : always (c <= {self.N - 1} && "
+            f"steps_within {{{steps}}} && (actions_within {{{half}}} || "
+            f"!actions_within {{{half}}}));\n", model)[0]
+        distinct = 2
+        built = self._counting(monkeypatch, "_none_of")
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Proved)
+        assert 0 < len(built) <= distinct
+        cert = C.emit(model, inv, res.tree)
+        built.clear()
+        assert C.check(cert).accepted
+        assert 0 < len(built) <= distinct
 
 
 class TestStopsAfterRefutation:
