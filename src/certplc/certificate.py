@@ -185,8 +185,7 @@ def _check(data: bytes) -> CheckVerdict:
                 if len(leaf.witnesses) != len(neg_dnf):
                     return _rejected("coverage: negated-conclusion cube "
                                      "count mismatch", *spot)
-                for k, neg_cube in enumerate(neg_dnf):
-                    joint = O.joint_cube(hyp_cube, neg_cube)
+                for k, joint in enumerate(O.joint_cubes(hyp_cube, neg_dnf)):
                     if not replay_witness(joint, leaf.witnesses[k]):
                         return _rejected("replay: witness does not refute "
                                          "the counterexample cube",

@@ -11,12 +11,41 @@ variable's bounded range, so the procedure is complete on the fragment.
 Every derived constraint remembers its provenance; refutations unwind into
 witnesses that `witness.replay_witness` checks without search.  Satisfying
 assignments are re-checked against the input cube before being returned.
+
+A cube that extends a satisfiable one by inequalities (an inductive case's
+joint cube: its hypothesis cube plus one negated-conclusion cube) reuses
+the hypothesis decision's top-level simplification.  `_simplify` records
+each of its passes (work list, dedup table, sorted keys, picked unit
+equality, derived count), and `_replay` redoes them for the extra members
+alone: it substitutes only an overlay, the extra members' nodes and the
+hypothesis keys where one of them won the dedup, and reads every other
+node from the record.  The result,
+witnesses included, equals a full run, because
+  * an extra member's descendants are inequalities (an inequality combined
+    with an equality is one), so the equalities and thus the picks are the
+    hypothesis's, and no equality clash is new;
+  * a substitution maps a key to a key whatever the right-hand side is, and
+    substitution and tightening keep the right-hand side order of two nodes
+    with equal coefficients;
+  * a node of the overlay sits at the scan position of the node it
+    replaced (the position of the previous pass's key it came from), so an
+    overlay winner keeps beating that node's descendants; against the
+    winner of a key that no overlay node replaced, the dedup rule itself
+    decides: smaller right-hand side, then earlier position;
+  * the hypothesis passes hold no contradiction (it was satisfiable), so
+    the first constant-false overlay node in scan order is the clash; and
+    the derived-constraint count of a pass is the hypothesis's plus the
+    substitutions of overlay keys the hypothesis lacks (an overlaid key
+    holds the variable exactly when its hypothesis node does).
+Elimination, range split, witness extraction, back-substitution and the
+assignment re-check run as for any cube.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from ..linear import Cube, LinCon
 from .witness import Combine, RangeSplit, Tighten, Witness
@@ -33,6 +62,10 @@ class FragmentViolation(Exception):
 @dataclass
 class Sat:
     assignment: dict
+    # the top-level simplification of the decided cube, which a decision of
+    # an extension of the cube replays (`decide_sat`'s `after`); None when
+    # the decision was itself a replay
+    trace: _Trace | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -155,13 +188,16 @@ class _Limits:
                 f"case split budget {self.split_limit} exceeded")
 
 
-def _simplify(cons: list[_Node], limits: _Limits):
+def _simplify(cons: list[_Node], limits: _Limits, passes=None):
     """Tighten, deduplicate and substitute unit equalities away.
 
     The input nodes are tight and each substituted node is tightened when
     it is made, so no node is tightened twice (that would return it
     unchanged).  Returns (active nodes, eliminated (var, eq-node) stack,
-    contradiction node or None).
+    contradiction node or None).  When *passes* is a list, each pass that
+    ends without a contradiction appends (work list, dedup table, sorted
+    keys, pick, derived count so far) to it, pick being (eq-node, var) or
+    None on the last pass.
     """
     eliminated: list[tuple[str, _Node]] = []
     work = cons
@@ -183,7 +219,8 @@ def _simplify(cons: list[_Node], limits: _Limits):
             elif con.rhs != other.con.rhs:
                 limits.count()
                 return [], eliminated, _combine_nodes(((nd, 1), (other, -1)))
-        active = [best[key] for key in sorted(best)]  # the keys are unique
+        keys = sorted(best)  # unique
+        active = [best[key] for key in keys]
         pick = None
         for nd in active:
             if nd.con.rel != "==":
@@ -192,6 +229,8 @@ def _simplify(cons: list[_Node], limits: _Limits):
             if units:
                 pick = (nd, min(units))
                 break
+        if passes is not None:
+            passes.append((work, best, keys, pick, limits.derived))
         if pick is None:
             return active, eliminated, None
         eq, var = pick
@@ -210,18 +249,88 @@ def _simplify(cons: list[_Node], limits: _Limits):
         eliminated.append((var, eq))
 
 
-class _Solver:
-    def __init__(self, cube: Cube, limits: _Limits):
-        self.n_orig = len(cube)
-        self.limits = limits
-        self.roots = [_Node(con, "orig", i) for i, con in enumerate(cube)]
+class _Trace(NamedTuple):
+    """A decided cube and the passes of its top-level `_simplify`, as that
+    records them, for decisions of cubes that extend it (`_replay`)."""
 
-    def solve(self):
-        return self._solve([_tighten_node(nd) for nd in self.roots], 0)
+    cube: Cube
+    passes: list
+
+
+def _replay(trace: _Trace, extra: list[_Node], limits: _Limits):
+    """`_simplify` of the trace's first work list followed by the
+    inequality nodes *extra*, read from the trace's passes; the module
+    docstring gives the argument that the results are equal."""
+    passes = trace.passes
+    eliminated: list[tuple[str, _Node]] = []
+    n = len(trace.cube)
+    pending = [(n + i, nd) for i, nd in enumerate(extra)]  # scan order
+    for p, (_, best, keys, pick, derived) in enumerate(passes):
+        over: dict[tuple, tuple] = {}  # key -> (position, node)
+        for pos, nd in pending:
+            con = nd.con
+            if con.is_const():
+                if con.const_false():
+                    return [], eliminated, nd
+                continue
+            key = (con.coeffs, con.rel)
+            other = over.get(key)
+            if other is None or con.rhs < other[1].con.rhs:
+                over[key] = (pos, nd)
+        # a hypothesis winner whose position the overlay took never wins
+        # here: the node there has no larger right-hand side
+        for key, (pos, nd) in list(over.items()):
+            won = best.get(key)
+            if won is None or nd.con.rhs < won.con.rhs:
+                continue
+            if nd.con.rhs > won.con.rhs or _position(passes, p, won) < pos:
+                del over[key]
+        if pick is None:
+            if over:
+                keys = sorted(set(keys).union(over))
+            return ([over[key][1] if key in over else best[key]
+                     for key in keys], eliminated, None)
+        eq, var = pick
+        c_eq = _coeff(eq.con, var)
+        subs = passes[p + 1][4] - derived  # the hypothesis's, then new keys
+        pending = []
+        for key in sorted(over):
+            nd = over[key][1]
+            c = _coeff(nd.con, var)
+            if c == 0:
+                pending.append((key, nd))
+                continue
+            if key not in best:
+                subs += 1
+            pending.append((key, _tighten_node(
+                _combine_nodes(((nd, 1), (eq, -c // c_eq))))))
+        if subs:
+            limits.count(subs)
+        eliminated.append((var, eq))
+
+
+def _position(passes: list, p: int, nd: _Node):
+    """Scan position of a node of pass *p*'s work list: its index in the
+    first pass and, later, the key of the previous pass it came from."""
+    i = passes[p][0].index(nd)
+    if p == 0:
+        return i
+    _, best, keys, (eq, _), _ = passes[p - 1]
+    return [key for key in keys if best[key] is not eq][i]
+
+
+class _Solver:
+    def __init__(self, n_orig: int, limits: _Limits):
+        self.n_orig = n_orig
+        self.limits = limits
 
     def _solve(self, cons: list[_Node], n_assume: int):
         """Returns ("sat", assignment) or ("unsat", witness)."""
-        active, eliminated, clash = _simplify(cons, self.limits)
+        return self.finish(_simplify(cons, self.limits), n_assume)
+
+    def finish(self, simplified, n_assume: int):
+        """Decide from `_simplify`'s result on the cube of this depth."""
+        active, eliminated, clash = simplified
         if clash is not None:
             return "unsat", _extract(clash, self.n_orig, n_assume)
         result = self._eliminate(active, n_assume)
@@ -393,16 +502,43 @@ class _Solver:
         return "unsat", Witness(tuple(steps))
 
 
-def decide_sat(cube: Cube, *, max_derived: int = 50_000,
-               split_limit: int = 4096):
-    """Sat with a checked assignment, or Unsat with a replayable witness."""
+def decide_sat(cube: Cube, *, after: Sat | None = None,
+               max_derived: int = 50_000, split_limit: int = 4096):
+    """Sat with a checked assignment, or Unsat with a replayable witness.
+
+    *after* is the result of deciding a prefix of *cube*; when the members
+    past that prefix hold no equality, the prefix's simplification is
+    replayed (see the module docstring).  Any other cube, or an *after*
+    without a trace, is decided from scratch; the result is the same.
+    """
+    cube = tuple(cube)
     limits = _Limits(max_derived, split_limit)
-    solver = _Solver(tuple(cube), limits)
-    kind, payload = solver.solve()
+    trace = None if after is None else after.trace
+    passes = None
+    if trace is not None and _extends(cube, trace.cube):
+        n = len(trace.cube)
+        extra = [_tighten_node(_Node(con, "orig", i))
+                 for i, con in enumerate(cube[n:], n)]
+        simplified = _replay(trace, extra, limits)
+    else:
+        passes = []
+        roots = [_tighten_node(_Node(con, "orig", i))
+                 for i, con in enumerate(cube)]
+        simplified = _simplify(roots, limits, passes)
+    kind, payload = _Solver(len(cube), limits).finish(simplified, 0)
     if kind == "unsat":
         return Unsat(payload)
     for con in cube:
         if not con.evaluate(payload):
             raise AssertionError(
                 f"internal error: model fails {con.pretty()}")
-    return Sat(payload)
+    return Sat(payload, None if passes is None else _Trace(cube, passes))
+
+
+def _extends(cube: Cube, prefix: Cube) -> bool:
+    """*cube* is *prefix* followed by members that hold no equality."""
+    n = len(prefix)
+    for con in cube[n:]:  # the few extra members first: cheaper
+        if con.rel == "==":
+            return False
+    return cube[:n] == prefix

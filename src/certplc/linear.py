@@ -184,6 +184,8 @@ def dnf_or(a: Dnf, b: Dnf, cap: int) -> Dnf:
 def dnf_and(a: Dnf, b: Dnf, cap: int) -> Dnf:
     """Each clean cube of *a* joined with each of *b*: the left cube, then
     the right cube's members it lacks, which equals ``clean_cube(ca + cb)``."""
+    if not b:  # no joins, so no member sets to build
+        return FALSE_DNF
     out = []
     for ca in a:
         have = set(ca)

@@ -299,6 +299,8 @@ def build_obligation(ctx: DerivationContext,
     return CaseObligation(rule, hyp, tuple(neg))
 
 
-def joint_cube(hyp_cube: Cube, neg_cube: Cube) -> Cube:
-    """Deterministic join replayed by both the verifier and the checker."""
-    return dnf_and((hyp_cube,), (neg_cube,), 1)[0]
+def joint_cubes(hyp_cube: Cube, neg_dnf: Dnf) -> Dnf:
+    """The hypothesis cube joined with each negated-conclusion cube, in
+    order: the deterministic joins the verifier refutes and the checker
+    replays witnesses against.  Each join starts with *hyp_cube*."""
+    return dnf_and((hyp_cube,), neg_dnf, len(neg_dnf))

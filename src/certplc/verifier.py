@@ -88,8 +88,10 @@ def discharge(ob: O.CaseObligation):
             leaves = []
             for neg_dnf in ob.neg_concl:
                 witnesses = []
-                for neg_cube in neg_dnf:
-                    sub = decide_sat(O.joint_cube(hyp_cube, neg_cube))
+                for joint in O.joint_cubes(hyp_cube, neg_dnf):
+                    # the joint cube extends the hypothesis cube, whose
+                    # simplification the decider replays
+                    sub = decide_sat(joint, after=res)
                     if isinstance(sub, Sat):
                         return Refuted(ob.rule, sub.assignment,
                                        "inductive step violated")

@@ -4,6 +4,8 @@ import pytest
 
 from certplc import (BudgetExceeded, parse_model, parse_properties,
                      reachable_bounded)
+from certplc.lia.solver import (DeciderResourceError, FragmentViolation,
+                                decide_sat)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -55,6 +57,28 @@ FANOUT = ("var n0 : int8\nvar n1 : int8\nvar n2 : int16\n"
           + "trans {F} -[ true ]-> {B0, B1, B2}\n"
           "trans {B0, B1, B2} -[ n0 >= 2 && n1 >= 3 && n2 >= 4 ]-> {J}\n"
           "trans {J} -[ true ]-> {F}\n")
+
+
+def lockstep(width, c):
+    """Two steps stepping `y == c * x` in lockstep at one width, and that
+    invariant, which holds modulo 2**w: deciding its cases divides by gcds
+    and enumerates wrap quotients."""
+    model = parse_model(
+        f"var x : {width} = 0\nvar y : {width} = 0\n"
+        "step P [initial]\nstep Q\n"
+        f"action Inc on P {{ x := x + 1; y := y + {c}; }}\n"
+        "trans {P} -[ true ]-> {Q}\ntrans {Q} -[ true ]-> {P}\n")
+    inv = parse_properties(f"invariant rel : always (y == {c} * x);\n",
+                           model)[0]
+    return model, inv
+
+
+def decision(cube, **kwargs) -> str:
+    """decide_sat's result (witnesses and assignments included) or error."""
+    try:
+        return repr(decide_sat(cube, **kwargs))
+    except (DeciderResourceError, FragmentViolation) as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def fixture_names():

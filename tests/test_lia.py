@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certplc.lia.solver import DeciderResourceError, Sat, Unsat, decide_sat
 from certplc.lia.witness import (Combine, RangeSplit, Tighten, Witness,
                                  parse_witness_lines, replay_witness,
                                  witness_lines)
-from certplc.linear import LinCon
+from certplc.linear import LinCon, clean_cube
+
+from conftest import decision
 
 
 def con(coeffs, rel, rhs):
@@ -77,6 +81,14 @@ class TestDecideSat:
             res = decide_sat(cube)
             if isinstance(res, Sat):
                 assert all(c.evaluate(res.assignment) for c in cube)
+
+    def test_generator_input_is_rechecked(self, monkeypatch):
+        cube = boxed([con({"x": 1, "y": 1}, "==", 7)], 15, ["x", "y"])
+        assert isinstance(decide_sat(c for c in cube), Sat)
+        # an assignment failing the input must be caught for any iterable
+        monkeypatch.setattr(LinCon, "evaluate", lambda self, a: False)
+        with pytest.raises(AssertionError, match="model fails"):
+            decide_sat(c for c in cube)
 
 
 def _random_cube(rng, nvars=3, width=4, ncons=4):
@@ -224,3 +236,105 @@ class TestResourceLimits:
     def test_split_budget_reports_resource_error(self):
         with pytest.raises(DeciderResourceError):
             decide_sat(_PUGH, split_limit=0)
+
+
+@st.composite
+def _hyp_and_joint(draw):
+    """A satisfiable hypothesis cube (a drawn point satisfies it; unit
+    equalities make substitution passes) and the cube joining it with
+    extra members: inequalities of a hypothesis member's coefficients, of
+    their negation or of a multiple (equal after tightening) at an equal,
+    tighter or looser right-hand side, fresh inequalities (sometimes
+    scaled) and, sometimes, an equality.  Few variables and small
+    coefficients make keys collide after substitution."""
+    hi = draw(st.sampled_from((3, 7)))
+    names = ("a", "b", "c")[:draw(st.integers(2, 3))]
+    point = {v: draw(st.integers(0, hi)) for v in names}
+    coeff = st.sampled_from((-2, -1, 1, 1, 2))
+
+    def shape():
+        picked = draw(st.lists(st.sampled_from(names), min_size=1,
+                               max_size=3, unique=True))
+        return {v: draw(coeff) for v in picked}
+
+    def value(coeffs):
+        return sum(c * point[v] for v, c in coeffs.items())
+
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = shape()
+        if draw(st.booleans()):
+            coeffs[min(coeffs)] = draw(st.sampled_from((1, -1)))
+            members.append(con(coeffs, "==", value(coeffs)))
+        else:
+            members.append(con(coeffs, "<=",
+                               value(coeffs) + draw(st.integers(0, 2))))
+    hyp = clean_cube(boxed(members, hi, names))
+    extra = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("same", "negated", "scaled", "fresh",
+                                     "fresh", "equality")))
+        shift = draw(st.integers(-2, 1))
+        if kind == "equality":
+            coeffs = shape()
+            extra.append(con(coeffs, "==", value(coeffs) + shift))
+            continue
+        if kind == "fresh":  # sometimes a multiple, tightened back
+            coeffs, k = shape(), draw(st.sampled_from((1, 2)))
+            extra.append(con({v: k * c for v, c in coeffs.items()}, "<=",
+                             k * value(coeffs) + shift))
+            continue
+        base = draw(st.sampled_from(hyp))
+        k = {"same": 1, "negated": -1, "scaled": 2}[kind]
+        extra.append(LinCon(tuple((v, k * c) for v, c in base.coeffs), "<=",
+                            k * base.rhs + shift))
+    return hyp, clean_cube(hyp + tuple(extra))
+
+
+class TestReplayAfterHypothesis:
+    """A joint cube decided after its hypothesis cube replays the
+    hypothesis's simplification; the result must equal deciding the joint
+    cube from scratch, resource errors included."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              database=None)
+    @given(_hyp_and_joint())
+    def test_replay_equals_full_decision(self, pair):
+        hyp, joint = pair
+        after = decide_sat(hyp)
+        assert isinstance(after, Sat)
+        for max_derived in (0, 1, 2, 3, 5, 8, 50_000):
+            assert decision(joint, after=after, max_derived=max_derived) \
+                == decision(joint, max_derived=max_derived)
+
+    @pytest.mark.parametrize("hyp_member, extra", [
+        # x == y substitutes x away: the extra x <= 5 becomes y <= 5, which
+        # ties the hypothesis's y <= 5 and came from the earlier key
+        (con({"y": 1}, "<=", 5),
+         (con({"x": 1}, "<=", 5), con({"y": -1}, "<=", -6))),
+        # 2x - 3y <= -2 becomes -y <= -2, which ties the hypothesis's
+        # -y <= -2; its key sorts between x == y's and -y's, so the
+        # substituted equality's key must not count as a position
+        (con({"y": -1}, "<=", -2),
+         (con({"x": 2, "y": -3}, "<=", -2), con({"y": 1}, "<=", 1))),
+    ])
+    def test_tie_after_substitution_goes_to_the_earlier_position(
+            self, hyp_member, extra):
+        hyp = boxed([con({"x": 1, "y": -1}, "==", 0), hyp_member], 15,
+                    ["x", "y"])
+        joint = hyp + extra
+        res = decide_sat(joint, after=decide_sat(hyp))
+        assert res == decide_sat(joint)
+        # the refutation uses the extra member, index 6
+        assert any(isinstance(step, Combine) and (6, 1) in step.terms
+                   for step in res.witness.steps)
+
+    def test_cube_not_extending_the_hypothesis_is_decided_afresh(self):
+        hyp = boxed([con({"x": 1, "y": -1}, "==", 0)], 15, ["x", "y"])
+        after = decide_sat(hyp)
+        other = boxed([con({"x": 1}, "<=", 4), con({"y": -1}, "<=", -5)],
+                      15, ["x", "y"])
+        assert decision(other, after=after) == decision(other)
+        joint = hyp + (con({"x": 1}, "<=", 4), con({"y": -1}, "<=", -5))
+        res = decide_sat(joint, after=after)
+        assert isinstance(res, Unsat) and replay_witness(joint, res.witness)

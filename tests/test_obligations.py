@@ -133,8 +133,7 @@ class TestCleanCubes:
         assert dnf_and(a, b, 64) == tuple(clean_cube(x + y)
                                           for x in a for y in b)
         for x in a:
-            for y in b:
-                assert O.joint_cube(x, y) == clean_cube(x + y)
+            assert O.joint_cubes(x, b) == tuple(clean_cube(x + y) for y in b)
             assert attach_bounds(x, _ENV) == _with_bounds(x)
 
     @pytest.mark.parametrize("name", fixture_names())

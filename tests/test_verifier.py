@@ -6,12 +6,14 @@ from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
+from certplc.lia import solver
+from certplc.lia.solver import Sat, decide_sat
 from certplc.model import parse_model
 from certplc.semantics import reachable_bounded
 
 from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
-                      WRAP_BLOWUP, WRAP_BLOWUP_PROP, fixture_names,
-                      load_invariants, load_model, states_of)
+                      WRAP_BLOWUP, WRAP_BLOWUP_PROP, decision, fixture_names,
+                      load_invariants, load_model, lockstep, states_of)
 
 
 def formula(text, model):
@@ -144,6 +146,67 @@ class TestDischarge:
         entry = case.hyps[0]
         assert entry.conjuncts is not None
         assert len(entry.conjuncts) == 4  # one leaf per conjunct
+
+
+def _decided_cases(model, inv):
+    """(hypothesis cube, its decision, joint cubes) of every derivable
+    rule instance."""
+    ctx = O.DerivationContext(model, inv.formula)
+    for rule in model.rules:
+        try:
+            ob = O.build_obligation(ctx, rule)
+        except (O.UnsupportedEffect, O.ObligationOverflow):
+            continue
+        for hyp in ob.hyp_cubes:
+            joints = [j for d in ob.neg_concl for j in O.joint_cubes(hyp, d)]
+            yield hyp, decide_sat(hyp), joints
+
+
+def _charts():
+    for name in fixture_names():
+        model = load_model(name)
+        for inv in load_invariants(name, model):
+            yield f"{name}/{inv.name}", model, inv
+    for width, c in (("int8", 5), ("int16", 12)):
+        model, inv = lockstep(width, c)
+        yield f"lockstep/{width}/{c}", model, inv
+
+
+class TestJointCubeReplay:
+    """discharge decides each joint cube after its hypothesis cube, which
+    replays the hypothesis's simplification instead of redoing it."""
+
+    @pytest.mark.parametrize("chart", list(_charts()), ids=lambda c: c[0])
+    def test_every_joint_cube_decides_as_from_scratch(self, chart):
+        _, model, inv = chart
+        for hyp, res, joints in _decided_cases(model, inv):
+            if not isinstance(res, Sat):
+                continue
+            for joint in joints:
+                assert decision(joint, after=res) == decision(joint)
+
+    def test_only_hypotheses_and_equality_joins_run_in_full(self,
+                                                            monkeypatch):
+        model, inv = lockstep("int8", 5)
+        hyps = joints = full_joints = 0
+        for hyp, res, cubes in _decided_cases(model, inv):
+            hyps += 1
+            if isinstance(res, Sat):
+                joints += len(cubes)
+                full_joints += sum(any(con.rel == "==" for con in j[len(hyp):])
+                                   for j in cubes)
+        assert joints > 0
+        runs = []  # top-level simplifications: the ones that record passes
+        simplify = solver._simplify
+
+        def counted(cons, limits, passes=None):
+            if passes is not None:
+                runs.append(len(cons))
+            return simplify(cons, limits, passes)
+
+        monkeypatch.setattr(solver, "_simplify", counted)
+        assert isinstance(V.verify_invariant(model, inv), V.Proved)
+        assert len(runs) == hyps + full_joints
 
 
 class TestVerifyInvariant:
