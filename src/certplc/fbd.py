@@ -8,8 +8,8 @@ iteration and start from the type default.  A diagram runs for exactly
 back from the final iteration only.
 
 ``compile_fbd`` validates a diagram, puts it in delay-cut evaluation order
-and resolves its ports to slots with their wrap types; ``semantics``
-compiles each action's diagram once per model.  ``_run`` is the one
+and resolves its ports to slots with their wrap types; a model keeps each
+of its diagrams compiled once (``SfcModel.program``).  ``_run`` is the one
 interpreter of compiled diagrams.  It runs the concrete semantics
 (``eval_iterative``, over ``expr.IntDomain``) and the symbolic summary
 (``linear_summary``, over ``linear.LinDomain``) alike.
@@ -334,17 +334,17 @@ def eval_iterative(p: Program, m: E.Memory) -> E.Memory:
     return {**m, **_run(p, E.IntDomain, m.__getitem__)}
 
 
-def linear_summary(f: Fbd, env: dict[str, str]):
+def linear_summary(p: Program):
     """Exact parallel update computed by the diagram, when it is linear.
 
     Returns written-variable -> raw linear form over the pre-state, or None
-    when the diagram is invalid or uses comparisons, muxes or non-constant
-    multiplication.  Raw forms defer wrapping: all block arithmetic is
-    congruent mod 2**w, so a single wrap at the end is exact.
+    when the diagram uses comparisons, muxes or non-constant multiplication.
+    Raw forms defer wrapping: all block arithmetic is congruent mod 2**w, so
+    a single wrap at the end is exact.
     """
     try:
-        return _run(compile_fbd(f, env), LinDomain, LinForm.of_var)
-    except (FbdError, FragmentError):
+        return _run(p, LinDomain, LinForm.of_var)
+    except FragmentError:
         return None
 
 

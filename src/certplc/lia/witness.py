@@ -20,7 +20,10 @@ size of the witness.  Replay never raises; malformed input is rejected.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from ..linear import Cube, LinCon
@@ -181,55 +184,53 @@ class WitnessSyntaxError(Exception):
     pass
 
 
-def parse_witness_lines(lines: list[str], at: int = 0) -> tuple[Witness, int]:
-    """Parse one witness block starting at `lines[at]`; returns (witness, next)."""
-    def fail(msg):
-        raise WitnessSyntaxError(f"witness line {at}: {msg}")
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
-    if at >= len(lines):
-        raise WitnessSyntaxError("missing witness block")
-    head = lines[at].split()
+
+@lru_cache(maxsize=1024)
+def decimal(text: str, signed: bool = False) -> int:
+    """*text* read as the printers write numbers: canonical ASCII decimal,
+    negative only where *signed* (multipliers and split bounds)."""
+    if _DECIMAL.fullmatch(text) is None or (text[0] == "-" and not signed):
+        raise WitnessSyntaxError(f"bad number {text!r}")
+    return int(text)
+
+
+def parse_witness_lines(rows: Iterator[str],
+                        known: dict[str, Step] | None = None) -> Witness:
+    """Parse one witness block from *rows*, the stripped non-blank lines of
+    a proof, consuming exactly its rows.  *known* maps lines already read to
+    their combine or tighten step; one map shared by the blocks of a proof
+    parses each repeated step line once."""
+    known = {} if known is None else known
+    head = next(rows, "").split()
     if len(head) != 2 or head[0] != "steps":
-        raise WitnessSyntaxError(f"expected 'steps N', got {lines[at]!r}")
-    try:
-        count = int(head[1])
-    except ValueError:
-        raise WitnessSyntaxError(f"bad step count {head[1]!r}")
-    at += 1
+        raise WitnessSyntaxError(f"expected 'steps N', got {' '.join(head)!r}")
     steps: list[Step] = []
-    for _ in range(count):
-        if at >= len(lines):
+    for _ in range(decimal(head[1])):
+        line = next(rows, None)
+        if line is None:
             raise WitnessSyntaxError("truncated witness")
-        parts = lines[at].split()
-        at += 1
-        if not parts:
-            raise WitnessSyntaxError("blank witness line")
-        if parts[0] == "combine":
-            terms = []
-            for item in parts[1:]:
-                idx, _, mult = item.partition("*")
-                terms.append((int(idx), int(mult)))
-            if not terms:
-                raise WitnessSyntaxError("combine without terms")
-            steps.append(Combine(tuple(terms)))
-        elif parts[0] == "tighten":
-            if len(parts) != 2:
-                raise WitnessSyntaxError("tighten takes one index")
-            steps.append(Tighten(int(parts[1])))
-        elif parts[0] == "split":
-            if len(parts) != 6:
-                raise WitnessSyntaxError("split takes 5 arguments")
-            var, lo, hi, lo_idx, hi_idx = (parts[1], int(parts[2]),
-                                           int(parts[3]), int(parts[4]),
-                                           int(parts[5]))
+        step = known.get(line)
+        if step is not None:
+            steps.append(step)
+            continue
+        parts = line.split()
+        if parts[0] == "combine" and len(parts) > 1:
+            step = known[line] = Combine(tuple(
+                (decimal(idx), decimal(mult, True))
+                for idx, _, mult in (t.partition("*") for t in parts[1:])))
+        elif parts[0] == "tighten" and len(parts) == 2:
+            step = known[line] = Tighten(decimal(parts[1]))
+        elif parts[0] == "split" and len(parts) == 6:
+            lo, hi = decimal(parts[2], True), decimal(parts[3], True)
             if hi < lo or hi - lo > 1_000_000:
                 raise WitnessSyntaxError("bad split range")
-            branches = []
-            for _ in range(hi - lo + 1):
-                branch, at = parse_witness_lines(lines, at)
-                branches.append(branch)
-            steps.append(RangeSplit(var, lo, hi, lo_idx, hi_idx,
-                                    tuple(branches)))
+            step = RangeSplit(  # not kept: its branches follow it
+                parts[1], lo, hi, decimal(parts[4]), decimal(parts[5]),
+                tuple(parse_witness_lines(rows, known)
+                      for _ in range(hi - lo + 1)))
         else:
-            raise WitnessSyntaxError(f"unknown step {parts[0]!r}")
-    return Witness(tuple(steps)), at
+            raise WitnessSyntaxError(f"malformed step {line!r}")
+        steps.append(step)
+    return Witness(tuple(steps))

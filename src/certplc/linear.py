@@ -14,7 +14,7 @@ Presburger arithmetic and agrees with wrapped evaluation on every memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from . import expr as E
 
@@ -151,11 +151,16 @@ def attach_bounds(cube: Cube, env: dict[str, str]) -> Cube:
         ty = env.get(v)
         if ty is None:
             raise FragmentError(f"no declaration for variable {v!r}")
-        # 0 <= v <= max as -v <= 0 and v <= max
-        for term, rhs in (((v, -1), 0), ((v, 1), E.max_of(ty))):
-            if (term, rhs) not in present:
-                extra.append(LinCon((term,), "<=", rhs))
+        for bound in _width_bounds(v, ty):
+            if (bound.coeffs[0], bound.rhs) not in present:
+                extra.append(bound)
     return cube + tuple(extra)
+
+
+@lru_cache(maxsize=4096)
+def _width_bounds(v: str, ty: str) -> tuple[LinCon, LinCon]:
+    """0 <= v <= max as -v <= 0 and v <= max."""
+    return (LinCon(((v, -1),), "<=", 0), LinCon(((v, 1),), "<=", E.max_of(ty)))
 
 
 def clean_cube(cube: Cube) -> Cube | None:

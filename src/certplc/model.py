@@ -135,12 +135,12 @@ class SfcModel:
     @cached_property
     def _names(self):
         """Name indexes: action id -> block, fbd name -> diagram, step ->
-        its action ids."""
+        its action ids, and fbd name -> program (filled by ``program``)."""
         by_step: dict[str, tuple[str, ...]] = {}
         for a in self.actions:
             by_step[a.step] = by_step.get(a.step, ()) + (a.id,)
         return ({a.id: a for a in self.actions},
-                {f.name: f for f in self.fbds}, by_step)
+                {f.name: f for f in self.fbds}, by_step, {})
 
     def action(self, aid: str) -> ActionBlock:
         return self._names[0][aid]
@@ -153,6 +153,14 @@ class SfcModel:
 
     def action_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.actions)
+
+    def program(self, name: str) -> F.Program:
+        """The named diagram, validated and compiled once per model; raises
+        FbdError for an invalid one, and a failure is not kept."""
+        programs = self._names[3]
+        if name not in programs:
+            programs[name] = F.compile_fbd(self.fbd(name), self.env())
+        return programs[name]
 
     @cached_property
     def rules(self) -> dict[RuleInstance, RuleShape]:
@@ -262,7 +270,10 @@ def validate(model: SfcModel) -> list[str]:
             out.append(f"duplicate fbd {f.name!r}")
         fbd_names.add(f.name)
         try:
-            F.validate_fbd(f, env)
+            if model.fbd(f.name) is f:
+                model.program(f.name)  # kept for the model's later use
+            else:  # an earlier diagram of a duplicate name
+                F.validate_fbd(f, env)
         except F.FbdError as err:
             out.append(f"fbd {f.name!r}: {err}")
 
@@ -419,23 +430,25 @@ def parse_model(text: str) -> SfcModel:
             raise ParseError(f"action attached to unknown step {host.text!r}",
                              host.line, host.col)
 
-    model = _normalized(vars_, steps, initial, [a for _, a in actions],
-                        transitions, fbds)
+    # annotate comparison widths where an expression typechecks; validate
+    # reports the ones that do not
+    env = {v.name: v.ty for v in vars_}
+    model = _normalized(
+        vars_, steps, initial,
+        [replace(a, assigns=tuple((n, _typed(e, env)) for n, e in a.assigns))
+         if a.assigns is not None else a for _, a in actions],
+        [replace(t, guard=_typed(t.guard, env)) for t in transitions], fbds)
     problems = validate(model)
     if problems:
         raise ParseError("; ".join(problems))
-    # annotate guard and effect expressions with comparison widths
-    env = model.env()
-    transitions = tuple(
-        Transition(t.sources, E.typecheck(t.guard, env)[0], t.targets,
-                   t.priority) for t in model.transitions)
-    actions = tuple(
-        replace(a, assigns=tuple((n, E.typecheck(e, env)[0])
-                                 for n, e in a.assigns))
-        if a.assigns is not None else a
-        for a in model.actions)
-    return SfcModel(model.vars, model.steps, model.initial, actions,
-                    transitions, model.fbds)
+    return model
+
+
+def _typed(e: E.Expr, env: dict[str, str]) -> E.Expr:
+    try:
+        return E.typecheck(e, env)[0]
+    except E.ExprError:
+        return e
 
 
 def _parse_step_set(ts: TokenStream) -> tuple[str, ...]:

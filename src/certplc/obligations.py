@@ -126,9 +126,8 @@ def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
     diagrams or expressions outside the linear fragment.
     """
     action = model.action(aid)
-    env = model.env()
     if action.fbd_ref is not None:
-        summary = F.linear_summary(model.fbd(action.fbd_ref), env)
+        summary = F.linear_summary(model.program(action.fbd_ref))
         if summary is None:
             raise UnsupportedEffect(
                 f"action {aid!r}: diagram is not linear")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import expr as E
 
@@ -16,8 +17,7 @@ class ParseError(Exception):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'op' | 'eof'
     text: str
     line: int
@@ -30,65 +30,49 @@ _SYMBOLS = (
     "<", ">", "=", "!", "+", "-", "*",
 )
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+# Blanks, then one token, a newline (after an optional comment), a comment
+# at the end of the text, or any other character, which is an error.
+# Symbols are tried in the order above, so `]->` wins over `]`.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    r"|(?P<op>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
+    r"|(?P<nl>(?:#[^\n]*)?\n)|#[^\n]*|(?P<bad>[^ \t\r\n]))")
 
 
 def lex(text: str) -> list[Token]:
+    """Identifiers, ASCII decimal integers and symbols; blanks and `#`
+    comments to end of line are skipped.  Columns count characters."""
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    new = tuple.__new__  # Token(...) without NamedTuple's Python-level __new__
+    line, base = 1, -1  # base: offset of the line's first column, minus 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "nl":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("op", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            base = m.end() - 1
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line,
+                             m.start(kind) - base)
+        elif kind is not None:
+            toks.append(new(Token, (kind, m[kind], line,
+                                    m.start(kind) - base)))
+    # end of input sits at the end of the last line or at its comment
+    hash_at = text.find("#", base + 1)
+    end = len(text) if hash_at < 0 else hash_at
+    toks.append(Token("eof", "", line, end - base))
     return toks
 
 
 class TokenStream:
     def __init__(self, tokens: list[Token]):
-        self._toks = tokens
+        self._toks = tokens  # ends with the eof token
         self._pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
         """The token *ahead* places past the current one (eof at the end)."""
-        return self._toks[min(self._pos + ahead, len(self._toks) - 1)]
+        if ahead:
+            return self._toks[min(self._pos + ahead, len(self._toks) - 1)]
+        return self._toks[self._pos]
 
     def next(self) -> Token:
         t = self._toks[self._pos]
@@ -97,36 +81,37 @@ class TokenStream:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
+        t = self._toks[self._pos]
         return t.text == text and t.kind in ("op", "ident")
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        t = self._toks[self._pos]
+        if t.text == text and t.kind in ("op", "ident"):
+            self._pos += 1  # not eof, whose text is empty
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
-        if not self.at(text):
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return self.next()
+        return self._take(self.at(text), repr(text))
 
     def ident(self) -> Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise ParseError(f"expected identifier, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        return self.next()
+        return self._take(self._toks[self._pos].kind == "ident", "identifier")
 
     def integer(self) -> int:
-        t = self.peek()
-        if t.kind != "int":
-            raise ParseError(f"expected number, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        self.next()
-        return int(t.text)
+        t = self._take(self._toks[self._pos].kind == "int", "number")
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than int converts
+            raise ParseError("number too long", t.line, t.col) from None
+
+    def _take(self, ok: bool, what: str) -> Token:
+        """Consume the current token if *ok*; else *what* was expected."""
+        t = self._toks[self._pos]
+        if not ok:
+            raise ParseError(f"expected {what}, found "
+                             f"{t.text or 'end of input'!r}", t.line, t.col)
+        self._pos += 1
+        return t
 
     def error(self, message: str):
         t = self.peek()

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lia.witness import (Witness, parse_witness_lines, witness_lines,
-                          WitnessSyntaxError)
+from .lia.witness import (Witness, WitnessSyntaxError, decimal,
+                          parse_witness_lines, witness_lines)
 
 
 @dataclass(frozen=True)
@@ -74,69 +74,57 @@ def proof_lines(tree: ProofTree) -> list[str]:
     return out
 
 
-def _count(text: str, what: str, line: str) -> int:
-    """Entry count of a header: an integer in 0..1,000,000."""
+def _count(parts: list[str], what: str) -> int:
+    """Entry count closing a header row: a number in 0..1,000,000."""
     try:
-        n = int(text)
-    except ValueError:
-        n = None
-    if n is None or not 0 <= n <= 1_000_000:
-        raise ProofSyntaxError(f"bad {what} count in {line!r}")
+        n = decimal(parts[-1])
+    except (WitnessSyntaxError, ValueError):  # ValueError: too many digits
+        n = -1
+    if not 0 <= n <= 1_000_000:
+        raise ProofSyntaxError(f"bad {what} count in {' '.join(parts)!r}")
     return n
 
 
 def parse_proof_lines(lines: list[str]) -> ProofTree:
-    lines = [ln for ln in (ln.strip() for ln in lines) if ln]
-    if not lines or lines[0] != "base":
+    """One pass over the lines; blank ones are skipped, and a witness line
+    seen before is not parsed again."""
+    rows = filter(None, map(str.strip, lines))
+    if next(rows, None) != "base":
         raise ProofSyntaxError("proof must start with the base leaf")
-    at = 1
+    seen: dict = {}
     cases = []
-    while at < len(lines):
-        parts = lines[at].split()
-        if len(parts) != 4 or parts[0] != "case" or parts[2] != "hyps":
-            raise ProofSyntaxError(f"expected case header, got {lines[at]!r}")
-        label = parts[1]
-        n_hyps = _count(parts[3], "hyp", lines[at])
-        at += 1
-        hyps = []
-        for i in range(n_hyps):
-            if at >= len(lines):
-                raise ProofSyntaxError("truncated proof")
-            parts = lines[at].split()
-            if len(parts) < 3 or parts[0] != "hyp" or parts[1] != str(i):
-                raise ProofSyntaxError(f"expected hyp {i}, got {lines[at]!r}")
-            at += 1
-            if parts[2] == "contradiction":
-                if len(parts) != 3:
-                    raise ProofSyntaxError("malformed contradiction entry")
-                try:
-                    w, at = parse_witness_lines(lines, at)
-                except (WitnessSyntaxError, ValueError) as err:
-                    raise ProofSyntaxError(str(err))
-                hyps.append(HypEntry(contradiction=w))
-            elif parts[2] == "conjuncts" and len(parts) == 4:
-                n_conj = _count(parts[3], "conjunct", lines[at - 1])
-                leaves = []
-                for j in range(n_conj):
-                    if at >= len(lines):
-                        raise ProofSyntaxError("truncated proof")
-                    parts = lines[at].split()
-                    if (len(parts) != 4 or parts[0] != "conj"
-                            or parts[1] != str(j) or parts[2] != "cubes"):
-                        raise ProofSyntaxError(
-                            f"expected conj {j}, got {lines[at]!r}")
-                    n_cubes = _count(parts[3], "cube", lines[at])
-                    at += 1
-                    witnesses = []
-                    for _ in range(n_cubes):
-                        try:
-                            w, at = parse_witness_lines(lines, at)
-                        except (WitnessSyntaxError, ValueError) as err:
-                            raise ProofSyntaxError(str(err))
-                        witnesses.append(w)
-                    leaves.append(ArithLeaf(tuple(witnesses)))
-                hyps.append(HypEntry(conjuncts=tuple(leaves)))
-            else:
-                raise ProofSyntaxError(f"malformed hyp entry {lines[at - 1]!r}")
-        cases.append(CaseProof(label, tuple(hyps)))
+    try:
+        for line in rows:
+            head = line.split()
+            if len(head) != 4 or head[0] != "case" or head[2] != "hyps":
+                raise ProofSyntaxError(f"expected case header, got {line!r}")
+            hyps = []
+            for i in range(_count(head, "hyp")):
+                parts = next(rows, "").split()
+                if len(parts) < 3 or parts[0] != "hyp" or parts[1] != str(i):
+                    raise ProofSyntaxError(
+                        f"expected hyp {i}, got {' '.join(parts)!r}")
+                if parts[2] == "contradiction":
+                    if len(parts) != 3:
+                        raise ProofSyntaxError("malformed contradiction entry")
+                    hyps.append(HypEntry(
+                        contradiction=parse_witness_lines(rows, seen)))
+                elif parts[2] == "conjuncts" and len(parts) == 4:
+                    leaves = []
+                    for j in range(_count(parts, "conjunct")):
+                        conj = next(rows, "").split()
+                        if (len(conj) != 4 or conj[0] != "conj"
+                                or conj[1] != str(j) or conj[2] != "cubes"):
+                            raise ProofSyntaxError(
+                                f"expected conj {j}, got {' '.join(conj)!r}")
+                        leaves.append(ArithLeaf(tuple(
+                            parse_witness_lines(rows, seen)
+                            for _ in range(_count(conj, "cube")))))
+                    hyps.append(HypEntry(conjuncts=tuple(leaves)))
+                else:
+                    raise ProofSyntaxError(
+                        f"malformed hyp entry {' '.join(parts)!r}")
+            cases.append(CaseProof(head[1], tuple(hyps)))
+    except (WitnessSyntaxError, ValueError) as err:
+        raise ProofSyntaxError(str(err))
     return ProofTree(tuple(cases))

@@ -123,9 +123,9 @@ def _compile(model: SfcModel) -> RuleTable:
 
     def action(a):
         if a.fbd_ref is not None:
-            # compiled here, once per model; raises FbdError for an invalid
+            # compiled once per model; raises FbdError for an invalid
             # diagram.  Runs go through the module's eval_iterative.
-            p = F.compile_fbd(model.fbd(a.fbd_ref), env)
+            p = model.program(a.fbd_ref)
             reads = tuple(dict.fromkeys(v for _, v, _ in p.reads))
             writes = tuple(v for v, _, _ in p.writes)
 

@@ -217,8 +217,7 @@ def test_comparisons_and_muxes_have_no_summary():
         if rng.random() < 0.5:
             lines.append("block m = mux(k.out, b0.out, const 1)")
         f = F.parse_fbd(TokenStream(lex("{" + "\n".join(lines) + "}")), "F")
-        F.validate_fbd(f, env)
-        assert F.linear_summary(f, env) is None
+        assert F.linear_summary(F.compile_fbd(f, env)) is None
 
 
 def _invariants(rng, model):

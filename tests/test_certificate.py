@@ -6,11 +6,13 @@ import time
 import pytest
 
 from certplc import certificate as C
+from certplc import fbd as F
 from certplc import properties as P
 from certplc import verifier as V
 from certplc.model import canonical_text, model_digest, parse_model
 
-from conftest import WRAP_BLOWUP, WRAP_BLOWUP_PROP, load_invariants, load_model
+from conftest import (FANOUT, WRAP_BLOWUP, WRAP_BLOWUP_PROP, load_invariants,
+                      load_model)
 
 
 def proved_certificate(name="loop", index=1):
@@ -246,6 +248,53 @@ class TestPropertyMutants:
         assert tried > 200 and 0 < accepted < tried
 
 
+class TestProofNumberMutants:
+    """Respell one number of the loop certificate's proof in a way ``int``
+    reads as the same value.  Proof numbers are canonical decimal, so the
+    checker must reject each edit while parsing the proof, not by an error
+    escaping from it."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("case exec:A_Init hyps 16", "case exec:A_Init hyps 0_16"),
+        ("combine 4*1 0*-1", "combine \u06604*+1 0*-1"),
+        ("combine 4*1 0*-1", "combine 4*1 0*-0_1"),
+        ("combine 4*1 0*-1", "combine 4*\uff11 0*-1"),
+        ("combine 4*1 0*-1", "combine +4*1 0*-1"),
+        ("combine 4*1 0*-1", "combine 4*1 -0*-1"),
+        ("hyp 0 conjuncts 4", "hyp 0 conjuncts \uff14"),
+        ("conj 0 cubes 1", "conj 0 cubes +1"),
+        ("steps 1\n", "steps +1\n"),
+        ("steps 1\n", "steps 0_1\n"),
+        ("steps 1\n", "steps \uff11\n"),
+        ("conj 0 cubes 1", "conj 0 cubes 01"),
+        ("combine 4*1 0*-1", "combine 4*1 0*-01"),
+    ], ids=["hyps-underscore", "arabic-indic-and-plus", "mult-underscore",
+            "fullwidth-mult", "plus-index", "minus-zero-index",
+            "fullwidth-count", "plus-count", "plus-steps",
+            "underscore-steps", "fullwidth-steps", "leading-zero-count",
+            "leading-zero-mult"])
+    def test_non_canonical_number_rejected(self, old, new):
+        _, _, data = proved_certificate()
+        text = data.decode()
+        assert old in text and C.check(data).accepted
+        v = C.check(text.replace(old, new, 1).encode())
+        assert not v.accepted
+        assert v.reason.startswith("proof-parse: "), v.reason
+
+    @pytest.mark.parametrize("old, new", [
+        ("combine 4*1 0*-1", "combine 4*1{} 0*-1"),
+        ("hyp 0 conjuncts 4", "hyp 0 conjuncts 1{}"),
+        ("steps 1\n", "steps 1{}\n"),
+    ], ids=["mult", "count", "steps"])
+    def test_overlong_number_rejected(self, old, new):
+        """More digits than ``int`` reads is a parse rejection too."""
+        _, _, data = proved_certificate()
+        new = new.format("0" * 5000)
+        v = C.check(data.decode().replace(old, new, 1).encode())
+        assert not v.accepted
+        assert v.reason.startswith("proof-parse: "), v.reason
+
+
 class TestAllFixturesRoundTrip:
     def test_every_proved_invariant_certifies(self):
         from conftest import fixture_names
@@ -431,6 +480,28 @@ def _transitive_imports(start: str) -> set[str]:
         seen.add(mod)
         todo.extend(_module_imports(mod))
     return seen
+
+
+class TestCheckWork:
+    def test_each_diagram_validated_once_per_check(self, monkeypatch):
+        """The model's own validation compiles each diagram; obligation
+        building reuses the compiled program instead of validating again."""
+        model = parse_model(FANOUT)
+        inv = P.parse_properties("invariant s : always "
+                                 "(steps_within {F, B0, B1, B2, J});",
+                                 model)[0]
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Proved)
+        data = C.emit(model, inv, res.tree)
+        validated, validate = [], F.validate_fbd
+
+        def counted(f, env):
+            validated.append(f.name)
+            return validate(f, env)
+
+        monkeypatch.setattr(F, "validate_fbd", counted)
+        assert C.check(data).accepted
+        assert sorted(validated) == ["Cnt0", "Cnt1", "Cnt2"]
 
 
 class TestTrustedCore:

@@ -40,6 +40,14 @@ class TestParse:
         finally:
             bad.unlink()
 
+    def test_non_ascii_digit_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "digit.sfc"
+        bad.write_text("var x : int16\nstep S [initial]\n"
+                       "action A on S { x := x + ²; }\n", encoding="utf-8")
+        assert main(["parse", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: line 3, col 26: unexpected character '²'\n")
+
     def test_width_changing_assignment_exits_2(self, tmp_path):
         bad = tmp_path / "mixed.sfc"
         bad.write_text(MIXED_WIDTH)

@@ -142,13 +142,13 @@ class TestCompile:
 
 class TestLinearSummary:
     def test_increment(self):
-        s = F.linear_summary(parse(INC), {"x": "int16"})
+        s = F.linear_summary(F.compile_fbd(parse(INC), {"x": "int16"}))
         assert set(s) == {"x"}
         assert s["x"].coeffs == (("x", 1),)
         assert s["x"].const == 1
 
     def test_counter_is_constant(self):
-        s = F.linear_summary(parse(COUNTER), {"out": "int16"})
+        s = F.linear_summary(F.compile_fbd(parse(COUNTER), {"out": "int16"}))
         assert s["out"].coeffs == ()
         assert s["out"].const == 3
 
@@ -156,12 +156,13 @@ class TestLinearSummary:
         f = parse("{ block r = read x\n block c = lt(r.out, const 10)\n"
                   "  block m = mux(c.out, const 1, const 0)\n"
                   "  block w = write y (m.out) }")
-        assert F.linear_summary(f, {"x": "int16", "y": "int16"}) is None
+        p = F.compile_fbd(f, {"x": "int16", "y": "int16"})
+        assert F.linear_summary(p) is None
 
     def test_summary_agrees_with_evaluation(self):
         f = parse(TWO_IN)
-        s = F.linear_summary(f, {"x": "int16", "y": "int16", "z": "int16"})
         p = F.compile_fbd(f, ENV16)
+        s = F.linear_summary(p)
         for x in (0, 1, 7, 65535):
             for y in (0, 3, 65535):
                 m = dict(x=x, y=y, z=0)

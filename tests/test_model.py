@@ -91,6 +91,19 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.col == 6
 
+    def test_non_ascii_digit_is_an_unexpected_character(self):
+        with pytest.raises(ParseError) as err:
+            parse_model("var x : int16\nstep S [initial]\n"
+                        "action A on S { x := x + ²; }\n")
+        assert str(err.value) == "line 3, col 26: unexpected character '²'"
+        with pytest.raises(ParseError, match="unexpected character '٣'"):
+            parse_model("var x : int16 = ٣\n" + MINIMAL)
+
+    def test_overlong_number_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="line 1, col 17: number too "
+                                             "long"):
+            parse_model("var x : int16 = 1" + "0" * 5000 + "\n" + MINIMAL)
+
     def test_initializers_parse(self):
         model = parse_model("var x : int16 = 7\nvar t : int32 [time]\n"
                             "var b : bool = true\n" + MINIMAL)
