@@ -8,17 +8,21 @@ Layout (UTF-8 text, LF line endings):
     <canonical model text>
     --- property
     invariant <name> : always (<formula>);
+    [invariant <target name> : always (<target formula>);]
     --- proof
     <proof tree, see prooftree>
 
-The checker trusts nothing from the proof section except which hypothesis
-cubes are claimed contradictory and the witness hint lines.  It re-parses
-the embedded model, re-evaluates the property on the initial configuration,
-re-enumerates every rule instance, re-derives every obligation cube from
-the model and property alone, and replays each witness against its
-re-derived cube.  Replay is integer arithmetic without search, so
-acceptance implies the property holds in every reachable configuration;
-a bad certificate can only be rejected, never believed.
+The property section holds an invariant I, optionally followed by a target
+P (without one, P is I).  The checker trusts nothing from the proof section
+except which hypothesis cubes are claimed contradictory and the witness
+hint lines.  It re-parses the embedded model, re-evaluates I on the initial
+configuration, re-enumerates every rule instance, re-derives every
+obligation cube from the model and property alone, and replays each
+witness against its re-derived cube; with a target, a last case ``entail``
+refutes I jointly with each negated conjunct of P.  So I is inductive and
+I implies P.  Replay is integer arithmetic without search, so acceptance
+implies P holds in every reachable configuration; a bad certificate can
+only be rejected, never believed.
 
 Rejection never means the property is false, only that this certificate
 does not establish it.
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 from . import obligations as O
 from . import properties as P
 from .lia.witness import replay_witness
-from .model import (SfcModel, canonical_text, init_state, model_digest,
-                    parse_model)
+from .model import (SfcModel, canonical_text, init_state, parse_model,
+                    text_digest)
 from .parsing import ParseError
 from .prooftree import ProofSyntaxError, ProofTree, parse_proof_lines, \
     proof_lines
@@ -63,19 +67,21 @@ class EmitError(Exception):
     pass
 
 
-def emit(model: SfcModel, inv: P.Invariant, tree: ProofTree) -> bytes:
-    """Byte-deterministic certificate for a proved invariant."""
+def emit(model: SfcModel, inv: P.Invariant, tree: ProofTree,
+         target: P.Invariant | None = None) -> bytes:
+    """Byte-deterministic certificate for a proved invariant and, when
+    given, the target it implies."""
     if tree is None:
         raise EmitError("no proof tree to embed; the result is not a "
                         "certifiable proof")
     labels = [c.label for c in tree.cases]
-    expected = [r.label() for r in model.rules]
-    if labels != expected:
+    if labels != [r.label() for r in O.proof_cases(model, target)]:
         raise EmitError("proof tree does not cover the rule instances")
-    parts = [MAGIC, f"digest: {model_digest(model)}", "--- model",
-             canonical_text(model).rstrip("\n"), "--- property",
-             P.invariant_text(inv), "--- proof"]
-    parts.extend(proof_lines(tree))
+    text = canonical_text(model)
+    props = (inv,) if target is None else (inv, target)
+    parts = [MAGIC, f"digest: {text_digest(text)}", "--- model",
+             text.rstrip("\n"), "--- property",
+             *map(P.invariant_text, props), "--- proof", *proof_lines(tree)]
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
@@ -130,16 +136,17 @@ def _check(data: bytes) -> CheckVerdict:
     if canonical_text(model) != model_text:
         return _rejected("model-canonical: embedded model text is not in "
                          "canonical form")
-    if model_digest(model) != digest:
+    if text_digest(model_text) != digest:
         return _rejected("digest: header does not match the embedded model")
 
     try:
         invs = P.parse_properties(prop_text, model)
     except ParseError as err:
         return _rejected(f"property-parse: {err}")
-    if len(invs) != 1:
-        return _rejected("property-parse: expected exactly one invariant")
-    inv = invs[0]
+    if not 1 <= len(invs) <= 2:
+        return _rejected("property-parse: expected an invariant and at "
+                         "most one target")
+    inv, target = invs[0], invs[1].formula if len(invs) == 2 else None
 
     try:
         tree = parse_proof_lines(proof_raw)
@@ -151,14 +158,15 @@ def _check(data: bytes) -> CheckVerdict:
         return _rejected("base: property fails in the initial configuration",
                          "base")
 
-    # exhaustive case distinction over the model's own rule instances
-    labels = [c.label for c in tree.cases]
-    if labels != [r.label() for r in model.rules]:
+    # exhaustive case distinction over the model's own rule instances,
+    # then the entailment of the target
+    rules = O.proof_cases(model, target)
+    if [c.label for c in tree.cases] != [r.label() for r in rules]:
         return _rejected("coverage: case distinction does not match the "
                          "rule instances", "cases")
 
-    context = O.DerivationContext(model, inv.formula)
-    for rule, case in zip(model.rules, tree.cases):
+    context = O.DerivationContext(model, inv.formula, target=target)
+    for rule, case in zip(rules, tree.cases):
         where = ("cases", case.label)
         try:
             ob = O.build_obligation(context, rule)

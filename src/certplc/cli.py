@@ -15,7 +15,7 @@ from . import certificate as C
 from . import properties as P
 from . import semantics as S
 from . import verifier as V
-from .model import canonical_text, model_digest, parse_model, validate
+from .model import canonical_text, parse_model, text_digest, validate
 from .parsing import ParseError
 
 
@@ -40,15 +40,15 @@ def _emit_report(args, payload: dict, text_lines: list[str]):
 def _cmd_parse(args) -> int:
     model = _load_model(args.model)
     problems = validate(model)
+    text = canonical_text(model)
     payload = {
-        "digest": model_digest(model),
+        "digest": text_digest(text),
         "steps": list(model.steps),
         "transitions": len(model.transitions),
         "actions": list(model.action_ids()),
         "violations": problems,
     }
-    lines = [canonical_text(model).rstrip("\n"),
-             f"digest: {model_digest(model)}"]
+    lines = [text.rstrip("\n"), f"digest: {payload['digest']}"]
     _emit_report(args, payload, lines)
     return 0 if not problems else 1
 

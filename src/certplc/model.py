@@ -2,7 +2,7 @@
 
 The external text format is line oriented with ``#`` comments:
 
-    var x : int16                 # optionally `= LIT` and/or `[time]`
+    var x : int16                 # optionally `= LIT`
     step Init [initial]
     action A_Init on Init { x := x + 1; }
     action A_Cnt on Init = fbd F1
@@ -40,7 +40,6 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 class VarDecl:
     name: str
     ty: str
-    is_time: bool = False
     init: int | None = None  # bools use 0/1
 
     def initial_value(self) -> int:
@@ -246,8 +245,6 @@ def validate(model: SfcModel) -> list[str]:
         if v.ty not in E.TYPES:
             out.append(f"variable {v.name!r} has unknown type {v.ty!r}")
             continue
-        if v.is_time and v.ty == "bool":
-            out.append(f"time flag on boolean variable {v.name!r}")
         if v.init is not None and not 0 <= v.init <= E.max_of(v.ty):
             out.append(f"initializer of {v.name!r} out of range")
 
@@ -371,15 +368,7 @@ def parse_model(text: str) -> SfcModel:
                 if init > E.max_of(tyt.text):
                     raise ParseError(f"initializer {init} out of range "
                                      f"for {tyt.text}", lt.line, lt.col)
-            is_time = False
-            if ts.accept("["):
-                ts.expect("time")
-                ts.expect("]")
-                is_time = True
-                if tyt.text == "bool":
-                    raise ParseError("time flag on boolean variable",
-                                     tyt.line, tyt.col)
-            vars_.append(VarDecl(name, tyt.text, is_time, init))
+            vars_.append(VarDecl(name, tyt.text, init))
         elif ts.accept("step"):
             name = ts.ident().text
             if ts.accept("["):
@@ -471,8 +460,6 @@ def canonical_text(model: SfcModel) -> str:
                 s += " = " + ("true" if v.init else "false")
             else:
                 s += f" = {v.init}"
-        if v.is_time:
-            s += " [time]"
         lines.append(s)
     initial = set(model.initial)
     for s in sorted(model.steps):
@@ -496,6 +483,11 @@ def canonical_text(model: SfcModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_digest(text: str) -> str:
+    """SHA-256 of a canonical model text, as 64 hex digits."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def model_digest(model: SfcModel) -> str:
-    """SHA-256 of the canonical text, as 64 hex digits."""
-    return hashlib.sha256(canonical_text(model).encode("utf-8")).hexdigest()
+    """SHA-256 of the model's canonical text, as 64 hex digits."""
+    return text_digest(canonical_text(model))

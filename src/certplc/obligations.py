@@ -19,7 +19,9 @@ formula.  The rule holds when every hypothesis cube is jointly
 unsatisfiable with every negated-conclusion cube.  Both the verifier and
 the certificate checker derive obligations through this module, so a
 certificate only needs to say which cubes are contradictory and supply the
-witnesses.
+witnesses.  A property with a target adds one obligation, ENTAIL: the
+invariant's pre-state cubes against each target conjunct negated on the
+same pre-state.
 
 Everything here is deterministic in the model and property alone.
 """
@@ -52,10 +54,27 @@ class ObligationOverflow(Exception):
 
 
 @dataclass(frozen=True)
+class Entailment:
+    """The proof case after the rules when there is a target: I implies P."""
+
+    def label(self) -> str:
+        return "entail"
+
+
+ENTAIL = Entailment()
+
+
+def proof_cases(model: SfcModel, target) -> tuple:
+    """One proof case per rule instance, in enumeration order, then ENTAIL
+    when there is a target."""
+    return (*model.rules, *(() if target is None else (ENTAIL,)))
+
+
+@dataclass(frozen=True)
 class CaseObligation:
-    rule: RuleInstance
+    rule: RuleInstance | Entailment
     hyp_cubes: Dnf
-    neg_concl: tuple[Dnf, ...]  # per top-level conjunct of the invariant
+    neg_concl: tuple[Dnf, ...]  # per top-level conjunct of the conclusion
 
 
 def step_var(s: str) -> str:
@@ -166,8 +185,8 @@ def _post_subst(summary: dict[str, LinForm]) -> dict[str, LinForm]:
 # --- one derivation context per (model, formula, cap) ----------------------
 
 class DerivationContext:
-    """The inputs of a derivation (model, property, disjunct cap) and the
-    obligation pieces shared by every rule instance of that property.
+    """The inputs of a derivation (model, invariant, disjunct cap, optional
+    target) and the obligation pieces shared by every proof case of them.
 
     The symbolic env, the pre-state map, the property's pre-state DNF, each
     pre-state normalization of a guard or atom and each subset atom's
@@ -190,10 +209,12 @@ class DerivationContext:
     expressions carry equal widths.
     """
 
-    def __init__(self, model: SfcModel, formula: P.Formula, cap: int = 512):
+    def __init__(self, model: SfcModel, formula: P.Formula, cap: int = 512,
+                 target: P.Formula | None = None):
         self.model = model
         self.formula = formula
         self.cap = cap
+        self.target = target
         self._memo: dict = {}
 
     @cached_property
@@ -252,43 +273,48 @@ class DerivationContext:
 
 
 def build_obligation(ctx: DerivationContext,
-                     rule: RuleInstance) -> CaseObligation:
-    """Induction obligation for one rule instance of *ctx*'s model and
-    property.
+                     rule: RuleInstance | Entailment) -> CaseObligation:
+    """Obligation for one proof case of *ctx*'s model and property: the
+    induction step of a rule instance, or for ENTAIL the invariant's
+    pre-state cubes against the negated target conjuncts on the pre-state.
 
-    Pass the same context for every rule instance of one property to derive
-    the shared pieces once.  Raises UnsupportedEffect for opaque effects and
+    Pass the same context for every case of one property to derive the
+    shared pieces once.  Raises UnsupportedEffect for opaque effects and
     for guards or atoms outside the linear fragment, and ObligationOverflow
     when the disjunct caps are exceeded; both leave the property undecided,
     never wrongly proved.
     """
     model, cap, env = ctx.model, ctx.cap, ctx.env
-    shape = model.rules[rule]
     try:
-        summary = None if shape.action is None else \
-            effect_summary(model, shape.action)
-        hyp: Dnf = (clean_cube(
-            tuple([_eq01(act_var(a), 1) for a in shape.pending]
-                  + [_eq01(step_var(s), 1) for s in shape.steps]
-                  + [_eq01(act_var(a), 0) for a in shape.idle])),)
-        for g in shape.guards:
-            hyp = dnf_and(hyp, ctx.normalized(g), cap)
-        for g in shape.blocked:
-            hyp = dnf_and(hyp, ctx.normalized(g, negate=True), cap)
-        hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
-        if summary is not None:
-            hyp = dnf_and(hyp, _post_definitions(summary, env, cap), cap)
-        steps = dict(ctx.pre.steps)
-        steps.update(dict.fromkeys(shape.steps_off, 0))
-        steps.update(dict.fromkeys(shape.steps_on, 1))
-        actions = dict(ctx.pre.actions)
-        actions.update(dict.fromkeys(shape.acts_off, 0))
-        actions.update(dict.fromkeys(shape.acts_on, 1))
-        post = _StateMap(steps, actions,
-                         None if summary is None else _post_subst(summary))
+        if rule is ENTAIL:
+            hyp, post, concl = ctx.pre_dnf(), ctx.pre, ctx.target
+        else:
+            shape = model.rules[rule]
+            summary = None if shape.action is None else \
+                effect_summary(model, shape.action)
+            hyp = (clean_cube(
+                tuple([_eq01(act_var(a), 1) for a in shape.pending]
+                      + [_eq01(step_var(s), 1) for s in shape.steps]
+                      + [_eq01(act_var(a), 0) for a in shape.idle])),)
+            for g in shape.guards:
+                hyp = dnf_and(hyp, ctx.normalized(g), cap)
+            for g in shape.blocked:
+                hyp = dnf_and(hyp, ctx.normalized(g, negate=True), cap)
+            hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
+            if summary is not None:
+                hyp = dnf_and(hyp, _post_definitions(summary, env, cap), cap)
+            steps = dict(ctx.pre.steps)
+            steps.update(dict.fromkeys(shape.steps_off, 0))
+            steps.update(dict.fromkeys(shape.steps_on, 1))
+            actions = dict(ctx.pre.actions)
+            actions.update(dict.fromkeys(shape.acts_off, 0))
+            actions.update(dict.fromkeys(shape.acts_on, 1))
+            post = _StateMap(steps, actions, None if summary is None
+                             else _post_subst(summary))
+            concl = ctx.formula
         hyp = tuple(attach_bounds(c, env) for c in hyp)
         neg = []
-        for conjunct in P.conjuncts(ctx.formula):
+        for conjunct in P.conjuncts(concl):
             dnf = ctx.formula_dnf(conjunct, post, negated=True)
             neg.append(tuple(attach_bounds(c, env) for c in dnf))
     except CubeOverflow as err:

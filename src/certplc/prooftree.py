@@ -1,10 +1,12 @@
 """Proof trees for inductive invariants.
 
 Shape: an induction node with a base leaf and an exhaustive case
-distinction over rule instances.  Under each case, one entry per
-hypothesis cube (disjunct split); each entry is either a contradiction
-leaf refuting the hypothesis cube or, split by invariant conjunct, an
-arithmetic leaf with one witness per negated-conclusion cube.
+distinction over rule instances, followed by ``case entail`` when the
+certificate has a target (its hypothesis cubes are the invariant's, its
+conjuncts the target's).  Under each case, one entry per hypothesis cube
+(disjunct split); each entry is either a contradiction leaf refuting the
+hypothesis cube or, split by conclusion conjunct, an arithmetic leaf with
+one witness per negated-conclusion cube.
 
 The text form is line based with explicit counts, so parsing needs no
 lookahead and rejects any truncation:

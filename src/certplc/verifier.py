@@ -1,16 +1,19 @@
-"""Proof search for inductive invariants and the derived lemma checks.
+"""Proof search for inductive invariants, and the lemma claims built on it.
 
 Untrusted by design: everything produced here is re-derived and replayed by
-the certificate checker.  A property is proved by induction over the
+the certificate checker.  An invariant is proved by induction over the
 reachable-state construction: it must hold in the initial configuration and
 be preserved by every rule instance (one case per action block, per
 transition and per step).  Case hypotheses found contradictory are closed
-with a refutation witness; the remaining cases must entail the property on
-the symbolic post-state.
+with a refutation witness; the remaining cases must entail the invariant on
+the symbolic post-state.  An optional target is proved by one more case,
+``entail``: every state satisfying the invariant satisfies the target.
 
 A refutation of an inductive case is reported as an inductiveness
 counterexample only; it says nothing about reachability of the violating
-configuration.
+configuration.  The lemma claims (unreachable steps, determined
+successors) only build an invariant and a target; they are proved and
+certified like any other property.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from .lia.solver import (DeciderResourceError, FragmentViolation, Sat,
                          decide_sat)
 # normalize is not called here, but perfbench/tracing.py wraps
 # verifier.normalize, so the name stays importable
-from .linear import (TRUE_DNF, CubeOverflow, FragmentError, attach_bounds,
-                     dnf_and, normalize)
+from .linear import normalize
 from .model import RuleInstance, SfcModel, init_state
 from .prooftree import ArithLeaf, CaseProof, HypEntry, ProofTree
 
@@ -39,14 +41,14 @@ class Proved:
 
 @dataclass
 class Refuted:
-    rule: RuleInstance | None  # None means the base case failed
+    rule: RuleInstance | O.Entailment | None  # None: the base case failed
     assignment: dict = field(default_factory=dict)
     note: str = ""
 
 
 @dataclass
 class Undecided:
-    rule: RuleInstance | None
+    rule: RuleInstance | O.Entailment | None
     reason: str = ""
 
 
@@ -61,15 +63,17 @@ def check_base(model: SfcModel, formula: P.Formula):
     return Refuted(None, dict(state.mem), "fails in the initial configuration")
 
 
-def iter_obligations(model: SfcModel, formula: P.Formula):
-    """One obligation per rule instance, in enumeration order, each derived
-    when the caller asks for it from one shared derivation context.
+def iter_obligations(model: SfcModel, formula: P.Formula,
+                     target: P.Formula | None = None):
+    """One obligation per proof case (each rule instance in enumeration
+    order, then the entailment when there is a target), each derived when
+    the caller asks for it from one shared derivation context.
 
     Opaque or oversized cases yield (rule, Undecided) so callers report
     them instead of silently skipping.
     """
-    ctx = O.DerivationContext(model, formula)
-    for rule in model.rules:
+    ctx = O.DerivationContext(model, formula, target=target)
+    for rule in O.proof_cases(model, target):
         try:
             yield rule, O.build_obligation(ctx, rule)
         except (O.UnsupportedEffect, O.ObligationOverflow) as err:
@@ -94,7 +98,9 @@ def discharge(ob: O.CaseObligation):
                     sub = decide_sat(joint, after=res)
                     if isinstance(sub, Sat):
                         return Refuted(ob.rule, sub.assignment,
-                                       "inductive step violated")
+                                       "invariant does not imply the target"
+                                       if ob.rule is O.ENTAIL
+                                       else "inductive step violated")
                     witnesses.append(sub.witness)
                 leaves.append(ArithLeaf(tuple(witnesses)))
             entries.append(HypEntry(conjuncts=tuple(leaves)))
@@ -103,8 +109,10 @@ def discharge(ob: O.CaseObligation):
     return CaseProof(ob.rule.label(), tuple(entries))
 
 
-def verify_invariant(model: SfcModel, inv: P.Invariant) -> VerifyResult:
-    """Induction proof attempt for one invariant."""
+def verify_invariant(model: SfcModel, inv: P.Invariant,
+                     target: P.Invariant | None = None) -> VerifyResult:
+    """Induction proof attempt for one invariant and, when given, the proof
+    that it implies the target."""
     base = check_base(model, inv.formula)
     if base is not None:
         return base
@@ -112,7 +120,8 @@ def verify_invariant(model: SfcModel, inv: P.Invariant) -> VerifyResult:
     undecided = None
     # deriving each case just before discharging it stops the derivation
     # at the first refuted case
-    for _, ob in iter_obligations(model, inv.formula):
+    for _, ob in iter_obligations(
+            model, inv.formula, None if target is None else target.formula):
         res = ob
         if not isinstance(ob, Undecided):
             res = discharge(ob)
@@ -150,104 +159,60 @@ def gen_basic_lemmas(model: SfcModel):
     return out
 
 
-# disjunct cap of the lemma checks' hypothesis products
-LEMMA_CAP = 4096
+def check_guard_unreachable(model: SfcModel, step: str,
+                            context: tuple[P.Formula, ...] = ()):
+    """The claim that a non-initial step never activates, as the
+    (invariant, target) pair that verify_invariant and emit take.
 
-
-def _first_sat(der: O.DerivationContext, hyp, dnf):
-    """An assignment satisfying some cube of hyp ∧ dnf, or None."""
-    for cube in dnf_and(hyp, dnf, LEMMA_CAP):
-        res = decide_sat(attach_bounds(cube, der.env))
-        if isinstance(res, Sat):
-            return res.assignment
-    return None
-
-
-def check_guard_unreachable(model: SfcModel, target: str,
-                            context: tuple[P.Formula, ...] = ()
-                            ) -> VerifyResult:
-    """Prove a non-initial step can never activate.
-
-    Every transition into the target must have a guard that is
-    unsatisfiable under the context invariants.  The context is conjoined
-    into the certified property and re-proved with it, so the result is
-    self-contained even though callers normally prove the context first.
-    When some guard stays satisfiable the result is Undecided and names
-    the transition; a guard outside the linear fragment is Undecided too.
+    Without context the invariant is ``!step(S)`` and there is no target.
+    With context it is the context conjoined with ``!step(S)``, proved
+    inductive together, and the target is ``!step(S)``: the certificate
+    re-proves the context instead of trusting it.
     """
-    if target in model.initial:
-        raise ValueError(f"step {target!r} is initial")
-    if target not in model.steps:
-        raise ValueError(f"unknown step {target!r}")
-    prop = reduce(E.And, (*context, E.Not(P.StepActive(target))))
-    der = O.DerivationContext(model, prop)
-    try:
-        ctx_dnf = TRUE_DNF
-        for f in context:
-            ctx_dnf = dnf_and(ctx_dnf, der.formula_dnf(f, der.pre), der.cap)
-        for i, t in enumerate(model.transitions):
-            if target not in t.targets:
-                continue
-            if _first_sat(der, ctx_dnf, der.normalized(t.guard)) is not None:
-                return Undecided(None,
-                                 f"guard of transition {i} into "
-                                 f"{target!r} is satisfiable under the "
-                                 f"context")
-    except (CubeOverflow, FragmentError) as err:
-        return Undecided(None, str(err))
-    inv = P.Invariant(f"unreachable_{target}", prop)
-    return verify_invariant(model, inv)
-
-
-@dataclass
-class DeterminedResult:
-    status: str  # proved | refuted | undecided
-    offenders: tuple[tuple[int, dict], ...] = ()
-    reason: str = ""
+    if step in model.initial:
+        raise ValueError(f"step {step!r} is initial")
+    if step not in model.steps:
+        raise ValueError(f"unknown step {step!r}")
+    goal = P.Invariant(f"unreachable_{step}", E.Not(P.StepActive(step)))
+    if not context:
+        return goal, None
+    return _with_context(f"unreachable_{step}_ctx", context,
+                         goal.formula), goal
 
 
 def check_determined_successor(model: SfcModel, trigger: P.Formula,
                                step: str,
-                               context: tuple[P.Formula, ...] = ()
-                               ) -> DeterminedResult:
-    """Whenever the trigger holds, only transitions targeting exactly the
-    given step can fire, and at least one of them is a candidate.
+                               context: tuple[P.Formula, ...] = ()):
+    """The claim that whenever the trigger holds, only transitions
+    targeting exactly the given step can fire, and at least one of them is
+    a candidate, as the (invariant, target) pair that verify_invariant and
+    emit take.
 
-    The candidate reading ignores pending action blocks: a transition is a
-    candidate when its sources are active and its guard holds.  Exclusivity
+    The invariant is the context (``true`` when there is none).  The
+    target has one conjunct ``!trigger || !enabled`` per transition with
+    other targets and one ``!trigger || <some candidate enabled>``.  The
+    candidate reading ignores pending action blocks: a transition is
+    enabled when its sources are active and its guard holds.  Exclusivity
     under that weaker reading is sound for the full firing condition.
-    Context invariants must be proved separately.
     """
     if step not in model.steps:
         raise ValueError(f"unknown step {step!r}")
-    der = O.DerivationContext(model, trigger, LEMMA_CAP)
-    offenders = []
-    candidates = []
-    try:
-        hyp = der.pre_dnf()
-        for f in context:
-            hyp = dnf_and(hyp, der.formula_dnf(f, der.pre), LEMMA_CAP)
-        for i, t in enumerate(model.transitions):
-            enabled = reduce(E.And, map(P.StepActive, t.sources), t.guard)
-            if set(t.targets) == {step}:
-                candidates.append(enabled)
-                continue
-            hit = _first_sat(der, hyp, der.formula_dnf(enabled, der.pre))
-            if hit is not None:
-                offenders.append((i, hit))
-        if offenders:
-            return DeterminedResult("refuted", tuple(offenders),
-                                    "trigger enables a transition with a "
-                                    "different target")
-        if not candidates:
-            return DeterminedResult(
-                "undecided", (), f"no transition targets exactly {{{step}}}")
-        neg = der.formula_dnf(reduce(E.Or, candidates), der.pre, negated=True)
-        if _first_sat(der, hyp, neg) is not None:
-            return DeterminedResult(
-                "undecided", (),
-                "trigger does not force any candidate transition")
-    except (CubeOverflow, FragmentError, DeciderResourceError,
-            FragmentViolation) as err:
-        return DeterminedResult("undecided", (), str(err))
-    return DeterminedResult("proved")
+    candidates, claims = [], []
+    for t in model.transitions:
+        enabled = reduce(E.And, map(P.StepActive, t.sources), t.guard)
+        if set(t.targets) == {step}:
+            candidates.append(enabled)
+        else:
+            claims.append(E.Or(E.Not(trigger), E.Not(enabled)))
+    claims.append(reduce(E.Or, candidates, E.Not(trigger)))
+    return (_with_context(f"determined_{step}_ctx", context),
+            P.Invariant(f"determined_{step}", reduce(E.And, claims)))
+
+
+def _with_context(name: str, context, *more: P.Formula) -> P.Invariant:
+    """The conjuncts of the context formulas and *more*, joined left to
+    right as the property parser joins them (``true`` when empty), so the
+    certificate's property line parses back to the same formula."""
+    parts = [c for f in context for c in P.conjuncts(f)] + list(more)
+    return P.Invariant(name, reduce(E.And, parts) if parts
+                       else E.BoolLit(True))

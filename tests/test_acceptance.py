@@ -275,13 +275,16 @@ def test_criterion_6_tamper_resistance():
 
 
 def test_criterion_7_library_lemmas():
-    # unreachable step under a proved context invariant
+    # unreachable step under a context invariant, re-proved in the
+    # certificate together with the step's unreachability
     model = load_model("dead_ctx")
     ctx = P.parse_formula_text("0 < y", model)
     ctx_res = V.verify_invariant(model, P.Invariant("ctx", ctx))
     assert isinstance(ctx_res, V.Proved)
-    res = V.check_guard_unreachable(model, "Dead", context=(ctx,))
-    unreachable_ok = isinstance(res, V.Proved)
+    inv, target = V.check_guard_unreachable(model, "Dead", context=(ctx,))
+    res = V.verify_invariant(model, inv, target)
+    unreachable_ok = isinstance(res, V.Proved) and C.check(
+        C.emit(model, inv, res.tree, target)).accepted
     explorer_ok = all("Dead" not in s.active_steps
                       for s in reachable_bounded(model, 30))
 
@@ -291,9 +294,11 @@ def test_criterion_7_library_lemmas():
     assert isinstance(V.verify_invariant(loop, P.Invariant("m", mutex)),
                       V.Proved)
     trigger = P.parse_formula_text("x >= 10 && step(Init)", loop)
-    det = V.check_determined_successor(loop, trigger, "Return",
-                                       context=(mutex,))
-    det_ok = det.status == "proved"
+    inv, target = V.check_determined_successor(loop, trigger, "Return",
+                                               context=(mutex,))
+    det = V.verify_invariant(loop, inv, target)
+    det_ok = isinstance(det, V.Proved) and C.check(
+        C.emit(loop, inv, det.tree, target)).accepted
     det_oracle = True
     for s in reachable_bounded(loop, 40):
         if P.holds_on(trigger, s):
@@ -303,9 +308,9 @@ def test_criterion_7_library_lemmas():
             det_oracle &= bool(fired) and all(t == ("Return",)
                                               for t in fired)
     ok = unreachable_ok and explorer_ok and det_ok and det_oracle
-    report(7, ok, f"unreachable={'Proved' if unreachable_ok else res}/"
-                  f"oracle={explorer_ok}, determined={det.status}/"
-                  f"oracle={det_oracle}")
+    report(7, ok, f"unreachable={'certified' if unreachable_ok else res}/"
+                  f"oracle={explorer_ok}, determined="
+                  f"{'certified' if det_ok else det}/oracle={det_oracle}")
 
 
 def test_criterion_8_fbd_equivalence():

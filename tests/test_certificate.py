@@ -23,6 +23,29 @@ def proved_certificate(name="loop", index=1):
     return model, inv, C.emit(model, inv, res.tree)
 
 
+def target_certificates():
+    """Certificates with a target, from the two lemma claims: Dead
+    unreachable in dead_ctx under the context ``0 < y``, and the loop's
+    exit trigger determining Return under the mutex context.  Maps a name
+    to (model, invariant, target, certificate bytes)."""
+    dead = load_model("dead_ctx")
+    loop = load_model("loop")
+    claims = {
+        "dead_ctx/unreachable": (dead, V.check_guard_unreachable(
+            dead, "Dead", (P.parse_formula_text("0 < y", dead),))),
+        "loop/determined": (loop, V.check_determined_successor(
+            loop, P.parse_formula_text("x >= 10 && step(Init)", loop),
+            "Return",
+            (P.parse_formula_text("!step(Init) || !step(Step2)", loop),))),
+    }
+    out = {}
+    for name, (model, (inv, target)) in claims.items():
+        res = V.verify_invariant(model, inv, target)
+        assert isinstance(res, V.Proved), name
+        out[name] = (model, inv, target, C.emit(model, inv, res.tree, target))
+    return out
+
+
 def refresh_digest(text: str) -> str:
     """Recompute the digest line from the embedded model section."""
     body = text.split("--- model\n", 1)[1].split("--- property", 1)[0]
@@ -225,16 +248,25 @@ class TestPropertyMutants:
         from conftest import fixture_names
         from certplc.semantics import reachable_bounded
         rng = random.Random(9)
-        tried = accepted = 0
+        inputs = []  # (name, model, certificate text, property lines)
         for name in fixture_names():
             model = load_model(name)
-            states = reachable_bounded(model, 25)
             for inv in load_invariants(name, model):
                 res = V.verify_invariant(model, inv)
-                if not isinstance(res, V.Proved):
-                    continue
-                text = C.emit(model, inv, res.tree).decode()
-                line = P.invariant_text(inv)
+                if isinstance(res, V.Proved):
+                    inputs.append((name, model,
+                                   C.emit(model, inv, res.tree).decode(),
+                                   [P.invariant_text(inv)]))
+        for name, (model, inv, target, data) in target_certificates().items():
+            inputs.append((name, model, data.decode(),
+                           [P.invariant_text(inv), P.invariant_text(target)]))
+        tried = accepted = 0
+        explored = {}
+        for name, model, text, lines in inputs:
+            if id(model) not in explored:
+                explored[id(model)] = reachable_bounded(model, 25)
+            states = explored[id(model)]
+            for line in lines:
                 assert text.count(line + "\n") == 1
                 for mutant in property_mutants(line, model, rng):
                     tried += 1
@@ -374,11 +406,11 @@ FIXTURE_CERT_SHA256 = {
     "parallel/x_in_range":
         "07e8ca23cb5ecd32649da6eeade4fdbab23d64736ad775c0324e5a7d45c746d2",
     "timer/one_tick":
-        "0a781ba699918a87152c68e5f9b31a8ee5b4fa4ce6b18e8bfb831b6ce42a6248",
+        "491f29ecb720678e43a4cd32ef8ddea9502b689ba360ab3c05ab1b381cd9caac",
     "timer/t_in_range":
-        "41fec1aa28a409df1c7fe4be88e9ff7484065a752d1386e15f4c15900f4d8db3",
+        "5800e99e4a57e48c1489443d2715172f482910813921ce778c635c72314b8468",
     "timer/acts_declared":
-        "ba90c9256b881d964cf0b95e94de01bfaa9d0f350f5ed6e5eb1683c68275d96d",
+        "d47867c63c6fb1c4a861500a8885ee219886b3b10dfcf38012bb2c0c61339a30",
     "toggle/mutex":
         "afc67a34f6023151539f4a556a284d6bfe59a63a2865f29fe45afbe66146209d",
     "toggle/n_in_range":
@@ -434,6 +466,74 @@ class TestCertificateBytes:
                    for ln in data.decode().split("\n"))
         assert hashlib.sha256(data).hexdigest() == \
             self.LOCKSTEP_CERT_SHA256[(width, c)]
+
+    # the two lemma claims' certificates, each with a target and a
+    # closing entail case
+    TARGET_CERT_SHA256 = {
+        "dead_ctx/unreachable":
+            "75b6a3136c3d3bc20ecf45c5d2a3de5254d93bd57f9d2a0b27cd606d57cc36ee",
+        "loop/determined":
+            "234bda365f36c3a0c0331cb1e23bec809951f7272a059532fe5e5f8544b2c803",
+    }
+
+    def test_target_certificates_are_byte_identical(self):
+        import hashlib
+        got = {name: hashlib.sha256(data).hexdigest()
+               for name, (*_, data) in target_certificates().items()}
+        assert got == self.TARGET_CERT_SHA256
+
+
+class TestTargetCertificates:
+    """A certificate whose property section names an invariant and a
+    target: accepted as emitted, rejected once its proof or property no
+    longer establishes the target."""
+
+    @pytest.fixture(scope="class")
+    def certs(self):
+        return {name: data.decode() for name, (*_, data)
+                in target_certificates().items()}
+
+    def test_entail_case_deletion_is_coverage_error(self, certs):
+        for text in certs.values():
+            bad = text[:text.index("case entail hyps ")]
+            v = C.check(bad.encode())
+            assert not v.accepted and v.reason.startswith("coverage:")
+
+    def test_stronger_false_target_rejected(self, certs):
+        text = certs["dead_ctx/unreachable"]
+        line = "invariant unreachable_Dead : always (!step(Dead));"
+        assert line in text
+        bad = text.replace(line, "invariant unreachable_Dead : always "
+                                 "(!step(Dead) && 1 < y);")
+        v = C.check(bad.encode())
+        assert not v.accepted
+        assert v.path[:2] == ("cases", "entail"), v
+
+    def test_three_property_lines_rejected(self, certs):
+        text = certs["loop/determined"].replace(
+            "--- proof\n", "invariant extra : always (true);\n--- proof\n")
+        v = C.check(text.encode())
+        assert not v.accepted and v.reason.startswith("property-parse:")
+
+    def test_non_inductive_invariant_rejected(self, certs):
+        # !step(Dead) alone is true but not inductive: the context 0 < y
+        # is what closes the transition guarded by y == 0
+        text = certs["dead_ctx/unreachable"]
+        line = ("invariant unreachable_Dead_ctx : always "
+                "(0 < y && !step(Dead));")
+        assert line in text
+        bad = text.replace(line, "invariant unreachable_Dead_ctx : always "
+                                 "(!step(Dead));")
+        assert not C.check(bad.encode()).accepted
+
+    def test_emit_needs_entail_case_exactly_with_target(self):
+        model, inv, target, _ = target_certificates()["dead_ctx/unreachable"]
+        with_entail = V.verify_invariant(model, inv, target).tree
+        without = V.verify_invariant(model, inv).tree
+        with pytest.raises(C.EmitError):
+            C.emit(model, inv, with_entail)
+        with pytest.raises(C.EmitError):
+            C.emit(model, inv, without, target)
 
 
 def _module_imports(modname: str) -> set[str]:

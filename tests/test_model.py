@@ -81,9 +81,11 @@ class TestParse:
         with pytest.raises(ParseError, match="range"):
             parse_model("var x : int8 = 300\n" + MINIMAL)
 
-    def test_time_flag_on_bool_rejected(self):
-        with pytest.raises(ParseError, match="time"):
-            parse_model("var b : bool [time]\n" + MINIMAL)
+    def test_time_marker_rejected(self):
+        # the marker is no longer part of the format; time is a counter
+        for decl in ("var t : int32 [time]", "var b : bool [time]"):
+            with pytest.raises(ParseError):
+                parse_model(decl + "\n" + MINIMAL)
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -105,11 +107,11 @@ class TestParse:
             parse_model("var x : int16 = 1" + "0" * 5000 + "\n" + MINIMAL)
 
     def test_initializers_parse(self):
-        model = parse_model("var x : int16 = 7\nvar t : int32 [time]\n"
+        model = parse_model("var x : int16 = 7\nvar t : int32\n"
                             "var b : bool = true\n" + MINIMAL)
         by_name = {v.name: v for v in model.vars}
         assert by_name["x"].init == 7
-        assert by_name["t"].is_time
+        assert by_name["t"].init is None
         assert by_name["b"].init == 1
 
     def test_priority_parses(self):

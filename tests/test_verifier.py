@@ -2,6 +2,8 @@ import time
 
 import pytest
 
+from certplc import certificate as C
+from certplc import expr as E
 from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
@@ -277,13 +279,24 @@ class TestBasicLemmas:
         assert l2.formula == P.StepsWithin(("Init", "Return", "Step2"))
 
 
+def prove_claim(model, claim):
+    """verify_invariant of an (invariant, target) claim; a Proved result
+    must also certify: its certificate is emitted and accepted."""
+    inv, target = claim
+    res = V.verify_invariant(model, inv, target)
+    if isinstance(res, V.Proved):
+        assert C.check(C.emit(model, inv, res.tree, target)).accepted
+    return res
+
+
 class TestGuardUnreachable:
     def test_unsigned_negative_guard(self):
         m = parse_model("var x : int16\nstep A [initial]\nstep Dead\n"
                         "trans {A} -[ x < 0 ]-> {Dead}\n"
                         "trans {A} -[ true ]-> {A}\n")
-        res = V.check_guard_unreachable(m, "Dead")
-        assert isinstance(res, V.Proved)
+        inv, target = V.check_guard_unreachable(m, "Dead")
+        assert target is None  # without context the claim is !step(Dead)
+        assert isinstance(prove_claim(m, (inv, target)), V.Proved)
         assert oracle_holds(m, formula("!step(Dead)", m))
 
     def test_needs_context_invariant(self):
@@ -291,23 +304,41 @@ class TestGuardUnreachable:
         ctx = formula("0 < y", m)
         assert isinstance(V.verify_invariant(m, P.Invariant("c", ctx)),
                           V.Proved)
-        res = V.check_guard_unreachable(m, "Dead", context=(ctx,))
-        assert isinstance(res, V.Proved)
+        claim = V.check_guard_unreachable(m, "Dead", context=(ctx,))
+        assert isinstance(prove_claim(m, claim), V.Proved)
         assert oracle_holds(m, formula("!step(Dead)", m))
+        # without the context, !step(Dead) alone is not inductive
+        res = prove_claim(m, V.check_guard_unreachable(m, "Dead"))
+        assert isinstance(res, V.Refuted)
 
-    def test_satisfiable_guard_stays_undecided(self, loop_model):
-        res = V.check_guard_unreachable(loop_model, "Return")
-        assert isinstance(res, V.Undecided)
-        assert "transition 2" in res.reason
+    def test_satisfiable_guard_refuted(self, loop_model):
+        res = prove_claim(loop_model,
+                          V.check_guard_unreachable(loop_model, "Return"))
+        assert isinstance(res, V.Refuted)
+        assert res.rule.label() == "trans:2"
 
     def test_nonlinear_guard_stays_undecided(self):
-        res = V.check_guard_unreachable(parse_model(NONLINEAR_GUARD), "T")
+        m = parse_model(NONLINEAR_GUARD)
+        res = prove_claim(m, V.check_guard_unreachable(m, "T"))
         assert isinstance(res, V.Undecided)
         assert "multiplication" in res.reason
 
     def test_initial_target_rejected(self, loop_model):
         with pytest.raises(ValueError):
             V.check_guard_unreachable(loop_model, "Init")
+        with pytest.raises(ValueError):
+            V.check_guard_unreachable(loop_model, "Nowhere")
+
+
+def _holds_on_assignment(f, assignment):
+    """Truth of a formula on a refuting assignment of the symbolic state,
+    whose activity variables absent from it read 0."""
+    def leaf(g):
+        if isinstance(g, P.StepActive):
+            return assignment.get(O.step_var(g.step), 0) == 1
+        raise AssertionError(f"unexpected atom {g!r}")
+
+    return bool(E.eval_expr(f, assignment, leaf))
 
 
 class TestDeterminedSuccessor:
@@ -319,9 +350,9 @@ class TestDeterminedSuccessor:
         assert isinstance(
             V.verify_invariant(loop_model, P.Invariant("m", mutex)), V.Proved)
         trigger = formula("x >= 10 && step(Init)", loop_model)
-        res = V.check_determined_successor(loop_model, trigger, "Return",
-                                           context=(mutex,))
-        assert res.status == "proved"
+        claim = V.check_determined_successor(loop_model, trigger, "Return",
+                                             context=(mutex,))
+        assert isinstance(prove_claim(loop_model, claim), V.Proved)
         # explorer cross-check: in every reachable trigger state the only
         # firable transitions target exactly {Return}
         for s in reachable_bounded(loop_model, 40):
@@ -332,25 +363,36 @@ class TestDeterminedSuccessor:
                 assert fired and all(t == ("Return",) for t in fired)
 
     def test_false_trigger_vacuous(self, loop_model):
-        res = V.check_determined_successor(
+        claim = V.check_determined_successor(
             loop_model, formula("false", loop_model), "Return")
-        assert res.status == "proved"
+        assert isinstance(prove_claim(loop_model, claim), V.Proved)
 
     def test_overlapping_guards_refuted(self):
         m = load_model("ambiguous")
         trigger = formula("x >= 10 && step(S)", m)
-        res = V.check_determined_successor(m, trigger, "A")
-        assert res.status == "refuted"
-        assert [i for i, _ in res.offenders] == [1]
-        res_b = V.check_determined_successor(m, trigger, "B")
-        assert res_b.status == "refuted"
-        assert [i for i, _ in res_b.offenders] == [0]
+        # each step's claim fails on a trigger state that also enables the
+        # transition into the other step
+        for step, other in (("A", 1), ("B", 0)):
+            res = prove_claim(m, V.check_determined_successor(m, trigger,
+                                                              step))
+            assert isinstance(res, V.Refuted)
+            assert res.rule.label() == "entail"
+            assert res.note == "invariant does not imply the target"
+            guard = m.transitions[other].guard
+            assert _holds_on_assignment(trigger, res.assignment)
+            assert _holds_on_assignment(guard, res.assignment)
 
     def test_nonlinear_guard_undecided(self):
         m = parse_model(NONLINEAR_GUARD)
-        res = V.check_determined_successor(m, formula("step(S)", m), "T")
-        assert res.status == "undecided"
+        res = prove_claim(m, V.check_determined_successor(
+            m, formula("step(S)", m), "T"))
+        assert isinstance(res, V.Undecided)
         assert "multiplication" in res.reason
+
+    def test_unknown_step_rejected(self, loop_model):
+        with pytest.raises(ValueError):
+            V.check_determined_successor(
+                loop_model, formula("true", loop_model), "Nowhere")
 
 
 class TestTreeShape:
