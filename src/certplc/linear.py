@@ -7,14 +7,17 @@ Modular wraparound is made exact by case-splitting: for a comparison at
 width w, every operand's raw linear form L is replaced by L - q*2**w for
 each feasible quotient q (the range of q is computed from the operands'
 width bounds), with the range constraints 0 <= L - q*2**w <= 2**w - 1.
-Each quotient choice becomes its own disjunct, so the output is plain
-Presburger arithmetic and agrees with wrapped evaluation on every memory.
+Each choice of quotients becomes its own disjunct, except one whose wrapped
+ranges rule the comparison out (it has no well-typed solution), so the
+output is plain Presburger arithmetic and agrees with wrapped evaluation on
+every memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import expr as E
 
@@ -85,8 +88,7 @@ class LinForm:
         return self.const + sum(c * assignment[v] for v, c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class LinCon:
+class LinCon(NamedTuple):
     """Constraint ``sum(coeffs) REL rhs`` with REL one of <= or ==."""
 
     coeffs: tuple[tuple[str, int], ...]
@@ -300,28 +302,38 @@ def wrap_cases(form: LinForm, bits: int, bounds,
     return cases
 
 
+# a OP b  exactly when  s * (a - b) REL rhs
+_CMP = {"<": (1, "<=", -1), "<=": (1, "<=", 0), "==": (1, "==", 0),
+        ">=": (-1, "<=", 0), ">": (-1, "<=", -1)}
+
+
 def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds,
               cap: int) -> Dnf:
+    """One cube per pair of the operands' wrap quotients, except a pair
+    whose wrapped ranges (each interval over the width bounds, clipped to
+    0..2**bits - 1 as the side conditions demand) leave OP no value: its
+    cube has no solution within the width bounds that every normalized cube
+    carries, so the DNF denotes the same states without it."""
     if op == "!=":
         return dnf_or(_cmp_atom("<", la, lb, bits, bounds, cap),
                       _cmp_atom(">", la, lb, bits, bounds, cap), cap)
+    if op not in _CMP:
+        raise FragmentError(f"unknown comparison {op!r}")
+    s, rel, rhs = _CMP[op]
+    top = (1 << bits) - 1
+    cases = [[(w, side, *w.interval(bounds))
+              for w, side in wrap_cases(form, bits, bounds, cap)]
+             for form in (la, lb)]
     out = []
-    for wa, side_a in wrap_cases(la, bits, bounds, cap):
-        for wb, side_b in wrap_cases(lb, bits, bounds, cap):
-            diff = wa.sub(wb)
-            if op == "<":
-                rels = [LinCon.make(diff, "<=", -1)]
-            elif op == "<=":
-                rels = [LinCon.make(diff, "<=", 0)]
-            elif op == "==":
-                rels = [LinCon.make(diff, "==", 0)]
-            elif op == ">=":
-                rels = [LinCon.make(diff.scale(-1), "<=", 0)]
-            elif op == ">":
-                rels = [LinCon.make(diff.scale(-1), "<=", -1)]
-            else:
-                raise FragmentError(f"unknown comparison {op!r}")
-            cube = clean_cube(side_a + side_b + tuple(rels))
+    for wa, side_a, alo, ahi in cases[0]:
+        for wb, side_b, blo, bhi in cases[1]:
+            # the range of s * (wa - wb), both operands within 0..top
+            dlo, dhi = sorted((s * (max(alo, 0) - min(bhi, top)),
+                               s * (min(ahi, top) - max(blo, 0))))
+            if dlo > rhs or (rel == "==" and dhi < rhs):
+                continue
+            cube = clean_cube(side_a + side_b + (
+                LinCon.make(wa.sub(wb).scale(s), rel, rhs),))
             if cube is not None:
                 out.append(cube)
             if len(out) > cap:

@@ -6,7 +6,9 @@ certificate has a target (its hypothesis cubes are the invariant's, its
 conjuncts the target's).  Under each case, one entry per hypothesis cube
 (disjunct split); each entry is either a contradiction leaf refuting the
 hypothesis cube or, split by conclusion conjunct, an arithmetic leaf with
-one witness per negated-conclusion cube.
+one witness per negated-conclusion cube.  A case whose conclusion holds on
+every post-state has no negated-conclusion cubes, so each of its entries
+lists zero cubes per conjunct, whatever its hypothesis cube.
 
 The text form is line based with explicit counts, so parsing needs no
 lookahead and rejects any truncation:

@@ -81,7 +81,15 @@ def iter_obligations(model: SfcModel, formula: P.Formula,
 
 
 def discharge(ob: O.CaseObligation):
-    """Close one obligation; returns CaseProof, Refuted or Undecided."""
+    """Close one obligation; returns CaseProof, Refuted or Undecided.
+
+    When every negated-conclusion DNF is empty (the conclusion holds on
+    every post-state), each hypothesis cube gets an entry with zero cubes
+    per conjunct, and nothing is decided.
+    """
+    if not any(ob.neg_concl):
+        empty = HypEntry(conjuncts=(ArithLeaf(()),) * len(ob.neg_concl))
+        return CaseProof(ob.rule.label(), (empty,) * len(ob.hyp_cubes))
     entries = []
     try:
         for hyp_cube in ob.hyp_cubes:

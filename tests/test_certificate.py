@@ -348,7 +348,7 @@ FIXTURE_CERT_SHA256 = {
     "ambiguous/no_actions":
         "769e1d38a1e108c23c066704f6715f742dd47f5e2a76dcaa5adf975a5c4b857f",
     "ambiguous/x_in_range":
-        "9e1a8e9ac3fa871df95acdceb8227ad99ee34714cae3c93e4ff7f2a21b1f50c4",
+        "72205ece2689963c983d051add91798fd2fcdb13d372998be59ac6895c46ebf6",
     "dead_ctx/y_positive":
         "b2c623fb9931570825499dd394ada8d634a425d33f71c4058bfb45b5832790dd",
     "dead_ctx/never_dead":
@@ -358,15 +358,15 @@ FIXTURE_CERT_SHA256 = {
     "fbd_counter/out_small":
         "3e6a0a04389f285a52bc6b8d1c87f0b68857dfb8a5c03d7f3ae4a442aea448a4",
     "fbd_counter/out_in_range":
-        "fac4dfab6fff95f4e69d89f4ca3ad6a0f258796e29f1eb6887321db93da9de38",
+        "84c18709d065173589580a941a5cfef29c5be58670ddb7957f2499553fd4c68c",
     "fbd_counter/acts_declared":
         "b2f1753241c32f07511e9c542ed6721136afc90aa6369e26bece6e828a153235",
     "fbd_inc/x_capped_ind":
         "bd2e0bddb704f1c6e400b10d4a7ac23b9015dcf2c5c430ab3c58ccc876325fbb",
     "fbd_inc/in_range":
-        "a4f9eb0f064a524bb32bfd98618df2f2c03e9e8ed1db0a89a959f0d34dc8470b",
+        "38859251214000ef59b1a9a34fd4d6623238b79743144bad0cd3d8108917c026",
     "fbd_inc/acts_declared":
-        "c33b5b8b2851dd49bdcf7fa617d46dcb38292f96f94063353630218e568c3efb",
+        "3bcb0bd124e94acf06b3285651c5524df4709b013eed427a27bb3f8b633c4252",
     "flip/tautology":
         "4a4fadd2a926ae45bf8096ae94ddb59e483c7622946ab1f5cc356c768a857f6e",
     "flip/steps_declared":
@@ -380,19 +380,19 @@ FIXTURE_CERT_SHA256 = {
     "hold_positive/acts_declared":
         "5453b5b9d6b3f86797ceafdf9c1f28c093eb684aa116ffbd25db5c2f3577404e",
     "hold_positive/x_in_range":
-        "024211dfb73b18990924075223613d84f1cec8e10ac713a8ea1919e5b5352714",
+        "a446b730487dd6aee82d9bb0fdf032dacf482c6c133373e5945cb52b8ec288c4",
     "init_multi/steps_declared":
         "59219fefa4097c6f2bd383fd77162e47d0e1e921476e2cc7d4ca736d241e0d45",
     "init_multi/no_actions":
         "fd812f66c6842629c89e79e6c3dafa13a82de8613aa141d89fc6b32f76d1460b",
     "init_multi/k_in_range":
-        "7250ee04e783a0bc825f7be99e41f2ac4bfdb5a0f5deae2ba79ac2a0cf0c10da",
+        "f8d3400e4bb3a51304085a6ec2e6d6ca13586776259a3bd5e05cb6c4406f4290",
     "loop/x_capped_ind":
         "0f771e88300a32bda140b4069b3771a70744779c6420cffaf878cf0c9d324b13",
     "loop/in_range":
-        "0f777c8fa44233001ff01bec5361064cfc10b70f419c262b15470b49bb3c1145",
+        "85daeff7242a10395c2b9bd5faed43f1fe1a333a989b944d54bf4429f8cda833",
     "loop/acts_declared":
-        "9e6c7b7261524b58bdeb1b02383d61ad597171688b5eb97bf5b0b2bbb5e95144",
+        "1170350a5cd3c98b3a20b5ab8f85385f74ce43de54483d7a6470e743a4aab5f2",
     "multi_action/c_small":
         "7575b19df0df30d709f67b51d98f9dbe3dc0729004efe212b7730aa5038dd97c",
     "multi_action/steps_declared":
@@ -404,21 +404,21 @@ FIXTURE_CERT_SHA256 = {
     "parallel/acts_declared":
         "99706def853260af99e172a2b4677704debf93b3e7ee659d788ff3f62c0f4e01",
     "parallel/x_in_range":
-        "07e8ca23cb5ecd32649da6eeade4fdbab23d64736ad775c0324e5a7d45c746d2",
+        "02c0102abb88dbf5243436df4ce5ed8cb0ca15e9b2b7c62c47a5fb8078eb9bd8",
     "timer/one_tick":
         "491f29ecb720678e43a4cd32ef8ddea9502b689ba360ab3c05ab1b381cd9caac",
     "timer/t_in_range":
-        "5800e99e4a57e48c1489443d2715172f482910813921ce778c635c72314b8468",
+        "3bebad262dba8047513fdc29e723b196179b332fb4496964986575cd1eb9f237",
     "timer/acts_declared":
-        "d47867c63c6fb1c4a861500a8885ee219886b3b10dfcf38012bb2c0c61339a30",
+        "07b5628ed7c0176edc459246c167c571af59ca9c1ec93fe2781e9787da3ce48b",
     "toggle/mutex":
-        "afc67a34f6023151539f4a556a284d6bfe59a63a2865f29fe45afbe66146209d",
+        "e6c800083f2217ad369d6d19665af61f9f88f2d06ea3b749231ad87ece069c44",
     "toggle/n_in_range":
-        "2e4101f8a5a009ef797c7e42b56fb7e4e6e6f53510fa2f9c7d77a71fe489b3f0",
+        "96edd6fb5a7fed72a2c8d3406df18de79e634a418ad4df22726c125e52ace571",
     "toggle/acts_declared":
         "fb19de7d2615269b23a6486018190f47b4acc3eac3fd42e4c654114a006154a8",
     "wrap/in_range":
-        "1fb59997f502065f1d17c37a49f069c58a4e98611c75111b8b49e7687c2eb8be",
+        "92fcd07e8831df446f88d4243a5a8e53d63615e07ad9c262b4383cc195c27d2d",
     "wrap/acts_declared":
         "f957b256b010cfff93944bb1c868ead5bea38d2b5b21af531a169a0d602756bf",
 }
@@ -473,7 +473,7 @@ class TestCertificateBytes:
         "dead_ctx/unreachable":
             "75b6a3136c3d3bc20ecf45c5d2a3de5254d93bd57f9d2a0b27cd606d57cc36ee",
         "loop/determined":
-            "234bda365f36c3a0c0331cb1e23bec809951f7272a059532fe5e5f8544b2c803",
+            "73db162dfdcd944eb8a595b9d7408b7c4f22d50ccf1223686bdfca93fdb5ffed",
     }
 
     def test_target_certificates_are_byte_identical(self):

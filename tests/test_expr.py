@@ -230,6 +230,59 @@ class TestNormalize:
             _agree(text, env, pts)
 
 
+# Comparisons whose operands straddle a wrap, so that some pairs of
+# quotients leave the comparison no value and are dropped: every op, each at
+# the edge of its test (`x < 1` keeps a case only x = 0 satisfies, `x < 0`
+# keeps none).
+PRUNED_ONE_VAR = [
+    "x < 0", "x < 1", "254 < x", "x - 200 < 56", "3 * x < 250",
+    "x <= 0", "x + 1 <= 0", "255 <= x", "x - 200 <= 9", "2 * x + 7 <= 6",
+    "x == 255", "x + 1 == 0", "0 == x + 1", "x + 100 == 99", "3 * x == 7",
+    "0 >= x", "0 >= x + 1", "x + 56 >= 56", "x - 200 >= 56",
+    "0 > x", "1 > x", "x > 254", "x + 56 > 55", "x + 56 > 255",
+    "x != 0", "x + 1 != 0", "x - 200 != 55",
+]
+
+PRUNED_TWO_VAR = [
+    "x + y >= 300", "3 * x < y + 250", "x - y > 100", "x + y == 255",
+    "x + y != 300", "y + 250 <= 2 * x", "x - 200 <= y + 9",
+    "x + 1 > y + 1", "x + 200 == y + 100", "y + 1 >= x + 1",
+]
+
+
+class TestWrapPruning:
+    """Dropping the quotient pairs a comparison cannot meet keeps the
+    lowering exact: it still agrees with wrapped evaluation everywhere."""
+
+    @pytest.mark.parametrize("text", PRUNED_ONE_VAR)
+    def test_exhaustive_one_var(self, text):
+        _agree(text, ENV1, [{"x": v} for v in range(256)])
+
+    @pytest.mark.parametrize("text", PRUNED_TWO_VAR)
+    def test_two_var_boundary_and_random(self, text):
+        rng = random.Random(7)
+        edges = (0, 1, 55, 56, 99, 100, 127, 128, 199, 200, 254, 255)
+        points = [{"x": a, "y": b} for a in edges for b in edges]
+        points += [{"x": rng.randrange(256), "y": rng.randrange(256)}
+                   for _ in range(600)]
+        _agree(text, ENV2, points)
+
+    @pytest.mark.parametrize(
+        "text", [t for t in PRUNED_ONE_VAR if "*" not in t])
+    def test_one_var_keeps_only_satisfiable_cases(self, text):
+        # x + c against a constant: the clipped ranges are exact, so a
+        # case that survives has a solution in the box
+        e, _ = E.typecheck(parse_expression_text(text), ENV1)
+        for cube in L.normalize(e, ENV1):
+            assert any(L.eval_cube(cube, {"x": v}) for v in range(256)), \
+                (text, cube)
+
+    def test_unmeetable_quotient_is_dropped(self):
+        # x - 200 wraps to x + 56 for x < 200, which is never <= 9
+        e, _ = E.typecheck(parse_expression_text("x - 200 <= 9"), ENV1)
+        assert len(L.normalize(e, ENV1)) == 1
+
+
 class TestParseErrors:
     def test_position_reported(self):
         with pytest.raises(ParseError) as err:

@@ -8,16 +8,22 @@ and that it really removes the per-rule-instance work.  They also pin that
 every obligation cube is clean, which lets cube joins skip cleaning.
 """
 
+import importlib
+import pathlib
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certplc import certificate as C
 from certplc import expr as E
+from certplc import linear as L
 from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
+from certplc.lia.solver import Unsat, decide_sat
 from certplc.linear import (LinCon, attach_bounds, clean_cube, dnf_and,
                             normalize)
 from certplc.model import parse_model
@@ -311,3 +317,80 @@ class TestStopsAfterRefutation:
         assert isinstance(res, V.Refuted)
         assert built[-1] == res.rule
         assert len(built) < len(loop_model.rules)
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+# the comparison of a difference d, spelled out apart from linear._CMP
+_UNPRUNED_REL = {
+    "<": lambda d: LinCon.make(d, "<=", -1),
+    "<=": lambda d: LinCon.make(d, "<=", 0),
+    "==": lambda d: LinCon.make(d, "==", 0),
+    ">=": lambda d: LinCon.make(d.scale(-1), "<=", 0),
+    ">": lambda d: LinCon.make(d.scale(-1), "<=", -1),
+}
+
+
+def _every_pair(op, la, lb, bits, bounds, cap):
+    """The comparison's cubes before pruning: one per pair of quotients."""
+    for wa, side_a in L.wrap_cases(la, bits, bounds, cap):
+        for wb, side_b in L.wrap_cases(lb, bits, bounds, cap):
+            cube = clean_cube(side_a + side_b
+                              + (_UNPRUNED_REL[op](wa.sub(wb)),))
+            if cube is not None:
+                yield cube
+
+
+def _benchmark_charts():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        families = importlib.import_module("families")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for workload in ("ring", "arith", "fanout"):
+        for mc in families.build(workload, 1):
+            model = parse_model(mc.text)
+            yield model, P.parse_properties(mc.props_text(), model)
+
+
+class TestPrunedWrapCases:
+    """Each quotient pair that the comparison lowering drops is refuted by
+    the decider under its variables' width bounds, in every obligation
+    (hypotheses and negated conclusions) of the fixtures and of the seed-1
+    benchmark charts; the pairs it keeps are the rest, in order."""
+
+    def test_dropped_cases_are_unsat(self, monkeypatch):
+        calls = []
+        cmp_atom = L._cmp_atom
+
+        def recorded(op, la, lb, bits, bounds, cap):
+            out = cmp_atom(op, la, lb, bits, bounds, cap)
+            calls.append((op, la, lb, bits, bounds, cap, out))
+            return out
+
+        monkeypatch.setattr(L, "_cmp_atom", recorded)
+        charts = list(_benchmark_charts())
+        for name in fixture_names():
+            model = load_model(name)
+            charts.append((model, load_invariants(name, model)))
+        for model, invs in charts:
+            for inv in invs:
+                for _ in V.iter_obligations(model, inv.formula):
+                    pass
+        monkeypatch.undo()
+        dropped = 0
+        for op, la, lb, bits, bounds, cap, kept in calls:
+            if op == "!=":  # its two halves are recorded on their own
+                continue
+            every = list(_every_pair(op, la, lb, bits, bounds, cap))
+            assert [c for c in every if c in kept] == list(kept)
+            for cube in every:
+                if cube in kept:
+                    continue
+                dropped += 1
+                names = dict.fromkeys(v for con in cube for v, _ in con.coeffs)
+                box = tuple(b for v in names for b in (
+                    LinCon(((v, -1),), "<=", -bounds(v)[0]),
+                    LinCon(((v, 1),), "<=", bounds(v)[1])))
+                assert isinstance(decide_sat(cube + box), Unsat), cube
+        assert dropped > 0

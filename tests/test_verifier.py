@@ -124,10 +124,41 @@ class TestDischarge:
     def test_contradictory_hypothesis_closes_case(self, loop_model):
         # reactivating Init requires both outgoing guards false: impossible
         ob = O.build_obligation(
-            O.DerivationContext(loop_model, formula("true", loop_model)),
+            O.DerivationContext(loop_model, formula("x <= 10", loop_model)),
             S.Reactivate("Init"))
+        assert any(ob.neg_concl)  # the conclusion alone does not close it
         case = V.discharge(ob)
         assert all(entry.contradiction is not None for entry in case.hyps)
+
+    @pytest.fixture
+    def true_cert(self, loop_model, monkeypatch):
+        """The certificate of `true` on loop, proved without the decider."""
+        def no_decisions(*args, **kwargs):
+            raise AssertionError("decide_sat called")
+
+        monkeypatch.setattr(V, "decide_sat", no_decisions)
+        inv = P.Invariant("t", formula("true", loop_model))
+        res = V.verify_invariant(loop_model, inv)
+        assert isinstance(res, V.Proved)
+        entries = [e for case in res.tree.cases for e in case.hyps]
+        assert entries
+        for entry in entries:
+            assert entry.conjuncts is not None
+            assert all(leaf.witnesses == () for leaf in entry.conjuncts)
+        return C.emit(loop_model, inv, res.tree).decode()
+
+    def test_true_conclusion_is_closed_without_decisions(self, true_cert):
+        assert C.check(true_cert.encode()).accepted
+
+    def test_zero_cube_entries_do_not_prove_another_property(self,
+                                                              true_cert):
+        line = "invariant t : always (true);"
+        assert line in true_cert
+        bad = true_cert.replace(line, "invariant t : always (x <= 10);")
+        v = C.check(bad.encode())
+        assert not v.accepted
+        assert v.reason.startswith("coverage:")
+        assert "cube count mismatch" in v.reason
 
     def test_wraparound_increment_is_caught(self):
         m = parse_model("var y : int8 = 1\nstep A [initial]\n"
