@@ -7,9 +7,12 @@ Integer literals are polymorphic: they adopt the width of the variables
 they are combined with, and an all-literal expression defaults to 32 bit at
 the point a width is required.
 
-A module may add boolean leaves of its own (``properties``' activity atoms):
-each prints by its ``pretty()``, and ``typecheck``, ``eval_expr`` and
-``linear.lower`` pass it to the *leaf* function their caller supplies.
+``&&`` and ``||`` are n-ary: one node holds a whole chain of operands, so
+every walk of the connectives loops over a chain instead of recursing once
+per operator.  A module may add boolean leaves of its own (``properties``'
+activity atoms): each prints by its ``pretty()``, and ``typecheck``,
+``eval_expr`` and ``linear.lower`` pass it to the *leaf* function their
+caller supplies.
 """
 
 from __future__ import annotations
@@ -90,14 +93,12 @@ class Cmp:
 
 @dataclass(frozen=True)
 class And:
-    lhs: "Expr"
-    rhs: "Expr"
+    args: tuple["Expr", ...]  # two or more, in source order
 
 
 @dataclass(frozen=True)
 class Or:
-    lhs: "Expr"
-    rhs: "Expr"
+    args: tuple["Expr", ...]  # two or more, in source order
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,15 @@ Expr = Union[IntLit, BoolLit, Var, Add, Sub, Mul, Cmp, And, Or, Not]
 Memory = dict  # variable name -> int (booleans 0/1)
 
 
+def chain(node, parts) -> Expr:
+    """*parts* joined by *node*, And or Or, as the parser joins a chain: one
+    part stands alone, and none is ``true`` for And, ``false`` for Or."""
+    parts = tuple(parts)
+    if len(parts) > 1:
+        return node(parts)
+    return parts[0] if parts else BoolLit(node is And)
+
+
 def vars_of(e: Expr) -> set[str]:
     if isinstance(e, Var):
         return {e.name}
@@ -117,6 +127,8 @@ def vars_of(e: Expr) -> set[str]:
         return set()
     if isinstance(e, Not):
         return vars_of(e.arg)
+    if isinstance(e, (And, Or)):
+        return set().union(*map(vars_of, e.args))
     return vars_of(e.lhs) | vars_of(e.rhs)
 
 
@@ -173,11 +185,12 @@ def typecheck(e: Expr, env: dict[str, str], leaf=None) -> tuple[Expr, str]:
         w = _join(wl, wr, f"comparison {e.op!r}") or DEFAULT_INT
         return Cmp(e.op, lhs, rhs, w), "bool"
     if isinstance(e, (And, Or)):
-        lhs, tl = typecheck(e.lhs, env, leaf)
-        rhs, tr = typecheck(e.rhs, env, leaf)
-        if tl != "bool" or tr != "bool":
-            raise ExprError("logical operator on non-boolean operand")
-        return type(e)(lhs, rhs), "bool"
+        args = []
+        for arg in e.args:  # each join tested as a left-deep chain tests it
+            args.append(typecheck(arg, env, leaf))
+            if len(args) > 1 and any(t != "bool" for _, t in args[-2:]):
+                raise ExprError("logical operator on non-boolean operand")
+        return type(e)(tuple(ann for ann, _ in args)), "bool"
     if isinstance(e, Not):
         arg, t = typecheck(e.arg, env, leaf)
         if t != "bool":
@@ -271,10 +284,12 @@ def eval_expr(e: Expr, m: Memory, leaf=None) -> int:
                              fold_int(e.rhs, IntDomain, read) & mask)
     if isinstance(e, BoolLit):
         return int(e.value)
-    if isinstance(e, And):
-        return eval_expr(e.lhs, m, leaf) and eval_expr(e.rhs, m, leaf)
-    if isinstance(e, Or):
-        return eval_expr(e.lhs, m, leaf) or eval_expr(e.rhs, m, leaf)
+    if isinstance(e, (And, Or)):
+        decisive = isinstance(e, Or)  # an operand of this value decides
+        for arg in e.args:
+            if bool(eval_expr(arg, m, leaf)) is decisive:
+                return int(decisive)
+        return int(not decisive)
     if isinstance(e, Not):
         return 1 - eval_expr(e.arg, m, leaf)
     if leaf is None or isinstance(e, (Var, IntLit, Add, Sub, Mul)):
@@ -322,12 +337,10 @@ def _show(e: Expr, parent: int) -> str:
     elif isinstance(e, Cmp):
         mine = _PREC["cmp"]
         s = f"{_show(e.lhs, mine + 1)} {e.op} {_show(e.rhs, mine + 1)}"
-    elif isinstance(e, And):
-        mine = _PREC["&&"]
-        s = f"{_show(e.lhs, mine)} && {_show(e.rhs, mine)}"
-    elif isinstance(e, Or):
-        mine = _PREC["||"]
-        s = f"{_show(e.lhs, mine)} || {_show(e.rhs, mine)}"
+    elif isinstance(e, (And, Or)):
+        op = "&&" if isinstance(e, And) else "||"
+        mine = _PREC[op]
+        s = f" {op} ".join(_show(arg, mine) for arg in e.args)
     elif isinstance(e, Not):
         mine = _PREC["!"]
         s = f"!{_show(e.arg, mine + 1)}"

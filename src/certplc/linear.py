@@ -16,7 +16,7 @@ every memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 from . import expr as E
@@ -27,7 +27,12 @@ class FragmentError(Exception):
 
 
 class CubeOverflow(Exception):
-    """Disjunct count exceeded the configured cap."""
+    """Disjunct count exceeded CAP."""
+
+
+# the most disjuncts of a DNF and wrap quotients of an operand, read at each
+# call; lowering past it raises CubeOverflow
+CAP = 512
 
 
 @dataclass(frozen=True)
@@ -181,14 +186,14 @@ def clean_cube(cube: Cube) -> Cube | None:
     return tuple(out)
 
 
-def dnf_or(a: Dnf, b: Dnf, cap: int) -> Dnf:
+def dnf_or(a: Dnf, b: Dnf) -> Dnf:
     out = a + b
-    if len(out) > cap:
-        raise CubeOverflow(f"{len(out)} disjuncts exceed cap {cap}")
+    if len(out) > CAP:
+        raise CubeOverflow(f"{len(out)} disjuncts exceed cap {CAP}")
     return out
 
 
-def dnf_and(a: Dnf, b: Dnf, cap: int) -> Dnf:
+def dnf_and(a: Dnf, b: Dnf) -> Dnf:
     """Each clean cube of *a* joined with each of *b*: the left cube, then
     the right cube's members it lacks, which equals ``clean_cube(ca + cb)``."""
     if not b:  # no joins, so no member sets to build
@@ -198,17 +203,9 @@ def dnf_and(a: Dnf, b: Dnf, cap: int) -> Dnf:
         have = set(ca)
         for cb in b:
             out.append(ca + tuple(c for c in cb if c not in have))
-            if len(out) > cap:
-                raise CubeOverflow(f"{len(out)} disjuncts exceed cap {cap}")
+            if len(out) > CAP:
+                raise CubeOverflow(f"{len(out)} disjuncts exceed cap {CAP}")
     return tuple(out)
-
-
-def eval_cube(cube: Cube, assignment) -> bool:
-    return all(con.evaluate(assignment) for con in cube)
-
-
-def eval_dnf(dnf: Dnf, assignment) -> bool:
-    return any(eval_cube(c, assignment) for c in dnf)
 
 
 # --- lowering expressions -------------------------------------------------
@@ -276,21 +273,20 @@ def linear_form(e: E.Expr, subst=None) -> LinForm:
 _NEG_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
 
 
-def wrap_cases(form: LinForm, bits: int, bounds,
-               cap: int) -> list[tuple[LinForm, Cube]]:
+def wrap_cases(form: LinForm, bits: int, bounds) -> list[tuple[LinForm, Cube]]:
     """Enumerate wrapped values of *form* at the given width.
 
     Returns (wrapped form, side conditions) per feasible quotient.  The side
     conditions pin the quotient: 0 <= form - q*2**bits <= 2**bits - 1.
-    Raises CubeOverflow, before enumerating, when there are more than *cap*.
+    Raises CubeOverflow, before enumerating, when there are more than CAP.
     """
     modulus = 1 << bits
     lo, hi = form.interval(bounds)
     q_lo = lo // modulus
     q_hi = hi // modulus
     count = q_hi - q_lo + 1
-    if count > cap:
-        raise CubeOverflow(f"{count} wrap quotients exceed cap {cap}")
+    if count > CAP:
+        raise CubeOverflow(f"{count} wrap quotients exceed cap {CAP}")
     cases = []
     for q in range(q_lo, q_hi + 1):
         wrapped = form.shift(-q * modulus)
@@ -307,22 +303,21 @@ _CMP = {"<": (1, "<=", -1), "<=": (1, "<=", 0), "==": (1, "==", 0),
         ">=": (-1, "<=", 0), ">": (-1, "<=", -1)}
 
 
-def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds,
-              cap: int) -> Dnf:
+def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds) -> Dnf:
     """One cube per pair of the operands' wrap quotients, except a pair
     whose wrapped ranges (each interval over the width bounds, clipped to
     0..2**bits - 1 as the side conditions demand) leave OP no value: its
     cube has no solution within the width bounds that every normalized cube
     carries, so the DNF denotes the same states without it."""
     if op == "!=":
-        return dnf_or(_cmp_atom("<", la, lb, bits, bounds, cap),
-                      _cmp_atom(">", la, lb, bits, bounds, cap), cap)
+        return dnf_or(_cmp_atom("<", la, lb, bits, bounds),
+                      _cmp_atom(">", la, lb, bits, bounds))
     if op not in _CMP:
         raise FragmentError(f"unknown comparison {op!r}")
     s, rel, rhs = _CMP[op]
     top = (1 << bits) - 1
     cases = [[(w, side, *w.interval(bounds))
-              for w, side in wrap_cases(form, bits, bounds, cap)]
+              for w, side in wrap_cases(form, bits, bounds)]
              for form in (la, lb)]
     out = []
     for wa, side_a, alo, ahi in cases[0]:
@@ -336,32 +331,29 @@ def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds,
                 LinCon.make(wa.sub(wb).scale(s), rel, rhs),))
             if cube is not None:
                 out.append(cube)
-            if len(out) > cap:
+            if len(out) > CAP:
                 raise CubeOverflow("comparison expansion exceeds cap")
     return tuple(out)
 
 
-def lower(e: E.Expr, negate: bool, leaf, cap: int) -> Dnf:
+def lower(e: E.Expr, negate: bool, leaf) -> Dnf:
     """DNF of a boolean expression (its negation with *negate*), negation
     pushed to the leaves: every node other than a literal or connective goes
-    to ``leaf(node, negate)``.  Raises CubeOverflow past *cap* disjuncts."""
+    to ``leaf(node, negate)``.  Raises CubeOverflow past CAP disjuncts.
+    A chain's operands are lowered and joined left to right, as in a
+    left-deep chain of binary nodes: same cubes, same point of overflow."""
     if isinstance(e, E.BoolLit):
         return FALSE_DNF if e.value == negate else TRUE_DNF
     if isinstance(e, E.Not):
-        return lower(e.arg, not negate, leaf, cap)
-    if isinstance(e, E.And):
-        l = lower(e.lhs, negate, leaf, cap)
-        r = lower(e.rhs, negate, leaf, cap)
-        return dnf_or(l, r, cap) if negate else dnf_and(l, r, cap)
-    if isinstance(e, E.Or):
-        l = lower(e.lhs, negate, leaf, cap)
-        r = lower(e.rhs, negate, leaf, cap)
-        return dnf_and(l, r, cap) if negate else dnf_or(l, r, cap)
+        return lower(e.arg, not negate, leaf)
+    if isinstance(e, (E.And, E.Or)):
+        join = dnf_and if isinstance(e, E.And) != negate else dnf_or
+        return reduce(join, (lower(arg, negate, leaf) for arg in e.args))
     return leaf(e, negate)
 
 
-def normalize(e: E.Expr, env: dict[str, str], *, subst=None, negate=False,
-              max_cubes: int = 256) -> Dnf:
+def normalize(e: E.Expr, env: dict[str, str], *, subst=None,
+              negate=False) -> Dnf:
     """Lower a boolean expression to DNF over linear constraints.
 
     Every cube carries width bounds for each variable it mentions.  With
@@ -369,9 +361,8 @@ def normalize(e: E.Expr, env: dict[str, str], *, subst=None, negate=False,
     variable names to linear forms over other declared variables; it is used
     for symbolic post-state reasoning and applies to arithmetic atoms only.
     """
-    leaf = partial(_lower_atom, env=env, subst=subst, cap=max_cubes)
-    return tuple(attach_bounds(cube, env)
-                 for cube in lower(e, negate, leaf, max_cubes))
+    leaf = partial(_lower_atom, env=env, subst=subst)
+    return tuple(attach_bounds(cube, env) for cube in lower(e, negate, leaf))
 
 
 def bounds_fn(env):
@@ -383,7 +374,7 @@ def bounds_fn(env):
     return bounds
 
 
-def _lower_atom(e, negate, env, subst, cap) -> Dnf:
+def _lower_atom(e, negate, env, subst) -> Dnf:
     """DNF of a boolean variable or a comparison, wraparound made exact."""
     if isinstance(e, E.Var):
         ty = env.get(e.name)
@@ -400,5 +391,5 @@ def _lower_atom(e, negate, env, subst, cap) -> Dnf:
         bits = E.bits_of(width)
         la = linear_form(e.lhs, subst)
         lb = linear_form(e.rhs, subst)
-        return _cmp_atom(op, la, lb, bits, bounds_fn(env), cap)
+        return _cmp_atom(op, la, lb, bits, bounds_fn(env))
     raise FragmentError(f"not a boolean expression: {type(e).__name__}")

@@ -50,7 +50,7 @@ class UnsupportedEffect(Exception):
 
 
 class ObligationOverflow(Exception):
-    """Disjunct caps exceeded while building an obligation."""
+    """Disjunct cap (``linear.CAP``) exceeded while building an obligation."""
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,9 @@ class _StateMap:
     actions: dict    # action -> 0 | 1 | variable name
     subst: dict | None  # memory variable -> LinForm over the pre-state
 
+    def of(self, kind: str) -> dict:  # an activity atom's kind -> its map
+        return self.steps if kind == "step" else self.actions
+
 
 def pre_state_map(model: SfcModel) -> _StateMap:
     return _StateMap({s: step_var(s) for s in model.steps},
@@ -125,14 +128,11 @@ def _activity_dnf(value, want: int) -> Dnf:
     return ((_eq01(value, want),),)
 
 
-def _none_of(atom, names, within) -> P.Formula:
-    """``!atom(n)`` for each name outside *within*, in name order, joined by
-    ``&&`` in a balanced tree: lowering it recurses log n deep, not n."""
-    fs = [E.Not(atom(n)) for n in sorted(names) if n not in within]
-    while len(fs) > 1:  # join neighbours, keeping the order
-        fs = [E.And(*fs[i:i + 2]) if i + 1 < len(fs) else fs[i]
-              for i in range(0, len(fs), 2)]
-    return fs[0] if fs else E.BoolLit(True)
+def _none_of(kind, names, within) -> P.Formula:
+    """``!kind(n)`` for each name outside *within*, in name order, joined
+    by one ``&&``."""
+    return E.chain(E.And, (E.Not(P.Active(kind, n)) for n in sorted(names)
+                           if n not in within))
 
 
 # --- action effects ---------------------------------------------------------
@@ -160,21 +160,21 @@ def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
     return cur
 
 
-def _post_definitions(summary: dict[str, LinForm], env, cap: int) -> Dnf:
+def _post_definitions(summary: dict[str, LinForm], env) -> Dnf:
     """Hypothesis disjuncts defining post:V = wrap(form) per written var."""
     bounds = bounds_fn(env)
     acc = TRUE_DNF
     for name in sorted(summary):
         cases = []
         for wrapped, side in wrap_cases(summary[name], E.bits_of(env[name]),
-                                        bounds, cap):
+                                        bounds):
             # post:name == form - q*2**bits, within the type range
             defn = LinCon.make(wrapped.sub(LinForm.of_var(post_var(name))),
                                "==", 0)
             cube = clean_cube((defn,) + side)
             if cube is not None:
                 cases.append(cube)
-        acc = dnf_and(acc, tuple(cases), cap)
+        acc = dnf_and(acc, tuple(cases))
     return acc
 
 
@@ -182,11 +182,11 @@ def _post_subst(summary: dict[str, LinForm]) -> dict[str, LinForm]:
     return {name: LinForm.of_var(post_var(name)) for name in summary}
 
 
-# --- one derivation context per (model, formula, cap) ----------------------
+# --- one derivation context per (model, formula) ---------------------------
 
 class DerivationContext:
-    """The inputs of a derivation (model, invariant, disjunct cap, optional
-    target) and the obligation pieces shared by every proof case of them.
+    """The inputs of a derivation (model, invariant, optional target) and
+    the obligation pieces shared by every proof case of them.
 
     The symbolic env, the pre-state map, the property's pre-state DNF, each
     pre-state normalization of a guard or atom and each subset atom's
@@ -209,11 +209,10 @@ class DerivationContext:
     expressions carry equal widths.
     """
 
-    def __init__(self, model: SfcModel, formula: P.Formula, cap: int = 512,
+    def __init__(self, model: SfcModel, formula: P.Formula,
                  target: P.Formula | None = None):
         self.model = model
         self.formula = formula
-        self.cap = cap
         self.target = target
         self._memo: dict = {}
 
@@ -239,7 +238,7 @@ class DerivationContext:
     def normalized(self, e: E.Expr, negate: bool = False) -> Dnf:
         """``normalize`` of a guard or atom over the pre-state."""
         return self._once(("normalize", e, negate), lambda: normalize(
-            e, self.env, negate=negate, max_cubes=self.cap))
+            e, self.env, negate=negate))
 
     def pre_dnf(self) -> Dnf:
         """The property on the pre-state."""
@@ -248,28 +247,22 @@ class DerivationContext:
 
     def formula_dnf(self, f: P.Formula, sm: _StateMap,
                     negated: bool = False) -> Dnf:
-        """DNF of a formula read through *sm*, under this context's cap."""
+        """DNF of a formula read through *sm*."""
         def leaf(atom, neg):
-            if isinstance(atom, P.StepActive):
-                return _activity_dnf(sm.steps[atom.step], 0 if neg else 1)
-            if isinstance(atom, P.ActionActive):
-                return _activity_dnf(sm.actions[atom.action], 0 if neg else 1)
+            if isinstance(atom, P.Active):
+                return _activity_dnf(sm.of(atom.kind)[atom.name],
+                                     0 if neg else 1)
             # a subset atom's names outside the set are the model's, the
             # same in every state map, so its formula is built once
-            if isinstance(atom, P.StepsWithin):
+            if isinstance(atom, P.Within):
                 return lower(self._once(atom, lambda: _none_of(
-                    P.StepActive, sm.steps, atom.steps)), neg, leaf, self.cap)
-            if isinstance(atom, P.ActionsWithin):
-                return lower(self._once(atom, lambda: _none_of(
-                    P.ActionActive, sm.actions, atom.actions)),
-                    neg, leaf, self.cap)
+                    atom.kind, sm.of(atom.kind), atom.names)), neg, leaf)
             # an arithmetic atom
             if sm.subst is None:  # memory reads as in the pre-state
                 return self.normalized(atom, neg)
-            return normalize(atom, self.env, subst=sm.subst, negate=neg,
-                             max_cubes=self.cap)
+            return normalize(atom, self.env, subst=sm.subst, negate=neg)
 
-        return lower(f, negated, leaf, self.cap)
+        return lower(f, negated, leaf)
 
 
 def build_obligation(ctx: DerivationContext,
@@ -281,10 +274,10 @@ def build_obligation(ctx: DerivationContext,
     Pass the same context for every case of one property to derive the
     shared pieces once.  Raises UnsupportedEffect for opaque effects and
     for guards or atoms outside the linear fragment, and ObligationOverflow
-    when the disjunct caps are exceeded; both leave the property undecided,
+    when the disjunct cap is exceeded; both leave the property undecided,
     never wrongly proved.
     """
-    model, cap, env = ctx.model, ctx.cap, ctx.env
+    model, env = ctx.model, ctx.env
     try:
         if rule is ENTAIL:
             hyp, post, concl = ctx.pre_dnf(), ctx.pre, ctx.target
@@ -297,12 +290,12 @@ def build_obligation(ctx: DerivationContext,
                       + [_eq01(step_var(s), 1) for s in shape.steps]
                       + [_eq01(act_var(a), 0) for a in shape.idle])),)
             for g in shape.guards:
-                hyp = dnf_and(hyp, ctx.normalized(g), cap)
+                hyp = dnf_and(hyp, ctx.normalized(g))
             for g in shape.blocked:
-                hyp = dnf_and(hyp, ctx.normalized(g, negate=True), cap)
-            hyp = dnf_and(hyp, ctx.pre_dnf(), cap)
+                hyp = dnf_and(hyp, ctx.normalized(g, negate=True))
+            hyp = dnf_and(hyp, ctx.pre_dnf())
             if summary is not None:
-                hyp = dnf_and(hyp, _post_definitions(summary, env, cap), cap)
+                hyp = dnf_and(hyp, _post_definitions(summary, env))
             steps = dict(ctx.pre.steps)
             steps.update(dict.fromkeys(shape.steps_off, 0))
             steps.update(dict.fromkeys(shape.steps_on, 1))
@@ -328,4 +321,4 @@ def joint_cubes(hyp_cube: Cube, neg_dnf: Dnf) -> Dnf:
     """The hypothesis cube joined with each negated-conclusion cube, in
     order: the deterministic joins the verifier refutes and the checker
     replays witnesses against.  Each join starts with *hyp_cube*."""
-    return dnf_and((hyp_cube,), neg_dnf, len(neg_dnf))
+    return dnf_and((hyp_cube,), neg_dnf)

@@ -120,8 +120,8 @@ class TokenStream:
 
 # --- expressions ----------------------------------------------------------
 #
-# or   := and ('||' and)*
-# and  := not ('&&' not)*
+# or   := and ('||' and)*      a chain of two or more is one E.Or
+# and  := not ('&&' not)*      a chain of two or more is one E.And
 # not  := '!' not | hook | cmp
 # cmp  := sum (('<'|'<='|'>'|'>='|'=='|'='|'!=') sum)?
 # sum  := prod (('+'|'-') prod)*
@@ -144,17 +144,17 @@ def parse_expression(ts: TokenStream, hook=None) -> E.Expr:
 
 
 def _parse_or(ts, hook):
-    e = _parse_and(ts, hook)
+    args = [_parse_and(ts, hook)]
     while ts.accept("||"):
-        e = E.Or(e, _parse_and(ts, hook))
-    return e
+        args.append(_parse_and(ts, hook))
+    return E.chain(E.Or, args)
 
 
 def _parse_and(ts, hook):
-    e = _parse_not(ts, hook)
+    args = [_parse_not(ts, hook)]
     while ts.accept("&&"):
-        e = E.And(e, _parse_not(ts, hook))
-    return e
+        args.append(_parse_not(ts, hook))
+    return E.chain(E.And, args)
 
 
 def _parse_not(ts, hook):
@@ -212,11 +212,3 @@ def _parse_atom(ts, hook):
         return e
     ts.error(f"expected expression, found {t.text or 'end of input'!r}")
 
-
-def parse_expression_text(text: str) -> E.Expr:
-    ts = TokenStream(lex(text))
-    e = parse_expression(ts)
-    t = ts.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return e

@@ -1,9 +1,9 @@
 """Invariant property language.
 
 A formula is a boolean expression of the expression language whose leaves
-may also be activity atoms: step or action activity tests, and subset
-bounds on what may be active.  They combine with &&, || and ! like any
-boolean expression:
+may also be activity atoms of two classes, each about steps or about
+actions: ``Active`` tests that one is active, ``Within`` bounds the set of
+active ones.  They combine with &&, || and ! like any boolean expression:
 
     invariant safe_x : always (x <= 10 && !step(Dead));
     invariant acts : always (actions_within {A_Init, A_Step1});
@@ -22,38 +22,24 @@ from .parsing import ParseError, TokenStream, lex, parse_expression
 
 
 @dataclass(frozen=True)
-class StepActive:
-    step: str
+class Active:
+    kind: str  # "step" | "action"
+    name: str
 
     def pretty(self) -> str:
-        return f"step({self.step})"
+        return f"{self.kind}({self.name})"
 
 
 @dataclass(frozen=True)
-class ActionActive:
-    action: str
+class Within:
+    kind: str  # "step" | "action"
+    names: tuple[str, ...]  # sorted
 
     def pretty(self) -> str:
-        return f"action({self.action})"
+        return f"{self.kind}s_within {{" + ", ".join(self.names) + "}"
 
 
-@dataclass(frozen=True)
-class ActionsWithin:
-    actions: tuple[str, ...]  # sorted
-
-    def pretty(self) -> str:
-        return "actions_within {" + ", ".join(self.actions) + "}"
-
-
-@dataclass(frozen=True)
-class StepsWithin:
-    steps: tuple[str, ...]  # sorted
-
-    def pretty(self) -> str:
-        return "steps_within {" + ", ".join(self.steps) + "}"
-
-
-# an E.Expr whose leaves may also be the four activity atoms above
+# an E.Expr whose leaves may also be the activity atoms above
 Formula = E.Expr
 
 
@@ -64,22 +50,22 @@ class Invariant:
 
 
 def conjuncts(f: Formula) -> list[Formula]:
+    """The operands of a top-level ``&&`` chain, parenthesized chains
+    among them flattened; any other formula is its one conjunct."""
     if isinstance(f, E.And):
-        return conjuncts(f.lhs) + conjuncts(f.rhs)
+        return [c for arg in f.args for c in conjuncts(arg)]
     return [f]
 
 
 def holds_on(f: Formula, state: SfcState) -> bool:
     """Concrete truth of a formula on a configuration."""
+    active = {"step": state.active_steps, "action": state.active_actions}
+
     def leaf(g):
-        if isinstance(g, StepActive):
-            return g.step in state.active_steps
-        if isinstance(g, ActionActive):
-            return g.action in state.active_actions
-        if isinstance(g, ActionsWithin):
-            return set(state.active_actions) <= set(g.actions)
-        if isinstance(g, StepsWithin):
-            return set(state.active_steps) <= set(g.steps)
+        if isinstance(g, Active):
+            return g.name in active[g.kind]
+        if isinstance(g, Within):
+            return set(active[g.kind]) <= set(g.names)
         raise E.ExprError(f"unknown formula node {type(g).__name__}")
 
     return bool(E.eval_expr(f, state.mem, leaf))
@@ -88,23 +74,18 @@ def holds_on(f: Formula, state: SfcState) -> bool:
 def check_refs(f: Formula, model: SfcModel):
     """Typecheck a formula against the model's variables and check its
     step and action names; returns it with comparison widths annotated."""
-    steps = set(model.steps)
-    actions = set(model.action_ids())
+    declared = {"step": set(model.steps), "action": set(model.action_ids())}
 
     def leaf(g):
-        if isinstance(g, StepActive):
-            names, declared, kind = (g.step,), steps, "step"
-        elif isinstance(g, StepsWithin):
-            names, declared, kind = g.steps, steps, "step"
-        elif isinstance(g, ActionActive):
-            names, declared, kind = (g.action,), actions, "action"
-        elif isinstance(g, ActionsWithin):
-            names, declared, kind = g.actions, actions, "action"
+        if isinstance(g, Active):
+            names = (g.name,)
+        elif isinstance(g, Within):
+            names = g.names
         else:
             raise E.ExprError(f"unknown formula node {type(g).__name__}")
         for n in names:
-            if n not in declared:
-                raise E.ExprError(f"unknown {kind} {n!r}")
+            if n not in declared[g.kind]:
+                raise E.ExprError(f"unknown {g.kind} {n!r}")
         return g, "bool"
 
     ann, ty = E.typecheck(f, model.env(), leaf)
@@ -145,13 +126,10 @@ def _activity_atom(ts: TokenStream):
         ts.expect("(")
         name = ts.ident().text
         ts.expect(")")
-        return StepActive(name) if t.text == "step" else ActionActive(name)
-    if t.text == "actions_within":
+        return Active(t.text, name)
+    if t.text in ("steps_within", "actions_within"):
         ts.next()
-        return ActionsWithin(_parse_name_set(ts))
-    if t.text == "steps_within":
-        ts.next()
-        return StepsWithin(_parse_name_set(ts))
+        return Within(t.text[:-len("s_within")], _parse_name_set(ts))
     return None
 
 

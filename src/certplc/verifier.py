@@ -19,7 +19,6 @@ certified like any other property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 from . import expr as E
 from . import obligations as O
@@ -153,9 +152,9 @@ def gen_basic_lemmas(model: SfcModel):
     """
     lemmas = [
         P.Invariant("actions_declared",
-                    P.ActionsWithin(tuple(sorted(model.action_ids())))),
+                    P.Within("action", tuple(sorted(model.action_ids())))),
         P.Invariant("steps_declared",
-                    P.StepsWithin(tuple(sorted(model.steps)))),
+                    P.Within("step", tuple(sorted(model.steps)))),
     ]
     out = []
     for inv in lemmas:
@@ -181,7 +180,7 @@ def check_guard_unreachable(model: SfcModel, step: str,
         raise ValueError(f"step {step!r} is initial")
     if step not in model.steps:
         raise ValueError(f"unknown step {step!r}")
-    goal = P.Invariant(f"unreachable_{step}", E.Not(P.StepActive(step)))
+    goal = P.Invariant(f"unreachable_{step}", E.Not(P.Active("step", step)))
     if not context:
         return goal, None
     return _with_context(f"unreachable_{step}_ctx", context,
@@ -205,22 +204,22 @@ def check_determined_successor(model: SfcModel, trigger: P.Formula,
     """
     if step not in model.steps:
         raise ValueError(f"unknown step {step!r}")
-    candidates, claims = [], []
+    candidates, claims = [E.Not(trigger)], []
     for t in model.transitions:
-        enabled = reduce(E.And, map(P.StepActive, t.sources), t.guard)
+        enabled = E.chain(E.And, [*P.conjuncts(t.guard),
+                                  *(P.Active("step", s) for s in t.sources)])
         if set(t.targets) == {step}:
             candidates.append(enabled)
         else:
-            claims.append(E.Or(E.Not(trigger), E.Not(enabled)))
-    claims.append(reduce(E.Or, candidates, E.Not(trigger)))
+            claims.append(E.Or((E.Not(trigger), E.Not(enabled))))
+    claims.append(E.chain(E.Or, candidates))
     return (_with_context(f"determined_{step}_ctx", context),
-            P.Invariant(f"determined_{step}", reduce(E.And, claims)))
+            P.Invariant(f"determined_{step}", E.chain(E.And, claims)))
 
 
 def _with_context(name: str, context, *more: P.Formula) -> P.Invariant:
-    """The conjuncts of the context formulas and *more*, joined left to
-    right as the property parser joins them (``true`` when empty), so the
-    certificate's property line parses back to the same formula."""
+    """The conjuncts of the context formulas and *more*, joined as the
+    property parser joins them, so the certificate's property line parses
+    back to the same formula."""
     parts = [c for f in context for c in P.conjuncts(f)] + list(more)
-    return P.Invariant(name, reduce(E.And, parts) if parts
-                       else E.BoolLit(True))
+    return P.Invariant(name, E.chain(E.And, parts))

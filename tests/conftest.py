@@ -81,6 +81,16 @@ def decision(cube, **kwargs) -> str:
         return f"{type(err).__name__}: {err}"
 
 
+def eval_cube(cube, assignment) -> bool:
+    """Truth of a conjunction of linear constraints at an assignment."""
+    return all(con.evaluate(assignment) for con in cube)
+
+
+def eval_dnf(dnf, assignment) -> bool:
+    """Truth of a disjunction of cubes at an assignment."""
+    return any(eval_cube(c, assignment) for c in dnf)
+
+
 def fixture_names():
     return sorted(p.stem for p in FIXTURES.glob("*.sfc"))
 

@@ -50,8 +50,8 @@ def test_criterion_2_declared_actions_lemma():
         model = load_model(name)
         lemmas = V.gen_basic_lemmas(model)
         inv, res = lemmas[0]
-        assert isinstance(inv.formula, P.ActionsWithin)
-        assert inv.formula.actions == tuple(sorted(model.action_ids()))
+        assert inv.formula == P.Within("action",
+                                       tuple(sorted(model.action_ids())))
         assert isinstance(res, V.Proved), name
         verdict = C.check(C.emit(model, inv, res.tree))
         assert verdict.accepted, name

@@ -25,11 +25,11 @@ from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
-from certplc.linear import CubeOverflow, eval_dnf
+from certplc.linear import CubeOverflow
 from certplc.model import SfcState, parse_model
 from certplc.parsing import TokenStream, lex
 
-from conftest import fixture_names, load_model, states_of
+from conftest import eval_dnf, fixture_names, load_model, states_of
 
 WIDTHS = ("int8", "int16", "int32")
 INTS = ("x", "y", "z")
@@ -287,13 +287,19 @@ _LEAVES = st.one_of(
               st.integers(0, 300).map(E.IntLit)),
     st.just(E.Var("b")),
     st.booleans().map(E.BoolLit),
-    st.sampled_from(_STEPS).map(P.StepActive),
-    st.sampled_from(_ACTS).map(P.ActionActive),
-    _names(_STEPS).map(P.StepsWithin),
-    _names(_ACTS).map(P.ActionsWithin))
+    st.sampled_from(_STEPS).map(lambda s: P.Active("step", s)),
+    st.sampled_from(_ACTS).map(lambda a: P.Active("action", a)),
+    _names(_STEPS).map(lambda names: P.Within("step", names)),
+    _names(_ACTS).map(lambda names: P.Within("action", names)))
+
+
+def _chains(kids):
+    return st.lists(kids, min_size=2, max_size=4).map(tuple)
+
+
 _FORMULAS = st.recursive(_LEAVES, lambda kids: st.one_of(
-    kids.map(E.Not), st.builds(E.And, kids, kids),
-    st.builds(E.Or, kids, kids)), max_leaves=6)
+    kids.map(E.Not), _chains(kids).map(E.And), _chains(kids).map(E.Or)),
+    max_leaves=6)
 _CONFIGS = st.builds(
     SfcState,
     st.fixed_dictionaries({"x": st.integers(0, 255),

@@ -198,6 +198,17 @@ class TestCheckRejections:
         v = C.check(bad.encode())
         assert not v.accepted
 
+    def test_long_property_with_short_proof_is_a_coverage_rejection(self):
+        # 1200 conjuncts against the proof of x_capped_ind's four: the
+        # checker derives every obligation and counts, without recursing
+        # once per connective
+        model, inv, data = proved_certificate("loop", 1)
+        text = P.formula_text(inv.formula)
+        longer = text + "".join(f" && x <= {11 + i}" for i in range(1196))
+        bad = data.decode().replace(f"({text});", f"({longer});")
+        v = C.check(bad.encode())
+        assert v.reason == "coverage: conjunct count mismatch", v
+
     def test_non_canonical_model_rejected(self):
         _, _, data = proved_certificate()
         text = data.decode().replace("--- model\n", "--- model\n\n", 1)

@@ -30,7 +30,7 @@ class TestParse:
         assert code == 0
         payload = json.loads(out)
         assert payload["steps"] == ["Init", "Return", "Step2"]
-        assert payload["violations"] == []
+        assert set(payload) == {"digest", "steps", "transitions", "actions"}
 
     def test_syntax_error_exits_2(self, capsys):
         bad = FIXTURES / "bad.tmp"
@@ -80,6 +80,13 @@ class TestExplore:
                         "--assert", "x <= 9")
         assert code == 1
         assert "violation" in out
+
+    def test_long_assertion(self, capsys):
+        # one && chain of 5000 operands: no walk recurses per connective
+        check = " && ".join(f"x <= {10 + i}" for i in range(5000))
+        code, out = run(capsys, "explore", fx("loop.sfc"), "--depth", "20",
+                        "--assert", check)
+        assert code == 0
 
     def test_budget_marks_partial(self, capsys):
         code, out = run(capsys, "explore", fx("multi_action.sfc"),

@@ -4,16 +4,19 @@ import pytest
 
 from certplc import expr as E
 from certplc import linear as L
-from certplc.parsing import ParseError, parse_expression_text
+from certplc.parsing import ParseError
+from certplc.properties import parse_formula_text
+
+from conftest import eval_cube, eval_dnf
 
 
 def ev(text, mem, env):
-    e, _ = E.typecheck(parse_expression_text(text), env)
+    e, _ = E.typecheck(parse_formula_text(text), env)
     return E.eval_expr(e, mem)
 
 
 def assign(target, text, mem, env):
-    return E.apply_effect([(target, parse_expression_text(text))], mem, env)
+    return E.apply_effect([(target, parse_formula_text(text))], mem, env)
 
 
 class TestEval:
@@ -44,11 +47,11 @@ class TestEval:
 
     def test_untypechecked_comparison_rejected(self):
         with pytest.raises(E.ExprError, match="not typechecked"):
-            E.eval_expr(parse_expression_text("x < 10"), {"x": 5})
+            E.eval_expr(parse_formula_text("x < 10"), {"x": 5})
 
     def test_unbound_variable(self):
         with pytest.raises(E.ExprError, match="unbound"):
-            E.eval_expr(parse_expression_text("y + 1"), {"x": 0})
+            E.eval_expr(parse_formula_text("y + 1"), {"x": 0})
 
     def test_bool_ops(self):
         mem = {"a": 1, "b": 0}
@@ -60,7 +63,7 @@ class TestEval:
     def test_mixed_width_rejected(self):
         # widths are joined by typecheck; evaluation trusts its annotation
         with pytest.raises(E.ExprError, match="width mismatch"):
-            E.typecheck(parse_expression_text("a + b"),
+            E.typecheck(parse_formula_text("a + b"),
                         {"a": "int8", "b": "int16"})
 
 
@@ -75,13 +78,30 @@ class TestTypecheck:
             "int-not", "unbound"])
     def test_type_errors_rejected(self, text, env):
         with pytest.raises(E.ExprError):
-            E.typecheck(parse_expression_text(text), env)
+            E.typecheck(parse_formula_text(text), env)
+
+    @pytest.mark.parametrize("text, message", [
+        ("x + 1 && x <= 1 && y <= 1",
+         "logical operator on non-boolean operand"),
+        ("x <= 1 && y <= 1 && x + 1", "unbound variable 'y'"),
+        ("x + 1 || y <= 1", "unbound variable 'y'"),
+    ])
+    def test_chain_error_is_the_left_deep_chains(self, text, message):
+        # each join is tested once both its sides are typechecked, as in
+        # the left-deep chain of binary nodes the same text once parsed to
+        flat = parse_formula_text(text)
+        deep = type(flat)(flat.args[:2])
+        for arg in flat.args[2:]:
+            deep = type(flat)((deep, arg))
+        for e in (flat, deep):
+            with pytest.raises(E.ExprError, match=f"^{message}$"):
+                E.typecheck(e, {"x": "int8"})
 
     def test_comparison_width_annotated(self):
-        e, ty = E.typecheck(parse_expression_text("x + 1 < 3"),
+        e, ty = E.typecheck(parse_formula_text("x + 1 < 3"),
                             {"x": "int8"})
         assert ty == "bool" and e.width == "int8"
-        e, _ = E.typecheck(parse_expression_text("1 < 3"), {})
+        e, _ = E.typecheck(parse_formula_text("1 < 3"), {})
         assert e.width == E.DEFAULT_INT
 
 
@@ -113,18 +133,18 @@ class TestApplyEffect:
 
     def test_assignments_are_sequential(self):
         mem = {"x": 3, "y": 9}
-        effect = [("x", parse_expression_text("0")),
-                  ("y", parse_expression_text("x"))]
+        effect = [("x", parse_formula_text("0")),
+                  ("y", parse_formula_text("x"))]
         out = E.apply_effect(effect, mem, {"x": "int16", "y": "int16"})
         assert out == {"x": 0, "y": 0}
 
     def test_assign_undeclared(self):
         with pytest.raises(E.ExprError):
-            E.apply_effect([("z", parse_expression_text("1"))], {}, {})
+            E.apply_effect([("z", parse_formula_text("1"))], {}, {})
 
     def test_purity(self):
         mem = {"x": 7}
-        effect = [("x", parse_expression_text("x * 2"))]
+        effect = [("x", parse_formula_text("x * 2"))]
         env = {"x": "int16"}
         assert E.apply_effect(effect, mem, env) == \
             E.apply_effect(effect, mem, env)
@@ -137,13 +157,13 @@ class TestPrinter:
         "true", "false && a",
     ])
     def test_roundtrip(self, text):
-        e = parse_expression_text(text)
+        e = parse_formula_text(text)
         printed = E.pretty(e)
-        assert parse_expression_text(printed) == e
-        assert E.pretty(parse_expression_text(printed)) == printed
+        assert parse_formula_text(printed) == e
+        assert E.pretty(parse_formula_text(printed)) == printed
 
     def test_equality_alias(self):
-        assert parse_expression_text("x = 1") == parse_expression_text("x == 1")
+        assert parse_formula_text("x = 1") == parse_formula_text("x == 1")
 
 
 ENV1 = {"x": "int8"}
@@ -164,19 +184,19 @@ TWO_VAR = [
 
 
 def _agree(text, env, points):
-    e = parse_expression_text(text)
+    e = parse_formula_text(text)
     e, ty = E.typecheck(e, env)
     assert ty == "bool"
     dnf = L.normalize(e, env)
     for point in points:
         direct = E.eval_expr(e, point) == 1
-        lowered = L.eval_dnf(dnf, point)
+        lowered = eval_dnf(dnf, point)
         assert direct == lowered, (text, point, direct, lowered)
 
 
 class TestNormalize:
     def test_strict_less_becomes_bounded_le(self):
-        e, _ = E.typecheck(parse_expression_text("x < 10"), {"x": "int16"})
+        e, _ = E.typecheck(parse_formula_text("x < 10"), {"x": "int16"})
         dnf = L.normalize(e, {"x": "int16"})
         assert len(dnf) == 1
         assert set(dnf[0]) == {
@@ -187,21 +207,21 @@ class TestNormalize:
 
     def test_negated_ge_matches_lt(self):
         env = {"x": "int16"}
-        a, _ = E.typecheck(parse_expression_text("!(x >= 10)"), env)
-        b, _ = E.typecheck(parse_expression_text("x < 10"), env)
+        a, _ = E.typecheck(parse_formula_text("!(x >= 10)"), env)
+        b, _ = E.typecheck(parse_formula_text("x < 10"), env)
         assert L.normalize(a, env) == L.normalize(b, env)
 
     def test_excluded_middle_covers_box(self):
         env = {"x": "int16"}
-        e, _ = E.typecheck(parse_expression_text("x < 10 || x >= 10"), env)
+        e, _ = E.typecheck(parse_formula_text("x < 10 || x >= 10"), env)
         dnf = L.normalize(e, env)
         assert len(dnf) == 2
         for v in (0, 9, 10, 65535, 1234):
-            assert L.eval_dnf(dnf, {"x": v})
+            assert eval_dnf(dnf, {"x": v})
 
     def test_nonlinear_rejected(self):
         env = {"x": "int16", "y": "int16"}
-        e, _ = E.typecheck(parse_expression_text("x * y < 10"), env)
+        e, _ = E.typecheck(parse_formula_text("x * y < 10"), env)
         with pytest.raises(L.FragmentError):
             L.normalize(e, env)
 
@@ -272,23 +292,23 @@ class TestWrapPruning:
     def test_one_var_keeps_only_satisfiable_cases(self, text):
         # x + c against a constant: the clipped ranges are exact, so a
         # case that survives has a solution in the box
-        e, _ = E.typecheck(parse_expression_text(text), ENV1)
+        e, _ = E.typecheck(parse_formula_text(text), ENV1)
         for cube in L.normalize(e, ENV1):
-            assert any(L.eval_cube(cube, {"x": v}) for v in range(256)), \
+            assert any(eval_cube(cube, {"x": v}) for v in range(256)), \
                 (text, cube)
 
     def test_unmeetable_quotient_is_dropped(self):
         # x - 200 wraps to x + 56 for x < 200, which is never <= 9
-        e, _ = E.typecheck(parse_expression_text("x - 200 <= 9"), ENV1)
+        e, _ = E.typecheck(parse_formula_text("x - 200 <= 9"), ENV1)
         assert len(L.normalize(e, ENV1)) == 1
 
 
 class TestParseErrors:
     def test_position_reported(self):
         with pytest.raises(ParseError) as err:
-            parse_expression_text("x +")
+            parse_formula_text("x +")
         assert err.value.line == 1
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
-            parse_expression_text("x + 1 )")
+            parse_formula_text("x + 1 )")

@@ -125,6 +125,15 @@ class TestValidate:
         for name in fixture_names():
             assert validate(load_model(name)) == []
 
+    def test_hand_built_guard_is_typechecked(self):
+        model = parse_model(MINIMAL)
+        for guard, problem in ((E.IntLit(1), "guard is not boolean"),
+                               (E.Var("y"), "unbound variable 'y'")):
+            t = Transition(("Only",), guard, ("Only",))
+            broken = SfcModel(model.vars, model.steps, model.initial,
+                              model.actions, (t,))
+            assert validate(broken) == [f"transition 0: {problem}"]
+
     def test_empty_initial_set(self):
         model = parse_model(MINIMAL)
         broken = SfcModel(model.vars, model.steps, (), model.actions,

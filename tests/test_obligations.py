@@ -11,6 +11,8 @@ every obligation cube is clean, which lets cube joins skip cleaning.
 import importlib
 import pathlib
 import sys
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -62,14 +64,14 @@ def _outcome(ctx, rule):
 
 class TestSharedEqualsFresh:
     @pytest.mark.parametrize("cap", [512, 3])
-    def test_every_rule_instance(self, cap):
+    def test_every_rule_instance(self, cap, monkeypatch):
+        monkeypatch.setattr(L, "CAP", cap)
         seen = set()
         for name, model, formula in _cases():
-            ctx = O.DerivationContext(model, formula, cap)
+            ctx = O.DerivationContext(model, formula)
             for rule in model.rules:
                 shared = _outcome(ctx, rule)
-                fresh = _outcome(O.DerivationContext(model, formula, cap),
-                                 rule)
+                fresh = _outcome(O.DerivationContext(model, formula), rule)
                 assert shared == fresh, (name, rule.label())
                 if isinstance(shared, tuple):
                     seen.add(shared[0])
@@ -116,6 +118,16 @@ def _dnf_pairs(draw):
             tuple(draw(st.lists(cube, min_size=1, max_size=3))))
 
 
+@st.composite
+def _dnf_chains(draw):
+    """Two to five DNFs of clean cubes (none, one or several cubes each)
+    drawn from one pool of constraints."""
+    pool = draw(st.lists(_CONS, min_size=1, max_size=10, unique=True))
+    cube = st.lists(st.sampled_from(pool), max_size=6, unique=True).map(tuple)
+    dnf = st.lists(cube, max_size=3).map(tuple)
+    return draw(st.lists(dnf, min_size=2, max_size=5))
+
+
 def _with_bounds(cube):
     """Reference for attach_bounds: append every bound, then clean."""
     names = dict.fromkeys(v for con in cube for v, _ in con.coeffs)
@@ -136,11 +148,42 @@ class TestCleanCubes:
     @given(_dnf_pairs())
     def test_fast_paths_equal_cleaning(self, pair):
         a, b = pair
-        assert dnf_and(a, b, 64) == tuple(clean_cube(x + y)
+        assert dnf_and(a, b) == tuple(clean_cube(x + y)
                                           for x in a for y in b)
         for x in a:
             assert O.joint_cubes(x, b) == tuple(clean_cube(x + y) for y in b)
             assert attach_bounds(x, _ENV) == _with_bounds(x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_dnf_chains(), st.sampled_from([1, 2, 4, 8, 512]), st.booleans())
+    def test_chain_lowers_as_left_deep_chain(self, dnfs, cap, conjunction):
+        """A chain's operands are lowered and joined in the order, with the
+        cubes and the point of overflow, of left-deep binary nodes."""
+        node = E.And if conjunction else E.Or
+        atoms = [E.Var(str(i)) for i in range(len(dnfs))]
+        deep = reduce(lambda acc, atom: node((acc, atom)), atoms)
+
+        def outcome(e, negate):
+            asked = []
+
+            def leaf(atom, neg):
+                asked.append(atom.name)
+                return dnfs[int(atom.name)]
+            try:
+                return L.lower(e, negate, leaf), asked
+            except L.CubeOverflow as err:
+                return str(err), asked
+
+        with mock.patch.object(L, "CAP", cap):
+            for negate in (False, True):
+                assert outcome(node(tuple(atoms)), negate) == \
+                    outcome(deep, negate)
+            try:
+                want = reduce(L.dnf_and if conjunction else L.dnf_or, dnfs)
+            except L.CubeOverflow as err:
+                want = str(err)
+            assert outcome(node(tuple(atoms)), False)[0] == want
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_fixture_obligation_cubes_are_clean(self, name):
@@ -162,7 +205,7 @@ def _strip_widths(e):
     if isinstance(e, E.Cmp):
         return E.Cmp(e.op, _strip_widths(e.lhs), _strip_widths(e.rhs))
     if isinstance(e, (E.And, E.Or)):
-        return type(e)(_strip_widths(e.lhs), _strip_widths(e.rhs))
+        return type(e)(tuple(map(_strip_widths, e.args)))
     if isinstance(e, E.Not):
         return E.Not(_strip_widths(e.arg))
     return e
@@ -172,20 +215,19 @@ def _cmps(e):
     if isinstance(e, E.Cmp):
         yield e
     elif isinstance(e, (E.And, E.Or)):
-        yield from _cmps(e.lhs)
-        yield from _cmps(e.rhs)
+        for arg in e.args:
+            yield from _cmps(arg)
     elif isinstance(e, E.Not):
         yield from _cmps(e.arg)
 
 
 def _atoms(f):
     if isinstance(f, (E.And, E.Or)):
-        yield from _atoms(f.lhs)
-        yield from _atoms(f.rhs)
+        for arg in f.args:
+            yield from _atoms(arg)
     elif isinstance(f, E.Not):
         yield from _atoms(f.arg)
-    elif not isinstance(f, (P.StepActive, P.ActionActive, P.ActionsWithin,
-                            P.StepsWithin)):
+    elif not isinstance(f, (P.Active, P.Within)):
         yield f
 
 
@@ -331,10 +373,10 @@ _UNPRUNED_REL = {
 }
 
 
-def _every_pair(op, la, lb, bits, bounds, cap):
+def _every_pair(op, la, lb, bits, bounds):
     """The comparison's cubes before pruning: one per pair of quotients."""
-    for wa, side_a in L.wrap_cases(la, bits, bounds, cap):
-        for wb, side_b in L.wrap_cases(lb, bits, bounds, cap):
+    for wa, side_a in L.wrap_cases(la, bits, bounds):
+        for wb, side_b in L.wrap_cases(lb, bits, bounds):
             cube = clean_cube(side_a + side_b
                               + (_UNPRUNED_REL[op](wa.sub(wb)),))
             if cube is not None:
@@ -363,9 +405,9 @@ class TestPrunedWrapCases:
         calls = []
         cmp_atom = L._cmp_atom
 
-        def recorded(op, la, lb, bits, bounds, cap):
-            out = cmp_atom(op, la, lb, bits, bounds, cap)
-            calls.append((op, la, lb, bits, bounds, cap, out))
+        def recorded(op, la, lb, bits, bounds):
+            out = cmp_atom(op, la, lb, bits, bounds)
+            calls.append((op, la, lb, bits, bounds, out))
             return out
 
         monkeypatch.setattr(L, "_cmp_atom", recorded)
@@ -379,10 +421,10 @@ class TestPrunedWrapCases:
                     pass
         monkeypatch.undo()
         dropped = 0
-        for op, la, lb, bits, bounds, cap, kept in calls:
+        for op, la, lb, bits, bounds, kept in calls:
             if op == "!=":  # its two halves are recorded on their own
                 continue
-            every = list(_every_pair(op, la, lb, bits, bounds, cap))
+            every = list(_every_pair(op, la, lb, bits, bounds))
             assert [c for c in every if c in kept] == list(kept)
             for cube in every:
                 if cube in kept:

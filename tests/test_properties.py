@@ -1,6 +1,7 @@
 import pytest
 
 from certplc import expr as E
+from certplc import linear as L
 from certplc import properties as P
 from certplc import verifier as V
 from certplc.model import parse_model
@@ -23,13 +24,15 @@ class TestParsing:
         kinds = set()
 
         def walk(g):
-            kinds.add(type(g).__name__)
-            for attr in ("lhs", "rhs", "arg"):
-                if hasattr(g, attr):
-                    walk(getattr(g, attr))
+            kinds.add((type(g).__name__, getattr(g, "kind", None)))
+            for arg in getattr(g, "args", ()):
+                walk(arg)
+            if hasattr(g, "arg"):
+                walk(g.arg)
         walk(f)
-        assert {"StepActive", "ActionActive", "ActionsWithin",
-                "StepsWithin", "Not", "And"} <= kinds
+        assert {("Active", "step"), ("Active", "action"),
+                ("Within", "action"), ("Within", "step"), ("Not", None),
+                ("And", None)} <= kinds
 
     def test_unknown_step_rejected(self, loop_model):
         with pytest.raises(ParseError, match="unknown step"):
@@ -101,11 +104,30 @@ class TestPrinting:
         f = P.parse_formula_text("(step(Init)) <= 2")
         assert P.formula_text(f) == "(step(Init)) <= 2"
         assert P.parse_formula_text(P.formula_text(f)) == f
-        g = E.Or(E.Not(P.StepActive("Init")),
-                 E.And(E.Var("x"), P.ActionActive("A_Init")))
+        g = E.Or((E.Not(P.Active("step", "Init")),
+                  E.And((E.Var("x"), P.Active("action", "A_Init")))))
         assert P.formula_text(g) == "!step(Init) || x && action(A_Init)"
         with pytest.raises(ParseError, match=r"got step\(Init\)$"):
             P.parse_formula_text("(step(Init)) <= 2", loop_model)
+
+    @pytest.mark.parametrize("text, printed", [
+        ("(a && b) && c", "a && b && c"),
+        ("a && (b && c)", "a && b && c"),
+        ("(a || b) && c", "(a || b) && c"),
+        ("!(a && b) || c", "!(a && b) || c"),
+    ])
+    def test_nested_chains(self, text, printed):
+        # a chain nested in one of the same connective prints unparenthesized
+        assert P.formula_text(P.parse_formula_text(text)) == printed
+
+    def test_one_node_per_chain(self):
+        a, b, c = map(E.Var, "abc")
+        assert P.parse_formula_text("a && b && c") == E.And((a, b, c))
+        assert P.parse_formula_text("(a && b) && c") == \
+            E.And((E.And((a, b)), c))
+        assert P.parse_formula_text("a || b && c || !c") == \
+            E.Or((a, E.And((b, c)), E.Not(c)))
+        assert len(P.conjuncts(P.parse_formula_text("a && (b && c)"))) == 3
 
     def test_invariant_text(self, loop_model):
         inv = P.parse_properties("invariant a : always (x <= 10);",
@@ -123,9 +145,9 @@ class TestSemantics:
 
     def test_subset_atoms(self, loop_model):
         s = SfcState({"x": 0}, ("Init",), ("A_Init", "A_Init"))
-        assert P.holds_on(P.ActionsWithin(("A_Init",)), s)
-        assert not P.holds_on(P.ActionsWithin(()), s)
-        assert P.holds_on(P.StepsWithin(("Init", "Step2")), s)
+        assert P.holds_on(P.Within("action", ("A_Init",)), s)
+        assert not P.holds_on(P.Within("action", ()), s)
+        assert P.holds_on(P.Within("step", ("Init", "Step2")), s)
 
     def test_negate_round_trip(self, loop_model):
         s = init_state(loop_model)
@@ -138,3 +160,36 @@ class TestSemantics:
         f = P.parse_formula_text("x <= 10 && step(Init) && x <= 9",
                                  loop_model)
         assert len(P.conjuncts(f)) == 3
+
+
+class TestLongChains:
+    """A chain is one node, so every walk of a long property loops over its
+    operands instead of recursing once per connective."""
+
+    N = 20000
+
+    def _parsed(self, op, atom, model):
+        line = ("invariant p : always ("
+                + f" {op} ".join(atom.format(i + 1) for i in range(self.N))
+                + ");")
+        inv, = P.parse_properties(line, model)  # parsed and typechecked
+        assert len(inv.formula.args) == self.N
+        assert P.invariant_text(inv) == line
+        return inv.formula
+
+    def test_conjunction(self, loop_model):
+        f = self._parsed("&&", "x <= {}", loop_model)
+        assert len(P.conjuncts(f)) == self.N
+        assert P.holds_on(f, init_state(loop_model))  # every operand read
+        # lowering rebuilds the growing cube at every operand, so a shorter
+        # chain, still past the interpreter's recursion limit, stands in
+        n = 2000
+        cube, = L.normalize(E.And(f.args[:n]), loop_model.env())
+        assert len(cube) == 2 + n  # x's width bounds, one per operand
+
+    def test_disjunction(self, loop_model):
+        f = self._parsed("||", "x == {}", loop_model)
+        assert not P.holds_on(f, init_state(loop_model))  # x starts at 0
+        with pytest.raises(L.CubeOverflow,
+                           match="^513 disjuncts exceed cap 512$"):
+            L.normalize(f, loop_model.env())

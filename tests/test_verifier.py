@@ -13,8 +13,8 @@ from certplc.lia.solver import Sat, decide_sat
 from certplc.model import parse_model
 from certplc.semantics import reachable_bounded
 
-from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
-                      WRAP_BLOWUP, WRAP_BLOWUP_PROP, decision, fixture_names,
+from conftest import (FANOUT, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
+                      NONLINEAR_GUARD, WRAP_BLOWUP, WRAP_BLOWUP_PROP, decision, fixture_names,
                       load_invariants, load_model, lockstep, states_of)
 
 
@@ -306,8 +306,8 @@ class TestBasicLemmas:
 
     def test_declared_set_matches_model(self, loop_model):
         (l1, _), (l2, _) = V.gen_basic_lemmas(loop_model)
-        assert l1.formula == P.ActionsWithin(("A_Init",))
-        assert l2.formula == P.StepsWithin(("Init", "Return", "Step2"))
+        assert l1.formula == P.Within("action", ("A_Init",))
+        assert l2.formula == P.Within("step", ("Init", "Return", "Step2"))
 
 
 def prove_claim(model, claim):
@@ -361,12 +361,23 @@ class TestGuardUnreachable:
             V.check_guard_unreachable(loop_model, "Nowhere")
 
 
+# guards that are chains, one per connective, and a multi-source transition
+CHAINED_GUARDS = """var x : int8
+step S [initial]
+step T
+step U
+trans {S} -[ x < 3 || x > 7 || x == 5 ]-> {T}
+trans {S, T} -[ x >= 1 && x <= 5 && x != 4 ]-> {U}
+trans {U} -[ (x < 3 || x > 7) && !(x == 1 && true) ]-> {S}
+"""
+
+
 def _holds_on_assignment(f, assignment):
     """Truth of a formula on a refuting assignment of the symbolic state,
     whose activity variables absent from it read 0."""
     def leaf(g):
-        if isinstance(g, P.StepActive):
-            return assignment.get(O.step_var(g.step), 0) == 1
+        if isinstance(g, P.Active) and g.kind == "step":
+            return assignment.get(O.step_var(g.name), 0) == 1
         raise AssertionError(f"unexpected atom {g!r}")
 
     return bool(E.eval_expr(f, assignment, leaf))
@@ -424,6 +435,24 @@ class TestDeterminedSuccessor:
         with pytest.raises(ValueError):
             V.check_determined_successor(
                 loop_model, formula("true", loop_model), "Nowhere")
+
+    @pytest.mark.parametrize("text", [FANOUT, CHAINED_GUARDS])
+    def test_claims_parse_back_to_themselves(self, text):
+        """The claims join chains as the parser does, so a certificate's
+        property lines parse back to the formulas that were proved."""
+        m = parse_model(text)
+        first = m.steps[0]
+        context = (formula(f"step({first}) || !step({first})", m),
+                   formula(f"step({first}) && true", m))
+        trigger = formula(f"step({first}) && !step({first})", m)
+        for step in m.steps:
+            claims = [V.check_determined_successor(m, trigger, step),
+                      V.check_determined_successor(m, trigger, step, context)]
+            if step not in m.initial:
+                claims.append(V.check_guard_unreachable(m, step))
+                claims.append(V.check_guard_unreachable(m, step, context))
+            for f in (p.formula for claim in claims for p in claim if p):
+                assert formula(P.formula_text(f), m) == f
 
 
 class TestTreeShape:
