@@ -187,13 +187,13 @@ def _check(data: bytes) -> CheckVerdict:
                 continue
             if len(entry.conjuncts) != len(ob.neg_concl):
                 return _rejected("coverage: conjunct count mismatch", *at)
-            for j, leaf in enumerate(entry.conjuncts):
-                neg_dnf = ob.neg_concl[j]
+            for j, (leaf, joints) in enumerate(zip(
+                    entry.conjuncts, O.joint_cubes(hyp_cube, ob.neg_concl))):
                 spot = at + (f"conj {j}",)
-                if len(leaf.witnesses) != len(neg_dnf):
+                if len(leaf.witnesses) != len(joints):
                     return _rejected("coverage: negated-conclusion cube "
                                      "count mismatch", *spot)
-                for k, joint in enumerate(O.joint_cubes(hyp_cube, neg_dnf)):
+                for k, joint in enumerate(joints):
                     if not replay_witness(joint, leaf.witnesses[k]):
                         return _rejected("replay: witness does not refute "
                                          "the counterexample cube",

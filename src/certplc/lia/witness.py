@@ -13,9 +13,11 @@ any case-split assumptions); each step appends one derived constraint:
   bound constraints must already pin the variable to [lo, hi]; one branch
   witness per value refutes the cube extended with `var == value`.
 
-Replay accepts when a constant-false constraint appears (a split accepts
-when every branch accepts).  There is no search: cost is linear in the
-size of the witness.  Replay never raises; malformed input is rejected.
+Replay accepts when a constant-false constraint is in the context: a
+derived one ends the replay at once, a member of the cube is looked for
+only when the steps end without one (a split accepts when every branch
+accepts).  There is no search: cost is linear in the size of the witness.
+Replay never raises; a malformed step rejects, whatever the cube holds.
 """
 
 from __future__ import annotations
@@ -110,8 +112,6 @@ def _is_upper_bound(con: LinCon, var: str, hi: int) -> bool:
 def _replay(base: list[LinCon], base_len: int, w: Witness) -> bool:
     """`base[:base_len]` is cube plus assumptions; the rest is derived."""
     ctx = list(base)
-    if any(con.const_false() for con in ctx):
-        return True
     for pos, step in enumerate(w.steps):
         if isinstance(step, Combine):
             derived = _combine(ctx, step.terms)
@@ -145,7 +145,10 @@ def _replay(base: list[LinCon], base_len: int, w: Witness) -> bool:
         ctx.append(derived)
         if derived.const_false():
             return True
-    return False
+    # no step derived a contradiction: accepted only if the base holds
+    # one.  Scanned here, not first, so that a valid witness never pays
+    # for it (the checker's cubes are clean and hold none)
+    return any(con.const_false() for con in ctx[:base_len])
 
 
 def replay_witness(cube: Cube, witness: Witness) -> bool:

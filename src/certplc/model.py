@@ -28,7 +28,7 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import expr as E
 from . import fbd as F
@@ -190,9 +190,13 @@ class SfcModel:
         return table
 
 
-@dataclass(frozen=True, eq=False)
-class SfcState:
-    """A configuration: memory, active step list, pending action list."""
+class SfcState(NamedTuple):
+    """A configuration: memory, active step list, pending action list.
+
+    A tuple, so ``semantics`` builds one with ``tuple.__new__`` and reads
+    its fields in C; equality and hashing are the structural identity of
+    ``key``, not the tuple's.
+    """
 
     mem: dict
     active_steps: tuple[str, ...]
@@ -205,6 +209,9 @@ class SfcState:
 
     def __eq__(self, other):
         return isinstance(other, SfcState) and self.key() == other.key()
+
+    def __ne__(self, other):  # tuple's own != would compare the fields
+        return not self == other
 
     def __hash__(self):
         return hash(self.key())

@@ -1,16 +1,29 @@
 """Small-step execution, successor enumeration and exploration.
 
-A configuration (``model.SfcState``) is (memory, pending action list, active
-step list); ``model.init_state`` builds the initial one.  The execute,
-transition and reactivate rules are described once, on ``model.RuleShape``.
-``rule_table`` compiles a model's shapes once into rows whose guards and
-action effects are ``Evaluator``s: pure functions of the variables they
-read, each with a small integer id and its read set.  One exploration
-(``reachable_bounded``) or simulation (``run_trace``) shares a memo keyed by
-``(id, values read)``, so each guard and each effect runs once per distinct
-input; the memo is dropped on return.  ``apply_rule`` runs one rule
-instance.  Nothing here is in the trusted core: the certificate checker
-reads the rule table and the initial configuration from ``model`` itself.
+A configuration (``model.SfcState``, a tuple) is (memory, active step list,
+pending action list); ``model.init_state`` builds the initial one.  The
+execute, transition and reactivate rules are described once, on
+``model.RuleShape``.  ``rule_table`` compiles a model's shapes once into
+rows whose guards and action effects are ``Evaluator``s: pure functions of
+the variables they read, each with a small integer id and its read set.
+One exploration (``reachable_bounded``) or simulation (``run_trace``)
+shares a memo keyed by ``(id, values read)``, so each guard and each effect
+runs once per distinct input; the memo is dropped on return.  ``apply_rule``
+runs one rule instance.
+
+``successors`` is the one enumeration path, and it tries only what can
+fire: the rule table lists each transition under its first source step,
+and a configuration tries the transitions listed under its active steps,
+in declaration order (a transition fires only when all its sources are
+active).  ``reachable_bounded`` dedups on (memory values, active steps,
+sorted pending actions), which is ``SfcState.key`` without sorting memory.
+That is exact because every memory of one exploration has the key order
+of ``init_state``'s, which is the order of ``model.vars``: an effect's
+writes are merged as ``{**mem, **writes}``, which keeps it.
+``SfcState.key`` stays the identity between arbitrary configurations.
+
+Nothing here is in the trusted core: the certificate checker reads the rule
+table and the initial configuration from ``model`` itself.
 """
 
 from __future__ import annotations
@@ -19,13 +32,16 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 from . import expr as E
 from . import fbd as F
 from .model import (ExecuteAction, Reactivate, RuleInstance, RuleShape,
                     SfcModel, SfcState, StepTransition, init_state)
+
+
+_state = tuple.__new__  # builds an SfcState without NamedTuple's __new__
 
 
 class NotApplicable(Exception):
@@ -96,7 +112,8 @@ class RuleTable:
 
     rows: dict[RuleInstance, Row]   # every instance, as in ``model.rules``
     execute: dict[str, Row]         # action id -> its execute row
-    transitions: tuple[Row, ...]    # in declaration order
+    # step -> the transitions whose first source it is, in declaration order
+    leaving: dict[str, tuple[Row, ...]]
     reactivate: dict[str, Row]      # step -> its reactivation row
 
 
@@ -143,12 +160,16 @@ def _compile(model: SfcModel) -> RuleTable:
                       tuple(map(guard, r.blocked)),
                       None if r.action is None else effects[r.action])
             for rule, r in model.rules.items()}
+    leaving: dict[str, tuple[Row, ...]] = {}
+    for r, row in rows.items():
+        if isinstance(r, StepTransition):
+            first = row.shape.steps[0]
+            leaving[first] = leaving.get(first, ()) + (row,)
     return RuleTable(
         rows,
         {r.action: row for r, row in rows.items()
          if isinstance(r, ExecuteAction)},
-        tuple(row for r, row in rows.items()
-              if isinstance(r, StepTransition)),
+        leaving,
         {r.step: row for r, row in rows.items() if isinstance(r, Reactivate)})
 
 
@@ -166,17 +187,16 @@ def _fire(row: Row, c: SfcState, memo: dict) -> SfcState | str:
     """Successor of *c* under *row*'s rule, or why the rule is not enabled
     in *c*."""
     r = row.shape
-    acts = c.active_actions
+    mem, steps, acts = c
     for a in r.pending:
         if a not in acts:
             return f"action {a!r} is not pending"
     for s in r.steps:
-        if s not in c.active_steps:
+        if s not in steps:
             return f"step {s!r} inactive"
     for a in r.idle:
         if a in acts:
             return f"action {a!r} still pending"
-    mem = c.mem
     for g in row.guards:
         if not g.value(mem, memo):
             return "guard is false"
@@ -187,12 +207,11 @@ def _fire(row: Row, c: SfcState, memo: dict) -> SfcState | str:
         mem = {**mem, **row.action.value(mem, memo)}
     # an unchanged list is shared with the predecessor, not copied
     # (concatenating an empty tuple returns the other operand)
-    steps = c.active_steps
     if r.steps_off:
-        steps = tuple(s for s in steps if s not in r.steps_off)
+        steps = tuple([s for s in steps if s not in r.steps_off])
     if r.acts_off:
-        acts = tuple(a for a in acts if a not in r.acts_off)
-    return SfcState(mem, steps + r.steps_on, r.acts_on + acts)
+        acts = tuple([a for a in acts if a not in r.acts_off])
+    return _state(SfcState, (mem, steps + r.steps_on, r.acts_on + acts))
 
 
 def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
@@ -206,20 +225,29 @@ def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
 
 def successors(model: SfcModel, c: SfcState, memo: dict | None = None):
     """Enabled (rule, successor) pairs in enumeration order: execute
-    instances of pending actions (first occurrence order), every
-    transition, and reactivations of active steps.
+    instances of pending actions (first occurrence order), transitions in
+    declaration order, and reactivations of active steps.
 
-    *memo* holds ``Evaluator`` results; calls within one exploration share
-    it, and a fresh one is used when it is None.
+    Only the transitions whose first source step is active are tried: the
+    others cannot fire.  *memo* holds ``Evaluator`` results; calls within
+    one exploration share it, and a fresh one is used when it is None.
     """
     t = rule_table(model)
     if memo is None:
         memo = {}
+    steps = c.active_steps
+    if len(steps) == 1:
+        transitions = t.leaving.get(steps[0], ())
+    else:
+        # a step may be active twice; each transition is tried once
+        transitions = sorted({row for s in steps
+                              for row in t.leaving.get(s, ())},
+                             key=attrgetter("rule.index"))
     out = []
     for row in chain(map(t.execute.__getitem__,
                          dict.fromkeys(c.active_actions)),
-                     t.transitions,
-                     map(t.reactivate.__getitem__, c.active_steps)):
+                     transitions,
+                     map(t.reactivate.__getitem__, steps)):
         c2 = _fire(row, c, memo)
         if not isinstance(c2, str):
             out.append((row.rule, c2))
@@ -230,7 +258,10 @@ def reachable_bounded(model: SfcModel, depth: int, *,
                       state_budget: int = 100_000) -> list[SfcState]:
     """Breadth-first closure up to `depth` rule applications, deduplicated."""
     start = init_state(model)
-    seen = {start.key()}
+    # SfcState.key without sorting memory: every memory here has
+    # init_state's key order (an effect's writes update keys in place)
+    mem, steps, acts = start
+    seen = {(tuple(mem.values()), steps, tuple(sorted(acts)))}
     states = [start]
     frontier = [start]
     memo: dict = {}
@@ -240,7 +271,8 @@ def reachable_bounded(model: SfcModel, depth: int, *,
         nxt = []
         for c in frontier:
             for _, c2 in successors(model, c, memo):
-                k = c2.key()
+                mem, steps, acts = c2
+                k = (tuple(mem.values()), steps, tuple(sorted(acts)))
                 if k not in seen:
                     seen.add(k)
                     states.append(c2)

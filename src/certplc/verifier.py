@@ -97,9 +97,9 @@ def discharge(ob: O.CaseObligation):
                 entries.append(HypEntry(contradiction=res.witness))
                 continue
             leaves = []
-            for neg_dnf in ob.neg_concl:
+            for joints in O.joint_cubes(hyp_cube, ob.neg_concl):
                 witnesses = []
-                for joint in O.joint_cubes(hyp_cube, neg_dnf):
+                for joint in joints:
                     # the joint cube extends the hypothesis cube, whose
                     # simplification the decider replays
                     sub = decide_sat(joint, after=res)

@@ -179,6 +179,34 @@ class TestWitnessReplay:
         assert not replay_witness(cube, Witness((object(),)))
         assert not replay_witness(cube, Witness(("combine",)))
 
+    def test_constant_false_base_member_is_a_refutation(self):
+        cube = (con({"x": 1}, "<=", 5), LinCon((), "<=", -1))
+        assert replay_witness(cube, Witness(()))
+        # a step that derives nothing false leaves the base's contradiction
+        assert replay_witness(cube, Witness((Tighten(0),)))
+        # malformed steps reject, whatever the base holds
+        assert not replay_witness(cube, Witness((Tighten(7),)))
+        assert not replay_witness(cube, Witness((object(),)))
+
+    def test_valid_witness_never_scans_the_base(self, monkeypatch):
+        cube = boxed([con({"x": 1}, "<=", 9), con({"x": -1}, "<=", -10)],
+                     65535, ["x"])
+        res = decide_sat(cube)
+        assert isinstance(res, Unsat)
+        asked = []
+        const_false = LinCon.const_false
+
+        def counted(self):
+            asked.append(self)
+            return const_false(self)
+
+        monkeypatch.setattr(LinCon, "const_false", counted)
+        assert replay_witness(cube, res.witness)
+        # one test per derived constraint, none of a base member, and the
+        # replay ends at the witness's last step
+        assert len(asked) == len(res.witness.steps)
+        assert not set(asked) & set(cube)
+
     def test_split_replays_and_is_checked(self):
         # rationally feasible, integer infeasible; needs the case split
         cube = _PUGH

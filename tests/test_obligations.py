@@ -151,7 +151,9 @@ class TestCleanCubes:
         assert dnf_and(a, b) == tuple(clean_cube(x + y)
                                           for x in a for y in b)
         for x in a:
-            assert O.joint_cubes(x, b) == tuple(clean_cube(x + y) for y in b)
+            assert list(O.joint_cubes(x, (b, (), b))) == [
+                tuple(clean_cube(x + y) for y in b), (),
+                tuple(clean_cube(x + y) for y in b)]
             assert attach_bounds(x, _ENV) == _with_bounds(x)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -199,6 +201,25 @@ class TestCleanCubes:
                 for dnf in ob.neg_concl:
                     for cube in dnf:
                         assert _is_clean(cube), (name, rule.label())
+
+    def test_fixture_joins_equal_dnf_and(self):
+        """joint_cubes builds one member set per hypothesis cube; its joins
+        are dnf_and's, cube for cube and in order, for every conjunct of
+        every fixture obligation."""
+        joined = 0
+        for name, model, formula in _cases():
+            ctx = O.DerivationContext(model, formula)
+            for rule in model.rules:
+                ob = _outcome(ctx, rule)
+                if isinstance(ob, tuple):  # not derivable
+                    continue
+                for cube in ob.hyp_cubes:
+                    got = list(O.joint_cubes(cube, ob.neg_concl))
+                    assert got == [dnf_and((cube,), dnf)
+                                   for dnf in ob.neg_concl], \
+                        (name, rule.label())
+                    joined += sum(map(len, got))
+        assert joined > 0
 
 
 def _strip_widths(e):

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -401,3 +402,145 @@ class TestCompiledEffects:
         with pytest.raises(F.FbdError, match=match):
             successors(bad, c)
         assert ran == []
+
+
+def _ring_with_joins(n=24):
+    """An n-step ring that forks a side step P on its way out of R0 (so P
+    can be active twice), two multi-source transitions into Q, and
+    [prio] tags.  `{R6, P}` is listed under R6, its first source, and must
+    not fire while P is active and R6 is not."""
+    lines = ["var x : int8", "var y : int8", "step R0 [initial]"]
+    lines += [f"step R{i}" for i in range(1, n)] + ["step P", "step Q"]
+    lines.append("action Tick on R3 { y := x; x := x + 1; }")
+    lines.append("trans {R0} -[ x < 2 ]-> {R1, P} [prio 0]")
+    lines += [f"trans {{R{i}}} -[ true ]-> {{R{(i + 1) % n}}}"
+              + (f" [prio {i % 3}]" if i % 4 == 0 else "")
+              for i in range(n)]
+    lines.append("trans {P, R12} -[ x >= 1 ]-> {Q} [prio 1]")
+    lines.append("trans {R6, P} -[ x <= 3 ]-> {R7, Q}")
+    return parse_model("\n".join(lines) + "\n")
+
+
+def _reference_successors(model, c):
+    """(rule, successor) pairs in enumeration order, by applying every rule
+    instance of ``model.rules`` through apply_rule: execute instances of
+    pending actions in first occurrence order, every transition in
+    declaration order, then a reactivation per active step."""
+    rules = list(model.rules)
+    order = ([ExecuteAction(a) for a in dict.fromkeys(c.active_actions)]
+             + [r for r in rules if isinstance(r, StepTransition)]
+             + [Reactivate(s) for s in c.active_steps])
+    out = []
+    for rule in order:
+        try:
+            out.append((rule, S.apply_rule(model, c, rule)))
+        except NotApplicable:
+            pass
+    # every other instance is not enabled
+    for rule in set(rules) - set(order):
+        with pytest.raises(NotApplicable):
+            S.apply_rule(model, c, rule)
+    return out
+
+
+def _reference_explore(model, depth):
+    """Breadth-first closure deduplicated by SfcState.key()."""
+    start = init_state(model)
+    seen, states, frontier = {start.key()}, [start], [start]
+    for _ in range(depth):
+        nxt = []
+        for c in frontier:
+            for _, c2 in _reference_successors(model, c):
+                if c2.key() not in seen:
+                    seen.add(c2.key())
+                    states.append(c2)
+                    nxt.append(c2)
+        frontier = nxt
+    return states
+
+
+def _reference_trace(model, scheduler, max_steps, seed):
+    rng = random.Random(seed)
+    c, trace = init_state(model), []
+    for _ in range(max_steps):
+        succ = _reference_successors(model, c)
+        if not succ:
+            break
+        if scheduler == "fixed":
+            rule, c = succ[0]
+        elif scheduler == "random":
+            rule, c = succ[rng.randrange(len(succ))]
+        else:
+            def rank(pair):
+                rule = pair[0]
+                if isinstance(rule, ExecuteAction):
+                    return (0,)
+                if isinstance(rule, StepTransition):
+                    t = model.transitions[rule.index]
+                    return (1, t.priority is None, t.priority or 0,
+                            rule.index)
+                return (2,)
+            rule, c = min(succ, key=rank)  # min keeps the first of ties
+        trace.append((rule, c))
+    return trace
+
+
+def _exact(states):
+    """States with everything the explorer may order: memory items in key
+    order, active steps, pending actions."""
+    return [(list(s.mem.items()), s.active_steps, s.active_actions)
+            for s in states]
+
+
+_DIFFERENTIAL = fixture_names() + ["FANOUT", "ring_with_joins"]
+
+
+def _differential_model(name):
+    if name == "FANOUT":
+        return parse_model(FANOUT)
+    if name == "ring_with_joins":
+        return _ring_with_joins()
+    return load_model(name)
+
+
+class TestDifferential:
+    """The explorer and the simulator equal a reference that tries every
+    rule instance in every configuration, state for state and in order."""
+
+    @pytest.mark.parametrize("name", _DIFFERENTIAL)
+    def test_explorer_equals_reference(self, name):
+        model = _differential_model(name)
+        depth = 120 if name == "ring_with_joins" else 8
+        got = reachable_bounded(model, depth)
+        assert _exact(got) == _exact(_reference_explore(model, depth))
+        for c in got:
+            pairs = successors(model, c)
+            want = _reference_successors(model, c)
+            assert [r for r, _ in pairs] == [r for r, _ in want]
+            assert _exact(c2 for _, c2 in pairs) == \
+                _exact(c2 for _, c2 in want)
+        # the explorer's dedup key reads memory values in this order
+        names = [v.name for v in model.vars]
+        assert all(list(s.mem) == names for s in got)
+
+    @pytest.mark.parametrize("name", _DIFFERENTIAL)
+    @pytest.mark.parametrize("scheduler", ["priority", "fixed", "random"])
+    def test_simulator_equals_reference(self, name, scheduler):
+        model = _differential_model(name)
+        got = run_trace(model, scheduler, 150, seed=3)
+        want = _reference_trace(model, scheduler, 150, 3)
+        assert [(r, *_exact([s])) for r, s in got] == \
+            [(r, *_exact([s])) for r, s in want]
+
+    def test_ring_reaches_what_the_index_must_skip(self):
+        """Explored configurations where {R6, P}'s first source is
+        inactive while P is active, where P is active twice, and where
+        each multi-source transition fires."""
+        model = _ring_with_joins()
+        states = reachable_bounded(model, 120)
+        assert any("P" in s.active_steps and "R6" not in s.active_steps
+                   for s in states)
+        assert any(s.active_steps.count("P") == 2 for s in states)
+        fired = {r.index for s in states for r, _ in successors(model, s)
+                 if isinstance(r, StepTransition)}
+        assert {25, 26} <= fired

@@ -191,7 +191,8 @@ def _decided_cases(model, inv):
         except (O.UnsupportedEffect, O.ObligationOverflow):
             continue
         for hyp in ob.hyp_cubes:
-            joints = [j for d in ob.neg_concl for j in O.joint_cubes(hyp, d)]
+            joints = [j for js in O.joint_cubes(hyp, ob.neg_concl)
+                      for j in js]
             yield hyp, decide_sat(hyp), joints
 
 
