@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from . import obligations as O
 from . import properties as P
 from .lia.witness import replay_witness
+from .linear import FragmentError, LimitExceeded
 from .model import (SfcModel, canonical_text, init_state, parse_model,
                     text_digest)
 from .parsing import ParseError
-from .prooftree import ProofSyntaxError, ProofTree, parse_proof_lines, \
-    proof_lines
+from .prooftree import ProofTree, parse_proof_lines, proof_lines
 
 MAGIC = "CERTPLC/1"
 
@@ -150,7 +150,7 @@ def _check(data: bytes) -> CheckVerdict:
 
     try:
         tree = parse_proof_lines(proof_raw)
-    except ProofSyntaxError as err:
+    except ParseError as err:
         return _rejected(f"proof-parse: {err}")
 
     # base case, re-evaluated concretely on the rebuilt initial state
@@ -170,10 +170,11 @@ def _check(data: bytes) -> CheckVerdict:
         where = ("cases", case.label)
         try:
             ob = O.build_obligation(context, rule)
-        except O.UnsupportedEffect as err:
-            return _rejected(f"unsupported-effect: {err}", *where)
-        except O.ObligationOverflow as err:
-            return _rejected(f"resource: {err}", *where)
+        except FragmentError as err:
+            return _rejected(f"unsupported-effect: {rule.label()}: {err}",
+                             *where)
+        except LimitExceeded as err:
+            return _rejected(f"resource: {rule.label()}: {err}", *where)
         if len(case.hyps) != len(ob.hyp_cubes):
             return _rejected("coverage: hypothesis cube count mismatch",
                              *where)

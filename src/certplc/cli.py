@@ -2,7 +2,7 @@
 
 Exit status: 0 on success, 1 when verification or checking does not fully
 succeed (refuted, undecided, rejected, assertion violated), 2 on usage or
-parse errors.
+parse errors and on files that cannot be opened.
 """
 
 from __future__ import annotations
@@ -221,10 +221,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except ParseError as err:
+    except (ParseError, UnicodeDecodeError) as err:  # undecodable: not UTF-8
         print(f"parse error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"cannot open {err.filename}", file=sys.stderr)
         return 2
     return code

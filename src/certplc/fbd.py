@@ -95,27 +95,32 @@ def topo_order(f: Fbd) -> list[str]:
     """Topological order of the delay-cut dependency graph.
 
     Raises FbdError when a cycle survives the cut, i.e. some cycle has no
-    delay block on it.
+    delay block on it.  The depth-first search keeps its own stack, so a
+    chain of any length is ordered without recursing per block.
     """
     deps = _dependencies(f)
     order: list[str] = []
     state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def visit(bid, chain):
-        mark = state.get(bid)
-        if mark == 1:
-            return
-        if mark == 0:
-            raise FbdError("cycle without a delay block: "
-                           + " -> ".join(chain + [bid]))
-        state[bid] = 0
-        for d in deps[bid]:
-            visit(d, chain + [bid])
-        state[bid] = 1
-        order.append(bid)
-
     for b in f.blocks:
-        visit(b.id, [])
+        if b.id in state:
+            continue
+        state[b.id] = 0
+        path = [b.id]  # the blocks being visited, from b on
+        todo = [iter(deps[b.id])]  # the dependencies each has left
+        while todo:
+            d = next(todo[-1], None)
+            if d is None:  # every dependency of path[-1] is ordered
+                todo.pop()
+                done = path.pop()
+                state[done] = 1
+                order.append(done)
+            elif d not in state:
+                state[d] = 0
+                path.append(d)
+                todo.append(iter(deps[d]))
+            elif state[d] == 0:
+                raise FbdError("cycle without a delay block: "
+                               + " -> ".join(path + [d]))
     return order
 
 

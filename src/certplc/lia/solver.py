@@ -47,16 +47,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple
 
-from ..linear import Cube, LinCon
+from ..linear import Cube, FragmentError, LimitExceeded, LinCon
 from .witness import Combine, RangeSplit, Tighten, Witness
-
-
-class DeciderResourceError(Exception):
-    """Configured search limits exceeded; the query stays undecided."""
-
-
-class FragmentViolation(Exception):
-    """Cube is outside the bounded linear fragment."""
 
 
 @dataclass
@@ -178,13 +170,13 @@ class _Limits:
     def count(self, n: int = 1):
         self.derived += n
         if self.derived > self.max_derived:
-            raise DeciderResourceError(
+            raise LimitExceeded(
                 f"more than {self.max_derived} derived constraints")
 
     def count_split(self, n: int):
         self.split_values += n
         if self.split_values > self.split_limit:
-            raise DeciderResourceError(
+            raise LimitExceeded(
                 f"case split budget {self.split_limit} exceeded")
 
 
@@ -431,7 +423,7 @@ class _Solver:
                 if v == var:
                     continue
                 if v not in assignment:
-                    raise FragmentViolation(
+                    raise FragmentError(
                         f"variable {v!r} has no bounds in the cube")
                 total += k * assignment[v]
             return total
@@ -449,7 +441,7 @@ class _Solver:
             if hi is None or b < hi:
                 hi = b
         if lo is None or hi is None:
-            raise FragmentViolation(f"variable {var!r} is unbounded")
+            raise FragmentError(f"variable {var!r} is unbounded")
         if lo > hi:
             return None
         return lo
@@ -478,7 +470,7 @@ class _Solver:
     def _range_split(self, active: list[_Node], var: str, n_assume: int):
         lo, hi, lo_nd, hi_nd = self._unit_bounds(active, var)
         if lo is None or hi is None:
-            raise FragmentViolation(f"variable {var!r} is unbounded")
+            raise FragmentError(f"variable {var!r} is unbounded")
         if lo > hi:
             self.limits.count()
             combo = _tighten_node(_combine_nodes(((lo_nd, 1), (hi_nd, 1))))
@@ -510,6 +502,8 @@ def decide_sat(cube: Cube, *, after: Sat | None = None,
     past that prefix hold no equality, the prefix's simplification is
     replayed (see the module docstring).  Any other cube, or an *after*
     without a trace, is decided from scratch; the result is the same.
+    Raises LimitExceeded past *max_derived* derived constraints or
+    *split_limit* split values, and FragmentError for an unbounded variable.
     """
     cube = tuple(cube)
     limits = _Limits(max_derived, split_limit)

@@ -29,6 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from ..linear import Cube, LinCon
+from ..parsing import ParseError
 
 
 @dataclass(frozen=True)
@@ -183,10 +184,6 @@ def witness_lines(w: Witness) -> list[str]:
     return out
 
 
-class WitnessSyntaxError(Exception):
-    pass
-
-
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
@@ -195,8 +192,11 @@ def decimal(text: str, signed: bool = False) -> int:
     """*text* read as the printers write numbers: canonical ASCII decimal,
     negative only where *signed* (multipliers and split bounds)."""
     if _DECIMAL.fullmatch(text) is None or (text[0] == "-" and not signed):
-        raise WitnessSyntaxError(f"bad number {text!r}")
-    return int(text)
+        raise ParseError(f"bad number {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int converts
+        raise ParseError(f"number too long: {len(text)} digits") from None
 
 
 def parse_witness_lines(rows: Iterator[str],
@@ -208,12 +208,12 @@ def parse_witness_lines(rows: Iterator[str],
     known = {} if known is None else known
     head = next(rows, "").split()
     if len(head) != 2 or head[0] != "steps":
-        raise WitnessSyntaxError(f"expected 'steps N', got {' '.join(head)!r}")
+        raise ParseError(f"expected 'steps N', got {' '.join(head)!r}")
     steps: list[Step] = []
     for _ in range(decimal(head[1])):
         line = next(rows, None)
         if line is None:
-            raise WitnessSyntaxError("truncated witness")
+            raise ParseError("truncated witness")
         step = known.get(line)
         if step is not None:
             steps.append(step)
@@ -228,12 +228,12 @@ def parse_witness_lines(rows: Iterator[str],
         elif parts[0] == "split" and len(parts) == 6:
             lo, hi = decimal(parts[2], True), decimal(parts[3], True)
             if hi < lo or hi - lo > 1_000_000:
-                raise WitnessSyntaxError("bad split range")
+                raise ParseError("bad split range")
             step = RangeSplit(  # not kept: its branches follow it
                 parts[1], lo, hi, decimal(parts[4]), decimal(parts[5]),
                 tuple(parse_witness_lines(rows, known)
                       for _ in range(hi - lo + 1)))
         else:
-            raise WitnessSyntaxError(f"malformed step {line!r}")
+            raise ParseError(f"malformed step {line!r}")
         steps.append(step)
     return Witness(tuple(steps))

@@ -23,15 +23,16 @@ from . import expr as E
 
 
 class FragmentError(Exception):
-    """Expression outside the supported linear fragment."""
+    """Expression or cube outside the bounded linear fragment."""
 
 
-class CubeOverflow(Exception):
-    """Disjunct count exceeded CAP."""
+class LimitExceeded(Exception):
+    """A cap or budget was exceeded: disjuncts, wrap quotients, or the
+    decider's derived constraints and split values."""
 
 
 # the most disjuncts of a DNF and wrap quotients of an operand, read at each
-# call; lowering past it raises CubeOverflow
+# call; lowering past it raises LimitExceeded
 CAP = 512
 
 
@@ -189,7 +190,7 @@ def clean_cube(cube: Cube) -> Cube | None:
 def dnf_or(a: Dnf, b: Dnf) -> Dnf:
     out = a + b
     if len(out) > CAP:
-        raise CubeOverflow(f"{len(out)} disjuncts exceed cap {CAP}")
+        raise LimitExceeded(f"{len(out)} disjuncts exceed cap {CAP}")
     return out
 
 
@@ -204,7 +205,7 @@ def dnf_and(a: Dnf, b: Dnf) -> Dnf:
         for cb in b:
             out.append(ca + tuple(c for c in cb if c not in have))
             if len(out) > CAP:
-                raise CubeOverflow(f"{len(out)} disjuncts exceed cap {CAP}")
+                raise LimitExceeded(f"{len(out)} disjuncts exceed cap {CAP}")
     return tuple(out)
 
 
@@ -278,7 +279,7 @@ def wrap_cases(form: LinForm, bits: int, bounds) -> list[tuple[LinForm, Cube]]:
 
     Returns (wrapped form, side conditions) per feasible quotient.  The side
     conditions pin the quotient: 0 <= form - q*2**bits <= 2**bits - 1.
-    Raises CubeOverflow, before enumerating, when there are more than CAP.
+    Raises LimitExceeded, before enumerating, when there are more than CAP.
     """
     modulus = 1 << bits
     lo, hi = form.interval(bounds)
@@ -286,7 +287,7 @@ def wrap_cases(form: LinForm, bits: int, bounds) -> list[tuple[LinForm, Cube]]:
     q_hi = hi // modulus
     count = q_hi - q_lo + 1
     if count > CAP:
-        raise CubeOverflow(f"{count} wrap quotients exceed cap {CAP}")
+        raise LimitExceeded(f"{count} wrap quotients exceed cap {CAP}")
     cases = []
     for q in range(q_lo, q_hi + 1):
         wrapped = form.shift(-q * modulus)
@@ -332,14 +333,14 @@ def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds) -> Dnf:
             if cube is not None:
                 out.append(cube)
             if len(out) > CAP:
-                raise CubeOverflow("comparison expansion exceeds cap")
+                raise LimitExceeded("comparison expansion exceeds cap")
     return tuple(out)
 
 
 def lower(e: E.Expr, negate: bool, leaf) -> Dnf:
     """DNF of a boolean expression (its negation with *negate*), negation
     pushed to the leaves: every node other than a literal or connective goes
-    to ``leaf(node, negate)``.  Raises CubeOverflow past CAP disjuncts.
+    to ``leaf(node, negate)``.  Raises LimitExceeded past CAP disjuncts.
     A chain's operands are lowered and joined left to right, as in a
     left-deep chain of binary nodes: same cubes, same point of overflow."""
     if isinstance(e, E.BoolLit):

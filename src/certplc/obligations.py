@@ -34,7 +34,7 @@ from functools import cached_property
 from . import expr as E
 from . import fbd as F
 from . import properties as P
-from .linear import (Cube, CubeOverflow, Dnf, FragmentError, LinCon,
+from .linear import (Cube, Dnf, FragmentError, LimitExceeded, LinCon,
                      LinForm, attach_bounds, bounds_fn, dnf_and, linear_form,
                      lower, normalize, wrap_cases, TRUE_DNF, FALSE_DNF,
                      clean_cube)
@@ -43,14 +43,6 @@ from .model import RuleInstance, SfcModel
 STEP_PREFIX = "step:"
 ACT_PREFIX = "act:"
 POST_PREFIX = "post:"
-
-
-class UnsupportedEffect(Exception):
-    """Action effect has no exact linear summary."""
-
-
-class ObligationOverflow(Exception):
-    """Disjunct cap (``linear.CAP``) exceeded while building an obligation."""
 
 
 @dataclass(frozen=True)
@@ -141,22 +133,18 @@ def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
     """Parallel update map of an action: raw forms over the pre-state.
 
     Sequential assignment lists fold by substitution (each right-hand side
-    sees the forms of earlier assignments).  Raises UnsupportedEffect for
+    sees the forms of earlier assignments).  Raises FragmentError for
     diagrams or expressions outside the linear fragment.
     """
     action = model.action(aid)
     if action.fbd_ref is not None:
         summary = F.linear_summary(model.program(action.fbd_ref))
         if summary is None:
-            raise UnsupportedEffect(
-                f"action {aid!r}: diagram is not linear")
+            raise FragmentError("diagram is not linear")
         return dict(summary)
     cur: dict[str, LinForm] = {}
     for name, rhs in action.assigns:
-        try:
-            cur[name] = linear_form(rhs, cur)
-        except FragmentError as err:
-            raise UnsupportedEffect(f"action {aid!r}: {err}")
+        cur[name] = linear_form(rhs, cur)
     return cur
 
 
@@ -195,7 +183,7 @@ class DerivationContext:
     execute instance reads them.)
     build_obligation asks for the pieces in a fixed order, so an obligation
     and any error it raises equal those of a fresh context; a piece that
-    failed (CubeOverflow, FragmentError) fails again on every later use.  A
+    failed (LimitExceeded, FragmentError) fails again on every later use.  A
     context serves one verify_invariant or one certificate check and is
     dropped afterwards: the checker still derives everything from the
     certificate's own model and property.
@@ -228,7 +216,7 @@ class DerivationContext:
         if key not in self._memo:
             try:
                 self._memo[key] = (compute(), None)
-            except (CubeOverflow, FragmentError) as err:
+            except (LimitExceeded, FragmentError) as err:
                 self._memo[key] = (None, err)
         value, err = self._memo[key]
         if err is not None:
@@ -272,48 +260,42 @@ def build_obligation(ctx: DerivationContext,
     pre-state cubes against the negated target conjuncts on the pre-state.
 
     Pass the same context for every case of one property to derive the
-    shared pieces once.  Raises UnsupportedEffect for opaque effects and
-    for guards or atoms outside the linear fragment, and ObligationOverflow
-    when the disjunct cap is exceeded; both leave the property undecided,
-    never wrongly proved.
+    shared pieces once.  Raises FragmentError for an effect, guard or atom
+    outside the linear fragment and LimitExceeded past the disjunct cap;
+    either leaves the case undecided, never wrongly proved.
     """
     model, env = ctx.model, ctx.env
-    try:
-        if rule is ENTAIL:
-            hyp, post, concl = ctx.pre_dnf(), ctx.pre, ctx.target
-        else:
-            shape = model.rules[rule]
-            summary = None if shape.action is None else \
-                effect_summary(model, shape.action)
-            hyp = (clean_cube(
-                tuple([_eq01(act_var(a), 1) for a in shape.pending]
-                      + [_eq01(step_var(s), 1) for s in shape.steps]
-                      + [_eq01(act_var(a), 0) for a in shape.idle])),)
-            for g in shape.guards:
-                hyp = dnf_and(hyp, ctx.normalized(g))
-            for g in shape.blocked:
-                hyp = dnf_and(hyp, ctx.normalized(g, negate=True))
-            hyp = dnf_and(hyp, ctx.pre_dnf())
-            if summary is not None:
-                hyp = dnf_and(hyp, _post_definitions(summary, env))
-            steps = dict(ctx.pre.steps)
-            steps.update(dict.fromkeys(shape.steps_off, 0))
-            steps.update(dict.fromkeys(shape.steps_on, 1))
-            actions = dict(ctx.pre.actions)
-            actions.update(dict.fromkeys(shape.acts_off, 0))
-            actions.update(dict.fromkeys(shape.acts_on, 1))
-            post = _StateMap(steps, actions, None if summary is None
-                             else _post_subst(summary))
-            concl = ctx.formula
-        hyp = tuple(attach_bounds(c, env) for c in hyp)
-        neg = []
-        for conjunct in P.conjuncts(concl):
-            dnf = ctx.formula_dnf(conjunct, post, negated=True)
-            neg.append(tuple(attach_bounds(c, env) for c in dnf))
-    except CubeOverflow as err:
-        raise ObligationOverflow(str(err))
-    except FragmentError as err:
-        raise UnsupportedEffect(f"{rule.label()}: {err}")
+    if rule is ENTAIL:
+        hyp, post, concl = ctx.pre_dnf(), ctx.pre, ctx.target
+    else:
+        shape = model.rules[rule]
+        summary = None if shape.action is None else \
+            effect_summary(model, shape.action)
+        hyp = (clean_cube(
+            tuple([_eq01(act_var(a), 1) for a in shape.pending]
+                  + [_eq01(step_var(s), 1) for s in shape.steps]
+                  + [_eq01(act_var(a), 0) for a in shape.idle])),)
+        for g in shape.guards:
+            hyp = dnf_and(hyp, ctx.normalized(g))
+        for g in shape.blocked:
+            hyp = dnf_and(hyp, ctx.normalized(g, negate=True))
+        hyp = dnf_and(hyp, ctx.pre_dnf())
+        if summary is not None:
+            hyp = dnf_and(hyp, _post_definitions(summary, env))
+        steps = dict(ctx.pre.steps)
+        steps.update(dict.fromkeys(shape.steps_off, 0))
+        steps.update(dict.fromkeys(shape.steps_on, 1))
+        actions = dict(ctx.pre.actions)
+        actions.update(dict.fromkeys(shape.acts_off, 0))
+        actions.update(dict.fromkeys(shape.acts_on, 1))
+        post = _StateMap(steps, actions, None if summary is None
+                         else _post_subst(summary))
+        concl = ctx.formula
+    hyp = tuple(attach_bounds(c, env) for c in hyp)
+    neg = []
+    for conjunct in P.conjuncts(concl):
+        dnf = ctx.formula_dnf(conjunct, post, negated=True)
+        neg.append(tuple(attach_bounds(c, env) for c in dnf))
     return CaseObligation(rule, hyp, tuple(neg))
 
 

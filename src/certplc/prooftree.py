@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lia.witness import (Witness, WitnessSyntaxError, decimal,
-                          parse_witness_lines, witness_lines)
+from .lia.witness import (Witness, decimal, parse_witness_lines,
+                          witness_lines)
+from .parsing import ParseError
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,6 @@ class ProofTree:
     cases: tuple[CaseProof, ...]
 
 
-class ProofSyntaxError(Exception):
-    pass
-
-
 def proof_lines(tree: ProofTree) -> list[str]:
     out = ["base"]
     for case in tree.cases:
@@ -82,53 +79,49 @@ def _count(parts: list[str], what: str) -> int:
     """Entry count closing a header row: a number in 0..1,000,000."""
     try:
         n = decimal(parts[-1])
-    except (WitnessSyntaxError, ValueError):  # ValueError: too many digits
+    except ParseError:
         n = -1
     if not 0 <= n <= 1_000_000:
-        raise ProofSyntaxError(f"bad {what} count in {' '.join(parts)!r}")
+        raise ParseError(f"bad {what} count in {' '.join(parts)!r}")
     return n
 
 
 def parse_proof_lines(lines: list[str]) -> ProofTree:
     """One pass over the lines; blank ones are skipped, and a witness line
-    seen before is not parsed again."""
+    seen before is not parsed again.  Raises ParseError on a malformed or
+    truncated proof."""
     rows = filter(None, map(str.strip, lines))
     if next(rows, None) != "base":
-        raise ProofSyntaxError("proof must start with the base leaf")
+        raise ParseError("proof must start with the base leaf")
     seen: dict = {}
     cases = []
-    try:
-        for line in rows:
-            head = line.split()
-            if len(head) != 4 or head[0] != "case" or head[2] != "hyps":
-                raise ProofSyntaxError(f"expected case header, got {line!r}")
-            hyps = []
-            for i in range(_count(head, "hyp")):
-                parts = next(rows, "").split()
-                if len(parts) < 3 or parts[0] != "hyp" or parts[1] != str(i):
-                    raise ProofSyntaxError(
-                        f"expected hyp {i}, got {' '.join(parts)!r}")
-                if parts[2] == "contradiction":
-                    if len(parts) != 3:
-                        raise ProofSyntaxError("malformed contradiction entry")
-                    hyps.append(HypEntry(
-                        contradiction=parse_witness_lines(rows, seen)))
-                elif parts[2] == "conjuncts" and len(parts) == 4:
-                    leaves = []
-                    for j in range(_count(parts, "conjunct")):
-                        conj = next(rows, "").split()
-                        if (len(conj) != 4 or conj[0] != "conj"
-                                or conj[1] != str(j) or conj[2] != "cubes"):
-                            raise ProofSyntaxError(
-                                f"expected conj {j}, got {' '.join(conj)!r}")
-                        leaves.append(ArithLeaf(tuple(
-                            parse_witness_lines(rows, seen)
-                            for _ in range(_count(conj, "cube")))))
-                    hyps.append(HypEntry(conjuncts=tuple(leaves)))
-                else:
-                    raise ProofSyntaxError(
-                        f"malformed hyp entry {' '.join(parts)!r}")
-            cases.append(CaseProof(head[1], tuple(hyps)))
-    except (WitnessSyntaxError, ValueError) as err:
-        raise ProofSyntaxError(str(err))
+    for line in rows:
+        head = line.split()
+        if len(head) != 4 or head[0] != "case" or head[2] != "hyps":
+            raise ParseError(f"expected case header, got {line!r}")
+        hyps = []
+        for i in range(_count(head, "hyp")):
+            parts = next(rows, "").split()
+            if len(parts) < 3 or parts[0] != "hyp" or parts[1] != str(i):
+                raise ParseError(f"expected hyp {i}, got {' '.join(parts)!r}")
+            if parts[2] == "contradiction":
+                if len(parts) != 3:
+                    raise ParseError("malformed contradiction entry")
+                hyps.append(HypEntry(
+                    contradiction=parse_witness_lines(rows, seen)))
+            elif parts[2] == "conjuncts" and len(parts) == 4:
+                leaves = []
+                for j in range(_count(parts, "conjunct")):
+                    conj = next(rows, "").split()
+                    if (len(conj) != 4 or conj[0] != "conj"
+                            or conj[1] != str(j) or conj[2] != "cubes"):
+                        raise ParseError(
+                            f"expected conj {j}, got {' '.join(conj)!r}")
+                    leaves.append(ArithLeaf(tuple(
+                        parse_witness_lines(rows, seen)
+                        for _ in range(_count(conj, "cube")))))
+                hyps.append(HypEntry(conjuncts=tuple(leaves)))
+            else:
+                raise ParseError(f"malformed hyp entry {' '.join(parts)!r}")
+        cases.append(CaseProof(head[1], tuple(hyps)))
     return ProofTree(tuple(cases))

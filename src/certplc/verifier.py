@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from . import expr as E
 from . import obligations as O
 from . import properties as P
-from .lia.solver import (DeciderResourceError, FragmentViolation, Sat,
-                         decide_sat)
+from .lia.solver import Sat, decide_sat
 # normalize is not called here, but perfbench/tracing.py wraps
 # verifier.normalize, so the name stays importable
-from .linear import normalize
+from .linear import FragmentError, LimitExceeded, normalize
 from .model import RuleInstance, SfcModel, init_state
 from .prooftree import ArithLeaf, CaseProof, HypEntry, ProofTree
 
@@ -48,7 +47,7 @@ class Refuted:
 @dataclass
 class Undecided:
     rule: RuleInstance | O.Entailment | None
-    reason: str = ""
+    reason: str = ""  # "<rule label>: <cause>"
 
 
 VerifyResult = Proved | Refuted | Undecided
@@ -62,25 +61,9 @@ def check_base(model: SfcModel, formula: P.Formula):
     return Refuted(None, dict(state.mem), "fails in the initial configuration")
 
 
-def iter_obligations(model: SfcModel, formula: P.Formula,
-                     target: P.Formula | None = None):
-    """One obligation per proof case (each rule instance in enumeration
-    order, then the entailment when there is a target), each derived when
-    the caller asks for it from one shared derivation context.
-
-    Opaque or oversized cases yield (rule, Undecided) so callers report
-    them instead of silently skipping.
-    """
-    ctx = O.DerivationContext(model, formula, target=target)
-    for rule in O.proof_cases(model, target):
-        try:
-            yield rule, O.build_obligation(ctx, rule)
-        except (O.UnsupportedEffect, O.ObligationOverflow) as err:
-            yield rule, Undecided(rule, str(err))
-
-
 def discharge(ob: O.CaseObligation):
-    """Close one obligation; returns CaseProof, Refuted or Undecided.
+    """Close one obligation; returns CaseProof or Refuted, and raises what
+    the decider raises (LimitExceeded, FragmentError).
 
     When every negated-conclusion DNF is empty (the conclusion holds on
     every post-state), each hypothesis cube gets an entry with zero cubes
@@ -90,54 +73,55 @@ def discharge(ob: O.CaseObligation):
         empty = HypEntry(conjuncts=(ArithLeaf(()),) * len(ob.neg_concl))
         return CaseProof(ob.rule.label(), (empty,) * len(ob.hyp_cubes))
     entries = []
-    try:
-        for hyp_cube in ob.hyp_cubes:
-            res = decide_sat(hyp_cube)
-            if not isinstance(res, Sat):
-                entries.append(HypEntry(contradiction=res.witness))
-                continue
-            leaves = []
-            for joints in O.joint_cubes(hyp_cube, ob.neg_concl):
-                witnesses = []
-                for joint in joints:
-                    # the joint cube extends the hypothesis cube, whose
-                    # simplification the decider replays
-                    sub = decide_sat(joint, after=res)
-                    if isinstance(sub, Sat):
-                        return Refuted(ob.rule, sub.assignment,
-                                       "invariant does not imply the target"
-                                       if ob.rule is O.ENTAIL
-                                       else "inductive step violated")
-                    witnesses.append(sub.witness)
-                leaves.append(ArithLeaf(tuple(witnesses)))
-            entries.append(HypEntry(conjuncts=tuple(leaves)))
-    except (DeciderResourceError, FragmentViolation) as err:
-        return Undecided(ob.rule, str(err))
+    for hyp_cube in ob.hyp_cubes:
+        res = decide_sat(hyp_cube)
+        if not isinstance(res, Sat):
+            entries.append(HypEntry(contradiction=res.witness))
+            continue
+        leaves = []
+        for joints in O.joint_cubes(hyp_cube, ob.neg_concl):
+            witnesses = []
+            for joint in joints:
+                # the joint cube extends the hypothesis cube, whose
+                # simplification the decider replays
+                sub = decide_sat(joint, after=res)
+                if isinstance(sub, Sat):
+                    return Refuted(ob.rule, sub.assignment,
+                                   "invariant does not imply the target"
+                                   if ob.rule is O.ENTAIL
+                                   else "inductive step violated")
+                witnesses.append(sub.witness)
+            leaves.append(ArithLeaf(tuple(witnesses)))
+        entries.append(HypEntry(conjuncts=tuple(leaves)))
     return CaseProof(ob.rule.label(), tuple(entries))
 
 
 def verify_invariant(model: SfcModel, inv: P.Invariant,
                      target: P.Invariant | None = None) -> VerifyResult:
     """Induction proof attempt for one invariant and, when given, the proof
-    that it implies the target."""
+    that it implies the target.
+
+    A case outside the linear fragment or past a cap or budget is
+    Undecided, its reason the rule label and the cause; a refuted later
+    case still wins.  Each case is derived just before it is discharged, so
+    derivation stops at the first refuted case.
+    """
     base = check_base(model, inv.formula)
     if base is not None:
         return base
+    goal = None if target is None else target.formula
+    ctx = O.DerivationContext(model, inv.formula, target=goal)
     cases = []
     undecided = None
-    # deriving each case just before discharging it stops the derivation
-    # at the first refuted case
-    for _, ob in iter_obligations(
-            model, inv.formula, None if target is None else target.formula):
-        res = ob
-        if not isinstance(ob, Undecided):
-            res = discharge(ob)
+    for rule in O.proof_cases(model, goal):
+        try:
+            res = discharge(O.build_obligation(ctx, rule))
+        except (FragmentError, LimitExceeded) as err:
+            undecided = undecided or Undecided(rule, f"{rule.label()}: {err}")
+            continue
         if isinstance(res, Refuted):
             return res
-        if isinstance(res, Undecided):
-            undecided = undecided or res
-        else:
-            cases.append(res)
+        cases.append(res)
     if undecided is not None:
         return undecided
     return Proved(ProofTree(tuple(cases)), obligations=len(cases))

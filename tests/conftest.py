@@ -4,8 +4,8 @@ import pytest
 
 from certplc import (BudgetExceeded, parse_model, parse_properties,
                      reachable_bounded)
-from certplc.lia.solver import (DeciderResourceError, FragmentViolation,
-                                decide_sat)
+from certplc.lia.solver import decide_sat
+from certplc.linear import FragmentError, LimitExceeded
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -37,6 +37,15 @@ step S [initial]
 action A on S { z := 750 * (15928 * y - (y - 18)); }
 """
 WRAP_BLOWUP_PROP = "invariant p : always (steps_within {S});\n"
+
+# A diagram with a comparison and a mux has no linear summary, so its
+# action's execute case is Undecided.
+OPAQUE = ("var x : int16\nvar y : int16\nstep A [initial]\n"
+          "action Amux on A = fbd F\n"
+          "trans {A} -[ true ]-> {A}\n"
+          "fbd F {\n block r = read x\n block c = lt(r.out, const 10)\n"
+          " block m = mux(c.out, const 1, const 0)\n"
+          " block w = write y (m.out)\n timeslice 1\n}\n")
 
 
 def _counter_fbd(i, t):
@@ -77,7 +86,7 @@ def decision(cube, **kwargs) -> str:
     """decide_sat's result (witnesses and assignments included) or error."""
     try:
         return repr(decide_sat(cube, **kwargs))
-    except (DeciderResourceError, FragmentViolation) as err:
+    except (LimitExceeded, FragmentError) as err:
         return f"{type(err).__name__}: {err}"
 
 

@@ -25,7 +25,7 @@ from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
-from certplc.linear import CubeOverflow
+from certplc.linear import LimitExceeded
 from certplc.model import SfcState, parse_model
 from certplc.parsing import TokenStream, lex
 
@@ -319,7 +319,7 @@ def test_evaluation_agrees_with_lowering(formula, config):
     try:
         dnf = ctx.formula_dnf(f, ctx.pre)
         neg = ctx.formula_dnf(f, ctx.pre, negated=True)
-    except CubeOverflow:
+    except LimitExceeded:
         reject()
     enc = _encoding(CHART, config, config.mem)
     truth = P.holds_on(f, config)

@@ -218,6 +218,25 @@ class TestUsage:
     def test_missing_file_exits_2(self, capsys):
         assert main(["parse", "/nonexistent/model.sfc"]) == 2
 
+    @pytest.mark.parametrize("command", ["parse", "check-cert"])
+    def test_directory_exits_2(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"cannot open {tmp_path}\n"
+
+    @pytest.mark.parametrize("bad", ["model", "prop"])
+    def test_file_not_utf8_exits_2(self, tmp_path, capsys, bad):
+        paths = {"model": tmp_path / "m.sfc", "prop": tmp_path / "m.inv"}
+        paths["model"].write_text(NONLINEAR_ATOM)
+        paths["prop"].write_text(NONLINEAR_ATOM_PROP)
+        # a Latin-1 e-acute in a comment
+        paths[bad].write_bytes(b"# caf\xe9\n" + paths[bad].read_bytes())
+        code = main(["verify", str(paths["model"]),
+                     "--prop", str(paths["prop"])])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and "0xe9" in err
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

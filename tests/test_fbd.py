@@ -5,6 +5,8 @@ import pytest
 
 from certplc import expr as E
 from certplc import fbd as F
+from certplc.linear import LinForm
+from certplc.model import parse_model
 from certplc.parsing import TokenStream, lex
 
 INC = """{
@@ -60,6 +62,31 @@ class TestAcyclic:
                   "  block b = add(a.out, const 1) }")
         with pytest.raises(F.FbdError, match="cycle"):
             F.validate_fbd(f, {})
+
+    def test_cycle_reported_with_its_path(self):
+        # the path runs from the block the search started at
+        f = parse("{ block a = add(b.out, const 1)\n"
+                  "  block b = add(c.out, const 1)\n"
+                  "  block c = add(b.out, const 1) }")
+        with pytest.raises(F.FbdError) as err:
+            F.validate_fbd(f, {})
+        assert str(err.value) == ("cycle without a delay block: "
+                                  "a -> b -> c -> b")
+
+    def test_long_chain_against_id_order(self):
+        """Each block reads the next one by id, so the dependency chain is
+        3000 blocks deep; ordering it does not recurse per block."""
+        n = 3000
+        chain = "".join(f" block b{i:05d} = add(b{i + 1:05d}.out, const 1)\n"
+                        for i in range(1, n))
+        model = parse_model(
+            "var x : int16\nstep S [initial]\naction A on S = fbd F\n"
+            "fbd F {\n block r = read x\n" + chain
+            + f" block b{n:05d} = add(r.out, const 1)\n"
+            " block w = write x (b00001.out)\n timeslice 1\n}\n")
+        program = model.program("F")
+        assert F.eval_iterative(program, {"x": 5}) == {"x": 3005}
+        assert F.linear_summary(program)["x"] == LinForm.make({"x": 1}, n)
 
     @pytest.mark.parametrize("body", [
         # the delay is typed int16 from its consumer, its input int8 from

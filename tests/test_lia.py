@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certplc.lia.solver import DeciderResourceError, Sat, Unsat, decide_sat
+from certplc.lia.solver import Sat, Unsat, decide_sat
+from certplc.linear import LimitExceeded
 from certplc.lia.witness import (Combine, RangeSplit, Tighten, Witness,
                                  parse_witness_lines, replay_witness,
                                  witness_lines)
@@ -263,7 +264,7 @@ class TestWitnessText:
 
 class TestResourceLimits:
     def test_split_budget_reports_resource_error(self):
-        with pytest.raises(DeciderResourceError):
+        with pytest.raises(LimitExceeded):
             decide_sat(_PUGH, split_limit=0)
 
 

@@ -31,14 +31,7 @@ from certplc.linear import (LinCon, attach_bounds, clean_cube, dnf_and,
 from certplc.model import parse_model
 
 from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
-                      fixture_names, load_invariants, load_model)
-
-OPAQUE = ("var x : int16\nvar y : int16\nstep A [initial]\n"
-          "action Amux on A = fbd F\n"
-          "trans {A} -[ true ]-> {A}\n"
-          "fbd F {\n block r = read x\n block c = lt(r.out, const 10)\n"
-          " block m = mux(c.out, const 1, const 0)\n"
-          " block w = write y (m.out)\n timeslice 1\n}\n")
+                      OPAQUE, fixture_names, load_invariants, load_model)
 
 
 def _cases():
@@ -58,7 +51,7 @@ def _cases():
 def _outcome(ctx, rule):
     try:
         return O.build_obligation(ctx, rule)
-    except (O.UnsupportedEffect, O.ObligationOverflow) as err:
+    except (L.FragmentError, L.LimitExceeded) as err:
         return type(err), str(err)
 
 
@@ -76,9 +69,9 @@ class TestSharedEqualsFresh:
                 if isinstance(shared, tuple):
                     seen.add(shared[0])
         # both failure kinds were compared
-        want = {O.UnsupportedEffect}
+        want = {L.FragmentError}
         if cap == 3:
-            want.add(O.ObligationOverflow)
+            want.add(L.LimitExceeded)
         assert want <= seen
 
     def test_failed_piece_fails_again_with_same_message(self):
@@ -89,9 +82,8 @@ class TestSharedEqualsFresh:
         assert len(rules) == 4  # exec:A, trans:0, react:S, react:T
         for rule in rules:
             assert _outcome(ctx, rule) == (
-                O.UnsupportedEffect,
-                f"{rule.label()}: multiplication of two non-constant "
-                f"expressions")
+                L.FragmentError,
+                "multiplication of two non-constant expressions")
 
 
 _ENV = {"a": "int8", "b": "int16", "c": "bool"}
@@ -174,7 +166,7 @@ class TestCleanCubes:
                 return dnfs[int(atom.name)]
             try:
                 return L.lower(e, negate, leaf), asked
-            except L.CubeOverflow as err:
+            except L.LimitExceeded as err:
                 return str(err), asked
 
         with mock.patch.object(L, "CAP", cap):
@@ -183,7 +175,7 @@ class TestCleanCubes:
                     outcome(deep, negate)
             try:
                 want = reduce(L.dnf_and if conjunction else L.dnf_or, dnfs)
-            except L.CubeOverflow as err:
+            except L.LimitExceeded as err:
                 want = str(err)
             assert outcome(node(tuple(atoms)), False)[0] == want
 
@@ -328,9 +320,9 @@ class TestWorkCount:
 
         normalized = self._counting(monkeypatch, "normalize")
         envs = self._counting(monkeypatch, "symbolic_env")
-        obs = list(V.iter_obligations(model, inv.formula))
+        ctx = O.DerivationContext(model, inv.formula)
+        obs = [O.build_obligation(ctx, rule) for rule in rules]
         assert len(obs) == len(rules)
-        assert not any(isinstance(ob, V.Undecided) for _, ob in obs)
         assert len(normalized) <= bound < len(rules)
         assert len(envs) == 1
 
@@ -438,8 +430,9 @@ class TestPrunedWrapCases:
             charts.append((model, load_invariants(name, model)))
         for model, invs in charts:
             for inv in invs:
-                for _ in V.iter_obligations(model, inv.formula):
-                    pass
+                ctx = O.DerivationContext(model, inv.formula)
+                for rule in model.rules:
+                    O.build_obligation(ctx, rule)
         monkeypatch.undo()
         dropped = 0
         for op, la, lb, bits, bounds, kept in calls:

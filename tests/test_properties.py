@@ -190,6 +190,6 @@ class TestLongChains:
     def test_disjunction(self, loop_model):
         f = self._parsed("||", "x == {}", loop_model)
         assert not P.holds_on(f, init_state(loop_model))  # x starts at 0
-        with pytest.raises(L.CubeOverflow,
+        with pytest.raises(L.LimitExceeded,
                            match="^513 disjuncts exceed cap 512$"):
             L.normalize(f, loop_model.env())

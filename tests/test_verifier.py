@@ -1,21 +1,26 @@
 import time
+from functools import partial
 
 import pytest
 
 from certplc import certificate as C
 from certplc import expr as E
+from certplc import linear as L
 from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
 from certplc.lia import solver
 from certplc.lia.solver import Sat, decide_sat
+from certplc.linear import FragmentError, LimitExceeded
 from certplc.model import parse_model
+from certplc.prooftree import CaseProof, ProofTree
 from certplc.semantics import reachable_bounded
 
 from conftest import (FANOUT, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
-                      NONLINEAR_GUARD, WRAP_BLOWUP, WRAP_BLOWUP_PROP, decision, fixture_names,
-                      load_invariants, load_model, lockstep, states_of)
+                      NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
+                      decision, fixture_names, load_invariants, load_model,
+                      lockstep, states_of)
 
 
 def formula(text, model):
@@ -24,6 +29,13 @@ def formula(text, model):
 
 def oracle_holds(model, f, depth=25, budget=20_000):
     return all(P.holds_on(f, s) for s in states_of(model, depth, budget))
+
+
+def _obligations(model, f):
+    """Every proof case's obligation, derived from one shared context."""
+    ctx = O.DerivationContext(model, f)
+    return [O.build_obligation(ctx, rule)
+            for rule in O.proof_cases(model, None)]
 
 
 class TestCheckBase:
@@ -42,16 +54,15 @@ class TestCheckBase:
 
 class TestObligations:
     def test_one_per_rule_instance(self, loop_model):
-        obs = list(V.iter_obligations(loop_model,
-                                      formula("x <= 10", loop_model)))
-        labels = [rule.label() for rule, _ in obs]
+        labels = [ob.rule.label() for ob in _obligations(
+            loop_model, formula("x <= 10", loop_model))]
         assert labels == ["exec:A_Init", "trans:0", "trans:1", "trans:2",
                           "react:Init", "react:Return", "react:Step2"]
 
     def test_no_transitions_still_covers_actions_and_steps(self):
         m = load_model("multi_action")
-        obs = list(V.iter_obligations(m, formula("true", m)))
-        labels = [rule.label() for rule, _ in obs]
+        labels = [ob.rule.label()
+                  for ob in _obligations(m, formula("true", m))]
         assert labels == ["exec:A_One", "exec:A_Two", "react:Idle"]
 
     def test_bijection_with_model_structure(self):
@@ -81,16 +92,10 @@ class TestObligations:
         assert LinCon((("act:A_Init", 1),), "==", 0) in cube
 
     def test_opaque_effect_reported_undecided(self):
-        m = parse_model(
-            "var x : int16\nvar y : int16\nstep A [initial]\n"
-            "action Amux on A = fbd F\n"
-            "trans {A} -[ true ]-> {A}\n"
-            "fbd F {\n block r = read x\n block c = lt(r.out, const 10)\n"
-            " block m = mux(c.out, const 1, const 0)\n"
-            " block w = write y (m.out)\n timeslice 1\n}\n")
+        m = parse_model(OPAQUE)
         res = V.verify_invariant(m, P.Invariant("t", formula("y <= 65535", m)))
         assert isinstance(res, V.Undecided)
-        assert "linear" in res.reason
+        assert res.reason == "exec:Amux: diagram is not linear"
 
     def test_nonlinear_guard_reported_undecided(self):
         m = parse_model(NONLINEAR_GUARD)
@@ -118,6 +123,59 @@ class TestObligations:
         assert isinstance(res, V.Undecided)
         assert res.rule == S.ExecuteAction("A")
         assert "exceed cap 512" in res.reason
+
+
+# Every source of an Undecided case: the chart, its property, the case that
+# fails, the checker's rejection prefix for that case (None: the checker
+# runs no decider) and a patch in force for the verifier and the checker.
+_UNDECIDED = {
+    "nonlinear-guard": (NONLINEAR_GUARD, "x <= 65535", S.StepTransition(0),
+                        "unsupported-effect", None),
+    "nonlinear-atom": (NONLINEAR_ATOM, "x * y <= 5000", S.ExecuteAction("A"),
+                       "unsupported-effect", None),
+    "opaque-effect": (OPAQUE, "y <= 65535", S.ExecuteAction("Amux"),
+                      "unsupported-effect", None),
+    "wrap-quotient-cap": (WRAP_BLOWUP, "steps_within {S}",
+                          S.ExecuteAction("A"), "resource", None),
+    "disjunct-cap": (NONLINEAR_GUARD.replace("x * y < 3",
+                                             "x == 1 || x == 2 || x == 3"),
+                     "x <= 65535", S.StepTransition(0), "resource",
+                     (L, "CAP", 2)),
+    "decider-budget": (NONLINEAR_ATOM, "x <= 9 || step(S)",
+                       S.ExecuteAction("A"), None,
+                       (V, "decide_sat", partial(decide_sat, max_derived=0))),
+}
+
+
+class TestUndecidedPath:
+    """verify_invariant turns every failure into one Undecided, its reason
+    the failing case's label and the cause; the checker rejects the same
+    case with the same text after its prefix."""
+
+    @pytest.mark.parametrize("source", list(_UNDECIDED.values()),
+                             ids=list(_UNDECIDED))
+    def test_every_source(self, source, monkeypatch):
+        chart, prop, rule, prefix, patch = source
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        model = parse_model(chart)
+        inv = P.Invariant("p", formula(prop, model))
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Undecided)
+        assert res.rule == rule
+        assert res.reason.startswith(f"{rule.label()}: ")
+        if prefix is None:
+            return
+        # a certificate whose cases before the failing one are proved and
+        # whose later cases are empty
+        ctx = O.DerivationContext(model, inv.formula)
+        rules = list(model.rules)
+        at = rules.index(rule)
+        cases = [V.discharge(O.build_obligation(ctx, r)) for r in rules[:at]]
+        cases += [CaseProof(r.label(), ()) for r in rules[at:]]
+        v = C.check(C.emit(model, inv, ProofTree(tuple(cases))))
+        assert v.reason == f"{prefix}: {res.reason}"
+        assert v.path == ("cases", rule.label())
 
 
 class TestDischarge:
@@ -188,7 +246,7 @@ def _decided_cases(model, inv):
     for rule in model.rules:
         try:
             ob = O.build_obligation(ctx, rule)
-        except (O.UnsupportedEffect, O.ObligationOverflow):
+        except (FragmentError, LimitExceeded):
             continue
         for hyp in ob.hyp_cubes:
             joints = [j for js in O.joint_cubes(hyp, ob.neg_concl)
