@@ -7,12 +7,12 @@ Integer literals are polymorphic: they adopt the width of the variables
 they are combined with, and an all-literal expression defaults to 32 bit at
 the point a width is required.
 
-``&&`` and ``||`` are n-ary: one node holds a whole chain of operands, so
-every walk of the connectives loops over a chain instead of recursing once
-per operator.  A module may add boolean leaves of its own (``properties``'
-activity atoms): each prints by its ``pretty()``, and ``typecheck``,
-``eval_expr`` and ``linear.lower`` pass it to the *leaf* function their
-caller supplies.
+``&&``, ``||``, ``+``/``-`` and ``*`` are n-ary: one node holds a whole
+chain of operands (``Sum`` also the sign of each), so every walk loops over
+a chain instead of recursing once per operator.  A module may add boolean
+leaves of its own (``properties``' activity atoms): each prints by its
+``pretty()``, and ``typecheck``, ``eval_expr`` and ``linear.lower`` pass it
+to the *leaf* function their caller supplies.
 """
 
 from __future__ import annotations
@@ -66,21 +66,14 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Add:
-    lhs: "Expr"
-    rhs: "Expr"
+class Sum:
+    args: tuple["Expr", ...]  # two or more, in source order
+    signs: tuple[int, ...]    # 1 or -1 per operand; the first is 1
 
 
 @dataclass(frozen=True)
-class Sub:
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    lhs: "Expr"
-    rhs: "Expr"
+class Prod:
+    args: tuple["Expr", ...]  # two or more, in source order
 
 
 @dataclass(frozen=True)
@@ -106,18 +99,23 @@ class Not:
     arg: "Expr"
 
 
-Expr = Union[IntLit, BoolLit, Var, Add, Sub, Mul, Cmp, And, Or, Not]
+Expr = Union[IntLit, BoolLit, Var, Sum, Prod, Cmp, And, Or, Not]
 
 Memory = dict  # variable name -> int (booleans 0/1)
 
 
 def chain(node, parts) -> Expr:
-    """*parts* joined by *node*, And or Or, as the parser joins a chain: one
-    part stands alone, and none is ``true`` for And, ``false`` for Or."""
+    """*parts* joined by *node*, And, Or or Prod, as the parser joins a chain:
+    one part stands alone, and none is ``true`` for And, ``false`` for Or."""
     parts = tuple(parts)
     if len(parts) > 1:
         return node(parts)
     return parts[0] if parts else BoolLit(node is And)
+
+
+def _op(e: Sum | Prod, i: int) -> str:
+    """``add``, ``sub`` or ``mul``: how operand *i* > 0 joins those before."""
+    return "mul" if isinstance(e, Prod) else "add" if e.signs[i] > 0 else "sub"
 
 
 def vars_of(e: Expr) -> set[str]:
@@ -127,9 +125,9 @@ def vars_of(e: Expr) -> set[str]:
         return set()
     if isinstance(e, Not):
         return vars_of(e.arg)
-    if isinstance(e, (And, Or)):
-        return set().union(*map(vars_of, e.args))
-    return vars_of(e.lhs) | vars_of(e.rhs)
+    if isinstance(e, Cmp):
+        return vars_of(e.lhs) | vars_of(e.rhs)
+    return set().union(*map(vars_of, e.args))
 
 
 # --- type checking --------------------------------------------------------
@@ -142,24 +140,25 @@ def _join(a: str | None, b: str | None, what: str) -> str | None:
     raise ExprError(f"width mismatch in {what}: {a} vs {b}")
 
 
-def _check_int(e: Expr, env: dict[str, str]):
-    """Return (annotated expr, width-or-None) for an integer expression."""
+def _width(e: Expr, env: dict[str, str]) -> str | None:
+    """Width of an integer expression, None when it has no variable.
+    Arithmetic holds no comparison, so it needs no annotation."""
     if isinstance(e, IntLit):
         if e.value < 0:
             raise ExprError("negative literal")
-        return e, None
+        return None
     if isinstance(e, Var):
         ty = env.get(e.name)
         if ty is None:
             raise ExprError(f"unbound variable {e.name!r}")
         if ty == "bool":
             raise ExprError(f"boolean variable {e.name!r} in arithmetic")
-        return e, ty
-    if isinstance(e, (Add, Sub, Mul)):
-        lhs, wl = _check_int(e.lhs, env)
-        rhs, wr = _check_int(e.rhs, env)
-        w = _join(wl, wr, type(e).__name__.lower())
-        return type(e)(lhs, rhs), w
+        return ty
+    if isinstance(e, (Sum, Prod)):
+        w = _width(e.args[0], env)
+        for i in range(1, len(e.args)):
+            w = _join(w, _width(e.args[i], env), _op(e, i))
+        return w
     raise ExprError(f"expected integer expression, got {pretty(e)}")
 
 
@@ -176,14 +175,12 @@ def typecheck(e: Expr, env: dict[str, str], leaf=None) -> tuple[Expr, str]:
         if ty is None:
             raise ExprError(f"unbound variable {e.name!r}")
         return e, ty
-    if isinstance(e, (IntLit, Add, Sub, Mul)):
-        ann, w = _check_int(e, env)
-        return ann, w or DEFAULT_INT
+    if isinstance(e, (IntLit, Sum, Prod)):
+        return e, _width(e, env) or DEFAULT_INT
     if isinstance(e, Cmp):
-        lhs, wl = _check_int(e.lhs, env)
-        rhs, wr = _check_int(e.rhs, env)
-        w = _join(wl, wr, f"comparison {e.op!r}") or DEFAULT_INT
-        return Cmp(e.op, lhs, rhs, w), "bool"
+        w = _join(_width(e.lhs, env), _width(e.rhs, env),
+                  f"comparison {e.op!r}") or DEFAULT_INT
+        return Cmp(e.op, e.lhs, e.rhs, w), "bool"
     if isinstance(e, (And, Or)):
         args = []
         for arg in e.args:  # each join tested as a left-deep chain tests it
@@ -249,12 +246,12 @@ def fold_int(e: Expr, dom, read):
         return read(e.name)
     if isinstance(e, IntLit):
         return dom.const(e.value)
-    if isinstance(e, Add):
-        return dom.add(fold_int(e.lhs, dom, read), fold_int(e.rhs, dom, read))
-    if isinstance(e, Sub):
-        return dom.sub(fold_int(e.lhs, dom, read), fold_int(e.rhs, dom, read))
-    if isinstance(e, Mul):
-        return dom.mul(fold_int(e.lhs, dom, read), fold_int(e.rhs, dom, read))
+    if isinstance(e, (Sum, Prod)):
+        value = fold_int(e.args[0], dom, read)
+        for i in range(1, len(e.args)):
+            join = getattr(dom, _op(e, i))
+            value = join(value, fold_int(e.args[i], dom, read))
+        return value
     raise ExprError(f"expected integer expression, got {type(e).__name__}")
 
 
@@ -292,7 +289,7 @@ def eval_expr(e: Expr, m: Memory, leaf=None) -> int:
         return int(not decisive)
     if isinstance(e, Not):
         return 1 - eval_expr(e.arg, m, leaf)
-    if leaf is None or isinstance(e, (Var, IntLit, Add, Sub, Mul)):
+    if leaf is None or isinstance(e, (Var, IntLit, Sum, Prod)):
         return fold_int(e, IntDomain, _reader(m))
     return leaf(e)
 
@@ -315,7 +312,8 @@ def apply_effect(assigns, m: Memory, env: dict[str, str]) -> Memory:
 
 # --- printing -------------------------------------------------------------
 
-_PREC = {"||": 1, "&&": 2, "!": 3, "cmp": 4, "+": 5, "-": 5, "*": 6}
+_PREC = {"||": 1, "&&": 2, "!": 3, "cmp": 4, "+": 5, "*": 6}
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*"}
 
 
 def _show(e: Expr, parent: int) -> str:
@@ -325,15 +323,11 @@ def _show(e: Expr, parent: int) -> str:
         return "true" if e.value else "false"
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Add):
-        mine = _PREC["+"]
-        s = f"{_show(e.lhs, mine)} + {_show(e.rhs, mine + 1)}"
-    elif isinstance(e, Sub):
-        mine = _PREC["-"]
-        s = f"{_show(e.lhs, mine)} - {_show(e.rhs, mine + 1)}"
-    elif isinstance(e, Mul):
-        mine = _PREC["*"]
-        s = f"{_show(e.lhs, mine)} * {_show(e.rhs, mine + 1)}"
+    if isinstance(e, (Sum, Prod)):
+        mine = _PREC["*" if isinstance(e, Prod) else "+"]
+        s = _show(e.args[0], mine) + "".join(
+            f" {_SYMBOLS[_op(e, i)]} {_show(e.args[i], mine + 1)}"
+            for i in range(1, len(e.args)))
     elif isinstance(e, Cmp):
         mine = _PREC["cmp"]
         s = f"{_show(e.lhs, mine + 1)} {e.op} {_show(e.rhs, mine + 1)}"
@@ -342,8 +336,8 @@ def _show(e: Expr, parent: int) -> str:
         mine = _PREC[op]
         s = f" {op} ".join(_show(arg, mine) for arg in e.args)
     elif isinstance(e, Not):
-        mine = _PREC["!"]
-        s = f"!{_show(e.arg, mine + 1)}"
+        mine = _PREC["!"]  # so a `!` operand of `!` stays bare
+        s = f"!{_show(e.arg, mine)}"
     elif hasattr(e, "pretty"):  # an added leaf, e.g. step(S)
         # binds like a comparison: parenthesized only as an operand
         mine = _PREC["cmp"]

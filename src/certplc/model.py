@@ -241,6 +241,12 @@ def _normalized(vars, steps, initial, actions, transitions, fbds) -> SfcModel:
 
 def validate(model: SfcModel) -> list[str]:
     """Well-formedness report; empty means the model is usable."""
+    return _checked(model)[1]
+
+
+def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
+    """The model with comparison widths annotated in each guard and
+    assignment that typechecks, each checked once; and its problems."""
     out = []
     env = {}
     for v in model.vars:
@@ -281,8 +287,9 @@ def validate(model: SfcModel) -> list[str]:
         except F.FbdError as err:
             out.append(f"fbd {f.name!r}: {err}")
 
-    action_ids = set()
+    action_ids, actions = set(), []
     for a in model.actions:
+        actions.append(a)
         if not IDENT_RE.match(a.id):
             out.append(f"bad action name {a.id!r}")
         if a.id in action_ids:
@@ -299,17 +306,20 @@ def validate(model: SfcModel) -> list[str]:
                 out.append(f"action {a.id!r} references unknown fbd "
                            f"{a.fbd_ref!r}")
             continue
+        assigns = []
         for name, e in a.assigns:
+            assigns.append((name, e))  # annotated below if it typechecks
             ty = env.get(name)
             if ty is None:
                 out.append(f"action {a.id!r} assigns undeclared "
                            f"variable {name!r}")
                 continue
             try:
-                _, et = E.typecheck(e, env)
+                ann, et = E.typecheck(e, env)
             except E.ExprError as err:
                 out.append(f"action {a.id!r}: {err}")
                 continue
+            assigns[-1] = (name, ann)
             if (ty == "bool") != (et == "bool"):
                 out.append(f"action {a.id!r}: type mismatch assigning "
                            f"{et} to {ty} variable {name!r}")
@@ -319,7 +329,9 @@ def validate(model: SfcModel) -> list[str]:
             elif ty != "bool" and et != ty and E.vars_of(e):
                 out.append(f"action {a.id!r}: width mismatch assigning "
                            f"{et} to {ty} variable {name!r}")
+        actions[-1] = replace(a, assigns=tuple(assigns))
 
+    transitions = []
     for i, t in enumerate(model.transitions):
         if not t.sources:
             out.append(f"transition {i}: empty source set")
@@ -335,12 +347,19 @@ def validate(model: SfcModel) -> list[str]:
         if t.priority is not None and t.priority < 0:
             out.append(f"transition {i}: negative priority")
         try:
-            _, gt = E.typecheck(t.guard, env)
+            guard, gt = E.typecheck(t.guard, env)
             if gt != "bool":
                 out.append(f"transition {i}: guard is not boolean")
+            t = replace(t, guard=guard)
         except E.ExprError as err:
             out.append(f"transition {i}: {err}")
-    return out
+        transitions.append(t)
+
+    typed = replace(model, actions=tuple(actions),
+                    transitions=tuple(transitions))
+    # same declarations and diagrams, so the programs compiled above hold
+    typed._names[3].update(model._names[3])
+    return typed, out
 
 
 # --- parsing --------------------------------------------------------------
@@ -426,25 +445,11 @@ def parse_model(text: str) -> SfcModel:
             raise ParseError(f"action attached to unknown step {host.text!r}",
                              host.line, host.col)
 
-    # annotate comparison widths where an expression typechecks; validate
-    # reports the ones that do not
-    env = {v.name: v.ty for v in vars_}
-    model = _normalized(
-        vars_, steps, initial,
-        [replace(a, assigns=tuple((n, _typed(e, env)) for n, e in a.assigns))
-         if a.assigns is not None else a for _, a in actions],
-        [replace(t, guard=_typed(t.guard, env)) for t in transitions], fbds)
-    problems = validate(model)
+    model, problems = _checked(_normalized(
+        vars_, steps, initial, [a for _, a in actions], transitions, fbds))
     if problems:
         raise ParseError("; ".join(problems))
     return model
-
-
-def _typed(e: E.Expr, env: dict[str, str]) -> E.Expr:
-    try:
-        return E.typecheck(e, env)[0]
-    except E.ExprError:
-        return e
 
 
 def _parse_step_set(ts: TokenStream) -> tuple[str, ...]:

@@ -124,15 +124,21 @@ class TokenStream:
 # and  := not ('&&' not)*      a chain of two or more is one E.And
 # not  := '!' not | hook | cmp
 # cmp  := sum (('<'|'<='|'>'|'>='|'=='|'='|'!=') sum)?
-# sum  := prod (('+'|'-') prod)*
-# prod := atom ('*' atom)*
+# sum  := prod (('+'|'-') prod)*    a chain of two or more is one E.Sum
+# prod := atom ('*' atom)*          a chain of two or more is one E.Prod
 # atom := INT | 'true' | 'false' | IDENT | '(' or ')'
 
 _CMP_TOKENS = {"<", "<=", ">", ">=", "==", "=", "!="}
 
+# Deepest nesting of `(` and `!`.  Every walk recurses per level, the parser
+# deepest: with one function per two grammar levels, four frames per `(`.
+# So parsing, typechecking, lowering, printing and the checker's re-parse of
+# an expression at the bound leave 350 of the default 1000 frames spare.
+MAX_NESTING = 160
+
 
 def parse_expression(ts: TokenStream, hook=None) -> E.Expr:
-    """Parse one expression.
+    """Parse one expression, nested at most MAX_NESTING deep.
 
     *hook*, if given, is tried first wherever a comparison may start: it
     parses and returns an extra boolean leaf (the property language's
@@ -140,62 +146,57 @@ def parse_expression(ts: TokenStream, hook=None) -> E.Expr:
     leaf is an operand of arithmetic or of a comparison only inside
     parentheses, where typechecking rejects it.
     """
-    return _parse_or(ts, hook)
+    return _parse_or(ts, hook, 0)
 
 
-def _parse_or(ts, hook):
-    args = [_parse_and(ts, hook)]
-    while ts.accept("||"):
-        args.append(_parse_and(ts, hook))
-    return E.chain(E.Or, args)
+def _deeper(ts, depth):
+    """Consume the `(` or `!` at hand, a ParseError past MAX_NESTING."""
+    if depth == MAX_NESTING:
+        ts.error(f"nesting deeper than {MAX_NESTING}")
+    ts.next()
+    return depth + 1
 
 
-def _parse_and(ts, hook):
-    args = [_parse_not(ts, hook)]
-    while ts.accept("&&"):
-        args.append(_parse_not(ts, hook))
-    return E.chain(E.And, args)
+def _parse_or(ts, hook, depth):
+    args = []
+    while True:
+        conj = [_parse_not(ts, hook, depth)]
+        while ts.accept("&&"):
+            conj.append(_parse_not(ts, hook, depth))
+        args.append(E.chain(E.And, conj))
+        if not ts.accept("||"):
+            return E.chain(E.Or, args)
 
 
-def _parse_not(ts, hook):
-    if ts.accept("!"):
-        return E.Not(_parse_not(ts, hook))
+def _parse_not(ts, hook, depth):
+    if ts.at("!"):
+        return E.Not(_parse_not(ts, hook, _deeper(ts, depth)))
     if hook is not None:
         e = hook(ts)
         if e is not None:
             return e
-    return _parse_cmp(ts, hook)
-
-
-def _parse_cmp(ts, hook):
-    e = _parse_sum(ts, hook)
+    e = _parse_sum(ts, hook, depth)
     t = ts.peek()
     if t.kind == "op" and t.text in _CMP_TOKENS:
         ts.next()
         op = "==" if t.text == "=" else t.text
-        return E.Cmp(op, e, _parse_sum(ts, hook))
+        return E.Cmp(op, e, _parse_sum(ts, hook, depth))
     return e
 
 
-def _parse_sum(ts, hook):
-    e = _parse_prod(ts, hook)
+def _parse_sum(ts, hook, depth):
+    args, signs = [], [1]
     while True:
-        if ts.accept("+"):
-            e = E.Add(e, _parse_prod(ts, hook))
-        elif ts.accept("-"):
-            e = E.Sub(e, _parse_prod(ts, hook))
-        else:
-            return e
+        factors = [_parse_atom(ts, hook, depth)]
+        while ts.accept("*"):
+            factors.append(_parse_atom(ts, hook, depth))
+        args.append(E.chain(E.Prod, factors))
+        if not (ts.at("+") or ts.at("-")):
+            return E.Sum(tuple(args), tuple(signs)) if args[1:] else args[0]
+        signs.append(1 if ts.next().text == "+" else -1)
 
 
-def _parse_prod(ts, hook):
-    e = _parse_atom(ts, hook)
-    while ts.accept("*"):
-        e = E.Mul(e, _parse_atom(ts, hook))
-    return e
-
-
-def _parse_atom(ts, hook):
+def _parse_atom(ts, hook, depth):
     t = ts.peek()
     if t.kind == "int":
         return E.IntLit(ts.integer())
@@ -206,9 +207,8 @@ def _parse_atom(ts, hook):
         if t.text == "false":
             return E.BoolLit(False)
         return E.Var(t.text)
-    if ts.accept("("):
-        e = _parse_or(ts, hook)
+    if ts.at("("):
+        e = _parse_or(ts, hook, _deeper(ts, depth))
         ts.expect(")")
         return e
     ts.error(f"expected expression, found {t.text or 'end of input'!r}")
-

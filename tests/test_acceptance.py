@@ -317,7 +317,7 @@ def test_criterion_8_fbd_equivalence():
     inc_model = load_model("fbd_inc")
     inc_env = inc_model.env()
     inc_prog = F.compile_fbd(inc_model.fbd("FInc"), inc_env)
-    inc_oracle = [("x", E.Add(E.Var("x"), E.IntLit(1)))]
+    inc_oracle = [("x", E.Sum((E.Var("x"), E.IntLit(1)), (1, 1)))]
     cnt_model = load_model("fbd_counter")
     cnt_env = cnt_model.env()
     cnt_prog = F.compile_fbd(cnt_model.fbd("FCnt"), cnt_env)

@@ -13,7 +13,6 @@ cubes agree on random formulas and configurations of a small chart.
 """
 
 import random
-from functools import reduce
 
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -279,9 +278,13 @@ def _names(pool):
 
 
 # sums of c*v at int8, so comparisons wrap; constants up to 300 wrap too
+def _sum(terms):
+    prods = tuple(E.Prod((E.IntLit(c), E.Var(v))) for c, v in terms)
+    return E.Sum(prods, (1,) * len(prods)) if len(prods) > 1 else prods[0]
+
+
 _SUMS = st.lists(st.tuples(st.integers(1, 3), st.sampled_from(("x", "y"))),
-                 min_size=1, max_size=2).map(lambda terms: reduce(
-                     E.Add, [E.Mul(E.IntLit(c), E.Var(v)) for c, v in terms]))
+                 min_size=1, max_size=2).map(_sum)
 _LEAVES = st.one_of(
     st.builds(E.Cmp, st.sampled_from(E.CMP_OPS), _SUMS,
               st.integers(0, 300).map(E.IntLit)),

@@ -10,6 +10,7 @@ from certplc import fbd as F
 from certplc import properties as P
 from certplc import verifier as V
 from certplc.model import canonical_text, model_digest, parse_model
+from certplc.parsing import MAX_NESTING
 
 from conftest import (FANOUT, WRAP_BLOWUP, WRAP_BLOWUP_PROP, load_invariants,
                       load_model)
@@ -613,6 +614,54 @@ class TestCheckWork:
         monkeypatch.setattr(F, "validate_fbd", counted)
         assert C.check(data).accepted
         assert sorted(validated) == ["Cnt0", "Cnt1", "Cnt2"]
+
+
+def _chart(guard, rhs="x + 1"):
+    return ("var x : int8\nstep S [initial]\nstep T\n"
+            f"action A on S {{ x := {rhs}; }}\n"
+            f"trans {{S}} -[ {guard} ]-> {{T}}\n")
+
+
+class TestLongAndDeepExpressions:
+    """Long sums are one node each, and nesting within MAX_NESTING leaves
+    every walk, the checker's re-parse included, inside the stack; nesting
+    past it is a model parse error."""
+
+    def _certified(self, text):
+        model = parse_model(text)
+        inv = P.parse_properties("invariant p : always (x <= 255);",
+                                 model)[0]
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Proved)
+        data = C.emit(model, inv, res.tree)
+        assert C.check(data).accepted
+        return data.decode()
+
+    def test_long_sum_in_assignment_and_guard(self):
+        # 1000 terms overflowed the stack when + was a binary node
+        total = " + ".join(["x"] + ["1"] * 2999)
+        text = self._certified(_chart(f"{total} < 3", total))
+        assert f"x := {total};" in text and f"-[ {total} < 3 ]->" in text
+
+    def test_not_chain_certifies(self):
+        # `!` under `!` prints bare, so the canonical text the checker
+        # re-parses nests no parenthesis per `!`
+        text = self._certified(_chart("!" * 150 + "(x < 3)"))
+        assert f"-[ {'!' * 150}x < 3 ]->" in text
+
+    def test_nesting_at_the_bound_certifies(self):
+        # each parenthesis of x - (1 - (1 - ...)) survives printing
+        guard = ("x - (" + "1 - (" * (MAX_NESTING - 1) + "1 - x"
+                 + ")" * MAX_NESTING + " < 3")
+        text = self._certified(_chart(guard))
+        assert f"-[ {guard} ]->" in text
+
+    def test_nesting_past_the_bound_is_a_model_parse_rejection(self):
+        data = self._certified(_chart("x < 3"))
+        deep = "(" * 3000 + "x < 3" + ")" * 3000
+        v = C.check(data.replace("-[ x < 3 ]->", f"-[ {deep} ]->").encode())
+        assert v.reason == (f"model-parse: line 5, col {MAX_NESTING + 14}: "
+                            f"nesting deeper than {MAX_NESTING}")
 
 
 class TestTrustedCore:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from certplc.cli import main
+from certplc.parsing import MAX_NESTING
 
 from conftest import (FIXTURES, MIXED_WIDTH, NONLINEAR_ATOM,
                       NONLINEAR_ATOM_PROP, NONLINEAR_GUARD)
@@ -48,6 +49,19 @@ class TestParse:
         assert capsys.readouterr().err == (
             "parse error: line 3, col 26: unexpected character '²'\n")
 
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("!", "")])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, opener, closer):
+        # 3000 levels used to overflow the interpreter's stack
+        head = "trans {S} -[ "
+        bad = tmp_path / "deep.sfc"
+        bad.write_text("var x : int8\nstep S [initial]\nstep T\n" + head
+                       + opener * 3000 + "x < 3" + closer * 3000
+                       + " ]-> {T}\n")
+        assert main(["parse", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line 4, col {len(head) + MAX_NESTING + 1}: "
+            f"nesting deeper than {MAX_NESTING}\n")
+
     def test_width_changing_assignment_exits_2(self, tmp_path):
         bad = tmp_path / "mixed.sfc"
         bad.write_text(MIXED_WIDTH)
@@ -87,6 +101,13 @@ class TestExplore:
         code, out = run(capsys, "explore", fx("loop.sfc"), "--depth", "20",
                         "--assert", check)
         assert code == 0
+
+    def test_deep_assertion_exits_2(self, capsys):
+        check = "(" * 3000 + "x <= 10" + ")" * 3000
+        assert main(["explore", fx("loop.sfc"), "--assert", check]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line 1, col {MAX_NESTING + 1}: "
+            f"nesting deeper than {MAX_NESTING}\n")
 
     def test_budget_marks_partial(self, capsys):
         code, out = run(capsys, "explore", fx("multi_action.sfc"),

@@ -4,7 +4,7 @@ import pytest
 
 from certplc import expr as E
 from certplc import linear as L
-from certplc.parsing import ParseError
+from certplc.parsing import MAX_NESTING, ParseError
 from certplc.properties import parse_formula_text
 
 from conftest import eval_cube, eval_dnf
@@ -85,17 +85,27 @@ class TestTypecheck:
          "logical operator on non-boolean operand"),
         ("x <= 1 && y <= 1 && x + 1", "unbound variable 'y'"),
         ("x + 1 || y <= 1", "unbound variable 'y'"),
+        ("x + 1 - w", "width mismatch in sub: int8 vs int16"),
+        ("1 - x + w - y", "width mismatch in add: int8 vs int16"),
+        ("2 + 3 - w + x", "width mismatch in add: int16 vs int8"),
+        ("x - 1 + y + w", "unbound variable 'y'"),
+        ("x + 1 + true", "expected integer expression, got true"),
+        ("2 * x * w", "width mismatch in mul: int8 vs int16"),
+        ("x * 2 * (x < 1) * w", "expected integer expression, got x < 1"),
     ])
     def test_chain_error_is_the_left_deep_chains(self, text, message):
         # each join is tested once both its sides are typechecked, as in
         # the left-deep chain of binary nodes the same text once parsed to
         flat = parse_formula_text(text)
-        deep = type(flat)(flat.args[:2])
-        for arg in flat.args[2:]:
-            deep = type(flat)((deep, arg))
+        deep = flat.args[0]
+        for i, arg in enumerate(flat.args[1:], 1):
+            if isinstance(flat, E.Sum):
+                deep = E.Sum((deep, arg), (1, flat.signs[i]))
+            else:
+                deep = type(flat)((deep, arg))
         for e in (flat, deep):
             with pytest.raises(E.ExprError, match=f"^{message}$"):
-                E.typecheck(e, {"x": "int8"})
+                E.typecheck(e, {"x": "int8", "w": "int16"})
 
     def test_comparison_width_annotated(self):
         e, ty = E.typecheck(parse_formula_text("x + 1 < 3"),
@@ -164,6 +174,40 @@ class TestPrinter:
 
     def test_equality_alias(self):
         assert parse_formula_text("x = 1") == parse_formula_text("x == 1")
+
+    @pytest.mark.parametrize("text", [
+        "!!b", "!!!(a && b)", "!(!a || b)", "!!x < 3",
+    ])
+    def test_not_under_not_prints_bare(self, text):
+        assert E.pretty(parse_formula_text(text)) == text
+
+
+class TestLongArithmetic:
+    """A `+`/`-` chain is one Sum and a `*` chain one Prod, so every walk
+    of a long one loops over its operands instead of recursing once per
+    operator."""
+
+    N = 3000
+
+    def test_sum(self):
+        text = "x" + "".join(" + 1" if i % 3 else " - 2"
+                             for i in range(self.N - 1))
+        e = parse_formula_text(text)
+        assert isinstance(e, E.Sum) and len(e.args) == self.N
+        assert E.pretty(e) == text
+        assert E.typecheck(e, ENV1) == (e, "int8")
+        value = 5 + sum(1 if i % 3 else -2 for i in range(self.N - 1))
+        assert E.eval_expr(e, {"x": 5}) == value
+        assert L.linear_form(e) == L.LinForm((("x", 1),), value - 5)
+
+    def test_product(self):
+        text = "1 * " * (self.N - 1) + "x"
+        e = parse_formula_text(text)
+        assert isinstance(e, E.Prod) and len(e.args) == self.N
+        assert E.pretty(e) == text
+        assert E.typecheck(e, ENV1) == (e, "int8")
+        assert E.eval_expr(e, {"x": 7}) == 7
+        assert L.linear_form(e) == L.LinForm.of_var("x")
 
 
 ENV1 = {"x": "int8"}
@@ -312,3 +356,15 @@ class TestParseErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_formula_text("x + 1 )")
+
+    @pytest.mark.parametrize("opener", ["(", "!", "!("])
+    def test_nesting_past_the_bound(self, opener):
+        # the opener that passes the bound is the error's position
+        def nested(depth):
+            text = opener * -(-depth // len(opener))
+            return text[:depth] + "b" + ")" * text[:depth].count("(")
+        parse_formula_text(nested(MAX_NESTING))
+        with pytest.raises(ParseError, match=(
+                f"^line 1, col {MAX_NESTING + 1}: nesting deeper than "
+                f"{MAX_NESTING}$")):
+            parse_formula_text(nested(MAX_NESTING + 1))

@@ -151,7 +151,7 @@ class TestIterative:
 class TestCompile:
     def test_increment_matches_assignment_oracle(self):
         p = F.compile_fbd(parse(INC), ENV16)
-        inc = [("x", E.Add(E.Var("x"), E.IntLit(1)))]
+        inc = [("x", E.Sum((E.Var("x"), E.IntLit(1)), (1, 1)))]
         for v in itertools.chain(range(16), (254, 255, 65534, 65535)):
             m = dict(x=v)
             assert F.eval_iterative(p, m) == E.apply_effect(inc, m, ENV16), v

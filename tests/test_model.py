@@ -134,6 +134,28 @@ class TestValidate:
                               model.actions, (t,))
             assert validate(broken) == [f"transition 0: {problem}"]
 
+    def test_one_typecheck_per_guard_and_assignment(self, monkeypatch):
+        # parsing annotates and validates from the same typecheck
+        calls, depth = [], [0]
+        typecheck = E.typecheck
+
+        def counted(e, env, leaf=None):
+            if not depth[0]:  # not a chain operand's recursive check
+                calls.append(e)
+            depth[0] += 1
+            try:
+                return typecheck(e, env, leaf)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(E, "typecheck", counted)
+        exprs = 0
+        for name in fixture_names():
+            model = load_model(name)
+            exprs += len(model.transitions) + sum(
+                len(a.assigns) for a in model.actions if a.assigns)
+        assert len(calls) == exprs == 36
+
     def test_empty_initial_set(self):
         model = parse_model(MINIMAL)
         broken = SfcModel(model.vars, model.steps, (), model.actions,

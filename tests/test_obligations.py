@@ -251,10 +251,9 @@ class TestNormalizationKey:
 
     def test_width_matters_to_normalize(self):
         env = {"x": "int8"}
-        narrow = E.Cmp("<", E.Add(E.Var("x"), E.IntLit(1)), E.IntLit(3),
-                       "int8")
-        wide = E.Cmp("<", E.Add(E.Var("x"), E.IntLit(1)), E.IntLit(3),
-                     "int16")
+        x1 = E.Sum((E.Var("x"), E.IntLit(1)), (1, 1))
+        narrow = E.Cmp("<", x1, E.IntLit(3), "int8")
+        wide = E.Cmp("<", x1, E.IntLit(3), "int16")
         assert narrow == wide and hash(narrow) == hash(wide)
         assert normalize(narrow, env) != normalize(wide, env)
 

@@ -187,6 +187,15 @@ class TestLongChains:
         cube, = L.normalize(E.And(f.args[:n]), loop_model.env())
         assert len(cube) == 2 + n  # x's width bounds, one per operand
 
+    def test_long_sum_atom(self, loop_model):
+        # one Sum of 3000 operands, typechecked and evaluated by loops
+        total = " + ".join(["x"] + ["1"] * 2999)
+        line = f"invariant p : always ({total} == 2999);"
+        inv, = P.parse_properties(line, loop_model)
+        assert len(inv.formula.lhs.args) == 3000
+        assert P.invariant_text(inv) == line
+        assert P.holds_on(inv.formula, init_state(loop_model))  # x is 0
+
     def test_disjunction(self, loop_model):
         f = self._parsed("||", "x == {}", loop_model)
         assert not P.holds_on(f, init_state(loop_model))  # x starts at 0
