@@ -25,14 +25,25 @@ from .parsing import ParseError, TokenStream
 
 ARITH_KINDS = ("add", "sub", "mul")
 CMP_KINDS = ("lt", "le", "eq", "ne", "ge", "gt")
-KINDS = ARITH_KINDS + CMP_KINDS + ("mux", "const", "read", "write", "delay")
 
-_ARITY = {"add": 2, "sub": 2, "mul": 2, "lt": 2, "le": 2, "eq": 2, "ne": 2,
-          "ge": 2, "gt": 2, "mux": 3, "const": 0, "read": 0, "write": 1,
-          "delay": 1}
+# The port rule: what each input port carries, by block kind.  "own" is the
+# block's own type and "int" the same, an integer; "operand" is the one
+# integer type both operands of a comparison share; "bool" is a mux
+# selector; "var" is the written variable's type.  Const and read blocks
+# have no input port.  One width along each dataflow path is what lets the
+# symbolic summary wrap once, at the end.
+PORTS = {**dict.fromkeys(ARITH_KINDS, ("int", "int")),
+         **dict.fromkeys(CMP_KINDS, ("operand", "operand")),
+         "mux": ("bool", "own", "own"), "delay": ("own",), "write": ("var",),
+         "const": (), "read": ()}
 
 _CMP_OPS = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "ge": ">=",
             "gt": ">"}
+
+# Longest time slice.  Every run of a diagram, concrete or symbolic, loops
+# once per iteration, and the checker runs the symbolic one per execute
+# case, so the number bounds the checker's work; charts use a handful.
+MAX_TIME_SLICE = 1024
 
 
 class FbdError(Exception):
@@ -125,108 +136,96 @@ def topo_order(f: Fbd) -> list[str]:
 
 
 def validate_fbd(f: Fbd, env: dict[str, str]):
-    """Check structure and infer port types.
+    """Check structure and type every block output by the port rule.
+
+    The ports that must carry one type (``PORTS``) are merged into classes
+    with a union-find over block outputs, plus one node per comparison for
+    its operands.  A class takes the first type fixed in it, in block
+    order: a read's variable, a boolean literal, a comparison result, a mux
+    selector or a write target.  A class with none (const blocks, delays
+    and arithmetic over them only) is an island and gets ``E.DEFAULT_INT``.
+    Reads and comparisons keep their own type, so a class they disagree
+    with fails at the port that joins them.
 
     Returns the evaluation order (block ids, see ``topo_order``) and the
     port types (block id -> type).
     """
-    if f.time_slice < 1:
-        raise FbdError(f"time slice must be positive, got {f.time_slice}")
-    seen = set()
+    if not 1 <= f.time_slice <= MAX_TIME_SLICE:
+        raise FbdError(f"time slice must be positive and at most "
+                       f"{MAX_TIME_SLICE}")
+    seen, written = set(), set()
     for b in f.blocks:
         if b.id in seen:
             raise FbdError(f"duplicate block id {b.id!r}")
         seen.add(b.id)
-        if b.kind not in KINDS:
+        if b.kind not in PORTS:
             raise FbdError(f"unknown block kind {b.kind!r}")
-        if len(b.inputs) != _ARITY[b.kind]:
+        if len(b.inputs) != len(PORTS[b.kind]):
             raise FbdError(f"block {b.id!r}: {b.kind} takes "
-                           f"{_ARITY[b.kind]} inputs")
-        if b.kind in ("read", "write"):
-            if b.var not in env:
-                raise FbdError(f"block {b.id!r} uses undeclared variable "
-                               f"{b.var!r}")
-    targets = [b.var for b in f.blocks if b.kind == "write"]
-    for v in targets:
-        if targets.count(v) > 1:
-            raise FbdError(f"variable {v!r} written by more than one block")
-    order = topo_order(f)  # rejects undelayed cycles
+                           f"{len(PORTS[b.kind])} inputs")
+        if b.kind in ("read", "write") and b.var not in env:
+            raise FbdError(f"block {b.id!r} uses undeclared variable "
+                           f"{b.var!r}")
+        if b.kind == "write":
+            if b.var in written:
+                raise FbdError(f"variable {b.var!r} written by more than "
+                               f"one block")
+            written.add(b.var)
+    order = topo_order(f)  # rejects undelayed cycles and bad references
 
-    types: dict[str, str] = {}
+    def ports(b):  # a const block's literal is an input of its own type
+        return (("own", ConstIn(b.value)),) if b.kind == "const" \
+            else zip(PORTS[b.kind], b.inputs)
 
-    def op_type(op):
-        if isinstance(op, ConstIn):
-            return "bool" if isinstance(op.value, bool) else None
-        return types.get(op.block)
+    def node(b, port):  # the class a port joins, None for a fixed type
+        return {"own": b.id, "int": b.id, "operand": (b.id, port)}.get(port)
 
-    # Fixpoint over the finite type lattice (unknown -> concrete), forward
-    # through the dataflow plus backward from write targets, which ground
-    # delay loops that never read a global.
-    changed = True
-    while changed:
-        changed = False
-        for b in f.blocks:
-            if b.id in types or b.kind == "write":
-                continue
-            t = None
-            if b.kind == "read":
-                t = env[b.var]
-            elif b.kind == "const":
-                t = "bool" if isinstance(b.value, bool) else None
-            elif b.kind in CMP_KINDS:
-                t = "bool"
-            elif b.kind in ARITH_KINDS or b.kind == "delay":
-                ins = [op_type(op) for op in b.inputs]
-                known = [x for x in ins if x is not None]
-                t = known[0] if known else None
-            elif b.kind == "mux":
-                ins = [op_type(op) for op in b.inputs[1:]]
-                known = [x for x in ins if x is not None]
-                t = known[0] if known else None
-            if t is not None:
-                types[b.id] = t
-                changed = True
-        for b in f.blocks:
-            targets = None
-            if b.kind == "write":
-                targets = ((b.inputs[0], env[b.var]),)
-            elif b.kind in ARITH_KINDS and b.id in types:
-                targets = tuple((op, types[b.id]) for op in b.inputs)
-            elif b.kind == "delay" and b.id in types:
-                targets = ((b.inputs[0], types[b.id]),)
-            if not targets:
-                continue
-            for op, want in targets:
-                if isinstance(op, PortRef) and op.block not in types:
-                    src = next(x for x in f.blocks if x.id == op.block)
-                    if src.kind != "write":
-                        types[op.block] = want
-                        changed = True
-    for b in f.blocks:
-        if b.kind != "write" and b.id not in types:
-            types[b.id] = E.DEFAULT_INT  # const-only island
+    def fixed_type(b, port):
+        return "bool" if port == "bool" else env[b.var]
 
-    def check_int(b, t):
-        if t == "bool":
-            raise FbdError(f"block {b.id!r}: boolean input to {b.kind}")
+    def literal_type(op):
+        return "bool" if isinstance(op.value, bool) else None
+
+    root: dict = {}  # union-find over the nodes
+
+    def find(n):
+        root.setdefault(n, n)
+        while root[n] != n:
+            root[n] = root[root[n]]
+            n = root[n]
+        return n
 
     for b in f.blocks:
-        ports = (ConstIn(b.value),) if b.kind == "const" else b.inputs
-        ins = [op_type(op) for op in ports]
-        if b.kind in ARITH_KINDS or b.kind in CMP_KINDS:
-            for t in ins:
-                check_int(b, t)
-        if b.kind in CMP_KINDS:
-            if ins[0] and ins[1] and ins[0] != ins[1]:
-                raise FbdError(f"block {b.id!r}: width mismatch "
-                               f"{ins[0]} vs {ins[1]}")
-            continue
-        # Every other port carries the block's own type, except the mux
-        # selector and the written variable.  One width along each dataflow
-        # path is what lets the symbolic summary wrap once, at the end.
-        ty = env[b.var] if b.kind == "write" else types[b.id]
-        wants = ("bool", ty, ty) if b.kind == "mux" else (ty,) * len(ins)
-        for got, want in zip(ins, wants):
+        for port, op in ports(b):
+            if isinstance(op, PortRef) and node(b, port) is not None:
+                root[find(op.block)] = find(node(b, port))
+    own = {b.id: env[b.var] for b in f.blocks if b.kind == "read"}
+    own.update((b.id, "bool") for b in f.blocks if b.kind in CMP_KINDS)
+    fixed: dict = {}  # class root -> its type
+    for b in f.blocks:
+        if b.id in own:
+            fixed.setdefault(find(b.id), own[b.id])
+        for port, op in ports(b):
+            n = node(b, port)
+            if n is None and isinstance(op, PortRef):
+                fixed.setdefault(find(op.block), fixed_type(b, port))
+            elif n is not None and isinstance(op, ConstIn) \
+                    and literal_type(op):
+                fixed.setdefault(find(n), "bool")
+
+    def class_type(n):
+        return fixed.get(find(n), E.DEFAULT_INT)
+
+    types = {b.id: own.get(b.id) or class_type(b.id) for b in f.blocks
+             if b.kind != "write"}
+    for b in f.blocks:
+        for port, op in ports(b):
+            got = types[op.block] if isinstance(op, PortRef) \
+                else literal_type(op)
+            n = node(b, port)
+            want = fixed_type(b, port) if n is None else class_type(n)
+            if "bool" in (got, want) and port in ("int", "operand"):
+                raise FbdError(f"block {b.id!r}: boolean input to {b.kind}")
             if got is None and want == "bool":
                 raise FbdError(f"block {b.id!r}: integer constant in "
                                f"boolean position")
@@ -396,19 +395,22 @@ def parse_fbd(ts: TokenStream, name: str) -> Fbd:
     blocks = []
     time_slice = None
     while not ts.accept("}"):
-        if ts.accept("timeslice"):
+        if ts.at("timeslice"):
+            if time_slice is not None:
+                ts.error("duplicate timeslice")
+            ts.next()
             t = ts.peek()
-            n = ts.integer()
-            if n < 1:
-                raise ParseError("time slice must be positive", t.line, t.col)
-            time_slice = n
+            time_slice = ts.integer()
+            if not 1 <= time_slice <= MAX_TIME_SLICE:
+                raise ParseError(f"time slice must be positive and at most "
+                                 f"{MAX_TIME_SLICE}", t.line, t.col)
             continue
         ts.expect("block")
         bid = ts.ident().text
         ts.expect("=")
         kw = ts.ident()
         kind = kw.text
-        if kind not in KINDS:
+        if kind not in PORTS:
             raise ParseError(f"unknown block kind {kind!r}", kw.line, kw.col)
         if kind == "read":
             blocks.append(Block(bid, kind, var=ts.ident().text))
@@ -426,8 +428,8 @@ def parse_fbd(ts: TokenStream, name: str) -> Fbd:
             while ts.accept(","):
                 ops.append(_parse_operand(ts))
             ts.expect(")")
-            if len(ops) != _ARITY[kind]:
-                raise ParseError(f"{kind} takes {_ARITY[kind]} inputs",
+            if len(ops) != len(PORTS[kind]):
+                raise ParseError(f"{kind} takes {len(PORTS[kind])} inputs",
                                  kw.line, kw.col)
             blocks.append(Block(bid, kind, inputs=tuple(ops)))
     return Fbd(name, tuple(sorted(blocks, key=lambda b: b.id)),

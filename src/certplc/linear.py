@@ -287,7 +287,8 @@ def wrap_cases(form: LinForm, bits: int, bounds) -> list[tuple[LinForm, Cube]]:
     q_hi = hi // modulus
     count = q_hi - q_lo + 1
     if count > CAP:
-        raise LimitExceeded(f"{count} wrap quotients exceed cap {CAP}")
+        # the count can be too long to print, so the message names the cap
+        raise LimitExceeded(f"wrap quotients exceed cap {CAP}")
     cases = []
     for q in range(q_lo, q_hi + 1):
         wrapped = form.shift(-q * modulus)

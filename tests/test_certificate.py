@@ -664,6 +664,28 @@ class TestLongAndDeepExpressions:
                             f"nesting deeper than {MAX_NESTING}")
 
 
+class TestTimeSliceBound:
+    """A diagram runs once per iteration of its time slice in the checker
+    too, so a slice past MAX_TIME_SLICE is a model parse error."""
+
+    def test_slice_at_the_bound_certifies_and_past_it_is_rejected(self):
+        model = parse_model(
+            "var out : int16\nstep S [initial]\naction A on S = fbd F\n"
+            "fbd F {\n  block d = delay(a.out)\n"
+            "  block a = add(d.out, const 1)\n  block w = write out (a.out)\n"
+            f"  timeslice {F.MAX_TIME_SLICE}\n}}\n")
+        inv = P.parse_properties("invariant p : always (out <= 1024);",
+                                 model)[0]
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Proved)
+        data = C.emit(model, inv, res.tree)
+        assert C.check(data).accepted
+        v = C.check(data.replace(b"timeslice 1024", b"timeslice 1025"))
+        assert re.fullmatch(r"model-parse: line \d+, col 13: time slice must "
+                            r"be positive and at most 1024", v.reason)
+        assert v.path == ()
+
+
 class TestTrustedCore:
     def test_inventory_contents(self):
         inv = C.trusted_core_inventory()

@@ -62,6 +62,15 @@ class TestParse:
             f"parse error: line 4, col {len(head) + MAX_NESTING + 1}: "
             f"nesting deeper than {MAX_NESTING}\n")
 
+    def test_time_slice_past_the_bound_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "slice.sfc"
+        bad.write_text("var x : int8\nstep S [initial]\n"
+                       "action A on S = fbd F\nfbd F {\n  timeslice 1025\n}\n")
+        assert main(["parse", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: line 5, col 13: time slice must be positive and "
+            "at most 1024\n")
+
     def test_width_changing_assignment_exits_2(self, tmp_path):
         bad = tmp_path / "mixed.sfc"
         bad.write_text(MIXED_WIDTH)

@@ -125,6 +125,17 @@ class TestObligations:
         assert "exceed cap 512" in res.reason
 
 
+# 500 factors of 10**9 at int8: the wrap quotient count has more digits than
+# Python converts to a string.
+_HUGE = " * ".join(["x"] + ["1000000000"] * 500)
+
+
+def _huge_chart(rhs, guard):
+    return ("var x : int8\nstep S [initial]\nstep T\n"
+            f"action A on S {{ x := {rhs}; }}\n"
+            f"trans {{S}} -[ {guard} < 3 ]-> {{T}}\n")
+
+
 # Every source of an Undecided case: the chart, its property, the case that
 # fails, the checker's rejection prefix for that case (None: the checker
 # runs no decider) and a patch in force for the verifier and the checker.
@@ -137,6 +148,11 @@ _UNDECIDED = {
                       "unsupported-effect", None),
     "wrap-quotient-cap": (WRAP_BLOWUP, "steps_within {S}",
                           S.ExecuteAction("A"), "resource", None),
+    "wrap-quotient-count-assignment": (_huge_chart(_HUGE, "x"), "x <= 255",
+                                       S.ExecuteAction("A"), "resource",
+                                       None),
+    "wrap-quotient-count-guard": (_huge_chart("x + 1", _HUGE), "x <= 255",
+                                  S.StepTransition(0), "resource", None),
     "disjunct-cap": (NONLINEAR_GUARD.replace("x * y < 3",
                                              "x == 1 || x == 2 || x == 3"),
                      "x <= 65535", S.StepTransition(0), "resource",
