@@ -118,16 +118,20 @@ def _op(e: Sum | Prod, i: int) -> str:
     return "mul" if isinstance(e, Prod) else "add" if e.signs[i] > 0 else "sub"
 
 
-def vars_of(e: Expr) -> set[str]:
+def vars_of(e: Expr, leaf=None) -> set[str]:
+    """The variables an expression reads; *leaf* gives the names an added
+    leaf reads."""
     if isinstance(e, Var):
         return {e.name}
     if isinstance(e, (IntLit, BoolLit)):
         return set()
     if isinstance(e, Not):
-        return vars_of(e.arg)
+        return vars_of(e.arg, leaf)
     if isinstance(e, Cmp):
         return vars_of(e.lhs) | vars_of(e.rhs)
-    return set().union(*map(vars_of, e.args))
+    if isinstance(e, (Sum, Prod, And, Or)):
+        return set().union(*(vars_of(arg, leaf) for arg in e.args))
+    return leaf(e)
 
 
 # --- type checking --------------------------------------------------------

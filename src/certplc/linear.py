@@ -259,16 +259,32 @@ def linear_form(e: E.Expr, subst=None) -> LinForm:
         return LinDomain.const(e.value)
     if isinstance(e, E.Not):
         return LinForm.of_const(1).sub(linear_form(e.arg, subst))
+    return _int_form(e, subst)
 
-    def read(name):
-        if subst is not None and name in subst:
-            return subst[name]
-        return LinForm.of_var(name)
 
-    try:
-        return E.fold_int(e, LinDomain, read)
-    except E.ExprError as err:
-        raise FragmentError(str(err))
+def _int_form(e: E.Expr, subst) -> LinForm:
+    """``E.fold_int(e, LinDomain, read)``, except that a sum gathers its
+    operands' coefficients in one dict: folding it with ``LinForm.add``
+    would copy them once per operand, quadratic in the sum's length."""
+    if isinstance(e, E.Var):
+        if subst is not None and e.name in subst:
+            return subst[e.name]
+        return LinForm.of_var(e.name)
+    if isinstance(e, E.IntLit):
+        return LinDomain.const(e.value)
+    if isinstance(e, E.Sum):
+        coeffs: dict[str, int] = {}
+        const = 0
+        for arg, sign in zip(e.args, e.signs):
+            form = _int_form(arg, subst)
+            for v, c in form.coeffs:
+                coeffs[v] = coeffs.get(v, 0) + sign * c
+            const += sign * form.const
+        return LinForm.make(coeffs, const)
+    if isinstance(e, E.Prod):
+        return reduce(LinDomain.mul, (_int_form(a, subst) for a in e.args))
+    raise FragmentError(
+        f"expected integer expression, got {type(e).__name__}")
 
 
 _NEG_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
@@ -349,9 +365,32 @@ def lower(e: E.Expr, negate: bool, leaf) -> Dnf:
     if isinstance(e, E.Not):
         return lower(e.arg, not negate, leaf)
     if isinstance(e, (E.And, E.Or)):
-        join = dnf_and if isinstance(e, E.And) != negate else dnf_or
-        return reduce(join, (lower(arg, negate, leaf) for arg in e.args))
+        parts = (lower(arg, negate, leaf) for arg in e.args)
+        if isinstance(e, E.And) != negate:
+            return _conjoin(parts)
+        return reduce(dnf_or, parts)
     return leaf(e, negate)
+
+
+def _conjoin(dnfs) -> Dnf:
+    """``reduce(dnf_and, dnfs)``: the same cubes and the same point of
+    overflow, but each cube grows in place next to its member set, so a
+    chain of n one-cube operands is joined in time linear in n, not
+    quadratic.  Consumes *dnfs* one at a time, after each join."""
+    it = iter(dnfs)
+    acc = [(list(cube), set(cube)) for cube in next(it)]
+    for b in it:
+        if len(acc) * len(b) > CAP:
+            raise LimitExceeded(f"{CAP + 1} disjuncts exceed cap {CAP}")
+        if len(b) == 1:
+            for cube, have in acc:
+                new = [c for c in b[0] if c not in have]
+                cube.extend(new)
+                have.update(new)
+        else:
+            acc = [(cube + new, have.union(new)) for cube, have in acc
+                   for new in ([c for c in cb if c not in have] for cb in b)]
+    return tuple(tuple(cube) for cube, _ in acc)
 
 
 def normalize(e: E.Expr, env: dict[str, str], *, subst=None,

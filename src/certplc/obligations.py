@@ -23,13 +23,26 @@ witnesses.  A property with a target adds one obligation, ENTAIL: the
 invariant's pre-state cubes against each target conjunct negated on the
 same pre-state.
 
+Frame rule: a rule instance's negated conclusion is empty (no cube) for
+each top-level conjunct that reads nothing the instance changes, that is
+no step or action whose post-state entry differs from its pre-state one
+and no variable the effect summary writes.  This is sound because every
+hypothesis cube contains a cube of the invariant's pre-state DNF, so it
+implies the conjunct on the pre-state, and the conjunct reads the same
+entries on the post-state, so it has the same value there.  ENTAIL is
+never framed: its conclusion is the target, which the hypothesis does not
+contain.
+
 Everything here is deterministic in the model and property alone.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from . import expr as E
 from . import fbd as F
@@ -38,7 +51,7 @@ from .linear import (Cube, Dnf, FragmentError, LimitExceeded, LinCon,
                      LinForm, attach_bounds, bounds_fn, dnf_and, linear_form,
                      lower, normalize, wrap_cases, TRUE_DNF, FALSE_DNF,
                      clean_cube)
-from .model import RuleInstance, SfcModel
+from .model import RuleInstance, RuleShape, SfcModel
 
 STEP_PREFIX = "step:"
 ACT_PREFIX = "act:"
@@ -98,14 +111,28 @@ def _eq01(name: str, value: int) -> LinCon:
 
 @dataclass(frozen=True)
 class _StateMap:
-    """Symbolic valuation: how each atom reads in pre- or post-state."""
+    """Symbolic valuation: how each atom reads in pre- or post-state.
 
-    steps: dict      # step -> 0 | 1 | variable name
-    actions: dict    # action -> 0 | 1 | variable name
+    A post-state's activity maps are ChainMaps over the pre-state's, whose
+    first map holds the entries the rule sets."""
+
+    steps: Mapping      # step -> 0 | 1 | variable name
+    actions: Mapping    # action -> 0 | 1 | variable name
     subst: dict | None  # memory variable -> LinForm over the pre-state
 
-    def of(self, kind: str) -> dict:  # an activity atom's kind -> its map
+    def of(self, kind: str) -> Mapping:  # an activity atom's kind -> its map
         return self.steps if kind == "step" else self.actions
+
+    def changed_from(self, pre: "_StateMap") -> set[str]:
+        """The pre-state variables this post-state map reads otherwise:
+        each step and action that the rule sets to a value other than its
+        pre-state entry, and each written variable."""
+        out = set(self.subst or ())
+        for kind in ("step", "action"):
+            before = pre.of(kind)
+            out.update(before[n] for n, v in self.of(kind).maps[0].items()
+                       if v != before[n])
+        return out
 
 
 def pre_state_map(model: SfcModel) -> _StateMap:
@@ -228,6 +255,21 @@ class DerivationContext:
         return self._once(("normalize", e, negate), lambda: normalize(
             e, self.env, negate=negate))
 
+    @cached_property
+    def conjunct_reads(self) -> tuple[frozenset[str], ...]:
+        """Per top-level conjunct of the invariant, the pre-state variables
+        it reads: ``step:S`` or ``act:A`` for an active atom, the ones
+        outside the set for a subset atom, and an arithmetic atom's memory
+        variables."""
+        def reads(atom) -> set[str]:
+            names = self.pre.of(atom.kind)
+            if isinstance(atom, P.Active):
+                return {names[atom.name]}
+            return {v for n, v in names.items() if n not in atom.names}
+
+        return tuple(frozenset(E.vars_of(c, reads))
+                     for c in P.conjuncts(self.formula))
+
     def pre_dnf(self) -> Dnf:
         """The property on the pre-state."""
         return self._once("pre", lambda: self.formula_dnf(self.formula,
@@ -253,11 +295,29 @@ class DerivationContext:
         return lower(f, negated, leaf)
 
 
+def post_state(ctx: DerivationContext, shape: RuleShape):
+    """The effect summary of a rule shape's action (None without one) and
+    the map of its symbolic post-state: the exact reading of every atom
+    after the rule, whatever the frame rule omits."""
+    summary = None if shape.action is None else \
+        effect_summary(ctx.model, shape.action)
+    steps = dict.fromkeys(shape.steps_off, 0)
+    steps.update(dict.fromkeys(shape.steps_on, 1))
+    actions = dict.fromkeys(shape.acts_off, 0)
+    actions.update(dict.fromkeys(shape.acts_on, 1))
+    return summary, _StateMap(ChainMap(steps, ctx.pre.steps),
+                              ChainMap(actions, ctx.pre.actions),
+                              None if summary is None
+                              else _post_subst(summary))
+
+
 def build_obligation(ctx: DerivationContext,
                      rule: RuleInstance | Entailment) -> CaseObligation:
     """Obligation for one proof case of *ctx*'s model and property: the
     induction step of a rule instance, or for ENTAIL the invariant's
     pre-state cubes against the negated target conjuncts on the pre-state.
+    A rule instance gives no cube to a conjunct it cannot change (the
+    frame rule, see the module docstring).
 
     Pass the same context for every case of one property to derive the
     shared pieces once.  Raises FragmentError for an effect, guard or atom
@@ -267,10 +327,10 @@ def build_obligation(ctx: DerivationContext,
     model, env = ctx.model, ctx.env
     if rule is ENTAIL:
         hyp, post, concl = ctx.pre_dnf(), ctx.pre, ctx.target
+        unchanged = repeat(False)
     else:
         shape = model.rules[rule]
-        summary = None if shape.action is None else \
-            effect_summary(model, shape.action)
+        summary, post = post_state(ctx, shape)
         hyp = (clean_cube(
             tuple([_eq01(act_var(a), 1) for a in shape.pending]
                   + [_eq01(step_var(s), 1) for s in shape.steps]
@@ -282,19 +342,14 @@ def build_obligation(ctx: DerivationContext,
         hyp = dnf_and(hyp, ctx.pre_dnf())
         if summary is not None:
             hyp = dnf_and(hyp, _post_definitions(summary, env))
-        steps = dict(ctx.pre.steps)
-        steps.update(dict.fromkeys(shape.steps_off, 0))
-        steps.update(dict.fromkeys(shape.steps_on, 1))
-        actions = dict(ctx.pre.actions)
-        actions.update(dict.fromkeys(shape.acts_off, 0))
-        actions.update(dict.fromkeys(shape.acts_on, 1))
-        post = _StateMap(steps, actions, None if summary is None
-                         else _post_subst(summary))
         concl = ctx.formula
+        changed = post.changed_from(ctx.pre)
+        unchanged = map(changed.isdisjoint, ctx.conjunct_reads)
     hyp = tuple(attach_bounds(c, env) for c in hyp)
     neg = []
-    for conjunct in P.conjuncts(concl):
-        dnf = ctx.formula_dnf(conjunct, post, negated=True)
+    for conjunct, framed in zip(P.conjuncts(concl), unchanged):
+        dnf = FALSE_DNF if framed else \
+            ctx.formula_dnf(conjunct, post, negated=True)
         neg.append(tuple(attach_bounds(c, env) for c in dnf))
     return CaseObligation(rule, hyp, tuple(neg))
 

@@ -8,7 +8,9 @@ conjuncts the target's).  Under each case, one entry per hypothesis cube
 hypothesis cube or, split by conclusion conjunct, an arithmetic leaf with
 one witness per negated-conclusion cube.  A case whose conclusion holds on
 every post-state has no negated-conclusion cubes, so each of its entries
-lists zero cubes per conjunct, whatever its hypothesis cube.
+lists zero cubes per conjunct, whatever its hypothesis cube.  A conjunct
+that the rule instance cannot change (``obligations``' frame rule) has no
+negated-conclusion cube either, so it lists zero cubes in every entry.
 
 The text form is line based with explicit counts, so parsing needs no
 lookahead and rejects any truncation:

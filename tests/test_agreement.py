@@ -24,11 +24,12 @@ from certplc import obligations as O
 from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
-from certplc.linear import LimitExceeded
+from certplc.linear import FragmentError, LimitExceeded
 from certplc.model import SfcState, parse_model
 from certplc.parsing import TokenStream, lex
 
-from conftest import eval_dnf, fixture_names, load_model, states_of
+from conftest import (eval_dnf, fixture_names, load_invariants, load_model,
+                      states_of)
 
 WIDTHS = ("int8", "int16", "int32")
 INTS = ("x", "y", "z")
@@ -165,27 +166,54 @@ def _encoding(model, state, post_mem):
     return enc
 
 
-def _obligations(model, text):
-    """Obligation per rule instance for an invariant."""
-    f = P.parse_formula_text(text, model)
-    ctx = O.DerivationContext(model, f)
-    return {rule: O.build_obligation(ctx, rule)
-            for rule in model.rules}
+def _framed(model, formulas):
+    """rule -> the conjuncts of *formulas* whose negated conclusion the
+    frame rule empties under that rule although their exact negated
+    post-state DNF has cubes."""
+    out = {rule: [] for rule in model.rules}
+    for f in formulas:
+        ctx = O.DerivationContext(model, f)
+        for rule, shape in model.rules.items():
+            try:
+                ob = O.build_obligation(ctx, rule)
+            except (FragmentError, LimitExceeded):
+                continue
+            _, post = O.post_state(ctx, shape)
+            for conj, neg in zip(P.conjuncts(f), ob.neg_concl):
+                if not neg and ctx.formula_dnf(conj, post, negated=True):
+                    out[rule].append(conj)
+    return out
 
 
 def test_rule_shapes_agree_on_fixtures():
-    """A rule fires concretely iff its hypothesis holds, and the symbolic
-    post-state has exactly the successor's steps and pending actions."""
-    enabled = 0
+    """A rule fires concretely iff its hypothesis holds; the exact symbolic
+    post-state (``post_state``, which build_obligation reads) has exactly
+    the successor's steps and pending actions; and a conjunct that the
+    frame rule closes under a rule has the same truth value before and
+    after it fires."""
+    enabled = framed = 0
     for name in fixture_names():
         model = load_model(name)
-        pre = _obligations(model,
-                           f"steps_within {{{', '.join(model.steps)}}}")
-        atoms = [(f"step({s})", lambda c, s=s: s in c.active_steps)
+        ctx = O.DerivationContext(model, P.parse_formula_text(
+            f"steps_within {{{', '.join(model.steps)}}}", model))
+        hyps = {rule: O.build_obligation(ctx, rule).hyp_cubes
+                for rule in model.rules}
+        atoms = [(P.Active("step", s), lambda c, s=s: s in c.active_steps)
                  for s in model.steps]
-        atoms += [(f"action({a})", lambda c, a=a: a in c.active_actions)
+        atoms += [(P.Active("action", a),
+                   lambda c, a=a: a in c.active_actions)
                   for a in model.action_ids()]
-        posts = [(_obligations(model, text), has) for text, has in atoms]
+        exact = {rule: [ctx.formula_dnf(atom, O.post_state(ctx, shape)[1],
+                                        negated=True) for atom, _ in atoms]
+                 for rule, shape in model.rules.items()}
+        # the fixture invariants, each activity atom, and each variable
+        # tested against 0, which most writes change
+        frames = _framed(model, [inv.formula for inv in
+                                 load_invariants(name, model)]
+                         + [atom for atom, _ in atoms]
+                         + [P.parse_formula_text(
+                             v.name if v.ty == "bool" else f"{v.name} == 0",
+                             model) for v in model.vars])
         for state in states_of(model, 6, 3000):
             for rule in model.rules:
                 try:
@@ -195,15 +223,18 @@ def test_rule_shapes_agree_on_fixtures():
                 enc = _encoding(model, state,
                                 state.mem if succ is None else succ.mem)
                 where = (name, rule.label(), S.state_text(state))
-                assert eval_dnf(pre[rule].hyp_cubes, enc) == \
-                    (succ is not None), where
+                assert eval_dnf(hyps[rule], enc) == (succ is not None), where
                 if succ is None:
                     continue
                 enabled += 1
-                for obs, has in posts:
-                    neg, = obs[rule].neg_concl
+                for neg, (_, has) in zip(exact[rule], atoms):
                     assert eval_dnf(neg, enc) != has(succ), where
+                for conj in frames[rule]:
+                    framed += 1
+                    assert P.holds_on(conj, state) == \
+                        P.holds_on(conj, succ), (where, E.pretty(conj))
     assert enabled >= 400, enabled
+    assert framed >= 1000, framed
 
 
 def test_comparisons_and_muxes_have_no_summary():

@@ -362,33 +362,33 @@ FIXTURE_CERT_SHA256 = {
     "ambiguous/x_in_range":
         "72205ece2689963c983d051add91798fd2fcdb13d372998be59ac6895c46ebf6",
     "dead_ctx/y_positive":
-        "b2c623fb9931570825499dd394ada8d634a425d33f71c4058bfb45b5832790dd",
+        "6d3fe25efb9316877535f58f2075237c0de5bb39fc4faa6faf0987299cf4012b",
     "dead_ctx/never_dead":
-        "ce8b4d391bc41ec8b24646c8717e8aa4f649ec7c328431f4bf5f043ac362a657",
+        "bd2e886f59b54e36377c24741ee78a45d3ab62b9649f950dfa9fd815c7b7fc99",
     "dead_ctx/acts_declared":
         "feffcdf10ead4f9f404ae3e847f84fbe169c2b1aaad11b022bb071aebb073584",
     "fbd_counter/out_small":
-        "3e6a0a04389f285a52bc6b8d1c87f0b68857dfb8a5c03d7f3ae4a442aea448a4",
+        "cdb11a939550fb27b0d4807ecba53178aaa952eb2f6f9d1ffebbd028116a4e88",
     "fbd_counter/out_in_range":
         "84c18709d065173589580a941a5cfef29c5be58670ddb7957f2499553fd4c68c",
     "fbd_counter/acts_declared":
         "b2f1753241c32f07511e9c542ed6721136afc90aa6369e26bece6e828a153235",
     "fbd_inc/x_capped_ind":
-        "bd2e0bddb704f1c6e400b10d4a7ac23b9015dcf2c5c430ab3c58ccc876325fbb",
+        "c4c745f00def04b6c429a8df119f318f8b9e88420a81ed8b609ff3904bf64b5f",
     "fbd_inc/in_range":
         "38859251214000ef59b1a9a34fd4d6623238b79743144bad0cd3d8108917c026",
     "fbd_inc/acts_declared":
         "3bcb0bd124e94acf06b3285651c5524df4709b013eed427a27bb3f8b633c4252",
     "flip/tautology":
-        "4a4fadd2a926ae45bf8096ae94ddb59e483c7622946ab1f5cc356c768a857f6e",
+        "4c146f02181312a5b2ec1caa3f931384775428d5730fd6cfa726956e61a29863",
     "flip/steps_declared":
         "163476c43c3e8373d85559ba00f76d3c54de174f52c2fcd80a32b4c5e5f63250",
     "flip/acts_declared":
         "57202aa380cb88ac73f34452dba1641cc518f33054935fe9d97bf33a28be5d27",
     "hold_positive/y_positive":
-        "37b7037db3e7a8109c337ee6a52f28e422140dd01ea9e1ec2b853c7a06a2a444",
+        "9bf8caf036ce287055a65acafff5f2c02952f7ce3f29fd8d679c4c5d22bcb4e8",
     "hold_positive/y_low":
-        "6bf14bb23183f9a950ca4bd0cde3fd46d82a1b3ce91fbbd9d98a989303690a9f",
+        "e3898ad73a629ed461a531f67f0d743dd38c36613c4744bf2c0480328221d4d0",
     "hold_positive/acts_declared":
         "5453b5b9d6b3f86797ceafdf9c1f28c093eb684aa116ffbd25db5c2f3577404e",
     "hold_positive/x_in_range":
@@ -400,13 +400,13 @@ FIXTURE_CERT_SHA256 = {
     "init_multi/k_in_range":
         "f8d3400e4bb3a51304085a6ec2e6d6ca13586776259a3bd5e05cb6c4406f4290",
     "loop/x_capped_ind":
-        "0f771e88300a32bda140b4069b3771a70744779c6420cffaf878cf0c9d324b13",
+        "2fab44961842625028c73a10499ba7d036eaa654bae4b32184749c0ad97610ed",
     "loop/in_range":
         "85daeff7242a10395c2b9bd5faed43f1fe1a333a989b944d54bf4429f8cda833",
     "loop/acts_declared":
         "1170350a5cd3c98b3a20b5ab8f85385f74ce43de54483d7a6470e743a4aab5f2",
     "multi_action/c_small":
-        "7575b19df0df30d709f67b51d98f9dbe3dc0729004efe212b7730aa5038dd97c",
+        "c7c3f2df68d53f1fc23ec082ad6273a38f8663e1f061d1a2f63a9e9f2546abd0",
     "multi_action/steps_declared":
         "7e77e8310284a7a52f898e3053cc97f7137efe2e04b038099a34cccf7083276a",
     "multi_action/acts_declared":
@@ -418,13 +418,13 @@ FIXTURE_CERT_SHA256 = {
     "parallel/x_in_range":
         "02c0102abb88dbf5243436df4ce5ed8cb0ca15e9b2b7c62c47a5fb8078eb9bd8",
     "timer/one_tick":
-        "491f29ecb720678e43a4cd32ef8ddea9502b689ba360ab3c05ab1b381cd9caac",
+        "b569b0e5d7184a50fe30ea1ad2e8e88b94b586cce1423c5b1b25a42ca700265a",
     "timer/t_in_range":
         "3bebad262dba8047513fdc29e723b196179b332fb4496964986575cd1eb9f237",
     "timer/acts_declared":
         "07b5628ed7c0176edc459246c167c571af59ca9c1ec93fe2781e9787da3ce48b",
     "toggle/mutex":
-        "e6c800083f2217ad369d6d19665af61f9f88f2d06ea3b749231ad87ece069c44",
+        "211a1a7e1d6be2d93e7cfc15717ba1b6a4a274ffbc356d5ec7d60faea404c0e8",
     "toggle/n_in_range":
         "96edd6fb5a7fed72a2c8d3406df18de79e634a418ad4df22726c125e52ace571",
     "toggle/acts_declared":
@@ -456,9 +456,9 @@ class TestCertificateBytes:
     # certificate does
     LOCKSTEP_CERT_SHA256 = {
         ("int8", 5):
-            "986e7e4125f65a2e43824c6305507a905945eedfb673863a559c7da71af2ec8b",
+            "871f3541dd92dd0aba1d9a79ccd1d68806976891187283729486f2c7e342d210",
         ("int16", 12):
-            "6ca0d483d7597e989dba928852cab866dda33ffb0e58bbf8e8bf65fe994472d0",
+            "f940b62881cc623bf5026ec7d9e67041c5f9d3dda2151747bdbae30521a69721",
     }
 
     @pytest.mark.parametrize("width, c", sorted(LOCKSTEP_CERT_SHA256))
@@ -483,9 +483,9 @@ class TestCertificateBytes:
     # closing entail case
     TARGET_CERT_SHA256 = {
         "dead_ctx/unreachable":
-            "75b6a3136c3d3bc20ecf45c5d2a3de5254d93bd57f9d2a0b27cd606d57cc36ee",
+            "157d3543bca8d8bc886fd1f1e114646be82b05a6b972096396b4134e4a62495c",
         "loop/determined":
-            "73db162dfdcd944eb8a595b9d7408b7c4f22d50ccf1223686bdfca93fdb5ffed",
+            "7a33d38c3e4f9cda1a87656a5ff5f3fb7e69f66c9775e71291f89c4aacc49312",
     }
 
     def test_target_certificates_are_byte_identical(self):

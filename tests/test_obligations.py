@@ -29,6 +29,7 @@ from certplc.lia.solver import Unsat, decide_sat
 from certplc.linear import (LinCon, attach_bounds, clean_cube, dnf_and,
                             normalize)
 from certplc.model import parse_model
+from certplc.prooftree import ArithLeaf, CaseProof, HypEntry, ProofTree
 
 from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
                       OPAQUE, fixture_names, load_invariants, load_model)
@@ -353,6 +354,131 @@ class TestWorkCount:
         built.clear()
         assert C.check(cert).accepted
         assert 0 < len(built) <= distinct
+
+
+# S's action writes x, T's writes y; T loops on itself and leaves for U
+FRAME = parse_model("""var x : int8
+var y : int8
+step S [initial]
+step T
+step U
+action A on S { x := x + 1; }
+action B on T { y := 0; }
+trans {S} -[ x >= 3 ]-> {T}
+trans {T} -[ y == 0 ]-> {T}
+trans {T} -[ x < 3 ]-> {U}
+""")
+
+
+def _framing(text, rule, model=FRAME):
+    """Per conjunct of *text*, whether *rule*'s obligation gives it no
+    cube; each conjunct chosen has cubes on the exact post-state."""
+    f = P.parse_formula_text(text, model)
+    ctx = O.DerivationContext(model, f)
+    ob = O.build_obligation(ctx, rule)
+    _, post = O.post_state(ctx, model.rules[rule])
+    out = []
+    for conj, neg in zip(P.conjuncts(f), ob.neg_concl):
+        assert ctx.formula_dnf(conj, post, negated=True), E.pretty(conj)
+        out.append(neg == ())
+    return out
+
+
+class TestFrameRule:
+    """A rule instance's obligation gives no cube to a conjunct that reads
+    nothing the instance changes, and to no other conjunct."""
+
+    def test_written_variable(self):
+        assert _framing("x <= 100 && y <= 100 && action(A) && step(S) && "
+                        "action(B)", S.ExecuteAction("A")) == \
+            [False, True, False, True, True]
+        # a write of the value already held still counts as a write
+        assert _framing("y <= 100 && x <= 100", S.ExecuteAction("B")) == \
+            [False, True]
+
+    def test_toggled_steps_and_actions(self):
+        assert _framing("step(S) && !step(T) && !action(B) && step(U) && "
+                        "action(A) && x <= 100", S.StepTransition(0)) == \
+            [False, False, False, True, True, True]
+
+    def test_self_loop_is_not_framed(self):
+        # T leaves and re-enters: its entry is 1 after, a variable before
+        assert _framing("!step(T) && !action(B) && step(S)",
+                        S.StepTransition(1)) == [False, False, True]
+
+    def test_subset_atoms_read_the_names_outside(self):
+        within = "steps_within {S, T} && actions_within {A}"
+        assert _framing(within, S.StepTransition(0)) == [True, False]
+        assert _framing(within, S.StepTransition(2)) == [False, True]
+        assert _framing(within, S.ExecuteAction("A")) == [True, True]
+
+    def test_rule_that_changes_nothing_closes_every_conjunct(self):
+        # reactivating U runs no action and toggles nothing
+        f = P.parse_formula_text("x <= 100 && step(U) && steps_within {U}",
+                                 FRAME)
+        ob = O.build_obligation(O.DerivationContext(FRAME, f),
+                                S.Reactivate("U"))
+        assert ob.hyp_cubes and ob.neg_concl == ((), (), ())
+
+    def test_entail_is_never_framed(self):
+        # nothing changes between ENTAIL's pre- and post-state, so a frame
+        # rule applied there would accept any target
+        inv = P.Invariant("i", P.parse_formula_text("steps_within {S, T, U}",
+                                                    FRAME))
+        target = P.Invariant("t", P.parse_formula_text("x <= 5", FRAME))
+        ob = O.build_obligation(O.DerivationContext(
+            FRAME, inv.formula, target=target.formula), O.ENTAIL)
+        assert ob.neg_concl and all(ob.neg_concl)
+        res = V.verify_invariant(FRAME, inv, target)
+        assert isinstance(res, V.Refuted) and res.rule is O.ENTAIL
+
+    def test_framed_conjunct_past_the_cap_is_not_lowered(self):
+        """A conjunct over a variable no rule writes, whose negation has
+        more cubes than the cap, is closed under every rule instead of
+        leaving exec:A undecided; its certificate checks."""
+        m = parse_model("var x : int16\nvar y : int16\nstep S [initial]\n"
+                        "step T\naction A on S { x := x + 1; }\n"
+                        "trans {S} -[ x < 10 ]-> {T}\n"
+                        "trans {T} -[ true ]-> {S}\n")
+        clauses = " || ".join(f"(y >= {2 * k} && y <= {2 * k + 1} || "
+                              "y == 0)" for k in range(1, 12))
+        inv, = P.parse_properties(
+            f"invariant p : always (x <= 65535 && ({clauses}));", m)
+        ctx = O.DerivationContext(m, inv.formula)
+        _, post = O.post_state(ctx, m.rules[S.ExecuteAction("A")])
+        with pytest.raises(L.LimitExceeded):
+            ctx.formula_dnf(P.conjuncts(inv.formula)[1], post, negated=True)
+        res = V.verify_invariant(m, inv)
+        assert isinstance(res, V.Proved)
+        assert C.check(C.emit(m, inv, res.tree)).accepted
+
+    def test_unframed_conjunct_needs_its_cubes(self, loop_model):
+        """In x_capped_ind's certificate, exec:A_Init writes x, so its
+        entries list cubes for the conjunct ``x <= 10``; the trans:1 case
+        does not, so they list none.  Emptying one exec:A_Init list is
+        rejected."""
+        inv = next(i for i in load_invariants("loop", loop_model)
+                   if i.name == "x_capped_ind")
+        res = V.verify_invariant(loop_model, inv)
+        assert isinstance(res, V.Proved)
+        cases = {c.label: c for c in res.tree.cases}
+        assert all(e.conjuncts is None or e.conjuncts[0].witnesses == ()
+                   for e in cases["trans:1"].hyps)
+        assert C.check(C.emit(loop_model, inv, res.tree)).accepted
+        hyps = list(cases["exec:A_Init"].hyps)
+        i = next(i for i, e in enumerate(hyps)
+                 if e.conjuncts is not None and e.conjuncts[0].witnesses)
+        leaves = (ArithLeaf(()),) + hyps[i].conjuncts[1:]
+        hyps[i] = HypEntry(conjuncts=leaves)
+        tree = ProofTree(tuple(
+            CaseProof(c.label, tuple(hyps)) if c.label == "exec:A_Init"
+            else c for c in res.tree.cases))
+        data = C.emit(loop_model, inv, tree)
+        assert f"hyp {i} conjuncts 4\nconj 0 cubes 0\n" in data.decode()
+        v = C.check(data)
+        assert not v.accepted
+        assert v.reason == "coverage: negated-conclusion cube count mismatch"
+        assert v.path == ("cases", "exec:A_Init", f"hyp {i}", "conj 0")
 
 
 class TestStopsAfterRefutation:

@@ -196,9 +196,11 @@ class TestUndecidedPath:
 
 class TestDischarge:
     def test_contradictory_hypothesis_closes_case(self, loop_model):
-        # reactivating Init requires both outgoing guards false: impossible
+        # reactivating Init requires both outgoing guards false: impossible;
+        # it makes A_Init pending, so the second conjunct is not framed
         ob = O.build_obligation(
-            O.DerivationContext(loop_model, formula("x <= 10", loop_model)),
+            O.DerivationContext(loop_model, formula(
+                "x <= 10 && (!action(A_Init) || x <= 9)", loop_model)),
             S.Reactivate("Init"))
         assert any(ob.neg_concl)  # the conclusion alone does not close it
         case = V.discharge(ob)
@@ -257,12 +259,15 @@ class TestDischarge:
 
 def _decided_cases(model, inv):
     """(hypothesis cube, its decision, joint cubes) of every derivable
-    rule instance."""
+    rule instance that discharge decides: not one whose negated-conclusion
+    DNFs are all empty."""
     ctx = O.DerivationContext(model, inv.formula)
     for rule in model.rules:
         try:
             ob = O.build_obligation(ctx, rule)
         except (FragmentError, LimitExceeded):
+            continue
+        if not any(ob.neg_concl):
             continue
         for hyp in ob.hyp_cubes:
             joints = [j for js in O.joint_cubes(hyp, ob.neg_concl)
