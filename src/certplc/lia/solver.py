@@ -13,32 +13,25 @@ witnesses that `witness.replay_witness` checks without search.  Satisfying
 assignments are re-checked against the input cube before being returned.
 
 A cube that extends a satisfiable one by inequalities (an inductive case's
-joint cube: its hypothesis cube plus one negated-conclusion cube) reuses
-the hypothesis decision's top-level simplification.  `_simplify` records
-each of its passes (work list, dedup table, sorted keys, picked unit
-equality, derived count), and `_replay` redoes them for the extra members
-alone: it substitutes only an overlay, the extra members' nodes and the
-hypothesis keys where one of them won the dedup, and reads every other
-node from the record.  The result,
-witnesses included, equals a full run, because
-  * an extra member's descendants are inequalities (an inequality combined
-    with an equality is one), so the equalities and thus the picks are the
-    hypothesis's, and no equality clash is new;
-  * a substitution maps a key to a key whatever the right-hand side is, and
-    substitution and tightening keep the right-hand side order of two nodes
-    with equal coefficients;
-  * a node of the overlay sits at the scan position of the node it
-    replaced (the position of the previous pass's key it came from), so an
-    overlay winner keeps beating that node's descendants; against the
-    winner of a key that no overlay node replaced, the dedup rule itself
-    decides: smaller right-hand side, then earlier position;
-  * the hypothesis passes hold no contradiction (it was satisfiable), so
-    the first constant-false overlay node in scan order is the clash; and
-    the derived-constraint count of a pass is the hypothesis's plus the
-    substitutions of overlay keys the hypothesis lacks (an overlaid key
-    holds the variable exactly when its hypothesis node does).
-Elimination, range split, witness extraction, back-substitution and the
-assignment re-check run as for any cube.
+joint cube: its hypothesis cube plus one negated-conclusion cube) is
+decided from the hypothesis decision's simplification (`Sat.base`): each
+extra member is substituted through the hypothesis's eliminated
+equalities, in order, and one `_simplify` runs over the hypothesis's
+active nodes followed by those members.  The result is valid because
+  * substitution and tightening keep provenance, so every refutation
+    unwinds into a witness of the whole cube that `replay_witness` checks;
+  * the assignment is back-substituted through the eliminated stack and
+    re-checked against every member of the cube; and
+  * elimination and range split run on an active set equivalent to the
+    cube (with the eliminated variables' definitions), as for any cube.
+It is not always the from-scratch decision.  Where a substituted member
+ties a hypothesis node at an intermediate pass, a from-scratch run keeps
+the node of the earlier scan position while the extension keeps the
+hypothesis node, so the witness differs (and is as valid).  And the
+extension charges the hypothesis's derived constraints plus every
+substitution of the extra members, at least what a from-scratch run
+charges, so at a budget's edge it may raise LimitExceeded where a
+from-scratch run decides.
 """
 
 from __future__ import annotations
@@ -54,10 +47,9 @@ from .witness import Combine, RangeSplit, Tighten, Witness
 @dataclass
 class Sat:
     assignment: dict
-    # the top-level simplification of the decided cube, which a decision of
-    # an extension of the cube replays (`decide_sat`'s `after`); None when
-    # the decision was itself a replay
-    trace: _Trace | None = field(default=None, repr=False, compare=False)
+    # the decided cube's top-level simplification, which a decision of an
+    # extension of the cube extends (`decide_sat`'s `after`)
+    base: _Base = field(repr=False, compare=False)
 
 
 @dataclass
@@ -180,16 +172,13 @@ class _Limits:
                 f"case split budget {self.split_limit} exceeded")
 
 
-def _simplify(cons: list[_Node], limits: _Limits, passes=None):
+def _simplify(cons: list[_Node], limits: _Limits):
     """Tighten, deduplicate and substitute unit equalities away.
 
     The input nodes are tight and each substituted node is tightened when
     it is made, so no node is tightened twice (that would return it
     unchanged).  Returns (active nodes, eliminated (var, eq-node) stack,
-    contradiction node or None).  When *passes* is a list, each pass that
-    ends without a contradiction appends (work list, dedup table, sorted
-    keys, pick, derived count so far) to it, pick being (eq-node, var) or
-    None on the last pass.
+    contradiction node or None).
     """
     eliminated: list[tuple[str, _Node]] = []
     work = cons
@@ -211,8 +200,7 @@ def _simplify(cons: list[_Node], limits: _Limits, passes=None):
             elif con.rhs != other.con.rhs:
                 limits.count()
                 return [], eliminated, _combine_nodes(((nd, 1), (other, -1)))
-        keys = sorted(best)  # unique
-        active = [best[key] for key in keys]
+        active = [best[key] for key in sorted(best)]
         pick = None
         for nd in active:
             if nd.con.rel != "==":
@@ -221,94 +209,50 @@ def _simplify(cons: list[_Node], limits: _Limits, passes=None):
             if units:
                 pick = (nd, min(units))
                 break
-        if passes is not None:
-            passes.append((work, best, keys, pick, limits.derived))
         if pick is None:
             return active, eliminated, None
         eq, var = pick
-        c_eq = _coeff(eq.con, var)
         work = []
         for nd in active:
-            if nd is eq:
-                continue
-            c = _coeff(nd.con, var)
-            if c == 0:
-                work.append(nd)
-            else:
-                limits.count()
-                work.append(_tighten_node(
-                    _combine_nodes(((nd, 1), (eq, -c // c_eq)))))
+            if nd is not eq:
+                work.append(_substitute(nd, var, eq, limits))
         eliminated.append((var, eq))
 
 
-class _Trace(NamedTuple):
-    """A decided cube and the passes of its top-level `_simplify`, as that
-    records them, for decisions of cubes that extend it (`_replay`)."""
+def _substitute(nd: _Node, var: str, eq: _Node, limits: _Limits) -> _Node:
+    """*nd* with *var* replaced through the unit equality *eq*, tightened;
+    *nd* itself when it does not hold *var*."""
+    c = _coeff(nd.con, var)
+    if c == 0:
+        return nd
+    limits.count()
+    return _tighten_node(
+        _combine_nodes(((nd, 1), (eq, -c // _coeff(eq.con, var)))))
+
+
+class _Base(NamedTuple):
+    """A decided cube, its top-level `_simplify`'s active nodes and
+    eliminated stack, and the derived count at that point."""
 
     cube: Cube
-    passes: list
+    active: list
+    eliminated: list
+    derived: int
 
 
-def _replay(trace: _Trace, extra: list[_Node], limits: _Limits):
-    """`_simplify` of the trace's first work list followed by the
-    inequality nodes *extra*, read from the trace's passes; the module
-    docstring gives the argument that the results are equal."""
-    passes = trace.passes
-    eliminated: list[tuple[str, _Node]] = []
-    n = len(trace.cube)
-    pending = [(n + i, nd) for i, nd in enumerate(extra)]  # scan order
-    for p, (_, best, keys, pick, derived) in enumerate(passes):
-        over: dict[tuple, tuple] = {}  # key -> (position, node)
-        for pos, nd in pending:
-            con = nd.con
-            if con.is_const():
-                if con.const_false():
-                    return [], eliminated, nd
-                continue
-            key = (con.coeffs, con.rel)
-            other = over.get(key)
-            if other is None or con.rhs < other[1].con.rhs:
-                over[key] = (pos, nd)
-        # a hypothesis winner whose position the overlay took never wins
-        # here: the node there has no larger right-hand side
-        for key, (pos, nd) in list(over.items()):
-            won = best.get(key)
-            if won is None or nd.con.rhs < won.con.rhs:
-                continue
-            if nd.con.rhs > won.con.rhs or _position(passes, p, won) < pos:
-                del over[key]
-        if pick is None:
-            if over:
-                keys = sorted(set(keys).union(over))
-            return ([over[key][1] if key in over else best[key]
-                     for key in keys], eliminated, None)
-        eq, var = pick
-        c_eq = _coeff(eq.con, var)
-        subs = passes[p + 1][4] - derived  # the hypothesis's, then new keys
-        pending = []
-        for key in sorted(over):
-            nd = over[key][1]
-            c = _coeff(nd.con, var)
-            if c == 0:
-                pending.append((key, nd))
-                continue
-            if key not in best:
-                subs += 1
-            pending.append((key, _tighten_node(
-                _combine_nodes(((nd, 1), (eq, -c // c_eq))))))
-        if subs:
-            limits.count(subs)
-        eliminated.append((var, eq))
-
-
-def _position(passes: list, p: int, nd: _Node):
-    """Scan position of a node of pass *p*'s work list: its index in the
-    first pass and, later, the key of the previous pass it came from."""
-    i = passes[p][0].index(nd)
-    if p == 0:
-        return i
-    _, best, keys, (eq, _), _ = passes[p - 1]
-    return [key for key in keys if best[key] is not eq][i]
+def _extend(base: _Base, cube: Cube, limits: _Limits):
+    """`_simplify`'s result for *cube*, which extends *base*'s cube, from
+    *base*; the module docstring says how it can differ from a run over
+    the whole cube."""
+    limits.count(base.derived)
+    extra = []
+    for i, con in enumerate(cube[len(base.cube):], len(base.cube)):
+        nd = _tighten_node(_Node(con, "orig", i))
+        for var, eq in base.eliminated:
+            nd = _substitute(nd, var, eq, limits)
+        extra.append(nd)
+    active, eliminated, clash = _simplify(base.active + extra, limits)
+    return active, base.eliminated + eliminated, clash
 
 
 class _Solver:
@@ -499,26 +443,21 @@ def decide_sat(cube: Cube, *, after: Sat | None = None,
     """Sat with a checked assignment, or Unsat with a replayable witness.
 
     *after* is the result of deciding a prefix of *cube*; when the members
-    past that prefix hold no equality, the prefix's simplification is
-    replayed (see the module docstring).  Any other cube, or an *after*
-    without a trace, is decided from scratch; the result is the same.
-    Raises LimitExceeded past *max_derived* derived constraints or
-    *split_limit* split values, and FragmentError for an unbounded variable.
+    past that prefix hold no equality, the decision extends the prefix's
+    simplification (see the module docstring).  Any other cube is decided
+    from scratch.  Raises LimitExceeded past *max_derived* derived
+    constraints or *split_limit* split values, and FragmentError for an
+    unbounded variable.
     """
     cube = tuple(cube)
     limits = _Limits(max_derived, split_limit)
-    trace = None if after is None else after.trace
-    passes = None
-    if trace is not None and _extends(cube, trace.cube):
-        n = len(trace.cube)
-        extra = [_tighten_node(_Node(con, "orig", i))
-                 for i, con in enumerate(cube[n:], n)]
-        simplified = _replay(trace, extra, limits)
+    if after is not None and _extends(cube, after.base.cube):
+        simplified = _extend(after.base, cube, limits)
     else:
-        passes = []
         roots = [_tighten_node(_Node(con, "orig", i))
                  for i, con in enumerate(cube)]
-        simplified = _simplify(roots, limits, passes)
+        simplified = _simplify(roots, limits)
+    derived = limits.derived
     kind, payload = _Solver(len(cube), limits).finish(simplified, 0)
     if kind == "unsat":
         return Unsat(payload)
@@ -526,7 +465,8 @@ def decide_sat(cube: Cube, *, after: Sat | None = None,
         if not con.evaluate(payload):
             raise AssertionError(
                 f"internal error: model fails {con.pretty()}")
-    return Sat(payload, None if passes is None else _Trace(cube, passes))
+    active, eliminated, _ = simplified
+    return Sat(payload, _Base(cube, active, eliminated, derived))
 
 
 def _extends(cube: Cube, prefix: Cube) -> bool:

@@ -265,7 +265,9 @@ def linear_form(e: E.Expr, subst=None) -> LinForm:
 def _int_form(e: E.Expr, subst) -> LinForm:
     """``E.fold_int(e, LinDomain, read)``, except that a sum gathers its
     operands' coefficients in one dict: folding it with ``LinForm.add``
-    would copy them once per operand, quadratic in the sum's length."""
+    would copy them once per operand, quadratic in the sum's length.  A
+    product likewise multiplies its constant factors first and scales its
+    one non-constant factor once, not once per factor."""
     if isinstance(e, E.Var):
         if subst is not None and e.name in subst:
             return subst[e.name]
@@ -282,7 +284,18 @@ def _int_form(e: E.Expr, subst) -> LinForm:
             const += sign * form.const
         return LinForm.make(coeffs, const)
     if isinstance(e, E.Prod):
-        return reduce(LinDomain.mul, (_int_form(a, subst) for a in e.args))
+        k, form = 1, None
+        for arg in e.args:
+            f = _int_form(arg, subst)
+            if f.is_const():
+                k *= f.const
+            elif form is None:
+                form = f
+            else:  # two non-constant factors: mul raises
+                form = LinDomain.mul(form, f)
+            if k == 0:  # the product so far is the constant 0
+                form = None
+        return LinDomain.const(k) if form is None else form.scale(k)
     raise FragmentError(
         f"expected integer expression, got {type(e).__name__}")
 

@@ -83,7 +83,7 @@ def discharge(ob: O.CaseObligation):
             witnesses = []
             for joint in joints:
                 # the joint cube extends the hypothesis cube, whose
-                # simplification the decider replays
+                # simplification the decider extends
                 sub = decide_sat(joint, after=res)
                 if isinstance(sub, Sat):
                     return Refuted(ob.rule, sub.assignment,

@@ -1,6 +1,7 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from certplc import (BudgetExceeded, parse_model, parse_properties,
                      reachable_bounded)
@@ -8,6 +9,10 @@ from certplc.lia.solver import decide_sat
 from certplc.linear import FragmentError, LimitExceeded
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# `--hypothesis-profile long` raises the example count of a test that
+# reads it (test_lia.py's joint-cube extension differential) from 500
+settings.register_profile("long", max_examples=5000)
 
 # y := x + 1 wraps at int8 but stores into int16.  Accepting it would let
 # `always (y >= 1)` be proved although x = 255 makes y = 0.

@@ -1,5 +1,6 @@
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -235,6 +236,37 @@ class TestLongArithmetic:
             assert L.linear_form(e) == \
                 E.fold_int(e, L.LinDomain, L.LinForm.of_var), E.pretty(e)
         assert sums > 100
+
+    def test_long_product_scales_its_sum_once(self):
+        """linear_form of a 4000-variable sum times 3999 constants scales
+        the sum once; scaling it once per factor took seconds.  The form,
+        and the error of a product of two non-constant factors, equal the
+        fold of ``mul``, a zero factor before the second one included."""
+        n = 4000
+        names = [f"v{i}" for i in range(n)]
+        total = E.Sum(tuple(map(E.Var, names)), (1,) * n)
+        factors = tuple(E.IntLit(3 if i % 1000 == 0 else 1)
+                        for i in range(n - 1))
+        e = E.Prod((total,) + factors)
+        start = time.perf_counter()
+        form = L.linear_form(e)
+        assert time.perf_counter() - start < 0.5
+        assert form == E.fold_int(e, L.LinDomain, L.LinForm.of_var)
+        assert form == L.LinForm(tuple((v, 81) for v in sorted(names)))
+
+        def lowered(lower, e):
+            try:
+                return lower(e)
+            except L.FragmentError as err:
+                return str(err)
+
+        x, y, zero = E.Var("x"), E.Var("y"), E.IntLit(0)
+        for args in ((zero, x, y), (x, zero, y), (x, y, zero), (x, y),
+                     (E.IntLit(2), x, E.IntLit(3)), (zero, zero)):
+            e = E.Prod(args)
+            assert lowered(L.linear_form, e) == lowered(
+                partial(E.fold_int, dom=L.LinDomain, read=L.LinForm.of_var),
+                e), E.pretty(e)
 
     def test_distinct_operands_lower_in_linear_time(self):
         """A sum of 20 000 distinct variables and a conjunction of 20 000

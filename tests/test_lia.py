@@ -322,41 +322,52 @@ def _hyp_and_joint(draw):
 
 
 class TestReplayAfterHypothesis:
-    """A joint cube decided after its hypothesis cube replays the
-    hypothesis's simplification; the result must equal deciding the joint
-    cube from scratch, resource errors included."""
+    """A joint cube decided after its hypothesis cube extends the
+    hypothesis's simplification.  Its result may differ from a decision of
+    the joint cube from scratch in the witness it gives and, at a budget's
+    edge, in raising LimitExceeded; it may not differ in the answer."""
 
-    @settings(max_examples=500, deadline=None, derandomize=True,
-              database=None)
+    # tier-1 runs 500 examples; `--hypothesis-profile long` (conftest.py)
+    # runs more
+    @settings(max_examples=max(500, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
     @given(_hyp_and_joint())
-    def test_replay_equals_full_decision(self, pair):
+    def test_extension_decides_as_full_decision(self, pair):
         hyp, joint = pair
         after = decide_sat(hyp)
         assert isinstance(after, Sat)
-        for max_derived in (0, 1, 2, 3, 5, 8, 50_000):
-            assert decision(joint, after=after, max_derived=max_derived) \
-                == decision(joint, max_derived=max_derived)
+        res = decide_sat(joint, after=after)
+        assert type(res) is type(decide_sat(joint))
+        if isinstance(res, Unsat):
+            assert replay_witness(joint, res.witness)
+        for max_derived in range(9):
+            try:
+                small = decide_sat(joint, after=after,
+                                   max_derived=max_derived)
+            except LimitExceeded:
+                continue
+            assert type(small) is type(res)
 
     @pytest.mark.parametrize("hyp_member, extra", [
         # x == y substitutes x away: the extra x <= 5 becomes y <= 5, which
-        # ties the hypothesis's y <= 5 and came from the earlier key
+        # ties the hypothesis's y <= 5
         (con({"y": 1}, "<=", 5),
          (con({"x": 1}, "<=", 5), con({"y": -1}, "<=", -6))),
-        # 2x - 3y <= -2 becomes -y <= -2, which ties the hypothesis's
-        # -y <= -2; its key sorts between x == y's and -y's, so the
-        # substituted equality's key must not count as a position
+        # 2x - 3y <= -2 becomes -y <= -2, which ties the hypothesis's -y <= -2
         (con({"y": -1}, "<=", -2),
          (con({"x": 2, "y": -3}, "<=", -2), con({"y": 1}, "<=", 1))),
     ])
-    def test_tie_after_substitution_goes_to_the_earlier_position(
+    def test_tie_after_substitution_gives_a_valid_refutation(
             self, hyp_member, extra):
         hyp = boxed([con({"x": 1, "y": -1}, "==", 0), hyp_member], 15,
                     ["x", "y"])
         joint = hyp + extra
         res = decide_sat(joint, after=decide_sat(hyp))
-        assert res == decide_sat(joint)
-        # the refutation uses the extra member, index 6
-        assert any(isinstance(step, Combine) and (6, 1) in step.terms
+        assert isinstance(res, Unsat) and replay_witness(joint, res.witness)
+        assert isinstance(decide_sat(joint), Unsat)
+        # the tie goes to the hypothesis member, index 1, where a run from
+        # scratch keeps the substituted extra member, index 6
+        assert any(isinstance(step, Combine) and (1, 1) in step.terms
                    for step in res.witness.steps)
 
     def test_cube_not_extending_the_hypothesis_is_decided_afresh(self):
