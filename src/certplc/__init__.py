@@ -8,8 +8,7 @@ from .properties import Invariant, parse_formula_text, parse_properties
 from .semantics import (BudgetExceeded, SfcState, init_state,
                         reachable_bounded, run_trace, state_text, successors)
 from .verifier import (Proved, Refuted, Undecided, check_determined_successor,
-                       check_guard_unreachable, gen_basic_lemmas,
-                       verify_invariant)
+                       check_guard_unreachable, verify_invariant)
 
 __version__ = "0.1.0"
 
@@ -19,7 +18,7 @@ __all__ = [
     "SfcState", "init_state", "successors", "reachable_bounded", "run_trace",
     "state_text", "BudgetExceeded",
     "Invariant", "parse_properties", "parse_formula_text",
-    "verify_invariant", "gen_basic_lemmas", "check_guard_unreachable",
+    "verify_invariant", "check_guard_unreachable",
     "check_determined_successor", "Proved", "Refuted", "Undecided",
     "emit", "check", "CheckVerdict", "trusted_core_inventory",
     "__version__",

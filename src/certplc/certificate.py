@@ -2,7 +2,7 @@
 
 Layout (UTF-8 text, LF line endings):
 
-    CERTPLC/1
+    CERTPLC/2
     digest: <64 hex digits of the embedded model's canonical text>
     --- model
     <canonical model text>
@@ -11,6 +11,9 @@ Layout (UTF-8 text, LF line endings):
     [invariant <target name> : always (<target formula>);]
     --- proof
     <proof tree, see prooftree>
+
+The magic line names the proof grammar; a certificate in another grammar
+is rejected at its first line.
 
 The property section holds an invariant I, optionally followed by a target
 P (without one, P is I).  The checker trusts nothing from the proof section
@@ -41,7 +44,7 @@ from .model import (SfcModel, canonical_text, init_state, parse_model,
 from .parsing import ParseError
 from .prooftree import ProofTree, parse_proof_lines, proof_lines
 
-MAGIC = "CERTPLC/1"
+MAGIC = "CERTPLC/2"
 
 _SECTIONS = ("--- model", "--- property", "--- proof")
 
@@ -178,6 +181,7 @@ def _check(data: bytes) -> CheckVerdict:
         if len(case.hyps) != len(ob.hyp_cubes):
             return _rejected("coverage: hypothesis cube count mismatch",
                              *where)
+        cubes = sum(map(len, ob.neg_concl))
         for i, entry in enumerate(case.hyps):
             at = where + (f"hyp {i}",)
             hyp_cube = ob.hyp_cubes[i]
@@ -186,19 +190,14 @@ def _check(data: bytes) -> CheckVerdict:
                     return _rejected("replay: contradiction witness does "
                                      "not refute the hypothesis cube", *at)
                 continue
-            if len(entry.conjuncts) != len(ob.neg_concl):
-                return _rejected("coverage: conjunct count mismatch", *at)
-            for j, (leaf, joints) in enumerate(zip(
-                    entry.conjuncts, O.joint_cubes(hyp_cube, ob.neg_concl))):
-                spot = at + (f"conj {j}",)
-                if len(leaf.witnesses) != len(joints):
-                    return _rejected("coverage: negated-conclusion cube "
-                                     "count mismatch", *spot)
-                for k, joint in enumerate(joints):
-                    if not replay_witness(joint, leaf.witnesses[k]):
-                        return _rejected("replay: witness does not refute "
-                                         "the counterexample cube",
-                                         *spot, f"cube {k}")
+            if len(entry.witnesses) != cubes:
+                return _rejected("coverage: negated-conclusion cube count "
+                                 "mismatch", *at)
+            for k, (w, joint) in enumerate(zip(
+                    entry.witnesses, O.joint_cubes(hyp_cube, ob.neg_concl))):
+                if not replay_witness(joint, w):
+                    return _rejected("replay: witness does not refute the "
+                                     "counterexample cube", *at, f"cube {k}")
     return ACCEPTED
 
 

@@ -355,18 +355,13 @@ def build_obligation(ctx: DerivationContext,
 
 
 def joint_cubes(hyp_cube: Cube, neg_concl: tuple[Dnf, ...]):
-    """For each conjunct's negated-conclusion DNF, in order, the hypothesis
-    cube joined with each of its cubes: the deterministic joins the
-    verifier refutes and the checker replays witnesses against.
-
-    Each join starts with *hyp_cube* and equals ``dnf_and((hyp_cube,),
-    neg_dnf)``'s, cube for cube; the member set of *hyp_cube* is built
-    once, not per conjunct.  Lazy, so a caller that stops early joins no
-    further conjunct.  No join overflows: each DNF is within the cap.
+    """The hypothesis cube joined with each negated-conclusion cube, in
+    conjunct order and then cube order: the joins the verifier refutes and
+    the checker replays witnesses against, each equal to its cube of
+    ``dnf_and((hyp_cube,), neg_dnf)``.  Lazy, and no join overflows: each
+    DNF is within the cap.
     """
-    have = None
+    have = set(hyp_cube)
     for neg_dnf in neg_concl:
-        if neg_dnf and have is None:
-            have = set(hyp_cube)
-        yield tuple([hyp_cube + tuple([c for c in cb if c not in have])
-                     for cb in neg_dnf])
+        for cb in neg_dnf:
+            yield hyp_cube + tuple([c for c in cb if c not in have])

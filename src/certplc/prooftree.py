@@ -4,13 +4,10 @@ Shape: an induction node with a base leaf and an exhaustive case
 distinction over rule instances, followed by ``case entail`` when the
 certificate has a target (its hypothesis cubes are the invariant's, its
 conjuncts the target's).  Under each case, one entry per hypothesis cube
-(disjunct split); each entry is either a contradiction leaf refuting the
-hypothesis cube or, split by conclusion conjunct, an arithmetic leaf with
-one witness per negated-conclusion cube.  A case whose conclusion holds on
-every post-state has no negated-conclusion cubes, so each of its entries
-lists zero cubes per conjunct, whatever its hypothesis cube.  A conjunct
-that the rule instance cannot change (``obligations``' frame rule) has no
-negated-conclusion cube either, so it lists zero cubes in every entry.
+(disjunct split); each entry is either a contradiction witness refuting the
+hypothesis cube or one witness per joint cube, in the order of
+``obligations.joint_cubes``: conjunct by conjunct, then cube by cube within
+each conjunct's negated-conclusion DNF.
 
 The text form is line based with explicit counts, so parsing needs no
 lookahead and rejects any truncation:
@@ -19,10 +16,9 @@ lookahead and rejects any truncation:
     case exec:A_Init hyps 2
     hyp 0 contradiction
     <witness block>
-    hyp 1 conjuncts 2
-    conj 0 cubes 1
+    hyp 1 cubes 2
     <witness block>
-    conj 1 cubes 0
+    <witness block>
 """
 
 from __future__ import annotations
@@ -35,17 +31,12 @@ from .parsing import ParseError
 
 
 @dataclass(frozen=True)
-class ArithLeaf:
-    witnesses: tuple[Witness, ...]  # one per negated-conclusion cube
-
-
-@dataclass(frozen=True)
 class HypEntry:
     contradiction: Witness | None = None
-    conjuncts: tuple[ArithLeaf, ...] | None = None
+    witnesses: tuple[Witness, ...] | None = None  # one per joint cube
 
     def __post_init__(self):
-        if (self.contradiction is None) == (self.conjuncts is None):
+        if (self.contradiction is None) == (self.witnesses is None):
             raise ValueError("entry needs exactly one justification")
 
 
@@ -69,11 +60,9 @@ def proof_lines(tree: ProofTree) -> list[str]:
                 out.append(f"hyp {i} contradiction")
                 out.extend(witness_lines(entry.contradiction))
             else:
-                out.append(f"hyp {i} conjuncts {len(entry.conjuncts)}")
-                for j, leaf in enumerate(entry.conjuncts):
-                    out.append(f"conj {j} cubes {len(leaf.witnesses)}")
-                    for w in leaf.witnesses:
-                        out.extend(witness_lines(w))
+                out.append(f"hyp {i} cubes {len(entry.witnesses)}")
+                for w in entry.witnesses:
+                    out.extend(witness_lines(w))
     return out
 
 
@@ -111,18 +100,10 @@ def parse_proof_lines(lines: list[str]) -> ProofTree:
                     raise ParseError("malformed contradiction entry")
                 hyps.append(HypEntry(
                     contradiction=parse_witness_lines(rows, seen)))
-            elif parts[2] == "conjuncts" and len(parts) == 4:
-                leaves = []
-                for j in range(_count(parts, "conjunct")):
-                    conj = next(rows, "").split()
-                    if (len(conj) != 4 or conj[0] != "conj"
-                            or conj[1] != str(j) or conj[2] != "cubes"):
-                        raise ParseError(
-                            f"expected conj {j}, got {' '.join(conj)!r}")
-                    leaves.append(ArithLeaf(tuple(
-                        parse_witness_lines(rows, seen)
-                        for _ in range(_count(conj, "cube")))))
-                hyps.append(HypEntry(conjuncts=tuple(leaves)))
+            elif parts[2] == "cubes" and len(parts) == 4:
+                hyps.append(HypEntry(witnesses=tuple(
+                    parse_witness_lines(rows, seen)
+                    for _ in range(_count(parts, "cube")))))
             else:
                 raise ParseError(f"malformed hyp entry {' '.join(parts)!r}")
         cases.append(CaseProof(head[1], tuple(hyps)))

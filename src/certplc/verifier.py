@@ -28,7 +28,7 @@ from .lia.solver import Sat, decide_sat
 # verifier.normalize, so the name stays importable
 from .linear import FragmentError, LimitExceeded, normalize
 from .model import RuleInstance, SfcModel, init_state
-from .prooftree import ArithLeaf, CaseProof, HypEntry, ProofTree
+from .prooftree import CaseProof, HypEntry, ProofTree
 
 
 @dataclass
@@ -66,11 +66,11 @@ def discharge(ob: O.CaseObligation):
     the decider raises (LimitExceeded, FragmentError).
 
     When every negated-conclusion DNF is empty (the conclusion holds on
-    every post-state), each hypothesis cube gets an entry with zero cubes
-    per conjunct, and nothing is decided.
+    every post-state), each hypothesis cube gets an entry with no witness,
+    and nothing is decided.
     """
     if not any(ob.neg_concl):
-        empty = HypEntry(conjuncts=(ArithLeaf(()),) * len(ob.neg_concl))
+        empty = HypEntry(witnesses=())
         return CaseProof(ob.rule.label(), (empty,) * len(ob.hyp_cubes))
     entries = []
     for hyp_cube in ob.hyp_cubes:
@@ -78,21 +78,18 @@ def discharge(ob: O.CaseObligation):
         if not isinstance(res, Sat):
             entries.append(HypEntry(contradiction=res.witness))
             continue
-        leaves = []
-        for joints in O.joint_cubes(hyp_cube, ob.neg_concl):
-            witnesses = []
-            for joint in joints:
-                # the joint cube extends the hypothesis cube, whose
-                # simplification the decider extends
-                sub = decide_sat(joint, after=res)
-                if isinstance(sub, Sat):
-                    return Refuted(ob.rule, sub.assignment,
-                                   "invariant does not imply the target"
-                                   if ob.rule is O.ENTAIL
-                                   else "inductive step violated")
-                witnesses.append(sub.witness)
-            leaves.append(ArithLeaf(tuple(witnesses)))
-        entries.append(HypEntry(conjuncts=tuple(leaves)))
+        witnesses = []
+        for joint in O.joint_cubes(hyp_cube, ob.neg_concl):
+            # the joint cube extends the hypothesis cube, whose
+            # simplification the decider extends
+            sub = decide_sat(joint, after=res)
+            if isinstance(sub, Sat):
+                return Refuted(ob.rule, sub.assignment,
+                               "invariant does not imply the target"
+                               if ob.rule is O.ENTAIL
+                               else "inductive step violated")
+            witnesses.append(sub.witness)
+        entries.append(HypEntry(witnesses=tuple(witnesses)))
     return CaseProof(ob.rule.label(), tuple(entries))
 
 
@@ -125,29 +122,6 @@ def verify_invariant(model: SfcModel, inv: P.Invariant,
     if undecided is not None:
         return undecided
     return Proved(ProofTree(tuple(cases)), obligations=len(cases))
-
-
-def gen_basic_lemmas(model: SfcModel):
-    """Structural facts proved for every model and reusable as context.
-
-    Active action blocks stay within the declared set, and active steps
-    within the declared steps.  A failure here indicates a defect in the
-    semantics encoding and is raised, not returned.
-    """
-    lemmas = [
-        P.Invariant("actions_declared",
-                    P.Within("action", tuple(sorted(model.action_ids())))),
-        P.Invariant("steps_declared",
-                    P.Within("step", tuple(sorted(model.steps)))),
-    ]
-    out = []
-    for inv in lemmas:
-        res = verify_invariant(model, inv)
-        if not isinstance(res, Proved):
-            raise AssertionError(
-                f"structural lemma {inv.name!r} failed: {res!r}")
-        out.append((inv, res))
-    return out
 
 
 def check_guard_unreachable(model: SfcModel, step: str,

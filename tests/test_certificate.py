@@ -1,19 +1,23 @@
 import ast
+import functools
 import pathlib
 import re
 import time
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from certplc import certificate as C
 from certplc import fbd as F
 from certplc import properties as P
 from certplc import verifier as V
-from certplc.model import canonical_text, model_digest, parse_model
+from certplc.model import (canonical_text, model_digest, parse_model,
+                           text_digest)
 from certplc.parsing import MAX_NESTING
 
 from conftest import (FANOUT, WRAP_BLOWUP, WRAP_BLOWUP_PROP, load_invariants,
-                      load_model)
+                      load_model, states_of)
 
 
 def proved_certificate(name="loop", index=1):
@@ -92,10 +96,14 @@ class TestCheckRejections:
         assert not C.check(b"").accepted
 
     def test_bad_magic(self):
+        # CERTPLC/1 is the grammar with per-conjunct headers: rejected at
+        # its first line, before the proof section is read
         _, _, data = proved_certificate()
-        bad = data.replace(b"CERTPLC/1", b"CERTPLC/9", 1)
-        v = C.check(bad)
-        assert not v.accepted and "magic" in v.reason
+        for magic in (b"CERTPLC/9", b"CERTPLC/1"):
+            bad = data.replace(C.MAGIC.encode(), magic, 1)
+            assert bad != data
+            v = C.check(bad)
+            assert v.reason == "parse: bad magic line" and v.path == ()
 
     def test_digest_mismatch(self):
         _, _, data = proved_certificate()
@@ -167,9 +175,8 @@ class TestCheckRejections:
                              ids=["non-numeric", "negative", "over-limit"])
     @pytest.mark.parametrize("header, what", [
         (r"case \S+ hyps", "hyp"),
-        (r"hyp \d+ conjuncts", "conjunct"),
-        (r"conj \d+ cubes", "cube"),
-    ], ids=["hyps", "conjuncts", "cubes"])
+        (r"hyp \d+ cubes", "cube"),
+    ], ids=["hyps", "cubes"])
     def test_bad_header_count(self, header, what, count):
         _, _, data = proved_certificate()
         text = data.decode()
@@ -208,7 +215,27 @@ class TestCheckRejections:
         longer = text + "".join(f" && x <= {11 + i}" for i in range(1196))
         bad = data.decode().replace(f"({text});", f"({longer});")
         v = C.check(bad.encode())
-        assert v.reason == "coverage: conjunct count mismatch", v
+        assert v.reason == "coverage: negated-conclusion cube count " \
+            "mismatch", v
+
+    def test_replay_rejection_names_the_flat_cube_index(self):
+        """An entry's witnesses follow its joint cubes across conjuncts:
+        x_capped_ind's trans:0 entries list a cube of the third conjunct,
+        then one of the fourth, so a wrong second witness is rejected at
+        ``cube 1``."""
+        from certplc.prooftree import CaseProof, HypEntry, ProofTree
+        model, inv, _ = proved_certificate("loop", 1)
+        tree = V.verify_invariant(model, inv).tree
+        case = next(c for c in tree.cases if c.label == "trans:0")
+        first, second = case.hyps[0].witnesses
+        assert first != second
+        hyps = (HypEntry(witnesses=(first, first)),) + case.hyps[1:]
+        bad = ProofTree(tuple(CaseProof(c.label, hyps) if c is case else c
+                              for c in tree.cases))
+        v = C.check(C.emit(model, inv, bad))
+        assert v.reason == ("replay: witness does not refute the "
+                            "counterexample cube")
+        assert v.path == ("cases", "trans:0", "hyp 0", "cube 1")
 
     def test_non_canonical_model_rejected(self):
         _, _, data = proved_certificate()
@@ -305,12 +332,12 @@ class TestProofNumberMutants:
         ("combine 4*1 0*-1", "combine 4*\uff11 0*-1"),
         ("combine 4*1 0*-1", "combine +4*1 0*-1"),
         ("combine 4*1 0*-1", "combine 4*1 -0*-1"),
-        ("hyp 0 conjuncts 4", "hyp 0 conjuncts \uff14"),
-        ("conj 0 cubes 1", "conj 0 cubes +1"),
+        ("hyp 8 cubes 2", "hyp 8 cubes \uff12"),
+        ("hyp 8 cubes 2", "hyp 8 cubes +2"),
         ("steps 1\n", "steps +1\n"),
         ("steps 1\n", "steps 0_1\n"),
         ("steps 1\n", "steps \uff11\n"),
-        ("conj 0 cubes 1", "conj 0 cubes 01"),
+        ("hyp 8 cubes 2", "hyp 8 cubes 02"),
         ("combine 4*1 0*-1", "combine 4*1 0*-01"),
     ], ids=["hyps-underscore", "arabic-indic-and-plus", "mult-underscore",
             "fullwidth-mult", "plus-index", "minus-zero-index",
@@ -327,7 +354,7 @@ class TestProofNumberMutants:
 
     @pytest.mark.parametrize("old, new", [
         ("combine 4*1 0*-1", "combine 4*1{} 0*-1"),
-        ("hyp 0 conjuncts 4", "hyp 0 conjuncts 1{}"),
+        ("hyp 8 cubes 2", "hyp 8 cubes 2{}"),
         ("steps 1\n", "steps 1{}\n"),
     ], ids=["mult", "count", "steps"])
     def test_overlong_number_rejected(self, old, new):
@@ -337,6 +364,170 @@ class TestProofNumberMutants:
         v = C.check(data.decode().replace(old, new, 1).encode())
         assert not v.accepted
         assert v.reason.startswith("proof-parse: "), v.reason
+
+
+_COUNT = re.compile(r"(case \S+ hyps|hyp \d+ cubes|steps) (\d+)")
+_NUMBER = re.compile(r"(?<![\w.-])-?\d+(?![\w.])")
+
+
+@functools.cache
+def _mutation_inputs() -> tuple[str, ...]:
+    """Small certificates that between them hold contradiction entries,
+    entries whose joint cubes come from several conjuncts (x_capped_ind's
+    ``hyp 8``) and a target with its entail case."""
+    loop = load_model("loop")
+    inv = next(i for i in load_invariants("loop", loop)
+               if i.name == "x_capped_ind")
+    res = V.verify_invariant(loop, inv)
+    *_, dead = target_certificates()["dead_ctx/unreachable"]
+    return C.emit(loop, inv, res.tree).decode(), dead.decode()
+
+
+def _proof_rows(lines: list[str]) -> list[int]:
+    """Indices of the non-blank proof lines."""
+    start = lines.index("--- proof") + 1
+    return [i for i in range(start, len(lines)) if lines[i].strip()]
+
+
+def _block_end(lines: list[str], i: int) -> int:
+    """Index just past the witness block whose ``steps`` line is lines[i]."""
+    n = int(lines[i].split()[1])
+    i += 1
+    for _ in range(n):
+        parts = lines[i].split()
+        i += 1
+        if parts[0] == "split":
+            for _ in range(int(parts[3]) - int(parts[2]) + 1):
+                i = _block_end(lines, i)
+    return i
+
+
+def _count_edit(draw, lines):
+    at = draw(st.sampled_from([i for i in _proof_rows(lines)
+                               if _COUNT.fullmatch(lines[i].strip())]))
+    m = _COUNT.fullmatch(lines[at].strip())
+    old = int(m.group(2))
+    new = draw(st.one_of(st.sampled_from([old - 1, old + 1]),
+                         st.integers(0, 1_000_001)).filter(
+        lambda n: n >= 0 and n != old))
+    lines[at] = f"{m.group(1)} {new}"
+
+
+def _block_removal(draw, lines):
+    """Remove one witness block of a ``hyp i cubes M`` entry, M >= 1, and
+    write M - 1 in its header."""
+    heads = [i for i in _proof_rows(lines)
+             if re.fullmatch(r"hyp \d+ cubes [1-9]\d*", lines[i])]
+    at = draw(st.sampled_from(heads))
+    head, _, m = lines[at].rpartition(" ")
+    starts = [at + 1]
+    for _ in range(int(m)):
+        starts.append(_block_end(lines, starts[-1]))
+    k = draw(st.integers(0, int(m) - 1))
+    lines[starts[k]:starts[k + 1]] = []
+    lines[at] = f"{head} {int(m) - 1}"
+
+
+@st.composite
+def _broken_certificates(draw):
+    """A certificate with one edit that no checker may accept: one proof
+    line dropped or duplicated, a count header changed, or one witness
+    block removed and its entry's count decremented."""
+    lines = draw(st.sampled_from(_mutation_inputs())).split("\n")
+    kind = draw(st.sampled_from(["drop", "duplicate", "count", "block"]))
+    if kind == "count":
+        _count_edit(draw, lines)
+    elif kind == "block":
+        _block_removal(draw, lines)
+    else:
+        at = draw(st.sampled_from(_proof_rows(lines)))
+        lines[at:at + 1] = [lines[at]] * (2 if kind == "duplicate" else 0)
+    return kind, "\n".join(lines).encode()
+
+
+@st.composite
+def _edited_certificates(draw):
+    """A certificate with two proof lines swapped, one number anywhere
+    replaced by another canonical number, or one byte flipped; the digest
+    line is optionally recomputed from the edited model section, so that
+    the checker has to reject an edited model on its merits."""
+    text = original = draw(st.sampled_from(_mutation_inputs()))
+    kind = draw(st.sampled_from(["swap", "number", "flip"]))
+    if kind == "swap":
+        lines = text.split("\n")
+        i, j = draw(st.lists(st.sampled_from(_proof_rows(lines)), min_size=2,
+                             max_size=2, unique_by=lines.__getitem__))
+        lines[i], lines[j] = lines[j], lines[i]
+        text = "\n".join(lines)
+    elif kind == "number":
+        m = draw(st.sampled_from(list(_NUMBER.finditer(text))))
+        old = int(m.group())
+        new = draw(st.one_of(st.sampled_from([old - 1, old + 1, -old]),
+                             st.integers(-70000, 70000)))
+        text = text[:m.start()] + str(new) + text[m.end():]
+    data = text.encode()
+    if kind == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) \
+            + data[at + 1:]
+    if draw(st.booleans()):
+        model = data.split(b"--- model\n", 1)[-1].split(b"--- property")[0]
+        data = re.sub(rb"digest: [0-9a-f]{64}",
+                      f"digest: {text_digest(model.decode('utf-8', 'replace'))}"
+                      .encode(), data, count=1)
+    assume(data != original.encode())
+    return kind, data
+
+
+def _timed_check(data: bytes):
+    """check's verdict, which must come from a rejection path or an
+    acceptance, never from an exception caught by check's last resort,
+    and within a second."""
+    t0 = time.perf_counter()
+    v = C.check(data)
+    assert time.perf_counter() - t0 < 1.0
+    assert isinstance(v, C.CheckVerdict) and not v.reason.startswith("error:")
+    return v
+
+
+@functools.lru_cache(maxsize=16)
+def _states(model_text: str):
+    return states_of(parse_model(model_text), 25, 20_000)
+
+
+class TestCertificateMutants:
+    """Whole-certificate mutants, drawn derandomized: 300 each in Tier-1,
+    more under ``--hypothesis-profile long``.  Breaking the proof's
+    structure is always rejected; any other edit gets a verdict within a
+    second, and an accepted certificate's properties hold on every state
+    found within 25 steps of its own model."""
+
+    @settings(max_examples=max(300, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(_broken_certificates())
+    def test_structural_edits_are_rejected(self, mutant):
+        kind, data = mutant
+        v = _timed_check(data)
+        event(f"{kind}: {v.reason[:24]}")
+        assert not v.accepted, (kind, data.decode())
+
+    @settings(max_examples=max(300, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(_edited_certificates())
+    def test_other_edits_are_sound(self, mutant):
+        kind, data = mutant
+        v = _timed_check(data)
+        event(f"{kind}: {'accepted' if v.accepted else v.reason[:24]}")
+        if not v.accepted:
+            return
+        text = data.decode()
+        model_text = text.split("--- model\n", 1)[1].split("--- property")[0]
+        model = parse_model(model_text)
+        props = P.parse_properties(
+            text.split("--- property\n", 1)[1].split("--- proof")[0], model)
+        for s in _states(model_text):
+            assert all(P.holds_on(p.formula, s) for p in props), \
+                (kind, text)
 
 
 class TestAllFixturesRoundTrip:
@@ -356,83 +547,83 @@ class TestAllFixturesRoundTrip:
 # shows up here; a refactor that keeps the semantics keeps these bytes.
 FIXTURE_CERT_SHA256 = {
     "ambiguous/steps_declared":
-        "1dafe505116397fc517bc215c560eac0098238c146a6fe2e5154ec8fa39b5390",
+        "6c8ec0105e5b45673f05ef703fb055555dea8e481825daf77ebbe60c526a2416",
     "ambiguous/no_actions":
-        "769e1d38a1e108c23c066704f6715f742dd47f5e2a76dcaa5adf975a5c4b857f",
+        "8a1369fc7656d75f9a4043c2655f48ed7203e42faea95e8d54076c4a366102d3",
     "ambiguous/x_in_range":
-        "72205ece2689963c983d051add91798fd2fcdb13d372998be59ac6895c46ebf6",
+        "bddc8e05d33c93dd39ac2ecfb18b442952de20e7a9cf9d8709f41b46d13659ac",
     "dead_ctx/y_positive":
-        "6d3fe25efb9316877535f58f2075237c0de5bb39fc4faa6faf0987299cf4012b",
+        "209adede0a1f2e9c181b588f165b361cae4933383774a5952c968c9141640b08",
     "dead_ctx/never_dead":
-        "bd2e886f59b54e36377c24741ee78a45d3ab62b9649f950dfa9fd815c7b7fc99",
+        "8e90d3e6712129acd4834dcd5af331cab4e9a5d6476bb478c6e86e1befce847b",
     "dead_ctx/acts_declared":
-        "feffcdf10ead4f9f404ae3e847f84fbe169c2b1aaad11b022bb071aebb073584",
+        "613a7aa3544851b8fb7165514c35918a2d165230608f2a40075773cca5806a43",
     "fbd_counter/out_small":
-        "cdb11a939550fb27b0d4807ecba53178aaa952eb2f6f9d1ffebbd028116a4e88",
+        "5a2e8bf8f754f6fd0723dd13a3d3f17e45cfde0b9f350a4676389a1719fc2259",
     "fbd_counter/out_in_range":
-        "84c18709d065173589580a941a5cfef29c5be58670ddb7957f2499553fd4c68c",
+        "846c34fee396f83e4a30e0cbe6afc27af2518f5dc18dd86757ac35148e0479d9",
     "fbd_counter/acts_declared":
-        "b2f1753241c32f07511e9c542ed6721136afc90aa6369e26bece6e828a153235",
+        "60298e52d242341936498f8c535859131b8f4dcea4460f793c66223e6c1a4e8f",
     "fbd_inc/x_capped_ind":
-        "c4c745f00def04b6c429a8df119f318f8b9e88420a81ed8b609ff3904bf64b5f",
+        "56c6b9e1a98ad0a773c5f0d691a4dda78db6a2152e3fb8c99fc81d55038ade65",
     "fbd_inc/in_range":
-        "38859251214000ef59b1a9a34fd4d6623238b79743144bad0cd3d8108917c026",
+        "0e2e12adce9dd72cdde6a372a10256fe54737fe6b7a964e7af9a7a0df2293134",
     "fbd_inc/acts_declared":
-        "3bcb0bd124e94acf06b3285651c5524df4709b013eed427a27bb3f8b633c4252",
+        "ee6d4904e3b2e61000fa5f41c9f9eb7989b9c5cf039c20cb46c4d86482d9ed59",
     "flip/tautology":
-        "4c146f02181312a5b2ec1caa3f931384775428d5730fd6cfa726956e61a29863",
+        "4fcb9d0c0bd84d9d64cfaf256b0e0c92b0648d945c1fae7a19c96fc4f6ad47a9",
     "flip/steps_declared":
-        "163476c43c3e8373d85559ba00f76d3c54de174f52c2fcd80a32b4c5e5f63250",
+        "f9a277da3ed23a4034343ed272ac23b6cbe4bf6daea8816e10bdc9116c4225b9",
     "flip/acts_declared":
-        "57202aa380cb88ac73f34452dba1641cc518f33054935fe9d97bf33a28be5d27",
+        "0e736e22bb4b5c633ddf03850ed9d4d722f44a94cc32208dfceaf8d9b013f00a",
     "hold_positive/y_positive":
-        "9bf8caf036ce287055a65acafff5f2c02952f7ce3f29fd8d679c4c5d22bcb4e8",
+        "6c1dfe12c2bb7036008682963d7bd68832dd64a61698c675bb4ab5b32ff00751",
     "hold_positive/y_low":
-        "e3898ad73a629ed461a531f67f0d743dd38c36613c4744bf2c0480328221d4d0",
+        "9713b997d1c6fbbde761cae32a3a167656fc0ff59bc2fd446bf32a773db030aa",
     "hold_positive/acts_declared":
-        "5453b5b9d6b3f86797ceafdf9c1f28c093eb684aa116ffbd25db5c2f3577404e",
+        "f1e294c26e5c6e09899b86534a791343e3f59468d477062bd031b700d6d92c9f",
     "hold_positive/x_in_range":
-        "a446b730487dd6aee82d9bb0fdf032dacf482c6c133373e5945cb52b8ec288c4",
+        "2db6df958ff2c0bd422ab73b83b2adda619c1d0d5bcfd488ad137dce921ba98f",
     "init_multi/steps_declared":
-        "59219fefa4097c6f2bd383fd77162e47d0e1e921476e2cc7d4ca736d241e0d45",
+        "353ff089adc2cbe98b9feea26d33401ec407cf66988d9046d68a4926b0ef0735",
     "init_multi/no_actions":
-        "fd812f66c6842629c89e79e6c3dafa13a82de8613aa141d89fc6b32f76d1460b",
+        "01e58329fa12b936be65da4883d5d793aa75989a9bd2718273215e8747c54aa4",
     "init_multi/k_in_range":
-        "f8d3400e4bb3a51304085a6ec2e6d6ca13586776259a3bd5e05cb6c4406f4290",
+        "6754deb7787f04713aea4be28ee36b6ae2efbea20db948c4f716cf8154823bdc",
     "loop/x_capped_ind":
-        "2fab44961842625028c73a10499ba7d036eaa654bae4b32184749c0ad97610ed",
+        "6cf28c1f33aa0a3235d5f5f65534578a1e95f7a87e005db03311f2c940820a67",
     "loop/in_range":
-        "85daeff7242a10395c2b9bd5faed43f1fe1a333a989b944d54bf4429f8cda833",
+        "a8f4b6d476312555866f7c91146146e54b62c3f9e4ae73bc9e14c767bad6c27b",
     "loop/acts_declared":
-        "1170350a5cd3c98b3a20b5ab8f85385f74ce43de54483d7a6470e743a4aab5f2",
+        "4351cc531bc709101c9d7cd50a4eb402d4f15c828cc6b71a2c655d8198ee1216",
     "multi_action/c_small":
-        "c7c3f2df68d53f1fc23ec082ad6273a38f8663e1f061d1a2f63a9e9f2546abd0",
+        "94452be7f552d11d90a6d37a3f4ec399b4e868c1d52cac34874c2541619e45d7",
     "multi_action/steps_declared":
-        "7e77e8310284a7a52f898e3053cc97f7137efe2e04b038099a34cccf7083276a",
+        "52d97b0869ea630914f131f0d8eed230905145c68693ed561684673ad3a84841",
     "multi_action/acts_declared":
-        "5375f9607ce0c7bb403f9a28bc0b4abe8fb027f3bcef7f09c3006528317dcf24",
+        "174fcf0de6e2ba6faaa0dad57ec3bcb32841fd153e96249fabe8dd54c991da1c",
     "parallel/steps_declared":
-        "84e63492f7f8cb1354d206731f5128713283985fc7d526a2d92e2bdecb3e97e5",
+        "c5da247f3ca6528f5d33d2997fd98158aec0b07664598cf99ba1bd164922d07c",
     "parallel/acts_declared":
-        "99706def853260af99e172a2b4677704debf93b3e7ee659d788ff3f62c0f4e01",
+        "07a074db53fc43cee90b387ed6d70c85500b191ae102c486bf480fcbb73e5636",
     "parallel/x_in_range":
-        "02c0102abb88dbf5243436df4ce5ed8cb0ca15e9b2b7c62c47a5fb8078eb9bd8",
+        "8ffee7e3efa456851661c8a17333f1e78dc077a48a217a0e386b181dd32d62ed",
     "timer/one_tick":
-        "b569b0e5d7184a50fe30ea1ad2e8e88b94b586cce1423c5b1b25a42ca700265a",
+        "7285be5f1cd1946b6efc63a094faaf5bc47d8bbdf48ba96821b8d3ad504d12b3",
     "timer/t_in_range":
-        "3bebad262dba8047513fdc29e723b196179b332fb4496964986575cd1eb9f237",
+        "0ceb23ba5478141c29b76d5ddc02c21396ee087a79212d00eb3049b770f9c775",
     "timer/acts_declared":
-        "07b5628ed7c0176edc459246c167c571af59ca9c1ec93fe2781e9787da3ce48b",
+        "0927933069ec260ea4495fc7936ebd726ed5675a09e150f33737b8d6b3e78cbd",
     "toggle/mutex":
-        "211a1a7e1d6be2d93e7cfc15717ba1b6a4a274ffbc356d5ec7d60faea404c0e8",
+        "1bc9f51c4ec3b0929883f6a0aa779e1b75775f0274a92d3f473ab0bea71db68b",
     "toggle/n_in_range":
-        "96edd6fb5a7fed72a2c8d3406df18de79e634a418ad4df22726c125e52ace571",
+        "b6f2ddd083c5c83db6f661cc8e43b9755b09b1b64ac195c5b0cfb83a78211aca",
     "toggle/acts_declared":
-        "fb19de7d2615269b23a6486018190f47b4acc3eac3fd42e4c654114a006154a8",
+        "1fb6729cd5941a2f218ba69e9fd7b5e0caa27edf664fa0d790df92fc0200ffe4",
     "wrap/in_range":
-        "92fcd07e8831df446f88d4243a5a8e53d63615e07ad9c262b4383cc195c27d2d",
+        "84bd50f1393c47b211e936abf8956fda1ec718fb5a0d51660b62454beeae6f34",
     "wrap/acts_declared":
-        "f957b256b010cfff93944bb1c868ead5bea38d2b5b21af531a169a0d602756bf",
+        "3022641f37325c8d218faa512cacb36d808c42ce33796c6add49650868410bf6",
 }
 
 
@@ -456,9 +647,9 @@ class TestCertificateBytes:
     # certificate does
     LOCKSTEP_CERT_SHA256 = {
         ("int8", 5):
-            "871f3541dd92dd0aba1d9a79ccd1d68806976891187283729486f2c7e342d210",
+            "6abe4a0f044d032e766b1cbc86a900415a225df083681421c14a758badbadf60",
         ("int16", 12):
-            "f940b62881cc623bf5026ec7d9e67041c5f9d3dda2151747bdbae30521a69721",
+            "42ffa8f189dad60d62e334d0bcbe9eabb4917c5f524418d93805dcb2f0b44908",
     }
 
     @pytest.mark.parametrize("width, c", sorted(LOCKSTEP_CERT_SHA256))
@@ -483,9 +674,9 @@ class TestCertificateBytes:
     # closing entail case
     TARGET_CERT_SHA256 = {
         "dead_ctx/unreachable":
-            "157d3543bca8d8bc886fd1f1e114646be82b05a6b972096396b4134e4a62495c",
+            "4b8551325d5b745e44c3858cfe886debe98a2d858c8dbf97811422a8cd252059",
         "loop/determined":
-            "7a33d38c3e4f9cda1a87656a5ff5f3fb7e69f66c9775e71291f89c4aacc49312",
+            "2543980f79bf46aa30fa3f77cf026434c53cb09ba4da015f5c44f3483a6acc5f",
     }
 
     def test_target_certificates_are_byte_identical(self):

@@ -29,7 +29,7 @@ from certplc.lia.solver import Unsat, decide_sat
 from certplc.linear import (LinCon, attach_bounds, clean_cube, dnf_and,
                             normalize)
 from certplc.model import parse_model
-from certplc.prooftree import ArithLeaf, CaseProof, HypEntry, ProofTree
+from certplc.prooftree import CaseProof, HypEntry, ProofTree
 
 from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
                       OPAQUE, fixture_names, load_invariants, load_model)
@@ -144,9 +144,8 @@ class TestCleanCubes:
         assert dnf_and(a, b) == tuple(clean_cube(x + y)
                                           for x in a for y in b)
         for x in a:
-            assert list(O.joint_cubes(x, (b, (), b))) == [
-                tuple(clean_cube(x + y) for y in b), (),
-                tuple(clean_cube(x + y) for y in b)]
+            assert list(O.joint_cubes(x, (b, (), b))) == \
+                [clean_cube(x + y) for y in b] * 2
             assert attach_bounds(x, _ENV) == _with_bounds(x)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
@@ -197,8 +196,8 @@ class TestCleanCubes:
 
     def test_fixture_joins_equal_dnf_and(self):
         """joint_cubes builds one member set per hypothesis cube; its joins
-        are dnf_and's, cube for cube and in order, for every conjunct of
-        every fixture obligation."""
+        are dnf_and's, cube for cube, conjunct by conjunct and in order,
+        for every fixture obligation."""
         joined = 0
         for name, model, formula in _cases():
             ctx = O.DerivationContext(model, formula)
@@ -208,10 +207,10 @@ class TestCleanCubes:
                     continue
                 for cube in ob.hyp_cubes:
                     got = list(O.joint_cubes(cube, ob.neg_concl))
-                    assert got == [dnf_and((cube,), dnf)
-                                   for dnf in ob.neg_concl], \
+                    assert got == [j for dnf in ob.neg_concl
+                                   for j in dnf_and((cube,), dnf)], \
                         (name, rule.label())
-                    joined += sum(map(len, got))
+                    joined += len(got)
         assert joined > 0
 
 
@@ -453,32 +452,39 @@ class TestFrameRule:
         assert C.check(C.emit(m, inv, res.tree)).accepted
 
     def test_unframed_conjunct_needs_its_cubes(self, loop_model):
-        """In x_capped_ind's certificate, exec:A_Init writes x, so its
-        entries list cubes for the conjunct ``x <= 10``; the trans:1 case
-        does not, so they list none.  Emptying one exec:A_Init list is
-        rejected."""
+        """In x_capped_ind's obligations, exec:A_Init writes x, so the
+        conjunct ``x <= 10`` has negated-conclusion cubes there; trans:1
+        does not, so it has none, and its entries list witnesses for the
+        other conjuncts only.  Dropping the witnesses of ``x <= 10`` from
+        one exec:A_Init entry is rejected."""
         inv = next(i for i in load_invariants("loop", loop_model)
                    if i.name == "x_capped_ind")
         res = V.verify_invariant(loop_model, inv)
         assert isinstance(res, V.Proved)
+        ctx = O.DerivationContext(loop_model, inv.formula)
+        obs = {r.label(): O.build_obligation(ctx, r)
+               for r in loop_model.rules}
+        assert obs["trans:1"].neg_concl[0] == ()
+        own = len(obs["exec:A_Init"].neg_concl[0])
+        assert own > 0
         cases = {c.label: c for c in res.tree.cases}
-        assert all(e.conjuncts is None or e.conjuncts[0].witnesses == ()
-                   for e in cases["trans:1"].hyps)
+        for label in ("trans:1", "exec:A_Init"):
+            cubes = sum(map(len, obs[label].neg_concl))
+            assert all(e.witnesses is None or len(e.witnesses) == cubes
+                       for e in cases[label].hyps)
         assert C.check(C.emit(loop_model, inv, res.tree)).accepted
         hyps = list(cases["exec:A_Init"].hyps)
-        i = next(i for i, e in enumerate(hyps)
-                 if e.conjuncts is not None and e.conjuncts[0].witnesses)
-        leaves = (ArithLeaf(()),) + hyps[i].conjuncts[1:]
-        hyps[i] = HypEntry(conjuncts=leaves)
+        i = next(i for i, e in enumerate(hyps) if e.witnesses)
+        hyps[i] = HypEntry(witnesses=hyps[i].witnesses[own:])
         tree = ProofTree(tuple(
             CaseProof(c.label, tuple(hyps)) if c.label == "exec:A_Init"
             else c for c in res.tree.cases))
         data = C.emit(loop_model, inv, tree)
-        assert f"hyp {i} conjuncts 4\nconj 0 cubes 0\n" in data.decode()
+        assert f"hyp {i} cubes {len(hyps[i].witnesses)}\n" in data.decode()
         v = C.check(data)
         assert not v.accepted
         assert v.reason == "coverage: negated-conclusion cube count mismatch"
-        assert v.path == ("cases", "exec:A_Init", f"hyp {i}", "conj 0")
+        assert v.path == ("cases", "exec:A_Init", f"hyp {i}")
 
 
 class TestStopsAfterRefutation:

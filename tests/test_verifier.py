@@ -218,9 +218,7 @@ class TestDischarge:
         assert isinstance(res, V.Proved)
         entries = [e for case in res.tree.cases for e in case.hyps]
         assert entries
-        for entry in entries:
-            assert entry.conjuncts is not None
-            assert all(leaf.witnesses == () for leaf in entry.conjuncts)
+        assert all(entry.witnesses == () for entry in entries)
         return C.emit(loop_model, inv, res.tree).decode()
 
     def test_true_conclusion_is_closed_without_decisions(self, true_cert):
@@ -248,13 +246,20 @@ class TestDischarge:
         assert res.assignment.get("y") == 255
 
     def test_conjunction_splits_into_leaves(self, loop_model):
+        """An entry lists one witness per joint cube, over every conjunct
+        that has negated-conclusion cubes, in one flat list."""
         inv = load_invariants("loop", loop_model)[1]  # the strengthened one
         res = V.verify_invariant(loop_model, inv)
         assert isinstance(res, V.Proved)
-        case = {c.label: c for c in res.tree.cases}["react:Return"]
+        rule = S.StepTransition(0)
+        case = {c.label: c for c in res.tree.cases}[rule.label()]
+        ob = O.build_obligation(O.DerivationContext(loop_model, inv.formula),
+                                rule)
+        assert len(ob.neg_concl) == 4  # one DNF per conjunct
+        assert sum(map(bool, ob.neg_concl)) == 2
         entry = case.hyps[0]
-        assert entry.conjuncts is not None
-        assert len(entry.conjuncts) == 4  # one leaf per conjunct
+        assert entry.witnesses is not None
+        assert len(entry.witnesses) == sum(map(len, ob.neg_concl))
 
 
 def _decided_cases(model, inv):
@@ -270,9 +275,8 @@ def _decided_cases(model, inv):
         if not any(ob.neg_concl):
             continue
         for hyp in ob.hyp_cubes:
-            joints = [j for js in O.joint_cubes(hyp, ob.neg_concl)
-                      for j in js]
-            yield hyp, decide_sat(hyp), joints
+            yield hyp, decide_sat(hyp), list(O.joint_cubes(hyp,
+                                                           ob.neg_concl))
 
 
 def _charts():
@@ -380,20 +384,34 @@ class TestSoundnessSuite:
         assert proved >= 2, name  # the suite must actually bite
 
 
+def _basic_lemmas(model):
+    """Active action blocks stay within the declared set, and active steps
+    within the declared steps: each claim and its verify_invariant
+    result."""
+    lemmas = [
+        P.Invariant("actions_declared",
+                    P.Within("action", tuple(sorted(model.action_ids())))),
+        P.Invariant("steps_declared",
+                    P.Within("step", tuple(sorted(model.steps)))),
+    ]
+    return [(inv, V.verify_invariant(model, inv)) for inv in lemmas]
+
+
 class TestBasicLemmas:
     @pytest.mark.parametrize("name", fixture_names())
     def test_lemmas_prove_everywhere(self, name):
         model = load_model(name)
-        lemmas = V.gen_basic_lemmas(model)
+        lemmas = _basic_lemmas(model)
         assert [inv.name for inv, _ in lemmas] == ["actions_declared",
                                                    "steps_declared"]
         for inv, res in lemmas:
             assert isinstance(res, V.Proved)
 
     def test_declared_set_matches_model(self, loop_model):
-        (l1, _), (l2, _) = V.gen_basic_lemmas(loop_model)
+        (l1, r1), (l2, r2) = _basic_lemmas(loop_model)
         assert l1.formula == P.Within("action", ("A_Init",))
         assert l2.formula == P.Within("step", ("Init", "Return", "Step2"))
+        assert isinstance(r1, V.Proved) and isinstance(r2, V.Proved)
 
 
 def prove_claim(model, claim):
