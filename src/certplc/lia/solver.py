@@ -41,7 +41,8 @@ from math import gcd
 from typing import NamedTuple
 
 from ..linear import Cube, FragmentError, LimitExceeded, LinCon
-from .witness import Combine, RangeSplit, Tighten, Witness
+from .witness import (MAX_SPLIT_NESTING, Combine, RangeSplit, Tighten,
+                      Witness)
 
 
 @dataclass
@@ -255,6 +256,16 @@ def _extend(base: _Base, cube: Cube, limits: _Limits):
     return active, base.eliminated + eliminated, clash
 
 
+def _back_substitute(assignment: dict, eliminated) -> None:
+    """Give each variable of an eliminated stack, innermost first, the value
+    its unit equality leaves."""
+    for var, eq in reversed(eliminated):
+        coeffs = dict(eq.con.coeffs)
+        c = coeffs.pop(var)
+        rest = sum(k * assignment[v] for v, k in coeffs.items())
+        assignment[var] = (eq.con.rhs - rest) // c
+
+
 class _Solver:
     def __init__(self, n_orig: int, limits: _Limits):
         self.n_orig = n_orig
@@ -265,19 +276,52 @@ class _Solver:
         return self.finish(_simplify(cons, self.limits), n_assume)
 
     def finish(self, simplified, n_assume: int):
-        """Decide from `_simplify`'s result on the cube of this depth."""
-        active, eliminated, clash = simplified
-        if clash is not None:
-            return "unsat", _extract(clash, self.n_orig, n_assume)
-        result = self._eliminate(active, n_assume)
-        if result[0] == "unsat":
-            return result
-        assignment = result[1]
-        for var, eq in reversed(eliminated):
-            coeffs = dict(eq.con.coeffs)
-            c = coeffs.pop(var)
-            rest = sum(k * assignment[v] for v, k in coeffs.items())
-            assignment[var] = (eq.con.rhs - rest) // c
+        """Decide from `_simplify`'s result on the cube of this depth.
+
+        Eliminates one variable per level in a loop, keeping each level's
+        active nodes, eliminated stack, variable and bounds; then unwinds
+        from the innermost level: picks each level's value (a range split
+        at a level whose rational interval holds no integer) and
+        back-substitutes its eliminated stack.  Only a range split nests,
+        one level per split."""
+        levels = []
+        while True:
+            active, eliminated, clash = simplified
+            if clash is not None:
+                return "unsat", _extract(clash, self.n_orig, n_assume)
+            variables = sorted({v for nd in active for v, _ in nd.con.coeffs})
+            if not variables:
+                break
+            var = self._pick_var(active, variables)
+            lowers, uppers, rest = self._entries(active, var)
+            derived = list(rest)
+            for lnd, lsign, leff in lowers:
+                for und, usign, ueff in uppers:
+                    if lnd is und:
+                        continue
+                    self.limits.count()
+                    combo = _combine_nodes(((lnd, ueff * lsign),
+                                            (und, -leff * usign)))
+                    combo = _tighten_node(combo)
+                    if combo.con.const_false():
+                        return "unsat", _extract(combo, self.n_orig, n_assume)
+                    if not (combo.con.is_const() and combo.con.const_true()):
+                        derived.append(combo)
+            levels.append((active, eliminated, var, lowers, uppers))
+            simplified = _simplify(derived, self.limits)
+        assignment: dict = {}
+        _back_substitute(assignment, eliminated)
+        for active, eliminated, var, lowers, uppers in reversed(levels):
+            value = self._pick_value(var, lowers, uppers, assignment)
+            if value is not None:
+                assignment[var] = value
+            else:
+                # rational interval holds no integer: exhaust the range
+                result = self._range_split(active, var, n_assume)
+                if result[0] == "unsat":
+                    return result
+                assignment = result[1]
+            _back_substitute(assignment, eliminated)
         return "sat", assignment
 
     # An "entry" reads a node as the inequality sign*con: equalities give
@@ -302,38 +346,6 @@ class _Solver:
                 else:
                     lowers.append(entry)
         return lowers, uppers, rest
-
-    def _eliminate(self, active: list[_Node], n_assume: int):
-        variables = sorted({v for nd in active for v, _ in nd.con.coeffs})
-        if not variables:
-            return "sat", {}
-        var = self._pick_var(active, variables)
-        lowers, uppers, rest = self._entries(active, var)
-
-        derived = list(rest)
-        for lnd, lsign, leff in lowers:
-            for und, usign, ueff in uppers:
-                if lnd is und:
-                    continue
-                self.limits.count()
-                combo = _combine_nodes(((lnd, ueff * lsign),
-                                        (und, -leff * usign)))
-                combo = _tighten_node(combo)
-                if combo.con.const_false():
-                    return "unsat", _extract(combo, self.n_orig, n_assume)
-                if not (combo.con.is_const() and combo.con.const_true()):
-                    derived.append(combo)
-
-        sub = self._solve(derived, n_assume)
-        if sub[0] == "unsat":
-            return sub
-        assignment = sub[1]
-        value = self._pick_value(var, lowers, uppers, assignment)
-        if value is not None:
-            assignment[var] = value
-            return "sat", assignment
-        # rational interval holds no integer: exhaust the bounded range
-        return self._range_split(active, var, n_assume)
 
     @staticmethod
     def _pick_var(active, variables):
@@ -421,6 +433,9 @@ class _Solver:
             if not combo.con.const_false():
                 raise AssertionError("expected contradiction from bounds")
             return "unsat", _extract(combo, self.n_orig, n_assume)
+        if n_assume == MAX_SPLIT_NESTING:  # n_assume splits enclose this one
+            raise LimitExceeded(
+                f"split nesting deeper than {MAX_SPLIT_NESTING}")
         self.limits.count_split(hi - lo + 1)
         branches = []
         for value in range(lo, hi + 1):

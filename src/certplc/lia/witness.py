@@ -184,6 +184,14 @@ def witness_lines(w: Witness) -> list[str]:
     return out
 
 
+# Deepest nesting of `split` steps.  Parsing and replay recurse once per
+# nested split and the decider three times (range split, `_solve`,
+# `finish`), so at the bound the decider's 192 frames leave most of the
+# default 1000 to its callers and to the innermost refutation's witness
+# extraction.  A decision that would nest deeper raises LimitExceeded, so
+# no emitted witness passes the bound.
+MAX_SPLIT_NESTING = 64
+
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
@@ -204,8 +212,14 @@ def parse_witness_lines(rows: Iterator[str],
     """Parse one witness block from *rows*, the stripped non-blank lines of
     a proof, consuming exactly its rows.  *known* maps lines already read to
     their combine or tighten step; one map shared by the blocks of a proof
-    parses each repeated step line once."""
-    known = {} if known is None else known
+    parses each repeated step line once.  Splits nested deeper than
+    MAX_SPLIT_NESTING are a ParseError."""
+    return _parse_block(rows, {} if known is None else known, 0)
+
+
+def _parse_block(rows: Iterator[str], known: dict[str, Step],
+                 depth: int) -> Witness:
+    """`parse_witness_lines` of a block inside *depth* splits."""
     head = next(rows, "").split()
     if len(head) != 2 or head[0] != "steps":
         raise ParseError(f"expected 'steps N', got {' '.join(head)!r}")
@@ -229,10 +243,15 @@ def parse_witness_lines(rows: Iterator[str],
             lo, hi = decimal(parts[2], True), decimal(parts[3], True)
             if hi < lo or hi - lo > 1_000_000:
                 raise ParseError("bad split range")
+            if depth == MAX_SPLIT_NESTING:
+                raise ParseError(
+                    f"split nesting deeper than {MAX_SPLIT_NESTING}")
+            branches = []
+            for _ in range(hi - lo + 1):  # a loop: one frame per level
+                branches.append(_parse_block(rows, known, depth + 1))
             step = RangeSplit(  # not kept: its branches follow it
                 parts[1], lo, hi, decimal(parts[4]), decimal(parts[5]),
-                tuple(parse_witness_lines(rows, known)
-                      for _ in range(hi - lo + 1)))
+                tuple(branches))
         else:
             raise ParseError(f"malformed step {line!r}")
         steps.append(step)

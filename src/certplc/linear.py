@@ -27,8 +27,9 @@ class FragmentError(Exception):
 
 
 class LimitExceeded(Exception):
-    """A cap or budget was exceeded: disjuncts, wrap quotients, or the
-    decider's derived constraints and split values."""
+    """A cap or budget was exceeded: disjuncts, wrap quotients, the
+    decider's derived constraints, split values and split nesting, or the
+    explorer's state budget (``semantics.BudgetExceeded``)."""
 
 
 # the most disjuncts of a DNF and wrap quotients of an operand, read at each
@@ -192,21 +193,6 @@ def dnf_or(a: Dnf, b: Dnf) -> Dnf:
     if len(out) > CAP:
         raise LimitExceeded(f"{len(out)} disjuncts exceed cap {CAP}")
     return out
-
-
-def dnf_and(a: Dnf, b: Dnf) -> Dnf:
-    """Each clean cube of *a* joined with each of *b*: the left cube, then
-    the right cube's members it lacks, which equals ``clean_cube(ca + cb)``."""
-    if not b:  # no joins, so no member sets to build
-        return FALSE_DNF
-    out = []
-    for ca in a:
-        have = set(ca)
-        for cb in b:
-            out.append(ca + tuple(c for c in cb if c not in have))
-            if len(out) > CAP:
-                raise LimitExceeded(f"{len(out)} disjuncts exceed cap {CAP}")
-    return tuple(out)
 
 
 # --- lowering expressions -------------------------------------------------
@@ -380,30 +366,36 @@ def lower(e: E.Expr, negate: bool, leaf) -> Dnf:
     if isinstance(e, (E.And, E.Or)):
         parts = (lower(arg, negate, leaf) for arg in e.args)
         if isinstance(e, E.And) != negate:
-            return _conjoin(parts)
+            return conjoin(parts)
         return reduce(dnf_or, parts)
     return leaf(e, negate)
 
 
-def _conjoin(dnfs) -> Dnf:
-    """``reduce(dnf_and, dnfs)``: the same cubes and the same point of
-    overflow, but each cube grows in place next to its member set, so a
-    chain of n one-cube operands is joined in time linear in n, not
-    quadratic.  Consumes *dnfs* one at a time, after each join."""
-    it = iter(dnfs)
-    acc = [(list(cube), set(cube)) for cube in next(it)]
-    for b in it:
+def conjoin(dnfs) -> Dnf:
+    """The one cube join: each cube of the product of *dnfs*, left to
+    right, is its left cube followed by the members of the next DNF's cube
+    that it lacks, which equals ``clean_cube`` of their concatenation.
+    An empty sequence gives ``TRUE_DNF``.  A cube joined with a one-cube
+    DNF grows in place next to its member set, so a chain of n one-cube
+    operands is joined in time linear in n; a member set is built only
+    for a cube that is joined again.  Consumes *dnfs* one at a time, after
+    each join, and raises LimitExceeded before a product past CAP cubes."""
+    acc = [[[], set()]]  # each cube's members, and their set once needed
+    for b in dnfs:
         if len(acc) * len(b) > CAP:
             raise LimitExceeded(f"{CAP + 1} disjuncts exceed cap {CAP}")
+        for entry in acc:
+            if entry[1] is None:
+                entry[1] = set(entry[0])
         if len(b) == 1:
             for cube, have in acc:
                 new = [c for c in b[0] if c not in have]
                 cube.extend(new)
                 have.update(new)
         else:
-            acc = [(cube + new, have.union(new)) for cube, have in acc
-                   for new in ([c for c in cb if c not in have] for cb in b)]
-    return tuple(tuple(cube) for cube, _ in acc)
+            acc = [[cube + [c for c in cb if c not in have], None]
+                   for cube, have in acc for cb in b]
+    return tuple([tuple(cube) for cube, _ in acc])
 
 
 def normalize(e: E.Expr, env: dict[str, str], *, subst=None,

@@ -25,11 +25,11 @@ same pre-state.
 
 Frame rule: a rule instance's negated conclusion is empty (no cube) for
 each top-level conjunct that reads nothing the instance changes, that is
-no step or action whose post-state entry differs from its pre-state one
-and no variable the effect summary writes.  This is sound because every
-hypothesis cube contains a cube of the invariant's pre-state DNF, so it
-implies the conjunct on the pre-state, and the conjunct reads the same
-entries on the post-state, so it has the same value there.  ENTAIL is
+no step or action the instance sets (to 0 or 1, where the pre-state reads
+its variable) and no variable the effect summary writes.  This is sound
+because every hypothesis cube contains a cube of the invariant's pre-state
+DNF, so it implies the conjunct on the pre-state, and the conjunct reads
+the same entries on the post-state, so it has the same value there.  ENTAIL is
 never framed: its conclusion is the target, which the hypothesis does not
 contain.
 
@@ -38,8 +38,6 @@ Everything here is deterministic in the model and property alone.
 
 from __future__ import annotations
 
-from collections import ChainMap
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -47,10 +45,9 @@ from itertools import repeat
 from . import expr as E
 from . import fbd as F
 from . import properties as P
-from .linear import (Cube, Dnf, FragmentError, LimitExceeded, LinCon,
-                     LinForm, attach_bounds, bounds_fn, dnf_and, linear_form,
-                     lower, normalize, wrap_cases, TRUE_DNF, FALSE_DNF,
-                     clean_cube)
+from .linear import (Cube, Dnf, FragmentError, LinCon, LinForm,
+                     attach_bounds, bounds_fn, conjoin, linear_form, lower,
+                     normalize, wrap_cases, TRUE_DNF, FALSE_DNF, clean_cube)
 from .model import RuleInstance, RuleShape, SfcModel
 
 STEP_PREFIX = "step:"
@@ -109,35 +106,24 @@ def _eq01(name: str, value: int) -> LinCon:
     return LinCon(((name, 1),), "==", value)
 
 
+def _activity_var(kind: str, name: str) -> str:
+    """The 0/1 variable of an activity atom's step or action."""
+    return step_var(name) if kind == "step" else act_var(name)
+
+
+def _declared(model: SfcModel, kind: str) -> tuple[str, ...]:
+    """The model's steps or actions, by an activity atom's kind."""
+    return model.steps if kind == "step" else model.action_ids()
+
+
 @dataclass(frozen=True)
 class _StateMap:
-    """Symbolic valuation: how each atom reads in pre- or post-state.
+    """Symbolic valuation: how each atom reads in the pre-state or after a
+    rule.  An activity variable the rule sets reads as its 0 or 1, every
+    other one as itself."""
 
-    A post-state's activity maps are ChainMaps over the pre-state's, whose
-    first map holds the entries the rule sets."""
-
-    steps: Mapping      # step -> 0 | 1 | variable name
-    actions: Mapping    # action -> 0 | 1 | variable name
+    sets: dict          # step:S or act:A variable -> 0 | 1
     subst: dict | None  # memory variable -> LinForm over the pre-state
-
-    def of(self, kind: str) -> Mapping:  # an activity atom's kind -> its map
-        return self.steps if kind == "step" else self.actions
-
-    def changed_from(self, pre: "_StateMap") -> set[str]:
-        """The pre-state variables this post-state map reads otherwise:
-        each step and action that the rule sets to a value other than its
-        pre-state entry, and each written variable."""
-        out = set(self.subst or ())
-        for kind in ("step", "action"):
-            before = pre.of(kind)
-            out.update(before[n] for n, v in self.of(kind).maps[0].items()
-                       if v != before[n])
-        return out
-
-
-def pre_state_map(model: SfcModel) -> _StateMap:
-    return _StateMap({s: step_var(s) for s in model.steps},
-                     {a: act_var(a) for a in model.action_ids()}, None)
 
 
 def _activity_dnf(value, want: int) -> Dnf:
@@ -176,11 +162,11 @@ def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
 
 
 def _post_definitions(summary: dict[str, LinForm], env) -> Dnf:
-    """Hypothesis disjuncts defining post:V = wrap(form) per written var."""
+    """Hypothesis disjuncts defining post:V = wrap(form) per written var:
+    the join of each variable's wrap cases, in name order."""
     bounds = bounds_fn(env)
-    acc = TRUE_DNF
-    for name in sorted(summary):
-        cases = []
+
+    def cases(name):
         for wrapped, side in wrap_cases(summary[name], E.bits_of(env[name]),
                                         bounds):
             # post:name == form - q*2**bits, within the type range
@@ -188,9 +174,9 @@ def _post_definitions(summary: dict[str, LinForm], env) -> Dnf:
                                "==", 0)
             cube = clean_cube((defn,) + side)
             if cube is not None:
-                cases.append(cube)
-        acc = dnf_and(acc, tuple(cases))
-    return acc
+                yield cube
+
+    return conjoin(tuple(cases(name)) for name in sorted(summary))
 
 
 def _post_subst(summary: dict[str, LinForm]) -> dict[str, LinForm]:
@@ -203,17 +189,18 @@ class DerivationContext:
     """The inputs of a derivation (model, invariant, optional target) and
     the obligation pieces shared by every proof case of them.
 
-    The symbolic env, the pre-state map, the property's pre-state DNF, each
-    pre-state normalization of a guard or atom and each subset atom's
-    conjunction are computed at most once, on first use.  (An action's
-    effect summary and post-value definitions need no memo: only its one
-    execute instance reads them.)
+    The symbolic env, the property's pre-state DNF, each pre-state
+    normalization of a guard or atom and each subset atom's conjunction are
+    computed at most once, on first use.  (An action's effect summary and
+    post-value definitions need no memo: only its one execute instance
+    reads them.)  Only computed pieces are kept: derivation is
+    deterministic, so a piece that failed (LimitExceeded, FragmentError) is
+    derived again and fails again, with the same error, on every later use.
     build_obligation asks for the pieces in a fixed order, so an obligation
-    and any error it raises equal those of a fresh context; a piece that
-    failed (LimitExceeded, FragmentError) fails again on every later use.  A
-    context serves one verify_invariant or one certificate check and is
-    dropped afterwards: the checker still derives everything from the
-    certificate's own model and property.
+    and any error it raises equal those of a fresh context.  A context
+    serves one verify_invariant or one certificate check and is dropped
+    afterwards: the checker still derives everything from the certificate's
+    own model and property.
 
     Normalizations are keyed by the expression, whose equality ignores
     ``E.Cmp.width``.  That is exact here: every comparison reaching a
@@ -229,26 +216,17 @@ class DerivationContext:
         self.model = model
         self.formula = formula
         self.target = target
+        self.pre = _StateMap({}, None)  # every variable reads as itself
         self._memo: dict = {}
 
     @cached_property
     def env(self) -> dict[str, str]:
         return symbolic_env(self.model)
 
-    @cached_property
-    def pre(self) -> _StateMap:
-        return pre_state_map(self.model)
-
     def _once(self, key, compute):
         if key not in self._memo:
-            try:
-                self._memo[key] = (compute(), None)
-            except (LimitExceeded, FragmentError) as err:
-                self._memo[key] = (None, err)
-        value, err = self._memo[key]
-        if err is not None:
-            raise err.with_traceback(None)
-        return value
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def normalized(self, e: E.Expr, negate: bool = False) -> Dnf:
         """``normalize`` of a guard or atom over the pre-state."""
@@ -262,10 +240,11 @@ class DerivationContext:
         outside the set for a subset atom, and an arithmetic atom's memory
         variables."""
         def reads(atom) -> set[str]:
-            names = self.pre.of(atom.kind)
             if isinstance(atom, P.Active):
-                return {names[atom.name]}
-            return {v for n, v in names.items() if n not in atom.names}
+                return {_activity_var(atom.kind, atom.name)}
+            return {_activity_var(atom.kind, n)
+                    for n in _declared(self.model, atom.kind)
+                    if n not in atom.names}
 
         return tuple(frozenset(E.vars_of(c, reads))
                      for c in P.conjuncts(self.formula))
@@ -280,13 +259,14 @@ class DerivationContext:
         """DNF of a formula read through *sm*."""
         def leaf(atom, neg):
             if isinstance(atom, P.Active):
-                return _activity_dnf(sm.of(atom.kind)[atom.name],
-                                     0 if neg else 1)
+                var = _activity_var(atom.kind, atom.name)
+                return _activity_dnf(sm.sets.get(var, var), 0 if neg else 1)
             # a subset atom's names outside the set are the model's, the
             # same in every state map, so its formula is built once
             if isinstance(atom, P.Within):
                 return lower(self._once(atom, lambda: _none_of(
-                    atom.kind, sm.of(atom.kind), atom.names)), neg, leaf)
+                    atom.kind, _declared(self.model, atom.kind),
+                    atom.names)), neg, leaf)
             # an arithmetic atom
             if sm.subst is None:  # memory reads as in the pre-state
                 return self.normalized(atom, neg)
@@ -301,14 +281,28 @@ def post_state(ctx: DerivationContext, shape: RuleShape):
     after the rule, whatever the frame rule omits."""
     summary = None if shape.action is None else \
         effect_summary(ctx.model, shape.action)
-    steps = dict.fromkeys(shape.steps_off, 0)
-    steps.update(dict.fromkeys(shape.steps_on, 1))
-    actions = dict.fromkeys(shape.acts_off, 0)
-    actions.update(dict.fromkeys(shape.acts_on, 1))
-    return summary, _StateMap(ChainMap(steps, ctx.pre.steps),
-                              ChainMap(actions, ctx.pre.actions),
-                              None if summary is None
+    sets = dict.fromkeys(map(step_var, shape.steps_off), 0)
+    sets.update(dict.fromkeys(map(step_var, shape.steps_on), 1))
+    sets.update(dict.fromkeys(map(act_var, shape.acts_off), 0))
+    sets.update(dict.fromkeys(map(act_var, shape.acts_on), 1))
+    return summary, _StateMap(sets, None if summary is None
                               else _post_subst(summary))
+
+
+def _hypothesis(ctx: DerivationContext, shape: RuleShape, summary):
+    """A rule instance's hypothesis pieces, in join order, each derived
+    when the join reaches it: the activity cube, each guard, each negated
+    blocking guard, the invariant on the pre-state and the post-value
+    definitions."""
+    yield (clean_cube(
+        tuple([_eq01(act_var(a), 1) for a in shape.pending]
+              + [_eq01(step_var(s), 1) for s in shape.steps]
+              + [_eq01(act_var(a), 0) for a in shape.idle])),)
+    yield from map(ctx.normalized, shape.guards)
+    yield from (ctx.normalized(g, negate=True) for g in shape.blocked)
+    yield ctx.pre_dnf()
+    if summary is not None:
+        yield _post_definitions(summary, ctx.env)
 
 
 def build_obligation(ctx: DerivationContext,
@@ -331,19 +325,11 @@ def build_obligation(ctx: DerivationContext,
     else:
         shape = model.rules[rule]
         summary, post = post_state(ctx, shape)
-        hyp = (clean_cube(
-            tuple([_eq01(act_var(a), 1) for a in shape.pending]
-                  + [_eq01(step_var(s), 1) for s in shape.steps]
-                  + [_eq01(act_var(a), 0) for a in shape.idle])),)
-        for g in shape.guards:
-            hyp = dnf_and(hyp, ctx.normalized(g))
-        for g in shape.blocked:
-            hyp = dnf_and(hyp, ctx.normalized(g, negate=True))
-        hyp = dnf_and(hyp, ctx.pre_dnf())
-        if summary is not None:
-            hyp = dnf_and(hyp, _post_definitions(summary, env))
+        hyp = conjoin(_hypothesis(ctx, shape, summary))
         concl = ctx.formula
-        changed = post.changed_from(ctx.pre)
+        # the activity variables the rule sets, each to a value other than
+        # its pre-state reading (a variable), and the written variables
+        changed = set(post.sets).union(summary or ())
         unchanged = map(changed.isdisjoint, ctx.conjunct_reads)
     hyp = tuple(attach_bounds(c, env) for c in hyp)
     neg = []
@@ -358,7 +344,7 @@ def joint_cubes(hyp_cube: Cube, neg_concl: tuple[Dnf, ...]):
     """The hypothesis cube joined with each negated-conclusion cube, in
     conjunct order and then cube order: the joins the verifier refutes and
     the checker replays witnesses against, each equal to its cube of
-    ``dnf_and((hyp_cube,), neg_dnf)``.  Lazy, and no join overflows: each
+    ``conjoin(((hyp_cube,), neg_dnf))``.  Lazy, and no join overflows: each
     DNF is within the cap.
     """
     have = set(hyp_cube)

@@ -37,6 +37,7 @@ from typing import Callable
 
 from . import expr as E
 from . import fbd as F
+from .linear import LimitExceeded
 from .model import (ExecuteAction, Reactivate, RuleInstance, RuleShape,
                     SfcModel, SfcState, StepTransition, init_state)
 
@@ -48,7 +49,7 @@ class NotApplicable(Exception):
     """The requested rule instance is not enabled in this configuration."""
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(LimitExceeded):
     """State budget ran out; `partial` holds what was explored."""
 
     def __init__(self, partial):

@@ -14,6 +14,7 @@ from certplc import properties as P
 from certplc import verifier as V
 from certplc.model import (canonical_text, model_digest, parse_model,
                            text_digest)
+from certplc.lia.witness import MAX_SPLIT_NESTING
 from certplc.parsing import MAX_NESTING
 
 from conftest import (FANOUT, WRAP_BLOWUP, WRAP_BLOWUP_PROP, load_invariants,
@@ -853,6 +854,46 @@ class TestLongAndDeepExpressions:
         v = C.check(data.replace("-[ x < 3 ]->", f"-[ {deep} ]->").encode())
         assert v.reason == (f"model-parse: line 5, col {MAX_NESTING + 14}: "
                             f"nesting deeper than {MAX_NESTING}")
+
+
+def _nested_splits(data: bytes, depth: int) -> bytes:
+    """x_capped_ind's certificate with the contradiction witness of
+    exec:A_Init's hypothesis 0 replaced by *depth* nested one-branch splits
+    around ``combine 0*1``."""
+    lines = data.decode().split("\n")
+    i = lines.index("case exec:A_Init hyps 16") + 1
+    assert lines[i:i + 3] == ["hyp 0 contradiction", "steps 1",
+                              "combine 4*1 0*-1"]
+    lines[i + 1:i + 3] = (["steps 1", "split x 0 0 0 0"] * depth
+                          + ["steps 1", "combine 0*1"])
+    return "\n".join(lines).encode()
+
+
+class TestSplitNesting:
+    """Splits nested past MAX_SPLIT_NESTING are a proof parse rejection,
+    not a recursion error; a chain at the bound parses and is replayed."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        model = load_model("loop")
+        inv = next(i for i in load_invariants("loop", model)
+                   if i.name == "x_capped_ind")
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Proved)
+        return C.emit(model, inv, res.tree)
+
+    def test_deep_chain_is_a_proof_parse_rejection(self, data):
+        for depth in (MAX_SPLIT_NESTING + 1, 2000):
+            v = C.check(_nested_splits(data, depth))
+            assert v.reason == ("proof-parse: split nesting deeper than "
+                                f"{MAX_SPLIT_NESTING}")
+
+    def test_chain_at_the_bound_is_replayed(self, data):
+        # the splits' bound indices name no bound on x: replay rejects
+        v = C.check(_nested_splits(data, MAX_SPLIT_NESTING))
+        assert v.reason.startswith("replay: contradiction witness does not "
+                                   "refute the hypothesis cube")
+        assert v.path == ("cases", "exec:A_Init", "hyp 0")
 
 
 class TestTimeSliceBound:

@@ -1,16 +1,19 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certplc.lia import solver
 from certplc.lia.solver import Sat, Unsat, decide_sat
 from certplc.linear import LimitExceeded
-from certplc.lia.witness import (Combine, RangeSplit, Tighten, Witness,
-                                 parse_witness_lines, replay_witness,
-                                 witness_lines)
+from certplc.lia.witness import (MAX_SPLIT_NESTING, Combine, RangeSplit,
+                                 Tighten, Witness, parse_witness_lines,
+                                 replay_witness, witness_lines)
 from certplc.linear import LinCon, clean_cube
+from certplc.parsing import ParseError
 
 from conftest import decision
 
@@ -261,11 +264,55 @@ class TestWitnessText:
             head = line.split()[0]
             assert head in ("combine", "tighten", "split")
 
+    def test_split_nesting_is_bounded(self):
+        def chain(depth):
+            return iter(["steps 1", "split x 0 0 0 0"] * depth
+                        + ["steps 1", "combine 0*1"])
+
+        w = parse_witness_lines(chain(MAX_SPLIT_NESTING))
+        for _ in range(MAX_SPLIT_NESTING):
+            w, = w.steps[0].branches
+        assert w == Witness((Combine(((0, 1),)),))
+        for depth in (MAX_SPLIT_NESTING + 1, 2000):
+            with pytest.raises(ParseError, match="split nesting deeper than "
+                               f"{MAX_SPLIT_NESTING}$"):
+                parse_witness_lines(chain(depth))
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
 
 class TestResourceLimits:
     def test_split_budget_reports_resource_error(self):
         with pytest.raises(LimitExceeded):
             decide_sat(_PUGH, split_limit=0)
+
+    def test_split_nesting_past_the_bound_is_a_resource_error(
+            self, monkeypatch):
+        # _PUGH's refutation nests one split
+        monkeypatch.setattr(solver, "MAX_SPLIT_NESTING", 1)
+        assert isinstance(decide_sat(_PUGH), Unsat)
+        monkeypatch.setattr(solver, "MAX_SPLIT_NESTING", 0)
+        with pytest.raises(LimitExceeded,
+                           match="^split nesting deeper than 0$"):
+            decide_sat(_PUGH)
+
+    def test_wide_cube_decides_in_a_shallow_stack(self):
+        """Elimination loops over the variables, so a cube of 120 decides
+        within 150 frames of the caller's depth."""
+        names = [f"x{i:03d}" for i in range(120)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 150)
+        try:
+            res = decide_sat(boxed([], 255, names))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(res, Sat)
+        assert res.assignment == dict.fromkeys(names, 0)
 
 
 @st.composite

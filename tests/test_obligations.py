@@ -11,7 +11,7 @@ every obligation cube is clean, which lets cube joins skip cleaning.
 import importlib
 import pathlib
 import sys
-from functools import reduce
+from functools import partial, reduce
 from unittest import mock
 
 import pytest
@@ -26,8 +26,7 @@ from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
 from certplc.lia.solver import Unsat, decide_sat
-from certplc.linear import (LinCon, attach_bounds, clean_cube, dnf_and,
-                            normalize)
+from certplc.linear import LinCon, attach_bounds, clean_cube, normalize
 from certplc.model import parse_model
 from certplc.prooftree import CaseProof, HypEntry, ProofTree
 
@@ -128,6 +127,23 @@ def _with_bounds(cube):
     return clean_cube(cube + tuple(bounds))
 
 
+def _product(dnfs):
+    """Reference for linear.conjoin: the cleaned concatenation of every
+    combination of cubes, joined left to right from the true DNF, past the
+    cap once a product holds CAP + 1 cubes."""
+    acc = L.TRUE_DNF
+    for b in dnfs:
+        out = []
+        for x in acc:
+            for y in b:
+                out.append(clean_cube(x + y))
+                if len(out) > L.CAP:
+                    raise L.LimitExceeded(
+                        f"{len(out)} disjuncts exceed cap {L.CAP}")
+        acc = tuple(out)
+    return acc
+
+
 def _is_clean(cube):
     return all(con.coeffs for con in cube) and len(set(cube)) == len(cube)
 
@@ -141,8 +157,8 @@ class TestCleanCubes:
     @given(_dnf_pairs())
     def test_fast_paths_equal_cleaning(self, pair):
         a, b = pair
-        assert dnf_and(a, b) == tuple(clean_cube(x + y)
-                                          for x in a for y in b)
+        assert L.conjoin((a, b)) == _product((a, b)) == \
+            tuple(clean_cube(x + y) for x in a for y in b)
         for x in a:
             assert list(O.joint_cubes(x, (b, (), b))) == \
                 [clean_cube(x + y) for y in b] * 2
@@ -174,7 +190,8 @@ class TestCleanCubes:
                 assert outcome(node(tuple(atoms)), negate) == \
                     outcome(deep, negate)
             try:
-                want = reduce(L.dnf_and if conjunction else L.dnf_or, dnfs)
+                want = (_product if conjunction else
+                        partial(reduce, L.dnf_or))(dnfs)
             except L.LimitExceeded as err:
                 want = str(err)
             assert outcome(node(tuple(atoms)), False)[0] == want
@@ -196,8 +213,8 @@ class TestCleanCubes:
 
     def test_fixture_joins_equal_dnf_and(self):
         """joint_cubes builds one member set per hypothesis cube; its joins
-        are dnf_and's, cube for cube, conjunct by conjunct and in order,
-        for every fixture obligation."""
+        are the cleaned products', cube for cube, conjunct by conjunct and
+        in order, for every fixture obligation."""
         joined = 0
         for name, model, formula in _cases():
             ctx = O.DerivationContext(model, formula)
@@ -208,7 +225,7 @@ class TestCleanCubes:
                 for cube in ob.hyp_cubes:
                     got = list(O.joint_cubes(cube, ob.neg_concl))
                     assert got == [j for dnf in ob.neg_concl
-                                   for j in dnf_and((cube,), dnf)], \
+                                   for j in _product(((cube,), dnf))], \
                         (name, rule.label())
                     joined += len(got)
         assert joined > 0

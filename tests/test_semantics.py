@@ -6,6 +6,7 @@ import pytest
 from certplc import expr as E
 from certplc import fbd as F
 from certplc import semantics as S
+from certplc.linear import LimitExceeded
 from certplc.model import parse_model
 from certplc.semantics import (BudgetExceeded, ExecuteAction, NotApplicable,
                                Reactivate, StepTransition, init_state,
@@ -227,6 +228,15 @@ class TestReachable:
         with pytest.raises(BudgetExceeded) as err:
             reachable_bounded(m, 50, state_budget=64)
         assert len(err.value.partial) > 64
+
+    def test_budget_exceeded_is_a_limit_exceeded(self):
+        # one failure class covers every cap and budget
+        m = load_model("multi_action")
+        with pytest.raises(LimitExceeded) as err:
+            reachable_bounded(m, 50, state_budget=64)
+        assert isinstance(err.value, BudgetExceeded)
+        assert str(err.value) == \
+            f"state budget exceeded after {len(err.value.partial)} states"
 
     def test_actions_stay_declared(self):
         # structural fact checked dynamically on every fixture

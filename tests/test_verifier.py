@@ -160,6 +160,12 @@ _UNDECIDED = {
     "decider-budget": (NONLINEAR_ATOM, "x <= 9 || step(S)",
                        S.ExecuteAction("A"), None,
                        (V, "decide_sat", partial(decide_sat, max_derived=0))),
+    # the guard's first cube is satisfiable only after a range split, here
+    # past a bound of no nesting at all
+    "split-nesting": ("var x : int8\nvar y : int8\nstep S [initial]\n"
+                      "step T\ntrans {S} -[ 3 * x == 2 * y + 1 ]-> {T}\n",
+                      "!step(T)", S.StepTransition(0), None,
+                      (solver, "MAX_SPLIT_NESTING", 0)),
 }
 
 
