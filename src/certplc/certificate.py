@@ -2,7 +2,7 @@
 
 Layout (UTF-8 text, LF line endings):
 
-    CERTPLC/2
+    CERTPLC/3
     digest: <64 hex digits of the embedded model's canonical text>
     --- model
     <canonical model text>
@@ -12,8 +12,8 @@ Layout (UTF-8 text, LF line endings):
     --- proof
     <proof tree, see prooftree>
 
-The magic line names the proof grammar; a certificate in another grammar
-is rejected at its first line.
+The magic line names the proof grammar (in ``CERTPLC/3`` a closed case is
+``case L hyps 0``); a certificate in another one is rejected at line one.
 
 The property section holds an invariant I, optionally followed by a target
 P (without one, P is I).  The checker trusts nothing from the proof section
@@ -44,7 +44,7 @@ from .model import (SfcModel, canonical_text, init_state, parse_model,
 from .parsing import ParseError
 from .prooftree import ProofTree, parse_proof_lines, proof_lines
 
-MAGIC = "CERTPLC/2"
+MAGIC = "CERTPLC/3"
 
 _SECTIONS = ("--- model", "--- property", "--- proof")
 

@@ -16,22 +16,23 @@ pre-state, and the post-value definitions) plus, for each top-level
 conjunct of the invariant, the negated conclusion on the post-state the
 shape describes, as a disjunction of cubes; ``linear.lower`` lowers every
 formula.  The rule holds when every hypothesis cube is jointly
-unsatisfiable with every negated-conclusion cube.  Both the verifier and
-the certificate checker derive obligations through this module, so a
-certificate only needs to say which cubes are contradictory and supply the
-witnesses.  A property with a target adds one obligation, ENTAIL: the
-invariant's pre-state cubes against each target conjunct negated on the
-same pre-state.
+unsatisfiable with every negated-conclusion cube; a case whose
+negated-conclusion DNFs are all empty is closed and has no hypothesis cube.
+Both the verifier and the certificate checker derive obligations through
+this module, so a certificate only needs to say which cubes are
+contradictory and supply the witnesses.  A property with a target adds one
+obligation, ENTAIL: the invariant's pre-state cubes against each target
+conjunct negated on the same pre-state.
 
 Frame rule: a rule instance's negated conclusion is empty (no cube) for
 each top-level conjunct that reads nothing the instance changes, that is
 no step or action the instance sets (to 0 or 1, where the pre-state reads
 its variable) and no variable the effect summary writes.  This is sound
-because every hypothesis cube contains a cube of the invariant's pre-state
-DNF, so it implies the conjunct on the pre-state, and the conjunct reads
-the same entries on the post-state, so it has the same value there.  ENTAIL is
-never framed: its conclusion is the target, which the hypothesis does not
-contain.
+because induction assumes the invariant on the pre-state (a fact, not a
+derived cube, so a closed case needs none), so the conjunct holds there,
+and it reads the same entries on the post-state, so it holds there too.
+ENTAIL is never framed: its conclusion is the target, not assumed on the
+pre-state.
 
 Everything here is deterministic in the model and property alone.
 """
@@ -179,10 +180,6 @@ def _post_definitions(summary: dict[str, LinForm], env) -> Dnf:
     return conjoin(tuple(cases(name)) for name in sorted(summary))
 
 
-def _post_subst(summary: dict[str, LinForm]) -> dict[str, LinForm]:
-    return {name: LinForm.of_var(post_var(name)) for name in summary}
-
-
 # --- one derivation context per (model, formula) ---------------------------
 
 class DerivationContext:
@@ -196,11 +193,11 @@ class DerivationContext:
     reads them.)  Only computed pieces are kept: derivation is
     deterministic, so a piece that failed (LimitExceeded, FragmentError) is
     derived again and fails again, with the same error, on every later use.
-    build_obligation asks for the pieces in a fixed order, so an obligation
-    and any error it raises equal those of a fresh context.  A context
-    serves one verify_invariant or one certificate check and is dropped
-    afterwards: the checker still derives everything from the certificate's
-    own model and property.
+    build_obligation asks for the pieces in a fixed order (conclusions
+    first), so an obligation and any error it raises equal those of a fresh
+    context.  A context serves one verify_invariant or one certificate
+    check and is dropped afterwards: the checker still derives everything
+    from the certificate's own model and property.
 
     Normalizations are keyed by the expression, whose equality ignores
     ``E.Cmp.width``.  That is exact here: every comparison reaching a
@@ -285,24 +282,29 @@ def post_state(ctx: DerivationContext, shape: RuleShape):
     sets.update(dict.fromkeys(map(step_var, shape.steps_on), 1))
     sets.update(dict.fromkeys(map(act_var, shape.acts_off), 0))
     sets.update(dict.fromkeys(map(act_var, shape.acts_on), 1))
-    return summary, _StateMap(sets, None if summary is None
-                              else _post_subst(summary))
+    return summary, _StateMap(sets, None if summary is None else {
+        name: LinForm.of_var(post_var(name)) for name in summary})
 
 
-def _hypothesis(ctx: DerivationContext, shape: RuleShape, summary):
-    """A rule instance's hypothesis pieces, in join order, each derived
-    when the join reaches it: the activity cube, each guard, each negated
-    blocking guard, the invariant on the pre-state and the post-value
-    definitions."""
-    yield (clean_cube(
-        tuple([_eq01(act_var(a), 1) for a in shape.pending]
-              + [_eq01(step_var(s), 1) for s in shape.steps]
-              + [_eq01(act_var(a), 0) for a in shape.idle])),)
-    yield from map(ctx.normalized, shape.guards)
-    yield from (ctx.normalized(g, negate=True) for g in shape.blocked)
-    yield ctx.pre_dnf()
-    if summary is not None:
-        yield _post_definitions(summary, ctx.env)
+def hypothesis(ctx: DerivationContext, rule: RuleInstance | Entailment,
+               summary: dict[str, LinForm] | None) -> Dnf:
+    """A proof case's hypothesis cubes, bounds attached: ENTAIL's are the
+    invariant's, a rule's the join of its pieces, each derived when the
+    join reaches it (*summary* is its action's effect summary)."""
+    def pieces(shape: RuleShape):
+        yield (clean_cube(
+            tuple([_eq01(act_var(a), 1) for a in shape.pending]
+                  + [_eq01(step_var(s), 1) for s in shape.steps]
+                  + [_eq01(act_var(a), 0) for a in shape.idle])),)
+        yield from map(ctx.normalized, shape.guards)
+        yield from (ctx.normalized(g, negate=True) for g in shape.blocked)
+        yield ctx.pre_dnf()
+        if summary is not None:
+            yield _post_definitions(summary, ctx.env)
+
+    hyp = ctx.pre_dnf() if rule is ENTAIL else \
+        conjoin(pieces(ctx.model.rules[rule]))
+    return tuple(attach_bounds(c, ctx.env) for c in hyp)
 
 
 def build_obligation(ctx: DerivationContext,
@@ -311,32 +313,29 @@ def build_obligation(ctx: DerivationContext,
     induction step of a rule instance, or for ENTAIL the invariant's
     pre-state cubes against the negated target conjuncts on the pre-state.
     A rule instance gives no cube to a conjunct it cannot change (the
-    frame rule, see the module docstring).
+    frame rule, see the module docstring), and a closed case no hypothesis.
 
     Pass the same context for every case of one property to derive the
     shared pieces once.  Raises FragmentError for an effect, guard or atom
     outside the linear fragment and LimitExceeded past the disjunct cap;
     either leaves the case undecided, never wrongly proved.
     """
-    model, env = ctx.model, ctx.env
     if rule is ENTAIL:
-        hyp, post, concl = ctx.pre_dnf(), ctx.pre, ctx.target
+        summary, post, concl = None, ctx.pre, ctx.target
         unchanged = repeat(False)
     else:
-        shape = model.rules[rule]
-        summary, post = post_state(ctx, shape)
-        hyp = conjoin(_hypothesis(ctx, shape, summary))
+        summary, post = post_state(ctx, ctx.model.rules[rule])
         concl = ctx.formula
         # the activity variables the rule sets, each to a value other than
         # its pre-state reading (a variable), and the written variables
         changed = set(post.sets).union(summary or ())
         unchanged = map(changed.isdisjoint, ctx.conjunct_reads)
-    hyp = tuple(attach_bounds(c, env) for c in hyp)
     neg = []
     for conjunct, framed in zip(P.conjuncts(concl), unchanged):
         dnf = FALSE_DNF if framed else \
             ctx.formula_dnf(conjunct, post, negated=True)
-        neg.append(tuple(attach_bounds(c, env) for c in dnf))
+        neg.append(tuple(attach_bounds(c, ctx.env) for c in dnf))
+    hyp = hypothesis(ctx, rule, summary) if any(neg) else ()
     return CaseObligation(rule, hyp, tuple(neg))
 
 

@@ -4,10 +4,10 @@ Shape: an induction node with a base leaf and an exhaustive case
 distinction over rule instances, followed by ``case entail`` when the
 certificate has a target (its hypothesis cubes are the invariant's, its
 conjuncts the target's).  Under each case, one entry per hypothesis cube
-(disjunct split); each entry is either a contradiction witness refuting the
-hypothesis cube or one witness per joint cube, in the order of
-``obligations.joint_cubes``: conjunct by conjunct, then cube by cube within
-each conjunct's negated-conclusion DNF.
+(disjunct split), so none under a closed case; each entry is either a
+contradiction witness refuting the hypothesis cube or one witness per joint
+cube, in the order of ``obligations.joint_cubes``: conjunct by conjunct,
+then cube by cube within each conjunct's negated-conclusion DNF.
 
 The text form is line based with explicit counts, so parsing needs no
 lookahead and rejects any truncation:
@@ -19,6 +19,7 @@ lookahead and rejects any truncation:
     hyp 1 cubes 2
     <witness block>
     <witness block>
+    case trans:0 hyps 0
 """
 
 from __future__ import annotations

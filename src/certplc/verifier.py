@@ -63,15 +63,8 @@ def check_base(model: SfcModel, formula: P.Formula):
 
 def discharge(ob: O.CaseObligation):
     """Close one obligation; returns CaseProof or Refuted, and raises what
-    the decider raises (LimitExceeded, FragmentError).
-
-    When every negated-conclusion DNF is empty (the conclusion holds on
-    every post-state), each hypothesis cube gets an entry with no witness,
-    and nothing is decided.
-    """
-    if not any(ob.neg_concl):
-        empty = HypEntry(witnesses=())
-        return CaseProof(ob.rule.label(), (empty,) * len(ob.hyp_cubes))
+    the decider raises (LimitExceeded, FragmentError).  A closed case (no
+    negated-conclusion cube, so no hypothesis cube) gets no entry."""
     entries = []
     for hyp_cube in ob.hyp_cubes:
         res = decide_sat(hyp_cube)

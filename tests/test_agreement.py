@@ -186,7 +186,8 @@ def _framed(model, formulas):
 
 
 def test_rule_shapes_agree_on_fixtures():
-    """A rule fires concretely iff its hypothesis holds; the exact symbolic
+    """A rule fires concretely iff its hypothesis (``hypothesis``, which
+    build_obligation derives for an open case) holds; the exact symbolic
     post-state (``post_state``, which build_obligation reads) has exactly
     the successor's steps and pending actions; and a conjunct that the
     frame rule closes under a rule has the same truth value before and
@@ -196,8 +197,9 @@ def test_rule_shapes_agree_on_fixtures():
         model = load_model(name)
         ctx = O.DerivationContext(model, P.parse_formula_text(
             f"steps_within {{{', '.join(model.steps)}}}", model))
-        hyps = {rule: O.build_obligation(ctx, rule).hyp_cubes
-                for rule in model.rules}
+        hyps = {rule: O.hypothesis(ctx, rule,
+                                   O.post_state(ctx, shape)[0])
+                for rule, shape in model.rules.items()}
         atoms = [(P.Active("step", s), lambda c, s=s: s in c.active_steps)
                  for s in model.steps]
         atoms += [(P.Active("action", a),

@@ -97,14 +97,38 @@ class TestCheckRejections:
         assert not C.check(b"").accepted
 
     def test_bad_magic(self):
-        # CERTPLC/1 is the grammar with per-conjunct headers: rejected at
-        # its first line, before the proof section is read
+        # CERTPLC/1 is the grammar with per-conjunct headers, CERTPLC/2 the
+        # one that lists an entry per hypothesis cube of a closed case:
+        # each is rejected at its first line, before the proof is read
         _, _, data = proved_certificate()
-        for magic in (b"CERTPLC/9", b"CERTPLC/1"):
+        for magic in (b"CERTPLC/9", b"CERTPLC/1", b"CERTPLC/2"):
             bad = data.replace(C.MAGIC.encode(), magic, 1)
             assert bad != data
             v = C.check(bad)
             assert v.reason == "parse: bad magic line" and v.path == ()
+
+    def test_open_case_without_entries_is_a_count_mismatch(self):
+        # trans:0 is open: the checker derives its 8 hypothesis cubes
+        _, _, data = proved_certificate()
+        lines = data.decode().split("\n")
+        start = lines.index("case trans:0 hyps 8")
+        end = lines.index("case trans:1 hyps 8")
+        bad = "\n".join(lines[:start] + ["case trans:0 hyps 0"]
+                        + lines[end:])
+        v = C.check(bad.encode())
+        assert v.reason == "coverage: hypothesis cube count mismatch"
+        assert v.path == ("cases", "trans:0")
+
+    def test_closed_case_with_an_entry_is_a_count_mismatch(self):
+        # trans:2 is closed: the checker derives no hypothesis cube for it
+        _, _, data = proved_certificate()
+        text = data.decode()
+        assert "case trans:2 hyps 0\n" in text
+        bad = text.replace("case trans:2 hyps 0\n",
+                           "case trans:2 hyps 1\nhyp 0 cubes 0\n")
+        v = C.check(bad.encode())
+        assert v.reason == "coverage: hypothesis cube count mismatch"
+        assert v.path == ("cases", "trans:2")
 
     def test_digest_mismatch(self):
         _, _, data = proved_certificate()
@@ -548,83 +572,83 @@ class TestAllFixturesRoundTrip:
 # shows up here; a refactor that keeps the semantics keeps these bytes.
 FIXTURE_CERT_SHA256 = {
     "ambiguous/steps_declared":
-        "6c8ec0105e5b45673f05ef703fb055555dea8e481825daf77ebbe60c526a2416",
+        "b4ed94323fcd08945484de914c903a9bfcfd4768671404564d0d7bc09c4a6376",
     "ambiguous/no_actions":
-        "8a1369fc7656d75f9a4043c2655f48ed7203e42faea95e8d54076c4a366102d3",
+        "0b7989905a35584b5e874eb468a1b5ac58dd92d76ea61123f383d0386cebe0dc",
     "ambiguous/x_in_range":
-        "bddc8e05d33c93dd39ac2ecfb18b442952de20e7a9cf9d8709f41b46d13659ac",
+        "2be93ed89842300f78119104cc03209b6aaff12e4b0163ef0932bc93ac3084a9",
     "dead_ctx/y_positive":
-        "209adede0a1f2e9c181b588f165b361cae4933383774a5952c968c9141640b08",
+        "96b5fc223caa64143ef4f0990e1f5d297f31fae7a9a4cba86dcb4d00ec9be618",
     "dead_ctx/never_dead":
-        "8e90d3e6712129acd4834dcd5af331cab4e9a5d6476bb478c6e86e1befce847b",
+        "5841efc2ad8671e5e96fb0d6b9e3b418619e02b6976cb4bb4eb5292cdf8719e9",
     "dead_ctx/acts_declared":
-        "613a7aa3544851b8fb7165514c35918a2d165230608f2a40075773cca5806a43",
+        "eec25539853d626cc7705af68645303a36603420e1dc758469606275c86325e1",
     "fbd_counter/out_small":
-        "5a2e8bf8f754f6fd0723dd13a3d3f17e45cfde0b9f350a4676389a1719fc2259",
+        "2224ec55874880fcae7c034fba48f383d8ece57bb423b0c0590a6912efb04a1c",
     "fbd_counter/out_in_range":
-        "846c34fee396f83e4a30e0cbe6afc27af2518f5dc18dd86757ac35148e0479d9",
+        "f95ce8296687d9d47f5a3543be05255ffc26cc887f694104a868cf943a487ff5",
     "fbd_counter/acts_declared":
-        "60298e52d242341936498f8c535859131b8f4dcea4460f793c66223e6c1a4e8f",
+        "44056501636d7ea957e436749231fb411a68ceee1a6f7f3d73f505d7b7ec15d2",
     "fbd_inc/x_capped_ind":
-        "56c6b9e1a98ad0a773c5f0d691a4dda78db6a2152e3fb8c99fc81d55038ade65",
+        "1e88104bb037a905c398be34d362302e36831d375aaf5509aac28b864abf8167",
     "fbd_inc/in_range":
-        "0e2e12adce9dd72cdde6a372a10256fe54737fe6b7a964e7af9a7a0df2293134",
+        "4de50e3c143c7c9ac1e81415194dc428fc2880d9c07384a5507243ee7a871d5e",
     "fbd_inc/acts_declared":
-        "ee6d4904e3b2e61000fa5f41c9f9eb7989b9c5cf039c20cb46c4d86482d9ed59",
+        "c7488ca99ba77a083e91d9dd56e952aab58a7c74ee24a3b0d40a248d3f7d6141",
     "flip/tautology":
-        "4fcb9d0c0bd84d9d64cfaf256b0e0c92b0648d945c1fae7a19c96fc4f6ad47a9",
+        "c24b6a1f4f7f1b98d5c7219336068ee915da0d36c26f363bd5d82b2fe9d77d95",
     "flip/steps_declared":
-        "f9a277da3ed23a4034343ed272ac23b6cbe4bf6daea8816e10bdc9116c4225b9",
+        "e5e6c7d3ec7160f7a6b31e8fbaecb2c400fd659e0cc24b2dbeaa541883785f77",
     "flip/acts_declared":
-        "0e736e22bb4b5c633ddf03850ed9d4d722f44a94cc32208dfceaf8d9b013f00a",
+        "3b60d9520fb7a4b2acea2ed0d3c3ff3cb4f7791657bf6e4073eeb2c53fef506f",
     "hold_positive/y_positive":
-        "6c1dfe12c2bb7036008682963d7bd68832dd64a61698c675bb4ab5b32ff00751",
+        "28741b9d44acdad4f6d57fd33d647847ef7ca1b42a4819f256deccb4e95969ef",
     "hold_positive/y_low":
-        "9713b997d1c6fbbde761cae32a3a167656fc0ff59bc2fd446bf32a773db030aa",
+        "c49b14a5b9fddb68dbbdc3f50f568258cdc9340f29b380baa37405de3b790a4e",
     "hold_positive/acts_declared":
-        "f1e294c26e5c6e09899b86534a791343e3f59468d477062bd031b700d6d92c9f",
+        "96acc8492bc7324a37a0dbb243a75bfc77332543cca64c6eb220393487928d4f",
     "hold_positive/x_in_range":
-        "2db6df958ff2c0bd422ab73b83b2adda619c1d0d5bcfd488ad137dce921ba98f",
+        "b92b9f97d0844e56fa364207fae835a516d7db5b1eb9f1ecd23509e13759cffd",
     "init_multi/steps_declared":
-        "353ff089adc2cbe98b9feea26d33401ec407cf66988d9046d68a4926b0ef0735",
+        "32fdfaf45d69af773161c8a7a926ba4bfbf175eb87a6cdb93b2b6afe5503373e",
     "init_multi/no_actions":
-        "01e58329fa12b936be65da4883d5d793aa75989a9bd2718273215e8747c54aa4",
+        "8ee2fc7d27a5d6081710ddd98102da5ba5c81a9aa9bb3e48c64003cbc7934474",
     "init_multi/k_in_range":
-        "6754deb7787f04713aea4be28ee36b6ae2efbea20db948c4f716cf8154823bdc",
+        "50c55c6ddc14c7081d6a38f575656a3ee2b2b4e8ab12ee5d46cd99497aedef7d",
     "loop/x_capped_ind":
-        "6cf28c1f33aa0a3235d5f5f65534578a1e95f7a87e005db03311f2c940820a67",
+        "464f153116524852b65687fbae080d8182c3812820643161e1745dd2b8c72da3",
     "loop/in_range":
-        "a8f4b6d476312555866f7c91146146e54b62c3f9e4ae73bc9e14c767bad6c27b",
+        "25685c0a12197daff72c45ae7a95dd9cb264a4e48312b98c45502a678b73a072",
     "loop/acts_declared":
-        "4351cc531bc709101c9d7cd50a4eb402d4f15c828cc6b71a2c655d8198ee1216",
+        "b3deacd55afbb1027954745005a43e20c2cdf706ea6c28d0007669998f99fecc",
     "multi_action/c_small":
-        "94452be7f552d11d90a6d37a3f4ec399b4e868c1d52cac34874c2541619e45d7",
+        "73af881afa7ca22a3f0ea2e765a3f49dcd35ae09e4438c3c0a783c7b3a9414ae",
     "multi_action/steps_declared":
-        "52d97b0869ea630914f131f0d8eed230905145c68693ed561684673ad3a84841",
+        "5471b737064bfe32c2a18c45e511442cee4d6379e5bb7c068ddfd7e336605675",
     "multi_action/acts_declared":
-        "174fcf0de6e2ba6faaa0dad57ec3bcb32841fd153e96249fabe8dd54c991da1c",
+        "31ea952adb99c6469ec32918a032e665a2644b77231443c691d0842abbcffec3",
     "parallel/steps_declared":
-        "c5da247f3ca6528f5d33d2997fd98158aec0b07664598cf99ba1bd164922d07c",
+        "0c4033828eaa91f5575614a8f9c2ce7b3bde7c718d75e5427d946453f6d6d0fe",
     "parallel/acts_declared":
-        "07a074db53fc43cee90b387ed6d70c85500b191ae102c486bf480fcbb73e5636",
+        "ba092ed9e1f3da84357ff9fc0373332580b201b31bcedf1d77d33e6a60255f44",
     "parallel/x_in_range":
-        "8ffee7e3efa456851661c8a17333f1e78dc077a48a217a0e386b181dd32d62ed",
+        "5afcf7082cebeb5adafae0c5f46b1ac5f7c9101261e6d79a20fd8673ce2fc46b",
     "timer/one_tick":
-        "7285be5f1cd1946b6efc63a094faaf5bc47d8bbdf48ba96821b8d3ad504d12b3",
+        "9825922b75773e096221e29703a40a80c467dacab0cf3194ce27690f953e4b76",
     "timer/t_in_range":
-        "0ceb23ba5478141c29b76d5ddc02c21396ee087a79212d00eb3049b770f9c775",
+        "18f284ed2e55e7414a3638f59d83c8f8d630fc55a5362bc09ee8474282d5c727",
     "timer/acts_declared":
-        "0927933069ec260ea4495fc7936ebd726ed5675a09e150f33737b8d6b3e78cbd",
+        "73c753c72b4c0a3a1ea8af8b2eef73ae2075afef141325cd595f8914d6b9a1e1",
     "toggle/mutex":
-        "1bc9f51c4ec3b0929883f6a0aa779e1b75775f0274a92d3f473ab0bea71db68b",
+        "ef2492801c92188b7fad68e166ec8857a930ea8f48ca53c4b04521d16630fc08",
     "toggle/n_in_range":
-        "b6f2ddd083c5c83db6f661cc8e43b9755b09b1b64ac195c5b0cfb83a78211aca",
+        "819e51c0220c234555892b76f19ed74b4c696db190613c0688060fc12d6aa0e8",
     "toggle/acts_declared":
-        "1fb6729cd5941a2f218ba69e9fd7b5e0caa27edf664fa0d790df92fc0200ffe4",
+        "2d885cbbb26cd0528b6a631ffddff30239289d00fc3c46b4f9f71f9c274bb176",
     "wrap/in_range":
-        "84bd50f1393c47b211e936abf8956fda1ec718fb5a0d51660b62454beeae6f34",
+        "fb278ccaaa8e70aae0f371a08af04d164d035a3d1c2f0b93631d1088c9caca73",
     "wrap/acts_declared":
-        "3022641f37325c8d218faa512cacb36d808c42ce33796c6add49650868410bf6",
+        "9fb4c6c015ef78f6638f0b6f47ac020c46bedc4f9cd8bd331c23a73ef2b82feb",
 }
 
 
@@ -648,9 +672,9 @@ class TestCertificateBytes:
     # certificate does
     LOCKSTEP_CERT_SHA256 = {
         ("int8", 5):
-            "6abe4a0f044d032e766b1cbc86a900415a225df083681421c14a758badbadf60",
+            "59f4b8455c250d917956b81a9ac925aabfd16436f96e20cc41d2882486a7bb8e",
         ("int16", 12):
-            "42ffa8f189dad60d62e334d0bcbe9eabb4917c5f524418d93805dcb2f0b44908",
+            "b7005a2d17823c2c4fad09f2dab0e11487d9b856c61c58947a2eb476566bc760",
     }
 
     @pytest.mark.parametrize("width, c", sorted(LOCKSTEP_CERT_SHA256))
@@ -675,9 +699,9 @@ class TestCertificateBytes:
     # closing entail case
     TARGET_CERT_SHA256 = {
         "dead_ctx/unreachable":
-            "4b8551325d5b745e44c3858cfe886debe98a2d858c8dbf97811422a8cd252059",
+            "d3ddf7d1c9023d3f6cd817accd9b57d5649b7048884e38c8f5128cc13a93522c",
         "loop/determined":
-            "2543980f79bf46aa30fa3f77cf026434c53cb09ba4da015f5c44f3483a6acc5f",
+            "be679cbdc6692b5dfb3411dc990e78fc565d0a2f55bee34d1fdf70a3e16ea7fd",
     }
 
     def test_target_certificates_are_byte_identical(self):

@@ -169,7 +169,7 @@ class TestVerifyCertify:
         assert "Rejected" in out
 
     @pytest.mark.parametrize("model, prop, rule", [
-        (NONLINEAR_GUARD, "invariant t : always (x <= 65535);\n", "trans:0"),
+        (NONLINEAR_GUARD, "invariant t : always (!step(T));\n", "trans:0"),
         (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, "exec:A"),
     ], ids=["guard", "atom"])
     def test_nonlinear_is_undecided_not_a_crash(self, tmp_path, capsys,

@@ -41,8 +41,9 @@ def _cases():
             yield name, model, inv.formula
     m = parse_model(OPAQUE)
     yield "opaque", m, P.parse_formula_text("y <= 65535", m)
+    # trans:0 activates T, so its case needs the guard
     m = parse_model(NONLINEAR_GUARD)
-    yield "nonlinear_guard", m, P.parse_formula_text("x <= 65535", m)
+    yield "nonlinear_guard", m, P.parse_formula_text("!step(T)", m)
     m = parse_model(NONLINEAR_ATOM)
     yield "nonlinear_atom", m, P.parse_properties(NONLINEAR_ATOM_PROP,
                                                   m)[0].formula
@@ -75,11 +76,17 @@ class TestSharedEqualsFresh:
         assert want <= seen
 
     def test_failed_piece_fails_again_with_same_message(self):
-        m = parse_model(NONLINEAR_ATOM)
-        f = P.parse_properties(NONLINEAR_ATOM_PROP, m)[0].formula
+        # every rule can falsify a conjunct, so every case is open (B makes
+        # react:T change something): the execute cases fail in their
+        # negated conclusion, the others in the pre-state DNF
+        m = parse_model(NONLINEAR_ATOM.replace(
+            "trans ", "action B on T { y := 0; }\ntrans "))
+        f = P.parse_formula_text(
+            "x * y <= 5000 && !step(T) && !action(A) && !action(B)", m)
         ctx = O.DerivationContext(m, f)
         rules = list(m.rules)
-        assert len(rules) == 4  # exec:A, trans:0, react:S, react:T
+        # exec:A, exec:B, trans:0, react:S, react:T
+        assert len(rules) == 5
         for rule in rules:
             assert _outcome(ctx, rule) == (
                 L.FragmentError,
@@ -432,9 +439,12 @@ class TestFrameRule:
         # reactivating U runs no action and toggles nothing
         f = P.parse_formula_text("x <= 100 && step(U) && steps_within {U}",
                                  FRAME)
-        ob = O.build_obligation(O.DerivationContext(FRAME, f),
-                                S.Reactivate("U"))
-        assert ob.hyp_cubes and ob.neg_concl == ((), (), ())
+        ctx = O.DerivationContext(FRAME, f)
+        ob = O.build_obligation(ctx, S.Reactivate("U"))
+        assert ob.neg_concl == ((), (), ())
+        # a closed case: its hypothesis has cubes, the obligation none
+        assert O.hypothesis(ctx, S.Reactivate("U"), None)
+        assert ob.hyp_cubes == ()
 
     def test_entail_is_never_framed(self):
         # nothing changes between ENTAIL's pre- and post-state, so a frame

@@ -75,16 +75,20 @@ class TestObligations:
             assert labels == expected
 
     def test_guard_enters_hypothesis_cube(self, loop_model):
+        # trans:0 activates Step2, so the case is open
         ob = O.build_obligation(
-            O.DerivationContext(loop_model, formula("true", loop_model)),
+            O.DerivationContext(loop_model, formula("!step(Step2)",
+                                                    loop_model)),
             S.StepTransition(0))
+        assert ob.hyp_cubes
         from certplc.linear import LinCon
         want = LinCon((("x", 1),), "<=", 9)
         assert all(want in cube for cube in ob.hyp_cubes)
 
     def test_transition_hypothesis_names_sources_and_actions(self, loop_model):
         ob = O.build_obligation(
-            O.DerivationContext(loop_model, formula("true", loop_model)),
+            O.DerivationContext(loop_model, formula("!step(Step2)",
+                                                    loop_model)),
             S.StepTransition(0))
         from certplc.linear import LinCon
         cube = ob.hyp_cubes[0]
@@ -98,9 +102,10 @@ class TestObligations:
         assert res.reason == "exec:Amux: diagram is not linear"
 
     def test_nonlinear_guard_reported_undecided(self):
+        # trans:0 activates T, so its case needs the guard
         m = parse_model(NONLINEAR_GUARD)
         res = V.verify_invariant(m, P.Invariant("t",
-                                                formula("x <= 65535", m)))
+                                                formula("!step(T)", m)))
         assert isinstance(res, V.Undecided)
         assert res.rule == S.StepTransition(0)
         assert res.reason == ("trans:0: multiplication of two non-constant "
@@ -136,27 +141,31 @@ def _huge_chart(rhs, guard):
             f"trans {{S}} -[ {guard} < 3 ]-> {{T}}\n")
 
 
+_CAPPED_GUARD = NONLINEAR_GUARD.replace("x * y < 3",
+                                        "x == 1 || x == 2 || x == 3")
+_TWO_CUBES = (L, "CAP", 2)
+
 # Every source of an Undecided case: the chart, its property, the case that
 # fails, the checker's rejection prefix for that case (None: the checker
 # runs no decider) and a patch in force for the verifier and the checker.
+# Each property is one the failing rule can falsify, so its case is open
+# and its hypothesis derived.
 _UNDECIDED = {
-    "nonlinear-guard": (NONLINEAR_GUARD, "x <= 65535", S.StepTransition(0),
+    "nonlinear-guard": (NONLINEAR_GUARD, "!step(T)", S.StepTransition(0),
                         "unsupported-effect", None),
     "nonlinear-atom": (NONLINEAR_ATOM, "x * y <= 5000", S.ExecuteAction("A"),
                        "unsupported-effect", None),
     "opaque-effect": (OPAQUE, "y <= 65535", S.ExecuteAction("Amux"),
                       "unsupported-effect", None),
-    "wrap-quotient-cap": (WRAP_BLOWUP, "steps_within {S}",
-                          S.ExecuteAction("A"), "resource", None),
-    "wrap-quotient-count-assignment": (_huge_chart(_HUGE, "x"), "x <= 255",
+    "wrap-quotient-cap": (WRAP_BLOWUP, "z == y", S.ExecuteAction("A"),
+                          "resource", None),
+    "wrap-quotient-count-assignment": (_huge_chart(_HUGE, "x"), "x == 0",
                                        S.ExecuteAction("A"), "resource",
                                        None),
-    "wrap-quotient-count-guard": (_huge_chart("x + 1", _HUGE), "x <= 255",
+    "wrap-quotient-count-guard": (_huge_chart("x + 1", _HUGE), "!step(T)",
                                   S.StepTransition(0), "resource", None),
-    "disjunct-cap": (NONLINEAR_GUARD.replace("x * y < 3",
-                                             "x == 1 || x == 2 || x == 3"),
-                     "x <= 65535", S.StepTransition(0), "resource",
-                     (L, "CAP", 2)),
+    "disjunct-cap": (_CAPPED_GUARD, "!step(T)", S.StepTransition(0),
+                     "resource", _TWO_CUBES),
     "decider-budget": (NONLINEAR_ATOM, "x <= 9 || step(S)",
                        S.ExecuteAction("A"), None,
                        (V, "decide_sat", partial(decide_sat, max_derived=0))),
@@ -200,6 +209,43 @@ class TestUndecidedPath:
         assert v.path == ("cases", rule.label())
 
 
+# _UNDECIDED's charts under properties that no rule can falsify: every case
+# is closed without its hypothesis, so the failure inside that hypothesis
+# is never met.
+_CLOSED = {
+    "nonlinear-guard": (NONLINEAR_GUARD, "x <= 65535", None),
+    "wrap-quotient-cap": (WRAP_BLOWUP, "steps_within {S}", None),
+    "wrap-quotient-count-assignment": (_huge_chart(_HUGE, "x"), "x <= 255",
+                                       None),
+    "wrap-quotient-count-guard": (_huge_chart("x + 1", _HUGE), "x <= 255",
+                                  None),
+    "disjunct-cap": (_CAPPED_GUARD, "x <= 65535", _TWO_CUBES),
+}
+
+
+class TestClosedCases:
+    @pytest.mark.parametrize("source", list(_CLOSED.values()),
+                             ids=list(_CLOSED))
+    def test_failure_inside_a_closed_case_is_proved(self, source,
+                                                    monkeypatch):
+        """A case whose negated conclusions are all empty carries no
+        hypothesis, so a failure inside the hypothesis cannot leave it
+        undecided; the certificate lists it as ``hyps 0``, the checker
+        accepts it, and the property holds on the reachable states."""
+        chart, prop, patch = source
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        model = parse_model(chart)
+        inv = P.Invariant("p", formula(prop, model))
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Proved)
+        assert all(case.hyps == () for case in res.tree.cases)
+        data = C.emit(model, inv, res.tree)
+        assert C.check(data).accepted
+        assert all(P.holds_on(inv.formula, s)
+                   for s in reachable_bounded(model, 6))
+
+
 class TestDischarge:
     def test_contradictory_hypothesis_closes_case(self, loop_model):
         # reactivating Init requires both outgoing guards false: impossible;
@@ -222,9 +268,9 @@ class TestDischarge:
         inv = P.Invariant("t", formula("true", loop_model))
         res = V.verify_invariant(loop_model, inv)
         assert isinstance(res, V.Proved)
-        entries = [e for case in res.tree.cases for e in case.hyps]
-        assert entries
-        assert all(entry.witnesses == () for entry in entries)
+        # every case is closed, so none has an entry
+        assert res.tree.cases
+        assert all(case.hyps == () for case in res.tree.cases)
         return C.emit(loop_model, inv, res.tree).decode()
 
     def test_true_conclusion_is_closed_without_decisions(self, true_cert):
