@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import expr as E
 from .linear import FragmentError, LinDomain, LinForm
-from .parsing import ParseError, TokenStream
+from .parsing import TokenStream
 
 ARITH_KINDS = ("add", "sub", "mul")
 CMP_KINDS = ("lt", "le", "eq", "ne", "ge", "gt")
@@ -153,7 +153,14 @@ def validate_fbd(f: Fbd, env: dict[str, str]):
     if not 1 <= f.time_slice <= MAX_TIME_SLICE:
         raise FbdError(f"time slice must be positive and at most "
                        f"{MAX_TIME_SLICE}")
+
+    def fixed_type(b, port):
+        return "bool" if port == "bool" else env[b.var]
+
     seen, written = set(), set()
+    own = {}  # the blocks that keep their own type: reads and comparisons
+    wires = []  # (block, port, operand, class node or None), in block order
+    fixes = []  # (node, type) of every type fixed, in block order
     for b in f.blocks:
         if b.id in seen:
             raise FbdError(f"duplicate block id {b.id!r}")
@@ -171,20 +178,21 @@ def validate_fbd(f: Fbd, env: dict[str, str]):
                 raise FbdError(f"variable {b.var!r} written by more than "
                                f"one block")
             written.add(b.var)
+        if b.kind == "read" or b.kind in CMP_KINDS:
+            own[b.id] = "bool" if b.kind in CMP_KINDS else env[b.var]
+            fixes.append((b.id, own[b.id]))
+        # a const block's literal is an input of its own type
+        for port, op in ((("own", ConstIn(b.value)),) if b.kind == "const"
+                         else zip(PORTS[b.kind], b.inputs)):
+            n = b.id if port in ("own", "int") else \
+                (b.id, port) if port == "operand" else None
+            wires.append((b, port, op, n))
+            if n is None and isinstance(op, PortRef):
+                fixes.append((op.block, fixed_type(b, port)))
+            elif n is not None and isinstance(op, ConstIn) \
+                    and isinstance(op.value, bool):
+                fixes.append((n, "bool"))
     order = topo_order(f)  # rejects undelayed cycles and bad references
-
-    def ports(b):  # a const block's literal is an input of its own type
-        return (("own", ConstIn(b.value)),) if b.kind == "const" \
-            else zip(PORTS[b.kind], b.inputs)
-
-    def node(b, port):  # the class a port joins, None for a fixed type
-        return {"own": b.id, "int": b.id, "operand": (b.id, port)}.get(port)
-
-    def fixed_type(b, port):
-        return "bool" if port == "bool" else env[b.var]
-
-    def literal_type(op):
-        return "bool" if isinstance(op.value, bool) else None
 
     root: dict = {}  # union-find over the nodes
 
@@ -195,43 +203,30 @@ def validate_fbd(f: Fbd, env: dict[str, str]):
             n = root[n]
         return n
 
-    for b in f.blocks:
-        for port, op in ports(b):
-            if isinstance(op, PortRef) and node(b, port) is not None:
-                root[find(op.block)] = find(node(b, port))
-    own = {b.id: env[b.var] for b in f.blocks if b.kind == "read"}
-    own.update((b.id, "bool") for b in f.blocks if b.kind in CMP_KINDS)
+    for b, port, op, n in wires:
+        if n is not None and isinstance(op, PortRef):
+            root[find(op.block)] = find(n)
     fixed: dict = {}  # class root -> its type
-    for b in f.blocks:
-        if b.id in own:
-            fixed.setdefault(find(b.id), own[b.id])
-        for port, op in ports(b):
-            n = node(b, port)
-            if n is None and isinstance(op, PortRef):
-                fixed.setdefault(find(op.block), fixed_type(b, port))
-            elif n is not None and isinstance(op, ConstIn) \
-                    and literal_type(op):
-                fixed.setdefault(find(n), "bool")
+    for n, ty in fixes:
+        fixed.setdefault(find(n), ty)
 
     def class_type(n):
         return fixed.get(find(n), E.DEFAULT_INT)
 
     types = {b.id: own.get(b.id) or class_type(b.id) for b in f.blocks
              if b.kind != "write"}
-    for b in f.blocks:
-        for port, op in ports(b):
-            got = types[op.block] if isinstance(op, PortRef) \
-                else literal_type(op)
-            n = node(b, port)
-            want = fixed_type(b, port) if n is None else class_type(n)
-            if "bool" in (got, want) and port in ("int", "operand"):
-                raise FbdError(f"block {b.id!r}: boolean input to {b.kind}")
-            if got is None and want == "bool":
-                raise FbdError(f"block {b.id!r}: integer constant in "
-                               f"boolean position")
-            if got is not None and got != want:
-                raise FbdError(f"block {b.id!r}: {got} input to {want} "
-                               f"{b.kind}")
+    for b, port, op, n in wires:
+        got = types[op.block] if isinstance(op, PortRef) \
+            else "bool" if isinstance(op.value, bool) else None
+        want = fixed_type(b, port) if n is None else class_type(n)
+        if "bool" in (got, want) and port in ("int", "operand"):
+            raise FbdError(f"block {b.id!r}: boolean input to {b.kind}")
+        if got is None and want == "bool":
+            raise FbdError(f"block {b.id!r}: integer constant in "
+                           f"boolean position")
+        if got is not None and got != want:
+            raise FbdError(f"block {b.id!r}: {got} input to {want} "
+                           f"{b.kind}")
     return order, types
 
 
@@ -367,21 +362,19 @@ def linear_summary(p: Program):
 # PORT is either `ID.out` or an inline `const LIT`.
 
 def _parse_operand(ts: TokenStream) -> Operand:
-    if ts.at("const"):
-        ts.next()
+    if ts.accept("const"):
         return ConstIn(_parse_const_lit(ts))
     name = ts.ident()
     ts.expect(".")
-    out = ts.ident()
-    if out.text != "out":
-        raise ParseError(f"expected port 'out', found {out.text!r}",
-                         out.line, out.col)
-    return PortRef(name.text)
+    at_port = ts.pos
+    port = ts.ident()
+    if port != "out":
+        ts.error(f"expected port 'out', found {port!r}", at_port)
+    return PortRef(name)
 
 
 def _parse_const_lit(ts: TokenStream):
-    t = ts.peek()
-    if t.kind == "int":
+    if ts.peek().isdigit():
         return ts.integer()
     if ts.accept("true"):
         return True
@@ -399,23 +392,23 @@ def parse_fbd(ts: TokenStream, name: str) -> Fbd:
             if time_slice is not None:
                 ts.error("duplicate timeslice")
             ts.next()
-            t = ts.peek()
+            at_slice = ts.pos
             time_slice = ts.integer()
             if not 1 <= time_slice <= MAX_TIME_SLICE:
-                raise ParseError(f"time slice must be positive and at most "
-                                 f"{MAX_TIME_SLICE}", t.line, t.col)
+                ts.error(f"time slice must be positive and at most "
+                         f"{MAX_TIME_SLICE}", at_slice)
             continue
         ts.expect("block")
-        bid = ts.ident().text
+        bid = ts.ident()
         ts.expect("=")
-        kw = ts.ident()
-        kind = kw.text
+        at_kind = ts.pos
+        kind = ts.ident()
         if kind not in PORTS:
-            raise ParseError(f"unknown block kind {kind!r}", kw.line, kw.col)
+            ts.error(f"unknown block kind {kind!r}", at_kind)
         if kind == "read":
-            blocks.append(Block(bid, kind, var=ts.ident().text))
+            blocks.append(Block(bid, kind, var=ts.ident()))
         elif kind == "write":
-            var = ts.ident().text
+            var = ts.ident()
             ts.expect("(")
             src = _parse_operand(ts)
             ts.expect(")")
@@ -429,8 +422,7 @@ def parse_fbd(ts: TokenStream, name: str) -> Fbd:
                 ops.append(_parse_operand(ts))
             ts.expect(")")
             if len(ops) != len(PORTS[kind]):
-                raise ParseError(f"{kind} takes {len(PORTS[kind])} inputs",
-                                 kw.line, kw.col)
+                ts.error(f"{kind} takes {len(PORTS[kind])} inputs", at_kind)
             blocks.append(Block(bid, kind, inputs=tuple(ops)))
     return Fbd(name, tuple(sorted(blocks, key=lambda b: b.id)),
                time_slice if time_slice is not None else 1)

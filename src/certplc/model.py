@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
 from . import expr as E
 from . import fbd as F
-from .parsing import ParseError, TokenStream, lex, parse_expression
+from .parsing import ParseError, TokenStream, parse_expression
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -135,11 +135,12 @@ class SfcModel:
     def _names(self):
         """Name indexes: action id -> block, fbd name -> diagram, step ->
         its action ids, and fbd name -> program (filled by ``program``)."""
-        by_step: dict[str, tuple[str, ...]] = {}
+        by_step: dict[str, list[str]] = {}
         for a in self.actions:
-            by_step[a.step] = by_step.get(a.step, ()) + (a.id,)
+            by_step.setdefault(a.step, []).append(a.id)
         return ({a.id: a for a in self.actions},
-                {f.name: f for f in self.fbds}, by_step, {})
+                {f.name: f for f in self.fbds},
+                {s: tuple(ids) for s, ids in by_step.items()}, {})
 
     def action(self, aid: str) -> ActionBlock:
         return self._names[0][aid]
@@ -329,7 +330,7 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
             elif ty != "bool" and et != ty and E.vars_of(e):
                 out.append(f"action {a.id!r}: width mismatch assigning "
                            f"{et} to {ty} variable {name!r}")
-        actions[-1] = replace(a, assigns=tuple(assigns))
+        actions[-1] = ActionBlock(a.id, a.step, tuple(assigns))
 
     transitions = []
     for i, t in enumerate(model.transitions):
@@ -350,13 +351,13 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
             guard, gt = E.typecheck(t.guard, env)
             if gt != "bool":
                 out.append(f"transition {i}: guard is not boolean")
-            t = replace(t, guard=guard)
+            t = Transition(t.sources, guard, t.targets, t.priority)
         except E.ExprError as err:
             out.append(f"transition {i}: {err}")
         transitions.append(t)
 
-    typed = replace(model, actions=tuple(actions),
-                    transitions=tuple(transitions))
+    typed = SfcModel(model.vars, model.steps, model.initial,
+                     tuple(actions), tuple(transitions), model.fbds)
     # same declarations and diagrams, so the programs compiled above hold
     typed._names[3].update(model._names[3])
     return typed, out
@@ -366,62 +367,61 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
 
 def parse_model(text: str) -> SfcModel:
     """Parse and fully check a model document."""
-    ts = TokenStream(lex(text))
+    ts = TokenStream(text)
     vars_, steps, initial = [], [], []
     actions, transitions, fbds = [], [], []
+    hosts = []  # the token index of each action's step
 
-    while ts.peek().kind != "eof":
-        t = ts.peek()
+    while ts.peek():
         if ts.accept("var"):
-            name = ts.ident().text
+            name = ts.ident()
             ts.expect(":")
-            tyt = ts.ident()
-            if tyt.text not in E.TYPES:
-                raise ParseError(f"unknown type {tyt.text!r}", tyt.line,
-                                 tyt.col)
+            at_ty = ts.pos
+            ty = ts.ident()
+            if ty not in E.TYPES:
+                ts.error(f"unknown type {ty!r}", at_ty)
             init = None
             if ts.accept("="):
-                lt = ts.peek()
+                at_init = ts.pos
                 if ts.accept("true"):
                     init = 1
                 elif ts.accept("false"):
                     init = 0
                 else:
                     init = ts.integer()
-                if tyt.text == "bool" and init not in (0, 1):
-                    raise ParseError("boolean initializer must be "
-                                     "true or false", lt.line, lt.col)
-                if init > E.max_of(tyt.text):
-                    raise ParseError(f"initializer {init} out of range "
-                                     f"for {tyt.text}", lt.line, lt.col)
-            vars_.append(VarDecl(name, tyt.text, init))
+                if ty == "bool" and init not in (0, 1):
+                    ts.error("boolean initializer must be true or false",
+                             at_init)
+                if init > E.max_of(ty):
+                    ts.error(f"initializer {init} out of range for {ty}",
+                             at_init)
+            vars_.append(VarDecl(name, ty, init))
         elif ts.accept("step"):
-            name = ts.ident().text
+            name = ts.ident()
             if ts.accept("["):
                 ts.expect("initial")
                 ts.expect("]")
                 initial.append(name)
             steps.append(name)
         elif ts.accept("action"):
-            aid = ts.ident().text
+            aid = ts.ident()
             ts.expect("on")
+            hosts.append(ts.pos)
             host = ts.ident()
             if ts.accept("="):
                 ts.expect("fbd")
-                ref = ts.ident().text
-                actions.append((host, ActionBlock(aid, host.text,
-                                                  fbd_ref=ref)))
+                actions.append(ActionBlock(aid, host, fbd_ref=ts.ident()))
             else:
                 ts.expect("{")
                 assigns = []
                 while not ts.accept("}"):
-                    target = ts.ident().text
+                    target = ts.ident()
                     ts.expect(":=")
                     rhs = parse_expression(ts)
                     ts.expect(";")
                     assigns.append((target, rhs))
-                actions.append((host, ActionBlock(aid, host.text,
-                                                  assigns=tuple(assigns))))
+                actions.append(ActionBlock(aid, host,
+                                           assigns=tuple(assigns)))
         elif ts.accept("trans"):
             sources = _parse_step_set(ts)
             ts.expect("-[")
@@ -435,18 +435,18 @@ def parse_model(text: str) -> SfcModel:
                 ts.expect("]")
             transitions.append(Transition(sources, guard, targets, prio))
         elif ts.accept("fbd"):
-            name = ts.ident().text
+            name = ts.ident()
             fbds.append(F.parse_fbd(ts, name))
         else:
-            ts.error(f"expected declaration, found {t.text!r}")
+            ts.expected("declaration")
 
-    for host, _ in actions:
-        if host.text not in steps:
-            raise ParseError(f"action attached to unknown step {host.text!r}",
-                             host.line, host.col)
+    declared = set(steps)
+    for at_host, a in zip(hosts, actions):
+        if a.step not in declared:
+            ts.error(f"action attached to unknown step {a.step!r}", at_host)
 
     model, problems = _checked(_normalized(
-        vars_, steps, initial, [a for _, a in actions], transitions, fbds))
+        vars_, steps, initial, actions, transitions, fbds))
     if problems:
         raise ParseError("; ".join(problems))
     return model
@@ -454,9 +454,9 @@ def parse_model(text: str) -> SfcModel:
 
 def _parse_step_set(ts: TokenStream) -> tuple[str, ...]:
     ts.expect("{")
-    names = [ts.ident().text]
+    names = [ts.ident()]
     while ts.accept(","):
-        names.append(ts.ident().text)
+        names.append(ts.ident())
     ts.expect("}")
     return tuple(names)
 

@@ -1,9 +1,18 @@
-"""Lexer and expression parser shared by the model, property and CLI surfaces."""
+"""Lexer and expression parser shared by the model, property and CLI surfaces.
+
+Tokens are plain strings.  ``lex`` finds them with one regular expression
+and drops the comments.  A token's first character tells its kind: a
+letter or `_` starts an identifier, an ASCII digit an integer, anything
+else a symbol; the empty string is end of input.  No token carries a position:
+``position`` scans the text again with the same pattern, only when a
+ParseError needs the line and column of a token index, and a parser that
+reports a token read earlier keeps its index (``TokenStream.pos``).
+"""
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from . import expr as E
 
@@ -17,105 +26,107 @@ class ParseError(Exception):
         super().__init__(where + message)
 
 
-class Token(NamedTuple):
-    kind: str  # 'ident' | 'int' | 'op' | 'eof'
-    text: str
-    line: int
-    col: int
-
-
 _SYMBOLS = (
     ":=", "-[", "]->", "<=", ">=", "==", "!=", "&&", "||",
     "{", "}", "(", ")", "[", "]", ":", ";", ",", ".",
     "<", ">", "=", "!", "+", "-", "*",
 )
+_WORD_START = frozenset("abcdefghijklmnopqrstuvwxyz"
+                        "ABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
 
-# Blanks, then one token, a newline (after an optional comment), a comment
-# at the end of the text, or any other character, which is an error.
-# Symbols are tried in the order above, so `]->` wins over `]`.
+# One token, a comment to end of line, or any other character but a blank,
+# which is an error; blanks are skipped.  Symbols are tried in the order
+# above, so `]->` wins over `]`.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
-    r"|(?P<op>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
-    r"|(?P<nl>(?:#[^\n]*)?\n)|#[^\n]*|(?P<bad>[^ \t\r\n]))")
+    r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|"
+    + "|".join(map(re.escape, _SYMBOLS)) + r"|#[^\n]*|[^ \t\r\n]")
 
 
-def lex(text: str) -> list[Token]:
-    """Identifiers, ASCII decimal integers and symbols; blanks and `#`
-    comments to end of line are skipped.  Columns count characters."""
-    toks = []
-    new = tuple.__new__  # Token(...) without NamedTuple's Python-level __new__
-    line, base = 1, -1  # base: offset of the line's first column, minus 1
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            base = m.end() - 1
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", line,
-                             m.start(kind) - base)
-        elif kind is not None:
-            toks.append(new(Token, (kind, m[kind], line,
-                                    m.start(kind) - base)))
-    # end of input sits at the end of the last line or at its comment
-    hash_at = text.find("#", base + 1)
-    end = len(text) if hash_at < 0 else hash_at
-    toks.append(Token("eof", "", line, end - base))
+def lex(text: str) -> list[str]:
+    """Identifiers, ASCII decimal integers and symbols, end of input not
+    included; blanks and `#` comments to end of line are skipped.  A token
+    is ASCII, so ``str.isidentifier`` and ``str.isdigit`` tell its kind."""
+    toks = _TOKEN.findall(text)
+    if "#" in text:
+        toks = [t for t in toks if t[0] != "#"]
+    stray = {t for t in set(toks).difference(_SYMBOLS)
+             if t[0] not in _WORD_START}
+    if stray:
+        i = next(i for i, t in enumerate(toks) if t in stray)
+        raise ParseError(f"unexpected character {toks[i]!r}",
+                         *position(text, i))
     return toks
 
 
+def position(text: str, i: int) -> tuple[int, int]:
+    """Line and column of token *i* of ``lex(text)``, or of end of input
+    when *i* is the token count.  Both count from 1, columns in
+    characters."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if m[0][0] != "#")
+    at = next(islice(starts, i, None), None)
+    if at is None:  # end of input: the last line's end, or its comment
+        at = (text + "#").find("#", text.rfind("\n") + 1)
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._toks = tokens  # ends with the eof token
-        self._pos = 0
+    """The tokens of one text and a cursor, ``pos``, into them."""
 
-    def peek(self, ahead: int = 0) -> Token:
-        """The token *ahead* places past the current one (eof at the end)."""
-        if ahead:
-            return self._toks[min(self._pos + ahead, len(self._toks) - 1)]
-        return self._toks[self._pos]
+    def __init__(self, text: str):
+        self._text = text
+        self._toks = lex(text) + ["", ""]  # end of input, and for peek(1)
+        self.pos = 0
 
-    def next(self) -> Token:
-        t = self._toks[self._pos]
-        if t.kind != "eof":
-            self._pos += 1
+    def peek(self, ahead: int = 0) -> str:
+        """The current token, or with *ahead* 1 the one after it."""
+        return self._toks[self.pos + ahead]
+
+    def next(self) -> str:
+        t = self._toks[self.pos]
+        self.pos += t != ""  # end of input stays current
         return t
 
     def at(self, text: str) -> bool:
-        t = self._toks[self._pos]
-        return t.text == text and t.kind in ("op", "ident")
+        return self._toks[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        t = self._toks[self._pos]
-        if t.text == text and t.kind in ("op", "ident"):
-            self._pos += 1  # not eof, whose text is empty
+        if self._toks[self.pos] == text:
+            self.pos += 1  # not end of input, whose text is empty
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        return self._take(self.at(text), repr(text))
+    def expect(self, text: str) -> str:
+        if self._toks[self.pos] != text:
+            self.expected(repr(text))
+        self.pos += 1
+        return text
 
-    def ident(self) -> Token:
-        return self._take(self._toks[self._pos].kind == "ident", "identifier")
-
-    def integer(self) -> int:
-        t = self._take(self._toks[self._pos].kind == "int", "number")
-        try:
-            return int(t.text)
-        except ValueError:  # more digits than int converts
-            raise ParseError("number too long", t.line, t.col) from None
-
-    def _take(self, ok: bool, what: str) -> Token:
-        """Consume the current token if *ok*; else *what* was expected."""
-        t = self._toks[self._pos]
-        if not ok:
-            raise ParseError(f"expected {what}, found "
-                             f"{t.text or 'end of input'!r}", t.line, t.col)
-        self._pos += 1
+    def ident(self) -> str:
+        t = self._toks[self.pos]
+        if not t.isidentifier():
+            self.expected("identifier")
+        self.pos += 1
         return t
 
-    def error(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+    def integer(self) -> int:
+        t = self._toks[self.pos]
+        if not t.isdigit():
+            self.expected("number")
+        self.pos += 1
+        try:
+            return int(t)
+        except ValueError:  # more digits than int converts
+            raise ParseError("number too long",
+                             *position(self._text, self.pos - 1)) from None
+
+    def expected(self, what: str):
+        """Raise a ParseError: *what* was expected at the current token."""
+        self.error(f"expected {what}, found {self.peek() or 'end of input'!r}")
+
+    def error(self, message: str, at: int | None = None):
+        """Raise a ParseError at token *at*, by default the current one."""
+        raise ParseError(message, *position(
+            self._text, self.pos if at is None else at))
 
 
 # --- expressions ----------------------------------------------------------
@@ -177,9 +188,9 @@ def _parse_not(ts, hook, depth):
             return e
     e = _parse_sum(ts, hook, depth)
     t = ts.peek()
-    if t.kind == "op" and t.text in _CMP_TOKENS:
+    if t in _CMP_TOKENS:
         ts.next()
-        op = "==" if t.text == "=" else t.text
+        op = "==" if t == "=" else t
         return E.Cmp(op, e, _parse_sum(ts, hook, depth))
     return e
 
@@ -193,22 +204,22 @@ def _parse_sum(ts, hook, depth):
         args.append(E.chain(E.Prod, factors))
         if not (ts.at("+") or ts.at("-")):
             return E.Sum(tuple(args), tuple(signs)) if args[1:] else args[0]
-        signs.append(1 if ts.next().text == "+" else -1)
+        signs.append(1 if ts.next() == "+" else -1)
 
 
 def _parse_atom(ts, hook, depth):
     t = ts.peek()
-    if t.kind == "int":
+    if t.isdigit():
         return E.IntLit(ts.integer())
-    if t.kind == "ident":
+    if t.isidentifier():
         ts.next()
-        if t.text == "true":
+        if t == "true":
             return E.BoolLit(True)
-        if t.text == "false":
+        if t == "false":
             return E.BoolLit(False)
-        return E.Var(t.text)
-    if ts.at("("):
+        return E.Var(t)
+    if t == "(":
         e = _parse_or(ts, hook, _deeper(ts, depth))
         ts.expect(")")
         return e
-    ts.error(f"expected expression, found {t.text or 'end of input'!r}")
+    ts.expected("expression")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import expr as E
 from .model import SfcModel, SfcState
-from .parsing import ParseError, TokenStream, lex, parse_expression
+from .parsing import ParseError, TokenStream, parse_expression
 
 
 @dataclass(frozen=True)
@@ -110,26 +110,24 @@ def _parse_name_set(ts: TokenStream) -> tuple[str, ...]:
     ts.expect("{")
     names = []
     if not ts.at("}"):
-        names.append(ts.ident().text)
+        names.append(ts.ident())
         while ts.accept(","):
-            names.append(ts.ident().text)
+            names.append(ts.ident())
     ts.expect("}")
     return tuple(sorted(set(names)))
 
 
 def _activity_atom(ts: TokenStream):
     t = ts.peek()
-    if t.kind != "ident":
-        return None
-    if t.text in ("step", "action") and ts.peek(1).text == "(":
+    if t in ("step", "action") and ts.peek(1) == "(":
         ts.next()
         ts.expect("(")
-        name = ts.ident().text
+        name = ts.ident()
         ts.expect(")")
-        return Active(t.text, name)
-    if t.text in ("steps_within", "actions_within"):
+        return Active(t, name)
+    if t in ("steps_within", "actions_within"):
         ts.next()
-        return Within(t.text[:-len("s_within")], _parse_name_set(ts))
+        return Within(t[:-len("s_within")], _parse_name_set(ts))
     return None
 
 
@@ -138,16 +136,16 @@ def parse_formula(ts: TokenStream) -> Formula:
 
 
 def parse_properties(text: str, model: SfcModel | None = None) -> list[Invariant]:
-    ts = TokenStream(lex(text))
+    ts = TokenStream(text)
     out = []
     names = set()
-    while ts.peek().kind != "eof":
+    while ts.peek():
         ts.expect("invariant")
-        name_tok = ts.ident()
-        if name_tok.text in names:
-            raise ParseError(f"duplicate invariant {name_tok.text!r}",
-                             name_tok.line, name_tok.col)
-        names.add(name_tok.text)
+        at_name = ts.pos
+        name = ts.ident()
+        if name in names:
+            ts.error(f"duplicate invariant {name!r}", at_name)
+        names.add(name)
         ts.expect(":")
         ts.expect("always")
         ts.expect("(")
@@ -158,18 +156,16 @@ def parse_properties(text: str, model: SfcModel | None = None) -> list[Invariant
             try:
                 f = check_refs(f, model)
             except E.ExprError as err:
-                raise ParseError(f"invariant {name_tok.text!r}: {err}",
-                                 name_tok.line, name_tok.col)
-        out.append(Invariant(name_tok.text, f))
+                ts.error(f"invariant {name!r}: {err}", at_name)
+        out.append(Invariant(name, f))
     return out
 
 
 def parse_formula_text(text: str, model: SfcModel | None = None) -> Formula:
-    ts = TokenStream(lex(text))
+    ts = TokenStream(text)
     f = parse_formula(ts)
-    t = ts.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    if ts.peek():
+        ts.error(f"trailing input {ts.peek()!r}")
     if model is not None:
         try:
             f = check_refs(f, model)

@@ -26,7 +26,7 @@ from certplc import semantics as S
 from certplc import verifier as V
 from certplc.linear import FragmentError, LimitExceeded
 from certplc.model import SfcState, parse_model
-from certplc.parsing import TokenStream, lex
+from certplc.parsing import TokenStream
 
 from conftest import (eval_dnf, fixture_names, load_invariants, load_model,
                       states_of)
@@ -248,7 +248,7 @@ def test_comparisons_and_muxes_have_no_summary():
         lines.append(f"block k = {kind}(b0.out, const 5)")
         if rng.random() < 0.5:
             lines.append("block m = mux(k.out, b0.out, const 1)")
-        f = F.parse_fbd(TokenStream(lex("{" + "\n".join(lines) + "}")), "F")
+        f = F.parse_fbd(TokenStream("{" + "\n".join(lines) + "}"), "F")
         assert F.linear_summary(F.compile_fbd(f, env)) is None
 
 

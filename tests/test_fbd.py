@@ -10,7 +10,7 @@ from certplc import expr as E
 from certplc import fbd as F
 from certplc.linear import LinForm
 from certplc.model import parse_model
-from certplc.parsing import ParseError, TokenStream, lex
+from certplc.parsing import ParseError, TokenStream
 
 INC = """{
   block r = read x
@@ -59,7 +59,7 @@ CONST_MUX = """{
 
 
 def parse(body, name="f"):
-    return F.parse_fbd(TokenStream(lex(body)), name)
+    return F.parse_fbd(TokenStream(body), name)
 
 
 def program(body):
@@ -254,7 +254,7 @@ class TestSurface:
     def test_roundtrip_through_lines(self):
         f = parse(COUNTER, name="FCnt")
         text = "\n".join(F.fbd_lines(f))
-        again = F.parse_fbd(TokenStream(lex(text[len("fbd FCnt "):])), "FCnt")
+        again = F.parse_fbd(TokenStream(text[len("fbd FCnt "):]), "FCnt")
         assert again == f
 
     def test_unknown_kind(self):

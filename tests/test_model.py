@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from certplc import (canonical_text, model_digest, parse_model, validate)
@@ -54,6 +56,20 @@ class TestParse:
             parse_model(MINIMAL + "action A on Ghost { }\n")
         assert err.value.line == 2
         assert err.value.col == 13
+
+    def test_many_actions_on_the_last_step(self):
+        """20000 steps and 20000 actions, all on the last step: finding
+        each action's step and listing a step's actions take linear time
+        (checking each step against the step list took 13 s here)."""
+        n = 20000
+        text = "\n".join(
+            ["step S00000 [initial]"]
+            + [f"step S{k:05d}" for k in range(1, n)]
+            + [f"action A{k:05d} on S{n - 1:05d} {{ }}" for k in range(n)])
+        t0 = time.perf_counter()
+        model = parse_model(text)
+        assert time.perf_counter() - t0 < 5.0
+        assert len(model.actions_of(f"S{n - 1:05d}")) == n
 
     def test_type_mismatch_in_guard(self):
         bad = ("var x : int16\nvar b : bool\n" + MINIMAL +

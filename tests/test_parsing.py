@@ -1,6 +1,8 @@
 """The lexer against the character-loop lexer it replaced.
 
-``reference_lex`` is that lexer, kept here as an oracle only.  The one
+``reference_lex`` is that lexer, kept here as an oracle only: it gives each
+token's kind, text, line and column, where ``lex`` gives the text and
+``position`` the line and column of a token index on demand.  The one
 intended difference: it read any Unicode digit as a digit (so `²` reached
 ``int`` and `٣` read as 3), while ``lex`` reads only ASCII `0-9` and rejects
 other digits as unexpected characters.
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certplc.parsing import ParseError, TokenStream, lex
+from certplc.parsing import ParseError, TokenStream, lex, position
 
 from conftest import FANOUT, FIXTURES
 
@@ -94,9 +96,23 @@ def expected_lex(text):
         raise ParseError(f"unexpected character {ch!r}", err.line, err.col)
 
 
+def kind(token):
+    """A token's kind as the parsers read it off its text."""
+    if not token:
+        return "eof"
+    return "ident" if token.isidentifier() else \
+        "int" if token.isdigit() else "op"
+
+
 def outcome(lexer, text):
+    """(kind, text, line, col) of each token, eof last, or the error.  For
+    ``lex`` the position of every token index, end of input included, is
+    asked of ``position``."""
     try:
-        return [tuple(t) for t in lexer(text)]
+        if lexer is not lex:
+            return [tuple(t) for t in lexer(text)]
+        toks = lex(text) + [""]
+        return [(kind(t), t, *position(text, i)) for i, t in enumerate(toks)]
     except ParseError as err:
         return ("error", str(err), err.line, err.col)
 
@@ -112,8 +128,10 @@ _TEXTS = st.lists(st.one_of(_FRAGMENTS, _WORDS), max_size=40).map("".join)
 
 
 class TestAgainstReference:
-    @settings(max_examples=500, deadline=None, derandomize=True,
-              database=None)
+    # tier-1 runs 500 examples; `--hypothesis-profile long` (conftest.py)
+    # runs more
+    @settings(max_examples=max(500, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
     @given(_TEXTS)
     def test_tokens_and_errors_agree(self, text):
         assert outcome(lex, text) == outcome(expected_lex, text)
@@ -158,26 +176,29 @@ class TestNonAsciiDigits:
         with pytest.raises(ParseError) as err:
             lex("x := 12²")
         assert (err.value.line, err.value.col) == (1, 8)
-        assert lex("x # 12² in a comment")[-1] == ("eof", "", 1, 3)
+        text = "x # 12² in a comment"
+        assert lex(text) == ["x"]
+        assert position(text, 1) == (1, 3)
 
 
 class TestTokenStream:
     def test_peek_past_the_end_is_eof(self):
-        ts = TokenStream(lex("a b"))
-        assert ts.peek(5).kind == "eof"
+        ts = TokenStream("a b")
+        assert ts.peek(1) == "b"
         assert ts.accept("a") and not ts.accept("a")
-        assert ts.expect("b").text == "b"
-        assert ts.next().kind == ts.next().kind == "eof"
+        assert ts.expect("b") == "b"
+        assert ts.next() == ts.next() == ts.peek(1) == ""
+        assert ts.pos == 2
 
     def test_expected_token_errors(self):
         for method, arg, what in (("expect", ";", "';'"),
                                   ("ident", None, "identifier"),
                                   ("integer", None, "number")):
-            ts = TokenStream(lex("\n  ]"))
+            ts = TokenStream("\n  ]")
             with pytest.raises(ParseError) as err:
                 getattr(ts, method)(*([arg] if arg else []))
             assert str(err.value) == f"line 2, col 3: expected {what}, " \
                                      f"found ']'"
         with pytest.raises(ParseError, match="found 'end of input'"):
-            TokenStream(lex("# only")).ident()
+            TokenStream("# only").ident()
 
