@@ -289,10 +289,9 @@ class _Solver:
             active, eliminated, clash = simplified
             if clash is not None:
                 return "unsat", _extract(clash, self.n_orig, n_assume)
-            variables = sorted({v for nd in active for v, _ in nd.con.coeffs})
-            if not variables:
+            var = self._pick_var(active)
+            if var is None:
                 break
-            var = self._pick_var(active, variables)
             lowers, uppers, rest = self._entries(active, var)
             derived = list(rest)
             for lnd, lsign, leff in lowers:
@@ -348,28 +347,35 @@ class _Solver:
         return lowers, uppers, rest
 
     @staticmethod
-    def _pick_var(active, variables):
-        """Prefer exact eliminations, then fewest bound pairs, then name."""
-        scored = []
-        for var in variables:
-            lo_coefs, up_coefs = [], []
-            for nd in active:
-                c = _coeff(nd.con, var)
+    def _pick_var(active):
+        """Prefer exact eliminations, then fewest bound pairs, then name;
+        None when no active node holds a variable.  One pass over the
+        nodes' coefficients tallies, per variable, its lower and upper
+        bound entries and whether each side's coefficients are all 1."""
+        # var -> [lowers, uppers, lowers all unit, uppers all unit]
+        tally: dict[str, list] = {}
+        for nd in active:
+            eq = nd.con.rel == "=="
+            for var, c in nd.con.coeffs:
+                t = tally.get(var)
+                if t is None:
+                    t = tally[var] = [0, 0, True, True]
                 if c == 0:
                     continue
-                if nd.con.rel == "==":
-                    lo_coefs.append(abs(c))
-                    up_coefs.append(abs(c))
-                elif c > 0:
-                    up_coefs.append(c)
-                else:
-                    lo_coefs.append(-c)
-            exact = (not lo_coefs or not up_coefs
-                     or all(c == 1 for c in lo_coefs)
-                     or all(c == 1 for c in up_coefs))
-            scored.append((not exact, len(lo_coefs) * len(up_coefs), var))
-        scored.sort()
-        return scored[0][2]
+                unit = c == 1 or c == -1
+                if eq or c < 0:
+                    t[0] += 1
+                    t[2] = t[2] and unit
+                if eq or c > 0:
+                    t[1] += 1
+                    t[3] = t[3] and unit
+        best = None
+        for var, (lo, up, unit_lo, unit_up) in tally.items():
+            exact = not lo or not up or unit_lo or unit_up
+            score = (not exact, lo * up, var)
+            if best is None or score < best:
+                best = score
+        return None if best is None else best[2]
 
     def _pick_value(self, var, lowers, uppers, assignment):
         """Integer in the interval the bounds leave for var, or None."""
@@ -461,8 +467,8 @@ def decide_sat(cube: Cube, *, after: Sat | None = None,
     past that prefix hold no equality, the decision extends the prefix's
     simplification (see the module docstring).  Any other cube is decided
     from scratch.  Raises LimitExceeded past *max_derived* derived
-    constraints or *split_limit* split values, and FragmentError for an
-    unbounded variable.
+    constraints, *split_limit* split values or a witness nested past the
+    recursion limit, and FragmentError for an unbounded variable.
     """
     cube = tuple(cube)
     limits = _Limits(max_derived, split_limit)
@@ -473,7 +479,13 @@ def decide_sat(cube: Cube, *, after: Sat | None = None,
                  for i, con in enumerate(cube)]
         simplified = _simplify(roots, limits)
     derived = limits.derived
-    kind, payload = _Solver(len(cube), limits).finish(simplified, 0)
+    try:
+        kind, payload = _Solver(len(cube), limits).finish(simplified, 0)
+    except RecursionError:
+        # `_emit` recurses once per derivation level, which is cheaper than
+        # a walk with its own stack; a deeper derivation is a resource limit
+        raise LimitExceeded("witness derivation nested too deep for the "
+                            "recursion limit") from None
     if kind == "unsat":
         return Unsat(payload)
     for con in cube:

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 from . import expr as E
 from . import fbd as F
@@ -117,14 +118,14 @@ def _declared(model: SfcModel, kind: str) -> tuple[str, ...]:
     return model.steps if kind == "step" else model.action_ids()
 
 
-@dataclass(frozen=True)
-class _StateMap:
+class _StateMap(NamedTuple):
     """Symbolic valuation: how each atom reads in the pre-state or after a
     rule.  An activity variable the rule sets reads as its 0 or 1, every
     other one as itself."""
 
     sets: dict          # step:S or act:A variable -> 0 | 1
     subst: dict | None  # memory variable -> LinForm over the pre-state
+    summary: dict | None = None  # after an action, its effect summary
 
 
 def _activity_dnf(value, want: int) -> Dnf:
@@ -162,42 +163,83 @@ def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
     return cur
 
 
-def _post_definitions(summary: dict[str, LinForm], env) -> Dnf:
-    """Hypothesis disjuncts defining post:V = wrap(form) per written var:
-    the join of each variable's wrap cases, in name order."""
-    bounds = bounds_fn(env)
+# --- the derivation: one context per model, one per property ---------------
 
-    def cases(name):
-        for wrapped, side in wrap_cases(summary[name], E.bits_of(env[name]),
-                                        bounds):
-            # post:name == form - q*2**bits, within the type range
-            defn = LinCon.make(wrapped.sub(LinForm.of_var(post_var(name))),
-                               "==", 0)
-            cube = clean_cube((defn,) + side)
-            if cube is not None:
-                yield cube
+class ModelContext:
+    """What depends on the model alone, shared by every property: the env,
+    guard normalizations and each rule's ``rule_state``, ``prefix`` and
+    ``definitions``, derived on first use and kept if it succeeds (a failed
+    piece fails again, alike, on every use).  The model keeps it, so it
+    holds no reference to the model: a method that needs it takes it."""
 
-    return conjoin(tuple(cases(name)) for name in sorted(summary))
+    def __init__(self, model: SfcModel):
+        self.env = symbolic_env(model)
+        self._memo: dict = {}
 
+    def _once(self, key, compute):
+        got = self._memo.get(key)
+        if got is None:  # no piece is None
+            got = self._memo[key] = compute()
+        return got
 
-# --- one derivation context per (model, formula) ---------------------------
+    def normalized(self, e: E.Expr, negate: bool = False) -> Dnf:
+        """``normalize`` of a guard or atom over the pre-state."""
+        return self._once(("normalize", e, negate), lambda: normalize(
+            e, self.env, negate=negate))
+
+    def rule_state(self, model: SfcModel, rule: RuleInstance):
+        """The rule's exact symbolic post-state, whatever the frame rule
+        omits; what the rule changes are the keys of its ``sets`` and
+        ``subst`` (the variables its action's effect ``summary`` writes)."""
+        state = self._memo.get(rule)
+        if state is None:
+            shape = model.rules[rule]
+            summary = None if shape.action is None else \
+                effect_summary(model, shape.action)
+            sets = {pre + n: value for pre, names, value in (
+                (STEP_PREFIX, shape.steps_off, 0),
+                (STEP_PREFIX, shape.steps_on, 1),
+                (ACT_PREFIX, shape.acts_off, 0),
+                (ACT_PREFIX, shape.acts_on, 1)) for n in names}
+            subst = None if summary is None else {
+                n: LinForm.of_var(post_var(n)) for n in summary}
+            state = self._memo[rule] = _StateMap(sets, subst, summary)
+        return state
+
+    def prefix(self, model: SfcModel, rule: RuleInstance) -> Dnf:
+        """Join of the activity cube, guards and negated blocking guards."""
+        def pieces(shape: RuleShape):
+            yield (clean_cube(
+                tuple([_eq01(act_var(a), 1) for a in shape.pending]
+                      + [_eq01(step_var(s), 1) for s in shape.steps]
+                      + [_eq01(act_var(a), 0) for a in shape.idle])),)
+            yield from map(self.normalized, shape.guards)
+            yield from (self.normalized(g, negate=True) for g in shape.blocked)
+        return self._once(("prefix", rule),
+                          lambda: conjoin(pieces(model.rules[rule])))
+
+    def definitions(self, model: SfcModel, rule: RuleInstance) -> Dnf:
+        """The join, in name order, of each written variable's wrap cases:
+        the hypothesis disjuncts defining post:V = wrap(form)."""
+        summary = self.rule_state(model, rule).summary
+        def cases(name):
+            for wrapped, side in wrap_cases(summary[name], E.bits_of(
+                    self.env[name]), bounds_fn(self.env)):
+                # post:name == form - q*2**bits, within the type range
+                defn = LinCon.make(wrapped.sub(
+                    LinForm.of_var(post_var(name))), "==", 0)
+                cube = clean_cube((defn,) + side)
+                if cube is not None:
+                    yield cube
+        return self._once(("definitions", rule), lambda: conjoin(
+            tuple(cases(name)) for name in sorted(summary)))
+
 
 class DerivationContext:
-    """The inputs of a derivation (model, invariant, optional target) and
-    the obligation pieces shared by every proof case of them.
-
-    The symbolic env, the property's pre-state DNF, each pre-state
-    normalization of a guard or atom and each subset atom's conjunction are
-    computed at most once, on first use.  (An action's effect summary and
-    post-value definitions need no memo: only its one execute instance
-    reads them.)  Only computed pieces are kept: derivation is
-    deterministic, so a piece that failed (LimitExceeded, FragmentError) is
-    derived again and fails again, with the same error, on every later use.
-    build_obligation asks for the pieces in a fixed order (conclusions
-    first), so an obligation and any error it raises equal those of a fresh
-    context.  A context serves one verify_invariant or one certificate
-    check and is dropped afterwards: the checker still derives everything
-    from the certificate's own model and property.
+    """A property (invariant, optional target) of a model and the pieces that
+    depend on it, kept as are those of ``shared``, the model's context (kept
+    on the model object as ``semantics.rule_table`` keeps its table).  They
+    are asked for in a fixed order, so obligations and errors equal fresh ones.
 
     Normalizations are keyed by the expression, whose equality ignores
     ``E.Cmp.width``.  That is exact here: every comparison reaching a
@@ -208,27 +250,19 @@ class DerivationContext:
     expressions carry equal widths.
     """
 
+    _once = ModelContext._once
+    normalized = ModelContext.normalized
+
     def __init__(self, model: SfcModel, formula: P.Formula,
                  target: P.Formula | None = None):
         self.model = model
         self.formula = formula
         self.target = target
+        self.shared = model.__dict__.get("_derivation") or \
+            model.__dict__.setdefault("_derivation", ModelContext(model))
+        self.env = self.shared.env
         self.pre = _StateMap({}, None)  # every variable reads as itself
         self._memo: dict = {}
-
-    @cached_property
-    def env(self) -> dict[str, str]:
-        return symbolic_env(self.model)
-
-    def _once(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def normalized(self, e: E.Expr, negate: bool = False) -> Dnf:
-        """``normalize`` of a guard or atom over the pre-state."""
-        return self._once(("normalize", e, negate), lambda: normalize(
-            e, self.env, negate=negate))
 
     @cached_property
     def conjunct_reads(self) -> tuple[frozenset[str], ...]:
@@ -259,11 +293,12 @@ class DerivationContext:
                 var = _activity_var(atom.kind, atom.name)
                 return _activity_dnf(sm.sets.get(var, var), 0 if neg else 1)
             # a subset atom's names outside the set are the model's, the
-            # same in every state map, so its formula is built once
+            # same in every state map, so its formula is built once; not
+            # lowered by leaf itself, which would make a reference cycle
             if isinstance(atom, P.Within):
-                return lower(self._once(atom, lambda: _none_of(
+                return self.formula_dnf(self._once(atom, lambda: _none_of(
                     atom.kind, _declared(self.model, atom.kind),
-                    atom.names)), neg, leaf)
+                    atom.names)), sm, neg)
             # an arithmetic atom
             if sm.subst is None:  # memory reads as in the pre-state
                 return self.normalized(atom, neg)
@@ -272,38 +307,18 @@ class DerivationContext:
         return lower(f, negated, leaf)
 
 
-def post_state(ctx: DerivationContext, shape: RuleShape):
-    """The effect summary of a rule shape's action (None without one) and
-    the map of its symbolic post-state: the exact reading of every atom
-    after the rule, whatever the frame rule omits."""
-    summary = None if shape.action is None else \
-        effect_summary(ctx.model, shape.action)
-    sets = dict.fromkeys(map(step_var, shape.steps_off), 0)
-    sets.update(dict.fromkeys(map(step_var, shape.steps_on), 1))
-    sets.update(dict.fromkeys(map(act_var, shape.acts_off), 0))
-    sets.update(dict.fromkeys(map(act_var, shape.acts_on), 1))
-    return summary, _StateMap(sets, None if summary is None else {
-        name: LinForm.of_var(post_var(name)) for name in summary})
-
-
-def hypothesis(ctx: DerivationContext, rule: RuleInstance | Entailment,
-               summary: dict[str, LinForm] | None) -> Dnf:
+def hypothesis(ctx: DerivationContext, rule: RuleInstance | Entailment) -> Dnf:
     """A proof case's hypothesis cubes, bounds attached: ENTAIL's are the
-    invariant's, a rule's the join of its pieces, each derived when the
-    join reaches it (*summary* is its action's effect summary)."""
-    def pieces(shape: RuleShape):
-        yield (clean_cube(
-            tuple([_eq01(act_var(a), 1) for a in shape.pending]
-                  + [_eq01(step_var(s), 1) for s in shape.steps]
-                  + [_eq01(act_var(a), 0) for a in shape.idle])),)
-        yield from map(ctx.normalized, shape.guards)
-        yield from (ctx.normalized(g, negate=True) for g in shape.blocked)
+    invariant's, a rule's the left-fold join of its prefix, the invariant
+    and its post-value definitions, each derived when the join reaches it:
+    the cubes and failures of one join of every piece."""
+    def pieces():
+        yield ctx.shared.prefix(ctx.model, rule)
         yield ctx.pre_dnf()
-        if summary is not None:
-            yield _post_definitions(summary, ctx.env)
+        if ctx.shared.rule_state(ctx.model, rule).summary is not None:
+            yield ctx.shared.definitions(ctx.model, rule)
 
-    hyp = ctx.pre_dnf() if rule is ENTAIL else \
-        conjoin(pieces(ctx.model.rules[rule]))
+    hyp = ctx.pre_dnf() if rule is ENTAIL else conjoin(pieces())
     return tuple(attach_bounds(c, ctx.env) for c in hyp)
 
 
@@ -321,21 +336,16 @@ def build_obligation(ctx: DerivationContext,
     either leaves the case undecided, never wrongly proved.
     """
     if rule is ENTAIL:
-        summary, post, concl = None, ctx.pre, ctx.target
-        unchanged = repeat(False)
+        post, concl, unchanged = ctx.pre, ctx.target, repeat(False)
     else:
-        summary, post = post_state(ctx, ctx.model.rules[rule])
-        concl = ctx.formula
-        # the activity variables the rule sets, each to a value other than
-        # its pre-state reading (a variable), and the written variables
-        changed = set(post.sets).union(summary or ())
+        post, concl = ctx.shared.rule_state(ctx.model, rule), ctx.formula
+        changed = set(post.sets).union(post.subst or ())
         unchanged = map(changed.isdisjoint, ctx.conjunct_reads)
-    neg = []
-    for conjunct, framed in zip(P.conjuncts(concl), unchanged):
-        dnf = FALSE_DNF if framed else \
-            ctx.formula_dnf(conjunct, post, negated=True)
-        neg.append(tuple(attach_bounds(c, ctx.env) for c in dnf))
-    hyp = hypothesis(ctx, rule, summary) if any(neg) else ()
+    neg = [FALSE_DNF if framed else tuple([
+        attach_bounds(c, ctx.env)
+        for c in ctx.formula_dnf(conjunct, post, negated=True)])
+        for conjunct, framed in zip(P.conjuncts(concl), unchanged)]
+    hyp = hypothesis(ctx, rule) if any(neg) else ()
     return CaseObligation(rule, hyp, tuple(neg))
 
 

@@ -173,12 +173,12 @@ def _framed(model, formulas):
     out = {rule: [] for rule in model.rules}
     for f in formulas:
         ctx = O.DerivationContext(model, f)
-        for rule, shape in model.rules.items():
+        for rule in model.rules:
             try:
                 ob = O.build_obligation(ctx, rule)
             except (FragmentError, LimitExceeded):
                 continue
-            _, post = O.post_state(ctx, shape)
+            post = ctx.shared.rule_state(model, rule)
             for conj, neg in zip(P.conjuncts(f), ob.neg_concl):
                 if not neg and ctx.formula_dnf(conj, post, negated=True):
                     out[rule].append(conj)
@@ -188,7 +188,7 @@ def _framed(model, formulas):
 def test_rule_shapes_agree_on_fixtures():
     """A rule fires concretely iff its hypothesis (``hypothesis``, which
     build_obligation derives for an open case) holds; the exact symbolic
-    post-state (``post_state``, which build_obligation reads) has exactly
+    post-state (``rule_state``, which build_obligation reads) has exactly
     the successor's steps and pending actions; and a conjunct that the
     frame rule closes under a rule has the same truth value before and
     after it fires."""
@@ -197,17 +197,15 @@ def test_rule_shapes_agree_on_fixtures():
         model = load_model(name)
         ctx = O.DerivationContext(model, P.parse_formula_text(
             f"steps_within {{{', '.join(model.steps)}}}", model))
-        hyps = {rule: O.hypothesis(ctx, rule,
-                                   O.post_state(ctx, shape)[0])
-                for rule, shape in model.rules.items()}
+        hyps = {rule: O.hypothesis(ctx, rule) for rule in model.rules}
         atoms = [(P.Active("step", s), lambda c, s=s: s in c.active_steps)
                  for s in model.steps]
         atoms += [(P.Active("action", a),
                    lambda c, a=a: a in c.active_actions)
                   for a in model.action_ids()]
-        exact = {rule: [ctx.formula_dnf(atom, O.post_state(ctx, shape)[1],
-                                        negated=True) for atom, _ in atoms]
-                 for rule, shape in model.rules.items()}
+        exact = {rule: [ctx.formula_dnf(
+            atom, ctx.shared.rule_state(model, rule), negated=True)
+            for atom, _ in atoms] for rule in model.rules}
         # the fixture invariants, each activity atom, and each variable
         # tested against 0, which most writes change
         frames = _framed(model, [inv.formula for inv in

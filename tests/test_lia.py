@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +314,97 @@ class TestResourceLimits:
             sys.setrecursionlimit(limit)
         assert isinstance(res, Sat)
         assert res.assignment == dict.fromkeys(names, 0)
+
+
+def _chain(n: int):
+    """An int8 chain x0 <= x1 <= ... <= x(n-1) with 5 <= x0 and
+    x(n-1) <= 4: unsatisfiable, and its refutation combines along the
+    whole chain, one derivation level per link."""
+    names = [f"x{i:04d}" for i in range(n)]
+    links = [con({a: 1, b: -1}, "<=", 0) for a, b in zip(names, names[1:])]
+    return boxed([con({names[0]: -1}, "<=", -5), *links,
+                  con({names[-1]: 1}, "<=", 4)], 255, names)
+
+
+def _pick_var_by_scan(active):
+    """The scorer as it was before indexing: every variable over every
+    active node."""
+    variables = sorted({v for nd in active for v, _ in nd.con.coeffs})
+    if not variables:
+        return None
+    scored = []
+    for var in variables:
+        lo_coefs, up_coefs = [], []
+        for nd in active:
+            c = solver._coeff(nd.con, var)
+            if c == 0:
+                continue
+            if nd.con.rel == "==":
+                lo_coefs.append(abs(c))
+                up_coefs.append(abs(c))
+            elif c > 0:
+                up_coefs.append(c)
+            else:
+                lo_coefs.append(-c)
+        exact = (not lo_coefs or not up_coefs
+                 or all(c == 1 for c in lo_coefs)
+                 or all(c == 1 for c in up_coefs))
+        scored.append((not exact, len(lo_coefs) * len(up_coefs), var))
+    return min(scored)[2]
+
+
+class TestElimination:
+    def test_pick_var_equals_the_scan(self):
+        """The indexed scorer picks what scanning every variable over every
+        node picks, zero coefficients included, on random node lists."""
+        rng = random.Random(5)
+        names = ["a", "b", "c", "d", "e"]
+        for _ in range(3000):
+            nodes = []
+            for i in range(rng.randrange(0, 7)):
+                coeffs = tuple(sorted(
+                    (v, rng.choice([-3, -2, -1, -1, 0, 1, 1, 2, 3]))
+                    for v in rng.sample(names, rng.randrange(1, 4))))
+                rel = "==" if rng.random() < 0.3 else "<="
+                nodes.append(solver._Node(LinCon(coeffs, rel, 0), "orig", i))
+            assert solver._Solver._pick_var(nodes) == \
+                _pick_var_by_scan(nodes), nodes
+
+    def test_decisions_equal_the_scan(self, monkeypatch):
+        """Whole decisions, witnesses and assignments included, are those
+        of the scanning scorer."""
+        rng = random.Random(17)
+        cubes = [_random_cube(rng, ncons=6) for _ in range(300)]
+        cubes.append(_chain(30))
+        indexed = [decision(c) for c in cubes]
+        monkeypatch.setattr(solver._Solver, "_pick_var",
+                            staticmethod(_pick_var_by_scan))
+        assert indexed == [decision(c) for c in cubes]
+
+    def test_long_chain_decides_in_quadratic_time(self):
+        """Picking a variable costs one pass over the active nodes, so a
+        300-link chain decides in well under a second (scanning every
+        variable over every node took seconds)."""
+        cube = _chain(300)
+        t0 = time.perf_counter()
+        res = decide_sat(cube)
+        assert time.perf_counter() - t0 < 2.0
+        assert isinstance(res, Unsat)
+        assert replay_witness(cube, res.witness)
+
+    def test_witness_deeper_than_the_stack_is_a_resource_error(self):
+        """Witness extraction recurses once per derivation level; a chain
+        whose refutation nests past the recursion limit ends in
+        LimitExceeded, which the verifier reports as Undecided."""
+        cube = _chain(120)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            with pytest.raises(LimitExceeded, match="nested too deep"):
+                decide_sat(cube)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(decide_sat(cube), Unsat)
 
 
 @st.composite

@@ -1,16 +1,23 @@
-"""One derivation context per property: shared pieces, same obligations.
+"""One derivation context per model and one per property: shared pieces,
+same obligations.
 
 The verifier and the checker derive every rule instance's obligation
-through one ``DerivationContext``, which computes the symbolic env, the
-pre-state DNF and the guard and atom normalizations once.  These tests pin
-that sharing changes nothing (obligations, exception types and messages)
-and that it really removes the per-rule-instance work.  They also pin that
+through a ``DerivationContext`` for the property, over the model's
+``ModelContext``, which computes the symbolic env, the guard
+normalizations and each rule instance's post-state, hypothesis prefix and
+post-value definitions once per model.  These tests pin that sharing
+changes nothing (obligations, verdicts, certificates, exception types and
+messages), whatever order the properties come in, and that it really
+removes the per-rule-instance and per-property work.  They also pin that
 every obligation cube is clean, which lets cube joins skip cleaning.
 """
 
+import gc
 import importlib
 import pathlib
 import sys
+import weakref
+from collections import Counter
 from functools import partial, reduce
 from unittest import mock
 
@@ -20,6 +27,7 @@ from hypothesis import strategies as st
 
 from certplc import certificate as C
 from certplc import expr as E
+from certplc import fbd as F
 from certplc import linear as L
 from certplc import obligations as O
 from certplc import properties as P
@@ -27,11 +35,12 @@ from certplc import semantics as S
 from certplc import verifier as V
 from certplc.lia.solver import Unsat, decide_sat
 from certplc.linear import LinCon, attach_bounds, clean_cube, normalize
-from certplc.model import parse_model
+from certplc.model import canonical_text, parse_model
 from certplc.prooftree import CaseProof, HypEntry, ProofTree
 
-from conftest import (NONLINEAR_ATOM, NONLINEAR_ATOM_PROP, NONLINEAR_GUARD,
-                      OPAQUE, fixture_names, load_invariants, load_model)
+from conftest import (FIXTURES, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
+                      NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
+                      fixture_names, load_invariants, load_model)
 
 
 def _cases():
@@ -65,7 +74,9 @@ class TestSharedEqualsFresh:
             ctx = O.DerivationContext(model, formula)
             for rule in model.rules:
                 shared = _outcome(ctx, rule)
-                fresh = _outcome(O.DerivationContext(model, formula), rule)
+                # a fresh parse of the model has a fresh model context
+                again = parse_model(canonical_text(model))
+                fresh = _outcome(O.DerivationContext(again, formula), rule)
                 assert shared == fresh, (name, rule.label())
                 if isinstance(shared, tuple):
                     seen.add(shared[0])
@@ -399,7 +410,7 @@ def _framing(text, rule, model=FRAME):
     f = P.parse_formula_text(text, model)
     ctx = O.DerivationContext(model, f)
     ob = O.build_obligation(ctx, rule)
-    _, post = O.post_state(ctx, model.rules[rule])
+    post = ctx.shared.rule_state(model, rule)
     out = []
     for conj, neg in zip(P.conjuncts(f), ob.neg_concl):
         assert ctx.formula_dnf(conj, post, negated=True), E.pretty(conj)
@@ -443,7 +454,7 @@ class TestFrameRule:
         ob = O.build_obligation(ctx, S.Reactivate("U"))
         assert ob.neg_concl == ((), (), ())
         # a closed case: its hypothesis has cubes, the obligation none
-        assert O.hypothesis(ctx, S.Reactivate("U"), None)
+        assert O.hypothesis(ctx, S.Reactivate("U"))
         assert ob.hyp_cubes == ()
 
     def test_entail_is_never_framed(self):
@@ -471,7 +482,7 @@ class TestFrameRule:
         inv, = P.parse_properties(
             f"invariant p : always (x <= 65535 && ({clauses}));", m)
         ctx = O.DerivationContext(m, inv.formula)
-        _, post = O.post_state(ctx, m.rules[S.ExecuteAction("A")])
+        post = ctx.shared.rule_state(m, S.ExecuteAction("A"))
         with pytest.raises(L.LimitExceeded):
             ctx.formula_dnf(P.conjuncts(inv.formula)[1], post, negated=True)
         res = V.verify_invariant(m, inv)
@@ -554,16 +565,21 @@ def _every_pair(op, la, lb, bits, bounds):
                 yield cube
 
 
-def _benchmark_charts():
+def _benchmark_cases():
+    """The seed-1 charts of the ring, arith and fanout workloads."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         families = importlib.import_module("families")
     finally:
         sys.path.remove(str(PERFBENCH))
     for workload in ("ring", "arith", "fanout"):
-        for mc in families.build(workload, 1):
-            model = parse_model(mc.text)
-            yield model, P.parse_properties(mc.props_text(), model)
+        yield from families.build(workload, 1)
+
+
+def _benchmark_charts():
+    for mc in _benchmark_cases():
+        model = parse_model(mc.text)
+        yield model, P.parse_properties(mc.props_text(), model)
 
 
 class TestPrunedWrapCases:
@@ -608,3 +624,170 @@ class TestPrunedWrapCases:
                     LinCon(((v, 1),), "<=", bounds(v)[1])))
                 assert isinstance(decide_sat(cube + box), Unsat), cube
         assert dropped > 0
+
+
+def _chart_texts():
+    """(name, model text, properties text) of every fixture, of the seed-1
+    benchmark charts and of charts whose derivation fails: a diagram with
+    no linear summary, a non-linear guard or atom, a wrap past the cap."""
+    for name in fixture_names():
+        yield (name, (FIXTURES / f"{name}.sfc").read_text(),
+               (FIXTURES / f"{name}.inv").read_text())
+    for mc in _benchmark_cases():
+        yield mc.name, mc.text, mc.props_text()
+    yield "opaque", OPAQUE, ("invariant p : always (y <= 1);\n"
+                             "invariant q : always (x <= 65535);\n")
+    yield "nonlinear_guard", NONLINEAR_GUARD, (
+        "invariant t : always (!step(T));\n"
+        "invariant u : always (!step(T) && x <= 65535);\n")
+    yield "nonlinear_atom", NONLINEAR_ATOM, NONLINEAR_ATOM_PROP
+    yield "wrap_blowup", WRAP_BLOWUP, WRAP_BLOWUP_PROP
+
+
+def _outcomes(model, invs):
+    """Per invariant: the verdict's repr (proof tree, refutation assignment
+    or Undecided reason included) and a proved one's certificate bytes."""
+    out = []
+    for inv in invs:
+        res = V.verify_invariant(model, inv)
+        proved = isinstance(res, V.Proved)
+        out.append((repr(res), C.emit(model, inv, res.tree) if proved
+                    else None))
+    return out
+
+
+def _parsed(text, props):
+    model = parse_model(text)
+    return model, P.parse_properties(props, model)
+
+
+class TestModelContextSharing:
+    """Every property of one parsed model reads the same model context,
+    which changes no verdict, assignment, reason or certificate byte,
+    whatever order the properties come in."""
+
+    def test_shared_equals_fresh_in_any_order(self):
+        kinds = Counter()
+        for name, text, props in _chart_texts():
+            forward = _outcomes(*_parsed(text, props))
+            model, invs = _parsed(text, props)
+            backward = _outcomes(model, invs[::-1])[::-1]
+            fresh = []
+            for i in range(len(invs)):
+                model, invs = _parsed(text, props)
+                fresh += _outcomes(model, invs[i:i + 1])
+            assert forward == backward == fresh, name
+            kinds.update(r.split("(", 1)[0] for r, _ in forward)
+        assert kinds.keys() == {"Proved", "Refuted", "Undecided"}
+
+    @pytest.mark.parametrize("text, props, counted, reason", [
+        (NONLINEAR_GUARD, [f"!step(T) && y <= {65535 - k}" for k in range(3)],
+         "normalize", "trans:0: multiplication of two non-constant "
+         "expressions"),
+        (OPAQUE, [f"y <= {k}" for k in range(3)], "linear_summary",
+         "exec:Amux: diagram is not linear"),
+    ])
+    def test_failed_model_piece_is_not_kept(self, monkeypatch, text, props,
+                                            counted, reason):
+        """A guard or diagram outside the linear fragment fails with the
+        same reason under every property, and is derived again for each:
+        the model context keeps no failure."""
+        module = F if counted == "linear_summary" else O
+        calls = []
+        original = getattr(module, counted)
+
+        def recorded(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, counted, recorded)
+        model = parse_model(text)
+        so_far = []  # calls after each property
+        for k, formula in enumerate(props):
+            inv = P.Invariant(f"p{k}", P.parse_formula_text(formula, model))
+            res = V.verify_invariant(model, inv)
+            assert isinstance(res, V.Undecided), formula
+            assert res.reason == reason
+            so_far.append(len(calls))
+        if counted == "normalize":  # the guard, once per property
+            guard = model.transitions[0].guard
+            assert Counter(calls)[guard] == len(props)
+        else:
+            assert so_far == [1, 2, 3]
+
+    def test_one_linear_summary_per_diagram_action(self, monkeypatch):
+        """Verifying n properties of one parsed chart runs
+        ``fbd.linear_summary`` once per diagram action, not once per
+        property."""
+        calls = []
+        original = F.linear_summary
+
+        def counted(program):
+            calls.append(program)
+            return original(program)
+
+        monkeypatch.setattr(F, "linear_summary", counted)
+        charts = [(mc.text, mc.props_text()) for mc in _benchmark_cases()
+                  if mc.fanout is not None]
+        charts += [((FIXTURES / f"{n}.sfc").read_text(),
+                    (FIXTURES / f"{n}.inv").read_text())
+                   for n in fixture_names() if "fbd" in n]
+        summarized = 0
+        for text, props in charts:
+            model, invs = _parsed(text, props)
+            diagrams = sum(a.fbd_ref is not None for a in model.actions)
+            calls.clear()
+            _outcomes(model, invs)
+            first = len(calls)
+            assert len(invs) > 1 and first <= diagrams
+            assert len(set(map(id, calls))) == first
+            _outcomes(model, invs)  # a second pass derives no summary
+            assert len(calls) == first
+            summarized += first
+        assert summarized >= len(charts)
+
+    def test_contexts_are_freed_without_the_collector(self, monkeypatch):
+        """Neither a property's context nor the model context forms a
+        reference cycle: with the cyclic collector off, both are freed as
+        soon as verify_invariant or check returns and the model is
+        dropped."""
+        made = []
+
+        class Recorded(O.DerivationContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        parsed = []
+
+        def recording_parse(text):
+            model = parse_model(text)
+            parsed.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(O, "DerivationContext", Recorded)
+        monkeypatch.setattr(C, "parse_model", recording_parse)
+        loop_model = load_model("loop")
+        invs = load_invariants("loop", loop_model)
+        inv = next(i for i in invs if i.name == "x_capped_ind")
+        refuted = next(i for i in invs if i.name == "x_capped")
+        gc.collect()
+        gc.disable()
+        try:
+            res = V.verify_invariant(loop_model, inv)
+            assert isinstance(res, V.Proved)
+            assert isinstance(V.verify_invariant(loop_model, refuted),
+                              V.Refuted)
+            assert made and all(ref() is None for ref in made)
+            model_ctx = weakref.ref(
+                O.DerivationContext(loop_model, inv.formula).shared)
+            model = weakref.ref(loop_model)
+            cert = C.emit(loop_model, inv, res.tree)
+            del loop_model, res
+            assert model() is None and model_ctx() is None
+            made.clear()
+            assert C.check(cert).accepted
+            assert parsed and made
+            assert all(ref() is None for ref in parsed + made)
+        finally:
+            gc.enable()

@@ -1,3 +1,4 @@
+import sys
 import time
 from functools import partial
 
@@ -129,6 +130,32 @@ class TestObligations:
         assert res.rule == S.ExecuteAction("A")
         assert "exceed cap 512" in res.reason
 
+    def test_witness_past_the_recursion_limit_is_undecided(self):
+        """A guard chaining 150 variables, x0 <= x1 <= ..., with 5 <= x0
+        and x149 <= 4, is refuted by a witness nested once per link;
+        under a recursion limit below that nesting the case is Undecided,
+        not a crash."""
+        n = 150
+        m = parse_model("\n".join(
+            [f"var x{i} : int8" for i in range(n)]
+            + ["step S [initial]", "step T", "trans {S} -[ " + " && ".join(
+                ["5 <= x0"] + [f"x{i} <= x{i + 1}" for i in range(n - 1)]
+                + [f"x{n - 1} <= 4"]) + " ]-> {T}"]) + "\n")
+        inv = P.Invariant("t", formula("!step(T)", m))
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 120)
+        try:
+            res = V.verify_invariant(m, inv)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(res, V.Undecided)
+        assert res.reason == ("trans:0: witness derivation nested too deep "
+                              "for the recursion limit")
+        assert isinstance(V.verify_invariant(m, inv), V.Proved)
 
 # 500 factors of 10**9 at int8: the wrap quotient count has more digits than
 # Python converts to a string.
