@@ -24,15 +24,15 @@ contradictory and supply the witnesses.  A property with a target adds one
 obligation, ENTAIL: the invariant's pre-state cubes against each target
 conjunct negated on the same pre-state.
 
-Frame rule: a rule instance's negated conclusion is empty (no cube) for
-each top-level conjunct that reads nothing the instance changes, that is
-no step or action the instance sets (to 0 or 1, where the pre-state reads
-its variable) and no variable the effect summary writes.  This is sound
-because induction assumes the invariant on the pre-state (a fact, not a
-derived cube, so a closed case needs none), so the conjunct holds there,
-and it reads the same entries on the post-state, so it holds there too.
-ENTAIL is never framed: its conclusion is the target, not assumed on the
-pre-state.
+Frame rule: a rule instance's negated conclusion is empty for each
+top-level conjunct whose reading is empty: the rule's entries in the
+model's change index (each step or action it sets to 0 or 1, each
+variable its action writes, read off the text) among the variables the
+conjunct reads.  A case whose readings are all empty derives nothing of
+its rule; an open conjunct is negated once per distinct reading.  This
+is sound because induction assumes the invariant on the pre-state (a
+fact, not a derived cube), and the conjunct reads the same entries after
+the rule.  ENTAIL is never framed: its conclusion is the target.
 
 Everything here is deterministic in the model and property alone.
 """
@@ -41,8 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import NamedTuple
 
 from . import expr as E
 from . import fbd as F
@@ -55,6 +53,7 @@ from .model import RuleInstance, RuleShape, SfcModel
 STEP_PREFIX = "step:"
 ACT_PREFIX = "act:"
 POST_PREFIX = "post:"
+WRITTEN = "written"  # a change index value: the action writes the variable
 
 
 @dataclass(frozen=True)
@@ -118,16 +117,6 @@ def _declared(model: SfcModel, kind: str) -> tuple[str, ...]:
     return model.steps if kind == "step" else model.action_ids()
 
 
-class _StateMap(NamedTuple):
-    """Symbolic valuation: how each atom reads in the pre-state or after a
-    rule.  An activity variable the rule sets reads as its 0 or 1, every
-    other one as itself."""
-
-    sets: dict          # step:S or act:A variable -> 0 | 1
-    subst: dict | None  # memory variable -> LinForm over the pre-state
-    summary: dict | None = None  # after an action, its effect summary
-
-
 def _activity_dnf(value, want: int) -> Dnf:
     """DNF for `atom == want` where the atom evaluates to 0, 1 or a variable."""
     if isinstance(value, int):
@@ -167,10 +156,11 @@ def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
 
 class ModelContext:
     """What depends on the model alone, shared by every property: the env,
-    guard normalizations and each rule's ``rule_state``, ``prefix`` and
-    ``definitions``, derived on first use and kept if it succeeds (a failed
-    piece fails again, alike, on every use).  The model keeps it, so it
-    holds no reference to the model: a method that needs it takes it."""
+    guard normalizations, the change index and each rule's ``summary``,
+    ``prefix`` and ``definitions``, derived on first use and kept if it
+    succeeds (a failed piece fails again, alike, on every use).  The model
+    keeps it, so it holds no reference to the model: a method that needs
+    it takes it."""
 
     def __init__(self, model: SfcModel):
         self.env = symbolic_env(model)
@@ -187,24 +177,33 @@ class ModelContext:
         return self._once(("normalize", e, negate), lambda: normalize(
             e, self.env, negate=negate))
 
-    def rule_state(self, model: SfcModel, rule: RuleInstance):
-        """The rule's exact symbolic post-state, whatever the frame rule
-        omits; what the rule changes are the keys of its ``sets`` and
-        ``subst`` (the variables its action's effect ``summary`` writes)."""
-        state = self._memo.get(rule)
-        if state is None:
-            shape = model.rules[rule]
-            summary = None if shape.action is None else \
-                effect_summary(model, shape.action)
-            sets = {pre + n: value for pre, names, value in (
-                (STEP_PREFIX, shape.steps_off, 0),
-                (STEP_PREFIX, shape.steps_on, 1),
-                (ACT_PREFIX, shape.acts_off, 0),
-                (ACT_PREFIX, shape.acts_on, 1)) for n in names}
-            subst = None if summary is None else {
-                n: LinForm.of_var(post_var(n)) for n in summary}
-            state = self._memo[rule] = _StateMap(sets, subst, summary)
-        return state
+    def changes(self, model: SfcModel) -> dict:
+        """The change index: variable -> {rule instance: 0 or 1 for a step
+        or action it sets (a later entry wins), ``WRITTEN`` for a variable
+        its action assigns or its diagram writes: its summary's keys}."""
+        def index():
+            out: dict = {}
+            for rule, shape in model.rules.items():
+                entries = [(pre + n, value) for pre, names, value in (
+                    (STEP_PREFIX, shape.steps_off, 0),
+                    (STEP_PREFIX, shape.steps_on, 1),
+                    (ACT_PREFIX, shape.acts_off, 0),
+                    (ACT_PREFIX, shape.acts_on, 1)) for n in names]
+                action = shape.action and model.action(shape.action)
+                if action and action.fbd_ref is not None:
+                    entries += [(b.var, WRITTEN) for b in model.fbd(
+                        action.fbd_ref).blocks if b.kind == "write"]
+                elif action:
+                    entries += [(n, WRITTEN) for n, _ in action.assigns]
+                for var, value in entries:
+                    out.setdefault(var, {})[rule] = value
+            return out
+        return self._once("changes", index)
+
+    def summary(self, model: SfcModel, rule: RuleInstance) -> dict | None:
+        """The effect summary of the rule's action, None without one."""
+        aid = model.rules[rule].action
+        return aid and self._once(rule, lambda: effect_summary(model, aid))
 
     def prefix(self, model: SfcModel, rule: RuleInstance) -> Dnf:
         """Join of the activity cube, guards and negated blocking guards."""
@@ -221,7 +220,7 @@ class ModelContext:
     def definitions(self, model: SfcModel, rule: RuleInstance) -> Dnf:
         """The join, in name order, of each written variable's wrap cases:
         the hypothesis disjuncts defining post:V = wrap(form)."""
-        summary = self.rule_state(model, rule).summary
+        summary = self.summary(model, rule)
         def cases(name):
             for wrapped, side in wrap_cases(summary[name], E.bits_of(
                     self.env[name]), bounds_fn(self.env)):
@@ -261,15 +260,18 @@ class DerivationContext:
         self.shared = model.__dict__.get("_derivation") or \
             model.__dict__.setdefault("_derivation", ModelContext(model))
         self.env = self.shared.env
-        self.pre = _StateMap({}, None)  # every variable reads as itself
         self._memo: dict = {}
 
     @cached_property
-    def conjunct_reads(self) -> tuple[frozenset[str], ...]:
-        """Per top-level conjunct of the invariant, the pre-state variables
-        it reads: ``step:S`` or ``act:A`` for an active atom, the ones
-        outside the set for a subset atom, and an arithmetic atom's memory
-        variables."""
+    def conjuncts(self) -> tuple[P.Formula, ...]:
+        return P.conjuncts(self.formula)
+
+    @cached_property
+    def readings(self) -> dict:
+        """Rule instance -> its reading of each top-level conjunct: its
+        change index entries among the variables the conjunct reads (an
+        active atom's, a subset atom's outside the set, an arithmetic
+        atom's), in name order.  A rule that frames every one is absent."""
         def reads(atom) -> set[str]:
             if isinstance(atom, P.Active):
                 return {_activity_var(atom.kind, atom.name)}
@@ -277,32 +279,44 @@ class DerivationContext:
                     for n in _declared(self.model, atom.kind)
                     if n not in atom.names}
 
-        return tuple(frozenset(E.vars_of(c, reads))
-                     for c in P.conjuncts(self.formula))
+        index, n = self.shared.changes(self.model), len(self.conjuncts)
+        out: dict = {}
+        for i, conjunct in enumerate(self.conjuncts):
+            for var in sorted(E.vars_of(conjunct, reads)):
+                for rule, value in index.get(var, {}).items():
+                    out.setdefault(rule, [()] * n)[i] += ((var, value),)
+        return out
+
+    def negated(self, conjunct: P.Formula, post: dict) -> Dnf:
+        """The conjunct negated after *post*, bounds attached."""
+        return tuple([attach_bounds(c, self.env) for c in self.formula_dnf(
+            conjunct, post, negated=True)])
 
     def pre_dnf(self) -> Dnf:
         """The property on the pre-state."""
-        return self._once("pre", lambda: self.formula_dnf(self.formula,
-                                                          self.pre))
+        return self._once("pre", lambda: self.formula_dnf(self.formula, {}))
 
-    def formula_dnf(self, f: P.Formula, sm: _StateMap,
+    def formula_dnf(self, f: P.Formula, post: dict,
                     negated: bool = False) -> Dnf:
-        """DNF of a formula read through *sm*."""
+        """DNF of a formula after a rule that sets *post*'s change index
+        entries, a written V read as ``post:V`` (``{}``: the pre-state)."""
+        subst = {v: LinForm.of_var(post_var(v))
+                 for v, value in post.items() if value == WRITTEN}
         def leaf(atom, neg):
             if isinstance(atom, P.Active):
                 var = _activity_var(atom.kind, atom.name)
-                return _activity_dnf(sm.sets.get(var, var), 0 if neg else 1)
+                return _activity_dnf(post.get(var, var), 0 if neg else 1)
             # a subset atom's names outside the set are the model's, the
-            # same in every state map, so its formula is built once; not
+            # same after every rule, so its formula is built once; not
             # lowered by leaf itself, which would make a reference cycle
             if isinstance(atom, P.Within):
                 return self.formula_dnf(self._once(atom, lambda: _none_of(
                     atom.kind, _declared(self.model, atom.kind),
-                    atom.names)), sm, neg)
+                    atom.names)), post, neg)
             # an arithmetic atom
-            if sm.subst is None:  # memory reads as in the pre-state
+            if not subst:  # memory reads as in the pre-state
                 return self.normalized(atom, neg)
-            return normalize(atom, self.env, subst=sm.subst, negate=neg)
+            return normalize(atom, self.env, subst=subst, negate=neg)
 
         return lower(f, negated, leaf)
 
@@ -315,7 +329,7 @@ def hypothesis(ctx: DerivationContext, rule: RuleInstance | Entailment) -> Dnf:
     def pieces():
         yield ctx.shared.prefix(ctx.model, rule)
         yield ctx.pre_dnf()
-        if ctx.shared.rule_state(ctx.model, rule).summary is not None:
+        if ctx.shared.summary(ctx.model, rule) is not None:
             yield ctx.shared.definitions(ctx.model, rule)
 
     hyp = ctx.pre_dnf() if rule is ENTAIL else conjoin(pieces())
@@ -327,8 +341,8 @@ def build_obligation(ctx: DerivationContext,
     """Obligation for one proof case of *ctx*'s model and property: the
     induction step of a rule instance, or for ENTAIL the invariant's
     pre-state cubes against the negated target conjuncts on the pre-state.
-    A rule instance gives no cube to a conjunct it cannot change (the
-    frame rule, see the module docstring), and a closed case no hypothesis.
+    A conjunct is negated once per distinct reading, and an empty reading
+    frames it (see the module docstring); a closed case derives nothing.
 
     Pass the same context for every case of one property to derive the
     shared pieces once.  Raises FragmentError for an effect, guard or atom
@@ -336,15 +350,16 @@ def build_obligation(ctx: DerivationContext,
     either leaves the case undecided, never wrongly proved.
     """
     if rule is ENTAIL:
-        post, concl, unchanged = ctx.pre, ctx.target, repeat(False)
+        neg = [ctx.negated(c, {}) for c in P.conjuncts(ctx.target)]
     else:
-        post, concl = ctx.shared.rule_state(ctx.model, rule), ctx.formula
-        changed = set(post.sets).union(post.subst or ())
-        unchanged = map(changed.isdisjoint, ctx.conjunct_reads)
-    neg = [FALSE_DNF if framed else tuple([
-        attach_bounds(c, ctx.env)
-        for c in ctx.formula_dnf(conjunct, post, negated=True)])
-        for conjunct, framed in zip(P.conjuncts(concl), unchanged)]
+        readings = ctx.readings.get(rule)
+        if readings is None:  # closed: nothing of the rule is derived
+            return CaseObligation(rule, (), (FALSE_DNF,) * len(ctx.conjuncts))
+        ctx.shared.summary(ctx.model, rule)  # a failing effect fails first
+        # one derivation per conjunct and reading, which many rules share
+        neg = [reading and ctx._once((i, reading), lambda: ctx.negated(
+            ctx.conjuncts[i], dict(reading)))
+            for i, reading in enumerate(readings)]
     hyp = hypothesis(ctx, rule) if any(neg) else ()
     return CaseObligation(rule, hyp, tuple(neg))
 

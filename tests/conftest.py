@@ -5,6 +5,7 @@ from hypothesis import settings
 
 from certplc import (BudgetExceeded, parse_model, parse_properties,
                      reachable_bounded)
+from certplc import obligations as O
 from certplc.lia.solver import decide_sat
 from certplc.linear import FragmentError, LimitExceeded
 
@@ -117,6 +118,15 @@ def load_model(name):
 def load_invariants(name, model=None):
     model = model if model is not None else load_model(name)
     return parse_properties((FIXTURES / f"{name}.inv").read_text(), model)
+
+
+def rule_post(model, rule):
+    """A rule instance's entries in the model's change index: its exact
+    symbolic post-state, as ``DerivationContext.formula_dnf`` reads it,
+    whatever the frame rule omits."""
+    index = O.ModelContext(model).changes(model)
+    return {var: by_rule[rule] for var, by_rule in index.items()
+            if rule in by_rule}
 
 
 def states_of(model, depth, budget=50_000):

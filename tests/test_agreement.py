@@ -29,7 +29,7 @@ from certplc.model import SfcState, parse_model
 from certplc.parsing import TokenStream
 
 from conftest import (eval_dnf, fixture_names, load_invariants, load_model,
-                      states_of)
+                      rule_post, states_of)
 
 WIDTHS = ("int8", "int16", "int32")
 INTS = ("x", "y", "z")
@@ -178,7 +178,7 @@ def _framed(model, formulas):
                 ob = O.build_obligation(ctx, rule)
             except (FragmentError, LimitExceeded):
                 continue
-            post = ctx.shared.rule_state(model, rule)
+            post = rule_post(model, rule)
             for conj, neg in zip(P.conjuncts(f), ob.neg_concl):
                 if not neg and ctx.formula_dnf(conj, post, negated=True):
                     out[rule].append(conj)
@@ -188,10 +188,10 @@ def _framed(model, formulas):
 def test_rule_shapes_agree_on_fixtures():
     """A rule fires concretely iff its hypothesis (``hypothesis``, which
     build_obligation derives for an open case) holds; the exact symbolic
-    post-state (``rule_state``, which build_obligation reads) has exactly
-    the successor's steps and pending actions; and a conjunct that the
-    frame rule closes under a rule has the same truth value before and
-    after it fires."""
+    post-state (the rule's change index entries, whose readings
+    build_obligation negates) has exactly the successor's steps and
+    pending actions; and a conjunct that the frame rule closes under a
+    rule has the same truth value before and after it fires."""
     enabled = framed = 0
     for name in fixture_names():
         model = load_model(name)
@@ -204,7 +204,7 @@ def test_rule_shapes_agree_on_fixtures():
                    lambda c, a=a: a in c.active_actions)
                   for a in model.action_ids()]
         exact = {rule: [ctx.formula_dnf(
-            atom, ctx.shared.rule_state(model, rule), negated=True)
+            atom, rule_post(model, rule), negated=True)
             for atom, _ in atoms] for rule in model.rules}
         # the fixture invariants, each activity atom, and each variable
         # tested against 0, which most writes change
@@ -351,8 +351,8 @@ def test_evaluation_agrees_with_lowering(formula, config):
     f = P.check_refs(formula, CHART)
     ctx = O.DerivationContext(CHART, f)
     try:
-        dnf = ctx.formula_dnf(f, ctx.pre)
-        neg = ctx.formula_dnf(f, ctx.pre, negated=True)
+        dnf = ctx.formula_dnf(f, {})
+        neg = ctx.formula_dnf(f, {}, negated=True)
     except LimitExceeded:
         reject()
     enc = _encoding(CHART, config, config.mem)

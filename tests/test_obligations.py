@@ -4,12 +4,15 @@ same obligations.
 The verifier and the checker derive every rule instance's obligation
 through a ``DerivationContext`` for the property, over the model's
 ``ModelContext``, which computes the symbolic env, the guard
-normalizations and each rule instance's post-state, hypothesis prefix and
-post-value definitions once per model.  These tests pin that sharing
-changes nothing (obligations, verdicts, certificates, exception types and
-messages), whatever order the properties come in, and that it really
-removes the per-rule-instance and per-property work.  They also pin that
-every obligation cube is clean, which lets cube joins skip cleaning.
+normalizations, the change index and each rule instance's effect summary,
+hypothesis prefix and post-value definitions once per model; the property
+context negates each conjunct once per distinct reading.  These tests pin
+that sharing changes nothing (obligations, verdicts, certificates,
+exception types and messages), whatever order the properties come in,
+that the change index holds what the exact post-state held, and that the
+sharing really removes the per-rule-instance and per-property work.  They
+also pin that every obligation cube is clean, which lets cube joins skip
+cleaning.
 """
 
 import gc
@@ -40,7 +43,7 @@ from certplc.prooftree import CaseProof, HypEntry, ProofTree
 
 from conftest import (FIXTURES, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
                       NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
-                      fixture_names, load_invariants, load_model)
+                      fixture_names, load_invariants, load_model, rule_post)
 
 
 def _cases():
@@ -48,6 +51,13 @@ def _cases():
         model = load_model(name)
         for inv in load_invariants(name, model):
             yield name, model, inv.formula
+    # small rings, where many actions write one counter and so share a
+    # reading
+    for mc in _benchmark_cases():
+        model = parse_model(mc.text)
+        if mc.name.startswith("ring") and len(model.steps) <= 8:
+            for inv in P.parse_properties(mc.props_text(), model):
+                yield mc.name, model, inv.formula
     m = parse_model(OPAQUE)
     yield "opaque", m, P.parse_formula_text("y <= 65535", m)
     # trans:0 activates T, so its case needs the guard
@@ -68,10 +78,15 @@ def _outcome(ctx, rule):
 class TestSharedEqualsFresh:
     @pytest.mark.parametrize("cap", [512, 3])
     def test_every_rule_instance(self, cap, monkeypatch):
+        """Each rule's obligation, derived in order through one context,
+        equals the one a fresh parse and a fresh context derive for that
+        rule alone, where no memo can answer."""
         monkeypatch.setattr(L, "CAP", cap)
         seen = set()
+        shared_readings = 0
         for name, model, formula in _cases():
             ctx = O.DerivationContext(model, formula)
+            uses = Counter()
             for rule in model.rules:
                 shared = _outcome(ctx, rule)
                 # a fresh parse of the model has a fresh model context
@@ -80,11 +95,16 @@ class TestSharedEqualsFresh:
                 assert shared == fresh, (name, rule.label())
                 if isinstance(shared, tuple):
                     seen.add(shared[0])
-        # both failure kinds were compared
+                uses.update((i, r) for i, r in enumerate(
+                    ctx.readings.get(rule, ())) if r)
+            shared_readings += sum(n > 1 for n in uses.values())
+        # both failure kinds were compared, and many obligations read a
+        # negated conjunct derived for an earlier rule
         want = {L.FragmentError}
         if cap == 3:
             want.add(L.LimitExceeded)
         assert want <= seen
+        assert shared_readings >= 20
 
     def test_failed_piece_fails_again_with_same_message(self):
         # every rule can falsify a conjunct, so every case is open (B makes
@@ -322,7 +342,8 @@ def _ring(n: int) -> str:
 
 class TestWorkCount:
     """Deriving a ring's obligations normalizes each distinct guard and
-    atom O(1) times, not once per rule instance."""
+    atom O(1) times, not once per rule instance, and negates each conjunct
+    once per distinct reading, not once per rule that changes it."""
 
     N = 32
 
@@ -349,16 +370,23 @@ class TestWorkCount:
         guards = {t.guard for t in model.transitions}
         # per polarity one pre-state normalization of each distinct guard
         # and atom, plus one post-state normalization of each atom per
-        # action, whose effect substitutes into it
-        bound = 2 * (len(guards) + len(atoms)) + self.N * len(atoms)
+        # distinct reading: every action writes c, so c's conjunct has one
+        # reading, and the other conjunct has no arithmetic atom
+        bound = 2 * (len(guards) + len(atoms)) + len(atoms)
 
         normalized = self._counting(monkeypatch, "normalize")
         envs = self._counting(monkeypatch, "symbolic_env")
         ctx = O.DerivationContext(model, inv.formula)
         obs = [O.build_obligation(ctx, rule) for rule in rules]
         assert len(obs) == len(rules)
-        assert len(normalized) <= bound < len(rules)
+        assert len(normalized) <= bound < self.N
         assert len(envs) == 1
+        # the actions share c's reading; the other conjunct's readings
+        # are the few rules that touch A16 or S16
+        readings = {(i, r) for by_conj in ctx.readings.values()
+                    for i, r in enumerate(by_conj) if r}
+        assert len({r for i, r in readings if i == 0}) == 1
+        assert len(readings) <= 6
 
         res = V.verify_invariant(model, inv)
         assert isinstance(res, V.Proved)
@@ -410,7 +438,7 @@ def _framing(text, rule, model=FRAME):
     f = P.parse_formula_text(text, model)
     ctx = O.DerivationContext(model, f)
     ob = O.build_obligation(ctx, rule)
-    post = ctx.shared.rule_state(model, rule)
+    post = rule_post(model, rule)
     out = []
     for conj, neg in zip(P.conjuncts(f), ob.neg_concl):
         assert ctx.formula_dnf(conj, post, negated=True), E.pretty(conj)
@@ -482,7 +510,7 @@ class TestFrameRule:
         inv, = P.parse_properties(
             f"invariant p : always (x <= 65535 && ({clauses}));", m)
         ctx = O.DerivationContext(m, inv.formula)
-        post = ctx.shared.rule_state(m, S.ExecuteAction("A"))
+        post = rule_post(m, S.ExecuteAction("A"))
         with pytest.raises(L.LimitExceeded):
             ctx.formula_dnf(P.conjuncts(inv.formula)[1], post, negated=True)
         res = V.verify_invariant(m, inv)
@@ -525,6 +553,43 @@ class TestFrameRule:
         assert v.path == ("cases", "exec:A_Init", f"hyp {i}")
 
 
+class TestChangeIndex:
+    """The change index, read off the rule shapes and the action texts,
+    holds for each rule instance what its exact post-state map held: each
+    step and action its shape sets, a later field winning, and the keys of
+    its action's effect summary, wherever that summary exists."""
+
+    def test_index_equals_the_post_state_map(self):
+        models = [load_model(name) for name in fixture_names()]
+        models += [parse_model(mc.text)
+                   for mc in _benchmark_cases(seeds=(1, 2, 3))]
+        models += [parse_model(OPAQUE), parse_model(WRAP_BLOWUP)]
+        compared = Counter()
+        for model in models:
+            for rule, shape in model.rules.items():
+                want = {}
+                for prefix, names, value in (
+                        (O.STEP_PREFIX, shape.steps_off, 0),
+                        (O.STEP_PREFIX, shape.steps_on, 1),
+                        (O.ACT_PREFIX, shape.acts_off, 0),
+                        (O.ACT_PREFIX, shape.acts_on, 1)):
+                    want.update((prefix + n, value) for n in names)
+                kind = "no action"
+                if shape.action is not None:
+                    kind = "diagram" if model.action(
+                        shape.action).fbd_ref is not None else "assignments"
+                    try:
+                        summary = O.effect_summary(model, shape.action)
+                    except L.FragmentError:
+                        compared["no summary"] += 1
+                        continue
+                    want.update(dict.fromkeys(summary, O.WRITTEN))
+                assert rule_post(model, rule) == want, rule.label()
+                compared[kind] += 1
+        assert min(compared.values()) > 0, compared
+        assert compared.total() > 2500, compared
+
+
 class TestStopsAfterRefutation:
     def test_no_derivation_after_the_refuted_case(self, loop_model,
                                                   monkeypatch):
@@ -565,15 +630,17 @@ def _every_pair(op, la, lb, bits, bounds):
                 yield cube
 
 
-def _benchmark_cases():
-    """The seed-1 charts of the ring, arith and fanout workloads."""
+def _benchmark_cases(seeds=(1,)):
+    """The charts of the ring, arith and fanout workloads, seed 1 unless
+    other seeds are given."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         families = importlib.import_module("families")
     finally:
         sys.path.remove(str(PERFBENCH))
     for workload in ("ring", "arith", "fanout"):
-        yield from families.build(workload, 1)
+        for seed in seeds:
+            yield from families.build(workload, seed)
 
 
 def _benchmark_charts():

@@ -236,9 +236,16 @@ class TestUndecidedPath:
         assert v.path == ("cases", rule.label())
 
 
+# A chart whose only action is outside the linear fragment; y is never
+# written.
+NONLINEAR_EFFECT = ("var x : int8 = 2\nvar y : int8\nstep S [initial]\n"
+                    "action A on S { x := x * y; }\n")
+
 # _UNDECIDED's charts under properties that no rule can falsify: every case
 # is closed without its hypothesis, so the failure inside that hypothesis
-# is never met.
+# is never met.  The last three read no variable an action writes, so no
+# case derives its action's effect: the effect summary of the first two
+# fails, and the third's fails in its post-value definitions.
 _CLOSED = {
     "nonlinear-guard": (NONLINEAR_GUARD, "x <= 65535", None),
     "wrap-quotient-cap": (WRAP_BLOWUP, "steps_within {S}", None),
@@ -247,6 +254,11 @@ _CLOSED = {
     "wrap-quotient-count-guard": (_huge_chart("x + 1", _HUGE), "x <= 255",
                                   None),
     "disjunct-cap": (_CAPPED_GUARD, "x <= 65535", _TWO_CUBES),
+    "nonlinear-assignment-unread": (NONLINEAR_EFFECT, "y == 0", None),
+    "comparison-and-mux-diagram-unread": (OPAQUE, "x == 0 && step(A)", None),
+    "wrap-quotient-count-assignment-unread": (
+        _huge_chart(_HUGE, "x").replace("step S", "var y : int8 = 7\nstep S",
+                                        1), "y == 7", None),
 }
 
 
@@ -256,9 +268,10 @@ class TestClosedCases:
     def test_failure_inside_a_closed_case_is_proved(self, source,
                                                     monkeypatch):
         """A case whose negated conclusions are all empty carries no
-        hypothesis, so a failure inside the hypothesis cannot leave it
-        undecided; the certificate lists it as ``hyps 0``, the checker
-        accepts it, and the property holds on the reachable states."""
+        hypothesis, and one whose readings are all empty derives no
+        effect, so a failure inside either cannot leave it undecided; the
+        certificate lists it as ``hyps 0``, the checker accepts it, and
+        the property holds on the reachable states."""
         chart, prop, patch = source
         if patch is not None:
             monkeypatch.setattr(*patch)
