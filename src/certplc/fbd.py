@@ -7,12 +7,13 @@ iteration and start from the type default.  A diagram runs for exactly
 ``time_slice`` iterations; globals are read at iteration start and written
 back from the final iteration only.
 
-``compile_fbd`` validates a diagram, puts it in delay-cut evaluation order
-and resolves its ports to slots with their wrap types; a model keeps each
-of its diagrams compiled once (``SfcModel.program``).  ``_run`` is the one
-interpreter of compiled diagrams.  It runs the concrete semantics
-(``eval_iterative``, over ``expr.IntDomain``) and the symbolic summary
-(``linear_summary``, over ``linear.LinDomain``) alike.
+Parsing a model validates each diagram; the model compiles it on its first
+run and keeps the program (``SfcModel.program``).  ``compile_fbd``
+validates, puts the blocks in delay-cut evaluation order and resolves
+ports to slots with their wrap types.  ``_run`` is the one interpreter of
+compiled diagrams.  It runs the concrete semantics (``eval_iterative``,
+over ``expr.IntDomain``) and the symbolic summary (``linear_summary``,
+over ``linear.LinDomain``) alike.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class Fbd:
     name: str
     blocks: tuple[Block, ...]  # sorted by id
     time_slice: int
+
+    def __post_init__(self):
+        """Store the blocks sorted by id, however the diagram is built."""
+        object.__setattr__(self, "blocks",
+                           tuple(sorted(self.blocks, key=lambda b: b.id)))
 
 
 def _dependencies(f: Fbd) -> dict[str, list[str]]:
@@ -424,7 +430,7 @@ def parse_fbd(ts: TokenStream, name: str) -> Fbd:
             if len(ops) != len(PORTS[kind]):
                 ts.error(f"{kind} takes {len(PORTS[kind])} inputs", at_kind)
             blocks.append(Block(bid, kind, inputs=tuple(ops)))
-    return Fbd(name, tuple(sorted(blocks, key=lambda b: b.id)),
+    return Fbd(name, tuple(blocks),
                time_slice if time_slice is not None else 1)
 
 

@@ -10,12 +10,12 @@ The external text format is line oriented with ``#`` comments:
     fbd F1 { ... }                # body grammar in the fbd module
 
 Every action is attached to exactly one step.  Models are normalized on
-construction: variables, steps and actions are stored sorted by name, so
-per-step action lists come out sorted by action id and the canonical
-printer (declarations sorted by kind then name, transitions in source
-order) round-trips exactly.  Transitions keep their declared order;
-target lists keep their declared order because step activation order is
-observable.
+construction, however built (``parse_model``, the constructor or
+``replace``): variables, steps, actions and diagrams are stored sorted by
+name, blocks by id.  So per-step action lists come out sorted by action id
+and the canonical printer (declarations sorted by kind then name,
+transitions in source order) round-trips exactly.  Transitions and target
+lists keep their declared order, because activation order is observable.
 
 ``SfcModel.rules`` states what each rule instance needs and changes, for
 the checker and the verifier alike.  Nothing here runs a guard or an
@@ -128,6 +128,15 @@ class SfcModel:
     transitions: tuple[Transition, ...]
     fbds: tuple[F.Fbd, ...] = ()
 
+    def __post_init__(self):
+        """Sort the declarations by name: the one place their canonical
+        order is decided, so a model built in code is canonical too."""
+        for field, key in (("vars", lambda v: v.name), ("steps", None),
+                           ("initial", None), ("actions", lambda a: a.id),
+                           ("fbds", lambda f: f.name)):
+            object.__setattr__(self, field,
+                               tuple(sorted(getattr(self, field), key=key)))
+
     def env(self) -> dict[str, str]:
         return {v.name: v.ty for v in self.vars}
 
@@ -155,7 +164,7 @@ class SfcModel:
         return tuple(a.id for a in self.actions)
 
     def program(self, name: str) -> F.Program:
-        """The named diagram, validated and compiled once per model; raises
+        """The named diagram, validated and compiled on first use; raises
         FbdError for an invalid one, and a failure is not kept."""
         programs = self._names[3]
         if name not in programs:
@@ -227,17 +236,6 @@ def init_state(model: SfcModel) -> SfcState:
     return SfcState(mem, steps, acts)
 
 
-def _normalized(vars, steps, initial, actions, transitions, fbds) -> SfcModel:
-    return SfcModel(
-        vars=tuple(sorted(vars, key=lambda v: v.name)),
-        steps=tuple(sorted(steps)),
-        initial=tuple(sorted(initial)),
-        actions=tuple(sorted(actions, key=lambda a: a.id)),
-        transitions=tuple(transitions),
-        fbds=tuple(sorted(fbds, key=lambda f: f.name)),
-    )
-
-
 # --- validation -----------------------------------------------------------
 
 def validate(model: SfcModel) -> list[str]:
@@ -281,10 +279,7 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
             out.append(f"duplicate fbd {f.name!r}")
         fbd_names.add(f.name)
         try:
-            if model.fbd(f.name) is f:
-                model.program(f.name)  # kept for the model's later use
-            else:  # an earlier diagram of a duplicate name
-                F.validate_fbd(f, env)
+            F.validate_fbd(f, env)
         except F.FbdError as err:
             out.append(f"fbd {f.name!r}: {err}")
 
@@ -356,11 +351,8 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
             out.append(f"transition {i}: {err}")
         transitions.append(t)
 
-    typed = SfcModel(model.vars, model.steps, model.initial,
-                     tuple(actions), tuple(transitions), model.fbds)
-    # same declarations and diagrams, so the programs compiled above hold
-    typed._names[3].update(model._names[3])
-    return typed, out
+    return SfcModel(model.vars, model.steps, model.initial, tuple(actions),
+                    tuple(transitions), model.fbds), out
 
 
 # --- parsing --------------------------------------------------------------
@@ -445,8 +437,8 @@ def parse_model(text: str) -> SfcModel:
         if a.step not in declared:
             ts.error(f"action attached to unknown step {a.step!r}", at_host)
 
-    model, problems = _checked(_normalized(
-        vars_, steps, initial, actions, transitions, fbds))
+    model, problems = _checked(SfcModel(
+        vars_, steps, initial, actions, tuple(transitions), fbds))
     if problems:
         raise ParseError("; ".join(problems))
     return model
@@ -465,7 +457,7 @@ def _parse_step_set(ts: TokenStream) -> tuple[str, ...]:
 
 def canonical_text(model: SfcModel) -> str:
     lines = []
-    for v in sorted(model.vars, key=lambda v: v.name):
+    for v in model.vars:
         s = f"var {v.name} : {v.ty}"
         if v.init is not None:
             if v.ty == "bool":
@@ -474,16 +466,16 @@ def canonical_text(model: SfcModel) -> str:
                 s += f" = {v.init}"
         lines.append(s)
     initial = set(model.initial)
-    for s in sorted(model.steps):
+    for s in model.steps:
         lines.append(f"step {s}" + (" [initial]" if s in initial else ""))
-    for a in sorted(model.actions, key=lambda a: a.id):
+    for a in model.actions:
         if a.fbd_ref is not None:
             lines.append(f"action {a.id} on {a.step} = fbd {a.fbd_ref}")
         else:
             body = " ".join(f"{n} := {E.pretty(e)};" for n, e in a.assigns)
             body = f"{{ {body} }}" if a.assigns else "{ }"
             lines.append(f"action {a.id} on {a.step} {body}")
-    for f in sorted(model.fbds, key=lambda f: f.name):
+    for f in model.fbds:
         lines.extend(F.fbd_lines(f))
     for t in model.transitions:
         src = ", ".join(t.sources)

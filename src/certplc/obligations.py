@@ -125,9 +125,9 @@ def _activity_dnf(value, want: int) -> Dnf:
 
 
 def _none_of(kind, names, within) -> P.Formula:
-    """``!kind(n)`` for each name outside *within*, in name order, joined
-    by one ``&&``."""
-    return E.chain(E.And, (E.Not(P.Active(kind, n)) for n in sorted(names)
+    """``!kind(n)`` for each of *names* (a model's, so in name order)
+    outside *within*, joined by one ``&&``."""
+    return E.chain(E.And, (E.Not(P.Active(kind, n)) for n in names
                            if n not in within))
 
 

@@ -3,22 +3,24 @@ import functools
 import pathlib
 import re
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from certplc import certificate as C
+from certplc import expr as E
 from certplc import fbd as F
 from certplc import properties as P
 from certplc import verifier as V
-from certplc.model import (canonical_text, model_digest, parse_model,
-                           text_digest)
+from certplc.model import (ActionBlock, SfcModel, canonical_text,
+                           model_digest, parse_model, text_digest)
 from certplc.lia.witness import MAX_SPLIT_NESTING
 from certplc.parsing import MAX_NESTING
 
-from conftest import (FANOUT, WRAP_BLOWUP, WRAP_BLOWUP_PROP, load_invariants,
-                      load_model, states_of)
+from conftest import (FANOUT, FIXTURES, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
+                      fixture_names, load_invariants, load_model, states_of)
 
 
 def proved_certificate(name="loop", index=1):
@@ -810,26 +812,114 @@ def _transitive_imports(start: str) -> set[str]:
     return seen
 
 
+def _reversed(model):
+    """The model built in code with every declaration list and every
+    diagram's blocks in reverse order."""
+    return SfcModel(model.vars[::-1], model.steps[::-1], model.initial[::-1],
+                    model.actions[::-1], model.transitions,
+                    tuple(F.Fbd(f.name, f.blocks[::-1], f.time_slice)
+                          for f in model.fbds[::-1]))
+
+
+def _same_certificates(built, parsed, invariants):
+    """*built* equals *parsed* and proves each property, read against
+    either model, to the same verdict and the same certificate bytes, which
+    the checker accepts."""
+    assert built == parsed
+    for text in invariants:
+        inv_b = P.parse_properties(text, built)[0]
+        res_b = V.verify_invariant(built, inv_b)
+        inv_p = P.parse_properties(text, parsed)[0]
+        res_p = V.verify_invariant(parsed, inv_p)
+        assert repr(res_b) == repr(res_p), text
+        if isinstance(res_b, V.Proved):
+            data = C.emit(built, inv_b, res_b.tree)
+            assert data == C.emit(parsed, inv_p, res_p.tree), text
+            assert C.check(data).accepted, text
+
+
+def _invariant_texts(name):
+    return [ln for ln in (FIXTURES / f"{name}.inv").read_text().splitlines()
+            if ln.startswith("invariant ")]
+
+
+class TestCodeBuiltModels:
+    """A model built in code is canonical whatever order its declarations
+    and blocks come in: it certifies byte for byte like its parsed twin."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_reversed_declarations(self, name):
+        parsed = load_model(name)
+        _same_certificates(_reversed(parsed), parsed, _invariant_texts(name))
+
+    @pytest.mark.parametrize("aid", ["A_Done", "Z_Done"])
+    def test_replaced_actions(self, aid):
+        # a new action prepended by dataclasses.replace, its id sorting
+        # before or after the declared one
+        parsed = load_model("loop")
+        new = ActionBlock(aid, "Return", assigns=(("x", E.IntLit(0)),))
+        built = replace(parsed, actions=(new,) + parsed.actions)
+        twin = parse_model((FIXTURES / "loop.sfc").read_text()
+                           + f"action {aid} on Return {{ x := 0; }}\n")
+        _same_certificates(built, twin, _invariant_texts("loop"))
+
+
+# A claim proved on FANOUT that reads n0: its open execute cases are C0's,
+# the one diagram action that writes n0, and R's, which assigns
+RESET_N0 = ("(!step(F) || n0 == 0) && (!step(J) || action(R) || n0 == 0)"
+            " && (!action(C0) || step(B0)) && (!step(B0) || !step(J))"
+            " && (!step(B0) || !step(F)) && (!step(F) || !step(J))")
+
+
 class TestCheckWork:
-    def test_each_diagram_validated_once_per_check(self, monkeypatch):
-        """The model's own validation compiles each diagram; obligation
-        building reuses the compiled program instead of validating again."""
+    """Parsing a model validates its diagrams without compiling them; the
+    checker compiles only the diagrams whose execute case is open."""
+
+    def _certificate(self, claim):
         model = parse_model(FANOUT)
-        inv = P.parse_properties("invariant s : always "
-                                 "(steps_within {F, B0, B1, B2, J});",
+        inv = P.parse_properties(f"invariant p : always ({claim});",
                                  model)[0]
         res = V.verify_invariant(model, inv)
         assert isinstance(res, V.Proved)
-        data = C.emit(model, inv, res.tree)
-        validated, validate = [], F.validate_fbd
+        return C.emit(model, inv, res.tree)
+
+    def _counted(self, monkeypatch, name):
+        """The names of the diagrams ``fbd.<name>`` is called on."""
+        calls, real = [], getattr(F, name)
 
         def counted(f, env):
-            validated.append(f.name)
-            return validate(f, env)
+            calls.append(f.name)
+            return real(f, env)
 
-        monkeypatch.setattr(F, "validate_fbd", counted)
+        monkeypatch.setattr(F, name, counted)
+        return calls
+
+    def test_parse_validates_each_diagram_and_compiles_none(self,
+                                                            monkeypatch):
+        compiled = self._counted(monkeypatch, "compile_fbd")
+        validated = self._counted(monkeypatch, "validate_fbd")
+        parse_model(FANOUT)
+        assert compiled == []
+        assert validated == ["Cnt0", "Cnt1", "Cnt2"]
+
+    def test_each_diagram_validated_once_per_check(self, monkeypatch):
+        """The re-parse of the embedded model validates each diagram once;
+        no case of a steps_within claim is open, so none is compiled."""
+        data = self._certificate("steps_within {F, B0, B1, B2, J}")
+        compiled = self._counted(monkeypatch, "compile_fbd")
+        validated = self._counted(monkeypatch, "validate_fbd")
         assert C.check(data).accepted
+        assert compiled == []
         assert sorted(validated) == ["Cnt0", "Cnt1", "Cnt2"]
+
+    def test_only_diagrams_of_open_cases_are_compiled(self, monkeypatch):
+        data = self._certificate(RESET_N0)
+        assert {ln.split()[1] for ln in data.decode().split("\n")
+                if ln.startswith("case exec:")
+                and not ln.endswith(" hyps 0")} == {"exec:C0", "exec:R"}
+        compiled = self._counted(monkeypatch, "compile_fbd")
+        assert C.check(data).accepted
+        assert compiled == ["Cnt0"]
 
 
 def _chart(guard, rhs="x + 1"):

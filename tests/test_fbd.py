@@ -288,7 +288,7 @@ def _diagrams(draw):
             draw(st.sampled_from(sorted(_ENV)))
             if kind in ("read", "write") else None,
             draw(literal) if kind == "const" else None))
-    return F.Fbd("D", tuple(sorted(blocks, key=lambda b: b.id)), 1)
+    return F.Fbd("D", tuple(blocks), 1)
 
 
 def _fits(op, t, types):

@@ -7,7 +7,8 @@ from certplc.model import ActionBlock, SfcModel, Transition
 from certplc.parsing import ParseError
 from certplc import expr as E
 
-from conftest import FIXTURES, MIXED_WIDTH, fixture_names, load_model
+from conftest import (FANOUT, FIXTURES, MIXED_WIDTH, fixture_names,
+                      load_model)
 
 MINIMAL = "step Only [initial]\n"
 
@@ -50,6 +51,23 @@ class TestParse:
             parse_model(MINIMAL + "action A on Only { }\n"
                         "action A on Only { }\n")
         assert str(err.value) == "duplicate action 'A'"
+
+    # a diagram with a cycle without a delay, declared before or after an
+    # empty one of the same name: each is validated on its own
+    CYCLE = ("fbd F {\n block a = add(b.out, const 1)\n"
+             " block b = add(a.out, const 1)\n block w = write x (a.out)\n}\n")
+
+    @pytest.mark.parametrize("fbds, problems", [
+        (CYCLE + "fbd F { }\n", ["fbd 'F': cycle without a delay block: "
+                                  "a -> b -> a", "duplicate fbd 'F'"]),
+        ("fbd F { }\n" + CYCLE, ["duplicate fbd 'F'", "fbd 'F': cycle "
+                                  "without a delay block: a -> b -> a"]),
+    ], ids=["invalid-first", "invalid-second"])
+    def test_duplicate_diagrams_are_each_validated(self, fbds, problems):
+        with pytest.raises(ParseError) as err:
+            parse_model("var x : int16\n" + MINIMAL
+                        + "action A on Only = fbd F\n" + fbds)
+        assert str(err.value) == "; ".join(problems)
 
     def test_action_on_unknown_step_carries_position(self):
         with pytest.raises(ParseError, match="unknown step 'Ghost'") as err:
@@ -208,6 +226,13 @@ class TestCanonical:
         b = parse_model("var b : int16\nvar a : int8\n" + MINIMAL)
         assert a == b
         assert canonical_text(a) == canonical_text(b)
+        # built in code with every declaration list reversed
+        parsed = parse_model(FANOUT)
+        built = SfcModel(parsed.vars[::-1], parsed.steps[::-1],
+                         parsed.initial[::-1], parsed.actions[::-1],
+                         parsed.transitions, parsed.fbds[::-1])
+        assert built == parsed
+        assert canonical_text(built) == canonical_text(parsed)
 
 
 class TestDigest:
