@@ -1,8 +1,11 @@
 import sys
 import time
 from functools import partial
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certplc import certificate as C
 from certplc import expr as E
@@ -13,7 +16,8 @@ from certplc import semantics as S
 from certplc import verifier as V
 from certplc.lia import solver
 from certplc.lia.solver import Sat, decide_sat
-from certplc.linear import FragmentError, LimitExceeded
+from certplc.lia.witness import replay_witness
+from certplc.linear import FragmentError, LimitExceeded, clean_cube
 from certplc.model import parse_model
 from certplc.prooftree import CaseProof, ProofTree
 from certplc.semantics import reachable_bounded
@@ -22,6 +26,7 @@ from conftest import (FANOUT, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
                       NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
                       decision, fixture_names, load_invariants, load_model,
                       lockstep, states_of)
+from test_lia import _hyp_and_joint
 
 
 def formula(text, model):
@@ -381,11 +386,30 @@ def _charts():
         yield f"lockstep/{width}/{c}", model, inv
 
 
+def _parity_charts():
+    """_charts() and lockstep at each width with c = 3, 7 and 12."""
+    charts = {name: (name, model, inv) for name, model, inv in _charts()}
+    for width in ("int8", "int16", "int32"):
+        for c in (3, 7, 12):
+            name = f"lockstep/{width}/{c}"
+            if name not in charts:
+                charts[name] = (name, *lockstep(width, c))
+    return list(charts.values())
+
+
+def _without_reuse():
+    """discharge with every replay of the previous witness rejected, so
+    that every joint cube is decided."""
+    return patch.object(V, "replay_witness", lambda cube, witness: False)
+
+
 class TestJointCubeReplay:
     """discharge decides each joint cube by extending its hypothesis
-    cube's simplification instead of redoing it; on these charts the
-    result, witnesses included, is the from-scratch decision, so their
-    certificates do not depend on the shortcut."""
+    cube's simplification instead of redoing it, and decides none that the
+    previous joint cube's witness refutes; on these charts the first gives
+    the from-scratch decision, witnesses included, and a replayed witness
+    is the one the decision would give, so their certificates depend on
+    neither shortcut."""
 
     @pytest.mark.parametrize("chart", list(_charts()), ids=lambda c: c[0])
     def test_every_joint_cube_decides_as_from_scratch(self, chart):
@@ -396,17 +420,48 @@ class TestJointCubeReplay:
             for joint in joints:
                 assert decision(joint, after=res) == decision(joint)
 
+    @pytest.mark.parametrize("chart", list(_charts()), ids=lambda c: c[0])
+    def test_replayed_witness_is_the_decided_one(self, chart):
+        _, model, inv = chart
+        for hyp, res, joints in _decided_cases(model, inv):
+            if not isinstance(res, Sat):
+                continue
+            for prev, joint in zip(joints, joints[1:]):
+                sub = decide_sat(prev, after=res)
+                if (not isinstance(sub, Sat)
+                        and replay_witness(joint, sub.witness)):
+                    assert decision(joint, after=res) == repr(sub)
+
+    @pytest.mark.parametrize("chart", _parity_charts(), ids=lambda c: c[0])
+    def test_verdicts_equal_those_without_reuse(self, chart):
+        """Verdict, proof tree, refuted rule and assignment, undecided
+        reason."""
+        _, model, inv = chart
+        res = V.verify_invariant(model, inv)
+        with _without_reuse():
+            assert V.verify_invariant(model, inv) == res
+
     def test_only_hypotheses_and_equality_joins_run_from_scratch(
             self, monkeypatch):
+        """Every hypothesis cube is decided from scratch; a joint cube is
+        decided, unless the previous joint cube's witness refutes it, by
+        extending its hypothesis's simplification, or from scratch when
+        its extra members hold an equality."""
         model, inv = lockstep("int8", 5)
-        hyps = joints = full_joints = 0
+        hyps = joints = decided = full_joints = 0
         for hyp, res, cubes in _decided_cases(model, inv):
             hyps += 1
-            if isinstance(res, Sat):
-                joints += len(cubes)
-                full_joints += sum(any(con.rel == "==" for con in j[len(hyp):])
-                                   for j in cubes)
-        assert joints > 0
+            if not isinstance(res, Sat):
+                continue
+            joints += len(cubes)
+            witness = None
+            for joint in cubes:
+                if witness is not None and replay_witness(joint, witness):
+                    continue
+                decided += 1
+                full_joints += any(con.rel == "==" for con in joint[len(hyp):])
+                witness = decide_sat(joint, after=res).witness
+        assert 0 < decided < joints
         calls = {"decide_sat": 0, "_extend": 0}
 
         def count(module, name):
@@ -420,8 +475,45 @@ class TestJointCubeReplay:
         count(V, "decide_sat")
         count(solver, "_extend")
         assert isinstance(V.verify_invariant(model, inv), V.Proved)
-        assert calls["_extend"] == joints - full_joints
+        assert calls["_extend"] == decided - full_joints
         assert calls["decide_sat"] - calls["_extend"] == hyps + full_joints
+
+
+@st.composite
+def _siblings(draw):
+    """A satisfiable hypothesis cube and one negated-conclusion DNF whose
+    cubes are one drawn cube with its right-hand sides shifted, as sibling
+    wrap-quotient cubes are."""
+    hyp, joint = draw(_hyp_and_joint())
+    extra = joint[len(hyp):]
+    shift = st.integers(-2, 2)
+    dnf = tuple(clean_cube(tuple(con._replace(rhs=con.rhs + draw(shift))
+                                 for con in extra))
+                for _ in range(draw(st.integers(1, 5))))
+    return O.CaseObligation(O.ENTAIL, (hyp,), (dnf,))
+
+
+class TestSiblingWitnessDifferential:
+    """On drawn cubes a replayed witness may differ from the one a
+    decision would give, which is sound; the verdict may not differ."""
+
+    # tier-1 runs 500 examples; `--hypothesis-profile long` (conftest.py)
+    # runs more
+    @settings(max_examples=max(500, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(_siblings())
+    def test_reuse_keeps_the_verdict(self, ob):
+        res = V.discharge(ob)
+        with _without_reuse():
+            fresh = V.discharge(ob)
+        assert type(res) is type(fresh)
+        if isinstance(res, V.Refuted):
+            assert res == fresh
+            return
+        (entry,) = res.hyps
+        joints = list(O.joint_cubes(ob.hyp_cubes[0], ob.neg_concl))
+        assert len(entry.witnesses) == len(joints)
+        assert all(map(replay_witness, joints, entry.witnesses))
 
 
 class TestVerifyInvariant:
