@@ -432,10 +432,10 @@ def _lower_atom(e, negate, env, subst) -> Dnf:
         cube = clean_cube((LinCon.make(linear_form(e, subst), "==", want),))
         return FALSE_DNF if cube is None else (cube,)
     if isinstance(e, E.Cmp):
+        if e.width is None:
+            raise E.ExprError(f"comparison {e.op!r} was not typechecked")
         op = _NEG_OP[e.op] if negate else e.op
-        width = e.width or E.typecheck(e, env)[0].width
-        bits = E.bits_of(width)
         la = linear_form(e.lhs, subst)
         lb = linear_form(e.rhs, subst)
-        return _cmp_atom(op, la, lb, bits, bounds_fn(env))
+        return _cmp_atom(op, la, lb, E.bits_of(e.width), bounds_fn(env))
     raise FragmentError(f"not a boolean expression: {type(e).__name__}")

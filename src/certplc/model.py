@@ -12,10 +12,12 @@ The external text format is line oriented with ``#`` comments:
 Every action is attached to exactly one step.  Models are normalized on
 construction, however built (``parse_model``, the constructor or
 ``replace``): variables, steps, actions and diagrams are stored sorted by
-name, blocks by id.  So per-step action lists come out sorted by action id
-and the canonical printer (declarations sorted by kind then name,
-transitions in source order) round-trips exactly.  Transitions and target
-lists keep their declared order, because activation order is observable.
+name, blocks by id, and each guard and assignment that typechecks carries
+its comparison widths.  So any model evaluates, explores and certifies like
+its parsed twin, per-step action lists come out sorted by action id and the
+canonical printer (declarations sorted by kind then name, transitions in
+source order) round-trips exactly.  Transitions and target lists keep their
+declared order, because activation order is observable.
 
 ``SfcModel.rules`` states what each rule instance needs and changes, for
 the checker and the verifier alike.  Nothing here runs a guard or an
@@ -129,13 +131,31 @@ class SfcModel:
     fbds: tuple[F.Fbd, ...] = ()
 
     def __post_init__(self):
-        """Sort the declarations by name: the one place their canonical
-        order is decided, so a model built in code is canonical too."""
+        """Sort the declarations by name and annotate each guard and
+        assignment that typechecks: the one place canonical order and
+        comparison widths are decided.  Each one's type, or the ExprError
+        it got, is kept for ``validate``; an ill-typed one stays as it was."""
         for field, key in (("vars", lambda v: v.name), ("steps", None),
                            ("initial", None), ("actions", lambda a: a.id),
                            ("fbds", lambda f: f.name)):
             object.__setattr__(self, field,
                                tuple(sorted(getattr(self, field), key=key)))
+        env, types = self.env(), []
+        def typed(e):
+            try:
+                e, ty = E.typecheck(e, env)
+            except E.ExprError as err:
+                ty = err
+            types.append(ty)
+            return e
+        object.__setattr__(self, "actions", tuple([
+            a if a.assigns is None else ActionBlock(
+                a.id, a.step, tuple([(n, typed(e)) for n, e in a.assigns]),
+                a.fbd_ref) for a in self.actions]))
+        object.__setattr__(self, "transitions", tuple([
+            Transition(t.sources, typed(t.guard), t.targets, t.priority)
+            for t in self.transitions]))
+        object.__setattr__(self, "_types", tuple(types))
 
     def env(self) -> dict[str, str]:
         return {v.name: v.ty for v in self.vars}
@@ -240,14 +260,7 @@ def init_state(model: SfcModel) -> SfcState:
 
 def validate(model: SfcModel) -> list[str]:
     """Well-formedness report; empty means the model is usable."""
-    return _checked(model)[1]
-
-
-def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
-    """The model with comparison widths annotated in each guard and
-    assignment that typechecks, each checked once; and its problems."""
-    out = []
-    env = {}
+    out, env, types = [], {}, iter(model._types)  # types as constructed
     for v in model.vars:
         if not IDENT_RE.match(v.name):
             out.append(f"bad variable name {v.name!r}")
@@ -283,9 +296,9 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
         except F.FbdError as err:
             out.append(f"fbd {f.name!r}: {err}")
 
-    action_ids, actions = set(), []
+    action_ids = set()
     for a in model.actions:
-        actions.append(a)
+        ets = [next(types) for _ in a.assigns or ()]
         if not IDENT_RE.match(a.id):
             out.append(f"bad action name {a.id!r}")
         if a.id in action_ids:
@@ -302,20 +315,15 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
                 out.append(f"action {a.id!r} references unknown fbd "
                            f"{a.fbd_ref!r}")
             continue
-        assigns = []
-        for name, e in a.assigns:
-            assigns.append((name, e))  # annotated below if it typechecks
+        for (name, e), et in zip(a.assigns, ets):
             ty = env.get(name)
             if ty is None:
                 out.append(f"action {a.id!r} assigns undeclared "
                            f"variable {name!r}")
                 continue
-            try:
-                ann, et = E.typecheck(e, env)
-            except E.ExprError as err:
-                out.append(f"action {a.id!r}: {err}")
+            if isinstance(et, E.ExprError):
+                out.append(f"action {a.id!r}: {et}")
                 continue
-            assigns[-1] = (name, ann)
             if (ty == "bool") != (et == "bool"):
                 out.append(f"action {a.id!r}: type mismatch assigning "
                            f"{et} to {ty} variable {name!r}")
@@ -325,10 +333,8 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
             elif ty != "bool" and et != ty and E.vars_of(e):
                 out.append(f"action {a.id!r}: width mismatch assigning "
                            f"{et} to {ty} variable {name!r}")
-        actions[-1] = ActionBlock(a.id, a.step, tuple(assigns))
 
-    transitions = []
-    for i, t in enumerate(model.transitions):
+    for (i, t), gt in zip(enumerate(model.transitions), types):
         if not t.sources:
             out.append(f"transition {i}: empty source set")
         if not t.targets:
@@ -342,17 +348,11 @@ def _checked(model: SfcModel) -> tuple[SfcModel, list[str]]:
                 out.append(f"transition {i}: unknown step {s!r}")
         if t.priority is not None and t.priority < 0:
             out.append(f"transition {i}: negative priority")
-        try:
-            guard, gt = E.typecheck(t.guard, env)
-            if gt != "bool":
-                out.append(f"transition {i}: guard is not boolean")
-            t = Transition(t.sources, guard, t.targets, t.priority)
-        except E.ExprError as err:
-            out.append(f"transition {i}: {err}")
-        transitions.append(t)
-
-    return SfcModel(model.vars, model.steps, model.initial, tuple(actions),
-                    tuple(transitions), model.fbds), out
+        if isinstance(gt, E.ExprError):
+            out.append(f"transition {i}: {gt}")
+        elif gt != "bool":
+            out.append(f"transition {i}: guard is not boolean")
+    return out
 
 
 # --- parsing --------------------------------------------------------------
@@ -437,9 +437,8 @@ def parse_model(text: str) -> SfcModel:
         if a.step not in declared:
             ts.error(f"action attached to unknown step {a.step!r}", at_host)
 
-    model, problems = _checked(SfcModel(
-        vars_, steps, initial, actions, tuple(transitions), fbds))
-    if problems:
+    model = SfcModel(vars_, steps, initial, actions, transitions, fbds)
+    if problems := validate(model):
         raise ParseError("; ".join(problems))
     return model
 

@@ -242,10 +242,9 @@ class DerivationContext:
 
     Normalizations are keyed by the expression, whose equality ignores
     ``E.Cmp.width``.  That is exact here: every comparison reaching a
-    context was annotated by ``E.typecheck`` under the model's env (the
-    model parser annotates guards, ``properties.check_refs`` atoms) or is
-    unannotated and annotated by ``normalize`` under the same declarations,
-    and typecheck's width depends only on the operands and the env, so equal
+    context was annotated by ``E.typecheck`` under the model's env (model
+    construction annotates guards, ``properties.check_refs`` atoms), and
+    typecheck's width depends only on the operands and the env, so equal
     expressions carry equal widths.
     """
 

@@ -162,6 +162,7 @@ def parse_properties(text: str, model: SfcModel | None = None) -> list[Invariant
 
 
 def parse_formula_text(text: str, model: SfcModel | None = None) -> Formula:
+    """The formula, checked against *model*; syntax only without one."""
     ts = TokenStream(text)
     f = parse_formula(ts)
     if ts.peek():

@@ -1,10 +1,12 @@
 import pathlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import settings
 
-from certplc import (BudgetExceeded, parse_model, parse_properties,
+from certplc import (BudgetExceeded, SfcModel, parse_model, parse_properties,
                      reachable_bounded)
+from certplc import expr as E
 from certplc import obligations as O
 from certplc.lia.solver import decide_sat
 from certplc.linear import FragmentError, LimitExceeded
@@ -113,6 +115,29 @@ def fixture_names():
 
 def load_model(name):
     return parse_model((FIXTURES / f"{name}.sfc").read_text())
+
+
+def strip_widths(e):
+    """*e* with the width annotation of every comparison dropped."""
+    if isinstance(e, E.Cmp):
+        return E.Cmp(e.op, strip_widths(e.lhs), strip_widths(e.rhs))
+    if isinstance(e, (E.And, E.Or)):
+        return type(e)(tuple(map(strip_widths, e.args)))
+    if isinstance(e, E.Not):
+        return E.Not(strip_widths(e.arg))
+    return e
+
+
+def built_in_code(model):
+    """*model* rebuilt by the constructor from its pieces, every guard and
+    assignment stripped of its comparison widths first."""
+    actions = tuple(a if a.assigns is None else replace(
+        a, assigns=tuple((n, strip_widths(e)) for n, e in a.assigns))
+        for a in model.actions)
+    transitions = tuple(replace(t, guard=strip_widths(t.guard))
+                        for t in model.transitions)
+    return SfcModel(model.vars, model.steps, model.initial, actions,
+                    transitions, model.fbds)
 
 
 def load_invariants(name, model=None):

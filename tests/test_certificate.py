@@ -20,7 +20,8 @@ from certplc.lia.witness import MAX_SPLIT_NESTING
 from certplc.parsing import MAX_NESTING
 
 from conftest import (FANOUT, FIXTURES, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
-                      fixture_names, load_invariants, load_model, states_of)
+                      built_in_code, fixture_names, load_invariants,
+                      load_model, states_of)
 
 
 def proved_certificate(name="loop", index=1):
@@ -31,13 +32,14 @@ def proved_certificate(name="loop", index=1):
     return model, inv, C.emit(model, inv, res.tree)
 
 
-def target_certificates():
+def target_certificates(load=load_model):
     """Certificates with a target, from the two lemma claims: Dead
     unreachable in dead_ctx under the context ``0 < y``, and the loop's
-    exit trigger determining Return under the mutex context.  Maps a name
-    to (model, invariant, target, certificate bytes)."""
-    dead = load_model("dead_ctx")
-    loop = load_model("loop")
+    exit trigger determining Return under the mutex context, on the models
+    *load* gives.  Maps a name to (model, invariant, target, certificate
+    bytes)."""
+    dead = load("dead_ctx")
+    loop = load("loop")
     claims = {
         "dead_ctx/unreachable": (dead, V.check_guard_unreachable(
             dead, "Dead", (P.parse_formula_text("0 < y", dead),))),
@@ -845,12 +847,26 @@ def _invariant_texts(name):
 
 class TestCodeBuiltModels:
     """A model built in code is canonical whatever order its declarations
-    and blocks come in: it certifies byte for byte like its parsed twin."""
+    and blocks come in, and typed whether or not its comparisons carry
+    widths: it certifies byte for byte like its parsed twin."""
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_reversed_declarations(self, name):
         parsed = load_model(name)
         _same_certificates(_reversed(parsed), parsed, _invariant_texts(name))
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_width_stripped_guards_and_assignments(self, name):
+        parsed = load_model(name)
+        _same_certificates(built_in_code(parsed), parsed,
+                           _invariant_texts(name))
+
+    def test_width_stripped_target_claims(self):
+        built = target_certificates(lambda name: built_in_code(
+            load_model(name)))
+        for name, (*_, data) in target_certificates().items():
+            assert built[name][-1] == data, name
+            assert C.check(data).accepted, name
 
     @pytest.mark.parametrize("aid", ["A_Done", "Z_Done"])
     def test_replaced_actions(self, aid):

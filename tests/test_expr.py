@@ -48,8 +48,13 @@ class TestEval:
         assert ev("4294967295 + 1 == 0", {}, {}) == 1
 
     def test_untypechecked_comparison_rejected(self):
-        with pytest.raises(E.ExprError, match="not typechecked"):
-            E.eval_expr(parse_formula_text("x < 10"), {"x": 5})
+        e = parse_formula_text("x < 10")
+        with pytest.raises(E.ExprError, match="not typechecked") as evaluated:
+            E.eval_expr(e, {"x": 5})
+        # lowering decides no width either: typecheck is the one place
+        with pytest.raises(E.ExprError) as lowered:
+            L.normalize(e, {"x": "int16"})
+        assert str(lowered.value) == str(evaluated.value)
 
     def test_unbound_variable(self):
         with pytest.raises(E.ExprError, match="unbound"):

@@ -1,14 +1,17 @@
 import time
+from dataclasses import replace
 
 import pytest
 
 from certplc import (canonical_text, model_digest, parse_model, validate)
-from certplc.model import ActionBlock, SfcModel, Transition
-from certplc.parsing import ParseError
+from certplc.model import (ActionBlock, ExecuteAction, SfcModel, Transition,
+                           VarDecl, init_state)
+from certplc.parsing import ParseError, TokenStream, parse_expression
+from certplc.semantics import apply_rule, reachable_bounded, run_trace
 from certplc import expr as E
 
-from conftest import (FANOUT, FIXTURES, MIXED_WIDTH, fixture_names,
-                      load_model)
+from conftest import (FANOUT, FIXTURES, MIXED_WIDTH, built_in_code,
+                      fixture_names, load_model)
 
 MINIMAL = "step Only [initial]\n"
 
@@ -167,6 +170,24 @@ class TestValidate:
             broken = SfcModel(model.vars, model.steps, model.initial,
                               model.actions, (t,))
             assert validate(broken) == [f"transition 0: {problem}"]
+        # a well-typed guard or assignment from the expression parser is
+        # annotated on construction, so the model runs like its parsed twin
+        loop = load_model("loop")
+        lt3 = parse_expression(TokenStream("x < 3"))
+        assert lt3.width is None
+        guarded = replace(loop, transitions=(
+            replace(loop.transitions[0], guard=lt3),) + loop.transitions[1:])
+        assert validate(guarded) == []
+        twin = parse_model(canonical_text(guarded))
+        assert reachable_bounded(guarded, 5) == reachable_bounded(twin, 5)
+        assert run_trace(guarded, max_steps=20) == run_trace(twin,
+                                                             max_steps=20)
+        flagged = replace(loop, vars=loop.vars + (VarDecl("b", "bool"),),
+                          actions=(ActionBlock("A_Init", "Init",
+                                               (("b", lt3),)),))
+        assert validate(flagged) == []
+        assert apply_rule(flagged, init_state(flagged),
+                          ExecuteAction("A_Init")).mem == {"b": 1, "x": 0}
 
     def test_one_typecheck_per_guard_and_assignment(self, monkeypatch):
         # parsing annotates and validates from the same typecheck
@@ -183,12 +204,15 @@ class TestValidate:
                 depth[0] -= 1
 
         monkeypatch.setattr(E, "typecheck", counted)
-        exprs = 0
-        for name in fixture_names():
-            model = load_model(name)
-            exprs += len(model.transitions) + sum(
-                len(a.assigns) for a in model.actions if a.assigns)
+        models = [load_model(name) for name in fixture_names()]
+        exprs = sum(len(m.transitions) + sum(
+            len(a.assigns) for a in m.actions if a.assigns) for m in models)
         assert len(calls) == exprs == 36
+        # built in code and then validated: the same one each
+        calls.clear()
+        for model in models:
+            assert validate(built_in_code(model)) == []
+        assert len(calls) == exprs
 
     def test_empty_initial_set(self):
         model = parse_model(MINIMAL)
@@ -220,6 +244,12 @@ class TestCanonical:
             again = parse_model(canonical_text(once))
             assert once == again, name
             assert canonical_text(once) == canonical_text(again)
+            # rebuilt in code, from width-stripped or annotated guards and
+            # assignments: typed as parsed, widths included (repr shows them)
+            for built in (built_in_code(once), replace(once)):
+                assert built == once, name
+                assert repr(built) == repr(once), name
+                assert canonical_text(built) == canonical_text(once)
 
     def test_declaration_order_is_normalized(self):
         a = parse_model("var a : int8\nvar b : int16\n" + MINIMAL)

@@ -540,6 +540,15 @@ class TestVerifyInvariant:
             loop_model, P.Invariant("t", formula("true", loop_model)))
         assert isinstance(res, V.Proved)
 
+    @pytest.mark.parametrize("text", ["step(Init) || x >= 0", "x <= 10"])
+    def test_formula_parsed_without_the_model_is_rejected(self, loop_model,
+                                                         text):
+        # syntax only: its comparisons carry no width, whether or not the
+        # base case reaches them
+        f = P.parse_formula_text(text)
+        with pytest.raises(E.ExprError, match="not typechecked"):
+            V.verify_invariant(loop_model, P.Invariant("p", f))
+
     def test_determinism(self, loop_model):
         inv = load_invariants("loop", loop_model)[1]
         a = V.verify_invariant(loop_model, inv)
