@@ -2,7 +2,7 @@
 
 Layout (UTF-8 text, LF line endings):
 
-    CERTPLC/3
+    CERTPLC/4
     digest: <64 hex digits of the embedded model's canonical text>
     --- model
     <canonical model text>
@@ -12,8 +12,9 @@ Layout (UTF-8 text, LF line endings):
     --- proof
     <proof tree, see prooftree>
 
-The magic line names the proof grammar (in ``CERTPLC/3`` a closed case is
-``case L hyps 0``); a certificate in another one is rejected at line one.
+The magic line names the proof grammar (in ``CERTPLC/4`` a closed case is
+``case L hyps 0``, and a witness printed before is ``again K``); a
+certificate in another one is rejected at line one.
 
 The property section holds an invariant I, optionally followed by a target
 P (without one, P is I).  The checker trusts nothing from the proof section
@@ -26,6 +27,11 @@ refutes I jointly with each negated conjunct of P.  So I is inductive and
 I implies P.  Replay is integer arithmetic without search, so acceptance
 implies P holds in every reachable configuration; a bad certificate can
 only be rejected, never believed.
+
+The checker replays one witness per re-derived joint cube and contradiction
+entry (an ``again K`` line is block K replayed again), a count that the
+embedded model, the property and the obligation caps fix; each replay
+costs at most the length of the longest block.
 
 Rejection never means the property is false, only that this certificate
 does not establish it.
@@ -44,7 +50,7 @@ from .model import (SfcModel, canonical_text, init_state, parse_model,
 from .parsing import ParseError
 from .prooftree import ProofTree, parse_proof_lines, proof_lines
 
-MAGIC = "CERTPLC/3"
+MAGIC = "CERTPLC/4"
 
 _SECTIONS = ("--- model", "--- property", "--- proof")
 

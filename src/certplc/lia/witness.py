@@ -207,18 +207,14 @@ def decimal(text: str, signed: bool = False) -> int:
         raise ParseError(f"number too long: {len(text)} digits") from None
 
 
-def parse_witness_lines(rows: Iterator[str],
-                        known: dict[str, Step] | None = None) -> Witness:
+def parse_witness_lines(rows: Iterator[str]) -> Witness:
     """Parse one witness block from *rows*, the stripped non-blank lines of
-    a proof, consuming exactly its rows.  *known* maps lines already read to
-    their combine or tighten step; one map shared by the blocks of a proof
-    parses each repeated step line once.  Splits nested deeper than
+    a proof, consuming exactly its rows.  Splits nested deeper than
     MAX_SPLIT_NESTING are a ParseError."""
-    return _parse_block(rows, {} if known is None else known, 0)
+    return _parse_block(rows, 0)
 
 
-def _parse_block(rows: Iterator[str], known: dict[str, Step],
-                 depth: int) -> Witness:
+def _parse_block(rows: Iterator[str], depth: int) -> Witness:
     """`parse_witness_lines` of a block inside *depth* splits."""
     head = next(rows, "").split()
     if len(head) != 2 or head[0] != "steps":
@@ -228,17 +224,13 @@ def _parse_block(rows: Iterator[str], known: dict[str, Step],
         line = next(rows, None)
         if line is None:
             raise ParseError("truncated witness")
-        step = known.get(line)
-        if step is not None:
-            steps.append(step)
-            continue
         parts = line.split()
         if parts[0] == "combine" and len(parts) > 1:
-            step = known[line] = Combine(tuple(
+            step = Combine(tuple(
                 (decimal(idx), decimal(mult, True))
                 for idx, _, mult in (t.partition("*") for t in parts[1:])))
         elif parts[0] == "tighten" and len(parts) == 2:
-            step = known[line] = Tighten(decimal(parts[1]))
+            step = Tighten(decimal(parts[1]))
         elif parts[0] == "split" and len(parts) == 6:
             lo, hi = decimal(parts[2], True), decimal(parts[3], True)
             if hi < lo or hi - lo > 1_000_000:
@@ -248,8 +240,8 @@ def _parse_block(rows: Iterator[str], known: dict[str, Step],
                     f"split nesting deeper than {MAX_SPLIT_NESTING}")
             branches = []
             for _ in range(hi - lo + 1):  # a loop: one frame per level
-                branches.append(_parse_block(rows, known, depth + 1))
-            step = RangeSplit(  # not kept: its branches follow it
+                branches.append(_parse_block(rows, depth + 1))
+            step = RangeSplit(
                 parts[1], lo, hi, decimal(parts[4]), decimal(parts[5]),
                 tuple(branches))
         else:

@@ -16,15 +16,22 @@ lookahead and rejects any truncation:
     case exec:A_Init hyps 2
     hyp 0 contradiction
     <witness block>
-    hyp 1 cubes 2
+    hyp 1 cubes 3
     <witness block>
-    <witness block>
+    again 1
+    again 0
     case trans:0 hyps 0
+
+An entry's witness is printed as a block (see ``lia.witness``) the first
+time it appears, and blocks are numbered 0, 1, ... in that order; a later
+equal witness is the line ``again K``, naming block K printed before it.
+Split branches stay inside their block and are not numbered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .lia.witness import (Witness, decimal, parse_witness_lines,
                           witness_lines)
@@ -54,16 +61,26 @@ class ProofTree:
 
 def proof_lines(tree: ProofTree) -> list[str]:
     out = ["base"]
+    table: dict[Witness, int] = {}  # printed block -> its index
+
+    def block(w: Witness):
+        k = table.get(w)
+        if k is None:
+            table[w] = len(table)
+            out.extend(witness_lines(w))
+        else:
+            out.append(f"again {k}")
+
     for case in tree.cases:
         out.append(f"case {case.label} hyps {len(case.hyps)}")
         for i, entry in enumerate(case.hyps):
             if entry.contradiction is not None:
                 out.append(f"hyp {i} contradiction")
-                out.extend(witness_lines(entry.contradiction))
+                block(entry.contradiction)
             else:
                 out.append(f"hyp {i} cubes {len(entry.witnesses)}")
                 for w in entry.witnesses:
-                    out.extend(witness_lines(w))
+                    block(w)
     return out
 
 
@@ -78,14 +95,29 @@ def _count(parts: list[str], what: str) -> int:
     return n
 
 
+def _next_witness(rows, table: list[Witness]) -> Witness:
+    """The next entry-level witness: a block, which joins *table*, or an
+    ``again K`` line naming one of the blocks already in it."""
+    line = next(rows, "")
+    parts = line.split()
+    if parts[:1] != ["again"]:
+        table.append(parse_witness_lines(chain((line,), rows)))
+        return table[-1]
+    if len(parts) != 2:
+        raise ParseError(f"malformed line {line!r}")
+    k = decimal(parts[1])
+    if k >= len(table):
+        raise ParseError(f"again {k} before block {k} is defined")
+    return table[k]
+
+
 def parse_proof_lines(lines: list[str]) -> ProofTree:
-    """One pass over the lines; blank ones are skipped, and a witness line
-    seen before is not parsed again.  Raises ParseError on a malformed or
-    truncated proof."""
+    """One pass over the lines; blank ones are skipped.  Raises ParseError
+    on a malformed or truncated proof."""
     rows = filter(None, map(str.strip, lines))
     if next(rows, None) != "base":
         raise ParseError("proof must start with the base leaf")
-    seen: dict = {}
+    table: list[Witness] = []
     cases = []
     for line in rows:
         head = line.split()
@@ -100,10 +132,10 @@ def parse_proof_lines(lines: list[str]) -> ProofTree:
                 if len(parts) != 3:
                     raise ParseError("malformed contradiction entry")
                 hyps.append(HypEntry(
-                    contradiction=parse_witness_lines(rows, seen)))
+                    contradiction=_next_witness(rows, table)))
             elif parts[2] == "cubes" and len(parts) == 4:
                 hyps.append(HypEntry(witnesses=tuple(
-                    parse_witness_lines(rows, seen)
+                    _next_witness(rows, table)
                     for _ in range(_count(parts, "cube")))))
             else:
                 raise ParseError(f"malformed hyp entry {' '.join(parts)!r}")

@@ -1,4 +1,6 @@
+import importlib
 import pathlib
+import sys
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from certplc.lia.solver import decide_sat
 from certplc.linear import FragmentError, LimitExceeded
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 # `--hypothesis-profile long` raises the example count of a test that
 # reads it (test_lia.py's joint-cube extension differential) from 500
@@ -111,6 +114,19 @@ def eval_dnf(dnf, assignment) -> bool:
 
 def fixture_names():
     return sorted(p.stem for p in FIXTURES.glob("*.sfc"))
+
+
+def benchmark_cases(seeds=(1,)):
+    """The charts of the ring, arith and fanout workloads, seed 1 unless
+    other seeds are given."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        families = importlib.import_module("families")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for workload in ("ring", "arith", "fanout"):
+        for seed in seeds:
+            yield from families.build(workload, seed)
 
 
 def load_model(name):

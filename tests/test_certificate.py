@@ -18,10 +18,11 @@ from certplc.model import (ActionBlock, SfcModel, canonical_text,
                            model_digest, parse_model, text_digest)
 from certplc.lia.witness import MAX_SPLIT_NESTING
 from certplc.parsing import MAX_NESTING
+from certplc.prooftree import parse_proof_lines, proof_lines
 
 from conftest import (FANOUT, FIXTURES, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
-                      built_in_code, fixture_names, load_invariants,
-                      load_model, states_of)
+                      benchmark_cases, built_in_code, fixture_names,
+                      load_invariants, load_model, states_of)
 
 
 def proved_certificate(name="loop", index=1):
@@ -102,24 +103,30 @@ class TestCheckRejections:
 
     def test_bad_magic(self):
         # CERTPLC/1 is the grammar with per-conjunct headers, CERTPLC/2 the
-        # one that lists an entry per hypothesis cube of a closed case:
+        # one that lists an entry per hypothesis cube of a closed case,
+        # CERTPLC/3 the one that prints a repeated witness again in full:
         # each is rejected at its first line, before the proof is read
         _, _, data = proved_certificate()
-        for magic in (b"CERTPLC/9", b"CERTPLC/1", b"CERTPLC/2"):
+        for magic in (b"CERTPLC/9", b"CERTPLC/1", b"CERTPLC/2",
+                      b"CERTPLC/3"):
             bad = data.replace(C.MAGIC.encode(), magic, 1)
             assert bad != data
             v = C.check(bad)
             assert v.reason == "parse: bad magic line" and v.path == ()
 
     def test_open_case_without_entries_is_a_count_mismatch(self):
-        # trans:0 is open: the checker derives its 8 hypothesis cubes
-        _, _, data = proved_certificate()
-        lines = data.decode().split("\n")
-        start = lines.index("case trans:0 hyps 8")
-        end = lines.index("case trans:1 hyps 8")
-        bad = "\n".join(lines[:start] + ["case trans:0 hyps 0"]
-                        + lines[end:])
-        v = C.check(bad.encode())
+        # trans:0 is open: the checker derives its 8 hypothesis cubes.  The
+        # tree is emptied there and printed again, so that the witness
+        # table stays well formed
+        from certplc.prooftree import CaseProof, ProofTree
+        model, inv, data = proved_certificate()
+        tree = V.verify_invariant(model, inv).tree
+        assert "case trans:0 hyps 8\n" in data.decode()
+        bad = C.emit(model, inv, ProofTree(tuple(
+            CaseProof(c.label, ()) if c.label == "trans:0" else c
+            for c in tree.cases)))
+        assert "case trans:0 hyps 0\n" in bad.decode()
+        v = C.check(bad)
         assert v.reason == "coverage: hypothesis cube count mismatch"
         assert v.path == ("cases", "trans:0")
 
@@ -265,6 +272,52 @@ class TestCheckRejections:
         assert v.reason == ("replay: witness does not refute the "
                             "counterexample cube")
         assert v.path == ("cases", "trans:0", "hyp 0", "cube 1")
+
+    @pytest.mark.parametrize("again, why", [
+        ("again 1", "again 1 before block 1 is defined"),
+        ("again 12", "again 12 before block 12 is defined"),
+        ("again 01", "bad number '01'"),
+        ("again -1", "bad number '-1'"),
+        ("again 1 2", "malformed line 'again 1 2'"),
+        ("again", "malformed line 'again'"),
+    ], ids=["forward", "undefined", "leading-zero", "negative",
+            "two-numbers", "no-number"])
+    def test_bad_again_line(self, again, why):
+        """x_capped_ind's proof prints 12 blocks; ``hyp 1`` of its first
+        case repeats block 0, and block 1 is first printed at ``hyp 8``."""
+        _, _, data = proved_certificate()
+        text = data.decode()
+        old = "hyp 1 contradiction\nagain 0\n"
+        assert "\nsplit " not in text and text.count("\nsteps ") == 12
+        assert old in text
+        v = C.check(text.replace(old, f"hyp 1 contradiction\n{again}\n",
+                                 1).encode())
+        assert v.reason == f"proof-parse: {why}", v.reason
+
+    def test_again_as_the_first_block(self):
+        _, _, data = proved_certificate()
+        text = data.decode()
+        head = "hyp 0 contradiction"
+        first = f"{head}\nsteps 1\ncombine 4*1 0*-1\n"
+        assert text.index("\nsteps ") == text.index(first) + len(head)
+        v = C.check(text.replace(first, f"{head}\nagain 0\n", 1).encode())
+        assert v.reason == "proof-parse: again 0 before block 0 is defined"
+
+    def test_again_to_a_witness_that_does_not_refute(self):
+        """A well-formed ``again K`` is replayed against the cube its entry
+        stands for: trans:0's ``hyp 1`` repeats blocks 6 and 7, and block 6
+        does not refute its second joint cube."""
+        _, _, data = proved_certificate()
+        text = data.decode()
+        at = text.index("case trans:0 hyps 8\n")
+        old = "hyp 1 cubes 2\nagain 6\nagain 7\n"
+        assert text.index(old, at) < text.index("case trans:1 ", at)
+        bad = text[:at] + text[at:].replace(
+            old, "hyp 1 cubes 2\nagain 6\nagain 6\n", 1)
+        v = C.check(bad.encode())
+        assert v.reason == ("replay: witness does not refute the "
+                            "counterexample cube")
+        assert v.path == ("cases", "trans:0", "hyp 1", "cube 1")
 
     def test_non_canonical_model_rejected(self):
         _, _, data = proved_certificate()
@@ -419,7 +472,10 @@ def _proof_rows(lines: list[str]) -> list[int]:
 
 
 def _block_end(lines: list[str], i: int) -> int:
-    """Index just past the witness block whose ``steps`` line is lines[i]."""
+    """Index just past the witness block that starts at lines[i]: a
+    ``steps`` line and its steps, or the single line ``again K``."""
+    if lines[i].startswith("again "):
+        return i + 1
     n = int(lines[i].split()[1])
     i += 1
     for _ in range(n):
@@ -461,7 +517,8 @@ def _block_removal(draw, lines):
 def _broken_certificates(draw):
     """A certificate with one edit that no checker may accept: one proof
     line dropped or duplicated, a count header changed, or one witness
-    block removed and its entry's count decremented."""
+    block (``steps`` and its lines, or ``again K``) removed and its entry's
+    count decremented."""
     lines = draw(st.sampled_from(_mutation_inputs())).split("\n")
     kind = draw(st.sampled_from(["drop", "duplicate", "count", "block"]))
     if kind == "count":
@@ -571,88 +628,178 @@ class TestAllFixturesRoundTrip:
                     assert C.check(data).accepted, (name, inv.name)
 
 
+@functools.cache
+def _proved_claims() -> tuple:
+    """(name, model, invariant, target, tree) of every claim that proves:
+    the fixture invariants, the two target claims, and the invariants of
+    the seed-1 ring, arith and fanout benchmark charts."""
+    out = []
+    charts = [(name, load_model(name), None) for name in fixture_names()]
+    for mc in benchmark_cases():
+        charts.append((mc.name, parse_model(mc.text), mc.props_text()))
+    for name, model, props in charts:
+        invs = (load_invariants(name, model) if props is None
+                else P.parse_properties(props, model))
+        for inv in invs:
+            res = V.verify_invariant(model, inv)
+            if isinstance(res, V.Proved):
+                out.append((f"{name}/{inv.name}", model, inv, None, res.tree))
+    for name, (model, inv, target, _) in target_certificates().items():
+        out.append((name, model, inv, target,
+                    V.verify_invariant(model, inv, target).tree))
+    return tuple(out)
+
+
+def _entry_witnesses(tree):
+    """The witness of every contradiction entry and joint cube, in proof
+    order."""
+    for case in tree.cases:
+        for entry in case.hyps:
+            if entry.contradiction is not None:
+                yield entry.contradiction
+            else:
+                yield from entry.witnesses
+
+
+def _entry_blocks(lines: list[str]) -> list[str]:
+    """The first line of each entry-level block of a proof: ``steps N``
+    or ``again K``; the blocks inside splits are skipped."""
+    heads, i = [], 0
+    while i < len(lines):
+        parts = lines[i].split()
+        i += 1
+        if parts[0] == "hyp":
+            for _ in range(1 if parts[2] == "contradiction"
+                           else int(parts[3])):
+                heads.append(lines[i])
+                i = _block_end(lines, i)
+    return heads
+
+
+class TestWitnessTable:
+    """Each distinct entry-level witness is printed once as a block and
+    then named by ``again K``; the table changes the text, not the tree
+    nor the checker's replays."""
+
+    def test_corpus_holds_repeated_witnesses(self):
+        claims = _proved_claims()
+        assert len(claims) > 100
+        repeats = sum(len(list(_entry_witnesses(tree)))
+                      - len(set(_entry_witnesses(tree)))
+                      for *_, tree in claims)
+        assert repeats > 1000
+
+    def test_round_trip(self):
+        for name, *_, tree in _proved_claims():
+            assert parse_proof_lines(proof_lines(tree)) == tree, name
+
+    def test_each_witness_is_printed_once(self):
+        for name, *_, tree in _proved_claims():
+            heads = _entry_blocks(proof_lines(tree))
+            blocks = [h for h in heads if h.startswith("steps ")]
+            assert len(heads) == len(list(_entry_witnesses(tree))), name
+            assert len(blocks) == len(set(_entry_witnesses(tree))), name
+            assert len(heads) - len(blocks) == sum(
+                h.startswith("again ") for h in heads), name
+
+    def test_checker_replays_every_entry(self, monkeypatch):
+        calls = 0
+        replay = C.replay_witness
+
+        def counted(cube, witness):
+            nonlocal calls
+            calls += 1
+            return replay(cube, witness)
+
+        monkeypatch.setattr(C, "replay_witness", counted)
+        for name, model, inv, target, tree in _proved_claims():
+            calls = 0
+            assert C.check(C.emit(model, inv, tree, target)).accepted, name
+            assert calls == len(list(_entry_witnesses(tree))), name
+
+
 # SHA-256 of the certificate of every fixture invariant that proves.  Any
 # change to the derivation of obligations, the proof search or the printers
 # shows up here; a refactor that keeps the semantics keeps these bytes.
 FIXTURE_CERT_SHA256 = {
     "ambiguous/steps_declared":
-        "b4ed94323fcd08945484de914c903a9bfcfd4768671404564d0d7bc09c4a6376",
+        "55148e466f0e17d55b23dceabf414af70b4c81a52b4d31e17906303cec84e9ad",
     "ambiguous/no_actions":
-        "0b7989905a35584b5e874eb468a1b5ac58dd92d76ea61123f383d0386cebe0dc",
+        "ebb2b1fa62b19520b63d543e66560c9d62b55bb97cf9a36cd4897f1bc2df381b",
     "ambiguous/x_in_range":
-        "2be93ed89842300f78119104cc03209b6aaff12e4b0163ef0932bc93ac3084a9",
+        "6abb58df451289e470243c143909cf5fa869dad1784c1511d260fe4d92a88ceb",
     "dead_ctx/y_positive":
-        "96b5fc223caa64143ef4f0990e1f5d297f31fae7a9a4cba86dcb4d00ec9be618",
+        "8a2469517287591b56d16be97015852ae51b53f07233f1d3e4cf344c9ab2b06f",
     "dead_ctx/never_dead":
-        "5841efc2ad8671e5e96fb0d6b9e3b418619e02b6976cb4bb4eb5292cdf8719e9",
+        "57f24d00443a7e8cd2e93666fbe063b604e0160f74d8d828bf118c8882246c03",
     "dead_ctx/acts_declared":
-        "eec25539853d626cc7705af68645303a36603420e1dc758469606275c86325e1",
+        "1e5fd2bab5a11b9a3c88add12c4b4926aedef78cd18af2f65a3481df9cec52be",
     "fbd_counter/out_small":
-        "2224ec55874880fcae7c034fba48f383d8ece57bb423b0c0590a6912efb04a1c",
+        "118823db0e9bb0378e3e4d7ecc1607ebf534566603e000f20c1cff72ab14cf58",
     "fbd_counter/out_in_range":
-        "f95ce8296687d9d47f5a3543be05255ffc26cc887f694104a868cf943a487ff5",
+        "d449f9d7e4b2219bdd7d9dce501f4af36a6442c2f190874307bdd5699d8bc2f7",
     "fbd_counter/acts_declared":
-        "44056501636d7ea957e436749231fb411a68ceee1a6f7f3d73f505d7b7ec15d2",
+        "998648656b52b52cd59ca07677df571d7227119e250b1ba987db50a97055c5c4",
     "fbd_inc/x_capped_ind":
-        "1e88104bb037a905c398be34d362302e36831d375aaf5509aac28b864abf8167",
+        "5e2431779d3bf8289691f293801dbacd93fff7517277cb600272b8899ee9f935",
     "fbd_inc/in_range":
-        "4de50e3c143c7c9ac1e81415194dc428fc2880d9c07384a5507243ee7a871d5e",
+        "172e2266e5c2036de9e70c147ae8bd332296ac11e7ecfc516f969442e4e09e89",
     "fbd_inc/acts_declared":
-        "c7488ca99ba77a083e91d9dd56e952aab58a7c74ee24a3b0d40a248d3f7d6141",
+        "b8c22370a76a8609e8e17b7a4d7466d025f82b1bb796416dfe785de7ef477b92",
     "flip/tautology":
-        "c24b6a1f4f7f1b98d5c7219336068ee915da0d36c26f363bd5d82b2fe9d77d95",
+        "ff6802dc892969b673fcae09be9445437722444b7b0de26375c9cd488ebd8714",
     "flip/steps_declared":
-        "e5e6c7d3ec7160f7a6b31e8fbaecb2c400fd659e0cc24b2dbeaa541883785f77",
+        "e3103d447a834fe72e38bcc944fa33a4ff66ca1e0a8afa405b821cf0b9102a84",
     "flip/acts_declared":
-        "3b60d9520fb7a4b2acea2ed0d3c3ff3cb4f7791657bf6e4073eeb2c53fef506f",
+        "4fbfb6424d7100429746c09122de1d4c4a7c1d8b482fbb82dcf791cc636a5248",
     "hold_positive/y_positive":
-        "28741b9d44acdad4f6d57fd33d647847ef7ca1b42a4819f256deccb4e95969ef",
+        "643c5a8baaecedfe8ae4fe3f10d67ce54ef44299700091dd8ead997c1ea575a1",
     "hold_positive/y_low":
-        "c49b14a5b9fddb68dbbdc3f50f568258cdc9340f29b380baa37405de3b790a4e",
+        "de7c3314adc87f3ca66ed1ee4b6122a16a1762270edae7114bddc56200e84aca",
     "hold_positive/acts_declared":
-        "96acc8492bc7324a37a0dbb243a75bfc77332543cca64c6eb220393487928d4f",
+        "c815427771408606bbf8bbac3e80f2949c4c13a1803f0e43a67875475650d6fa",
     "hold_positive/x_in_range":
-        "b92b9f97d0844e56fa364207fae835a516d7db5b1eb9f1ecd23509e13759cffd",
+        "ad43ae783d4573098596c10673edf3f06be6492424f1a9e379bcefab9b842e3d",
     "init_multi/steps_declared":
-        "32fdfaf45d69af773161c8a7a926ba4bfbf175eb87a6cdb93b2b6afe5503373e",
+        "47e18bfb0d01072c2b9897d6a1f21ad812a46c137055ec7c78b7492d1d439e96",
     "init_multi/no_actions":
-        "8ee2fc7d27a5d6081710ddd98102da5ba5c81a9aa9bb3e48c64003cbc7934474",
+        "89d609c7cd503097f914c4c0dccbc50665afa00268084d4a6685e9f3f8f5b4d9",
     "init_multi/k_in_range":
-        "50c55c6ddc14c7081d6a38f575656a3ee2b2b4e8ab12ee5d46cd99497aedef7d",
+        "6c09f4677d7dab8d1e865efeedbd9908d02189d3c7004138db51cfcf75e05269",
     "loop/x_capped_ind":
-        "464f153116524852b65687fbae080d8182c3812820643161e1745dd2b8c72da3",
+        "a97043e3dc7a79c8bca2535714d4944f92242485527f878ab5baa8b2f5291284",
     "loop/in_range":
-        "25685c0a12197daff72c45ae7a95dd9cb264a4e48312b98c45502a678b73a072",
+        "b6ed193590b84a5a5bd9324c8dca6ba6f4a6a78787bc575d3c480ecfd763b1b1",
     "loop/acts_declared":
-        "b3deacd55afbb1027954745005a43e20c2cdf706ea6c28d0007669998f99fecc",
+        "bf6dac867147203e7e34dd5c844c8a5b6dae9a6b78de1508e6e2e92853e4c611",
     "multi_action/c_small":
-        "73af881afa7ca22a3f0ea2e765a3f49dcd35ae09e4438c3c0a783c7b3a9414ae",
+        "5db26bb7d56bc8a5ebe0f48e0845d4ad5a0459134ea09279af559c36bbff1276",
     "multi_action/steps_declared":
-        "5471b737064bfe32c2a18c45e511442cee4d6379e5bb7c068ddfd7e336605675",
+        "7635aaa2352edb2a2462af658b778012957c901d54d7bbc0b848f649f0999516",
     "multi_action/acts_declared":
-        "31ea952adb99c6469ec32918a032e665a2644b77231443c691d0842abbcffec3",
+        "bb4c59bb25f7799bc44cb3a379fd8daa517e818af33f869aa83ff4740a8672b6",
     "parallel/steps_declared":
-        "0c4033828eaa91f5575614a8f9c2ce7b3bde7c718d75e5427d946453f6d6d0fe",
+        "249d869750963306ebb68a6bb06b484088f2cb9ec6edb9e28a5b6696fc5261f3",
     "parallel/acts_declared":
-        "ba092ed9e1f3da84357ff9fc0373332580b201b31bcedf1d77d33e6a60255f44",
+        "be718b9fc87eab174cea25a81f9b6c2e58aaacbef2a34af61f03373ff6b56d26",
     "parallel/x_in_range":
-        "5afcf7082cebeb5adafae0c5f46b1ac5f7c9101261e6d79a20fd8673ce2fc46b",
+        "621a9ea7bdbb3472a5793e2e6e0e9670367beaae44f2f18593a7223b423be16f",
     "timer/one_tick":
-        "9825922b75773e096221e29703a40a80c467dacab0cf3194ce27690f953e4b76",
+        "acad23e6c61f171a8089f5caee13e913fa368e9e72b7006e874ed9af267f9962",
     "timer/t_in_range":
-        "18f284ed2e55e7414a3638f59d83c8f8d630fc55a5362bc09ee8474282d5c727",
+        "7754373672214adde388cf8aee3042025bdd69cf83b6b077f7afdb0b2bd90dcb",
     "timer/acts_declared":
-        "73c753c72b4c0a3a1ea8af8b2eef73ae2075afef141325cd595f8914d6b9a1e1",
+        "6fe43f375b2ff70faad9f0250d3ac52a713ac7bb4b90dc81117349884d78a68b",
     "toggle/mutex":
-        "ef2492801c92188b7fad68e166ec8857a930ea8f48ca53c4b04521d16630fc08",
+        "57037bf8241e320bb46e67efb1841e67873cc7790840d6ee91636af49fdf0aa9",
     "toggle/n_in_range":
-        "819e51c0220c234555892b76f19ed74b4c696db190613c0688060fc12d6aa0e8",
+        "c9bd990d35801b90450c203b2b10511030ec3edfe878cf397aea3b54fce26ca2",
     "toggle/acts_declared":
-        "2d885cbbb26cd0528b6a631ffddff30239289d00fc3c46b4f9f71f9c274bb176",
+        "085a01148ce0611cdd943677d2a78cf5359098a2dab302f1bb2d8476128be7e6",
     "wrap/in_range":
-        "fb278ccaaa8e70aae0f371a08af04d164d035a3d1c2f0b93631d1088c9caca73",
+        "b61ed28b87784a5ba40a9d890bf6a0df78cf4d1c6fc1d5a3706bbde7bf87e45a",
     "wrap/acts_declared":
-        "9fb4c6c015ef78f6638f0b6f47ac020c46bedc4f9cd8bd331c23a73ef2b82feb",
+        "344857f03eec7db53ddf4f69ad09fd30818e90649db2599b3d186e37ad08a7f8",
 }
 
 
@@ -676,9 +823,9 @@ class TestCertificateBytes:
     # certificate does
     LOCKSTEP_CERT_SHA256 = {
         ("int8", 5):
-            "59f4b8455c250d917956b81a9ac925aabfd16436f96e20cc41d2882486a7bb8e",
+            "6cac08f949006b78dab1f7bca644435891df32aa104d79d6f3308d2ab6f22844",
         ("int16", 12):
-            "b7005a2d17823c2c4fad09f2dab0e11487d9b856c61c58947a2eb476566bc760",
+            "907c91d64ad736725cd9c00d62929bc67cf356e66441b364902128b7c312f5c9",
     }
 
     @pytest.mark.parametrize("width, c", sorted(LOCKSTEP_CERT_SHA256))
@@ -703,9 +850,9 @@ class TestCertificateBytes:
     # closing entail case
     TARGET_CERT_SHA256 = {
         "dead_ctx/unreachable":
-            "d3ddf7d1c9023d3f6cd817accd9b57d5649b7048884e38c8f5128cc13a93522c",
+            "a877bd04656be914b116ff2eda4a0d6db5e086ef9f0b6cb6b945699f972016bb",
         "loop/determined":
-            "be679cbdc6692b5dfb3411dc990e78fc565d0a2f55bee34d1fdf70a3e16ea7fd",
+            "32f712b59c1f6c95ac905886c747f4afea19a8fc0624b073aa493b966477152a",
     }
 
     def test_target_certificates_are_byte_identical(self):

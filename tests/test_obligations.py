@@ -16,9 +16,6 @@ cleaning.
 """
 
 import gc
-import importlib
-import pathlib
-import sys
 import weakref
 from collections import Counter
 from functools import partial, reduce
@@ -43,8 +40,8 @@ from certplc.prooftree import CaseProof, HypEntry, ProofTree
 
 from conftest import (FIXTURES, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
                       NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
-                      fixture_names, load_invariants, load_model, rule_post,
-                      strip_widths)
+                      benchmark_cases, fixture_names, load_invariants,
+                      load_model, rule_post, strip_widths)
 
 
 def _cases():
@@ -54,7 +51,7 @@ def _cases():
             yield name, model, inv.formula
     # small rings, where many actions write one counter and so share a
     # reading
-    for mc in _benchmark_cases():
+    for mc in benchmark_cases():
         model = parse_model(mc.text)
         if mc.name.startswith("ring") and len(model.steps) <= 8:
             for inv in P.parse_properties(mc.props_text(), model):
@@ -552,7 +549,7 @@ class TestChangeIndex:
     def test_index_equals_the_post_state_map(self):
         models = [load_model(name) for name in fixture_names()]
         models += [parse_model(mc.text)
-                   for mc in _benchmark_cases(seeds=(1, 2, 3))]
+                   for mc in benchmark_cases(seeds=(1, 2, 3))]
         models += [parse_model(OPAQUE), parse_model(WRAP_BLOWUP)]
         compared = Counter()
         for model in models:
@@ -598,8 +595,6 @@ class TestStopsAfterRefutation:
         assert len(built) < len(loop_model.rules)
 
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
 # the comparison of a difference d, spelled out apart from linear._CMP
 _UNPRUNED_REL = {
     "<": lambda d: LinCon.make(d, "<=", -1),
@@ -620,21 +615,8 @@ def _every_pair(op, la, lb, bits, bounds):
                 yield cube
 
 
-def _benchmark_cases(seeds=(1,)):
-    """The charts of the ring, arith and fanout workloads, seed 1 unless
-    other seeds are given."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        families = importlib.import_module("families")
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    for workload in ("ring", "arith", "fanout"):
-        for seed in seeds:
-            yield from families.build(workload, seed)
-
-
 def _benchmark_charts():
-    for mc in _benchmark_cases():
+    for mc in benchmark_cases():
         model = parse_model(mc.text)
         yield model, P.parse_properties(mc.props_text(), model)
 
@@ -690,7 +672,7 @@ def _chart_texts():
     for name in fixture_names():
         yield (name, (FIXTURES / f"{name}.sfc").read_text(),
                (FIXTURES / f"{name}.inv").read_text())
-    for mc in _benchmark_cases():
+    for mc in benchmark_cases():
         yield mc.name, mc.text, mc.props_text()
     yield "opaque", OPAQUE, ("invariant p : always (y <= 1);\n"
                              "invariant q : always (x <= 65535);\n")
@@ -784,7 +766,7 @@ class TestModelContextSharing:
             return original(program)
 
         monkeypatch.setattr(F, "linear_summary", counted)
-        charts = [(mc.text, mc.props_text()) for mc in _benchmark_cases()
+        charts = [(mc.text, mc.props_text()) for mc in benchmark_cases()
                   if mc.fanout is not None]
         charts += [((FIXTURES / f"{n}.sfc").read_text(),
                     (FIXTURES / f"{n}.inv").read_text())

@@ -8,19 +8,14 @@ intended difference: it read any Unicode digit as a digit (so `²` reached
 other digits as unexpected characters.
 """
 
-import importlib
-import pathlib
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certplc.parsing import ParseError, TokenStream, lex, position
 
-from conftest import FANOUT, FIXTURES
+from conftest import FANOUT, FIXTURES, benchmark_cases
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 _SYMBOLS = (
     ":=", "-[", "]->", "<=", ">=", "==", "!=", "&&", "||",
@@ -151,15 +146,9 @@ class TestAgainstReference:
             assert outcome(lex, text) == outcome(reference_lex, text), path
 
     def test_workload_texts(self):
-        sys.path.insert(0, str(PERFBENCH))
-        try:
-            families = importlib.import_module("families")
-        finally:
-            sys.path.remove(str(PERFBENCH))
         texts = [FANOUT]
-        for workload in ("ring", "arith", "fanout"):
-            for mc in families.build(workload, 1):
-                texts += [mc.text, mc.props_text()]
+        for mc in benchmark_cases():
+            texts += [mc.text, mc.props_text()]
         for text in texts:
             assert outcome(lex, text) == outcome(reference_lex, text)
 
