@@ -28,6 +28,11 @@ I implies P.  Replay is integer arithmetic without search, so acceptance
 implies P holds in every reachable configuration; a bad certificate can
 only be rejected, never believed.
 
+The re-derived cubes encode wraparound as ``linear`` does: a wrapped
+form's quotient is a constant when it has one feasible value, else the
+integer variable ``wrap:<bits>:<form>`` bounded by two members of its
+cube; so a comparison is one cube (``!=`` two), as is a post-value.
+
 The checker replays one witness per re-derived joint cube and contradiction
 entry (an ``again K`` line is block K replayed again), a count that the
 embedded model, the property and the obligation caps fix; each replay

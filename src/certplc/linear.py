@@ -3,14 +3,26 @@
 ``lower`` is the one walk of the boolean connectives into disjunctive
 normal form; ``normalize`` lowers guards and invariant atoms through it to
 disjunctions of conjunctions of linear constraints over unbounded integers.
-Modular wraparound is made exact by case-splitting: for a comparison at
-width w, every operand's raw linear form L is replaced by L - q*2**w for
-each feasible quotient q (the range of q is computed from the operands'
-width bounds), with the range constraints 0 <= L - q*2**w <= 2**w - 1.
-Each choice of quotients becomes its own disjunct, except one whose wrapped
-ranges rule the comparison out (it has no well-typed solution), so the
-output is plain Presburger arithmetic and agrees with wrapped evaluation on
-every memory.
+Modular wraparound is made exact by a quotient: at width w, an operand's
+raw linear form L stands for L - q*2**w under the range constraints
+0 <= L - q*2**w <= 2**w - 1, which pin q to floor(L / 2**w).  A form with
+one feasible quotient gets q as a constant.  A form with more gets the
+integer variable ``wrap:<w>:<L>`` (see ``quotient_var``), bounded by the
+cube members q_lo <= q <= q_hi; equal forms at one width share it, which
+is exact because the range constraints pin it.  So a comparison is one
+cube, and the output is plain Presburger arithmetic that agrees with
+wrapped evaluation on every memory.
+
+Each operand's bounds span the quotients of the pairs (one quotient per
+operand) that a comparison keeps; a pair is dropped when the operands'
+wrapped ranges (each interval over the width bounds, clipped to
+0..2**w - 1) leave the comparison no value.  The one cube denotes the
+same states as the disjunction of one cube per kept pair.  A kept pair's
+cube is the one cube with q set to the pair, which the bounds allow.
+Conversely, a memory within the width bounds that satisfies the one cube
+pins a pair inside the box of the bounds, and a pair in that box that was
+dropped has no solution within those bounds, which every normalized cube
+carries; so the pair was kept and its cube holds.
 """
 
 from __future__ import annotations
@@ -147,7 +159,8 @@ FALSE_DNF: Dnf = ()
 
 def attach_bounds(cube: Cube, env: dict[str, str]) -> Cube:
     """Append width bounds, in order of first occurrence, for the variables
-    of the clean *cube* that it lacks; the result is clean."""
+    of the clean *cube* that it lacks; the result is clean.  A quotient
+    variable gets none: its bounds are members of every cube holding it."""
     names: dict[str, None] = {}
     present = set()
     for con in cube:
@@ -157,6 +170,8 @@ def attach_bounds(cube: Cube, env: dict[str, str]) -> Cube:
             names[v] = None
     extra = []
     for v in names:
+        if v.startswith(WRAP_PREFIX):
+            continue
         ty = env.get(v)
         if ty is None:
             raise FragmentError(f"no declaration for variable {v!r}")
@@ -289,30 +304,46 @@ def _int_form(e: E.Expr, subst) -> LinForm:
 _NEG_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
 
 
-def wrap_cases(form: LinForm, bits: int, bounds) -> list[tuple[LinForm, Cube]]:
-    """Enumerate wrapped values of *form* at the given width.
+WRAP_PREFIX = "wrap:"
 
-    Returns (wrapped form, side conditions) per feasible quotient.  The side
-    conditions pin the quotient: 0 <= form - q*2**bits <= 2**bits - 1.
-    Raises LimitExceeded, before enumerating, when there are more than CAP.
-    """
-    modulus = 1 << bits
+
+def quotient_var(bits: int, form: LinForm) -> str:
+    """The quotient variable of *form* at *bits*: ``wrap:<bits>:`` and the
+    form's ``c*v`` terms and constant, comma separated.  No model
+    identifier holds a colon, so it names no declared variable, and the
+    verifier and the checker derive the same name from the form alone."""
+    terms = [f"{c}*{v}" for v, c in form.coeffs] + [str(form.const)]
+    return f"{WRAP_PREFIX}{bits}:{','.join(terms)}"
+
+
+def quotients(form: LinForm, bits: int, bounds) -> tuple[int, int]:
+    """The least and greatest wrap quotient of *form* at *bits*:
+    floor(v / 2**bits) for v at each end of its interval.  Raises
+    LimitExceeded when there are more than CAP."""
     lo, hi = form.interval(bounds)
-    q_lo = lo // modulus
-    q_hi = hi // modulus
-    count = q_hi - q_lo + 1
-    if count > CAP:
+    q_lo, q_hi = lo >> bits, hi >> bits
+    if q_hi - q_lo >= CAP:
         # the count can be too long to print, so the message names the cap
         raise LimitExceeded(f"wrap quotients exceed cap {CAP}")
-    cases = []
-    for q in range(q_lo, q_hi + 1):
-        wrapped = form.shift(-q * modulus)
-        side = (
-            LinCon.make(wrapped.scale(-1), "<=", 0),
-            LinCon.make(wrapped, "<=", modulus - 1),
-        )
-        cases.append((wrapped, side))
-    return cases
+    return q_lo, q_hi
+
+
+def wrapped(form: LinForm, bits: int, q_lo: int, q_hi: int):
+    """(form - q*2**bits, its members): the range constraints
+    0 <= form - q*2**bits <= 2**bits - 1, then, unless q_lo == q_hi makes
+    q that constant, the bounds q_lo <= q <= q_hi of the quotient
+    variable q."""
+    modulus = 1 << bits
+    if q_lo == q_hi:
+        out, bound = form.shift(-q_lo * modulus), ()
+    else:
+        q = quotient_var(bits, form)
+        out = form.add(LinForm(((q, -modulus),)))
+        bound = (LinCon(((q, -1),), "<=", -q_lo),
+                 LinCon(((q, 1),), "<=", q_hi))
+    side = (LinCon.make(out.scale(-1), "<=", 0),
+            LinCon.make(out, "<=", modulus - 1))
+    return out, side + bound
 
 
 # a OP b  exactly when  s * (a - b) REL rhs
@@ -321,11 +352,9 @@ _CMP = {"<": (1, "<=", -1), "<=": (1, "<=", 0), "==": (1, "==", 0),
 
 
 def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds) -> Dnf:
-    """One cube per pair of the operands' wrap quotients, except a pair
-    whose wrapped ranges (each interval over the width bounds, clipped to
-    0..2**bits - 1 as the side conditions demand) leave OP no value: its
-    cube has no solution within the width bounds that every normalized cube
-    carries, so the DNF denotes the same states without it."""
+    """One cube, each operand wrapped over the quotients of the pairs
+    that OP keeps (the module docstring says which, and why the cube is
+    exact); no cube when it keeps none."""
     if op == "!=":
         return dnf_or(_cmp_atom("<", la, lb, bits, bounds),
                       _cmp_atom(">", la, lb, bits, bounds))
@@ -333,24 +362,29 @@ def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds) -> Dnf:
         raise FragmentError(f"unknown comparison {op!r}")
     s, rel, rhs = _CMP[op]
     top = (1 << bits) - 1
-    cases = [[(w, side, *w.interval(bounds))
-              for w, side in wrap_cases(form, bits, bounds)]
-             for form in (la, lb)]
-    out = []
-    for wa, side_a, alo, ahi in cases[0]:
-        for wb, side_b, blo, bhi in cases[1]:
-            # the range of s * (wa - wb), both operands within 0..top
-            dlo, dhi = sorted((s * (max(alo, 0) - min(bhi, top)),
-                               s * (min(ahi, top) - max(blo, 0))))
+    ranges = []  # per operand: each quotient and its clipped range
+    for form in (la, lb):
+        q_lo, q_hi = quotients(form, bits, bounds)
+        lo, hi = form.interval(bounds)
+        ranges.append([(q, max(lo - (q << bits), 0),
+                        min(hi - (q << bits), top))
+                       for q in range(q_lo, q_hi + 1)])
+    kept_a, kept_b = set(), set()
+    for qa, alo, ahi in ranges[0]:
+        for qb, blo, bhi in ranges[1]:
+            # the range of s * (a - b), both wrapped operands within 0..top
+            dlo, dhi = sorted((s * (alo - bhi), s * (ahi - blo)))
             if dlo > rhs or (rel == "==" and dhi < rhs):
                 continue
-            cube = clean_cube(side_a + side_b + (
-                LinCon.make(wa.sub(wb).scale(s), rel, rhs),))
-            if cube is not None:
-                out.append(cube)
-            if len(out) > CAP:
-                raise LimitExceeded("comparison expansion exceeds cap")
-    return tuple(out)
+            kept_a.add(qa)
+            kept_b.add(qb)
+    if not kept_a:
+        return FALSE_DNF
+    wa, members_a = wrapped(la, bits, min(kept_a), max(kept_a))
+    wb, members_b = wrapped(lb, bits, min(kept_b), max(kept_b))
+    cube = clean_cube(members_a + members_b + (
+        LinCon.make(wa.sub(wb).scale(s), rel, rhs),))
+    return FALSE_DNF if cube is None else (cube,)
 
 
 def lower(e: E.Expr, negate: bool, leaf) -> Dnf:

@@ -6,8 +6,9 @@ names, step and action activity become 0/1 variables named ``step:S`` and
 and values after an action effect get fresh ``post:V`` variables of the
 target's width.  Effects fold to a parallel map of raw linear forms over
 the pre-state (all block arithmetic is congruent mod 2**w, so one wrap per
-written variable is exact); the wrap is encoded by enumerating the
-quotient, one hypothesis disjunct per feasible choice.
+written variable is exact); the wrap is ``linear.wrapped``, one
+definition cube per written variable: its quotient is a constant when it
+has one feasible value, else the form's quotient variable, bounded.
 
 The rules are described once, on ``model.RuleShape``, which the concrete
 semantics reads too.  An obligation is a list of hypothesis cubes (the
@@ -47,7 +48,8 @@ from . import fbd as F
 from . import properties as P
 from .linear import (Cube, Dnf, FragmentError, LinCon, LinForm,
                      attach_bounds, bounds_fn, conjoin, linear_form, lower,
-                     normalize, wrap_cases, TRUE_DNF, FALSE_DNF, clean_cube)
+                     normalize, quotients, wrapped, TRUE_DNF, FALSE_DNF,
+                     clean_cube)
 from .model import RuleInstance, RuleShape, SfcModel
 
 STEP_PREFIX = "step:"
@@ -218,20 +220,19 @@ class ModelContext:
                           lambda: conjoin(pieces(model.rules[rule])))
 
     def definitions(self, model: SfcModel, rule: RuleInstance) -> Dnf:
-        """The join, in name order, of each written variable's wrap cases:
-        the hypothesis disjuncts defining post:V = wrap(form)."""
+        """The join, in name order, of each written variable's definition
+        cube: the hypothesis defining post:V = wrap(form)."""
         summary = self.summary(model, rule)
-        def cases(name):
-            for wrapped, side in wrap_cases(summary[name], E.bits_of(
-                    self.env[name]), bounds_fn(self.env)):
-                # post:name == form - q*2**bits, within the type range
-                defn = LinCon.make(wrapped.sub(
-                    LinForm.of_var(post_var(name))), "==", 0)
-                cube = clean_cube((defn,) + side)
-                if cube is not None:
-                    yield cube
+        def definition(name):
+            form, bits = summary[name], E.bits_of(self.env[name])
+            value, members = wrapped(form, bits, *quotients(
+                form, bits, bounds_fn(self.env)))
+            # post:name == form - q*2**bits, within the type range; no
+            # member is constant-false, so the cube is never None
+            return (clean_cube((LinCon.make(value.sub(
+                LinForm.of_var(post_var(name))), "==", 0),) + members),)
         return self._once(("definitions", rule), lambda: conjoin(
-            tuple(cases(name)) for name in sorted(summary)))
+            definition(name) for name in sorted(summary)))
 
 
 class DerivationContext:

@@ -9,16 +9,6 @@ with a refutation witness; the remaining cases must entail the invariant on
 the symbolic post-state.  An optional target is proved by one more case,
 ``entail``: every state satisfying the invariant satisfies the target.
 
-Each joint cube of a satisfiable hypothesis cube is first tried against
-the witness of the joint cube before it, with the checker's own replay;
-an accepted witness is reused and the cube is not decided.  Sibling joint
-cubes often differ only in the wrap-quotient constants of one negated
-conclusion, so one witness refutes a run of them.  The reuse is sound
-because the checker accepts the entry by that same replay.  Replay
-accepts only a refutation, so a satisfiable joint cube still reaches the
-decider and is refuted as before; the reuse can only turn a joint cube
-that the decider would leave Undecided into a refuted one.
-
 A refutation of an inductive case is reported as an inductiveness
 counterexample only; it says nothing about reachability of the violating
 configuration.  The lemma claims (unreachable steps, determined
@@ -34,10 +24,9 @@ from . import expr as E
 from . import obligations as O
 from . import properties as P
 from .lia.solver import Sat, decide_sat
-from .lia.witness import replay_witness
 # normalize is not called here, but perfbench/tracing.py wraps
 # verifier.normalize, so the name stays importable
-from .linear import FragmentError, LimitExceeded, normalize
+from .linear import WRAP_PREFIX, FragmentError, LimitExceeded, normalize
 from .model import RuleInstance, SfcModel, init_state
 from .prooftree import CaseProof, HypEntry, ProofTree
 
@@ -75,13 +64,9 @@ def check_base(model: SfcModel, formula: P.Formula):
 def discharge(ob: O.CaseObligation):
     """Close one obligation; returns CaseProof or Refuted, and raises what
     the decider raises (LimitExceeded, FragmentError).  A closed case (no
-    negated-conclusion cube, so no hypothesis cube) gets no entry.
-
-    A joint cube that the previous joint cube's witness refutes, by the
-    checker's own replay, reuses that witness without a decision; every
-    other cube is decided.  So a satisfiable joint cube still reaches the
-    decider, and the reuse can only turn a joint cube that the decider
-    would leave Undecided (a budget) into a refuted one."""
+    negated-conclusion cube, so no hypothesis cube) gets no entry.  A
+    refutation's assignment omits the quotient variables, functions of
+    the others."""
     entries = []
     for hyp_cube in ob.hyp_cubes:
         res = decide_sat(hyp_cube)
@@ -90,14 +75,13 @@ def discharge(ob: O.CaseObligation):
             continue
         witnesses = []
         for joint in O.joint_cubes(hyp_cube, ob.neg_concl):
-            if witnesses and replay_witness(joint, witnesses[-1]):
-                witnesses.append(witnesses[-1])
-                continue
             # the joint cube extends the hypothesis cube, whose
             # simplification the decider extends
             sub = decide_sat(joint, after=res)
             if isinstance(sub, Sat):
-                return Refuted(ob.rule, sub.assignment,
+                state = {v: n for v, n in sub.assignment.items()
+                         if not v.startswith(WRAP_PREFIX)}
+                return Refuted(ob.rule, state,
                                "invariant does not imply the target"
                                if ob.rule is O.ENTAIL
                                else "inductive step violated")

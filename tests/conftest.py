@@ -2,6 +2,7 @@ import importlib
 import pathlib
 import sys
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import settings
@@ -9,6 +10,7 @@ from hypothesis import settings
 from certplc import (BudgetExceeded, SfcModel, parse_model, parse_properties,
                      reachable_bounded)
 from certplc import expr as E
+from certplc import linear as L
 from certplc import obligations as O
 from certplc.lia.solver import decide_sat
 from certplc.linear import FragmentError, LimitExceeded
@@ -102,9 +104,25 @@ def decision(cube, **kwargs) -> str:
         return f"{type(err).__name__}: {err}"
 
 
+def quotient_points(cube, assignment):
+    """*assignment* extended by each value of the quotient variables of
+    *cube* within the ranges that its bound members give them."""
+    ranges: dict[str, tuple] = {}
+    for con in cube:
+        if (len(con.coeffs) == 1 and con.rel == "<="
+                and con.coeffs[0][0].startswith(L.WRAP_PREFIX)):
+            (v, c), = con.coeffs
+            lo, hi = ranges.get(v, (None, None))
+            ranges[v] = (lo, con.rhs) if c == 1 else (-con.rhs, hi)
+    for values in product(*(range(lo, hi + 1) for lo, hi in ranges.values())):
+        yield {**assignment, **dict(zip(ranges, values))}
+
+
 def eval_cube(cube, assignment) -> bool:
-    """Truth of a conjunction of linear constraints at an assignment."""
-    return all(con.evaluate(assignment) for con in cube)
+    """Truth of a conjunction of linear constraints at an assignment of its
+    variables other than quotients, which are bound existentially."""
+    return any(all(con.evaluate(point) for con in cube)
+               for point in quotient_points(cube, assignment))
 
 
 def eval_dnf(dnf, assignment) -> bool:

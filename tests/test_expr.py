@@ -1,15 +1,19 @@
+import operator
 import random
 import time
 from functools import partial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certplc import expr as E
 from certplc import linear as L
 from certplc.parsing import MAX_NESTING, ParseError
 from certplc.properties import parse_formula_text
 
-from conftest import eval_cube, eval_dnf
+from conftest import eval_cube, eval_dnf, quotient_points
 
 
 def ev(text, mem, env):
@@ -424,9 +428,62 @@ class TestWrapPruning:
                 (text, cube)
 
     def test_unmeetable_quotient_is_dropped(self):
-        # x - 200 wraps to x + 56 for x < 200, which is never <= 9
+        # x - 200 wraps to x + 56 for x < 200, which is never <= 9: the
+        # one quotient left is a constant, not a variable
         e, _ = E.typecheck(parse_formula_text("x - 200 <= 9"), ENV1)
-        assert len(L.normalize(e, ENV1)) == 1
+        (cube,) = L.normalize(e, ENV1)
+        assert {v for con in cube for v, _ in con.coeffs} == {"x"}
+
+
+_PY_CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+           "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
+
+
+@st.composite
+def _comparisons(draw):
+    """A comparison of two linear forms over x and y."""
+    def operand():
+        text = str(draw(st.integers(0, 300)))
+        for v in "xy":
+            k = draw(st.integers(-3, 3))
+            if k:
+                text += f" {'+' if k > 0 else '-'} {abs(k)} * {v}"
+        return text
+    return f"{operand()} {draw(st.sampled_from(sorted(_PY_CMP)))} {operand()}"
+
+
+class TestQuotientVariables:
+    """A comparison lowers to one cube (``!=`` two), an operand with
+    several quotients wrapped by a quotient variable, and the DNF agrees
+    with wrapped evaluation on every int8 memory of x and y (a quotient
+    variable bound existentially over its cube's range)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(_comparisons())
+    def test_agrees_with_wrapped_evaluation(self, text):
+        e, _ = E.typecheck(parse_formula_text(text), ENV2)
+        grid = dict(zip("xy", np.meshgrid(np.arange(256), np.arange(256))))
+        want = _PY_CMP[e.op](*(E.fold_int(side, E.IntDomain, grid.get) & 255
+                               for side in (e.lhs, e.rhs)))
+        dnf = L.normalize(e, ENV2)
+        assert len(dnf) <= (2 if e.op == "!=" else 1)
+        got = np.zeros_like(want)
+        for cube in dnf:
+            for point in quotient_points(cube, grid):
+                holds = np.ones_like(want)
+                for con in cube:
+                    holds &= con.evaluate(point)
+                got |= holds
+        assert (got == want).all(), text
+
+    def test_several_quotients_make_a_variable(self):
+        e, _ = E.typecheck(parse_formula_text("3 * x == y"), ENV2)
+        (cube,) = L.normalize(e, ENV2)
+        q = L.quotient_var(8, L.LinForm.make({"x": 3}))
+        assert q == "wrap:8:3*x,0"
+        assert L.LinCon(((q, -1),), "<=", 0) in cube
+        assert L.LinCon(((q, 1),), "<=", 2) in cube
 
 
 class TestParseErrors:

@@ -207,7 +207,7 @@ class TestValidate:
         models = [load_model(name) for name in fixture_names()]
         exprs = sum(len(m.transitions) + sum(
             len(a.assigns) for a in m.actions if a.assigns) for m in models)
-        assert len(calls) == exprs == 36
+        assert len(calls) == exprs == 40
         # built in code and then validated: the same one each
         calls.clear()
         for model in models:

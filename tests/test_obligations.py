@@ -41,7 +41,7 @@ from certplc.prooftree import CaseProof, HypEntry, ProofTree
 from conftest import (FIXTURES, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
                       NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
                       benchmark_cases, fixture_names, load_invariants,
-                      load_model, rule_post, strip_widths)
+                      load_model, quotient_points, rule_post, strip_widths)
 
 
 def _cases():
@@ -605,14 +605,49 @@ _UNPRUNED_REL = {
 }
 
 
-def _every_pair(op, la, lb, bits, bounds):
-    """The comparison's cubes before pruning: one per pair of quotients."""
-    for wa, side_a in L.wrap_cases(la, bits, bounds):
-        for wb, side_b in L.wrap_cases(lb, bits, bounds):
-            cube = clean_cube(side_a + side_b
-                              + (_UNPRUNED_REL[op](wa.sub(wb)),))
-            if cube is not None:
-                yield cube
+def _pair_cubes(op, la, lb, bits, bounds):
+    """The comparison as one cube per pair of its operands' quotients, each
+    a constant, none dropped: (quotient of la, quotient of lb) -> the
+    pair's cube, None when constant-false."""
+    modulus = 1 << bits
+
+    def cases(form):
+        lo, hi = form.interval(bounds)
+        for q in range(lo // modulus, hi // modulus + 1):
+            w = form.shift(-q * modulus)
+            yield q, w, (LinCon.make(w.scale(-1), "<=", 0),
+                         LinCon.make(w, "<=", modulus - 1))
+
+    return {(qa, qb): clean_cube(side_a + side_b
+                                 + (_UNPRUNED_REL[op](wa.sub(wb)),))
+            for qa, wa, side_a in cases(la) for qb, wb, side_b in cases(lb)}
+
+
+def _pinned(cube, values):
+    """*cube* with each variable of *values* replaced by its value,
+    cleaned: None when a member turns constant-false."""
+    out = []
+    for con in cube:
+        k = sum(c * values[v] for v, c in con.coeffs if v in values)
+        out.append(LinCon(tuple((v, c) for v, c in con.coeffs
+                                if v not in values), con.rel, con.rhs - k))
+    return clean_cube(tuple(out))
+
+
+def _negations(con):
+    """One-member cubes whose disjunction is the negation of *con*."""
+    flipped = LinCon(tuple((v, -c) for v, c in con.coeffs), "<=",
+                     -con.rhs - 1)
+    if con.rel == "<=":
+        return (flipped,)
+    return flipped, con._replace(rel="<=", rhs=con.rhs - 1)
+
+
+def _entails(cube, other, box) -> bool:
+    """Every point of the box that satisfies *cube* satisfies every member
+    of *other*, by the decider."""
+    return all(isinstance(decide_sat(cube + box + (neg,)), Unsat)
+               for con in other for neg in _negations(con))
 
 
 def _benchmark_charts():
@@ -622,18 +657,23 @@ def _benchmark_charts():
 
 
 class TestPrunedWrapCases:
-    """Each quotient pair that the comparison lowering drops is refuted by
-    the decider under its variables' width bounds, in every obligation
-    (hypotheses and negated conclusions) of the fixtures and of the seed-1
-    benchmark charts; the pairs it keeps are the rest, in order."""
+    """In every obligation (hypotheses and negated conclusions) of the
+    fixtures and of the seed-1 benchmark charts, a comparison's one cube,
+    its quotients variables, denotes within the width bounds the states of
+    the disjunction of one cube per pair of its operands' quotients, each
+    a constant, by the decider in both directions: each pair's cube
+    entails the one cube with its quotient variables set to the pair, and
+    the one cube with its quotient variables set to any values in their
+    bounds entails some pair's cube (a dropped pair's cube has no
+    solution)."""
 
-    def test_dropped_cases_are_unsat(self, monkeypatch):
-        calls = []
+    def test_one_cube_equals_every_pair(self, monkeypatch):
+        calls = {}
         cmp_atom = L._cmp_atom
 
         def recorded(op, la, lb, bits, bounds):
             out = cmp_atom(op, la, lb, bits, bounds)
-            calls.append((op, la, lb, bits, bounds, out))
+            calls[op, la, lb, bits] = bounds, out
             return out
 
         monkeypatch.setattr(L, "_cmp_atom", recorded)
@@ -647,22 +687,39 @@ class TestPrunedWrapCases:
                 for rule in model.rules:
                     O.build_obligation(ctx, rule)
         monkeypatch.undo()
-        dropped = 0
-        for op, la, lb, bits, bounds, kept in calls:
+        collapsed = dropped = 0
+        for (op, la, lb, bits), (bounds, out) in calls.items():
             if op == "!=":  # its two halves are recorded on their own
                 continue
-            every = list(_every_pair(op, la, lb, bits, bounds))
-            assert [c for c in every if c in kept] == list(kept)
-            for cube in every:
-                if cube in kept:
+            assert len(out) <= 1
+            one = out[0] if out else None
+            pairs = _pair_cubes(op, la, lb, bits, bounds)
+            names = (L.quotient_var(bits, la), L.quotient_var(bits, lb))
+            box = tuple(b for v in sorted(
+                {v for form in (la, lb) for v, _ in form.coeffs}) for b in (
+                LinCon(((v, -1),), "<=", -bounds(v)[0]),
+                LinCon(((v, 1),), "<=", bounds(v)[1])))
+            for (qa, qb), pair in pairs.items():
+                if pair is None or isinstance(decide_sat(pair + box), Unsat):
+                    dropped += 1
                     continue
-                dropped += 1
-                names = dict.fromkeys(v for con in cube for v, _ in con.coeffs)
-                box = tuple(b for v in names for b in (
-                    LinCon(((v, -1),), "<=", -bounds(v)[0]),
-                    LinCon(((v, 1),), "<=", bounds(v)[1])))
-                assert isinstance(decide_sat(cube + box), Unsat), cube
-        assert dropped > 0
+                assert one is not None and (la != lb or qa == qb)
+                pinned = _pinned(one, {names[0]: qa, names[1]: qb})
+                assert pinned is not None and _entails(pair, pinned, box)
+            if one is None:
+                continue
+            collapsed += any(v in names for con in one for v, _ in con.coeffs)
+            for values in quotient_points(one, {}):
+                pinned = _pinned(one, values)
+                if pinned is None or isinstance(decide_sat(pinned + box),
+                                                Unsat):
+                    continue
+                assert any(_entails(pinned, pair, box)
+                           for (qa, qb), pair in pairs.items()
+                           if pair is not None
+                           and values.get(names[0], qa) == qa
+                           and values.get(names[1], qb) == qb)
+        assert collapsed > 0 and dropped > 0
 
 
 def _chart_texts():

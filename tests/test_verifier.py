@@ -1,11 +1,8 @@
 import sys
 import time
 from functools import partial
-from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from certplc import certificate as C
 from certplc import expr as E
@@ -17,7 +14,7 @@ from certplc import verifier as V
 from certplc.lia import solver
 from certplc.lia.solver import Sat, decide_sat
 from certplc.lia.witness import replay_witness
-from certplc.linear import FragmentError, LimitExceeded, clean_cube
+from certplc.linear import FragmentError, LimitExceeded
 from certplc.model import parse_model
 from certplc.prooftree import CaseProof, ProofTree
 from certplc.semantics import reachable_bounded
@@ -26,7 +23,6 @@ from conftest import (FANOUT, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
                       NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
                       decision, fixture_names, load_invariants, load_model,
                       lockstep, states_of)
-from test_lia import _hyp_and_joint
 
 
 def formula(text, model):
@@ -204,7 +200,7 @@ _UNDECIDED = {
     # the guard's first cube is satisfiable only after a range split, here
     # past a bound of no nesting at all
     "split-nesting": ("var x : int8\nvar y : int8\nstep S [initial]\n"
-                      "step T\ntrans {S} -[ 3 * x == 2 * y + 1 ]-> {T}\n",
+                      "step T\ntrans {S} -[ 3 * x == 5 * y + 1 ]-> {T}\n",
                       "!step(T)", S.StepTransition(0), None,
                       (solver, "MAX_SPLIT_NESTING", 0)),
 }
@@ -342,6 +338,22 @@ class TestDischarge:
         assert isinstance(res, V.Refuted)
         assert res.assignment.get("y") == 255
 
+    @pytest.mark.parametrize("name, prop, rule, assignment", [
+        ("loop", "x_capped", S.ExecuteAction("A_Init"),
+         {"act:A_Init": 1, "post:x": 11, "x": 10}),
+        ("wrap", "x_small", S.ExecuteAction("A_Bump"),
+         {"act:A_Bump": 1, "post:x": 11, "x": 10}),
+    ])
+    def test_refutation_omits_quotient_variables(self, name, prop, rule,
+                                                  assignment):
+        """x + 1 wraps through two quotients, a variable of the decided
+        cube, but the assignment names only the rule's variables."""
+        model = load_model(name)
+        inv = next(i for i in load_invariants(name, model) if i.name == prop)
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Refuted) and res.rule == rule
+        assert res.assignment == assignment
+
     def test_conjunction_splits_into_leaves(self, loop_model):
         """An entry lists one witness per joint cube, over every conjunct
         that has negated-conclusion cubes, in one flat list."""
@@ -397,19 +409,11 @@ def _parity_charts():
     return list(charts.values())
 
 
-def _without_reuse():
-    """discharge with every replay of the previous witness rejected, so
-    that every joint cube is decided."""
-    return patch.object(V, "replay_witness", lambda cube, witness: False)
-
-
 class TestJointCubeReplay:
     """discharge decides each joint cube by extending its hypothesis
-    cube's simplification instead of redoing it, and decides none that the
-    previous joint cube's witness refutes; on these charts the first gives
-    the from-scratch decision, witnesses included, and a replayed witness
-    is the one the decision would give, so their certificates depend on
-    neither shortcut."""
+    cube's simplification instead of redoing it; on these charts that
+    gives the from-scratch decision, witnesses included, so their
+    certificates do not depend on the shortcut."""
 
     @pytest.mark.parametrize("chart", list(_charts()), ids=lambda c: c[0])
     def test_every_joint_cube_decides_as_from_scratch(self, chart):
@@ -422,46 +426,54 @@ class TestJointCubeReplay:
 
     @pytest.mark.parametrize("chart", list(_charts()), ids=lambda c: c[0])
     def test_replayed_witness_is_the_decided_one(self, chart):
-        _, model, inv = chart
-        for hyp, res, joints in _decided_cases(model, inv):
-            if not isinstance(res, Sat):
-                continue
-            for prev, joint in zip(joints, joints[1:]):
-                sub = decide_sat(prev, after=res)
-                if (not isinstance(sub, Sat)
-                        and replay_witness(joint, sub.witness)):
-                    assert decision(joint, after=res) == repr(sub)
-
-    @pytest.mark.parametrize("chart", _parity_charts(), ids=lambda c: c[0])
-    def test_verdicts_equal_those_without_reuse(self, chart):
-        """Verdict, proof tree, refuted rule and assignment, undecided
-        reason."""
+        """Each witness of a proved chart's tree, the one the checker
+        replays against its re-derived cube, is the witness a decision of
+        that cube from scratch gives, and it replays."""
         _, model, inv = chart
         res = V.verify_invariant(model, inv)
-        with _without_reuse():
-            assert V.verify_invariant(model, inv) == res
+        if not isinstance(res, V.Proved):
+            return
+        ctx = O.DerivationContext(model, inv.formula)
+        for rule, case in zip(O.proof_cases(model, None), res.tree.cases):
+            ob = O.build_obligation(ctx, rule)
+            for hyp, entry in zip(ob.hyp_cubes, case.hyps, strict=True):
+                if entry.contradiction is not None:
+                    pairs = [(hyp, entry.contradiction)]
+                else:
+                    pairs = zip(O.joint_cubes(hyp, ob.neg_concl),
+                                entry.witnesses, strict=True)
+                for cube, witness in pairs:
+                    assert decide_sat(cube).witness == witness
+                    assert replay_witness(cube, witness)
+
+    @pytest.mark.parametrize("chart", _parity_charts(), ids=lambda c: c[0])
+    def test_verdicts_equal_those_without_reuse(self, chart, monkeypatch):
+        """Verdict, proof tree, refuted rule and assignment, undecided
+        reason: equal to those of a verifier that decides every joint cube
+        from scratch, reusing nothing of its hypothesis cube's decision."""
+        _, model, inv = chart
+        res = V.verify_invariant(model, inv)
+        monkeypatch.setattr(V, "decide_sat", lambda cube, after=None:
+                            decide_sat(cube))
+        assert V.verify_invariant(model, inv) == res
 
     def test_only_hypotheses_and_equality_joins_run_from_scratch(
             self, monkeypatch):
         """Every hypothesis cube is decided from scratch; a joint cube is
-        decided, unless the previous joint cube's witness refutes it, by
-        extending its hypothesis's simplification, or from scratch when
-        its extra members hold an equality."""
+        decided by extending its hypothesis's simplification, or from
+        scratch when its extra members hold an equality."""
         model, inv = lockstep("int8", 5)
-        hyps = joints = decided = full_joints = 0
+        hyps = joints = full_joints = 0
         for hyp, res, cubes in _decided_cases(model, inv):
             hyps += 1
             if not isinstance(res, Sat):
                 continue
             joints += len(cubes)
-            witness = None
-            for joint in cubes:
-                if witness is not None and replay_witness(joint, witness):
-                    continue
-                decided += 1
-                full_joints += any(con.rel == "==" for con in joint[len(hyp):])
-                witness = decide_sat(joint, after=res).witness
-        assert 0 < decided < joints
+            full_joints += sum(any(con.rel == "==" for con in joint[len(hyp):])
+                               for joint in cubes)
+        # one hypothesis cube, 5 * x wrapped by a quotient variable, joined
+        # with the < and > halves of y != 5 * x
+        assert (hyps, joints, full_joints) == (1, 2, 0)
         calls = {"decide_sat": 0, "_extend": 0}
 
         def count(module, name):
@@ -475,45 +487,8 @@ class TestJointCubeReplay:
         count(V, "decide_sat")
         count(solver, "_extend")
         assert isinstance(V.verify_invariant(model, inv), V.Proved)
-        assert calls["_extend"] == decided - full_joints
+        assert calls["_extend"] == joints - full_joints
         assert calls["decide_sat"] - calls["_extend"] == hyps + full_joints
-
-
-@st.composite
-def _siblings(draw):
-    """A satisfiable hypothesis cube and one negated-conclusion DNF whose
-    cubes are one drawn cube with its right-hand sides shifted, as sibling
-    wrap-quotient cubes are."""
-    hyp, joint = draw(_hyp_and_joint())
-    extra = joint[len(hyp):]
-    shift = st.integers(-2, 2)
-    dnf = tuple(clean_cube(tuple(con._replace(rhs=con.rhs + draw(shift))
-                                 for con in extra))
-                for _ in range(draw(st.integers(1, 5))))
-    return O.CaseObligation(O.ENTAIL, (hyp,), (dnf,))
-
-
-class TestSiblingWitnessDifferential:
-    """On drawn cubes a replayed witness may differ from the one a
-    decision would give, which is sound; the verdict may not differ."""
-
-    # tier-1 runs 500 examples; `--hypothesis-profile long` (conftest.py)
-    # runs more
-    @settings(max_examples=max(500, settings.default.max_examples),
-              deadline=None, derandomize=True, database=None)
-    @given(_siblings())
-    def test_reuse_keeps_the_verdict(self, ob):
-        res = V.discharge(ob)
-        with _without_reuse():
-            fresh = V.discharge(ob)
-        assert type(res) is type(fresh)
-        if isinstance(res, V.Refuted):
-            assert res == fresh
-            return
-        (entry,) = res.hyps
-        joints = list(O.joint_cubes(ob.hyp_cubes[0], ob.neg_concl))
-        assert len(entry.witnesses) == len(joints)
-        assert all(map(replay_witness, joints, entry.witnesses))
 
 
 class TestVerifyInvariant:
