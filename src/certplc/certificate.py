@@ -2,7 +2,7 @@
 
 Layout (UTF-8 text, LF line endings):
 
-    CERTPLC/4
+    CERTPLC/5
     digest: <64 hex digits of the embedded model's canonical text>
     --- model
     <canonical model text>
@@ -12,9 +12,10 @@ Layout (UTF-8 text, LF line endings):
     --- proof
     <proof tree, see prooftree>
 
-The magic line names the proof grammar (in ``CERTPLC/4`` a closed case is
-``case L hyps 0``, and a witness printed before is ``again K``); a
-certificate in another one is rejected at line one.
+The magic line names the proof grammar (in ``CERTPLC/5`` only the open
+cases are listed and an unlisted case is ``hyps 0``; a witness printed
+before is ``again K``); a certificate in another one, ``CERTPLC/1`` to
+``CERTPLC/4`` included, is rejected at line one.
 
 The property section holds an invariant I, optionally followed by a target
 P (without one, P is I).  The checker trusts nothing from the proof section
@@ -55,7 +56,7 @@ from .model import (SfcModel, canonical_text, init_state, parse_model,
 from .parsing import ParseError
 from .prooftree import ProofTree, parse_proof_lines, proof_lines
 
-MAGIC = "CERTPLC/4"
+MAGIC = "CERTPLC/5"
 
 _SECTIONS = ("--- model", "--- property", "--- proof")
 
@@ -88,8 +89,7 @@ def emit(model: SfcModel, inv: P.Invariant, tree: ProofTree,
     if tree is None:
         raise EmitError("no proof tree to embed; the result is not a "
                         "certifiable proof")
-    labels = [c.label for c in tree.cases]
-    if labels != [r.label() for r in O.proof_cases(model, target)]:
+    if not _listed_in_order(tree, O.proof_cases(model, target)):
         raise EmitError("proof tree does not cover the rule instances")
     text = canonical_text(model)
     props = (inv,) if target is None else (inv, target)
@@ -97,6 +97,12 @@ def emit(model: SfcModel, inv: P.Invariant, tree: ProofTree,
              text.rstrip("\n"), "--- property",
              *map(P.invariant_text, props), "--- proof", *proof_lines(tree)]
     return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def _listed_in_order(tree: ProofTree, rules) -> bool:
+    """Each case label is a rule's, in rule order, each at most once."""
+    labels = iter(r.label() for r in rules)
+    return all(c.label in labels for c in tree.cases)
 
 
 def _split_sections(text: str):
@@ -173,15 +179,17 @@ def _check(data: bytes) -> CheckVerdict:
                          "base")
 
     # exhaustive case distinction over the model's own rule instances,
-    # then the entailment of the target
+    # then the entailment of the target; an unlisted case has no entry
     rules = O.proof_cases(model, target)
-    if [c.label for c in tree.cases] != [r.label() for r in rules]:
+    if not _listed_in_order(tree, rules):
         return _rejected("coverage: case distinction does not match the "
                          "rule instances", "cases")
 
+    listed = {c.label: c.hyps for c in tree.cases}
     context = O.DerivationContext(model, inv.formula, target=target)
-    for rule, case in zip(rules, tree.cases):
-        where = ("cases", case.label)
+    for rule in rules:
+        where = ("cases", rule.label())
+        hyps = listed.get(rule.label(), ())
         try:
             ob = O.build_obligation(context, rule)
         except FragmentError as err:
@@ -189,11 +197,11 @@ def _check(data: bytes) -> CheckVerdict:
                              *where)
         except LimitExceeded as err:
             return _rejected(f"resource: {rule.label()}: {err}", *where)
-        if len(case.hyps) != len(ob.hyp_cubes):
+        if len(hyps) != len(ob.hyp_cubes):
             return _rejected("coverage: hypothesis cube count mismatch",
                              *where)
         cubes = sum(map(len, ob.neg_concl))
-        for i, entry in enumerate(case.hyps):
+        for i, entry in enumerate(hyps):
             at = where + (f"hyp {i}",)
             hyp_cube = ob.hyp_cubes[i]
             if entry.contradiction is not None:

@@ -3,11 +3,12 @@
 Shape: an induction node with a base leaf and an exhaustive case
 distinction over rule instances, followed by ``case entail`` when the
 certificate has a target (its hypothesis cubes are the invariant's, its
-conjuncts the target's).  Under each case, one entry per hypothesis cube
-(disjunct split), so none under a closed case; each entry is either a
-contradiction witness refuting the hypothesis cube or one witness per joint
-cube, in the order of ``obligations.joint_cubes``: conjunct by conjunct,
-then cube by cube within each conjunct's negated-conclusion DNF.
+conjuncts the target's).  Only the open cases are listed, in rule order;
+a closed case has no hypothesis cube, so no entry and no line.  Under a
+listed case, one entry per hypothesis cube (disjunct split); each entry is
+either a contradiction witness refuting the hypothesis cube or one witness
+per joint cube, in the order of ``obligations.joint_cubes``: conjunct by
+conjunct, then cube by cube within each conjunct's negated-conclusion DNF.
 
 The text form is line based with explicit counts, so parsing needs no
 lookahead and rejects any truncation:
@@ -20,7 +21,6 @@ lookahead and rejects any truncation:
     <witness block>
     again 1
     again 0
-    case trans:0 hyps 0
 
 An entry's witness is printed as a block (see ``lia.witness``) the first
 time it appears, and blocks are numbered 0, 1, ... in that order; a later
@@ -71,7 +71,7 @@ def proof_lines(tree: ProofTree) -> list[str]:
         else:
             out.append(f"again {k}")
 
-    for case in tree.cases:
+    for case in filter(lambda c: c.hyps, tree.cases):  # the open cases
         out.append(f"case {case.label} hyps {len(case.hyps)}")
         for i, entry in enumerate(case.hyps):
             if entry.contradiction is not None:
@@ -84,13 +84,13 @@ def proof_lines(tree: ProofTree) -> list[str]:
     return out
 
 
-def _count(parts: list[str], what: str) -> int:
-    """Entry count closing a header row: a number in 0..1,000,000."""
+def _count(parts: list[str], what: str, least: int = 0) -> int:
+    """Entry count closing a header row: a number in least..1,000,000."""
     try:
         n = decimal(parts[-1])
     except ParseError:
         n = -1
-    if not 0 <= n <= 1_000_000:
+    if not least <= n <= 1_000_000:
         raise ParseError(f"bad {what} count in {' '.join(parts)!r}")
     return n
 
@@ -124,7 +124,7 @@ def parse_proof_lines(lines: list[str]) -> ProofTree:
         if len(head) != 4 or head[0] != "case" or head[2] != "hyps":
             raise ParseError(f"expected case header, got {line!r}")
         hyps = []
-        for i in range(_count(head, "hyp")):
+        for i in range(_count(head, "hyp", least=1)):
             parts = next(rows, "").split()
             if len(parts) < 3 or parts[0] != "hyp" or parts[1] != str(i):
                 raise ParseError(f"expected hyp {i}, got {' '.join(parts)!r}")

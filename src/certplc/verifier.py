@@ -98,16 +98,18 @@ def verify_invariant(model: SfcModel, inv: P.Invariant,
     A case outside the linear fragment or past a cap or budget is
     Undecided, its reason the rule label and the cause; a refuted later
     case still wins.  Each case is derived just before it is discharged, so
-    derivation stops at the first refuted case.
+    derivation stops at the first refuted case.  The tree holds the open
+    cases only; ``obligations`` counts every case.
     """
     base = check_base(model, inv.formula)
     if base is not None:
         return base
     goal = None if target is None else target.formula
     ctx = O.DerivationContext(model, inv.formula, target=goal)
-    cases = []
+    rules = O.proof_cases(model, goal)
+    cases = []  # the open ones, which the certificate lists
     undecided = None
-    for rule in O.proof_cases(model, goal):
+    for rule in rules:
         try:
             res = discharge(O.build_obligation(ctx, rule))
         except (FragmentError, LimitExceeded) as err:
@@ -115,10 +117,11 @@ def verify_invariant(model: SfcModel, inv: P.Invariant,
             continue
         if isinstance(res, Refuted):
             return res
-        cases.append(res)
+        if res.hyps:
+            cases.append(res)
     if undecided is not None:
         return undecided
-    return Proved(ProofTree(tuple(cases)), obligations=len(cases))
+    return Proved(ProofTree(tuple(cases)), obligations=len(rules))
 
 
 def check_guard_unreachable(model: SfcModel, step: str,

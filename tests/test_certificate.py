@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from certplc import certificate as C
 from certplc import expr as E
 from certplc import fbd as F
+from certplc import obligations as O
 from certplc import properties as P
 from certplc import verifier as V
 from certplc.model import (ActionBlock, SfcModel, canonical_text,
@@ -82,12 +83,14 @@ class TestEmit:
             C.emit(model, inv, None)
 
     def test_refuses_incomplete_case_coverage(self):
+        # the listed cases must follow rule order, each at most once
         model, inv, _ = proved_certificate()
         res = V.verify_invariant(model, inv)
         from certplc.prooftree import ProofTree
-        pruned = ProofTree(res.tree.cases[1:])
-        with pytest.raises(C.EmitError):
-            C.emit(model, inv, pruned)
+        cases = res.tree.cases
+        for bad in (cases[::-1], cases + cases[-1:]):
+            with pytest.raises(C.EmitError):
+                C.emit(model, inv, ProofTree(bad))
 
     def test_embeds_canonical_model(self):
         model, _, data = proved_certificate()
@@ -104,11 +107,12 @@ class TestCheckRejections:
     def test_bad_magic(self):
         # CERTPLC/1 is the grammar with per-conjunct headers, CERTPLC/2 the
         # one that lists an entry per hypothesis cube of a closed case,
-        # CERTPLC/3 the one that prints a repeated witness again in full:
+        # CERTPLC/3 the one that prints a repeated witness again in full,
+        # CERTPLC/4 the one that lists each closed case as ``hyps 0``:
         # each is rejected at its first line, before the proof is read
         _, _, data = proved_certificate()
         for magic in (b"CERTPLC/9", b"CERTPLC/1", b"CERTPLC/2",
-                      b"CERTPLC/3"):
+                      b"CERTPLC/3", b"CERTPLC/4"):
             bad = data.replace(C.MAGIC.encode(), magic, 1)
             assert bad != data
             v = C.check(bad)
@@ -116,8 +120,8 @@ class TestCheckRejections:
 
     def test_open_case_without_entries_is_a_count_mismatch(self):
         # trans:0 is open: the checker derives its 8 hypothesis cubes.  The
-        # tree is emptied there and printed again, so that the witness
-        # table stays well formed
+        # tree is emptied there and printed again, which leaves trans:0
+        # unlisted and the witness table well formed
         from certplc.prooftree import CaseProof, ProofTree
         model, inv, data = proved_certificate()
         tree = V.verify_invariant(model, inv).tree
@@ -125,21 +129,32 @@ class TestCheckRejections:
         bad = C.emit(model, inv, ProofTree(tuple(
             CaseProof(c.label, ()) if c.label == "trans:0" else c
             for c in tree.cases)))
-        assert "case trans:0 hyps 0\n" in bad.decode()
+        assert "case trans:0 " not in bad.decode()
         v = C.check(bad)
         assert v.reason == "coverage: hypothesis cube count mismatch"
         assert v.path == ("cases", "trans:0")
 
     def test_closed_case_with_an_entry_is_a_count_mismatch(self):
-        # trans:2 is closed: the checker derives no hypothesis cube for it
+        # trans:2 is closed: the checker derives no hypothesis cube for it,
+        # and the certificate lists it nowhere
         _, _, data = proved_certificate()
         text = data.decode()
-        assert "case trans:2 hyps 0\n" in text
-        bad = text.replace("case trans:2 hyps 0\n",
-                           "case trans:2 hyps 1\nhyp 0 cubes 0\n")
+        assert "case trans:2 " not in text
+        bad = text.replace("case react:Init ",
+                           "case trans:2 hyps 1\nhyp 0 cubes 0\n"
+                           "case react:Init ", 1)
         v = C.check(bad.encode())
         assert v.reason == "coverage: hypothesis cube count mismatch"
         assert v.path == ("cases", "trans:2")
+
+    def test_listed_closed_case_is_a_proof_parse_rejection(self):
+        # a closed case has one text, the absent one
+        _, _, data = proved_certificate()
+        bad = data.decode().replace("case react:Init ",
+                                    "case trans:2 hyps 0\ncase react:Init ", 1)
+        v = C.check(bad.encode())
+        assert v.reason == "proof-parse: bad hyp count in 'case trans:2 " \
+            "hyps 0'"
 
     def test_digest_mismatch(self):
         _, _, data = proved_certificate()
@@ -192,10 +207,11 @@ class TestCheckRejections:
         assert v.path == ("cases", "exec:A")
 
     def test_case_deletion_is_coverage_error(self):
+        # react:Init is open; deleting it leaves it unlisted
         _, _, data = proved_certificate()
         lines = data.decode().split("\n")
         start = next(i for i, ln in enumerate(lines)
-                     if ln.startswith("case react:Return"))
+                     if ln.startswith("case react:Init"))
         end = next(i for i in range(start + 1, len(lines))
                    if lines[i].startswith("case ") or lines[i] == "")
         bad = "\n".join(lines[:start] + lines[end:])
@@ -513,18 +529,63 @@ def _block_removal(draw, lines):
     lines[at] = f"{head} {int(m) - 1}"
 
 
+def _rule_labels(text: str) -> list[str]:
+    """The labels of a certificate's proof cases, listed or not."""
+    model = parse_model(text.split("--- model\n", 1)[1]
+                        .split("--- property")[0])
+    props = P.parse_properties(text.split("--- property\n", 1)[1]
+                               .split("--- proof")[0], model)
+    target = props[1].formula if len(props) == 2 else None
+    return [r.label() for r in O.proof_cases(model, target)]
+
+
+def _case_edit(draw, kind, text, lines):
+    """Edit the list of cases: a ``case L hyps 0`` line inserted in rule
+    order for a closed rule L, one listed case removed with its entries,
+    two listed cases swapped, one listed twice, or one relabelled with a
+    label no rule has."""
+    heads = [i for i in _proof_rows(lines) if lines[i].startswith("case ")]
+    spans = list(zip(heads, heads[1:] + [len(lines) - 1]))
+    listed = [lines[h].split()[1] for h in heads]
+    labels = _rule_labels(text)
+    if kind == "closed":
+        label = draw(st.sampled_from([x for x in labels if x not in listed]))
+        at = next((h for h, x in zip(heads, listed)
+                   if labels.index(x) > labels.index(label)), len(lines) - 1)
+        lines[at:at] = [f"case {label} hyps 0"]
+        return
+    if kind == "swap-cases":
+        (h, e), (h2, e2) = sorted(draw(st.lists(st.sampled_from(spans),
+                                                min_size=2, max_size=2,
+                                                unique=True)))
+        lines[h:e2] = lines[h2:e2] + lines[e:h2] + lines[h:e]
+        return
+    h, e = draw(st.sampled_from(spans))
+    if kind == "unlist":
+        lines[h:e] = []
+    elif kind == "duplicate-case":
+        lines[e:e] = lines[h:e]
+    else:
+        lines[h] = lines[h].replace(" hyps ", ":unknown hyps ")
+
+
 @st.composite
 def _broken_certificates(draw):
     """A certificate with one edit that no checker may accept: one proof
-    line dropped or duplicated, a count header changed, or one witness
-    block (``steps`` and its lines, or ``again K``) removed and its entry's
-    count decremented."""
-    lines = draw(st.sampled_from(_mutation_inputs())).split("\n")
-    kind = draw(st.sampled_from(["drop", "duplicate", "count", "block"]))
+    line dropped or duplicated, a count header changed, one witness block
+    (``steps`` and its lines, or ``again K``) removed and its entry's count
+    decremented, or the list of cases edited (see ``_case_edit``)."""
+    text = draw(st.sampled_from(_mutation_inputs()))
+    lines = text.split("\n")
+    kind = draw(st.sampled_from(["drop", "duplicate", "count", "block",
+                                 "closed", "unlist", "swap-cases",
+                                 "duplicate-case", "unknown-label"]))
     if kind == "count":
         _count_edit(draw, lines)
     elif kind == "block":
         _block_removal(draw, lines)
+    elif kind not in ("drop", "duplicate"):
+        _case_edit(draw, kind, text, lines)
     else:
         at = draw(st.sampled_from(_proof_rows(lines)))
         lines[at:at + 1] = [lines[at]] * (2 if kind == "duplicate" else 0)
@@ -676,6 +737,22 @@ def _entry_blocks(lines: list[str]) -> list[str]:
     return heads
 
 
+class TestOpenCases:
+    def test_listed_iff_open(self):
+        """A certificate's case lines are exactly the proof cases whose
+        re-derived obligation has a hypothesis cube, in proof-case
+        order."""
+        for name, model, inv, target, tree in _proved_claims():
+            goal = None if target is None else target.formula
+            ctx = O.DerivationContext(model, inv.formula, target=goal)
+            proof = C.emit(model, inv, tree, target).decode() \
+                .split("--- proof\n")[1]
+            assert [ln.split()[1] for ln in proof.split("\n")
+                    if ln.startswith("case ")] == \
+                [r.label() for r in O.proof_cases(model, goal)
+                 if O.build_obligation(ctx, r).hyp_cubes], name
+
+
 class TestWitnessTable:
     """Each distinct entry-level witness is printed once as a block and
     then named by ``again K``; the table changes the text, not the tree
@@ -725,89 +802,89 @@ class TestWitnessTable:
 # shows up here; a refactor that keeps the semantics keeps these bytes.
 FIXTURE_CERT_SHA256 = {
     "ambiguous/steps_declared":
-        "55148e466f0e17d55b23dceabf414af70b4c81a52b4d31e17906303cec84e9ad",
+        "fc42b4acaab17aa8a7be1df968573e6bf679555de815617035359eceeccd5a1d",
     "ambiguous/no_actions":
-        "ebb2b1fa62b19520b63d543e66560c9d62b55bb97cf9a36cd4897f1bc2df381b",
+        "89413d0783034a58f36d0ac0d5790827c1dce9927abaa02b40f6fd2a780e6ff6",
     "ambiguous/x_in_range":
-        "6abb58df451289e470243c143909cf5fa869dad1784c1511d260fe4d92a88ceb",
+        "7997df9686743767d41a0aff18eb0dfc130051dd758316d2334f301e36b4e05b",
     "dead_ctx/y_positive":
-        "8a2469517287591b56d16be97015852ae51b53f07233f1d3e4cf344c9ab2b06f",
+        "053a0d6f973f9f29babd25f1ce04f4056e12c2342b9d706a9c3cc83ab3198290",
     "dead_ctx/never_dead":
-        "57f24d00443a7e8cd2e93666fbe063b604e0160f74d8d828bf118c8882246c03",
+        "56615a5717f03beb30df1d20989e74cf96c86b57bffafd7f49ba1aed692409e5",
     "dead_ctx/acts_declared":
-        "1e5fd2bab5a11b9a3c88add12c4b4926aedef78cd18af2f65a3481df9cec52be",
+        "cecaef787eab17edc2093d082b41a1fd6517ac8088dafe632e31e9fded2d145a",
     "fbd_counter/out_small":
-        "118823db0e9bb0378e3e4d7ecc1607ebf534566603e000f20c1cff72ab14cf58",
+        "933ee9c04a0f7a32455c31deb13b117c7b078aaec3219cec22e0202d3cecb48b",
     "fbd_counter/out_in_range":
-        "d449f9d7e4b2219bdd7d9dce501f4af36a6442c2f190874307bdd5699d8bc2f7",
+        "c598693865661c2e2a82d07d04fbd3ac2bafcf9e3c9332799164b484a03bcdb5",
     "fbd_counter/acts_declared":
-        "998648656b52b52cd59ca07677df571d7227119e250b1ba987db50a97055c5c4",
+        "0c150b881bab075f90185c4f4c2555780af2aaed4ec40195c30d157ff5e82dbc",
     "fbd_inc/x_capped_ind":
-        "787e1609af416e15493dd9d04f6e2c3c5728f72e27cc48b0839b1ba25af52a8a",
+        "98c20fb9027c9f6964870da7de3905649712c2b6c7f26ed6e612bb232d0aaa4e",
     "fbd_inc/in_range":
-        "172e2266e5c2036de9e70c147ae8bd332296ac11e7ecfc516f969442e4e09e89",
+        "865539282cd58923de628c3061d0c6da070f4a0dc1614d8ea204e671f9134911",
     "fbd_inc/acts_declared":
-        "b8c22370a76a8609e8e17b7a4d7466d025f82b1bb796416dfe785de7ef477b92",
+        "837a7b5258a6dae99938539741e025c2067628c0090af93316c43d0a44ec774d",
     "flip/tautology":
-        "ff6802dc892969b673fcae09be9445437722444b7b0de26375c9cd488ebd8714",
+        "f7a92abd44bcbbd46700310382c3116a84fba3a6ea222202e45858916293b1ec",
     "flip/steps_declared":
-        "e3103d447a834fe72e38bcc944fa33a4ff66ca1e0a8afa405b821cf0b9102a84",
+        "9a2cef3885c9d43dadf8df8348ffb2b8298e088458d9e08a1e24a463074a3f38",
     "flip/acts_declared":
-        "4fbfb6424d7100429746c09122de1d4c4a7c1d8b482fbb82dcf791cc636a5248",
+        "b57727667f627cbc169e947b870ecb340948c81abf8e6643bb6837430f6b57b5",
     "hold_positive/y_positive":
-        "643c5a8baaecedfe8ae4fe3f10d67ce54ef44299700091dd8ead997c1ea575a1",
+        "34212ea50441da3998eb0a9884e4b758ee2273a2d4322e416b991f2d906172fc",
     "hold_positive/y_low":
-        "de7c3314adc87f3ca66ed1ee4b6122a16a1762270edae7114bddc56200e84aca",
+        "1be6356cb5811f5ad1d4389f7372726fd08b7d564f4c27269996f1b721a77ca2",
     "hold_positive/acts_declared":
-        "c815427771408606bbf8bbac3e80f2949c4c13a1803f0e43a67875475650d6fa",
+        "f011c36c183e6cd481287a3c0e23a5449c2ee5823383b29ce245ecd292be452a",
     "hold_positive/x_in_range":
-        "ad43ae783d4573098596c10673edf3f06be6492424f1a9e379bcefab9b842e3d",
+        "093950f5e925ede572a22a191e27cba57b9b9d30dc15dc592e3459a6d1d6a62a",
     "init_multi/steps_declared":
-        "47e18bfb0d01072c2b9897d6a1f21ad812a46c137055ec7c78b7492d1d439e96",
+        "fdc8c82c2803fea9ab908a84b919cf2afc5814fde0f259f301e813dc4bf90159",
     "init_multi/no_actions":
-        "89d609c7cd503097f914c4c0dccbc50665afa00268084d4a6685e9f3f8f5b4d9",
+        "ff253e4a2b6ad85d2171b11d43b09efb5ac91e68281665aaf519a3ffe5c01653",
     "init_multi/k_in_range":
-        "6c09f4677d7dab8d1e865efeedbd9908d02189d3c7004138db51cfcf75e05269",
+        "0fffe4d955e33fc89d52815bf1e079f34b8baed8c53ebc3eeb0742a737536c0f",
     "lockstep/rel":
-        "a6a53d4a826f3bf529538fbb7abc2fffe5697aa1d08e2a2ca19c6039aaa6cf3f",
+        "91e4b2004f87eed0c9b5265663b9e280dff3b29b58588059d493ac00bbf02e1a",
     "lockstep/x_in_range":
-        "cb311aa4868b65ce4cf0a32fa5d186dfa982fbbfb8fab23d1b4c03e3338ff6e6",
+        "a6086d5982144ae122faf2d1788a1b408b12a9f413953aa11ddbdef191c148a0",
     "lockstep/acts_declared":
-        "b917dfb00bf0cdbc6901dba65a3d27a37827b52640d6c3800e5c707b59e68cdf",
+        "6c3df083ecd4d95e3bc17df59a80240571409bf5425b12b20f99954d554609a4",
     "loop/x_capped_ind":
-        "3fa2726e4fbccd21f6b56c7a2fbadb55cc89cdfca7ee58d83640ac3cc4d82db3",
+        "e18188386479713b87a31652bcdcd04907e19e5a451b0cd1513008adf803449f",
     "loop/in_range":
-        "b6ed193590b84a5a5bd9324c8dca6ba6f4a6a78787bc575d3c480ecfd763b1b1",
+        "ccd43783b6942ea0a55920fe257d9a90241f3d1a6116e515460dbd14d445bcae",
     "loop/acts_declared":
-        "bf6dac867147203e7e34dd5c844c8a5b6dae9a6b78de1508e6e2e92853e4c611",
+        "9556e614cabb20c87217e98e8cc4348e86bf29d20106cf50be8db6cd70759616",
     "multi_action/c_small":
-        "5db26bb7d56bc8a5ebe0f48e0845d4ad5a0459134ea09279af559c36bbff1276",
+        "e552af77081b3f4fa397798f6f1d6cbc85d110c2774871942af72e41c0168e77",
     "multi_action/steps_declared":
-        "7635aaa2352edb2a2462af658b778012957c901d54d7bbc0b848f649f0999516",
+        "35b415b18fa2e1cd2277252be31da12e5a87beb0458fe6c9cf5aa3e0cfa7c516",
     "multi_action/acts_declared":
-        "bb4c59bb25f7799bc44cb3a379fd8daa517e818af33f869aa83ff4740a8672b6",
+        "2c30504df5bed07a71943b730fcab1a82610bb84e2d75ec133d199f0a0836929",
     "parallel/steps_declared":
-        "249d869750963306ebb68a6bb06b484088f2cb9ec6edb9e28a5b6696fc5261f3",
+        "3ec7f80badab0761606e7643364f60e66d3ce9fe01f5ed9aa8655a9129868b56",
     "parallel/acts_declared":
-        "be718b9fc87eab174cea25a81f9b6c2e58aaacbef2a34af61f03373ff6b56d26",
+        "5a5b313a8e2560e24775d15c59e2238e60f28579f73b4d77a613fac5249f0b81",
     "parallel/x_in_range":
-        "621a9ea7bdbb3472a5793e2e6e0e9670367beaae44f2f18593a7223b423be16f",
+        "b701deba08849ff386566553591f6bf6f36cbd29731e55604dd0293d2e6f2cca",
     "timer/one_tick":
-        "2f01f9533517bc1c8febe2baa3a3ae8e2b3e6b98a3e8778fc24ea968cec62e41",
+        "a8ba1bccf03c708a5ebb2bc655117cdb83c9d7106d56fc20026fb80318663b48",
     "timer/t_in_range":
-        "7754373672214adde388cf8aee3042025bdd69cf83b6b077f7afdb0b2bd90dcb",
+        "6a8e33886bb1d0f3baddec00dad9659937491974f6a928ed4052eff12d1ff188",
     "timer/acts_declared":
-        "6fe43f375b2ff70faad9f0250d3ac52a713ac7bb4b90dc81117349884d78a68b",
+        "b5136d1d1d41534bbfae5469e2d044d648172f0e0f930c5e277564f793d87f7d",
     "toggle/mutex":
-        "57037bf8241e320bb46e67efb1841e67873cc7790840d6ee91636af49fdf0aa9",
+        "a5aa5cb702bb45b7a7cf4c29a7ca9d4e0bf22a232c32827e205471a076bed10c",
     "toggle/n_in_range":
-        "c9bd990d35801b90450c203b2b10511030ec3edfe878cf397aea3b54fce26ca2",
+        "712733377e2485d1d757d558840459acb3779b7af620936f75c6bd4252b259a4",
     "toggle/acts_declared":
-        "085a01148ce0611cdd943677d2a78cf5359098a2dab302f1bb2d8476128be7e6",
+        "8e0e3373da10549bbad0e8d3f27d8a3f334a1b6b4defddae34268aaba5a6d971",
     "wrap/in_range":
-        "b61ed28b87784a5ba40a9d890bf6a0df78cf4d1c6fc1d5a3706bbde7bf87e45a",
+        "3ad454e22c6a312e98705e3ebf27f35b9ca87f78e51ed311246d0c0e908beff8",
     "wrap/acts_declared":
-        "344857f03eec7db53ddf4f69ad09fd30818e90649db2599b3d186e37ad08a7f8",
+        "a587163e09e5f5633f99d674c45b82be494e421e92b05db0404e2ee5bbd9854c",
 }
 
 
@@ -831,9 +908,9 @@ class TestCertificateBytes:
     # certificate does
     LOCKSTEP_CERT_SHA256 = {
         ("int8", 5):
-            "5d2f987dcf8048983e7452d6fa35a3f913f5c85ee726ed74e168eb7d19c3a533",
+            "7dfc66bd6b36a05b9d6a2443335054895d1c70a811c54cbac6ab5b1c04cac7c9",
         ("int16", 12):
-            "37010182adedcaf965f153a1d5b0f16a302bc0a85888d231b22638e7db007922",
+            "499321a93d16c1dc0e4563d8a1b8889f403f8c9a4979b04758f49b4d534ed2b0",
     }
 
     @pytest.mark.parametrize("width, c", sorted(LOCKSTEP_CERT_SHA256))
@@ -858,9 +935,9 @@ class TestCertificateBytes:
     # closing entail case
     TARGET_CERT_SHA256 = {
         "dead_ctx/unreachable":
-            "a877bd04656be914b116ff2eda4a0d6db5e086ef9f0b6cb6b945699f972016bb",
+            "ad18f4d451cd182ba89d963ccdc502c799e96d7608842f95c460011dc182e1c9",
         "loop/determined":
-            "32f712b59c1f6c95ac905886c747f4afea19a8fc0624b073aa493b966477152a",
+            "55a628db1bf557703dd650682220336554a66518cad7e9617efb6c1feaf121af",
     }
 
     def test_target_certificates_are_byte_identical(self):
@@ -919,8 +996,10 @@ class TestTargetCertificates:
         without = V.verify_invariant(model, inv).tree
         with pytest.raises(C.EmitError):
             C.emit(model, inv, with_entail)
-        with pytest.raises(C.EmitError):
-            C.emit(model, inv, without, target)
+        # the open entail case missing from a tree is left to the checker
+        v = C.check(C.emit(model, inv, without, target))
+        assert v.reason == "coverage: hypothesis cube count mismatch"
+        assert v.path == ("cases", "entail")
 
 
 def _module_imports(modname: str) -> set[str]:
@@ -1086,8 +1165,7 @@ class TestCheckWork:
     def test_only_diagrams_of_open_cases_are_compiled(self, monkeypatch):
         data = self._certificate(RESET_N0)
         assert {ln.split()[1] for ln in data.decode().split("\n")
-                if ln.startswith("case exec:")
-                and not ln.endswith(" hyps 0")} == {"exec:C0", "exec:R"}
+                if ln.startswith("case exec:")} == {"exec:C0", "exec:R"}
         compiled = self._counted(monkeypatch, "compile_fbd")
         assert C.check(data).accepted
         assert compiled == ["Cnt0"]

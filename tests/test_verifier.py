@@ -271,8 +271,8 @@ class TestClosedCases:
         """A case whose negated conclusions are all empty carries no
         hypothesis, and one whose readings are all empty derives no
         effect, so a failure inside either cannot leave it undecided; the
-        certificate lists it as ``hyps 0``, the checker accepts it, and
-        the property holds on the reachable states."""
+        certificate does not list it, the checker accepts it, and the
+        property holds on the reachable states."""
         chart, prop, patch = source
         if patch is not None:
             monkeypatch.setattr(*patch)
@@ -309,9 +309,9 @@ class TestDischarge:
         inv = P.Invariant("t", formula("true", loop_model))
         res = V.verify_invariant(loop_model, inv)
         assert isinstance(res, V.Proved)
-        # every case is closed, so none has an entry
-        assert res.tree.cases
-        assert all(case.hyps == () for case in res.tree.cases)
+        # every case is closed, so none is listed
+        assert res.obligations == len(loop_model.rules)
+        assert res.tree.cases == ()
         return C.emit(loop_model, inv, res.tree).decode()
 
     def test_true_conclusion_is_closed_without_decisions(self, true_cert):
@@ -434,9 +434,11 @@ class TestJointCubeReplay:
         if not isinstance(res, V.Proved):
             return
         ctx = O.DerivationContext(model, inv.formula)
-        for rule, case in zip(O.proof_cases(model, None), res.tree.cases):
+        listed = {c.label: c.hyps for c in res.tree.cases}
+        for rule in O.proof_cases(model, None):
             ob = O.build_obligation(ctx, rule)
-            for hyp, entry in zip(ob.hyp_cubes, case.hyps, strict=True):
+            for hyp, entry in zip(ob.hyp_cubes, listed.get(rule.label(), ()),
+                                  strict=True):
                 if entry.contradiction is not None:
                     pairs = [(hyp, entry.contradiction)]
                 else:
@@ -462,18 +464,25 @@ class TestJointCubeReplay:
         """Every hypothesis cube is decided from scratch; a joint cube is
         decided by extending its hypothesis's simplification, or from
         scratch when its extra members hold an equality."""
-        model, inv = lockstep("int8", 5)
-        hyps = joints = full_joints = 0
-        for hyp, res, cubes in _decided_cases(model, inv):
-            hyps += 1
-            if not isinstance(res, Sat):
-                continue
-            joints += len(cubes)
-            full_joints += sum(any(con.rel == "==" for con in joint[len(hyp):])
-                               for joint in cubes)
-        # one hypothesis cube, 5 * x wrapped by a quotient variable, joined
-        # with the < and > halves of y != 5 * x
-        assert (hyps, joints, full_joints) == (1, 2, 0)
+        model, rel = lockstep("int8", 5)
+        lag = P.parse_properties("invariant lag : always (y != 5 * x + 1);",
+                                 model)[0]
+        counts = []
+        for inv in (rel, lag):
+            hyps = joints = full_joints = 0
+            for hyp, res, cubes in _decided_cases(model, inv):
+                hyps += 1
+                if not isinstance(res, Sat):
+                    continue
+                joints += len(cubes)
+                full_joints += sum(any(con.rel == "=="
+                                       for con in joint[len(hyp):])
+                                   for joint in cubes)
+            counts.append((hyps, joints, full_joints))
+        # rel: one hypothesis cube, 5 * x wrapped by a quotient variable,
+        # joined with the < and > halves of y != 5 * x; lag: the < and >
+        # halves of y != 5 * x + 1, each joined with y == 5 * x + 1
+        assert counts == [(1, 2, 0), (2, 2, 2)]
         calls = {"decide_sat": 0, "_extend": 0}
 
         def count(module, name):
@@ -486,9 +495,12 @@ class TestJointCubeReplay:
 
         count(V, "decide_sat")
         count(solver, "_extend")
-        assert isinstance(V.verify_invariant(model, inv), V.Proved)
-        assert calls["_extend"] == joints - full_joints
-        assert calls["decide_sat"] - calls["_extend"] == hyps + full_joints
+        for inv, (hyps, joints, full_joints) in zip((rel, lag), counts):
+            calls.update(decide_sat=0, _extend=0)
+            assert isinstance(V.verify_invariant(model, inv), V.Proved)
+            assert calls["_extend"] == joints - full_joints
+            assert calls["decide_sat"] - calls["_extend"] == \
+                hyps + full_joints
 
 
 class TestVerifyInvariant:
@@ -729,7 +741,12 @@ class TestDeterminedSuccessor:
 
 class TestTreeShape:
     def test_case_labels_cover_rule_instances(self, loop_model):
+        """The tree lists the open rule instances, those with a hypothesis
+        cube, in rule order; ``obligations`` counts them all."""
         inv = load_invariants("loop", loop_model)[1]
         res = V.verify_invariant(loop_model, inv)
+        ctx = O.DerivationContext(loop_model, inv.formula)
         labels = [c.label for c in res.tree.cases]
-        assert labels == [r.label() for r in loop_model.rules]
+        assert labels == [r.label() for r in loop_model.rules
+                          if O.build_obligation(ctx, r).hyp_cubes]
+        assert len(labels) < res.obligations == len(loop_model.rules)
