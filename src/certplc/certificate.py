@@ -1,4 +1,4 @@
-"""Self-contained certificates and the checker that re-validates them.
+"""Self-contained certificates: ``emit`` prints one, ``check`` judges one.
 
 Layout (UTF-8 text, LF line endings):
 
@@ -78,19 +78,11 @@ def _rejected(reason: str, *path: str) -> CheckVerdict:
 ACCEPTED = CheckVerdict(True)
 
 
-class EmitError(Exception):
-    pass
-
-
 def emit(model: SfcModel, inv: P.Invariant, tree: ProofTree,
          target: P.Invariant | None = None) -> bytes:
-    """Byte-deterministic certificate for a proved invariant and, when
-    given, the target it implies."""
-    if tree is None:
-        raise EmitError("no proof tree to embed; the result is not a "
-                        "certifiable proof")
-    if not _listed_in_order(tree, O.proof_cases(model, target)):
-        raise EmitError("proof tree does not cover the rule instances")
+    """Byte-deterministic certificate for *inv* and, when given, the
+    target it implies, with *tree* as its proof section.  It only prints:
+    whatever the tree, only ``check`` decides whether it is accepted."""
     text = canonical_text(model)
     props = (inv,) if target is None else (inv, target)
     parts = [MAGIC, f"digest: {text_digest(text)}", "--- model",

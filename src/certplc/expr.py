@@ -12,7 +12,8 @@ chain of operands (``Sum`` also the sign of each), so every walk loops over
 a chain instead of recursing once per operator.  A module may add boolean
 leaves of its own (``properties``' activity atoms): each prints by its
 ``pretty()``, and ``typecheck``, ``eval_expr`` and ``linear.lower`` pass it
-to the *leaf* function their caller supplies.
+to the *leaf* function their caller supplies.  Running an assignment list
+is ``semantics.apply_effect``'s: the checker never executes an action.
 """
 
 from __future__ import annotations
@@ -296,22 +297,6 @@ def eval_expr(e: Expr, m: Memory, leaf=None) -> int:
     if leaf is None or isinstance(e, (Var, IntLit, Sum, Prod)):
         return fold_int(e, IntDomain, _reader(m))
     return leaf(e)
-
-
-def apply_effect(assigns, m: Memory, env: dict[str, str]) -> Memory:
-    """Apply an ordered assignment list to memory, left to right.
-
-    Each assignment sees the updates made by the previous ones and stores
-    its value wrapped at the target's declared type.  The result is a fresh
-    memory; the input is not modified.
-    """
-    out = dict(m)
-    for name, e in assigns:
-        ty = env.get(name)
-        if ty is None:
-            raise ExprError(f"assignment to undeclared variable {name!r}")
-        out[name] = eval_expr(e, out) & max_of(ty)
-    return out
 
 
 # --- printing -------------------------------------------------------------

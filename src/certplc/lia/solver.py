@@ -77,9 +77,6 @@ class _Node:
         self.args = args  # orig: cube index; assume: depth;
         #                   combine: ((node, mult), ...); tighten: node
 
-    def __repr__(self):
-        return f"_Node({self.con.pretty()}, {self.kind})"
-
 
 def _combine_nodes(terms) -> _Node:
     coeffs: dict[str, int] = {}
@@ -490,8 +487,7 @@ def decide_sat(cube: Cube, *, after: Sat | None = None,
         return Unsat(payload)
     for con in cube:
         if not con.evaluate(payload):
-            raise AssertionError(
-                f"internal error: model fails {con.pretty()}")
+            raise AssertionError(f"internal error: model fails {con!r}")
     active, eliminated, _ = simplified
     return Sat(payload, _Base(cube, active, eliminated, derived))
 

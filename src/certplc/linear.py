@@ -134,21 +134,6 @@ class LinCon(NamedTuple):
         n = sum(c * assignment[v] for v, c in self.coeffs)
         return n <= self.rhs if self.rel == "<=" else n == self.rhs
 
-    def pretty(self) -> str:
-        if not self.coeffs:
-            lhs = "0"
-        else:
-            parts = []
-            for v, c in self.coeffs:
-                if c == 1:
-                    parts.append(v)
-                elif c == -1:
-                    parts.append(f"-{v}")
-                else:
-                    parts.append(f"{c}*{v}")
-            lhs = " + ".join(parts).replace("+ -", "- ")
-        return f"{lhs} {self.rel} {self.rhs}"
-
 
 Cube = tuple  # tuple[LinCon, ...]
 Dnf = tuple   # tuple[Cube, ...], every cube clean (see clean_cube)

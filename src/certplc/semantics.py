@@ -9,7 +9,8 @@ the variables they read, each with a small integer id and its read set.
 One exploration (``reachable_bounded``) or simulation (``run_trace``)
 shares a memo keyed by ``(id, values read)``, so each guard and each effect
 runs once per distinct input; the memo is dropped on return.  ``apply_rule``
-runs one rule instance.
+runs one rule instance, and ``apply_effect`` one action's assignment list,
+the concrete counterpart of ``obligations.effect_summary``.
 
 ``successors`` is the one enumeration path, and it tries only what can
 fire: the rule table lists each transition under its first source step,
@@ -118,6 +119,22 @@ class RuleTable:
     reactivate: dict[str, Row]      # step -> its reactivation row
 
 
+def apply_effect(assigns, m: E.Memory, env: dict[str, str]) -> E.Memory:
+    """Apply an ordered assignment list to memory, left to right.
+
+    Each assignment sees the updates made by the previous ones and stores
+    its value wrapped at the target's declared type.  The result is a fresh
+    memory; the input is not modified.
+    """
+    out = dict(m)
+    for name, e in assigns:
+        ty = env.get(name)
+        if ty is None:
+            raise E.ExprError(f"assignment to undeclared variable {name!r}")
+        out[name] = E.eval_expr(e, out) & E.max_of(ty)
+    return out
+
+
 def _writes_of(run, writes):
     """Restrict a memory-to-memory effect to the values it writes."""
     def written(m):
@@ -153,7 +170,7 @@ def _compile(model: SfcModel) -> RuleTable:
             reads = tuple(sorted(set().union(
                 *(E.vars_of(e) for _, e in a.assigns))))
             writes = tuple(dict.fromkeys(v for v, _ in a.assigns))
-            run = partial(E.apply_effect, a.assigns, env=env)
+            run = partial(apply_effect, a.assigns, env=env)
         return Evaluator(next(ids), reads, writes, _writes_of(run, writes))
 
     effects = {a.id: action(a) for a in model.actions}
@@ -284,22 +301,36 @@ def reachable_bounded(model: SfcModel, depth: int, *,
     return states
 
 
-def _priority_key(model: SfcModel, index: int):
-    t = model.transitions[index]
-    return (t.priority is None, t.priority or 0, index)
+def _priority_rank(model: SfcModel, rule: RuleInstance) -> tuple:
+    """The priority scheduler's order: execute instances, then transitions
+    by ascending priority then declaration order (transitions without a
+    priority last), then reactivations."""
+    if isinstance(rule, StepTransition):
+        t = model.transitions[rule.index]
+        return (1, t.priority is None, t.priority or 0, rule.index)
+    return (0,) if isinstance(rule, ExecuteAction) else (2,)
 
 
 def run_trace(model: SfcModel, scheduler: str = "priority",
               max_steps: int = 100, seed: int = 0):
     """Deterministic simulation; returns [(rule, state-after)] pairs.
 
-    priority: pending actions first (pending order), then enabled
-    transitions by ascending priority then declaration order (transitions
-    without a priority come last), then reactivation in active step order.
-    fixed: first enabled rule in enumeration order.  random: uniform choice
-    among enabled rules, driven by the seed.
+    priority: the first enabled rule by ``_priority_rank``, ties (execute
+    and reactivate instances) in enumeration order, so pending actions in
+    pending order and reactivations in active step order.  fixed: first
+    enabled rule in enumeration order.  random: uniform choice among
+    enabled rules, driven by the seed.  An unknown scheduler name raises
+    ValueError before any rule runs.
     """
     rng = random.Random(seed)
+    pick = {
+        "priority": lambda succ: min(
+            succ, key=lambda p: _priority_rank(model, p[0])),
+        "fixed": itemgetter(0),
+        "random": lambda succ: succ[rng.randrange(len(succ))],
+    }.get(scheduler)
+    if pick is None:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
     c = init_state(model)
     trace = []
     memo: dict = {}
@@ -307,22 +338,6 @@ def run_trace(model: SfcModel, scheduler: str = "priority",
         succ = successors(model, c, memo)
         if not succ:
             break
-        if scheduler == "fixed":
-            rule, c = succ[0]
-        elif scheduler == "random":
-            rule, c = succ[rng.randrange(len(succ))]
-        elif scheduler == "priority":
-            execs = [(r, s) for r, s in succ if isinstance(r, ExecuteAction)]
-            trans = [(r, s) for r, s in succ if isinstance(r, StepTransition)]
-            reacts = [(r, s) for r, s in succ if isinstance(r, Reactivate)]
-            if execs:
-                rule, c = execs[0]
-            elif trans:
-                rule, c = min(trans,
-                              key=lambda p: _priority_key(model, p[0].index))
-            else:
-                rule, c = reacts[0]
-        else:
-            raise ValueError(f"unknown scheduler {scheduler!r}")
+        rule, c = pick(succ)
         trace.append((rule, c))
     return trace

@@ -33,7 +33,7 @@ from .prooftree import CaseProof, HypEntry, ProofTree
 
 @dataclass
 class Proved:
-    tree: ProofTree | None
+    tree: ProofTree
     obligations: int = 0
 
 

@@ -19,7 +19,8 @@ from certplc.lia.solver import Sat, Unsat, decide_sat
 from certplc.lia.witness import replay_witness
 from certplc.linear import LinCon
 from certplc.model import model_digest, parse_model
-from certplc.semantics import StepTransition, reachable_bounded, successors
+from certplc.semantics import (StepTransition, apply_effect,
+                               reachable_bounded, successors)
 
 from conftest import fixture_names, load_invariants, load_model, states_of
 
@@ -325,11 +326,11 @@ def test_criterion_8_fbd_equivalence():
     for v in range(16):  # the full width-4 domain
         m = {"x": v}
         if F.eval_iterative(inc_prog, m) != \
-                E.apply_effect(inc_oracle, m, inc_env):
+                apply_effect(inc_oracle, m, inc_env):
             bad += 1
         m = {"out": v}
         if F.eval_iterative(cnt_prog, m) != \
-                E.apply_effect(cnt_oracle, m, cnt_env):
+                apply_effect(cnt_oracle, m, cnt_env):
             bad += 1
     report(8, bad == 0, f"increment and 3-step counter match their "
                         f"assignment oracles on 16 points each, "

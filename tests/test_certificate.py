@@ -1,8 +1,12 @@
 import ast
 import functools
+import importlib
+import inspect
 import pathlib
 import re
+import sys
 import time
+import types
 from dataclasses import replace
 
 import pytest
@@ -15,15 +19,19 @@ from certplc import fbd as F
 from certplc import obligations as O
 from certplc import properties as P
 from certplc import verifier as V
+from certplc.lia import witness as W
+from certplc.lia.solver import decide_sat
+from certplc.linear import _width_bounds
 from certplc.model import (ActionBlock, SfcModel, canonical_text,
                            model_digest, parse_model, text_digest)
 from certplc.lia.witness import MAX_SPLIT_NESTING
 from certplc.parsing import MAX_NESTING
-from certplc.prooftree import parse_proof_lines, proof_lines
+from certplc.prooftree import ProofTree, parse_proof_lines, proof_lines
 
-from conftest import (FANOUT, FIXTURES, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
-                      benchmark_cases, built_in_code, fixture_names,
-                      load_invariants, load_model, states_of)
+from conftest import (FANOUT, FIXTURES, NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP,
+                      WRAP_BLOWUP_PROP, benchmark_cases, built_in_code,
+                      fixture_names, load_invariants, load_model, states_of)
+from test_lia import _PUGH
 
 
 def proved_certificate(name="loop", index=1):
@@ -70,27 +78,12 @@ class TestEmit:
     def test_round_trip_accepts(self):
         _, _, data = proved_certificate()
         assert C.check(data).accepted
+        assert bool(C.check(data))
 
     def test_byte_deterministic(self):
         model, inv, data = proved_certificate()
         res = V.verify_invariant(model, inv)
         assert C.emit(model, inv, res.tree) == data
-
-    def test_refuses_missing_tree(self):
-        model = load_model("loop")
-        inv = load_invariants("loop", model)[1]
-        with pytest.raises(C.EmitError):
-            C.emit(model, inv, None)
-
-    def test_refuses_incomplete_case_coverage(self):
-        # the listed cases must follow rule order, each at most once
-        model, inv, _ = proved_certificate()
-        res = V.verify_invariant(model, inv)
-        from certplc.prooftree import ProofTree
-        cases = res.tree.cases
-        for bad in (cases[::-1], cases + cases[-1:]):
-            with pytest.raises(C.EmitError):
-                C.emit(model, inv, ProofTree(bad))
 
     def test_embeds_canonical_model(self):
         model, _, data = proved_certificate()
@@ -205,6 +198,17 @@ class TestCheckRejections:
         assert not v.accepted
         assert v.reason.startswith("resource:")
         assert v.path == ("cases", "exec:A")
+
+    def test_cases_out_of_rule_order_are_a_coverage_rejection(self):
+        # emit prints any tree; the listed cases, reversed or with the last
+        # one listed twice, no longer follow rule order once each
+        model, inv, _ = proved_certificate()
+        cases = V.verify_invariant(model, inv).tree.cases
+        for bad in (cases[::-1], cases + cases[-1:]):
+            v = C.check(C.emit(model, inv, ProofTree(bad)))
+            assert v.reason == ("coverage: case distinction does not match "
+                                "the rule instances")
+            assert v.path == ("cases",)
 
     def test_case_deletion_is_coverage_error(self):
         # react:Init is open; deleting it leaves it unlisted
@@ -657,6 +661,7 @@ class TestCertificateMutants:
         v = _timed_check(data)
         event(f"{kind}: {v.reason[:24]}")
         assert not v.accepted, (kind, data.decode())
+        assert not C.check(data)
 
     @settings(max_examples=max(300, settings.default.max_examples),
               deadline=None, derandomize=True, database=None)
@@ -990,13 +995,16 @@ class TestTargetCertificates:
                                  "(!step(Dead));")
         assert not C.check(bad.encode()).accepted
 
-    def test_emit_needs_entail_case_exactly_with_target(self):
+    def test_entail_case_listed_exactly_with_target(self):
         model, inv, target, _ = target_certificates()["dead_ctx/unreachable"]
         with_entail = V.verify_invariant(model, inv, target).tree
         without = V.verify_invariant(model, inv).tree
-        with pytest.raises(C.EmitError):
-            C.emit(model, inv, with_entail)
-        # the open entail case missing from a tree is left to the checker
+        # an entail case without a target follows no rule instance
+        v = C.check(C.emit(model, inv, with_entail))
+        assert v.reason == ("coverage: case distinction does not match the "
+                            "rule instances")
+        assert v.path == ("cases",)
+        # the open entail case missing from a tree is unlisted
         v = C.check(C.emit(model, inv, without, target))
         assert v.reason == "coverage: hypothesis cube count mismatch"
         assert v.path == ("cases", "entail")
@@ -1300,3 +1308,144 @@ class TestTrustedCore:
     def test_inventory_matches_import_graph(self):
         reached = _transitive_imports("certplc.certificate")
         assert reached == set(C.trusted_core_inventory())
+
+    def test_check_enters_every_trusted_function(self):
+        """Every function and method of the trusted core is entered by
+        ``check`` on the certificates below, or is on ``TRUSTED_UNRUN``
+        with the reason it stays there."""
+        defined = {(m, q) for m in C.trusted_core_inventory()
+                   for q in _functions_of(m)}
+        stale = set(TRUSTED_UNRUN) - defined
+        assert not stale, f"allowlisted but not defined: {sorted(stale)}"
+        entered = _entered_by_check()
+        unrun = sorted(defined - entered - set(TRUSTED_UNRUN))
+        assert not unrun, f"trusted but never run by check: {unrun}"
+        needless = sorted(set(TRUSTED_UNRUN) & entered)
+        assert not needless, f"allowlisted but run by check: {needless}"
+
+
+# Trusted functions that check never runs, each with who needs it there.
+_PRINTER = "printer, kept beside the parser it mirrors; emit calls it"
+TRUSTED_UNRUN = {
+    ("certplc.certificate", "emit"): "the printer of a certificate",
+    ("certplc.certificate", "CheckVerdict.__bool__"):
+        "a rejection is falsy for a caller that writes `if check(data):`",
+    ("certplc.certificate", "trusted_core_inventory"):
+        "public API; the CI line-count step and TestTrustedCore read it",
+    ("certplc.prooftree", "proof_lines"): _PRINTER,
+    ("certplc.prooftree", "proof_lines.<locals>.block"): _PRINTER,
+    ("certplc.lia.witness", "witness_lines"): _PRINTER,
+    ("certplc.properties", "invariant_text"): _PRINTER,
+    ("certplc.properties", "Active.pretty"): _PRINTER,
+    ("certplc.properties", "Within.pretty"): _PRINTER,
+    ("certplc.properties", "parse_formula_text"):
+        "public API; the CLI's --check and the lemma claims parse with it",
+    ("certplc.model", "model_digest"): "public API",
+    ("certplc.expr", "IntDomain.mux"):
+        "concrete domain: fbd.eval_iterative runs a diagram's mux in it",
+    ("certplc.expr", "IntDomain.wrap"):
+        "concrete domain: fbd.eval_iterative wraps block values with it",
+    ("certplc.fbd", "eval_iterative"):
+        "runs diagram actions for semantics; perfbench/tracing.py wraps "
+        "it by name",
+    ("certplc.model", "SfcState.key"):
+        "configuration identity: test_semantics' reference explorer and "
+        "TestStateText",
+    ("certplc.model", "SfcState.__eq__"): "configuration identity",
+    ("certplc.model", "SfcState.__ne__"): "configuration identity",
+    ("certplc.model", "SfcState.__hash__"): "configuration identity",
+    ("certplc.linear", "LinForm.evaluate"):
+        "test oracles: test_agreement evaluates effect summaries with it",
+    ("certplc.linear", "LinCon.evaluate"):
+        "the solver re-checks a model with it; conftest's cube oracle",
+}
+
+
+def _functions_of(modname: str) -> set[str]:
+    """``co_qualname`` of every function and method defined in a module's
+    source, nested ones included, lambdas and comprehensions not."""
+    path = importlib.import_module(modname).__file__
+    todo = [compile(pathlib.Path(path).read_text(), path, "exec")]
+    out = set()
+    while todo:
+        code = todo.pop()
+        if code.co_flags & inspect.CO_NEWLOCALS and \
+                not code.co_name.startswith("<"):  # not a class body
+            out.add(code.co_qualname)
+        todo.extend(c for c in code.co_consts
+                    if isinstance(c, types.CodeType))
+    return out
+
+
+# a diagram whose mux has no linear form (OPAQUE's comparison fails first)
+_MUX = ("var b : bool\nvar y : int16\nstep A [initial]\n"
+        "action Amux on A = fbd Mux\n"
+        "fbd Mux {\n block r = read b\n"
+        " block m = mux(r.out, const 1, const 0)\n"
+        " block w = write y (m.out)\n timeslice 1\n}\n")
+
+
+def _rare_path_certificates() -> list[bytes]:
+    """Certificates that take paths no proved claim and no structural
+    mutant takes: non-linear guards and diagrams, subset atoms with names
+    outside the set, a malformed property.  Each has an empty proof, so
+    the checker derives its cases, or fails to, and rejects it."""
+    out = []
+    for text, prop in (
+            (NONLINEAR_GUARD, "!step(T)"),
+            (OPAQUE, "y <= 1"),
+            (_MUX, "y <= 1"),
+            ((FIXTURES / "loop.sfc").read_text(),
+             "steps_within {Init} && actions_within {A_Init}")):
+        model = parse_model(text)
+        inv = P.parse_properties(f"invariant p : always ({prop});", model)[0]
+        out.append(C.emit(model, inv, ProofTree(())))
+    out.append(out[-1].replace(b"always (", b"always (x <= && ", 1))
+    return out
+
+
+def _entered_by_check() -> set[tuple[str, str]]:
+    """(module, co_qualname) of each trusted function entered while
+    ``check`` reads every fixture certificate, the target certificates,
+    the structural mutants and ``_rare_path_certificates``, and while a
+    witness with a range split replays."""
+    inputs = [data for *_, data in target_certificates().values()]
+    for name in fixture_names():
+        model = load_model(name)
+        for inv in load_invariants(name, model):
+            res = V.verify_invariant(model, inv)
+            if isinstance(res, V.Proved):
+                inputs.append(C.emit(model, inv, res.tree))
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(_broken_certificates())
+    def collect(mutant):
+        inputs.append(mutant[1])
+
+    collect()
+    inputs += _rare_path_certificates()
+    split = decide_sat(_PUGH).witness  # no certificate splits yet
+
+    files = {importlib.import_module(m).__file__: m
+             for m in C.trusted_core_inventory()}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            entered.add((files[frame.f_code.co_filename],
+                         frame.f_code.co_qualname))
+
+    # a warm cache would hide a call
+    W.decimal.cache_clear()
+    _width_bounds.cache_clear()
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        verdicts = [C.check(data) for data in inputs]
+        replayed = W.replay_witness(_PUGH, split)
+    finally:
+        sys.setprofile(before)
+    assert replayed and not any(v.reason.startswith("error:")
+                                for v in verdicts)
+    return entered

@@ -12,6 +12,7 @@ from certplc import expr as E
 from certplc import linear as L
 from certplc.parsing import MAX_NESTING, ParseError
 from certplc.properties import parse_formula_text
+from certplc.semantics import apply_effect
 
 from conftest import eval_cube, eval_dnf, quotient_points
 
@@ -22,7 +23,7 @@ def ev(text, mem, env):
 
 
 def assign(target, text, mem, env):
-    return E.apply_effect([(target, parse_formula_text(text))], mem, env)
+    return apply_effect([(target, parse_formula_text(text))], mem, env)
 
 
 class TestEval:
@@ -150,25 +151,25 @@ class TestApplyEffect:
 
     def test_empty_effect_is_identity(self):
         mem = {"x": 3}
-        assert E.apply_effect([], mem, {"x": "int16"}) == mem
+        assert apply_effect([], mem, {"x": "int16"}) == mem
 
     def test_assignments_are_sequential(self):
         mem = {"x": 3, "y": 9}
         effect = [("x", parse_formula_text("0")),
                   ("y", parse_formula_text("x"))]
-        out = E.apply_effect(effect, mem, {"x": "int16", "y": "int16"})
+        out = apply_effect(effect, mem, {"x": "int16", "y": "int16"})
         assert out == {"x": 0, "y": 0}
 
     def test_assign_undeclared(self):
         with pytest.raises(E.ExprError):
-            E.apply_effect([("z", parse_formula_text("1"))], {}, {})
+            apply_effect([("z", parse_formula_text("1"))], {}, {})
 
     def test_purity(self):
         mem = {"x": 7}
         effect = [("x", parse_formula_text("x * 2"))]
         env = {"x": "int16"}
-        assert E.apply_effect(effect, mem, env) == \
-            E.apply_effect(effect, mem, env)
+        assert apply_effect(effect, mem, env) == \
+            apply_effect(effect, mem, env)
 
 
 class TestPrinter:

@@ -286,6 +286,16 @@ class TestTraces:
         assert trace[0][0].label() == "trans:1"  # explicit priority first
 
 
+    def test_unknown_scheduler_rejected_before_any_rule(self, loop_model):
+        # the join {S, T} never fires: S alone is active, so no rule is
+        # enabled in the initial configuration
+        stuck = parse_model("step S [initial]\nstep T\nstep U\n"
+                            "trans {S, T} -[ true ]-> {U}\n")
+        assert run_trace(stuck, "priority") == []
+        for model in (stuck, loop_model):
+            with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
+                run_trace(model, scheduler="bogus")
+
 class TestStateText:
     def test_canonical_serialization(self):
         mem = {"y": 1, "x": 5}
