@@ -3,7 +3,7 @@ independently checkable certificates for sequential function charts."""
 
 from .certificate import CheckVerdict, check, emit, trusted_core_inventory
 from .model import (SfcModel, Transition, VarDecl, canonical_text,
-                    model_digest, parse_model, validate)
+                    model_digest, parse_model)
 from .properties import Invariant, parse_formula_text, parse_properties
 from .semantics import (BudgetExceeded, SfcState, init_state,
                         reachable_bounded, run_trace, state_text, successors)
@@ -13,7 +13,7 @@ from .verifier import (Proved, Refuted, Undecided, check_determined_successor,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SfcModel", "Transition", "VarDecl", "parse_model", "validate",
+    "SfcModel", "Transition", "VarDecl", "parse_model",
     "canonical_text", "model_digest",
     "SfcState", "init_state", "successors", "reachable_bounded", "run_trace",
     "state_text", "BudgetExceeded",

@@ -145,10 +145,23 @@ def _join(a: str | None, b: str | None, what: str) -> str | None:
     raise ExprError(f"width mismatch in {what}: {a} vs {b}")
 
 
+def _operands(e: Sum | Prod | And | Or) -> tuple[Expr, ...]:
+    """A chain's operands; ExprError unless the parser could build it: two
+    or more operands and, for a sum, a first sign 1 and one 1 or -1 each."""
+    if len(e.args) < 2:
+        raise ExprError(f"{type(e).__name__} of fewer than two operands")
+    if isinstance(e, Sum) and (len(e.signs) != len(e.args) or e.signs[0] != 1
+                               or not {*e.signs} <= {1, -1}):
+        raise ExprError(f"bad sum signs {e.signs!r}")
+    return e.args
+
+
 def _width(e: Expr, env: dict[str, str]) -> str | None:
     """Width of an integer expression, None when it has no variable.
     Arithmetic holds no comparison, so it needs no annotation."""
     if isinstance(e, IntLit):
+        if type(e.value) is not int:
+            raise ExprError(f"literal {e.value!r} is not an integer")
         if e.value < 0:
             raise ExprError("negative literal")
         return None
@@ -160,9 +173,10 @@ def _width(e: Expr, env: dict[str, str]) -> str | None:
             raise ExprError(f"boolean variable {e.name!r} in arithmetic")
         return ty
     if isinstance(e, (Sum, Prod)):
-        w = _width(e.args[0], env)
-        for i in range(1, len(e.args)):
-            w = _join(w, _width(e.args[i], env), _op(e, i))
+        args = _operands(e)
+        w = _width(args[0], env)
+        for i in range(1, len(args)):
+            w = _join(w, _width(args[i], env), _op(e, i))
         return w
     raise ExprError(f"expected integer expression, got {pretty(e)}")
 
@@ -183,12 +197,14 @@ def typecheck(e: Expr, env: dict[str, str], leaf=None) -> tuple[Expr, str]:
     if isinstance(e, (IntLit, Sum, Prod)):
         return e, _width(e, env) or DEFAULT_INT
     if isinstance(e, Cmp):
+        if e.op not in CMP_OPS:
+            raise ExprError(f"unknown comparison {e.op!r}")
         w = _join(_width(e.lhs, env), _width(e.rhs, env),
                   f"comparison {e.op!r}") or DEFAULT_INT
         return Cmp(e.op, e.lhs, e.rhs, w), "bool"
     if isinstance(e, (And, Or)):
         args = []
-        for arg in e.args:  # each join tested as a left-deep chain tests it
+        for arg in _operands(e):  # each join tested as in a left-deep chain
             args.append(typecheck(arg, env, leaf))
             if len(args) > 1 and any(t != "bool" for _, t in args[-2:]):
                 raise ExprError("logical operator on non-boolean operand")

@@ -7,8 +7,8 @@ iteration and start from the type default.  A diagram runs for exactly
 ``time_slice`` iterations; globals are read at iteration start and written
 back from the final iteration only.
 
-Parsing a model validates each diagram; the model compiles it on its first
-run and keeps the program (``SfcModel.program``).  ``compile_fbd``
+Constructing a model validates each diagram; the model compiles it on its
+first run and keeps the program (``SfcModel.program``).  ``compile_fbd``
 validates, puts the blocks in delay-cut evaluation order and resolves
 ports to slots with their wrap types.  ``_run`` is the one interpreter of
 compiled diagrams.  It runs the concrete semantics (``eval_iterative``,
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import expr as E
 from .linear import FragmentError, LinDomain, LinForm
-from .parsing import TokenStream
+from .parsing import NAME_RE, TokenStream
 
 ARITH_KINDS = ("add", "sub", "mul")
 CMP_KINDS = ("lt", "le", "eq", "ne", "ge", "gt")
@@ -168,6 +168,8 @@ def validate_fbd(f: Fbd, env: dict[str, str]):
     wires = []  # (block, port, operand, class node or None), in block order
     fixes = []  # (node, type) of every type fixed, in block order
     for b in f.blocks:
+        if not NAME_RE.match(b.id):
+            raise FbdError(f"bad block id {b.id!r}")
         if b.id in seen:
             raise FbdError(f"duplicate block id {b.id!r}")
         seen.add(b.id)
@@ -190,6 +192,9 @@ def validate_fbd(f: Fbd, env: dict[str, str]):
         # a const block's literal is an input of its own type
         for port, op in ((("own", ConstIn(b.value)),) if b.kind == "const"
                          else zip(PORTS[b.kind], b.inputs)):
+            if isinstance(op, ConstIn) and (
+                    type(op.value) not in (int, bool) or op.value < 0):
+                raise FbdError(f"block {b.id!r}: bad constant {op.value!r}")
             n = b.id if port in ("own", "int") else \
                 (b.id, port) if port == "operand" else None
             wires.append((b, port, op, n))

@@ -343,8 +343,6 @@ def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds) -> Dnf:
     if op == "!=":
         return dnf_or(_cmp_atom("<", la, lb, bits, bounds),
                       _cmp_atom(">", la, lb, bits, bounds))
-    if op not in _CMP:
-        raise FragmentError(f"unknown comparison {op!r}")
     s, rel, rhs = _CMP[op]
     top = (1 << bits) - 1
     ranges = []  # per operand: each quotient and its clipped range

@@ -9,14 +9,15 @@ The external text format is line oriented with ``#`` comments:
     trans {Init} -[ x < 10 ]-> {Step2} [prio 1]
     fbd F1 { ... }                # body grammar in the fbd module
 
-Every action is attached to exactly one step.  Models are normalized on
-construction, however built (``parse_model``, the constructor or
-``replace``): variables, steps, actions and diagrams are stored sorted by
-name, blocks by id, and each guard and assignment that typechecks carries
-its comparison widths.  So any model evaluates, explores and certifies like
-its parsed twin, per-step action lists come out sorted by action id and the
-canonical printer (declarations sorted by kind then name, transitions in
-source order) round-trips exactly.  Transitions and target lists keep their
+Every action is attached to exactly one step.  Models are normalized and
+checked on construction, however built (``parse_model``, the constructor
+or ``replace``): variables, steps, actions and diagrams are stored sorted
+by name, blocks by id, each guard and assignment carries its comparison
+widths, and a chart with any problem raises ParseError naming every one.
+So any model evaluates, explores and certifies like its parsed twin,
+per-step action lists come out sorted by action id and the canonical
+printer (declarations sorted by kind then name, transitions in source
+order) round-trips exactly.  Transitions and target lists keep their
 declared order, because activation order is observable.
 
 ``SfcModel.rules`` states what each rule instance needs and changes, for
@@ -27,16 +28,14 @@ action: ``semantics`` compiles the table for execution.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
 from . import expr as E
 from . import fbd as F
-from .parsing import ParseError, TokenStream, parse_expression
+from .parsing import NAME_RE, ParseError, TokenStream, parse_expression
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 @dataclass(frozen=True)
 class VarDecl:
@@ -131,31 +130,113 @@ class SfcModel:
     fbds: tuple[F.Fbd, ...] = ()
 
     def __post_init__(self):
-        """Sort the declarations by name and annotate each guard and
-        assignment that typechecks: the one place canonical order and
-        comparison widths are decided.  Each one's type, or the ExprError
-        it got, is kept for ``validate``; an ill-typed one stays as it was."""
+        """Sort the declarations by name, annotate each guard and assignment
+        with its comparison widths and check the whole chart: the one place
+        canonical order, widths and well-formedness are decided.  Raises
+        ParseError naming every problem, joined by ``; ``."""
         for field, key in (("vars", lambda v: v.name), ("steps", None),
                            ("initial", None), ("actions", lambda a: a.id),
                            ("fbds", lambda f: f.name)):
             object.__setattr__(self, field,
                                tuple(sorted(getattr(self, field), key=key)))
-        env, types = self.env(), []
+        env, out = self.env(), []
+
+        def declare(kind, name, seen):
+            if not NAME_RE.match(name):
+                out.append(f"bad {kind} name {name!r}")
+            if name in seen:
+                out.append(f"duplicate {kind} {name!r}")
+            seen.add(name)
+
         def typed(e):
+            """*e* annotated and its type, or as it was and its ExprError."""
             try:
-                e, ty = E.typecheck(e, env)
+                return E.typecheck(e, env)
             except E.ExprError as err:
-                ty = err
-            types.append(ty)
-            return e
-        object.__setattr__(self, "actions", tuple([
-            a if a.assigns is None else ActionBlock(
-                a.id, a.step, tuple([(n, typed(e)) for n, e in a.assigns]),
-                a.fbd_ref) for a in self.actions]))
-        object.__setattr__(self, "transitions", tuple([
-            Transition(t.sources, typed(t.guard), t.targets, t.priority)
-            for t in self.transitions]))
-        object.__setattr__(self, "_types", tuple(types))
+                return e, err
+
+        var_names, steps, fbds, action_ids = set(), set(), set(), set()
+        for v in self.vars:
+            declare("variable", v.name, var_names)
+            if v.ty not in E.TYPES:
+                out.append(f"variable {v.name!r} has unknown type {v.ty!r}")
+            elif v.init is not None and not 0 <= v.init <= E.max_of(v.ty):
+                out.append(f"initializer of {v.name!r} out of range")
+        for s in self.steps:
+            declare("step", s, steps)
+        if not self.initial:
+            out.append("empty initial step set")
+        if len(set(self.initial)) != len(self.initial):
+            out.append("duplicate initial step")
+        for s in self.initial:
+            if s not in steps:
+                out.append(f"initial step {s!r} not declared")
+        for f in self.fbds:
+            declare("fbd", f.name, fbds)
+            try:
+                F.validate_fbd(f, env)
+            except F.FbdError as err:
+                out.append(f"fbd {f.name!r}: {err}")
+        actions = []
+        for a in self.actions:
+            declare("action", a.id, action_ids)
+            if a.step not in steps:
+                out.append(f"action {a.id!r} attached to unknown step "
+                           f"{a.step!r}")
+            if (a.assigns is None) == (a.fbd_ref is None):
+                out.append(f"action {a.id!r} must have exactly one body")
+            elif a.fbd_ref is not None and a.fbd_ref not in fbds:
+                out.append(f"action {a.id!r} references unknown fbd "
+                           f"{a.fbd_ref!r}")
+            if a.assigns is None or a.fbd_ref is not None:
+                actions.append(a)
+                continue
+            assigns = []
+            for name, e in a.assigns:
+                e, et = typed(e)
+                assigns.append((name, e))
+                ty = env.get(name)
+                if ty is None:
+                    out.append(f"action {a.id!r} assigns undeclared "
+                               f"variable {name!r}")
+                elif isinstance(et, E.ExprError):
+                    out.append(f"action {a.id!r}: {et}")
+                elif (ty == "bool") != (et == "bool"):
+                    out.append(f"action {a.id!r}: type mismatch assigning "
+                               f"{et} to {ty} variable {name!r}")
+                # the symbolic effect wraps once, at the target's width, so
+                # the right-hand side must compute at that width; an
+                # all-literal one has no width and adopts the target's
+                elif ty != "bool" and et != ty and E.vars_of(e):
+                    out.append(f"action {a.id!r}: width mismatch assigning "
+                               f"{et} to {ty} variable {name!r}")
+            actions.append(ActionBlock(a.id, a.step, tuple(assigns)))
+        transitions = []
+        for i, t in enumerate(self.transitions):
+            if not t.sources:
+                out.append(f"transition {i}: empty source set")
+            if not t.targets:
+                out.append(f"transition {i}: empty target set")
+            if len(set(t.sources)) != len(t.sources):
+                out.append(f"transition {i}: duplicate source step")
+            if len(set(t.targets)) != len(t.targets):
+                out.append(f"transition {i}: duplicate target step")
+            for s in t.sources + t.targets:
+                if s not in steps:
+                    out.append(f"transition {i}: unknown step {s!r}")
+            if t.priority is not None and t.priority < 0:
+                out.append(f"transition {i}: negative priority")
+            guard, gt = typed(t.guard)
+            if isinstance(gt, E.ExprError):
+                out.append(f"transition {i}: {gt}")
+            elif gt != "bool":
+                out.append(f"transition {i}: guard is not boolean")
+            transitions.append(
+                Transition(t.sources, guard, t.targets, t.priority))
+        if out:
+            raise ParseError("; ".join(out))
+        object.__setattr__(self, "actions", tuple(actions))
+        object.__setattr__(self, "transitions", tuple(transitions))
 
     def env(self) -> dict[str, str]:
         return {v.name: v.ty for v in self.vars}
@@ -184,8 +265,7 @@ class SfcModel:
         return tuple(a.id for a in self.actions)
 
     def program(self, name: str) -> F.Program:
-        """The named diagram, validated and compiled on first use; raises
-        FbdError for an invalid one, and a failure is not kept."""
+        """The named diagram, compiled on first use and then kept."""
         programs = self._names[3]
         if name not in programs:
             programs[name] = F.compile_fbd(self.fbd(name), self.env())
@@ -200,7 +280,7 @@ class SfcModel:
         leaving: dict[str, list[E.Expr]] = {s: [] for s in self.steps}
         for t in self.transitions:
             for s in t.sources:
-                leaving.setdefault(s, []).append(t.guard)
+                leaving[s].append(t.guard)
         table: dict[RuleInstance, RuleShape] = {}
         for a in self.actions:
             table[ExecuteAction(a.id)] = RuleShape(
@@ -256,109 +336,10 @@ def init_state(model: SfcModel) -> SfcState:
     return SfcState(mem, steps, acts)
 
 
-# --- validation -----------------------------------------------------------
-
-def validate(model: SfcModel) -> list[str]:
-    """Well-formedness report; empty means the model is usable."""
-    out, env, types = [], {}, iter(model._types)  # types as constructed
-    for v in model.vars:
-        if not IDENT_RE.match(v.name):
-            out.append(f"bad variable name {v.name!r}")
-        if v.name in env:
-            out.append(f"duplicate variable {v.name!r}")
-        env[v.name] = v.ty
-        if v.ty not in E.TYPES:
-            out.append(f"variable {v.name!r} has unknown type {v.ty!r}")
-            continue
-        if v.init is not None and not 0 <= v.init <= E.max_of(v.ty):
-            out.append(f"initializer of {v.name!r} out of range")
-
-    steps = set()
-    for s in model.steps:
-        if not IDENT_RE.match(s):
-            out.append(f"bad step name {s!r}")
-        if s in steps:
-            out.append(f"duplicate step {s!r}")
-        steps.add(s)
-    if not model.initial:
-        out.append("empty initial step set")
-    for s in model.initial:
-        if s not in steps:
-            out.append(f"initial step {s!r} not declared")
-
-    fbd_names = set()
-    for f in model.fbds:
-        if f.name in fbd_names:
-            out.append(f"duplicate fbd {f.name!r}")
-        fbd_names.add(f.name)
-        try:
-            F.validate_fbd(f, env)
-        except F.FbdError as err:
-            out.append(f"fbd {f.name!r}: {err}")
-
-    action_ids = set()
-    for a in model.actions:
-        ets = [next(types) for _ in a.assigns or ()]
-        if not IDENT_RE.match(a.id):
-            out.append(f"bad action name {a.id!r}")
-        if a.id in action_ids:
-            out.append(f"duplicate action {a.id!r}")
-        action_ids.add(a.id)
-        if a.step not in steps:
-            out.append(f"action {a.id!r} attached to unknown step "
-                       f"{a.step!r}")
-        if (a.assigns is None) == (a.fbd_ref is None):
-            out.append(f"action {a.id!r} must have exactly one body")
-            continue
-        if a.fbd_ref is not None:
-            if a.fbd_ref not in fbd_names:
-                out.append(f"action {a.id!r} references unknown fbd "
-                           f"{a.fbd_ref!r}")
-            continue
-        for (name, e), et in zip(a.assigns, ets):
-            ty = env.get(name)
-            if ty is None:
-                out.append(f"action {a.id!r} assigns undeclared "
-                           f"variable {name!r}")
-                continue
-            if isinstance(et, E.ExprError):
-                out.append(f"action {a.id!r}: {et}")
-                continue
-            if (ty == "bool") != (et == "bool"):
-                out.append(f"action {a.id!r}: type mismatch assigning "
-                           f"{et} to {ty} variable {name!r}")
-            # the symbolic effect wraps once, at the target's width, so the
-            # right-hand side must already compute at that width; all-literal
-            # right-hand sides have no width and adopt the target's
-            elif ty != "bool" and et != ty and E.vars_of(e):
-                out.append(f"action {a.id!r}: width mismatch assigning "
-                           f"{et} to {ty} variable {name!r}")
-
-    for (i, t), gt in zip(enumerate(model.transitions), types):
-        if not t.sources:
-            out.append(f"transition {i}: empty source set")
-        if not t.targets:
-            out.append(f"transition {i}: empty target set")
-        if len(set(t.sources)) != len(t.sources):
-            out.append(f"transition {i}: duplicate source step")
-        if len(set(t.targets)) != len(t.targets):
-            out.append(f"transition {i}: duplicate target step")
-        for s in t.sources + t.targets:
-            if s not in steps:
-                out.append(f"transition {i}: unknown step {s!r}")
-        if t.priority is not None and t.priority < 0:
-            out.append(f"transition {i}: negative priority")
-        if isinstance(gt, E.ExprError):
-            out.append(f"transition {i}: {gt}")
-        elif gt != "bool":
-            out.append(f"transition {i}: guard is not boolean")
-    return out
-
-
 # --- parsing --------------------------------------------------------------
 
 def parse_model(text: str) -> SfcModel:
-    """Parse and fully check a model document."""
+    """Parse a model document; the constructor checks the chart."""
     ts = TokenStream(text)
     vars_, steps, initial = [], [], []
     actions, transitions, fbds = [], [], []
@@ -437,10 +418,7 @@ def parse_model(text: str) -> SfcModel:
         if a.step not in declared:
             ts.error(f"action attached to unknown step {a.step!r}", at_host)
 
-    model = SfcModel(vars_, steps, initial, actions, transitions, fbds)
-    if problems := validate(model):
-        raise ParseError("; ".join(problems))
-    return model
+    return SfcModel(vars_, steps, initial, actions, transitions, fbds)
 
 
 def _parse_step_set(ts: TokenStream) -> tuple[str, ...]:

@@ -42,6 +42,11 @@ _TOKEN = re.compile(
     + "|".join(map(re.escape, _SYMBOLS)) + r"|#[^\n]*|[^ \t\r\n]")
 
 
+# A name of a declaration or a block: one identifier token, but not one
+# the parsers read as a literal (`true`, `false`, an operand's `const`).
+NAME_RE = re.compile(r"(?!(true|false|const)\Z)[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
 def lex(text: str) -> list[str]:
     """Identifiers, ASCII decimal integers and symbols, end of input not
     included; blanks and `#` comments to end of line are skipped.  A token

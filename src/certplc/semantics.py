@@ -128,10 +128,7 @@ def apply_effect(assigns, m: E.Memory, env: dict[str, str]) -> E.Memory:
     """
     out = dict(m)
     for name, e in assigns:
-        ty = env.get(name)
-        if ty is None:
-            raise E.ExprError(f"assignment to undeclared variable {name!r}")
-        out[name] = E.eval_expr(e, out) & E.max_of(ty)
+        out[name] = E.eval_expr(e, out) & E.max_of(env[name])
     return out
 
 
@@ -158,8 +155,8 @@ def _compile(model: SfcModel) -> RuleTable:
 
     def action(a):
         if a.fbd_ref is not None:
-            # compiled once per model; raises FbdError for an invalid
-            # diagram.  Runs go through the module's eval_iterative.
+            # compiled once per model; runs go through the module's
+            # eval_iterative
             p = model.program(a.fbd_ref)
             reads = tuple(dict.fromkeys(v for _, v, _ in p.reads))
             writes = tuple(v for v, _, _ in p.writes)
@@ -193,8 +190,7 @@ def _compile(model: SfcModel) -> RuleTable:
 
 def rule_table(model: SfcModel) -> RuleTable:
     """The model's compiled rule table, built on first use and then kept on
-    the model object, the way ``functools.cached_property`` keeps a value
-    (a failed build, such as an invalid diagram, is not kept)."""
+    the model object, the way ``functools.cached_property`` keeps a value."""
     table = model.__dict__.get("_rule_table")
     if table is None:
         table = model.__dict__["_rule_table"] = _compile(model)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from certplc import expr as E
 from certplc import linear as L
+from certplc.model import parse_model
 from certplc.parsing import MAX_NESTING, ParseError
 from certplc.properties import parse_formula_text
 from certplc.semantics import apply_effect
@@ -161,8 +162,10 @@ class TestApplyEffect:
         assert out == {"x": 0, "y": 0}
 
     def test_assign_undeclared(self):
-        with pytest.raises(E.ExprError):
-            apply_effect([("z", parse_formula_text("1"))], {}, {})
+        # never reaches apply_effect: no model can hold the assignment
+        with pytest.raises(ParseError) as err:
+            parse_model("step S [initial]\naction A on S { z := 1; }\n")
+        assert str(err.value) == "action 'A' assigns undeclared variable 'z'"
 
     def test_purity(self):
         mem = {"x": 7}

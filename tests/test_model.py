@@ -1,9 +1,12 @@
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from certplc import (canonical_text, model_digest, parse_model, validate)
+from certplc import canonical_text, model_digest, parse_model
+from certplc import fbd as F
 from certplc.model import (ActionBlock, ExecuteAction, SfcModel, Transition,
                            VarDecl, init_state)
 from certplc.parsing import ParseError, TokenStream, parse_expression
@@ -31,7 +34,6 @@ class TestParse:
         assert model.steps == ("Only",)
         assert model.vars == ()
         assert model.transitions == ()
-        assert validate(model) == []
 
     def test_unknown_step_in_target(self):
         bad = MINIMAL + "trans {Only} -[ true ]-> {Ghost}\n"
@@ -110,9 +112,8 @@ class TestParse:
             parse_model(MIXED_WIDTH)
 
     def test_literal_assignment_adopts_target_width(self):
-        model = parse_model("var x : int8\nvar y : int16\n" + MINIMAL +
-                            "action A on Only { y := 300; x := 7 * 3; }\n")
-        assert validate(model) == []
+        parse_model("var x : int8\nvar y : int16\n" + MINIMAL +
+                    "action A on Only { y := 300; x := 7 * 3; }\n")
 
     def test_initializer_out_of_range(self):
         with pytest.raises(ParseError, match="range"):
@@ -157,19 +158,180 @@ class TestParse:
         assert model.transitions[0].priority == 2
 
 
+# A chart built in code, and each problem the constructor names, one chart
+# per message: the replaced fields of the chart and the exact message.
+_X, _Y, _B = E.Var("x"), E.Var("y"), E.Var("b")
+_F = F.Fbd("F", (F.Block("r", "read", var="x"),
+                 F.Block("a", "add", (F.PortRef("r"), F.ConstIn(1))),
+                 F.Block("w", "write", (F.PortRef("a"),), var="x")), 1)
+BASE = dict(
+    vars=(VarDecl("x", "int8"), VarDecl("y", "int16"), VarDecl("b", "bool")),
+    steps=("S", "T"), initial=("S",),
+    actions=(ActionBlock("A", "S", (("x", E.Sum((_X, E.IntLit(1)),
+                                                  (1, 1))),)),
+             ActionBlock("D", "T", fbd_ref="F")),
+    transitions=(Transition(("S",), E.Cmp("<", _X, E.IntLit(10)), ("T",)),
+                 Transition(("T",), E.BoolLit(True), ("S",), 1)),
+    fbds=(_F,))
+
+
+def _with(**fields):
+    """BASE with *fields* replaced; a value that is a function gets BASE's
+    value and returns the new one."""
+    return {**BASE, **{k: v(BASE[k]) if callable(v) else v
+                       for k, v in fields.items()}}
+
+
+def _plus(*items):
+    """For ``_with``: the field's value with *items* appended."""
+    return lambda old: old + items
+
+
+def _guard(e):
+    return _plus(Transition(("S",), e, ("T",)))
+
+
+def _assign(e, target="x"):
+    return _plus(ActionBlock("E", "S", ((target, e),)))
+
+
+def _blocks(*blocks):
+    return (F.Fbd("F", blocks + (F.Block("w", "write", (F.PortRef("r"),),
+                                         var="x"),), 1),)
+
+
+_READ = F.Block("r", "read", var="x")
+_TRUE = E.BoolLit(True)
+
+PROBLEMS = [
+    # names, types and initializers
+    ("bad-variable-name", _with(vars=_plus(VarDecl("T 2", "int8"))),
+     "bad variable name 'T 2'"),
+    # a variable `true` or `false` reads back as the literal
+    ("true-variable", _with(vars=_plus(VarDecl("true", "bool")),
+                            transitions=_guard(E.Var("true"))),
+     "bad variable name 'true'"),
+    ("false-variable", _with(vars=_plus(VarDecl("false", "bool"))),
+     "bad variable name 'false'"),
+    ("duplicate-variable", _with(vars=_plus(VarDecl("x", "int16"))),
+     "duplicate variable 'x'"),
+    ("unknown-type", _with(vars=_plus(VarDecl("z", "int7"))),
+     "variable 'z' has unknown type 'int7'"),
+    ("initializer-range", _with(vars=_plus(VarDecl("z", "int8", 256))),
+     "initializer of 'z' out of range"),
+    ("bad-step-name", _with(steps=_plus("1b")), "bad step name '1b'"),
+    ("duplicate-step", _with(steps=_plus("T")), "duplicate step 'T'"),
+    ("empty-initial", _with(initial=()), "empty initial step set"),
+    ("undeclared-initial", _with(initial=("S", "G")),
+     "initial step 'G' not declared"),
+    ("duplicate-initial", _with(initial=("S", "S")), "duplicate initial step"),
+    # diagrams
+    # `2F` and `1b` do not lex as one name, `const.out` reads as a constant
+    # and `const -3` does not parse
+    ("bad-fbd-name", _with(fbds=_plus(replace(_F, name="2F"))),
+     "bad fbd name '2F'"),
+    ("duplicate-fbd", _with(fbds=_plus(_F)), "duplicate fbd 'F'"),
+    ("fbd-problem", _with(fbds=(replace(_F, time_slice=0),)),
+     "fbd 'F': time slice must be positive and at most 1024"),
+    ("bad-block-id", _with(fbds=_blocks(_READ, F.Block("1b", "read",
+                                                       var="x"))),
+     "fbd 'F': bad block id '1b'"),
+    ("const-block-id", _with(fbds=_blocks(_READ, F.Block("const", "read",
+                                                         var="x"))),
+     "fbd 'F': bad block id 'const'"),
+    ("negative-constant-block", _with(fbds=_blocks(_READ, F.Block(
+        "k", "const", value=-3))), "fbd 'F': block 'k': bad constant -3"),
+    ("negative-constant-inline", _with(fbds=_blocks(_READ, F.Block(
+        "a", "add", (F.PortRef("r"), F.ConstIn(-3))))),
+     "fbd 'F': block 'a': bad constant -3"),
+    # action bodies and references
+    ("bad-action-name", _with(actions=_plus(ActionBlock("A 2", "S", ()))),
+     "bad action name 'A 2'"),
+    ("duplicate-action", _with(actions=_plus(ActionBlock("A", "T", ()))),
+     "duplicate action 'A'"),
+    ("action-unknown-step", _with(actions=_plus(ActionBlock("E", "G", ()))),
+     "action 'E' attached to unknown step 'G'"),
+    ("two-bodies", _with(actions=_plus(ActionBlock("E", "S", (), "F"))),
+     "action 'E' must have exactly one body"),
+    ("no-body", _with(actions=_plus(ActionBlock("E", "S"))),
+     "action 'E' must have exactly one body"),
+    ("unknown-fbd", _with(actions=_plus(ActionBlock("E", "S", fbd_ref="G"))),
+     "action 'E' references unknown fbd 'G'"),
+    # assignments
+    ("assign-undeclared", _with(actions=_assign(E.IntLit(1), "z")),
+     "action 'E' assigns undeclared variable 'z'"),
+    ("assign-ill-typed", _with(actions=_assign(E.Var("z"))),
+     "action 'E': unbound variable 'z'"),
+    ("assign-type-mismatch", _with(actions=_assign(_B)),
+     "action 'E': type mismatch assigning bool to int8 variable 'x'"),
+    ("assign-width-mismatch", _with(actions=_assign(_Y)),
+     "action 'E': width mismatch assigning int16 to int8 variable 'x'"),
+    # transitions
+    ("empty-sources", _with(transitions=_plus(Transition((), _TRUE,
+                                                          ("S",)))),
+     "transition 2: empty source set"),
+    ("empty-targets", _with(transitions=_plus(Transition(("S",), _TRUE,
+                                                          ()))),
+     "transition 2: empty target set"),
+    ("duplicate-source", _with(transitions=_plus(Transition(
+        ("S", "S"), _TRUE, ("T",)))), "transition 2: duplicate source step"),
+    ("duplicate-target", _with(transitions=_plus(Transition(
+        ("S",), _TRUE, ("T", "T")))), "transition 2: duplicate target step"),
+    ("transition-unknown-step", _with(transitions=_plus(Transition(
+        ("S",), _TRUE, ("G",)))), "transition 2: unknown step 'G'"),
+    ("negative-priority", _with(transitions=_plus(Transition(
+        ("S",), _TRUE, ("T",), -1))), "transition 2: negative priority"),
+    ("guard-ill-typed", _with(transitions=_guard(E.Cmp("<", _X, _TRUE))),
+     "transition 2: expected integer expression, got true"),
+    ("guard-not-boolean", _with(transitions=_guard(_X)),
+     "transition 2: guard is not boolean"),
+    # expression nodes the parser cannot build.  Unchecked, signs (-1, 1)
+    # read as `x + 2` in the printer and the concrete semantics but as
+    # `2 - x` in the decider, so `always (x <= 2)` was Proved while x = 4
+    # is reachable; `=<` raised KeyError on exploration; three operands
+    # with two signs raised IndexError in the constructor; an empty And
+    # printed `-[  ]->`.
+    ("sum-first-sign", _with(actions=_assign(E.Sum((_X, E.IntLit(2)),
+                                                   (-1, 1)))),
+     "action 'E': bad sum signs (-1, 1)"),
+    ("sum-sign-count", _with(actions=_assign(E.Sum(
+        (_X, E.IntLit(1), E.IntLit(2)), (1, -1)))),
+     "action 'E': bad sum signs (1, -1)"),
+    ("sum-sign-value", _with(actions=_assign(E.Sum(
+        (_X, E.IntLit(1)), (1, 2)))), "action 'E': bad sum signs (1, 2)"),
+    ("short-product", _with(actions=_assign(E.Prod((_X,)))),
+     "action 'E': Prod of fewer than two operands"),
+    ("empty-conjunction", _with(transitions=_guard(E.And(()))),
+     "transition 2: And of fewer than two operands"),
+    ("short-disjunction", _with(transitions=_guard(E.Or((_B,)))),
+     "transition 2: Or of fewer than two operands"),
+    ("unknown-comparison", _with(transitions=_guard(E.Cmp(
+        "=<", _X, E.IntLit(3)))), "transition 2: unknown comparison '=<'"),
+    ("negative-literal", _with(actions=_assign(E.IntLit(-1))),
+     "action 'E': negative literal"),
+    ("non-integer-literal", _with(actions=_assign(E.IntLit(1.5))),
+     "action 'E': literal 1.5 is not an integer"),
+]
+
+
 class TestValidate:
+    """A model is checked where it is built: the constructor raises
+    ParseError naming every problem, however the model is built."""
+
     def test_fixture_models_clean(self):
         for name in fixture_names():
-            assert validate(load_model(name)) == []
+            model = load_model(name)
+            assert built_in_code(model) == model
 
     def test_hand_built_guard_is_typechecked(self):
         model = parse_model(MINIMAL)
         for guard, problem in ((E.IntLit(1), "guard is not boolean"),
                                (E.Var("y"), "unbound variable 'y'")):
             t = Transition(("Only",), guard, ("Only",))
-            broken = SfcModel(model.vars, model.steps, model.initial,
-                              model.actions, (t,))
-            assert validate(broken) == [f"transition 0: {problem}"]
+            with pytest.raises(ParseError) as err:
+                SfcModel(model.vars, model.steps, model.initial,
+                         model.actions, (t,))
+            assert str(err.value) == f"transition 0: {problem}"
         # a well-typed guard or assignment from the expression parser is
         # annotated on construction, so the model runs like its parsed twin
         loop = load_model("loop")
@@ -177,7 +339,6 @@ class TestValidate:
         assert lt3.width is None
         guarded = replace(loop, transitions=(
             replace(loop.transitions[0], guard=lt3),) + loop.transitions[1:])
-        assert validate(guarded) == []
         twin = parse_model(canonical_text(guarded))
         assert reachable_bounded(guarded, 5) == reachable_bounded(twin, 5)
         assert run_trace(guarded, max_steps=20) == run_trace(twin,
@@ -185,12 +346,11 @@ class TestValidate:
         flagged = replace(loop, vars=loop.vars + (VarDecl("b", "bool"),),
                           actions=(ActionBlock("A_Init", "Init",
                                                (("b", lt3),)),))
-        assert validate(flagged) == []
         assert apply_rule(flagged, init_state(flagged),
                           ExecuteAction("A_Init")).mem == {"b": 1, "x": 0}
 
     def test_one_typecheck_per_guard_and_assignment(self, monkeypatch):
-        # parsing annotates and validates from the same typecheck
+        # construction annotates and checks from the same typecheck
         calls, depth = [], [0]
         typecheck = E.typecheck
 
@@ -208,35 +368,183 @@ class TestValidate:
         exprs = sum(len(m.transitions) + sum(
             len(a.assigns) for a in m.actions if a.assigns) for m in models)
         assert len(calls) == exprs == 40
-        # built in code and then validated: the same one each
+        # built in code: the same one each
         calls.clear()
         for model in models:
-            assert validate(built_in_code(model)) == []
+            built_in_code(model)
         assert len(calls) == exprs
 
     def test_empty_initial_set(self):
         model = parse_model(MINIMAL)
-        broken = SfcModel(model.vars, model.steps, (), model.actions,
-                          model.transitions)
-        assert any("initial" in v for v in validate(broken))
+        with pytest.raises(ParseError) as err:
+            SfcModel(model.vars, model.steps, (), model.actions,
+                     model.transitions)
+        assert str(err.value) == "empty initial step set"
 
     def test_action_on_unknown_step(self):
         model = parse_model(MINIMAL)
-        broken = SfcModel(model.vars, model.steps, model.initial,
-                          (ActionBlock("A", "Ghost", assigns=()),),
-                          model.transitions)
-        assert validate(broken) == [
-            "action 'A' attached to unknown step 'Ghost'"]
+        with pytest.raises(ParseError) as err:
+            SfcModel(model.vars, model.steps, model.initial,
+                     (ActionBlock("A", "Ghost", assigns=()),),
+                     model.transitions)
+        assert str(err.value) == "action 'A' attached to unknown step 'Ghost'"
 
     def test_duplicate_transition_source(self):
         model = parse_model(MINIMAL)
         t = Transition(("Only", "Only"), E.BoolLit(True), ("Only",))
-        broken = SfcModel(model.vars, model.steps, model.initial,
-                          model.actions, (t,))
-        assert any("duplicate source" in v for v in validate(broken))
+        with pytest.raises(ParseError) as err:
+            SfcModel(model.vars, model.steps, model.initial,
+                     model.actions, (t,))
+        assert str(err.value) == "transition 0: duplicate source step"
+
+    def test_base_chart_is_well_formed(self):
+        model = SfcModel(**BASE)
+        assert parse_model(canonical_text(model)) == model
+
+    @pytest.mark.parametrize("chart, message", [c[1:] for c in PROBLEMS],
+                             ids=[c[0] for c in PROBLEMS])
+    def test_each_problem_raises_its_message(self, chart, message):
+        with pytest.raises(ParseError) as err:
+            SfcModel(**chart)
+        assert str(err.value) == message
+        assert (err.value.line, err.value.col) == (None, None)
+
+    def test_every_problem_is_named_in_order(self):
+        chart = _with(steps=_plus("T"), initial=(),
+                      actions=_assign(E.IntLit(1), "z"))
+        with pytest.raises(ParseError) as err:
+            SfcModel(**chart)
+        assert str(err.value) == (
+            "duplicate step 'T'; empty initial step set; "
+            "action 'E' assigns undeclared variable 'z'")
+
+    def test_ill_typed_guard_in_loop_is_rejected(self):
+        # was Proved for `x <= 65535`, then raised ExprError on exploration
+        # and printed text that does not parse
+        loop = load_model("loop")
+        guard = E.Cmp("<", _X, _TRUE)
+        with pytest.raises(ParseError) as err:
+            replace(loop, transitions=(replace(loop.transitions[0],
+                                               guard=guard),)
+                    + loop.transitions[1:])
+        assert str(err.value) == ("transition 0: expected integer "
+                                  "expression, got true")
+
+
+# A chart with every construct the text has, for the round-trip test to
+# edit: initializers, two initial steps, n-ary chains of each kind, a sum
+# with a minus, priorities, and a diagram with const blocks, inline
+# constants, a delay, a comparison and a mux.
+CHART = parse_model("""
+var x : int8 = 3
+var y : int16
+var b : bool = true
+step S [initial]
+step T
+step U [initial]
+action A on S { x := 2 * x - 1; b := x < 3 || !b && y >= 2; }
+action D on T = fbd F
+trans {S, U} -[ x <= 9 && b ]-> {T} [prio 1]
+trans {T} -[ y + 1 - y * 2 != 4 || !b ]-> {S, U}
+fbd F {
+  block r = read y
+  block k = const 7
+  block a = add(r.out, k.out)
+  block d = delay(a.out)
+  block c = lt(d.out, const 300)
+  block m = mux(c.out, a.out, const 0)
+  block w = write y (m.out)
+  timeslice 2
+}
+""")
+
+
+def _sites(x, path=()):
+    """(path, value) of each field of *x* that the round-trip test edits:
+    a chain's operands, a sum's signs, and every string and integer below,
+    a node's unset initializer or priority included.  Booleans, the other
+    unset fields and a block's kind, whose change leaves set a field that
+    the new kind ignores, are left alone."""
+    if isinstance(x, (E.Sum, E.Prod, E.And, E.Or)):
+        yield path + ("args",), x.args
+        if isinstance(x, E.Sum):
+            yield path + ("signs",), x.signs
+    if is_dataclass(x):
+        for f in fields(x):
+            if f.name not in ("signs", "width", "kind"):
+                yield from _sites(getattr(x, f.name), path + (f.name,))
+    elif isinstance(x, tuple):
+        for i, y in enumerate(x):
+            yield from _sites(y, path + (i,))
+    elif isinstance(x, str) or type(x) is int or (
+            x is None and path[-1] in ("init", "priority")):
+        yield path, x
+
+
+_SITES = list(_sites(CHART))
+_NAMES = ("true", "false", "1b", "T 2", "const", "Ghost") + tuple(sorted(
+    {v for _, v in _SITES if isinstance(v, str)}))  # the chart's: duplicates
+
+
+def _hostile(path, old):
+    """Values to put at *path*: signs from -2..2, one fewer to one more
+    than the operands; 0 to 3 of a chain's own operands; comparison
+    operators the parser builds and two it does not; hostile names and
+    every name of the chart; integers from -3 to 2**33."""
+    if path[-1] == "signs":
+        return st.lists(st.integers(-2, 2), min_size=len(old) - 1,
+                        max_size=len(old) + 1).map(tuple)
+    if path[-1] == "args":
+        return st.lists(st.sampled_from(old), max_size=3).map(tuple)
+    if path[-1] == "op":
+        return st.sampled_from(E.CMP_OPS + ("=<", "<>"))
+    if isinstance(old, str):
+        return st.sampled_from(_NAMES)
+    return st.integers(-3, 2**33)
+
+
+_EDITS = st.sampled_from(_SITES).flatmap(
+    lambda site: _hostile(*site).map(lambda new: (site[0], new)))
+
+
+def _put(x, path, new):
+    """*x* with the value at *path* replaced by *new*, each node on the way
+    rebuilt by its constructor, the model last."""
+    if not path:
+        return new
+    k, rest = path[0], path[1:]
+    if isinstance(x, tuple):
+        return x[:k] + (_put(x[k], rest, new),) + x[k + 1:]
+    return replace(x, **{k: _put(getattr(x, k), rest, new)})
+
+
+def _site(*tail, value):
+    """The path of the chart's one site ending in *tail* that holds
+    *value*."""
+    path, = [p for p, v in _SITES if p[-len(tail):] == tail and v == value]
+    return path
 
 
 class TestCanonical:
+    # tier-1 draws 300 edits; `--hypothesis-profile long` (conftest.py)
+    # draws more
+    @settings(max_examples=max(300, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(_EDITS)
+    @example((_site("signs", value=(1, -1)), (-1, 1)))
+    @example((_site("op", value="<="), "=<"))
+    @example((_site("vars", 0, "name", value="b"), "true"))
+    @example((_site("blocks", 6, "id", value="w"), "1b"))
+    @example((_site("initial", 0, value="S"), "Ghost"))
+    def test_every_constructed_chart_round_trips(self, edit):
+        """A chart built in code with one field replaced either fails to
+        construct with ParseError, and no other exception, or is the chart
+        its canonical text describes."""
+        try:
+            model = _put(CHART, *edit)
+        except ParseError:
+            return
+        assert parse_model(canonical_text(model)) == model
     def test_parse_print_parse_is_parse(self):
         for name in fixture_names():
             text = (FIXTURES / f"{name}.sfc").read_text()

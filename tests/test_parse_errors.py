@@ -100,8 +100,9 @@ def test_message_and_position(parse, text, line, col, message):
 @pytest.mark.parametrize("parse, text, message", [
     (parse_model, S + "action A on S { y := 1; }",
      "action 'A' assigns undeclared variable 'y'"),
+    (parse_model, "var true : bool\n" + S, "bad variable name 'true'"),
     (_formula, "step(Ghost)", "unknown step 'Ghost'"),
-], ids=["model-problem", "formula-reference"])
+], ids=["model-problem", "literal-variable", "formula-reference"])
 def test_errors_without_a_position(parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)

@@ -8,6 +8,7 @@ from certplc import fbd as F
 from certplc import semantics as S
 from certplc.linear import LimitExceeded
 from certplc.model import parse_model
+from certplc.parsing import ParseError
 from certplc.semantics import (BudgetExceeded, ExecuteAction, NotApplicable,
                                Reactivate, StepTransition, init_state,
                                reachable_bounded, run_trace, state_text,
@@ -368,8 +369,9 @@ class TestMemo:
 
 
 class TestCompiledEffects:
-    """A diagram is validated and compiled once per model, on first use,
-    however often its action runs; an invalid one never runs."""
+    """A diagram is validated when its model is built and compiled once,
+    on first use, however often its action runs; an invalid one never
+    runs, because no model can hold it."""
 
     @pytest.mark.parametrize("load", [lambda: load_model("fbd_inc"),
                                       lambda: parse_model(FANOUT)],
@@ -412,15 +414,11 @@ class TestCompiledEffects:
         model = parse_model("var x : int16\nvar b : bool\n"
                             "step S [initial]\naction A on S = fbd D\n"
                             "fbd D { timeslice 1 }\n")
-        bad = replace(model, fbds=(F.Fbd("D", blocks, 1),))
+        bad = F.Fbd("D", blocks, 1)
+        with pytest.raises(ParseError, match=f"^fbd 'D': .*{match}"):
+            replace(model, fbds=(bad,))
         with pytest.raises(F.FbdError, match=match):
-            F.compile_fbd(bad.fbds[0], bad.env())
-        c = init_state(bad)
-        for _ in range(2):  # a failed compilation is not cached
-            with pytest.raises(F.FbdError, match=match):
-                S.apply_rule(bad, c, ExecuteAction("A"))
-        with pytest.raises(F.FbdError, match=match):
-            successors(bad, c)
+            F.compile_fbd(bad, model.env())
         assert ran == []
 
 
