@@ -29,6 +29,12 @@ CMP_OPS = ("<", "<=", "==", "!=", ">=", ">")
 
 DEFAULT_INT = "int32"
 
+# Deepest nesting of `(` and `!`.  Every walk recurses per level, the parser
+# deepest: with one function per two grammar levels, four frames per `(`.
+# So parsing, typechecking, lowering, printing and the checker's re-parse of
+# an expression at the bound leave 350 of the default 1000 frames spare.
+MAX_NESTING = 160
+
 
 class ExprError(Exception):
     """Type error or evaluation error in the expression layer."""
@@ -47,6 +53,15 @@ _MAX = {ty: (1 << bits_of(ty)) - 1 for ty in TYPES}
 def max_of(ty: str) -> int:
     """Largest value of a declared type; KeyError for an unknown type."""
     return _MAX[ty]
+
+
+def printable(n: int) -> bool:
+    """Whether *n*'s decimal text is short enough for the parser to read."""
+    try:
+        str(n)
+    except ValueError:  # more digits than str and int convert
+        return False
+    return True
 
 
 # --- abstract syntax ------------------------------------------------------
@@ -156,12 +171,26 @@ def _operands(e: Sum | Prod | And | Or) -> tuple[Expr, ...]:
     return e.args
 
 
-def _width(e: Expr, env: dict[str, str]) -> str | None:
+def _inner(arg: Expr, outer: Expr, depth: int) -> int:
+    """The nesting of operand *arg* of *outer*, nested *depth* deep: one more
+    per `!` and per parenthesis the printer writes; past MAX_NESTING, where
+    the parser stops, an ExprError, raised before a walk goes deeper."""
+    kind = type(outer)
+    depth += (kind is Not) + (_PREC.get(type(arg), 4)
+                              < _PREC.get(kind, 4) + (kind is not Not))
+    if depth > MAX_NESTING:
+        raise ExprError(f"nesting deeper than {MAX_NESTING}")
+    return depth
+
+
+def _width(e: Expr, env: dict[str, str], depth: int) -> str | None:
     """Width of an integer expression, None when it has no variable.
     Arithmetic holds no comparison, so it needs no annotation."""
     if isinstance(e, IntLit):
         if type(e.value) is not int:
             raise ExprError(f"literal {e.value!r} is not an integer")
+        if not printable(e.value):
+            raise ExprError("number too long")
         if e.value < 0:
             raise ExprError("negative literal")
         return None
@@ -174,9 +203,10 @@ def _width(e: Expr, env: dict[str, str]) -> str | None:
         return ty
     if isinstance(e, (Sum, Prod)):
         args = _operands(e)
-        w = _width(args[0], env)
+        w = _width(args[0], env, _inner(args[0], e, depth))
         for i in range(1, len(args)):
-            w = _join(w, _width(args[i], env), _op(e, i))
+            w = _join(w, _width(args[i], env, _inner(args[i], e, depth)),
+                      _op(e, i))
         return w
     raise ExprError(f"expected integer expression, got {pretty(e)}")
 
@@ -186,31 +216,33 @@ def typecheck(e: Expr, env: dict[str, str], leaf=None) -> tuple[Expr, str]:
 
     Returns the annotated expression (comparison widths filled in) and its
     type, an integer type name or "bool"; *leaf* gives both for an added leaf.
+    Text nested deeper than the parser reads is an ExprError too.
     """
-    if isinstance(e, BoolLit):
+    return _typed(e, env, leaf, 0)
+
+
+def _typed(e: Expr, env: dict[str, str], leaf, depth: int):
+    if isinstance(e, BoolLit) or isinstance(e, Var) and \
+            env.get(e.name) == "bool":
         return e, "bool"
-    if isinstance(e, Var):
-        ty = env.get(e.name)
-        if ty is None:
-            raise ExprError(f"unbound variable {e.name!r}")
-        return e, ty
-    if isinstance(e, (IntLit, Sum, Prod)):
-        return e, _width(e, env) or DEFAULT_INT
+    if isinstance(e, (Var, IntLit, Sum, Prod)):
+        return e, _width(e, env, depth) or DEFAULT_INT
     if isinstance(e, Cmp):
         if e.op not in CMP_OPS:
             raise ExprError(f"unknown comparison {e.op!r}")
-        w = _join(_width(e.lhs, env), _width(e.rhs, env),
+        w = _join(_width(e.lhs, env, _inner(e.lhs, e, depth)),
+                  _width(e.rhs, env, _inner(e.rhs, e, depth)),
                   f"comparison {e.op!r}") or DEFAULT_INT
         return Cmp(e.op, e.lhs, e.rhs, w), "bool"
     if isinstance(e, (And, Or)):
         args = []
         for arg in _operands(e):  # each join tested as in a left-deep chain
-            args.append(typecheck(arg, env, leaf))
+            args.append(_typed(arg, env, leaf, _inner(arg, e, depth)))
             if len(args) > 1 and any(t != "bool" for _, t in args[-2:]):
                 raise ExprError("logical operator on non-boolean operand")
         return type(e)(tuple(ann for ann, _ in args)), "bool"
     if isinstance(e, Not):
-        arg, t = typecheck(e.arg, env, leaf)
+        arg, t = _typed(e.arg, env, leaf, _inner(e.arg, e, depth))
         if t != "bool":
             raise ExprError("'!' on non-boolean operand")
         return Not(arg), "bool"
@@ -317,11 +349,18 @@ def eval_expr(e: Expr, m: Memory, leaf=None) -> int:
 
 # --- printing -------------------------------------------------------------
 
-_PREC = {"||": 1, "&&": 2, "!": 3, "cmp": 4, "+": 5, "*": 6}
+# How tightly a node's text binds, by its class; an operand that binds
+# looser than its place asks is parenthesized.  An added leaf, e.g. step(S),
+# binds like a comparison (4): parenthesized only as an operand.
+_PREC = {Or: 1, And: 2, Not: 3, Cmp: 4, Sum: 5, Prod: 6, IntLit: 7,
+         BoolLit: 7, Var: 7}
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*"}
 
 
 def _show(e: Expr, parent: int) -> str:
+    # every operand of a chain is asked one more than the chain, its first
+    # too, so a parenthesized chain of its kind keeps its parentheses
+    mine = _PREC.get(type(e), 4)
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, BoolLit):
@@ -329,23 +368,17 @@ def _show(e: Expr, parent: int) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, (Sum, Prod)):
-        mine = _PREC["*" if isinstance(e, Prod) else "+"]
-        s = _show(e.args[0], mine) + "".join(
+        s = _show(e.args[0], mine + 1) + "".join(
             f" {_SYMBOLS[_op(e, i)]} {_show(e.args[i], mine + 1)}"
             for i in range(1, len(e.args)))
     elif isinstance(e, Cmp):
-        mine = _PREC["cmp"]
         s = f"{_show(e.lhs, mine + 1)} {e.op} {_show(e.rhs, mine + 1)}"
     elif isinstance(e, (And, Or)):
         op = "&&" if isinstance(e, And) else "||"
-        mine = _PREC[op]
-        s = f" {op} ".join(_show(arg, mine) for arg in e.args)
+        s = f" {op} ".join(_show(arg, mine + 1) for arg in e.args)
     elif isinstance(e, Not):
-        mine = _PREC["!"]  # so a `!` operand of `!` stays bare
-        s = f"!{_show(e.arg, mine)}"
-    elif hasattr(e, "pretty"):  # an added leaf, e.g. step(S)
-        # binds like a comparison: parenthesized only as an operand
-        mine = _PREC["cmp"]
+        s = f"!{_show(e.arg, mine)}"  # so a `!` operand of `!` stays bare
+    elif hasattr(e, "pretty"):  # an added leaf
         s = e.pretty()
     else:
         raise ExprError(f"unknown expression node {type(e).__name__}")
@@ -355,3 +388,4 @@ def _show(e: Expr, parent: int) -> str:
 def pretty(e: Expr) -> str:
     """Canonical text form; re-parsing it yields an equal expression."""
     return _show(e, 0)
+

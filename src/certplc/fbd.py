@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as E
-from .linear import FragmentError, LinDomain, LinForm
+from .linear import LinDomain, LinForm
 from .parsing import NAME_RE, TokenStream
 
 ARITH_KINDS = ("add", "sub", "mul")
@@ -192,6 +192,8 @@ def validate_fbd(f: Fbd, env: dict[str, str]):
         # a const block's literal is an input of its own type
         for port, op in ((("own", ConstIn(b.value)),) if b.kind == "const"
                          else zip(PORTS[b.kind], b.inputs)):
+            if isinstance(op, ConstIn) and not E.printable(op.value):
+                raise FbdError(f"block {b.id!r}: number too long")
             if isinstance(op, ConstIn) and (
                     type(op.value) not in (int, bool) or op.value < 0):
                 raise FbdError(f"block {b.id!r}: bad constant {op.value!r}")
@@ -339,23 +341,18 @@ def _run(p: Program, dom, read) -> dict:
     return {var: wrap(vals[src], ty) for var, src, ty in p.writes}
 
 
-def eval_iterative(p: Program, m: E.Memory) -> E.Memory:
-    """Run the diagram for exactly its time slice and write back results."""
-    return {**m, **_run(p, E.IntDomain, m.__getitem__)}
+def eval_iterative(p: Program, m: E.Memory) -> dict:
+    """The values the diagram writes back after its time slice, by name."""
+    return _run(p, E.IntDomain, m.__getitem__)
 
 
-def linear_summary(p: Program):
-    """Exact parallel update computed by the diagram, when it is linear.
-
-    Returns written-variable -> raw linear form over the pre-state, or None
-    when the diagram uses comparisons, muxes or non-constant multiplication.
-    Raw forms defer wrapping: all block arithmetic is congruent mod 2**w, so
-    a single wrap at the end is exact.
+def linear_summary(p: Program) -> dict:
+    """Exact parallel update computed by the diagram: written variable ->
+    raw linear form over the pre-state; FragmentError for a comparison, mux
+    or non-constant multiplication.  Raw forms defer wrapping: all block
+    arithmetic is congruent mod 2**w, so a single wrap at the end is exact.
     """
-    try:
-        return _run(p, LinDomain, LinForm.of_var)
-    except FragmentError:
-        return None
+    return _run(p, LinDomain, LinForm.of_var)
 
 
 # --- surface syntax -------------------------------------------------------

@@ -58,12 +58,11 @@ class Unsat:
     witness: Witness
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
+# the decider's budgets, read at each call: the most derived constraints
+# and range-split values of one decision, past which it raises
+# LimitExceeded
+MAX_DERIVED = 50_000
+SPLIT_LIMIT = 4096
 
 
 class _Node:
@@ -109,7 +108,7 @@ def _tighten_node(node: _Node) -> _Node:
         return node
     coeffs = tuple((v, c // g) for v, c in con.coeffs)
     if con.rel == "<=":
-        tight = LinCon(coeffs, "<=", _floor_div(con.rhs, g))
+        tight = LinCon(coeffs, "<=", con.rhs // g)
     elif con.rhs % g != 0:
         tight = LinCon((), "<=", -1)
     else:
@@ -151,23 +150,19 @@ def _extract(node: _Node, n_orig: int, n_assume: int) -> Witness:
 
 
 class _Limits:
-    def __init__(self, max_derived: int, split_limit: int):
-        self.max_derived = max_derived
-        self.split_limit = split_limit
+    def __init__(self):
         self.derived = 0
         self.split_values = 0
 
     def count(self, n: int = 1):
         self.derived += n
-        if self.derived > self.max_derived:
-            raise LimitExceeded(
-                f"more than {self.max_derived} derived constraints")
+        if self.derived > MAX_DERIVED:
+            raise LimitExceeded(f"more than {MAX_DERIVED} derived constraints")
 
     def count_split(self, n: int):
         self.split_values += n
-        if self.split_values > self.split_limit:
-            raise LimitExceeded(
-                f"case split budget {self.split_limit} exceeded")
+        if self.split_values > SPLIT_LIMIT:
+            raise LimitExceeded(f"case split budget {SPLIT_LIMIT} exceeded")
 
 
 def _simplify(cons: list[_Node], limits: _Limits):
@@ -390,13 +385,13 @@ class _Solver:
         lo = None
         for nd, sign, eff in lowers:
             num = sign * (nd.con.rhs - rest_of(nd))
-            b = _ceil_div(num, eff)  # dividing by eff < 0 flips the relation
+            b = -(-num // eff)  # ceil; dividing by eff < 0 flips the relation
             if lo is None or b > lo:
                 lo = b
         hi = None
         for nd, sign, eff in uppers:
             num = sign * (nd.con.rhs - rest_of(nd))
-            b = _floor_div(num, eff)
+            b = num // eff
             if hi is None or b < hi:
                 hi = b
         if lo is None or hi is None:
@@ -456,25 +451,22 @@ class _Solver:
         return "unsat", Witness(tuple(steps))
 
 
-def decide_sat(cube: Cube, *, after: Sat | None = None,
-               max_derived: int = 50_000, split_limit: int = 4096):
+def decide_sat(cube: Cube, *, after: Sat | None = None):
     """Sat with a checked assignment, or Unsat with a replayable witness.
 
     *after* is the result of deciding a prefix of *cube*; when the members
     past that prefix hold no equality, the decision extends the prefix's
     simplification (see the module docstring).  Any other cube is decided
-    from scratch.  Raises LimitExceeded past *max_derived* derived
-    constraints, *split_limit* split values or a witness nested past the
-    recursion limit, and FragmentError for an unbounded variable.
+    from scratch, as an extension of the empty cube.  Raises LimitExceeded
+    past MAX_DERIVED derived constraints, SPLIT_LIMIT split values or a
+    witness nested past the recursion limit, and FragmentError for an
+    unbounded variable.
     """
     cube = tuple(cube)
-    limits = _Limits(max_derived, split_limit)
-    if after is not None and _extends(cube, after.base.cube):
-        simplified = _extend(after.base, cube, limits)
-    else:
-        roots = [_tighten_node(_Node(con, "orig", i))
-                 for i, con in enumerate(cube)]
-        simplified = _simplify(roots, limits)
+    limits = _Limits()
+    extends = after is not None and _extends(cube, after.base.cube)
+    base = after.base if extends else _Base((), [], [], 0)
+    simplified = _extend(base, cube, limits)
     derived = limits.derived
     try:
         kind, payload = _Solver(len(cube), limits).finish(simplified, 0)

@@ -224,7 +224,9 @@ class SfcModel:
             for s in t.sources + t.targets:
                 if s not in steps:
                     out.append(f"transition {i}: unknown step {s!r}")
-            if t.priority is not None and t.priority < 0:
+            if t.priority is not None and not E.printable(t.priority):
+                out.append(f"transition {i}: number too long")
+            elif t.priority is not None and t.priority < 0:
                 out.append(f"transition {i}: negative priority")
             guard, gt = typed(t.guard)
             if isinstance(gt, E.ExprError):

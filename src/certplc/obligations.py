@@ -46,10 +46,9 @@ from functools import cached_property
 from . import expr as E
 from . import fbd as F
 from . import properties as P
-from .linear import (Cube, Dnf, FragmentError, LinCon, LinForm,
-                     attach_bounds, bounds_fn, conjoin, linear_form, lower,
-                     normalize, quotients, wrapped, TRUE_DNF, FALSE_DNF,
-                     clean_cube)
+from .linear import (Cube, Dnf, LinCon, LinForm, attach_bounds, bounds_fn,
+                     conjoin, linear_form, lower, normalize, quotients,
+                     wrapped, TRUE_DNF, FALSE_DNF, clean_cube)
 from .model import RuleInstance, RuleShape, SfcModel
 
 STEP_PREFIX = "step:"
@@ -144,45 +143,61 @@ def effect_summary(model: SfcModel, aid: str) -> dict[str, LinForm]:
     """
     action = model.action(aid)
     if action.fbd_ref is not None:
-        summary = F.linear_summary(model.program(action.fbd_ref))
-        if summary is None:
-            raise FragmentError("diagram is not linear")
-        return dict(summary)
+        return F.linear_summary(model.program(action.fbd_ref))
     cur: dict[str, LinForm] = {}
     for name, rhs in action.assigns:
         cur[name] = linear_form(rhs, cur)
     return cur
 
 
-# --- the derivation: one context per model, one per property ---------------
+# --- the derivation context ------------------------------------------------
 
-class ModelContext:
-    """What depends on the model alone, shared by every property: the env,
-    guard normalizations, the change index and each rule's ``summary``,
-    ``prefix`` and ``definitions``, derived on first use and kept if it
-    succeeds (a failed piece fails again, alike, on every use).  The model
-    keeps it, so it holds no reference to the model: a method that needs
-    it takes it."""
+def _once(memo: dict, key, compute):
+    """``memo[key]``, computed on first use and kept if it succeeds (a
+    failed piece fails again, alike, on every use)."""
+    got = memo.get(key)
+    if got is None:  # no piece is None
+        got = memo[key] = compute()
+    return got
 
-    def __init__(self, model: SfcModel):
-        self.env = symbolic_env(model)
+
+class DerivationContext:
+    """A property (invariant, optional target) of a model and the pieces of
+    its derivation, each derived on first use and kept.  The pieces of the
+    model alone (the env, guard normalizations, the change index and each
+    rule's ``summary``, ``prefix`` and ``definitions``) go in ``shared``,
+    which every property of the model reads: a plain dict on the model
+    object, holding no reference to the model.  Pieces are asked for in a
+    fixed order, so obligations and errors equal fresh ones.
+
+    Normalizations are keyed by the expression, whose equality ignores
+    ``E.Cmp.width``.  That is exact here: every comparison reaching a
+    context was annotated by ``E.typecheck`` under the model's env (model
+    construction annotates guards, ``properties.check_refs`` atoms), and
+    typecheck's width depends only on the operands and the env, so equal
+    expressions carry equal widths.
+    """
+
+    def __init__(self, model: SfcModel, formula: P.Formula,
+                 target: P.Formula | None = None):
+        self.model = model
+        self.formula = formula
+        self.target = target
+        self.shared = model.__dict__.setdefault("_derivation", {})
+        self.env = _once(self.shared, "env", lambda: symbolic_env(model))
         self._memo: dict = {}
-
-    def _once(self, key, compute):
-        got = self._memo.get(key)
-        if got is None:  # no piece is None
-            got = self._memo[key] = compute()
-        return got
 
     def normalized(self, e: E.Expr, negate: bool = False) -> Dnf:
         """``normalize`` of a guard or atom over the pre-state."""
-        return self._once(("normalize", e, negate), lambda: normalize(
+        return _once(self.shared, ("normalize", e, negate), lambda: normalize(
             e, self.env, negate=negate))
 
-    def changes(self, model: SfcModel) -> dict:
+    def changes(self) -> dict:
         """The change index: variable -> {rule instance: 0 or 1 for a step
         or action it sets (a later entry wins), ``WRITTEN`` for a variable
         its action assigns or its diagram writes: its summary's keys}."""
+        model = self.model
+
         def index():
             out: dict = {}
             for rule, shape in model.rules.items():
@@ -200,14 +215,15 @@ class ModelContext:
                 for var, value in entries:
                     out.setdefault(var, {})[rule] = value
             return out
-        return self._once("changes", index)
+        return _once(self.shared, "changes", index)
 
-    def summary(self, model: SfcModel, rule: RuleInstance) -> dict | None:
+    def summary(self, rule: RuleInstance) -> dict | None:
         """The effect summary of the rule's action, None without one."""
-        aid = model.rules[rule].action
-        return aid and self._once(rule, lambda: effect_summary(model, aid))
+        aid = self.model.rules[rule].action
+        return aid and _once(self.shared, rule,
+                             lambda: effect_summary(self.model, aid))
 
-    def prefix(self, model: SfcModel, rule: RuleInstance) -> Dnf:
+    def prefix(self, rule: RuleInstance) -> Dnf:
         """Join of the activity cube, guards and negated blocking guards."""
         def pieces(shape: RuleShape):
             yield (clean_cube(
@@ -216,13 +232,13 @@ class ModelContext:
                       + [_eq01(act_var(a), 0) for a in shape.idle])),)
             yield from map(self.normalized, shape.guards)
             yield from (self.normalized(g, negate=True) for g in shape.blocked)
-        return self._once(("prefix", rule),
-                          lambda: conjoin(pieces(model.rules[rule])))
+        return _once(self.shared, ("prefix", rule),
+                     lambda: conjoin(pieces(self.model.rules[rule])))
 
-    def definitions(self, model: SfcModel, rule: RuleInstance) -> Dnf:
+    def definitions(self, rule: RuleInstance) -> Dnf:
         """The join, in name order, of each written variable's definition
         cube: the hypothesis defining post:V = wrap(form)."""
-        summary = self.summary(model, rule)
+        summary = self.summary(rule)
         def definition(name):
             form, bits = summary[name], E.bits_of(self.env[name])
             value, members = wrapped(form, bits, *quotients(
@@ -231,36 +247,8 @@ class ModelContext:
             # member is constant-false, so the cube is never None
             return (clean_cube((LinCon.make(value.sub(
                 LinForm.of_var(post_var(name))), "==", 0),) + members),)
-        return self._once(("definitions", rule), lambda: conjoin(
+        return _once(self.shared, ("definitions", rule), lambda: conjoin(
             definition(name) for name in sorted(summary)))
-
-
-class DerivationContext:
-    """A property (invariant, optional target) of a model and the pieces that
-    depend on it, kept as are those of ``shared``, the model's context (kept
-    on the model object as ``semantics.rule_table`` keeps its table).  They
-    are asked for in a fixed order, so obligations and errors equal fresh ones.
-
-    Normalizations are keyed by the expression, whose equality ignores
-    ``E.Cmp.width``.  That is exact here: every comparison reaching a
-    context was annotated by ``E.typecheck`` under the model's env (model
-    construction annotates guards, ``properties.check_refs`` atoms), and
-    typecheck's width depends only on the operands and the env, so equal
-    expressions carry equal widths.
-    """
-
-    _once = ModelContext._once
-    normalized = ModelContext.normalized
-
-    def __init__(self, model: SfcModel, formula: P.Formula,
-                 target: P.Formula | None = None):
-        self.model = model
-        self.formula = formula
-        self.target = target
-        self.shared = model.__dict__.get("_derivation") or \
-            model.__dict__.setdefault("_derivation", ModelContext(model))
-        self.env = self.shared.env
-        self._memo: dict = {}
 
     @cached_property
     def conjuncts(self) -> tuple[P.Formula, ...]:
@@ -279,7 +267,7 @@ class DerivationContext:
                     for n in _declared(self.model, atom.kind)
                     if n not in atom.names}
 
-        index, n = self.shared.changes(self.model), len(self.conjuncts)
+        index, n = self.changes(), len(self.conjuncts)
         out: dict = {}
         for i, conjunct in enumerate(self.conjuncts):
             for var in sorted(E.vars_of(conjunct, reads)):
@@ -294,7 +282,8 @@ class DerivationContext:
 
     def pre_dnf(self) -> Dnf:
         """The property on the pre-state."""
-        return self._once("pre", lambda: self.formula_dnf(self.formula, {}))
+        return _once(self._memo, "pre",
+                     lambda: self.formula_dnf(self.formula, {}))
 
     def formula_dnf(self, f: P.Formula, post: dict,
                     negated: bool = False) -> Dnf:
@@ -310,9 +299,9 @@ class DerivationContext:
             # same after every rule, so its formula is built once; not
             # lowered by leaf itself, which would make a reference cycle
             if isinstance(atom, P.Within):
-                return self.formula_dnf(self._once(atom, lambda: _none_of(
-                    atom.kind, _declared(self.model, atom.kind),
-                    atom.names)), post, neg)
+                none_of = _once(self._memo, atom, lambda: _none_of(
+                    atom.kind, _declared(self.model, atom.kind), atom.names))
+                return self.formula_dnf(none_of, post, neg)
             # an arithmetic atom
             if not subst:  # memory reads as in the pre-state
                 return self.normalized(atom, neg)
@@ -327,10 +316,10 @@ def hypothesis(ctx: DerivationContext, rule: RuleInstance | Entailment) -> Dnf:
     and its post-value definitions, each derived when the join reaches it:
     the cubes and failures of one join of every piece."""
     def pieces():
-        yield ctx.shared.prefix(ctx.model, rule)
+        yield ctx.prefix(rule)
         yield ctx.pre_dnf()
-        if ctx.shared.summary(ctx.model, rule) is not None:
-            yield ctx.shared.definitions(ctx.model, rule)
+        if ctx.summary(rule) is not None:
+            yield ctx.definitions(rule)
 
     hyp = ctx.pre_dnf() if rule is ENTAIL else conjoin(pieces())
     return tuple(attach_bounds(c, ctx.env) for c in hyp)
@@ -355,9 +344,9 @@ def build_obligation(ctx: DerivationContext,
         readings = ctx.readings.get(rule)
         if readings is None:  # closed: nothing of the rule is derived
             return CaseObligation(rule, (), (FALSE_DNF,) * len(ctx.conjuncts))
-        ctx.shared.summary(ctx.model, rule)  # a failing effect fails first
+        ctx.summary(rule)  # a failing effect fails first
         # one derivation per conjunct and reading, which many rules share
-        neg = [reading and ctx._once((i, reading), lambda: ctx.negated(
+        neg = [reading and _once(ctx._memo, (i, reading), lambda: ctx.negated(
             ctx.conjuncts[i], dict(reading)))
             for i, reading in enumerate(readings)]
     hyp = hypothesis(ctx, rule) if any(neg) else ()

@@ -146,11 +146,7 @@ class TokenStream:
 
 _CMP_TOKENS = {"<", "<=", ">", ">=", "==", "=", "!="}
 
-# Deepest nesting of `(` and `!`.  Every walk recurses per level, the parser
-# deepest: with one function per two grammar levels, four frames per `(`.
-# So parsing, typechecking, lowering, printing and the checker's re-parse of
-# an expression at the bound leave 350 of the default 1000 frames spare.
-MAX_NESTING = 160
+MAX_NESTING = E.MAX_NESTING  # deepest nesting of `(` and `!`
 
 
 def parse_expression(ts: TokenStream, hook=None) -> E.Expr:

@@ -135,7 +135,8 @@ def parse_formula(ts: TokenStream) -> Formula:
     return parse_expression(ts, _activity_atom)
 
 
-def parse_properties(text: str, model: SfcModel | None = None) -> list[Invariant]:
+def parse_properties(text: str, model: SfcModel) -> list[Invariant]:
+    """The invariants of a document, each checked against *model*."""
     ts = TokenStream(text)
     out = []
     names = set()
@@ -152,27 +153,24 @@ def parse_properties(text: str, model: SfcModel | None = None) -> list[Invariant
         f = parse_formula(ts)
         ts.expect(")")
         ts.expect(";")
-        if model is not None:
-            try:
-                f = check_refs(f, model)
-            except E.ExprError as err:
-                ts.error(f"invariant {name!r}: {err}", at_name)
+        try:
+            f = check_refs(f, model)
+        except E.ExprError as err:
+            ts.error(f"invariant {name!r}: {err}", at_name)
         out.append(Invariant(name, f))
     return out
 
 
-def parse_formula_text(text: str, model: SfcModel | None = None) -> Formula:
-    """The formula, checked against *model*; syntax only without one."""
+def parse_formula_text(text: str, model: SfcModel) -> Formula:
+    """The formula, checked against *model*."""
     ts = TokenStream(text)
     f = parse_formula(ts)
     if ts.peek():
         ts.error(f"trailing input {ts.peek()!r}")
-    if model is not None:
-        try:
-            f = check_refs(f, model)
-        except E.ExprError as err:
-            raise ParseError(str(err))
-    return f
+    try:
+        return check_refs(f, model)
+    except E.ExprError as err:
+        raise ParseError(str(err))
 
 
 formula_text = E.pretty

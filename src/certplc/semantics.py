@@ -71,15 +71,14 @@ class Evaluator:
     variables it reads.
 
     ``run(mem)`` gives a guard's value (0/1), or the values an action
-    writes as a dict over ``writes``.  ``id`` is unique within one rule
-    table.
+    writes (variable -> value).  ``id`` is unique within one rule table.
     """
 
-    __slots__ = ("id", "reads", "writes", "run", "_values")
+    __slots__ = ("id", "reads", "run", "_values")
 
     def __init__(self, id: int, reads: tuple[str, ...],
-                 writes: tuple[str, ...], run: Callable[[E.Memory], object]):
-        self.id, self.reads, self.writes, self.run = id, reads, writes, run
+                 run: Callable[[E.Memory], object]):
+        self.id, self.reads, self.run = id, reads, run
         # the values read: one value for one variable, else a tuple
         self._values = itemgetter(*reads) if reads else lambda m: ()
 
@@ -119,25 +118,19 @@ class RuleTable:
     reactivate: dict[str, Row]      # step -> its reactivation row
 
 
-def apply_effect(assigns, m: E.Memory, env: dict[str, str]) -> E.Memory:
-    """Apply an ordered assignment list to memory, left to right.
+def apply_effect(assigns, m: E.Memory, env: dict[str, str]) -> dict:
+    """Run an ordered assignment list on memory *m*, left to right:
+    variable -> value it writes.
 
-    Each assignment sees the updates made by the previous ones and stores
-    its value wrapped at the target's declared type.  The result is a fresh
-    memory; the input is not modified.
+    Each assignment sees the values written by the previous ones and
+    stores its value wrapped at the target's declared type.
     """
-    out = dict(m)
+    out: dict = {}
     for name, e in assigns:
-        out[name] = E.eval_expr(e, out) & E.max_of(env[name])
+        # memory as the assignments before this one left it
+        view = {**m, **out} if out else m
+        out[name] = E.eval_expr(e, view) & E.max_of(env[name])
     return out
-
-
-def _writes_of(run, writes):
-    """Restrict a memory-to-memory effect to the values it writes."""
-    def written(m):
-        out = run(m)
-        return {v: out[v] for v in writes}
-    return written
 
 
 def _compile(model: SfcModel) -> RuleTable:
@@ -150,7 +143,7 @@ def _compile(model: SfcModel) -> RuleTable:
         ev = guards.get(g)
         if ev is None:
             ev = guards[g] = Evaluator(next(ids), tuple(sorted(E.vars_of(g))),
-                                       (), partial(E.eval_expr, g))
+                                       partial(E.eval_expr, g))
         return ev
 
     def action(a):
@@ -159,16 +152,14 @@ def _compile(model: SfcModel) -> RuleTable:
             # eval_iterative
             p = model.program(a.fbd_ref)
             reads = tuple(dict.fromkeys(v for _, v, _ in p.reads))
-            writes = tuple(v for v, _, _ in p.writes)
 
             def run(m):
                 return F.eval_iterative(p, m)
         else:
             reads = tuple(sorted(set().union(
                 *(E.vars_of(e) for _, e in a.assigns))))
-            writes = tuple(dict.fromkeys(v for v, _ in a.assigns))
             run = partial(apply_effect, a.assigns, env=env)
-        return Evaluator(next(ids), reads, writes, _writes_of(run, writes))
+        return Evaluator(next(ids), reads, run)
 
     effects = {a.id: action(a) for a in model.actions}
     rows = {rule: Row(rule, r, tuple(map(guard, r.guards)),

@@ -183,7 +183,7 @@ def rule_post(model, rule):
     """A rule instance's entries in the model's change index: its exact
     symbolic post-state, as ``DerivationContext.formula_dnf`` reads it,
     whatever the frame rule omits."""
-    index = O.ModelContext(model).changes(model)
+    index = O.DerivationContext(model, E.BoolLit(True)).changes()
     return {var: by_rule[rule] for var, by_rule in index.items()
             if rule in by_rule}
 

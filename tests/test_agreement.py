@@ -14,6 +14,7 @@ cubes agree on random formulas and configurations of a small chart.
 
 import random
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -247,7 +248,8 @@ def test_comparisons_and_muxes_have_no_summary():
         if rng.random() < 0.5:
             lines.append("block m = mux(k.out, b0.out, const 1)")
         f = F.parse_fbd(TokenStream("{" + "\n".join(lines) + "}"), "F")
-        assert F.linear_summary(F.compile_fbd(f, env)) is None
+        with pytest.raises(FragmentError, match="has no linear form$"):
+            F.linear_summary(F.compile_fbd(f, env))
 
 
 def _invariants(rng, model):

@@ -11,20 +11,26 @@ from hypothesis import strategies as st
 from certplc import expr as E
 from certplc import linear as L
 from certplc.model import parse_model
-from certplc.parsing import MAX_NESTING, ParseError
-from certplc.properties import parse_formula_text
+from certplc.parsing import MAX_NESTING, ParseError, TokenStream
+from certplc.properties import parse_formula, parse_formula_text
 from certplc.semantics import apply_effect
 
 from conftest import eval_cube, eval_dnf, quotient_points
 
 
+def parse(text):
+    """The syntax tree of a formula, not typechecked: the tests here
+    typecheck against envs of their own, no model's."""
+    return parse_formula(TokenStream(text))
+
+
 def ev(text, mem, env):
-    e, _ = E.typecheck(parse_formula_text(text), env)
+    e, _ = E.typecheck(parse(text), env)
     return E.eval_expr(e, mem)
 
 
 def assign(target, text, mem, env):
-    return apply_effect([(target, parse_formula_text(text))], mem, env)
+    return apply_effect([(target, parse(text))], mem, env)
 
 
 class TestEval:
@@ -54,7 +60,7 @@ class TestEval:
         assert ev("4294967295 + 1 == 0", {}, {}) == 1
 
     def test_untypechecked_comparison_rejected(self):
-        e = parse_formula_text("x < 10")
+        e = parse("x < 10")
         with pytest.raises(E.ExprError, match="not typechecked") as evaluated:
             E.eval_expr(e, {"x": 5})
         # lowering decides no width either: typecheck is the one place
@@ -64,7 +70,7 @@ class TestEval:
 
     def test_unbound_variable(self):
         with pytest.raises(E.ExprError, match="unbound"):
-            E.eval_expr(parse_formula_text("y + 1"), {"x": 0})
+            E.eval_expr(parse("y + 1"), {"x": 0})
 
     def test_bool_ops(self):
         mem = {"a": 1, "b": 0}
@@ -76,7 +82,7 @@ class TestEval:
     def test_mixed_width_rejected(self):
         # widths are joined by typecheck; evaluation trusts its annotation
         with pytest.raises(E.ExprError, match="width mismatch"):
-            E.typecheck(parse_formula_text("a + b"),
+            E.typecheck(parse("a + b"),
                         {"a": "int8", "b": "int16"})
 
 
@@ -91,7 +97,7 @@ class TestTypecheck:
             "int-not", "unbound"])
     def test_type_errors_rejected(self, text, env):
         with pytest.raises(E.ExprError):
-            E.typecheck(parse_formula_text(text), env)
+            E.typecheck(parse(text), env)
 
     @pytest.mark.parametrize("text, message", [
         ("x + 1 && x <= 1 && y <= 1",
@@ -109,7 +115,7 @@ class TestTypecheck:
     def test_chain_error_is_the_left_deep_chains(self, text, message):
         # each join is tested once both its sides are typechecked, as in
         # the left-deep chain of binary nodes the same text once parsed to
-        flat = parse_formula_text(text)
+        flat = parse(text)
         deep = flat.args[0]
         for i, arg in enumerate(flat.args[1:], 1):
             if isinstance(flat, E.Sum):
@@ -121,10 +127,10 @@ class TestTypecheck:
                 E.typecheck(e, {"x": "int8", "w": "int16"})
 
     def test_comparison_width_annotated(self):
-        e, ty = E.typecheck(parse_formula_text("x + 1 < 3"),
+        e, ty = E.typecheck(parse("x + 1 < 3"),
                             {"x": "int8"})
         assert ty == "bool" and e.width == "int8"
-        e, _ = E.typecheck(parse_formula_text("1 < 3"), {})
+        e, _ = E.typecheck(parse("1 < 3"), {})
         assert e.width == E.DEFAULT_INT
 
 
@@ -143,21 +149,23 @@ class TestValues:
 
 class TestApplyEffect:
     def test_single_increment(self):
-        mem = {"x": 5}
-        assert assign("x", "x + 1", mem, {"x": "int16"}) == {"x": 6}
-        assert mem == {"x": 5}  # input untouched
+        mem = {"x": 5, "y": 2}
+        env = {"x": "int16", "y": "int16"}
+        # only the written value: the caller merges it into memory
+        assert assign("x", "x + 1", mem, env) == {"x": 6}
+        assert mem == {"x": 5, "y": 2}  # input untouched
 
     def test_literal_wraps_at_target_width(self):
         assert assign("x", "300", {"x": 0}, {"x": "int8"}) == {"x": 44}
 
     def test_empty_effect_is_identity(self):
-        mem = {"x": 3}
-        assert apply_effect([], mem, {"x": "int16"}) == mem
+        # it writes nothing, so merging its writes leaves memory as it was
+        assert apply_effect([], {"x": 3}, {"x": "int16"}) == {}
 
     def test_assignments_are_sequential(self):
         mem = {"x": 3, "y": 9}
-        effect = [("x", parse_formula_text("0")),
-                  ("y", parse_formula_text("x"))]
+        effect = [("x", parse("0")),
+                  ("y", parse("x"))]
         out = apply_effect(effect, mem, {"x": "int16", "y": "int16"})
         assert out == {"x": 0, "y": 0}
 
@@ -169,7 +177,7 @@ class TestApplyEffect:
 
     def test_purity(self):
         mem = {"x": 7}
-        effect = [("x", parse_formula_text("x * 2"))]
+        effect = [("x", parse("x * 2"))]
         env = {"x": "int16"}
         assert apply_effect(effect, mem, env) == \
             apply_effect(effect, mem, env)
@@ -182,19 +190,19 @@ class TestPrinter:
         "true", "false && a",
     ])
     def test_roundtrip(self, text):
-        e = parse_formula_text(text)
+        e = parse(text)
         printed = E.pretty(e)
-        assert parse_formula_text(printed) == e
-        assert E.pretty(parse_formula_text(printed)) == printed
+        assert parse(printed) == e
+        assert E.pretty(parse(printed)) == printed
 
     def test_equality_alias(self):
-        assert parse_formula_text("x = 1") == parse_formula_text("x == 1")
+        assert parse("x = 1") == parse("x == 1")
 
     @pytest.mark.parametrize("text", [
         "!!b", "!!!(a && b)", "!(!a || b)", "!!x < 3",
     ])
     def test_not_under_not_prints_bare(self, text):
-        assert E.pretty(parse_formula_text(text)) == text
+        assert E.pretty(parse(text)) == text
 
 
 class TestLongArithmetic:
@@ -207,7 +215,7 @@ class TestLongArithmetic:
     def test_sum(self):
         text = "x" + "".join(" + 1" if i % 3 else " - 2"
                              for i in range(self.N - 1))
-        e = parse_formula_text(text)
+        e = parse(text)
         assert isinstance(e, E.Sum) and len(e.args) == self.N
         assert E.pretty(e) == text
         assert E.typecheck(e, ENV1) == (e, "int8")
@@ -217,7 +225,7 @@ class TestLongArithmetic:
 
     def test_product(self):
         text = "1 * " * (self.N - 1) + "x"
-        e = parse_formula_text(text)
+        e = parse(text)
         assert isinstance(e, E.Prod) and len(e.args) == self.N
         assert E.pretty(e) == text
         assert E.typecheck(e, ENV1) == (e, "int8")
@@ -318,7 +326,7 @@ TWO_VAR = [
 
 
 def _agree(text, env, points):
-    e = parse_formula_text(text)
+    e = parse(text)
     e, ty = E.typecheck(e, env)
     assert ty == "bool"
     dnf = L.normalize(e, env)
@@ -330,7 +338,7 @@ def _agree(text, env, points):
 
 class TestNormalize:
     def test_strict_less_becomes_bounded_le(self):
-        e, _ = E.typecheck(parse_formula_text("x < 10"), {"x": "int16"})
+        e, _ = E.typecheck(parse("x < 10"), {"x": "int16"})
         dnf = L.normalize(e, {"x": "int16"})
         assert len(dnf) == 1
         assert set(dnf[0]) == {
@@ -341,13 +349,13 @@ class TestNormalize:
 
     def test_negated_ge_matches_lt(self):
         env = {"x": "int16"}
-        a, _ = E.typecheck(parse_formula_text("!(x >= 10)"), env)
-        b, _ = E.typecheck(parse_formula_text("x < 10"), env)
+        a, _ = E.typecheck(parse("!(x >= 10)"), env)
+        b, _ = E.typecheck(parse("x < 10"), env)
         assert L.normalize(a, env) == L.normalize(b, env)
 
     def test_excluded_middle_covers_box(self):
         env = {"x": "int16"}
-        e, _ = E.typecheck(parse_formula_text("x < 10 || x >= 10"), env)
+        e, _ = E.typecheck(parse("x < 10 || x >= 10"), env)
         dnf = L.normalize(e, env)
         assert len(dnf) == 2
         for v in (0, 9, 10, 65535, 1234):
@@ -355,7 +363,7 @@ class TestNormalize:
 
     def test_nonlinear_rejected(self):
         env = {"x": "int16", "y": "int16"}
-        e, _ = E.typecheck(parse_formula_text("x * y < 10"), env)
+        e, _ = E.typecheck(parse("x * y < 10"), env)
         with pytest.raises(L.FragmentError):
             L.normalize(e, env)
 
@@ -426,7 +434,7 @@ class TestWrapPruning:
     def test_one_var_keeps_only_satisfiable_cases(self, text):
         # x + c against a constant: the clipped ranges are exact, so a
         # case that survives has a solution in the box
-        e, _ = E.typecheck(parse_formula_text(text), ENV1)
+        e, _ = E.typecheck(parse(text), ENV1)
         for cube in L.normalize(e, ENV1):
             assert any(eval_cube(cube, {"x": v}) for v in range(256)), \
                 (text, cube)
@@ -434,7 +442,7 @@ class TestWrapPruning:
     def test_unmeetable_quotient_is_dropped(self):
         # x - 200 wraps to x + 56 for x < 200, which is never <= 9: the
         # one quotient left is a constant, not a variable
-        e, _ = E.typecheck(parse_formula_text("x - 200 <= 9"), ENV1)
+        e, _ = E.typecheck(parse("x - 200 <= 9"), ENV1)
         (cube,) = L.normalize(e, ENV1)
         assert {v for con in cube for v, _ in con.coeffs} == {"x"}
 
@@ -466,7 +474,7 @@ class TestQuotientVariables:
               database=None)
     @given(_comparisons())
     def test_agrees_with_wrapped_evaluation(self, text):
-        e, _ = E.typecheck(parse_formula_text(text), ENV2)
+        e, _ = E.typecheck(parse(text), ENV2)
         grid = dict(zip("xy", np.meshgrid(np.arange(256), np.arange(256))))
         want = _PY_CMP[e.op](*(E.fold_int(side, E.IntDomain, grid.get) & 255
                                for side in (e.lhs, e.rhs)))
@@ -482,7 +490,7 @@ class TestQuotientVariables:
         assert (got == want).all(), text
 
     def test_several_quotients_make_a_variable(self):
-        e, _ = E.typecheck(parse_formula_text("3 * x == y"), ENV2)
+        e, _ = E.typecheck(parse("3 * x == y"), ENV2)
         (cube,) = L.normalize(e, ENV2)
         q = L.quotient_var(8, L.LinForm.make({"x": 3}))
         assert q == "wrap:8:3*x,0"
@@ -493,12 +501,13 @@ class TestQuotientVariables:
 class TestParseErrors:
     def test_position_reported(self):
         with pytest.raises(ParseError) as err:
-            parse_formula_text("x +")
+            parse("x +")
         assert err.value.line == 1
 
     def test_trailing_garbage(self):
-        with pytest.raises(ParseError):
-            parse_formula_text("x + 1 )")
+        model = parse_model("var x : int8\nstep S [initial]\n")
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_formula_text("x + 1 )", model)
 
     @pytest.mark.parametrize("opener", ["(", "!", "!("])
     def test_nesting_past_the_bound(self, opener):
@@ -506,8 +515,8 @@ class TestParseErrors:
         def nested(depth):
             text = opener * -(-depth // len(opener))
             return text[:depth] + "b" + ")" * text[:depth].count("(")
-        parse_formula_text(nested(MAX_NESTING))
+        parse(nested(MAX_NESTING))
         with pytest.raises(ParseError, match=(
                 f"^line 1, col {MAX_NESTING + 1}: nesting deeper than "
                 f"{MAX_NESTING}$")):
-            parse_formula_text(nested(MAX_NESTING + 1))
+            parse(nested(MAX_NESTING + 1))

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -288,9 +289,17 @@ def _stack_depth() -> int:
 
 
 class TestResourceLimits:
-    def test_split_budget_reports_resource_error(self):
-        with pytest.raises(LimitExceeded):
-            decide_sat(_PUGH, split_limit=0)
+    def test_split_budget_reports_resource_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "SPLIT_LIMIT", 0)
+        with pytest.raises(LimitExceeded,
+                           match="^case split budget 0 exceeded$"):
+            decide_sat(_PUGH)
+
+    def test_derived_budget_reports_resource_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_DERIVED", 0)
+        with pytest.raises(LimitExceeded,
+                           match="^more than 0 derived constraints$"):
+            decide_sat(_PUGH)
 
     def test_split_nesting_past_the_bound_is_a_resource_error(
             self, monkeypatch):
@@ -481,8 +490,8 @@ class TestReplayAfterHypothesis:
             assert replay_witness(joint, res.witness)
         for max_derived in range(9):
             try:
-                small = decide_sat(joint, after=after,
-                                   max_derived=max_derived)
+                with mock.patch.object(solver, "MAX_DERIVED", max_derived):
+                    small = decide_sat(joint, after=after)
             except LimitExceeded:
                 continue
             assert type(small) is type(res)

@@ -195,6 +195,13 @@ def _assign(e, target="x"):
     return _plus(ActionBlock("E", "S", ((target, e),)))
 
 
+def _nots(n, e):
+    """*e* under *n* `!`s."""
+    for _ in range(n):
+        e = E.Not(e)
+    return e
+
+
 def _blocks(*blocks):
     return (F.Fbd("F", blocks + (F.Block("w", "write", (F.PortRef("r"),),
                                          var="x"),), 1),)
@@ -311,6 +318,23 @@ PROBLEMS = [
      "action 'E': negative literal"),
     ("non-integer-literal", _with(actions=_assign(E.IntLit(1.5))),
      "action 'E': literal 1.5 is not an integer"),
+    # text the parser refuses.  A literal of 4301 digits constructed, and
+    # then canonical_text raised ValueError; 200 nested `!` printed text
+    # that does not parse, and 5000 raised RecursionError
+    ("long-literal", _with(transitions=_guard(E.Cmp(
+        "<", _X, E.IntLit(10**5000)))), "transition 2: number too long"),
+    ("long-priority", _with(transitions=_plus(Transition(
+        ("S",), _TRUE, ("T",), 10**4300))), "transition 2: number too long"),
+    ("long-constant-block", _with(fbds=_blocks(_READ, F.Block(
+        "k", "const", value=10**4300))),
+     "fbd 'F': block 'k': number too long"),
+    ("long-constant-inline", _with(fbds=_blocks(_READ, F.Block(
+        "a", "add", (F.PortRef("r"), F.ConstIn(10**4300))))),
+     "fbd 'F': block 'a': number too long"),
+    ("deep-negation", _with(transitions=_guard(_nots(200, _B))),
+     "transition 2: nesting deeper than 160"),
+    ("deeper-negation", _with(actions=_assign(_nots(5000, _X))),
+     "action 'E': nesting deeper than 160"),
 ]
 
 
@@ -486,21 +510,49 @@ _NAMES = ("true", "false", "1b", "T 2", "const", "Ghost") + tuple(sorted(
     {v for _, v in _SITES if isinstance(v, str)}))  # the chart's: duplicates
 
 
+def _at(x, path):
+    """The value at *path* in *x*."""
+    for k in path:
+        x = x[k] if isinstance(x, tuple) else getattr(x, k)
+    return x
+
+
+def _deep(chain, depth):
+    """Operands of *chain* whose text is nested *depth* deep: its first
+    operand under *depth* `!`s, and the chain nested in itself, as its
+    first operand, *depth* - 1 times."""
+    nested = chain
+    for _ in range(depth - 1):
+        nested = replace(chain, args=(nested,) + chain.args[1:])
+    return st.sampled_from((_nots(depth, chain.args[0]), nested))
+
+
+# the longest integer the parser reads has 4300 digits
+_LONG = st.sampled_from((10**4299, 10**4300 - 1, 10**4300, 10**4300 + 1))
+
+
 def _hostile(path, old):
     """Values to put at *path*: signs from -2..2, one fewer to one more
-    than the operands; 0 to 3 of a chain's own operands; comparison
-    operators the parser builds and two it does not; hostile names and
-    every name of the chart; integers from -3 to 2**33."""
+    than the operands; 0 to 3 of a chain's own operands and the chain
+    itself, so a chain of its kind is a first or later operand, or one
+    operand nested 159 to 162 deep; comparison operators the parser builds
+    and two it does not; hostile names and every name of the chart;
+    integers from -3 to 2**33 and around the longest the parser reads."""
     if path[-1] == "signs":
         return st.lists(st.integers(-2, 2), min_size=len(old) - 1,
                         max_size=len(old) + 1).map(tuple)
     if path[-1] == "args":
-        return st.lists(st.sampled_from(old), max_size=3).map(tuple)
+        chain = _at(CHART, path[:-1])
+        deep = st.integers(159, 162).flatmap(lambda n: _deep(chain, n))
+        return st.one_of(
+            st.lists(st.sampled_from(old + (chain,)), max_size=3),
+            st.lists(st.sampled_from(old), min_size=1, max_size=2).flatmap(
+                lambda ops: deep.map(lambda d: [d, *ops]))).map(tuple)
     if path[-1] == "op":
         return st.sampled_from(E.CMP_OPS + ("=<", "<>"))
     if isinstance(old, str):
         return st.sampled_from(_NAMES)
-    return st.integers(-3, 2**33)
+    return st.one_of(st.integers(-3, 2**33), _LONG)
 
 
 _EDITS = st.sampled_from(_SITES).flatmap(
@@ -525,6 +577,10 @@ def _site(*tail, value):
     return path
 
 
+_AND = _site("transitions", 0, "guard", "args",
+             value=CHART.transitions[0].guard.args)
+
+
 class TestCanonical:
     # tier-1 draws 300 edits; `--hypothesis-profile long` (conftest.py)
     # draws more
@@ -536,6 +592,14 @@ class TestCanonical:
     @example((_site("vars", 0, "name", value="b"), "true"))
     @example((_site("blocks", 6, "id", value="w"), "1b"))
     @example((_site("initial", 0, value="S"), "Ghost"))
+    # a chain of its own kind as first and as later operand
+    @example((_AND, (_at(CHART, _AND[:-1]), _B)))
+    @example((_AND, (_B, _at(CHART, _AND[:-1]))))
+    # text nested as deep as the parser reads, and one deeper
+    @example((_AND, (_nots(160, _B), _B)))
+    @example((_AND, (_nots(161, _B), _B)))
+    @example((_site("priority", value=1), 10**4300 - 1))
+    @example((_site("priority", value=1), 10**4300))
     def test_every_constructed_chart_round_trips(self, edit):
         """A chart built in code with one field replaced either fails to
         construct with ParseError, and no other exception, or is the chart
@@ -545,6 +609,21 @@ class TestCanonical:
         except ParseError:
             return
         assert parse_model(canonical_text(model)) == model
+
+    @pytest.mark.parametrize("text", [
+        "action A on S { x := (x + 1) + 2; }",
+        "action A on S { x := x - (x - 1) * (2 * (x * 3)); }",
+        "trans {S} -[ (x < 1 && x > 0) && true ]-> {S}",
+        "trans {S} -[ !(x < 1 || x > 0 || (x == 3 || true)) ]-> {S}",
+    ])
+    def test_nested_chain_round_trips(self, text):
+        # a parenthesized chain of its own kind, first operand or later,
+        # printed with its parentheses: it was printed bare, first
+        # operands of `+` and `*` and every operand of `&&` and `||`
+        model = parse_model(f"var x : int8\nstep S [initial]\n{text}\n")
+        assert canonical_text(model).endswith(f"\n{text}\n")
+        assert parse_model(canonical_text(model)) == model
+
     def test_parse_print_parse_is_parse(self):
         for name in fixture_names():
             text = (FIXTURES / f"{name}.sfc").read_text()

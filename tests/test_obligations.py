@@ -1,12 +1,12 @@
-"""One derivation context per model and one per property: shared pieces,
-same obligations.
+"""One derivation context per property, whose model-wide pieces the model
+keeps: shared pieces, same obligations.
 
 The verifier and the checker derive every rule instance's obligation
-through a ``DerivationContext`` for the property, over the model's
-``ModelContext``, which computes the symbolic env, the guard
-normalizations, the change index and each rule instance's effect summary,
-hypothesis prefix and post-value definitions once per model; the property
-context negates each conjunct once per distinct reading.  These tests pin
+through a ``DerivationContext`` for the property.  It computes the
+symbolic env, the guard normalizations, the change index and each rule
+instance's effect summary, hypothesis prefix and post-value definitions
+once per model, in a plain dict memo the model keeps, and negates each
+conjunct once per distinct reading of the property.  These tests pin
 that sharing changes nothing (obligations, verdicts, certificates,
 exception types and messages), whatever order the properties come in,
 that the change index holds what the exact post-state held, and that the
@@ -87,7 +87,7 @@ class TestSharedEqualsFresh:
             uses = Counter()
             for rule in model.rules:
                 shared = _outcome(ctx, rule)
-                # a fresh parse of the model has a fresh model context
+                # a fresh parse of the model has fresh model-wide pieces
                 again = parse_model(canonical_text(model))
                 fresh = _outcome(O.DerivationContext(again, formula), rule)
                 assert shared == fresh, (name, rule.label())
@@ -758,9 +758,9 @@ def _parsed(text, props):
 
 
 class TestModelContextSharing:
-    """Every property of one parsed model reads the same model context,
-    which changes no verdict, assignment, reason or certificate byte,
-    whatever order the properties come in."""
+    """Every property of one parsed model reads the same model-wide
+    pieces, kept on the model, which changes no verdict, assignment,
+    reason or certificate byte, whatever order the properties come in."""
 
     def test_shared_equals_fresh_in_any_order(self):
         kinds = Counter()
@@ -781,13 +781,13 @@ class TestModelContextSharing:
          "normalize", "trans:0: multiplication of two non-constant "
          "expressions"),
         (OPAQUE, [f"y <= {k}" for k in range(3)], "linear_summary",
-         "exec:Amux: diagram is not linear"),
+         "exec:Amux: comparison '<' has no linear form"),
     ])
     def test_failed_model_piece_is_not_kept(self, monkeypatch, text, props,
                                             counted, reason):
         """A guard or diagram outside the linear fragment fails with the
         same reason under every property, and is derived again for each:
-        the model context keeps no failure."""
+        the model's memo keeps no failure."""
         module = F if counted == "linear_summary" else O
         calls = []
         original = getattr(module, counted)
@@ -843,7 +843,7 @@ class TestModelContextSharing:
         assert summarized >= len(charts)
 
     def test_contexts_are_freed_without_the_collector(self, monkeypatch):
-        """Neither a property's context nor the model context forms a
+        """Neither a property's context nor the model's memo forms a
         reference cycle: with the cyclic collector off, both are freed as
         soon as verify_invariant or check returns and the model is
         dropped."""
@@ -875,12 +875,13 @@ class TestModelContextSharing:
             assert isinstance(V.verify_invariant(loop_model, refuted),
                               V.Refuted)
             assert made and all(ref() is None for ref in made)
-            model_ctx = weakref.ref(
-                O.DerivationContext(loop_model, inv.formula).shared)
+            # the model keeps its memo, a plain dict, which would
+            # keep the model alive if it referred to it
+            assert "_derivation" in loop_model.__dict__
             model = weakref.ref(loop_model)
             cert = C.emit(loop_model, inv, res.tree)
             del loop_model, res
-            assert model() is None and model_ctx() is None
+            assert model() is None
             made.clear()
             assert C.check(cert).accepted
             assert parsed and made

@@ -5,8 +5,13 @@ from certplc import linear as L
 from certplc import properties as P
 from certplc import verifier as V
 from certplc.model import parse_model
-from certplc.parsing import ParseError
+from certplc.parsing import ParseError, TokenStream
 from certplc.semantics import SfcState, init_state
+
+
+def syntax(text):
+    """A formula's syntax tree, checked against no model."""
+    return P.parse_formula(TokenStream(text))
 
 
 class TestParsing:
@@ -62,8 +67,9 @@ class TestGrammar:
     def test_activity_atom_is_not_a_number(self, text, loop_model):
         with pytest.raises(ParseError):
             P.parse_properties(f"invariant p : always ({text});", loop_model)
-        with pytest.raises(ParseError):
-            P.parse_formula_text(text)
+        # the grammar rejects it, before any check against the model
+        with pytest.raises(ParseError, match="trailing input"):
+            P.parse_formula_text(text, loop_model)
 
     def test_activity_atom_in_model_guard_rejected(self):
         with pytest.raises(ParseError):
@@ -101,33 +107,31 @@ class TestPrinting:
 
     def test_activity_atom_as_operand(self, loop_model):
         # parenthesized where it is an operand, bare where it is boolean
-        f = P.parse_formula_text("(step(Init)) <= 2")
+        f = syntax("(step(Init)) <= 2")
         assert P.formula_text(f) == "(step(Init)) <= 2"
-        assert P.parse_formula_text(P.formula_text(f)) == f
+        assert syntax(P.formula_text(f)) == f
         g = E.Or((E.Not(P.Active("step", "Init")),
                   E.And((E.Var("x"), P.Active("action", "A_Init")))))
         assert P.formula_text(g) == "!step(Init) || x && action(A_Init)"
         with pytest.raises(ParseError, match=r"got step\(Init\)$"):
             P.parse_formula_text("(step(Init)) <= 2", loop_model)
 
-    @pytest.mark.parametrize("text, printed", [
-        ("(a && b) && c", "a && b && c"),
-        ("a && (b && c)", "a && b && c"),
-        ("(a || b) && c", "(a || b) && c"),
-        ("!(a && b) || c", "!(a && b) || c"),
+    @pytest.mark.parametrize("text", [
+        "(a && b) && c", "a && (b && c)", "(a || b) || c", "(a || b) && c",
+        "!(a && b) || c",
     ])
-    def test_nested_chains(self, text, printed):
-        # a chain nested in one of the same connective prints unparenthesized
-        assert P.formula_text(P.parse_formula_text(text)) == printed
+    def test_nested_chains(self, text):
+        # a chain nested in one of the same connective, first operand or
+        # later, keeps its parentheses, so the text parses back to the tree
+        assert P.formula_text(syntax(text)) == text
 
     def test_one_node_per_chain(self):
         a, b, c = map(E.Var, "abc")
-        assert P.parse_formula_text("a && b && c") == E.And((a, b, c))
-        assert P.parse_formula_text("(a && b) && c") == \
-            E.And((E.And((a, b)), c))
-        assert P.parse_formula_text("a || b && c || !c") == \
+        assert syntax("a && b && c") == E.And((a, b, c))
+        assert syntax("(a && b) && c") == E.And((E.And((a, b)), c))
+        assert syntax("a || b && c || !c") == \
             E.Or((a, E.And((b, c)), E.Not(c)))
-        assert len(P.conjuncts(P.parse_formula_text("a && (b && c)"))) == 3
+        assert len(P.conjuncts(syntax("a && (b && c)"))) == 3
 
     def test_invariant_text(self, loop_model):
         inv = P.parse_properties("invariant a : always (x <= 10);",

@@ -1,6 +1,5 @@
 import sys
 import time
-from functools import partial
 
 import pytest
 
@@ -16,6 +15,7 @@ from certplc.lia.solver import Sat, decide_sat
 from certplc.lia.witness import replay_witness
 from certplc.linear import FragmentError, LimitExceeded
 from certplc.model import parse_model
+from certplc.parsing import TokenStream
 from certplc.prooftree import CaseProof, ProofTree
 from certplc.semantics import reachable_bounded
 
@@ -101,7 +101,7 @@ class TestObligations:
         m = parse_model(OPAQUE)
         res = V.verify_invariant(m, P.Invariant("t", formula("y <= 65535", m)))
         assert isinstance(res, V.Undecided)
-        assert res.reason == "exec:Amux: diagram is not linear"
+        assert res.reason == "exec:Amux: comparison '<' has no linear form"
 
     def test_nonlinear_guard_reported_undecided(self):
         # trans:0 activates T, so its case needs the guard
@@ -196,7 +196,7 @@ _UNDECIDED = {
                      "resource", _TWO_CUBES),
     "decider-budget": (NONLINEAR_ATOM, "x <= 9 || step(S)",
                        S.ExecuteAction("A"), None,
-                       (V, "decide_sat", partial(decide_sat, max_derived=0))),
+                       (solver, "MAX_DERIVED", 0)),
     # the guard's first cube is satisfiable only after a range split, here
     # past a bound of no nesting at all
     "split-nesting": ("var x : int8\nvar y : int8\nstep S [initial]\n"
@@ -483,23 +483,25 @@ class TestJointCubeReplay:
         # joined with the < and > halves of y != 5 * x; lag: the < and >
         # halves of y != 5 * x + 1, each joined with y == 5 * x + 1
         assert counts == [(1, 2, 0), (2, 2, 2)]
-        calls = {"decide_sat": 0, "_extend": 0}
+        # a decision from scratch extends the empty base
+        calls = {"decide_sat": 0, "extended": 0}
+        decide, extend = V.decide_sat, solver._extend
 
-        def count(module, name):
-            inner = getattr(module, name)
+        def counted_decide(*args, **kwargs):
+            calls["decide_sat"] += 1
+            return decide(*args, **kwargs)
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+        def counted_extend(base, *args):
+            calls["extended"] += bool(base.cube)
+            return extend(base, *args)
 
-        count(V, "decide_sat")
-        count(solver, "_extend")
+        monkeypatch.setattr(V, "decide_sat", counted_decide)
+        monkeypatch.setattr(solver, "_extend", counted_extend)
         for inv, (hyps, joints, full_joints) in zip((rel, lag), counts):
-            calls.update(decide_sat=0, _extend=0)
+            calls.update(decide_sat=0, extended=0)
             assert isinstance(V.verify_invariant(model, inv), V.Proved)
-            assert calls["_extend"] == joints - full_joints
-            assert calls["decide_sat"] - calls["_extend"] == \
+            assert calls["extended"] == joints - full_joints
+            assert calls["decide_sat"] - calls["extended"] == \
                 hyps + full_joints
 
 
@@ -532,7 +534,7 @@ class TestVerifyInvariant:
                                                          text):
         # syntax only: its comparisons carry no width, whether or not the
         # base case reaches them
-        f = P.parse_formula_text(text)
+        f = P.parse_formula(TokenStream(text))
         with pytest.raises(E.ExprError, match="not typechecked"):
             V.verify_invariant(loop_model, P.Invariant("p", f))
 
