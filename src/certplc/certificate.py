@@ -2,7 +2,7 @@
 
 Layout (UTF-8 text, LF line endings):
 
-    CERTPLC/5
+    CERTPLC/6
     digest: <64 hex digits of the embedded model's canonical text>
     --- model
     <canonical model text>
@@ -12,10 +12,11 @@ Layout (UTF-8 text, LF line endings):
     --- proof
     <proof tree, see prooftree>
 
-The magic line names the proof grammar (in ``CERTPLC/5`` only the open
-cases are listed and an unlisted case is ``hyps 0``; a witness printed
-before is ``again K``); a certificate in another one, ``CERTPLC/1`` to
-``CERTPLC/4`` included, is rejected at line one.
+The magic line names the proof grammar and derivation (in ``CERTPLC/6``
+only the open cases are listed, a constant write closing the cases it
+decides, and an unlisted case is ``hyps 0``; a witness printed before
+is ``again K``); a certificate in another one, ``CERTPLC/1`` to
+``CERTPLC/5`` included, is rejected at line one.
 
 The property section holds an invariant I, optionally followed by a target
 P (without one, P is I).  The checker trusts nothing from the proof section
@@ -56,7 +57,7 @@ from .model import (SfcModel, canonical_text, init_state, parse_model,
 from .parsing import ParseError
 from .prooftree import ProofTree, parse_proof_lines, proof_lines
 
-MAGIC = "CERTPLC/5"
+MAGIC = "CERTPLC/6"
 
 _SECTIONS = ("--- model", "--- property", "--- proof")
 

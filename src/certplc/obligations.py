@@ -35,6 +35,11 @@ is sound because induction assumes the invariant on the pre-state (a
 fact, not a derived cube), and the conjunct reads the same entries after
 the rule.  ENTAIL is never framed: its conclusion is the target.
 
+Constant reading: a variable V that a rule's action writes with a
+constant summary form reads after the rule as that constant, wrapped at
+its type and joining the reading, not as ``post:V``, so a conjunct over
+it folds.  The hypothesis keeps V's post-value definition.
+
 Everything here is deterministic in the model and property alone.
 """
 
@@ -165,10 +170,10 @@ class DerivationContext:
     """A property (invariant, optional target) of a model and the pieces of
     its derivation, each derived on first use and kept.  The pieces of the
     model alone (the env, guard normalizations, the change index and each
-    rule's ``summary``, ``prefix`` and ``definitions``) go in ``shared``,
-    which every property of the model reads: a plain dict on the model
-    object, holding no reference to the model.  Pieces are asked for in a
-    fixed order, so obligations and errors equal fresh ones.
+    rule's ``summary``, ``pinned``, ``prefix`` and ``definitions``) go in
+    ``shared``, which every property of the model reads: a plain dict on
+    the model object, holding no reference to the model.  Pieces are asked
+    for in a fixed order, so obligations and errors equal fresh ones.
 
     Normalizations are keyed by the expression, whose equality ignores
     ``E.Cmp.width``.  That is exact here: every comparison reaching a
@@ -222,6 +227,14 @@ class DerivationContext:
         aid = self.model.rules[rule].action
         return aid and _once(self.shared, rule,
                              lambda: effect_summary(self.model, aid))
+
+    def pinned(self, rule: RuleInstance) -> dict:
+        """Each variable the rule's action writes with a constant summary
+        form -> that constant, wrapped at the variable's type."""
+        return _once(self.shared, ("pinned", rule), lambda: {
+            v: form.const & E.max_of(self.env[v])
+            for v, form in (self.summary(rule) or {}).items()
+            if form.is_const()})
 
     def prefix(self, rule: RuleInstance) -> Dnf:
         """Join of the activity cube, guards and negated blocking guards."""
@@ -288,9 +301,11 @@ class DerivationContext:
     def formula_dnf(self, f: P.Formula, post: dict,
                     negated: bool = False) -> Dnf:
         """DNF of a formula after a rule that sets *post*'s change index
-        entries, a written V read as ``post:V`` (``{}``: the pre-state)."""
-        subst = {v: LinForm.of_var(post_var(v))
-                 for v, value in post.items() if value == WRITTEN}
+        entries (``{}``: the pre-state): a written V reads as ``post:V``,
+        or as the constant that a constant reading holds for it."""
+        subst = {v: LinForm.of_var(post_var(v)) if value == WRITTEN
+                 else LinForm.of_const(value) for v, value in post.items()
+                 if not v.startswith((STEP_PREFIX, ACT_PREFIX))}
         def leaf(atom, neg):
             if isinstance(atom, P.Active):
                 var = _activity_var(atom.kind, atom.name)
@@ -344,7 +359,10 @@ def build_obligation(ctx: DerivationContext,
         readings = ctx.readings.get(rule)
         if readings is None:  # closed: nothing of the rule is derived
             return CaseObligation(rule, (), (FALSE_DNF,) * len(ctx.conjuncts))
-        ctx.summary(rule)  # a failing effect fails first
+        pinned = ctx.pinned(rule)  # a failing effect fails first
+        if pinned:  # a constant write's reading holds its value
+            readings = [tuple((v, pinned.get(v, value)) for v, value in r)
+                        for r in readings]
         # one derivation per conjunct and reading, which many rules share
         neg = [reading and _once(ctx._memo, (i, reading), lambda: ctx.negated(
             ctx.conjuncts[i], dict(reading)))

@@ -167,11 +167,12 @@ def _encoding(model, state, post_mem):
     return enc
 
 
-def _framed(model, formulas):
-    """rule -> the conjuncts of *formulas* whose negated conclusion the
-    frame rule empties under that rule although their exact negated
-    post-state DNF has cubes."""
-    out = {rule: [] for rule in model.rules}
+def _closed(model, formulas):
+    """rule -> (framed, pinned): the conjuncts of *formulas* whose negated
+    conclusion build_obligation empties under that rule although their
+    exact negated post-state DNF has cubes.  A framed one has an empty
+    reading (the frame rule); a pinned one reads a constant write."""
+    out = {rule: ([], []) for rule in model.rules}
     for f in formulas:
         ctx = O.DerivationContext(model, f)
         for rule in model.rules:
@@ -180,9 +181,11 @@ def _framed(model, formulas):
             except (FragmentError, LimitExceeded):
                 continue
             post = rule_post(model, rule)
-            for conj, neg in zip(P.conjuncts(f), ob.neg_concl):
+            readings = ctx.readings.get(rule, [()] * len(ob.neg_concl))
+            for conj, reading, neg in zip(P.conjuncts(f), readings,
+                                          ob.neg_concl):
                 if not neg and ctx.formula_dnf(conj, post, negated=True):
-                    out[rule].append(conj)
+                    out[rule][bool(reading)].append(conj)
     return out
 
 
@@ -191,9 +194,10 @@ def test_rule_shapes_agree_on_fixtures():
     build_obligation derives for an open case) holds; the exact symbolic
     post-state (the rule's change index entries, whose readings
     build_obligation negates) has exactly the successor's steps and
-    pending actions; and a conjunct that the frame rule closes under a
-    rule has the same truth value before and after it fires."""
-    enabled = framed = 0
+    pending actions; a conjunct that the frame rule closes under a rule
+    has the same truth value before and after it fires; and one that a
+    constant write closes holds after it fires."""
+    enabled = framed = pinned = 0
     for name in fixture_names():
         model = load_model(name)
         ctx = O.DerivationContext(model, P.parse_formula_text(
@@ -209,7 +213,7 @@ def test_rule_shapes_agree_on_fixtures():
             for atom, _ in atoms] for rule in model.rules}
         # the fixture invariants, each activity atom, and each variable
         # tested against 0, which most writes change
-        frames = _framed(model, [inv.formula for inv in
+        closed = _closed(model, [inv.formula for inv in
                                  load_invariants(name, model)]
                          + [atom for atom, _ in atoms]
                          + [P.parse_formula_text(
@@ -230,12 +234,16 @@ def test_rule_shapes_agree_on_fixtures():
                 enabled += 1
                 for neg, (_, has) in zip(exact[rule], atoms):
                     assert eval_dnf(neg, enc) != has(succ), where
-                for conj in frames[rule]:
+                for conj in closed[rule][0]:
                     framed += 1
                     assert P.holds_on(conj, state) == \
                         P.holds_on(conj, succ), (where, E.pretty(conj))
+                for conj in closed[rule][1]:
+                    pinned += 1
+                    assert P.holds_on(conj, succ), (where, E.pretty(conj))
     assert enabled >= 400, enabled
     assert framed >= 1000, framed
+    assert pinned >= 100, pinned
 
 
 def test_comparisons_and_muxes_have_no_summary():

@@ -159,10 +159,12 @@ class TestVerifyCertify:
         assert a.read_bytes() == b.read_bytes()
 
     def test_tampered_cert_exits_1(self, tmp_path, capsys):
+        # never_dead's trans:0 case is open, with a one-step witness
         cert = tmp_path / "y.cert"
-        assert main(["certify", fx("hold_positive.sfc"), "--prop",
-                     fx("hold_positive.inv"), "--name", "y_positive",
+        assert main(["certify", fx("dead_ctx.sfc"), "--prop",
+                     fx("dead_ctx.inv"), "--name", "never_dead",
                      "--out", str(cert)]) == 0
+        assert b"steps 1" in cert.read_bytes()
         cert.write_bytes(cert.read_bytes().replace(b"steps 1", b"steps 0"))
         code, out = run(capsys, "check-cert", str(cert))
         assert code == 1
@@ -186,18 +188,19 @@ class TestVerifyCertify:
 
     def test_certify_and_check_json_reports(self, tmp_path, capsys):
         cert = tmp_path / "y.cert"
-        code, out = run(capsys, "certify", fx("hold_positive.sfc"),
-                        "--prop", fx("hold_positive.inv"),
-                        "--name", "y_positive", "--out", str(cert),
+        code, out = run(capsys, "certify", fx("dead_ctx.sfc"),
+                        "--prop", fx("dead_ctx.inv"),
+                        "--name", "never_dead", "--out", str(cert),
                         "--report", "json")
         assert code == 0
-        assert json.loads(out) == {"invariant": "y_positive",
-                                   "result": "Proved (6 obligations)",
+        assert json.loads(out) == {"invariant": "never_dead",
+                                   "result": "Proved (5 obligations)",
                                    "certificate": str(cert)}
         code, out = run(capsys, "check-cert", str(cert), "--report", "json")
         assert code == 0
         assert json.loads(out) == {"accepted": True, "reason": "",
                                    "path": []}
+        assert b"steps 1" in cert.read_bytes()
         cert.write_bytes(cert.read_bytes().replace(b"steps 1", b"steps 0"))
         code, out = run(capsys, "check-cert", str(cert), "--report", "json")
         assert code == 1

@@ -391,7 +391,7 @@ class TestValidate:
         models = [load_model(name) for name in fixture_names()]
         exprs = sum(len(m.transitions) + sum(
             len(a.assigns) for a in m.actions if a.assigns) for m in models)
-        assert len(calls) == exprs == 40
+        assert len(calls) == exprs == 46
         # built in code: the same one each
         calls.clear()
         for model in models:

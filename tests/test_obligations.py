@@ -109,7 +109,7 @@ class TestSharedEqualsFresh:
         # react:T change something): the execute cases fail in their
         # negated conclusion, the others in the pre-state DNF
         m = parse_model(NONLINEAR_ATOM.replace(
-            "trans ", "action B on T { y := 0; }\ntrans "))
+            "trans ", "action B on T { y := y + 1; }\ntrans "))
         f = P.parse_formula_text(
             "x * y <= 5000 && !step(T) && !action(A) && !action(B)", m)
         ctx = O.DerivationContext(m, f)
@@ -317,11 +317,14 @@ class TestNormalizationKey:
                 assert widths.setdefault(c, c.width) == c.width, (name, c)
 
 
-def _ring(n: int) -> str:
+def _ring(n: int, values: int | None = None) -> str:
+    """n steps in a cycle; step k's action writes the constant k, modulo
+    *values* when given."""
     lines = ["var c : int16"]
     lines += [f"step S{k}" + (" [initial]" if k == 0 else "")
               for k in range(n)]
-    lines += [f"action A{k} on S{k} {{ c := {k}; }}" for k in range(n)]
+    lines += [f"action A{k} on S{k} {{ c := {k % (values or n)}; }}"
+              for k in range(n)]
     lines += [f"trans {{S{k}}} -[ c <= {n + 8} ]-> {{S{(k + 1) % n}}}"
               for k in range(n)]
     return "\n".join(lines) + "\n"
@@ -345,8 +348,10 @@ class TestWorkCount:
         monkeypatch.setattr(O, name, counted)
         return calls
 
+    VALUES = 4  # the distinct constants that the actions write to c
+
     def test_ring_derivation(self, monkeypatch):
-        model = parse_model(_ring(self.N))
+        model = parse_model(_ring(self.N, self.VALUES))
         inv = P.parse_properties(
             f"invariant p : always (c <= {self.N - 1} && "
             f"(!action(A{self.N // 2}) || step(S{self.N // 2})));\n",
@@ -358,8 +363,9 @@ class TestWorkCount:
         # per polarity one pre-state normalization of each distinct guard
         # and atom, plus one post-state normalization of each atom per
         # distinct reading: every action writes c, so c's conjunct has one
-        # reading, and the other conjunct has no arithmetic atom
-        bound = 2 * (len(guards) + len(atoms)) + len(atoms)
+        # reading of the change index, and one derivation per constant
+        # that a write holds; the other conjunct has no arithmetic atom
+        bound = 2 * (len(guards) + len(atoms)) + self.VALUES * len(atoms)
 
         normalized = self._counting(monkeypatch, "normalize")
         envs = self._counting(monkeypatch, "symbolic_env")
@@ -374,6 +380,10 @@ class TestWorkCount:
                     for i, r in enumerate(by_conj) if r}
         assert len({r for i, r in readings if i == 0}) == 1
         assert len(readings) <= 6
+        # the actions that write one constant share its derivation
+        assert {key for key in ctx._memo
+                if isinstance(key, tuple) and key[0] == 0} == {
+            (0, (("c", k),)) for k in range(self.VALUES)}
 
         res = V.verify_invariant(model, inv)
         assert isinstance(res, V.Proved)
@@ -441,9 +451,14 @@ class TestFrameRule:
         assert _framing("x <= 100 && y <= 100 && action(A) && step(S) && "
                         "action(B)", S.ExecuteAction("A")) == \
             [False, True, False, True, True]
-        # a write of the value already held still counts as a write
-        assert _framing("y <= 100 && x <= 100", S.ExecuteAction("B")) == \
-            [False, True]
+        # B's constant write ``y := 0`` is in the change index, which is
+        # read off the text, but the obligation reads y as 0: that closes
+        # y <= 100 and leaves y >= 1 open with no post-value
+        f = "y <= 100 && x <= 100 && y >= 1"
+        assert O.DerivationContext(FRAME, P.parse_formula_text(
+            f, FRAME)).readings[S.ExecuteAction("B")] == \
+            [(("y", O.WRITTEN),), (), (("y", O.WRITTEN),)]
+        assert _framing(f, S.ExecuteAction("B")) == [True, True, False]
 
     def test_toggled_steps_and_actions(self):
         assert _framing("step(S) && !step(T) && !action(B) && step(U) && "
@@ -538,6 +553,77 @@ class TestFrameRule:
         assert not v.accepted
         assert v.reason == "coverage: negated-conclusion cube count mismatch"
         assert v.path == ("cases", "exec:A_Init", f"hyp {i}")
+
+
+class TestConstantReading:
+    """A variable that a rule's action writes with a constant summary form
+    reads as that constant after the rule, wrapped at its type, so a
+    conjunct over it folds and its case needs no post-value.  On
+    const_write, A_Init writes ``0 - 1`` to an int8, A_Run a bool and
+    A_Hold's diagram ``3 - 4`` to an int8."""
+
+    VERDICTS = {"x_wrapped": V.Proved, "x_zero": V.Refuted,
+                "b_on_hold": V.Proved, "m_wrapped": V.Proved}
+
+    def test_verdicts_agree_with_exploration(self):
+        model = load_model("const_write")
+        states = S.reachable_bounded(model, 20)
+        for inv in load_invariants("const_write", model):
+            res = V.verify_invariant(model, inv)
+            assert isinstance(res, self.VERDICTS[inv.name]), inv.name
+            held = [P.holds_on(inv.formula, s) for s in states]
+            if isinstance(res, V.Proved):
+                assert all(held), inv.name
+                assert C.check(C.emit(model, inv, res.tree)).accepted
+            else:
+                assert not all(held), inv.name
+
+    @pytest.mark.parametrize("prop, action", [
+        ("x_wrapped", "A_Init"), ("b_on_hold", "A_Run"),
+        ("m_wrapped", "A_Hold")])
+    def test_constant_closes_the_case(self, prop, action):
+        model = load_model("const_write")
+        inv = next(i for i in load_invariants("const_write", model)
+                   if i.name == prop)
+        ctx = O.DerivationContext(model, inv.formula)
+        rule = S.ExecuteAction(action)
+        assert ctx.readings[rule]  # written, so not framed
+        ob = O.build_obligation(ctx, rule)
+        assert ob.neg_concl == ((),) and ob.hyp_cubes == ()
+
+    @pytest.mark.parametrize("prop, action, var", [
+        ("x_wrapped", "A_Init", "x"), ("m_wrapped", "A_Hold", "m")])
+    def test_reading_holds_the_stored_value(self, prop, action, var):
+        """``0 - 1`` and ``3 - 4`` have the summary form -1, and the
+        reading holds 255, the value that executing the action stores."""
+        model = load_model("const_write")
+        assert O.effect_summary(model, action)[var] == L.LinForm((), -1)
+        inv = next(i for i in load_invariants("const_write", model)
+                   if i.name == prop)
+        ctx = O.DerivationContext(model, inv.formula)
+        rule = S.ExecuteAction(action)
+        O.build_obligation(ctx, rule)
+        assert (0, ((var, 255),)) in ctx._memo
+        stored = set()
+        for state in S.reachable_bounded(model, 20):
+            try:
+                stored.add(S.apply_rule(model, state, rule).mem[var])
+            except S.NotApplicable:
+                pass
+        assert stored == {255}
+
+    def test_refutation_keeps_the_post_value(self):
+        """x == 0 is false after A_Init whatever the pre-state; the
+        refuted case's hypothesis still defines post:x."""
+        model = load_model("const_write")
+        inv = next(i for i in load_invariants("const_write", model)
+                   if i.name == "x_zero")
+        ob = O.build_obligation(O.DerivationContext(model, inv.formula),
+                                S.ExecuteAction("A_Init"))
+        assert ob.neg_concl == (L.TRUE_DNF,)
+        res = V.verify_invariant(model, inv)
+        assert res.rule == S.ExecuteAction("A_Init")
+        assert res.assignment == {"x": 0, "post:x": 255, "act:A_Init": 1}
 
 
 class TestChangeIndex:
