@@ -12,21 +12,24 @@ Layout (UTF-8 text, LF line endings):
     --- proof
     <proof tree, see prooftree>
 
-The magic line names the proof grammar and derivation (in ``CERTPLC/6``
+The magic line names the proof grammar and derivation (in ``CERTPLC/7``
 only the open cases are listed, a constant write closing the cases it
-decides, and an unlisted case is ``hyps 0``; a witness printed before
-is ``again K``); a certificate in another one, ``CERTPLC/1`` to
-``CERTPLC/5`` included, is rejected at line one.
+decides, and an unlisted case has no node; each listed case has one node,
+which splits on a hypothesis piece only where its proof needs to; a
+witness printed before is ``again K``); a certificate in another one,
+``CERTPLC/1`` to ``CERTPLC/6`` included, is rejected at line one.
 
 The property section holds an invariant I, optionally followed by a target
 P (without one, P is I).  The checker trusts nothing from the proof section
-except which hypothesis cubes are claimed contradictory and the witness
-hint lines.  It re-parses the embedded model, re-evaluates I on the initial
-configuration, re-enumerates every rule instance, re-derives every
-obligation cube from the model and property alone, and replays each
-witness against its re-derived cube; with a target, a last case ``entail``
-refutes I jointly with each negated conjunct of P.  So I is inductive and
-I implies P.  Replay is integer arithmetic without search, so acceptance
+except where it splits, which node cubes are claimed contradictory and
+the witness hint lines.  It re-parses the embedded model, re-evaluates I
+on the initial configuration, re-enumerates every rule instance,
+re-derives every obligation and every node's cube from the model and
+property alone (a split on a piece not split on above it has one child
+per cube of the piece, so the leaves cover the product of the pieces),
+and replays each witness against its re-derived cube; with a target, a
+last case ``entail`` refutes I jointly with each negated conjunct of P.
+So I is inductive and I implies P.  Replay is integer arithmetic without search, so acceptance
 implies P holds in every reachable configuration; a bad certificate can
 only be rejected, never believed.
 
@@ -35,10 +38,12 @@ form's quotient is a constant when it has one feasible value, else the
 integer variable ``wrap:<bits>:<form>`` bounded by two members of its
 cube; so a comparison is one cube (``!=`` two), as is a post-value.
 
-The checker replays one witness per re-derived joint cube and contradiction
-entry (an ``again K`` line is block K replayed again), a count that the
-embedded model, the property and the obligation caps fix; each replay
-costs at most the length of the longest block.
+The checker replays one witness per contradiction node and per joint cube
+of a ``cubes`` node (an ``again K`` line is block K replayed again); the
+nodes nest at most as deep as the case has split pieces, each level at
+most as wide as its piece, and each replay costs at most the length of
+the longest block.  The walk keeps its own stack, so nesting costs no
+Python recursion.
 
 Rejection never means the property is false, only that this certificate
 does not establish it.
@@ -55,9 +60,10 @@ from .linear import FragmentError, LimitExceeded
 from .model import (SfcModel, canonical_text, init_state, parse_model,
                     text_digest)
 from .parsing import ParseError
-from .prooftree import ProofTree, parse_proof_lines, proof_lines
+from .prooftree import (Contradiction, Cubes, ProofTree, parse_proof_lines,
+                        proof_lines)
 
-MAGIC = "CERTPLC/6"
+MAGIC = "CERTPLC/7"
 
 _SECTIONS = ("--- model", "--- property", "--- proof")
 
@@ -178,11 +184,10 @@ def _check(data: bytes) -> CheckVerdict:
         return _rejected("coverage: case distinction does not match the "
                          "rule instances", "cases")
 
-    listed = {c.label: c.hyps for c in tree.cases}
+    listed = {c.label: c.node for c in tree.cases}
     context = O.DerivationContext(model, inv.formula, target=target)
     for rule in rules:
         where = ("cases", rule.label())
-        hyps = listed.get(rule.label(), ())
         try:
             ob = O.build_obligation(context, rule)
         except FragmentError as err:
@@ -190,26 +195,57 @@ def _check(data: bytes) -> CheckVerdict:
                              *where)
         except LimitExceeded as err:
             return _rejected(f"resource: {rule.label()}: {err}", *where)
-        if len(hyps) != len(ob.hyp_cubes):
+        node = listed.get(rule.label())
+        if (node is None) != (not ob.hyp_cubes):
             return _rejected("coverage: hypothesis cube count mismatch",
                              *where)
-        cubes = sum(map(len, ob.neg_concl))
-        for i, entry in enumerate(hyps):
-            at = where + (f"hyp {i}",)
-            hyp_cube = ob.hyp_cubes[i]
-            if entry.contradiction is not None:
-                if not replay_witness(hyp_cube, entry.contradiction):
-                    return _rejected("replay: contradiction witness does "
-                                     "not refute the hypothesis cube", *at)
-                continue
-            if len(entry.witnesses) != cubes:
+        if node is not None:
+            verdict = _check_node(node, ob, where)
+            if not verdict.accepted:
+                return verdict
+    return ACCEPTED
+
+
+def _check_node(root, ob: O.CaseObligation, where) -> CheckVerdict:
+    """Whether *root* proves the case of *ob* at *where*.  Each node's cube
+    is re-derived (the root cube, then each split child refined by its
+    piece cube) and its witnesses replayed; the walk keeps its own stack
+    of (node, cube, branches taken to it), and a rejection's path names
+    each branch as ``split K:I``."""
+    cubes = sum(map(len, ob.neg_concl))
+    todo = [(root, ob.hyp_cubes[0], ())]
+    while todo:
+        node, cube, path = todo.pop()
+        at = (*where, *(f"split {k}:{i}" for k, i in path))
+        if isinstance(node, Contradiction):
+            if not replay_witness(cube, node.witness):
+                return _rejected("replay: contradiction witness does not "
+                                 "refute the hypothesis cube", *at)
+        elif isinstance(node, Cubes):
+            if len(node.witnesses) != cubes:
                 return _rejected("coverage: negated-conclusion cube count "
                                  "mismatch", *at)
             for k, (w, joint) in enumerate(zip(
-                    entry.witnesses, O.joint_cubes(hyp_cube, ob.neg_concl))):
+                    node.witnesses, O.joint_cubes(cube, ob.neg_concl))):
                 if not replay_witness(joint, w):
                     return _rejected("replay: witness does not refute the "
                                      "counterexample cube", *at, f"cube {k}")
+        else:
+            k = node.piece
+            if k >= len(ob.splits):
+                return _rejected(f"coverage: split on piece {k} of "
+                                 f"{len(ob.splits)}", *at)
+            if any(k == j for j, _ in path):
+                return _rejected(f"coverage: piece {k} split twice on one "
+                                 "path", *at)
+            piece = ob.splits[k]
+            if len(node.children) != len(piece):
+                return _rejected(f"coverage: split {k} has "
+                                 f"{len(node.children)} branches, its piece "
+                                 f"{len(piece)} cubes", *at)
+            for i in reversed(range(len(piece))):
+                todo.append((node.children[i], O.refine(cube, piece[i]),
+                             path + ((k, i),)))
     return ACCEPTED
 
 

@@ -12,8 +12,9 @@ Every derived constraint remembers its provenance; refutations unwind into
 witnesses that `witness.replay_witness` checks without search.  Satisfying
 assignments are re-checked against the input cube before being returned.
 
-A cube that extends a satisfiable one by inequalities (an inductive case's
-joint cube: its hypothesis cube plus one negated-conclusion cube) is
+A cube that extends a satisfiable one by inequalities (a proof node's
+joint cube, its cube plus one negated-conclusion cube, or a split child,
+its parent's cube plus one cube of the split piece) is
 decided from the hypothesis decision's simplification (`Sat.base`): each
 extra member is substituted through the hypothesis's eliminated
 equalities, in order, and one `_simplify` runs over the hypothesis's

@@ -339,12 +339,18 @@ _CMP = {"<": (1, "<=", -1), "<=": (1, "<=", 0), "==": (1, "==", 0),
 def _cmp_atom(op: str, la: LinForm, lb: LinForm, bits: int, bounds) -> Dnf:
     """One cube, each operand wrapped over the quotients of the pairs
     that OP keeps (the module docstring says which, and why the cube is
-    exact); no cube when it keeps none."""
+    exact); no cube when it keeps none.  Two constant operands compare at
+    once, wrapped: the scan would keep their one pair, or none, and the
+    cube's members would all be constant."""
     if op == "!=":
         return dnf_or(_cmp_atom("<", la, lb, bits, bounds),
                       _cmp_atom(">", la, lb, bits, bounds))
     s, rel, rhs = _CMP[op]
     top = (1 << bits) - 1
+    if la.is_const() and lb.is_const():  # the operands wrap to constants
+        d = s * ((la.const & top) - (lb.const & top))
+        return TRUE_DNF if (d <= rhs if rel == "<=" else d == rhs) \
+            else FALSE_DNF
     ranges = []  # per operand: each quotient and its clipped range
     for form in (la, lb):
         q_lo, q_hi = quotients(form, bits, bounds)

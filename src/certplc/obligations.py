@@ -11,19 +11,27 @@ definition cube per written variable: its quotient is a constant when it
 has one feasible value, else the form's quotient variable, bounded.
 
 The rules are described once, on ``model.RuleShape``, which the concrete
-semantics reads too.  An obligation is a list of hypothesis cubes (the
-shape's activity literals, guards and failing guards, the invariant on the
-pre-state, and the post-value definitions) plus, for each top-level
-conjunct of the invariant, the negated conclusion on the post-state the
-shape describes, as a disjunction of cubes; ``linear.lower`` lowers every
-formula.  The rule holds when every hypothesis cube is jointly
-unsatisfiable with every negated-conclusion cube; a case whose
-negated-conclusion DNFs are all empty is closed and has no hypothesis cube.
+semantics reads too.  A case's hypothesis is a list of pieces, each a DNF,
+in derivation order: the shape's activity cube, each guard, each negated
+blocking guard, each top-level conjunct of the invariant on the
+pre-state, and the post-value definitions; ENTAIL's pieces are the
+invariant's conjuncts.  ``linear.lower`` lowers every formula.  A piece
+with no cube closes the case.  The root cube is the join of every one-cube
+piece, bounds attached; the splits are the pieces of two or more cubes, in
+order.  A proof splits on a piece only where it needs to: a split child's
+cube is its parent's followed by the chosen cube's members (``refine``),
+so the leaves under a node cover every cube of the pieces' product that
+extends it, and a witness refuting a leaf's cube refutes each of them.
+The conclusion is, for each top-level conjunct of the invariant, the
+negated conjunct on the post-state the shape describes, as a disjunction
+of cubes.  The rule holds when every cube of the hypothesis product is
+jointly unsatisfiable with every negated-conclusion cube; a case whose
+negated-conclusion DNFs are all empty is closed and has no root cube.
 Both the verifier and the certificate checker derive obligations through
-this module, so a certificate only needs to say which cubes are
-contradictory and supply the witnesses.  A property with a target adds one
-obligation, ENTAIL: the invariant's pre-state cubes against each target
-conjunct negated on the same pre-state.
+this module, so a certificate only needs to say where it splits, which
+cubes are contradictory and supply the witnesses.  A property with a
+target adds one obligation, ENTAIL: the invariant's pre-state pieces
+against each target conjunct negated on the same pre-state.
 
 Frame rule: a rule instance's negated conclusion is empty for each
 top-level conjunct whose reading is empty: the rule's entries in the
@@ -82,8 +90,9 @@ def proof_cases(model: SfcModel, target) -> tuple:
 @dataclass(frozen=True)
 class CaseObligation:
     rule: RuleInstance | Entailment
-    hyp_cubes: Dnf
+    hyp_cubes: Dnf  # the root cube, or none when the case is closed
     neg_concl: tuple[Dnf, ...]  # per top-level conjunct of the conclusion
+    splits: tuple[Dnf, ...] = ()  # the pieces of two or more cubes
 
 
 def step_var(s: str) -> str:
@@ -170,7 +179,7 @@ class DerivationContext:
     """A property (invariant, optional target) of a model and the pieces of
     its derivation, each derived on first use and kept.  The pieces of the
     model alone (the env, guard normalizations, the change index and each
-    rule's ``summary``, ``pinned``, ``prefix`` and ``definitions``) go in
+    rule's ``summary``, ``pinned``, ``activity`` and ``definitions``) go in
     ``shared``, which every property of the model reads: a plain dict on
     the model object, holding no reference to the model.  Pieces are asked
     for in a fixed order, so obligations and errors equal fresh ones.
@@ -236,17 +245,16 @@ class DerivationContext:
             for v, form in (self.summary(rule) or {}).items()
             if form.is_const()})
 
-    def prefix(self, rule: RuleInstance) -> Dnf:
-        """Join of the activity cube, guards and negated blocking guards."""
-        def pieces(shape: RuleShape):
-            yield (clean_cube(
+    def activity(self, rule: RuleInstance) -> Dnf:
+        """The rule's activity cube: its pending and idle actions, its
+        steps."""
+        def cube(shape: RuleShape):
+            return (clean_cube(
                 tuple([_eq01(act_var(a), 1) for a in shape.pending]
                       + [_eq01(step_var(s), 1) for s in shape.steps]
                       + [_eq01(act_var(a), 0) for a in shape.idle])),)
-            yield from map(self.normalized, shape.guards)
-            yield from (self.normalized(g, negate=True) for g in shape.blocked)
-        return _once(self.shared, ("prefix", rule),
-                     lambda: conjoin(pieces(self.model.rules[rule])))
+        return _once(self.shared, ("activity", rule),
+                     lambda: cube(self.model.rules[rule]))
 
     def definitions(self, rule: RuleInstance) -> Dnf:
         """The join, in name order, of each written variable's definition
@@ -293,10 +301,10 @@ class DerivationContext:
         return tuple([attach_bounds(c, self.env) for c in self.formula_dnf(
             conjunct, post, negated=True)])
 
-    def pre_dnf(self) -> Dnf:
-        """The property on the pre-state."""
-        return _once(self._memo, "pre",
-                     lambda: self.formula_dnf(self.formula, {}))
+    def pre_pieces(self) -> tuple[Dnf, ...]:
+        """Each top-level conjunct of the property on the pre-state."""
+        return _once(self._memo, "pre", lambda: tuple(
+            [self.formula_dnf(c, {}) for c in self.conjuncts]))
 
     def formula_dnf(self, f: P.Formula, post: dict,
                     negated: bool = False) -> Dnf:
@@ -325,19 +333,29 @@ class DerivationContext:
         return lower(f, negated, leaf)
 
 
-def hypothesis(ctx: DerivationContext, rule: RuleInstance | Entailment) -> Dnf:
-    """A proof case's hypothesis cubes, bounds attached: ENTAIL's are the
-    invariant's, a rule's the left-fold join of its prefix, the invariant
-    and its post-value definitions, each derived when the join reaches it:
-    the cubes and failures of one join of every piece."""
-    def pieces():
-        yield ctx.prefix(rule)
-        yield ctx.pre_dnf()
+def hypothesis(ctx: DerivationContext, rule: RuleInstance | Entailment):
+    """A proof case's hypothesis as (root, splits): the root is the join of
+    every one-cube piece, bounds attached, and the splits are the pieces of
+    two or more cubes, in derivation order; (None, ()) when a piece has no
+    cube.  ENTAIL's pieces are the invariant's conjuncts, a rule's its
+    activity cube, each guard, each negated blocking guard, each conjunct
+    of the invariant and its post-value definitions; every piece is derived,
+    in that order, before any is joined."""
+    if rule is ENTAIL:
+        pieces = ctx.pre_pieces()
+    else:
+        shape = ctx.model.rules[rule]
+        pieces = [ctx.activity(rule), *map(ctx.normalized, shape.guards),
+                  *(ctx.normalized(g, negate=True) for g in shape.blocked),
+                  *ctx.pre_pieces()]
         if ctx.summary(rule) is not None:
-            yield ctx.definitions(rule)
-
-    hyp = ctx.pre_dnf() if rule is ENTAIL else conjoin(pieces())
-    return tuple(attach_bounds(c, ctx.env) for c in hyp)
+            pieces.append(ctx.definitions(rule))
+    if not all(pieces):
+        return None, ()
+    root = conjoin(p for p in pieces if len(p) == 1)[0]
+    return attach_bounds(root, ctx.env), tuple([
+        tuple([attach_bounds(c, ctx.env) for c in p])
+        for p in pieces if len(p) > 1])
 
 
 def build_obligation(ctx: DerivationContext,
@@ -367,12 +385,24 @@ def build_obligation(ctx: DerivationContext,
         neg = [reading and _once(ctx._memo, (i, reading), lambda: ctx.negated(
             ctx.conjuncts[i], dict(reading)))
             for i, reading in enumerate(readings)]
-    hyp = hypothesis(ctx, rule) if any(neg) else ()
-    return CaseObligation(rule, hyp, tuple(neg))
+    if not any(neg):
+        return CaseObligation(rule, (), tuple(neg))
+    root, splits = hypothesis(ctx, rule)
+    return CaseObligation(rule, () if root is None else (root,), tuple(neg),
+                          splits)
+
+
+def refine(cube: Cube, piece_cube: Cube) -> Cube:
+    """A split child's cube: *cube* followed by the members of the chosen
+    piece cube that it lacks.  It extends *cube*, and with both bounded it
+    equals ``attach_bounds`` of *cube* followed by the piece cube's members
+    before their bounds."""
+    have = set(cube)
+    return cube + tuple([c for c in piece_cube if c not in have])
 
 
 def joint_cubes(hyp_cube: Cube, neg_concl: tuple[Dnf, ...]):
-    """The hypothesis cube joined with each negated-conclusion cube, in
+    """A proof node's cube joined with each negated-conclusion cube, in
     conjunct order and then cube order: the joins the verifier refutes and
     the checker replays witnesses against, each equal to its cube of
     ``conjoin(((hyp_cube,), neg_dnf))``.  Lazy, and no join overflows: each

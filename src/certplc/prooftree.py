@@ -2,30 +2,42 @@
 
 Shape: an induction node with a base leaf and an exhaustive case
 distinction over rule instances, followed by ``case entail`` when the
-certificate has a target (its hypothesis cubes are the invariant's, its
-conjuncts the target's).  Only the open cases are listed, in rule order;
-a closed case has no hypothesis cube, so no entry and no line.  Under a
-listed case, one entry per hypothesis cube (disjunct split); each entry is
-either a contradiction witness refuting the hypothesis cube or one witness
-per joint cube, in the order of ``obligations.joint_cubes``: conjunct by
-conjunct, then cube by cube within each conjunct's negated-conclusion DNF.
+certificate has a target (its hypothesis pieces are the invariant's
+conjuncts, its conclusion conjuncts the target's).  Only the open cases
+are listed, in rule order; a closed case has no root cube, so no entry and
+no line.  A listed case has exactly one node, which stands for a cube:
+the case's root cube (see ``obligations``) for the case's node, and for a
+split's child its parent's cube refined by one cube of the split piece.
+A node is one of
+
+* a contradiction: one witness refuting the node's cube;
+* cubes: one witness per joint cube of the node's cube, in the order of
+  ``obligations.joint_cubes``: conjunct by conjunct, then cube by cube
+  within each conjunct's negated-conclusion DNF;
+* a split on split piece K (an index into the case's splits, not split on
+  before on the path from the case's node): one child per cube of the
+  piece, in the piece's order.
 
 The text form is line based with explicit counts, so parsing needs no
-lookahead and rejects any truncation:
+lookahead and rejects any truncation; a node's children follow it, each
+with its own children before the next one:
 
     base
-    case exec:A_Init hyps 2
-    hyp 0 contradiction
+    case exec:A_Init
+    split 0 2
+    contradiction
     <witness block>
-    hyp 1 cubes 3
+    cubes 3
     <witness block>
     again 1
     again 0
 
-An entry's witness is printed as a block (see ``lia.witness``) the first
+A node's witness is printed as a block (see ``lia.witness``) the first
 time it appears, and blocks are numbered 0, 1, ... in that order; a later
 equal witness is the line ``again K``, naming block K printed before it.
-Split branches stay inside their block and are not numbered.
+Split branches stay inside their block and are not numbered.  Printing
+and parsing walk the nodes with their own stack, so a tree may nest as
+deep as its case has split pieces.
 """
 
 from __future__ import annotations
@@ -39,24 +51,33 @@ from .parsing import ParseError
 
 
 @dataclass(frozen=True)
-class HypEntry:
-    contradiction: Witness | None = None
-    witnesses: tuple[Witness, ...] | None = None  # one per joint cube
+class Contradiction:
+    witness: Witness  # refutes the node's cube
 
-    def __post_init__(self):
-        if (self.contradiction is None) == (self.witnesses is None):
-            raise ValueError("entry needs exactly one justification")
+
+@dataclass(frozen=True)
+class Cubes:
+    witnesses: tuple[Witness, ...]  # one per joint cube
+
+
+@dataclass(frozen=True)
+class Split:
+    piece: int  # index into the case's split pieces
+    children: tuple  # one node per cube of the piece
+
+
+Node = Contradiction | Cubes | Split
 
 
 @dataclass(frozen=True)
 class CaseProof:
     label: str  # rule instance label, e.g. "trans:0"
-    hyps: tuple[HypEntry, ...]
+    node: Node
 
 
 @dataclass(frozen=True)
 class ProofTree:
-    cases: tuple[CaseProof, ...]
+    cases: tuple[CaseProof, ...]  # the open cases
 
 
 def proof_lines(tree: ProofTree) -> list[str]:
@@ -71,16 +92,21 @@ def proof_lines(tree: ProofTree) -> list[str]:
         else:
             out.append(f"again {k}")
 
-    for case in filter(lambda c: c.hyps, tree.cases):  # the open cases
-        out.append(f"case {case.label} hyps {len(case.hyps)}")
-        for i, entry in enumerate(case.hyps):
-            if entry.contradiction is not None:
-                out.append(f"hyp {i} contradiction")
-                block(entry.contradiction)
-            else:
-                out.append(f"hyp {i} cubes {len(entry.witnesses)}")
-                for w in entry.witnesses:
+    for case in tree.cases:
+        out.append(f"case {case.label}")
+        todo = [case.node]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, Contradiction):
+                out.append("contradiction")
+                block(node.witness)
+            elif isinstance(node, Cubes):
+                out.append(f"cubes {len(node.witnesses)}")
+                for w in node.witnesses:
                     block(w)
+            else:
+                out.append(f"split {node.piece} {len(node.children)}")
+                todo.extend(reversed(node.children))
     return out
 
 
@@ -96,7 +122,7 @@ def _count(parts: list[str], what: str, least: int = 0) -> int:
 
 
 def _next_witness(rows, table: list[Witness]) -> Witness:
-    """The next entry-level witness: a block, which joins *table*, or an
+    """The next node-level witness: a block, which joins *table*, or an
     ``again K`` line naming one of the blocks already in it."""
     line = next(rows, "")
     parts = line.split()
@@ -111,6 +137,35 @@ def _next_witness(rows, table: list[Witness]) -> Witness:
     return table[k]
 
 
+def _parse_node(rows, table: list[Witness]) -> Node:
+    """A case's node, its children read depth first with a stack of the
+    open splits: (piece, child count, children so far)."""
+    open_splits: list[tuple[int, int, list]] = []
+    while True:
+        line = next(rows, "")
+        parts = line.split()
+        if parts == ["contradiction"]:
+            node = Contradiction(_next_witness(rows, table))
+        elif len(parts) == 2 and parts[0] == "cubes":
+            node = Cubes(tuple(_next_witness(rows, table)
+                               for _ in range(_count(parts, "cube"))))
+        elif len(parts) == 3 and parts[0] == "split":
+            open_splits.append((decimal(parts[1]),
+                                _count(parts, "branch", least=1), []))
+            continue
+        else:
+            raise ParseError(f"expected a proof node, got {line!r}")
+        while open_splits:  # close each split whose last child this is
+            piece, n, children = open_splits[-1]
+            children.append(node)
+            if len(children) < n:
+                break
+            open_splits.pop()
+            node = Split(piece, tuple(children))
+        else:
+            return node
+
+
 def parse_proof_lines(lines: list[str]) -> ProofTree:
     """One pass over the lines; blank ones are skipped.  Raises ParseError
     on a malformed or truncated proof."""
@@ -121,23 +176,7 @@ def parse_proof_lines(lines: list[str]) -> ProofTree:
     cases = []
     for line in rows:
         head = line.split()
-        if len(head) != 4 or head[0] != "case" or head[2] != "hyps":
+        if len(head) != 2 or head[0] != "case":
             raise ParseError(f"expected case header, got {line!r}")
-        hyps = []
-        for i in range(_count(head, "hyp", least=1)):
-            parts = next(rows, "").split()
-            if len(parts) < 3 or parts[0] != "hyp" or parts[1] != str(i):
-                raise ParseError(f"expected hyp {i}, got {' '.join(parts)!r}")
-            if parts[2] == "contradiction":
-                if len(parts) != 3:
-                    raise ParseError("malformed contradiction entry")
-                hyps.append(HypEntry(
-                    contradiction=_next_witness(rows, table)))
-            elif parts[2] == "cubes" and len(parts) == 4:
-                hyps.append(HypEntry(witnesses=tuple(
-                    _next_witness(rows, table)
-                    for _ in range(_count(parts, "cube")))))
-            else:
-                raise ParseError(f"malformed hyp entry {' '.join(parts)!r}")
-        cases.append(CaseProof(head[1], tuple(hyps)))
+        cases.append(CaseProof(head[1], _parse_node(rows, table)))
     return ProofTree(tuple(cases))

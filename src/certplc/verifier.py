@@ -4,9 +4,11 @@ Untrusted by design: everything produced here is re-derived and replayed by
 the certificate checker.  An invariant is proved by induction over the
 reachable-state construction: it must hold in the initial configuration and
 be preserved by every rule instance (one case per action block, per
-transition and per step).  Case hypotheses found contradictory are closed
-with a refutation witness; the remaining cases must entail the invariant on
-the symbolic post-state.  An optional target is proved by one more case,
+transition and per step).  A case's search starts from its root cube and
+splits on a disjunctive hypothesis piece only where a satisfiable joint
+cube needs it; a node whose cube is contradictory is closed with a
+refutation witness, and the others must entail the invariant on the
+symbolic post-state.  An optional target is proved by one more case,
 ``entail``: every state satisfying the invariant satisfies the target.
 
 A refutation of an inductive case is reported as an inductiveness
@@ -19,8 +21,10 @@ certified like any other property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from . import expr as E
+from . import linear
 from . import obligations as O
 from . import properties as P
 from .lia.solver import Sat, decide_sat
@@ -28,7 +32,7 @@ from .lia.solver import Sat, decide_sat
 # verifier.normalize, so the name stays importable
 from .linear import WRAP_PREFIX, FragmentError, LimitExceeded, normalize
 from .model import RuleInstance, SfcModel, init_state
-from .prooftree import CaseProof, HypEntry, ProofTree
+from .prooftree import CaseProof, Contradiction, Cubes, ProofTree, Split
 
 
 @dataclass
@@ -61,33 +65,84 @@ def check_base(model: SfcModel, formula: P.Formula):
     return Refuted(None, dict(state.mem), "fails in the initial configuration")
 
 
+def _satisfies(assignment: dict, cube) -> bool:
+    """The assignment satisfies the cube, or lacks one of its variables."""
+    return (any(v not in assignment for con in cube for v, _ in con.coeffs)
+            or all(con.evaluate(assignment) for con in cube))
+
+
+def _split_choice(ob: O.CaseObligation, assignment: dict, open_pieces):
+    """The first open piece none of whose cubes the assignment satisfies,
+    else the first open piece."""
+    return next((k for k in open_pieces if not any(
+        _satisfies(assignment, cube) for cube in ob.splits[k])),
+        open_pieces[0])
+
+
+def _decide_joints(ob: O.CaseObligation, cube, res: Sat):
+    """The node of a satisfiable cube whose joint cubes are all
+    unsatisfiable, else the first satisfiable joint cube's decision."""
+    witnesses = []
+    for joint in O.joint_cubes(cube, ob.neg_concl):
+        # the joint cube extends the node's cube, whose simplification the
+        # decider extends
+        sub = decide_sat(joint, after=res)
+        if isinstance(sub, Sat):
+            return sub
+        witnesses.append(sub.witness)
+    return Cubes(tuple(witnesses))
+
+
 def discharge(ob: O.CaseObligation):
-    """Close one obligation; returns CaseProof or Refuted, and raises what
-    the decider raises (LimitExceeded, FragmentError).  A closed case (no
-    negated-conclusion cube, so no hypothesis cube) gets no entry.  A
-    refutation's assignment omits the quotient variables, functions of
-    the others."""
-    entries = []
-    for hyp_cube in ob.hyp_cubes:
-        res = decide_sat(hyp_cube)
-        if not isinstance(res, Sat):
-            entries.append(HypEntry(contradiction=res.witness))
-            continue
-        witnesses = []
-        for joint in O.joint_cubes(hyp_cube, ob.neg_concl):
-            # the joint cube extends the hypothesis cube, whose
-            # simplification the decider extends
-            sub = decide_sat(joint, after=res)
-            if isinstance(sub, Sat):
-                state = {v: n for v, n in sub.assignment.items()
+    """Close one obligation; returns CaseProof, Refuted or None for a
+    closed case (no root cube), and raises what the decider raises
+    (LimitExceeded, FragmentError) and LimitExceeded past ``linear.CAP``
+    nodes.
+
+    The search decides the root cube.  At a node whose cube and some joint
+    cube are satisfiable, it splits on the first piece, among those not
+    split on above it, that the joint cube's assignment falsifies, or on
+    the first of them when the assignment falsifies none; a satisfiable
+    joint cube of a node with no piece left refutes the case.  A
+    refutation's assignment omits the quotient variables, functions of the
+    others."""
+    if not ob.hyp_cubes:
+        return None
+    # depth first, with a stack of the splits still open: (the split
+    # node's cube, its decision, the pieces split on down to it, its
+    # children so far)
+    stack: list[tuple] = []
+    cube, after, used = ob.hyp_cubes[0], None, ()
+    for nodes in count(1):
+        if nodes > linear.CAP:  # read at each node, as linear reads it
+            raise LimitExceeded(f"{nodes} proof nodes exceed cap "
+                                f"{linear.CAP}")
+        res = decide_sat(cube, after=after)
+        node = (_decide_joints(ob, cube, res) if isinstance(res, Sat)
+                else Contradiction(res.witness))
+        if isinstance(node, Sat):  # a satisfiable joint cube
+            open_pieces = [k for k in range(len(ob.splits)) if k not in used]
+            if not open_pieces:
+                state = {v: n for v, n in node.assignment.items()
                          if not v.startswith(WRAP_PREFIX)}
                 return Refuted(ob.rule, state,
                                "invariant does not imply the target"
                                if ob.rule is O.ENTAIL
                                else "inductive step violated")
-            witnesses.append(sub.witness)
-        entries.append(HypEntry(witnesses=tuple(witnesses)))
-    return CaseProof(ob.rule.label(), tuple(entries))
+            k = _split_choice(ob, node.assignment, open_pieces)
+            stack.append((cube, res, used + (k,), []))
+        else:
+            while stack:  # close each split whose last child this is
+                _, _, path, children = stack[-1]
+                children.append(node)
+                if len(children) < len(ob.splits[path[-1]]):
+                    break
+                stack.pop()
+                node = Split(path[-1], tuple(children))
+            else:
+                return CaseProof(ob.rule.label(), node)
+        cube, after, used, children = stack[-1]
+        cube = O.refine(cube, ob.splits[used[-1]][len(children)])
 
 
 def verify_invariant(model: SfcModel, inv: P.Invariant,
@@ -117,7 +172,7 @@ def verify_invariant(model: SfcModel, inv: P.Invariant,
             continue
         if isinstance(res, Refuted):
             return res
-        if res.hyps:
+        if res is not None:
             cases.append(res)
     if undecided is not None:
         return undecided

@@ -96,6 +96,38 @@ def lockstep(width, c):
     return model, inv
 
 
+def step2_clauses(first, last) -> str:
+    """``(!step(Step2) || x <= c)`` for c = first..last, joined by ``&&``:
+    two-cube conjuncts for a property of loop.sfc."""
+    return " && ".join(f"(!step(Step2) || x <= {c})"
+                       for c in range(first, last + 1))
+
+
+# x_capped_ind of loop.inv after 16 two-cube clauses that it implies: its
+# proof splits on few of them, and repeats witnesses
+CAPPED_16 = (step2_clauses(9, 24) + " && x <= 10 && (!action(A_Init) || "
+             "x <= 9) && (!step(Step2) || x <= 9) && (!step(Step2) || "
+             "!action(A_Init))")
+
+
+def proof_nodes(node):
+    """The nodes of a case's proof, depth first, children in order."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(getattr(node, "children", ())))
+
+
+def node_witnesses(node):
+    """The witness of each contradiction and joint cube under *node*, in
+    proof order."""
+    for n in proof_nodes(node):
+        if hasattr(n, "witness"):
+            yield n.witness
+        yield from getattr(n, "witnesses", ())
+
+
 def decision(cube, **kwargs) -> str:
     """decide_sat's result (witnesses and assignments included) or error."""
     try:

@@ -29,8 +29,8 @@ from certplc.linear import FragmentError, LimitExceeded
 from certplc.model import SfcState, parse_model
 from certplc.parsing import TokenStream
 
-from conftest import (eval_dnf, fixture_names, load_invariants, load_model,
-                      rule_post, states_of)
+from conftest import (eval_cube, eval_dnf, fixture_names, load_invariants,
+                      load_model, rule_post, states_of)
 
 WIDTHS = ("int8", "int16", "int32")
 INTS = ("x", "y", "z")
@@ -191,7 +191,8 @@ def _closed(model, formulas):
 
 def test_rule_shapes_agree_on_fixtures():
     """A rule fires concretely iff its hypothesis (``hypothesis``, which
-    build_obligation derives for an open case) holds; the exact symbolic
+    build_obligation derives for an open case: its root cube and a cube
+    of each split piece) holds; the exact symbolic
     post-state (the rule's change index entries, whose readings
     build_obligation negates) has exactly the successor's steps and
     pending actions; a conjunct that the frame rule closes under a rule
@@ -228,7 +229,10 @@ def test_rule_shapes_agree_on_fixtures():
                 enc = _encoding(model, state,
                                 state.mem if succ is None else succ.mem)
                 where = (name, rule.label(), S.state_text(state))
-                assert eval_dnf(hyps[rule], enc) == (succ is not None), where
+                root, splits = hyps[rule]
+                assert (root is not None and eval_cube(root, enc) and all(
+                    eval_dnf(piece, enc) for piece in splits)) == \
+                    (succ is not None), where
                 if succ is None:
                     continue
                 enabled += 1

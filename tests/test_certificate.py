@@ -28,15 +28,28 @@ from certplc.lia.witness import MAX_SPLIT_NESTING
 from certplc.parsing import MAX_NESTING
 from certplc.prooftree import ProofTree, parse_proof_lines, proof_lines
 
-from conftest import (FANOUT, FIXTURES, NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP,
-                      WRAP_BLOWUP_PROP, benchmark_cases, built_in_code,
-                      fixture_names, load_invariants, load_model, states_of)
+from conftest import (CAPPED_16, FANOUT, FIXTURES, NONLINEAR_GUARD, OPAQUE,
+                      WRAP_BLOWUP, WRAP_BLOWUP_PROP, benchmark_cases,
+                      built_in_code, fixture_names, load_invariants,
+                      load_model, node_witnesses, states_of)
 from test_lia import _PUGH
 
 
 def proved_certificate(name="loop", index=1):
     model = load_model(name)
     inv = load_invariants(name, model)[index]
+    res = V.verify_invariant(model, inv)
+    assert isinstance(res, V.Proved)
+    return model, inv, C.emit(model, inv, res.tree)
+
+
+def repeating_certificate():
+    """loop's CAPPED_16 claim and its certificate, whose proof names
+    witness blocks printed before it: ``cubes 18`` entries repeat one
+    block, the one that refutes each clause's negated conclusion."""
+    model = load_model("loop")
+    inv = P.parse_properties(
+        f"invariant capped_16 : always ({CAPPED_16});", model)[0]
     res = V.verify_invariant(model, inv)
     assert isinstance(res, V.Proved)
     return model, inv, C.emit(model, inv, res.tree)
@@ -104,28 +117,28 @@ class TestCheckRejections:
         # CERTPLC/4 the one that lists each closed case as ``hyps 0``,
         # CERTPLC/5 the one whose derivation reads a constant write as a
         # post-value variable, so that it lists the cases the constant
-        # closes: each is rejected at its first line, before the proof is
-        # read
+        # closes, CERTPLC/6 the one with an entry per cube of the product
+        # of every disjunctive hypothesis piece: each is rejected at its
+        # first line, before the proof is read
         _, _, data = proved_certificate()
         for magic in (b"CERTPLC/9", b"CERTPLC/1", b"CERTPLC/2",
-                      b"CERTPLC/3", b"CERTPLC/4", b"CERTPLC/5"):
+                      b"CERTPLC/3", b"CERTPLC/4", b"CERTPLC/5",
+                      b"CERTPLC/6"):
             bad = data.replace(C.MAGIC.encode(), magic, 1)
             assert bad != data
             v = C.check(bad)
             assert v.reason == "parse: bad magic line" and v.path == ()
 
     def test_open_case_without_entries_is_a_count_mismatch(self):
-        # trans:0 is open: the checker derives its 8 hypothesis cubes.  The
-        # tree is emptied there and printed again, which leaves trans:0
-        # unlisted and the witness table well formed
-        from certplc.prooftree import CaseProof, ProofTree
+        # trans:0 is open: the checker derives its root cube.  Its case is
+        # dropped from the tree, which is printed again, which leaves
+        # trans:0 unlisted and the witness table well formed
         model, inv, data = proved_certificate()
         tree = V.verify_invariant(model, inv).tree
-        assert "case trans:0 hyps 8\n" in data.decode()
+        assert "case trans:0\n" in data.decode()
         bad = C.emit(model, inv, ProofTree(tuple(
-            CaseProof(c.label, ()) if c.label == "trans:0" else c
-            for c in tree.cases)))
-        assert "case trans:0 " not in bad.decode()
+            c for c in tree.cases if c.label != "trans:0")))
+        assert "case trans:0\n" not in bad.decode()
         v = C.check(bad)
         assert v.reason == "coverage: hypothesis cube count mismatch"
         assert v.path == ("cases", "trans:0")
@@ -135,10 +148,9 @@ class TestCheckRejections:
         # and the certificate lists it nowhere
         _, _, data = proved_certificate()
         text = data.decode()
-        assert "case trans:2 " not in text
-        bad = text.replace("case react:Init ",
-                           "case trans:2 hyps 1\nhyp 0 cubes 0\n"
-                           "case react:Init ", 1)
+        assert "case trans:2\n" not in text
+        bad = text.replace("case react:Init\n",
+                           "case trans:2\ncubes 0\ncase react:Init\n", 1)
         v = C.check(bad.encode())
         assert v.reason == "coverage: hypothesis cube count mismatch"
         assert v.path == ("cases", "trans:2")
@@ -148,22 +160,22 @@ class TestCheckRejections:
         # listed for it names a case that derives no hypothesis cube
         *_, data = target_certificates()["dead_ctx/unreachable"]
         text = data.decode()
-        assert "case exec:A_Main " not in text
-        bad = text.replace("case trans:0 ", "case exec:A_Main hyps 1\n"
-                           "hyp 0 cubes 1\nsteps 1\ncombine 12*1 5*1\n"
-                           "case trans:0 ", 1)
+        assert "case exec:A_Main\n" not in text
+        bad = text.replace("case trans:0\n", "case exec:A_Main\ncubes 1\n"
+                           "steps 1\ncombine 12*1 5*1\ncase trans:0\n", 1)
         v = C.check(bad.encode())
         assert v.reason == "coverage: hypothesis cube count mismatch"
         assert v.path == ("cases", "exec:A_Main")
 
     def test_listed_closed_case_is_a_proof_parse_rejection(self):
-        # a closed case has one text, the absent one
+        # a closed case has one text, the absent one: a listed case has a
+        # node
         _, _, data = proved_certificate()
-        bad = data.decode().replace("case react:Init ",
-                                    "case trans:2 hyps 0\ncase react:Init ", 1)
+        bad = data.decode().replace("case react:Init\n",
+                                    "case trans:2\ncase react:Init\n", 1)
         v = C.check(bad.encode())
-        assert v.reason == "proof-parse: bad hyp count in 'case trans:2 " \
-            "hyps 0'"
+        assert v.reason == "proof-parse: expected a proof node, got " \
+            "'case react:Init'"
 
     def test_digest_mismatch(self):
         _, _, data = proved_certificate()
@@ -246,9 +258,9 @@ class TestCheckRejections:
     @pytest.mark.parametrize("count", ["x", "-1", "1000001"],
                              ids=["non-numeric", "negative", "over-limit"])
     @pytest.mark.parametrize("header, what", [
-        (r"case \S+ hyps", "hyp"),
-        (r"hyp \d+ cubes", "cube"),
-    ], ids=["hyps", "cubes"])
+        (r"split \d+", "branch"),
+        (r"cubes", "cube"),
+    ], ids=["split", "cubes"])
     def test_bad_header_count(self, header, what, count):
         _, _, data = proved_certificate()
         text = data.decode()
@@ -281,36 +293,39 @@ class TestCheckRejections:
     def test_long_property_with_short_proof_is_a_coverage_rejection(self):
         # 1200 conjuncts against the proof of x_capped_ind's four: the
         # checker derives every obligation and counts, without recursing
-        # once per connective
+        # once per connective.  The added conjuncts are split pieces after
+        # x_capped_ind's, so its root cubes and split indices stay and the
+        # first node that the count reaches is rejected
         model, inv, data = proved_certificate("loop", 1)
         text = P.formula_text(inv.formula)
-        longer = text + "".join(f" && x <= {11 + i}" for i in range(1196))
+        longer = text + "".join(f" && (!step(Step2) || x <= {11 + i})"
+                                for i in range(1196))
         bad = data.decode().replace(f"({text});", f"({longer});")
         v = C.check(bad.encode())
         assert v.reason == "coverage: negated-conclusion cube count " \
             "mismatch", v
 
     def test_replay_rejection_names_the_flat_cube_index(self):
-        """An entry's witnesses follow its joint cubes across conjuncts:
-        x_capped_ind's trans:0 entries list a cube of the third conjunct,
+        """A node's witnesses follow its joint cubes across conjuncts:
+        x_capped_ind's trans:0 node lists a cube of the third conjunct,
         then one of the fourth, so a wrong second witness is rejected at
         ``cube 1``."""
-        from certplc.prooftree import CaseProof, HypEntry, ProofTree
+        from certplc.prooftree import CaseProof, Cubes
         model, inv, _ = proved_certificate("loop", 1)
         tree = V.verify_invariant(model, inv).tree
         case = next(c for c in tree.cases if c.label == "trans:0")
-        first, second = case.hyps[0].witnesses
+        first, second = case.node.witnesses
         assert first != second
-        hyps = (HypEntry(witnesses=(first, first)),) + case.hyps[1:]
-        bad = ProofTree(tuple(CaseProof(c.label, hyps) if c is case else c
-                              for c in tree.cases))
+        bad = ProofTree(tuple(
+            CaseProof(c.label, Cubes((first, first))) if c is case else c
+            for c in tree.cases))
         v = C.check(C.emit(model, inv, bad))
         assert v.reason == ("replay: witness does not refute the "
                             "counterexample cube")
-        assert v.path == ("cases", "trans:0", "hyp 0", "cube 1")
+        assert v.path == ("cases", "trans:0", "cube 1")
 
     @pytest.mark.parametrize("again, why", [
-        ("again 1", "again 1 before block 1 is defined"),
+        ("again 2", "again 2 before block 2 is defined"),
         ("again 12", "again 12 before block 12 is defined"),
         ("again 01", "bad number '01'"),
         ("again -1", "bad number '-1'"),
@@ -319,41 +334,42 @@ class TestCheckRejections:
     ], ids=["forward", "undefined", "leading-zero", "negative",
             "two-numbers", "no-number"])
     def test_bad_again_line(self, again, why):
-        """x_capped_ind's proof prints 11 blocks; ``hyp 1`` of its first
-        case repeats block 0, and block 1 is first printed at ``hyp 4``."""
-        _, _, data = proved_certificate()
+        """CAPPED_16's proof prints 9 blocks; the first joint cube of its
+        first ``cubes 18`` node prints block 1, the second repeats it, and
+        block 2 is first printed at the node's 17th joint cube."""
+        *_, data = repeating_certificate()
         text = data.decode()
-        old = "hyp 1 contradiction\nagain 0\n"
-        assert "\nsplit " not in text and text.count("\nsteps ") == 11
-        assert old in text
-        v = C.check(text.replace(old, f"hyp 1 contradiction\n{again}\n",
+        old = "cubes 18\nsteps 1\ncombine 17*1 13*-1\nagain 1\n"
+        assert text.count("\nsteps ") == 9 and old in text
+        v = C.check(text.replace(old, old.replace("again 1", again),
                                  1).encode())
         assert v.reason == f"proof-parse: {why}", v.reason
 
     def test_again_as_the_first_block(self):
         _, _, data = proved_certificate()
         text = data.decode()
-        head = "hyp 0 contradiction"
-        first = f"{head}\nsteps 1\ncombine 4*1 0*-1\n"
+        head = "contradiction"
+        first = f"{head}\nsteps 1\ncombine 13*1 0*-1\n"
         assert text.index("\nsteps ") == text.index(first) + len(head)
         v = C.check(text.replace(first, f"{head}\nagain 0\n", 1).encode())
         assert v.reason == "proof-parse: again 0 before block 0 is defined"
 
     def test_again_to_a_witness_that_does_not_refute(self):
-        """A well-formed ``again K`` is replayed against the cube its entry
-        stands for: trans:0's ``hyp 1`` repeats blocks 5 and 6, and block 5
-        does not refute its second joint cube."""
-        _, _, data = proved_certificate()
+        """A well-formed ``again K`` is replayed against the cube its node
+        stands for: CAPPED_16's trans:0 node prints block 4 at its first
+        joint cube and repeats it at the second, where block 0 (exec:A_Init's
+        first contradiction) does not refute."""
+        *_, data = repeating_certificate()
         text = data.decode()
-        at = text.index("case trans:0 hyps 8\n")
-        old = "hyp 1 cubes 2\nagain 5\nagain 6\n"
-        assert text.index(old, at) < text.index("case trans:1 ", at)
+        at = text.index("case trans:0\n")
+        old = "cubes 18\nsteps 1\ncombine 10*1 4*1\nagain 4\n"
+        assert text.index(old, at) == at + len("case trans:0\n")
         bad = text[:at] + text[at:].replace(
-            old, "hyp 1 cubes 2\nagain 5\nagain 5\n", 1)
+            old, old.replace("again 4", "again 0"), 1)
         v = C.check(bad.encode())
         assert v.reason == ("replay: witness does not refute the "
                             "counterexample cube")
-        assert v.path == ("cases", "trans:0", "hyp 1", "cube 1")
+        assert v.path == ("cases", "trans:0", "cube 1")
 
     def test_non_canonical_model_rejected(self):
         _, _, data = proved_certificate()
@@ -444,20 +460,20 @@ class TestProofNumberMutants:
     escaping from it."""
 
     @pytest.mark.parametrize("old, new", [
-        ("case exec:A_Init hyps 8", "case exec:A_Init hyps 0_8"),
-        ("combine 4*1 0*-1", "combine \u06604*+1 0*-1"),
-        ("combine 4*1 0*-1", "combine 4*1 0*-0_1"),
-        ("combine 4*1 0*-1", "combine 4*\uff11 0*-1"),
-        ("combine 4*1 0*-1", "combine +4*1 0*-1"),
-        ("combine 4*1 0*-1", "combine 4*1 -0*-1"),
-        ("hyp 4 cubes 2", "hyp 4 cubes \uff12"),
-        ("hyp 4 cubes 2", "hyp 4 cubes +2"),
+        ("split 0 2", "split 0 0_2"),
+        ("combine 13*1 0*-1", "combine \u066013*+1 0*-1"),
+        ("combine 13*1 0*-1", "combine 13*1 0*-0_1"),
+        ("combine 13*1 0*-1", "combine 13*\uff11 0*-1"),
+        ("combine 13*1 0*-1", "combine +13*1 0*-1"),
+        ("combine 13*1 0*-1", "combine 13*1 -0*-1"),
+        ("cubes 2\n", "cubes \uff12\n"),
+        ("cubes 2\n", "cubes +2\n"),
         ("steps 1\n", "steps +1\n"),
         ("steps 1\n", "steps 0_1\n"),
         ("steps 1\n", "steps \uff11\n"),
-        ("hyp 4 cubes 2", "hyp 4 cubes 02"),
-        ("combine 4*1 0*-1", "combine 4*1 0*-01"),
-    ], ids=["hyps-underscore", "arabic-indic-and-plus", "mult-underscore",
+        ("cubes 2\n", "cubes 02\n"),
+        ("combine 13*1 0*-1", "combine 13*1 0*-01"),
+    ], ids=["split-underscore", "arabic-indic-and-plus", "mult-underscore",
             "fullwidth-mult", "plus-index", "minus-zero-index",
             "fullwidth-count", "plus-count", "plus-steps",
             "underscore-steps", "fullwidth-steps", "leading-zero-count",
@@ -471,8 +487,8 @@ class TestProofNumberMutants:
         assert v.reason.startswith("proof-parse: "), v.reason
 
     @pytest.mark.parametrize("old, new", [
-        ("combine 4*1 0*-1", "combine 4*1{} 0*-1"),
-        ("hyp 4 cubes 2", "hyp 4 cubes 2{}"),
+        ("combine 13*1 0*-1", "combine 13*1{} 0*-1"),
+        ("cubes 2\n", "cubes 2{}\n"),
         ("steps 1\n", "steps 1{}\n"),
     ], ids=["mult", "count", "steps"])
     def test_overlong_number_rejected(self, old, new):
@@ -484,16 +500,17 @@ class TestProofNumberMutants:
         assert v.reason.startswith("proof-parse: "), v.reason
 
 
-_COUNT = re.compile(r"(case \S+ hyps|hyp \d+ cubes|steps) (\d+)")
+_COUNT = re.compile(r"(split \d+|cubes|steps) (\d+)")
 _NUMBER = re.compile(r"(?<![\w.-])-?\d+(?![\w.])")
 
 
 @functools.cache
 def _mutation_inputs() -> tuple[str, ...]:
-    """Small certificates that between them hold contradiction entries,
-    entries whose joint cubes come from several conjuncts (x_capped_ind's
-    ``hyp 4``) and a target with its entail case, where the constant
-    write ``y := 1`` closes exec:A_Main."""
+    """Small certificates that between them hold contradiction nodes,
+    nodes whose joint cubes come from several conjuncts (x_capped_ind's
+    trans:0), splits nested in splits (its exec:A_Init) and a target with
+    its entail case, where the constant write ``y := 1`` closes
+    exec:A_Main."""
     loop = load_model("loop")
     inv = next(i for i in load_invariants("loop", loop)
                if i.name == "x_capped_ind")
@@ -524,6 +541,27 @@ def _block_end(lines: list[str], i: int) -> int:
     return i
 
 
+def _node_end(lines: list[str], i: int) -> int:
+    """Index just past the proof node that starts at lines[i], its
+    witness blocks and children included."""
+    parts = lines[i].split()
+    if parts[0] == "contradiction":
+        return _block_end(lines, i + 1)
+    i += 1
+    for _ in range(int(parts[-1])):
+        i = (_block_end if parts[0] == "cubes" else _node_end)(lines, i)
+    return i
+
+
+def _children(lines: list[str], h: int) -> list[int]:
+    """The start of each child of the split at lines[h], then the index
+    just past its last child."""
+    starts = [h + 1]
+    for _ in range(int(lines[h].split()[2])):
+        starts.append(_node_end(lines, starts[-1]))
+    return starts
+
+
 def _count_edit(draw, lines):
     at = draw(st.sampled_from([i for i in _proof_rows(lines)
                                if _COUNT.fullmatch(lines[i].strip())]))
@@ -536,10 +574,10 @@ def _count_edit(draw, lines):
 
 
 def _block_removal(draw, lines):
-    """Remove one witness block of a ``hyp i cubes M`` entry, M >= 1, and
-    write M - 1 in its header."""
+    """Remove one witness block of a ``cubes M`` node, M >= 1, and write
+    M - 1 in its header."""
     heads = [i for i in _proof_rows(lines)
-             if re.fullmatch(r"hyp \d+ cubes [1-9]\d*", lines[i])]
+             if re.fullmatch(r"cubes [1-9]\d*", lines[i])]
     at = draw(st.sampled_from(heads))
     head, _, m = lines[at].rpartition(" ")
     starts = [at + 1]
@@ -578,11 +616,12 @@ def _pinned_labels(text: str) -> tuple[str, ...]:
 
 
 def _case_edit(draw, kind, text, lines):
-    """Edit the list of cases: a ``case L hyps 0`` line inserted in rule
-    order for a closed rule L, or ``case L hyps 1`` with one entry of one
-    witness (the first block) for a rule L that a constant write closes,
-    one listed case removed with its entries, two listed cases swapped,
-    one listed twice, or one relabelled with a label no rule has."""
+    """Edit the list of cases: a ``case L`` line and a ``cubes 0`` node
+    inserted in rule order for a closed rule L, or ``case L`` with a
+    ``cubes 1`` node of one witness (the first block) for a rule L that a
+    constant write closes, one listed case removed with its nodes, two
+    listed cases swapped, one listed twice, or one relabelled with a
+    label no rule has."""
     heads = [i for i in _proof_rows(lines) if lines[i].startswith("case ")]
     spans = list(zip(heads, heads[1:] + [len(lines) - 1]))
     listed = [lines[h].split()[1] for h in heads]
@@ -594,11 +633,11 @@ def _case_edit(draw, kind, text, lines):
         at = next((h for h, x in zip(heads, listed)
                    if labels.index(x) > labels.index(label)), len(lines) - 1)
         if kind == "closed":
-            lines[at:at] = [f"case {label} hyps 0"]
+            lines[at:at] = [f"case {label}", "cubes 0"]
             return
         first = next(i for i in _proof_rows(lines)
                      if lines[i].startswith("steps "))
-        lines[at:at] = [f"case {label} hyps 1", "hyp 0 cubes 1",
+        lines[at:at] = [f"case {label}", "cubes 1",
                         *lines[first:_block_end(lines, first)]]
         return
     if kind == "swap-cases":
@@ -613,25 +652,93 @@ def _case_edit(draw, kind, text, lines):
     elif kind == "duplicate-case":
         lines[e:e] = lines[h:e]
     else:
-        lines[h] = lines[h].replace(" hyps ", ":unknown hyps ")
+        lines[h] += ":unknown"
+
+
+@functools.lru_cache(maxsize=4)
+def _split_counts(text: str) -> dict[str, int]:
+    """Each listed case's label -> its number of split pieces."""
+    model, ctx = _derivation(text)
+    listed = {ln.split()[1] for ln in text.split("\n")
+              if ln.startswith("case ")}
+    return {r.label(): len(O.build_obligation(ctx, r).splits)
+            for r in O.proof_cases(model, ctx.target)
+            if r.label() in listed}
+
+
+def _split_edit(draw, kind, text, lines):
+    """Edit one split node, or a case's node: its piece index past the
+    case's split pieces, an inner split on its parent's piece, a split
+    in a case with no split piece (around two copies of the case's
+    node), one child more than its piece has cubes, two children
+    swapped, or its last child removed."""
+    rows = _proof_rows(lines)
+    if kind == "split-none":
+        h = draw(st.sampled_from([i for i in rows if lines[i].startswith(
+            "case ") and _split_counts(text)[lines[i].split()[1]] == 0]))
+        node = lines[h + 1:_node_end(lines, h + 1)]
+        lines[h + 1:h + 1 + len(node)] = ["split 0 2", *node, *node]
+        return
+    h = draw(st.sampled_from([i for i in rows
+                              if lines[i].startswith("split ")]))
+    _, k, n = lines[h].split()
+    starts = _children(lines, h)
+    if kind == "split-range":
+        label = next(lines[i].split()[1] for i in reversed(rows)
+                     if i < h and lines[i].startswith("case "))
+        past = _split_counts(text)[label] + draw(st.integers(0, 3))
+        lines[h] = f"split {past} {n}"
+    elif kind == "split-twice":
+        child = lines[starts[0]:starts[1]]
+        lines[starts[0]:starts[1]] = [lines[h], *child * int(n)]
+    elif kind == "split-count":
+        lines[starts[-1]:starts[-1]] = lines[starts[-2]:starts[-1]]
+        lines[h] = f"split {k} {int(n) + 1}"
+    elif kind == "split-swap":
+        i, j = sorted(draw(st.lists(st.integers(0, int(n) - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        a, b = lines[starts[i]:starts[i + 1]], lines[starts[j]:starts[j + 1]]
+        assume(a != b)
+        lines[starts[i]:starts[j + 1]] = \
+            b + lines[starts[i + 1]:starts[j]] + a
+    else:  # truncated
+        del lines[starts[-2]:starts[-1]]
+
+
+# the reason each split edit is rejected with: its start
+SPLIT_REASONS = {
+    "split-range": "coverage: split on piece ",
+    "split-twice": "coverage: piece ",
+    "split-none": "coverage: split on piece 0 of 0",
+    "split-count": "coverage: split ",
+    "split-swap": "replay: ",
+    "split-truncate": "proof-parse: expected a proof node, got ",
+}
 
 
 @st.composite
 def _broken_certificates(draw):
     """A certificate with one edit that no checker may accept: one proof
     line dropped or duplicated, a count header changed, one witness block
-    (``steps`` and its lines, or ``again K``) removed and its entry's count
-    decremented, or the list of cases edited (see ``_case_edit``)."""
+    (``steps`` and its lines, or ``again K``) removed and its node's count
+    decremented, the list of cases edited (see ``_case_edit``) or a split
+    edited (see ``_split_edit``)."""
     text = draw(st.sampled_from(_mutation_inputs()))
     lines = text.split("\n")
+    splits = [k for k in SPLIT_REASONS if k != "split-none"]
     kind = draw(st.sampled_from(["drop", "duplicate", "count", "block",
                                  "closed", "unlist", "swap-cases",
                                  "duplicate-case", "unknown-label"]
-                                + ["pinned"] * bool(_pinned_labels(text))))
+                                + ["pinned"] * bool(_pinned_labels(text))
+                                + splits * ("\nsplit " in text)
+                                + ["split-none"] * (0 in _split_counts(
+                                    text).values())))
     if kind == "count":
         _count_edit(draw, lines)
     elif kind == "block":
         _block_removal(draw, lines)
+    elif kind.startswith("split-"):
+        _split_edit(draw, kind, text, lines)
     elif kind not in ("drop", "duplicate"):
         _case_edit(draw, kind, text, lines)
     else:
@@ -708,6 +815,10 @@ class TestCertificateMutants:
         assert not C.check(data)
         if kind == "pinned":
             assert v.reason == "coverage: hypothesis cube count mismatch"
+        if kind in SPLIT_REASONS:
+            assert v.reason.startswith(SPLIT_REASONS[kind]), (kind, v)
+        if kind == "split-twice":
+            assert v.reason.endswith(" split twice on one path"), v
 
     @settings(max_examples=max(300, settings.default.max_examples),
               deadline=None, derandomize=True, database=None)
@@ -763,26 +874,21 @@ def _proved_claims(seeds=(1,)) -> tuple:
 
 
 def _entry_witnesses(tree):
-    """The witness of every contradiction entry and joint cube, in proof
+    """The witness of every contradiction node and joint cube, in proof
     order."""
     for case in tree.cases:
-        for entry in case.hyps:
-            if entry.contradiction is not None:
-                yield entry.contradiction
-            else:
-                yield from entry.witnesses
+        yield from node_witnesses(case.node)
 
 
 def _entry_blocks(lines: list[str]) -> list[str]:
-    """The first line of each entry-level block of a proof: ``steps N``
-    or ``again K``; the blocks inside splits are skipped."""
+    """The first line of each node-level block of a proof: ``steps N``
+    or ``again K``; the blocks inside a witness's splits are skipped."""
     heads, i = [], 0
     while i < len(lines):
         parts = lines[i].split()
         i += 1
-        if parts[0] == "hyp":
-            for _ in range(1 if parts[2] == "contradiction"
-                           else int(parts[3])):
+        if parts[0] in ("contradiction", "cubes"):
+            for _ in range(int(parts[-1]) if parts[0] == "cubes" else 1):
                 heads.append(lines[i])
                 i = _block_end(lines, i)
     return heads
@@ -810,14 +916,15 @@ class TestWitnessTable:
     nor the checker's replays."""
 
     def test_corpus_holds_repeated_witnesses(self):
-        # the benchmark charts of three seeds: one seed's repeat about 170
-        # witnesses (508 in all)
-        claims = _proved_claims((1, 7, 13))
-        assert len(claims) > 300
-        repeats = sum(len(list(_entry_witnesses(tree)))
-                      - len(set(_entry_witnesses(tree)))
-                      for *_, tree in claims)
-        assert repeats > 400
+        # a proof node's joint cubes share witnesses where their conjuncts
+        # are alike: CAPPED_16 repeats 32 of its 41 node-level witnesses
+        # (the fixture and benchmark proofs repeat none)
+        model, inv, data = repeating_certificate()
+        tree = V.verify_invariant(model, inv).tree
+        witnesses = list(_entry_witnesses(tree))
+        assert len(witnesses) - len(set(witnesses)) == 32
+        assert data.decode().count("\nagain ") == 32
+        assert C.check(data).accepted
 
     def test_round_trip(self):
         for name, *_, tree in _proved_claims():
@@ -853,95 +960,95 @@ class TestWitnessTable:
 # shows up here; a refactor that keeps the semantics keeps these bytes.
 FIXTURE_CERT_SHA256 = {
     "ambiguous/steps_declared":
-        "98dbbb96ebeba126427e7f739a8f51a79ffc274e26c3109dc4971123d91b71a8",
+        "cbadb35754224d46117e823fe48c5e64b952a4179a4b9f5d8cce2395b9781ff0",
     "ambiguous/no_actions":
-        "998264859dcb3eb175c43d14d6acf8f1cd357b5682ceec6d25264faf5c6ab79e",
+        "c583cb0118df3f6dd447ca5ed29128c8b2bd7a2cb7340297181d16fa7c4fd93d",
     "ambiguous/x_in_range":
-        "7d61dcd73e9f6525cdda830b3c631542d52dff6dacf7079cde4bb342d42535d9",
+        "6e5840995871a266bab3aebca8eaf3bee92f67317998f93a3e38a8473d3d2a99",
     "const_write/x_wrapped":
-        "3bd10b08cefda8560cbf2e4bdee2fef388fb9820bec6a1cfd8efc1c29e243949",
+        "b8de892bd316ca409187c4ab136af83e3a4440ad4655c321ad415df4b1cb12b1",
     "const_write/b_on_hold":
-        "0bdebb74d4a5c8da834e4423c726a444e5ca7b25cdbfa9c29f07e716e05d9f21",
+        "b1a503dbe962939093b62afa78c5a2cc5d168de4d7c77dcb6c9cde20f38dad87",
     "const_write/m_wrapped":
-        "0f0a7ebd38cecf2d75ca9ef4d708b8b5f30d15d25fc5121b99b480503cd6c221",
+        "7e7306006ba29c3304f10b43a9f94243c6dc114fe5af5eab03237102dbb892c0",
     "dead_ctx/y_positive":
-        "31cd10f324b8858bdce4a32e557d3756543aacf14022e9d11564b0a5cfffc41d",
+        "a0ca0e7f87637ef012edca885b3c31468d7b0513b817fd0c4687760532a6d0aa",
     "dead_ctx/never_dead":
-        "ff87046b6f03848452830ac41596dfe27c4cbfb625ae9c35c1e938530fbf042a",
+        "9916155c0333b6746683597bd0994f42011c0de96ce302c2684c4bc66d4b2c21",
     "dead_ctx/acts_declared":
-        "7d01414e001f8dd3384333b39092cd9721658fe5976a6405b4812d38c0cb7fd0",
+        "2b481fc194c7263ac2df3f6f4d0303601d4bcc697b7c506bb157c0429ddf1526",
     "fbd_counter/out_small":
-        "d8abf348dcd997ffae45e16c5980282d60e63cb9b47c630bb103a5632f45dd50",
+        "0f0655514015eabad51d838d998a0ca9313d9692e48fd12215d3d482162b17e6",
     "fbd_counter/out_in_range":
-        "d6159603d73548f10362dae4b80021be5c40e32bde84d9ecbfd74df1d256b0a5",
+        "f73bfda058257124a1ba69b4c0e74ce4dc93a14cbfe0542ed5999790963223f2",
     "fbd_counter/acts_declared":
-        "8cf5923dfd93047f7a5a0e65d0cba6298104c7a6685f908584c048db4dfa763a",
+        "825077549731e19b802f6fb3c774bc751e8107ea9f552564e712582a327f2b08",
     "fbd_inc/x_capped_ind":
-        "cc1f8983800649cae41a303aa66197c36cc83bd594e19e4704e05c0caec6c82b",
+        "aca275320e2622bf41ccf214c6899d1de81e310a531ec86a066b1e9db8fb06e8",
     "fbd_inc/in_range":
-        "fe77f602ca97adcb6f34993c7a37633a24dbaaef5e5a95c7b5ba5ebf5caf3c4d",
+        "68a6f22ef43f00f957542fe8484a70add89fe1884ee97dd9a0036300dcfb6293",
     "fbd_inc/acts_declared":
-        "7924bd6248e775e825fb0ec711504d43ad6f476e33b5f843af3e1b30c02da080",
+        "1d8c709fe403d8377b3bf9961f8a05b0bcf70ba03ad06a4490826dd16cf6e8d4",
     "flip/tautology":
-        "3d482202f0e35b41ccbe01aa9ce101de835ccd64e26687d340ea4dfe676dad58",
+        "77d97ac2786e6b63195701417c073c1a5deb9f24b715caab12fa02571435a6bd",
     "flip/steps_declared":
-        "bfba099905c7d0b36d9e4e9961448b8127795cf169e4295df1bd0fb8808b6bc4",
+        "c53c0fd806f0c6bdbf8cb2f05b212f93d9b0ae946e793e797cc287d74e3864c0",
     "flip/acts_declared":
-        "822842ba0f5657c4ccc83c6c908f4ee93702ca40b842ccfb5b21a2297bf73db8",
+        "1196c571da40cbe32be4cc5633066fd956ab26b80e50f9fa5d6d00be801f04ba",
     "hold_positive/y_positive":
-        "0a0ddddd9fe20c40d9ab0fedb45c888922ce559c30deaad891de3c615395bfe4",
+        "fb30717275690fd074ea0ed15b08a4a909e0125b6fe53ea1ceeda4be3d2752a7",
     "hold_positive/y_low":
-        "7034c2ec2a43c11c4689d054b6a01c67cfcdbb62dfc14a387647a56169ae1a56",
+        "84e79beaa647099116ff48fee28543a34e0eb0b9c919dbfc63882713bb11b362",
     "hold_positive/acts_declared":
-        "0fc712edff89f3a6d75c5e34969458928b786e40b887450a751c9c6a39520bec",
+        "bf5515b2f6534f9973e9b17d82a789f5ebcdde944b5a3e3a0f8e9340ab088c92",
     "hold_positive/x_in_range":
-        "413e0177687ec64a99164f0adcec0c1b44f8fa11588f61b12481ebaf3d6ded88",
+        "e9bb5badedc212622fd684b155400b917f2b2ac4a27e377b0dc728167ca2c850",
     "init_multi/steps_declared":
-        "6b75b6a923cdc4e8c68bb621b7ee5c4a000e9da355350d3c4cd1da441c9b95c7",
+        "8e193599a47d19bde9a2d976c1e247c8b811b9d822121b17a7b63a19d2f187e5",
     "init_multi/no_actions":
-        "8be8c17ee33d164f431483f4b9ac3079ae05aa600e82aa1ffe29bd70fc741374",
+        "5dc4c37dedd80cf9619abd405a6b0426775f66cc0374148d43f9c29c61c0ad63",
     "init_multi/k_in_range":
-        "b7954934837801986bed914392fd266da08aef2f7b35a16316ca95b99fa0ab96",
+        "28f8cbf3defaf70bdb5be8214cb318cda51cc5e72f4bfc22429c11bf80b714fb",
     "lockstep/rel":
-        "80de8fae7e25a061c515968988f4734db014254d8a75b3457fecade1832d7d83",
+        "4c6f5e239e5cac288505e4f6fcfde6faf1c96c32aabcbfcfd124454053d7a4c3",
     "lockstep/x_in_range":
-        "fc502b3e0380ae78406d691741285bf41d3b3119e0233c6c2847cf134fcf2100",
+        "a63feb7535523257913d58e24cfbf80c18e03626b4defce2bd08a08b0f7cb84e",
     "lockstep/acts_declared":
-        "296e8df43dcde510b8a13af50173201e1b338f134e0bfe62d5bc7519aa3398c3",
+        "a0ef0b9e17e74ffe876b4fc5c566548c31541e82b477e8f4dfa7e926a2f61f78",
     "loop/x_capped_ind":
-        "8db5dd321335bfa4fb8b6bc6b6ef076bf9499ea00a1bcbc633c66fc0ec86ac11",
+        "9f56f65cb96741d449f38d56a8738b4cf3a0606e0047ccb16b93c70a6eb32942",
     "loop/in_range":
-        "ea4b44f4fc5bb8476b52cda8a9347159850985c2b8d1bea57d74a46fbb5a0e0d",
+        "59e2df116528d877654c350859fa63534b235087a1a167ceab033b62b8a42bd4",
     "loop/acts_declared":
-        "5cd0ae874797d4f1e9e55e8ac64d0e4a3561339385ada456230fc295e2eb5935",
+        "2f0ba0e6fa34b6a5ca57cc7d6a28b187c1dbcf904ca6c80ffdceb0c4fc017aa9",
     "multi_action/c_small":
-        "97bb959bc50fe0663a73497aff24abba49559b388bbea089062b1026a08b5569",
+        "4a7f08498136465fce204c00d7639315228d9dc384ba2c226ff6473a62316c61",
     "multi_action/steps_declared":
-        "720f5387928478f2679c923614caa935811f78f536a58267d5f8853e66e7baea",
+        "06dcc11674a561236768ef813b2759405d8de3cdc8d31bd60a09857fc62fb957",
     "multi_action/acts_declared":
-        "6e2bccaf5e890fc4918ab1245f0ecc48e78cc9edec5db45bfa787488c823a4b8",
+        "2117f5223d61648d8742c55c48871d73eceacb10cb6dbd2ffb0cbac71b8136f7",
     "parallel/steps_declared":
-        "85d372e40b326b6d0e9a944a60241bc8a83c083520b1e306a571439810d0fd1c",
+        "e8a2b20ca8d85d2d607df67a32a2897b32cce41849ed14d9cdac85a0d73927ff",
     "parallel/acts_declared":
-        "dbfdbe2d8789ea13bfd494d293f09f4f562daf45c11aa6c12d24b18ba2868d27",
+        "d68fa59bef53704ee3ee8435b70672ab4e0c341ff4d15825d356d526ac7a9b0e",
     "parallel/x_in_range":
-        "610d5f83aa81fe31c7eca69c364f26e76640c00c32a796e8710b4548a8e81ab1",
+        "d5110bee921e642dc49b030cbbad21cca812c1d6c0f669ed45b4887205bfbf9c",
     "timer/one_tick":
-        "74a55e1e785631d484dbddfb2e7ae8326fb026c807690f0c9c44b331c2f2e193",
+        "efeb1459c2a80e520fadb49d7125a4541a1eeb6f7a95993482bdc507ef55e063",
     "timer/t_in_range":
-        "6bc9292fcd931749ffc8b3a04c17be801369e7cc4566341b8550fda0a38d3da0",
+        "50fb3aa8c51187148e088638b840c1897b82847c9657cea587d5b70c7c344d72",
     "timer/acts_declared":
-        "0204527f6bc8df4a87e6db123c9060467033cd5bfa6f33f0c829149571b76044",
+        "e13cb9386127d11c0132c9c1e4ea495c796793e0f3dcc89ae6d29bf0909c84a6",
     "toggle/mutex":
-        "793dfb4dac033b54c2e0a30c618acc7ba778fbad9f87cca1f85fade067e08c29",
+        "7e601aeeb6a7ec104e68c0cf821d4820677be67308a9b6faa2c17c357d611fd4",
     "toggle/n_in_range":
-        "4a23b8064bac34039ef6a620cd9b1191ca3a03b0b714b6aea0e1684ec5454380",
+        "b29a090b1b071c64bcb65676a43d8f739c8218a1c5fb2330bfeb0459595cd20d",
     "toggle/acts_declared":
-        "8a597abaedc3705d07e2512ef846768e7c677d64f9525e8035732477f6b659f5",
+        "2211493d94c5dc91845de35100e919844657cba3bd280e2504dfc2a94f896dcd",
     "wrap/in_range":
-        "eb9ec70ac9347519501e9f2b3f2e3e766d50ad36d4d5705721a6b9d23faef8f7",
+        "02a8df5514f278e6303e8b4f259b235eb4927f6b53a21fcf5410976e02e2232d",
     "wrap/acts_declared":
-        "138b80d2d3f06178e25e8118f0d0be545f90a89a4c28d0abebdfbb74ef2a8b10",
+        "09413a79aa2e406fb632394ba2320725d834f8cf5d95a60a6b23dd2b43171bed",
 }
 
 
@@ -965,9 +1072,9 @@ class TestCertificateBytes:
     # certificate does
     LOCKSTEP_CERT_SHA256 = {
         ("int8", 5):
-            "476e2c13ac939c3ffbe34dd6ccd70f0e601b6cb165cda0d62fb408973d98da2c",
+            "853aaf0eb9876b5e88d908a512311e85c57aa04b93a4a68d40d813bd41570676",
         ("int16", 12):
-            "1f80e2e844ba02ab412acf5188aad96ae158fadf0009f7f09e320f48a0a64436",
+            "6306ebd6d13df6e38286406eb1e18c15bd82ed8c6de78e6664ece446d2842266",
     }
 
     @pytest.mark.parametrize("width, c", sorted(LOCKSTEP_CERT_SHA256))
@@ -992,9 +1099,9 @@ class TestCertificateBytes:
     # closing entail case
     TARGET_CERT_SHA256 = {
         "dead_ctx/unreachable":
-            "7353799eb304e634fd6aa186a7d867e157255206f58cfcae919a8dd241520998",
+            "70b44186b46590d9e2261217e5eb38412ba949c53d388c48c9ccec93c3c27e78",
         "loop/determined":
-            "48aa12fc9e477dfa7e374e2841422f791c09277c6895398432dc651a79b00a7a",
+            "559c6dcefec7f5b3f2e057a4d7a01b8bc1e8bcbe9f08aa0beeff02f27a873308",
     }
 
     def test_target_certificates_are_byte_identical(self):
@@ -1016,7 +1123,7 @@ class TestTargetCertificates:
 
     def test_entail_case_deletion_is_coverage_error(self, certs):
         for text in certs.values():
-            bad = text[:text.index("case entail hyps ")]
+            bad = text[:text.index("case entail\n")]
             v = C.check(bad.encode())
             assert not v.accepted and v.reason.startswith("coverage:")
 
@@ -1281,13 +1388,13 @@ class TestLongAndDeepExpressions:
 
 
 def _nested_splits(data: bytes, depth: int) -> bytes:
-    """x_capped_ind's certificate with the contradiction witness of
-    exec:A_Init's hypothesis 0 replaced by *depth* nested one-branch splits
-    around ``combine 0*1``."""
+    """x_capped_ind's certificate with the witness of exec:A_Init's first
+    contradiction replaced by *depth* nested one-branch splits around
+    ``combine 0*1``."""
     lines = data.decode().split("\n")
-    i = lines.index("case exec:A_Init hyps 8") + 1
-    assert lines[i:i + 3] == ["hyp 0 contradiction", "steps 1",
-                              "combine 4*1 0*-1"]
+    i = lines.index("case exec:A_Init") + 2
+    assert lines[i - 1:i + 3] == ["split 0 2", "contradiction", "steps 1",
+                                  "combine 13*1 0*-1"]
     lines[i + 1:i + 3] = (["steps 1", "split x 0 0 0 0"] * depth
                           + ["steps 1", "combine 0*1"])
     return "\n".join(lines).encode()
@@ -1317,7 +1424,64 @@ class TestSplitNesting:
         v = C.check(_nested_splits(data, MAX_SPLIT_NESTING))
         assert v.reason.startswith("replay: contradiction witness does not "
                                    "refute the hypothesis cube")
-        assert v.path == ("cases", "exec:A_Init", "hyp 0")
+        assert v.path == ("cases", "exec:A_Init", "split 0:0")
+
+
+# x is kept as it is and y is never written: every case but exec:A is
+# closed, and exec:A's hypothesis has one split piece per y clause
+_KEEP = ("var x : int16\nvar y : int16\nstep S [initial]\n"
+         "action A on S { x := x; }\n")
+
+
+def _deep_split_certificate(depth: int, broken: bool = False) -> bytes:
+    """A hand-made certificate over ``x <= 100`` and *depth* clauses
+    ``(!step(S) || y <= i)``: exec:A's node splits on piece 0, its second
+    child on piece 1, and so on, *depth* splits deep; every other child
+    is a ``cubes 1`` leaf whose witness adds the negated conclusion
+    ``post:x >= 101`` (the member past the leaf's cube) to the definition
+    ``post:x == x`` (member 4) and ``x <= 100`` (member 3).  With
+    *broken*, the deepest leaf's witness drops the definition."""
+    from certplc.prooftree import CaseProof, Cubes, Split
+    model = parse_model(_KEEP)
+    clauses = "".join(f" && (!step(S) || y <= {i})" for i in range(depth))
+    inv = P.parse_properties(
+        f"invariant deep : always (x <= 100{clauses});", model)[0]
+    ob = O.build_obligation(O.DerivationContext(model, inv.formula),
+                            next(iter(model.rules)))
+    assert ob.rule.label() == "exec:A" and len(ob.splits) == depth
+
+    def leaf(cube, skip=False):
+        n = len(cube)
+        first = W.Combine(((n, 1),) + ((4, -1),) * (not skip))
+        return Cubes((W.Witness((first, W.Combine(((n + 1, 1), (3, 1))))),))
+
+    cubes = [ob.hyp_cubes[0]]
+    for k in range(depth):
+        cubes.append(O.refine(cubes[-1], ob.splits[k][1]))
+    node = leaf(cubes[-1], broken)
+    for k in reversed(range(depth)):
+        node = Split(k, (leaf(O.refine(cubes[k], ob.splits[k][0])), node))
+    return C.emit(model, inv, ProofTree((CaseProof("exec:A", node),)))
+
+
+class TestDeepSplits:
+    """Splits nest as deep as a case has split pieces: printing, parsing
+    and checking walk the nodes with their own stacks."""
+
+    def test_1500_nested_splits_are_checked(self):
+        data = _deep_split_certificate(1500)
+        assert data.count(b"\nsplit ") == 1500
+        t0 = time.perf_counter()
+        v = C.check(data)
+        assert v.accepted, v
+        assert time.perf_counter() - t0 < 10
+
+    def test_the_deepest_leaf_is_replayed(self):
+        v = C.check(_deep_split_certificate(1500, broken=True))
+        assert v.reason == ("replay: witness does not refute the "
+                            "counterexample cube")
+        assert v.path == ("cases", "exec:A",
+                          *(f"split {k}:1" for k in range(1500)), "cube 0")
 
 
 class TestTimeSliceBound:

@@ -447,6 +447,46 @@ class TestWrapPruning:
         assert {v for con in cube for v, _ in con.coeffs} == {"x"}
 
 
+class TestConstantComparisons:
+    """Two constant operands compare at once, each wrapped at the
+    comparison's width: the DNF is ``TRUE_DNF`` or ``FALSE_DNF`` exactly
+    where wrapped evaluation says true or false, for all six operators on
+    every int8 pair and on sampled int16 and int32 pairs, operands past
+    the width's range included."""
+
+    @staticmethod
+    def _agree(width, pairs):
+        for a, b in pairs:
+            for op in sorted(_PY_CMP):
+                e = E.Cmp(op, E.IntLit(a), E.IntLit(b), width)
+                want = E.eval_expr(e, {}) == 1
+                assert L.normalize(e, {}) == \
+                    (L.TRUE_DNF if want else L.FALSE_DNF), (width, a, op, b)
+
+    def test_every_int8_pair(self):
+        self._agree("int8", [(a, b) for a in range(256) for b in range(256)])
+
+    @pytest.mark.parametrize("width", ["int16", "int32"])
+    def test_sampled_wide_pairs(self, width):
+        rng = random.Random(40)
+        top = E.max_of(width)
+        edges = (0, 1, top - 1, top, top + 1, -1, 2 * top + 2)
+        pairs = [(a, b) for a in edges for b in edges]
+        pairs += [(rng.randint(-top, 2 * top), rng.randint(-top, 2 * top))
+                  for _ in range(3000)]
+        self._agree(width, pairs)
+
+    def test_substituted_constants_compare_at_their_width(self):
+        # a constant reading substitutes -1 for an int8 x, which wraps to
+        # 255: x == 255 holds, and x + 10 wraps to 9
+        env = {"x": "int8"}
+        subst = {"x": L.LinForm.of_const(-1)}
+        for text, want in (("x == 255 && x + 10 < 10", L.TRUE_DNF),
+                           ("x + 10 >= 10", L.FALSE_DNF)):
+            e, _ = E.typecheck(parse(text), env)
+            assert L.normalize(e, env, subst=subst) == want, text
+
+
 _PY_CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
            "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
 

@@ -36,12 +36,13 @@ from certplc import verifier as V
 from certplc.lia.solver import Unsat, decide_sat
 from certplc.linear import LinCon, attach_bounds, clean_cube, normalize
 from certplc.model import canonical_text, parse_model
-from certplc.prooftree import CaseProof, HypEntry, ProofTree
+from certplc.prooftree import CaseProof, Cubes, ProofTree, Split
 
 from conftest import (FIXTURES, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
                       NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
                       benchmark_cases, fixture_names, load_invariants,
-                      load_model, quotient_points, rule_post, strip_widths)
+                      load_model, proof_nodes, quotient_points, rule_post,
+                      strip_widths)
 
 
 def _cases():
@@ -243,7 +244,7 @@ class TestCleanCubes:
                     continue
                 for cube in ob.hyp_cubes:
                     assert _is_clean(cube), (name, rule.label())
-                for dnf in ob.neg_concl:
+                for dnf in ob.splits + ob.neg_concl:
                     for cube in dnf:
                         assert _is_clean(cube), (name, rule.label())
 
@@ -483,8 +484,9 @@ class TestFrameRule:
         ctx = O.DerivationContext(FRAME, f)
         ob = O.build_obligation(ctx, S.Reactivate("U"))
         assert ob.neg_concl == ((), (), ())
-        # a closed case: its hypothesis has cubes, the obligation none
-        assert O.hypothesis(ctx, S.Reactivate("U"))
+        # a closed case: its hypothesis has a root cube, the obligation
+        # none
+        assert O.hypothesis(ctx, S.Reactivate("U"))[0] is not None
         assert ob.hyp_cubes == ()
 
     def test_entail_is_never_framed(self):
@@ -522,9 +524,9 @@ class TestFrameRule:
     def test_unframed_conjunct_needs_its_cubes(self, loop_model):
         """In x_capped_ind's obligations, exec:A_Init writes x, so the
         conjunct ``x <= 10`` has negated-conclusion cubes there; trans:1
-        does not, so it has none, and its entries list witnesses for the
-        other conjuncts only.  Dropping the witnesses of ``x <= 10`` from
-        one exec:A_Init entry is rejected."""
+        does not, so it has none, and its ``cubes`` nodes list witnesses
+        for the other conjuncts only.  Dropping the witnesses of
+        ``x <= 10`` from exec:A_Init's ``cubes`` node is rejected."""
         inv = next(i for i in load_invariants("loop", loop_model)
                    if i.name == "x_capped_ind")
         res = V.verify_invariant(loop_model, inv)
@@ -538,21 +540,27 @@ class TestFrameRule:
         cases = {c.label: c for c in res.tree.cases}
         for label in ("trans:1", "exec:A_Init"):
             cubes = sum(map(len, obs[label].neg_concl))
-            assert all(e.witnesses is None or len(e.witnesses) == cubes
-                       for e in cases[label].hyps)
+            assert all(len(n.witnesses) == cubes
+                       for n in proof_nodes(cases[label].node)
+                       if isinstance(n, Cubes))
         assert C.check(C.emit(loop_model, inv, res.tree)).accepted
-        hyps = list(cases["exec:A_Init"].hyps)
-        i = next(i for i, e in enumerate(hyps) if e.witnesses)
-        hyps[i] = HypEntry(witnesses=hyps[i].witnesses[own:])
+        # exec:A_Init splits on piece 0, its second child on piece 2, whose
+        # first child is the case's one ``cubes`` node
+        top = cases["exec:A_Init"].node
+        inner = top.children[1]
+        leaf = inner.children[0]
+        assert (top.piece, inner.piece) == (0, 2)
+        assert isinstance(leaf, Cubes)
+        inner = Split(2, (Cubes(leaf.witnesses[own:]), *inner.children[1:]))
         tree = ProofTree(tuple(
-            CaseProof(c.label, tuple(hyps)) if c.label == "exec:A_Init"
-            else c for c in res.tree.cases))
+            CaseProof(c.label, Split(0, (top.children[0], inner)))
+            if c.label == "exec:A_Init" else c for c in res.tree.cases))
         data = C.emit(loop_model, inv, tree)
-        assert f"hyp {i} cubes {len(hyps[i].witnesses)}\n" in data.decode()
+        assert f"cubes {len(leaf.witnesses) - own}\n" in data.decode()
         v = C.check(data)
         assert not v.accepted
         assert v.reason == "coverage: negated-conclusion cube count mismatch"
-        assert v.path == ("cases", "exec:A_Init", f"hyp {i}")
+        assert v.path == ("cases", "exec:A_Init", "split 0:1", "split 2:0")
 
 
 class TestConstantReading:

@@ -1,5 +1,6 @@
 import sys
 import time
+from itertools import product
 
 import pytest
 
@@ -11,18 +12,18 @@ from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
 from certplc.lia import solver
-from certplc.lia.solver import Sat, decide_sat
+from certplc.lia.solver import decide_sat
 from certplc.lia.witness import replay_witness
-from certplc.linear import FragmentError, LimitExceeded
 from certplc.model import parse_model
 from certplc.parsing import TokenStream
-from certplc.prooftree import CaseProof, ProofTree
+from certplc.prooftree import Contradiction, Cubes, ProofTree, Split
 from certplc.semantics import reachable_bounded
 
-from conftest import (FANOUT, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
+from conftest import (CAPPED_16, FANOUT, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
                       NONLINEAR_GUARD, OPAQUE, WRAP_BLOWUP, WRAP_BLOWUP_PROP,
-                      decision, fixture_names, load_invariants, load_model,
-                      lockstep, states_of)
+                      benchmark_cases, decision, fixture_names,
+                      load_invariants, load_model, lockstep, proof_nodes,
+                      states_of, step2_clauses)
 
 
 def formula(text, model):
@@ -226,13 +227,13 @@ class TestUndecidedPath:
         if prefix is None:
             return
         # a certificate whose cases before the failing one are proved and
-        # whose later cases are empty
+        # whose later cases are unlisted
         ctx = O.DerivationContext(model, inv.formula)
         rules = list(model.rules)
         at = rules.index(rule)
         cases = [V.discharge(O.build_obligation(ctx, r)) for r in rules[:at]]
-        cases += [CaseProof(r.label(), ()) for r in rules[at:]]
-        v = C.check(C.emit(model, inv, ProofTree(tuple(cases))))
+        v = C.check(C.emit(model, inv, ProofTree(tuple(
+            c for c in cases if c is not None))))
         assert v.reason == f"{prefix}: {res.reason}"
         assert v.path == ("cases", rule.label())
 
@@ -280,7 +281,7 @@ class TestClosedCases:
         inv = P.Invariant("p", formula(prop, model))
         res = V.verify_invariant(model, inv)
         assert isinstance(res, V.Proved)
-        assert all(case.hyps == () for case in res.tree.cases)
+        assert res.tree.cases == ()
         data = C.emit(model, inv, res.tree)
         assert C.check(data).accepted
         assert all(P.holds_on(inv.formula, s)
@@ -297,7 +298,7 @@ class TestDischarge:
             S.Reactivate("Init"))
         assert any(ob.neg_concl)  # the conclusion alone does not close it
         case = V.discharge(ob)
-        assert all(entry.contradiction is not None for entry in case.hyps)
+        assert isinstance(case.node, Contradiction)
 
     @pytest.fixture
     def true_cert(self, loop_model, monkeypatch):
@@ -355,7 +356,7 @@ class TestDischarge:
         assert res.assignment == assignment
 
     def test_conjunction_splits_into_leaves(self, loop_model):
-        """An entry lists one witness per joint cube, over every conjunct
+        """A node lists one witness per joint cube, over every conjunct
         that has negated-conclusion cubes, in one flat list."""
         inv = load_invariants("loop", loop_model)[1]  # the strengthened one
         res = V.verify_invariant(loop_model, inv)
@@ -366,26 +367,38 @@ class TestDischarge:
                                 rule)
         assert len(ob.neg_concl) == 4  # one DNF per conjunct
         assert sum(map(bool, ob.neg_concl)) == 2
-        entry = case.hyps[0]
-        assert entry.witnesses is not None
-        assert len(entry.witnesses) == sum(map(len, ob.neg_concl))
+        assert isinstance(case.node, Cubes)
+        assert len(case.node.witnesses) == sum(map(len, ob.neg_concl))
 
 
-def _decided_cases(model, inv):
-    """(hypothesis cube, its decision, joint cubes) of every derivable
-    rule instance that discharge decides: not one whose negated-conclusion
-    DNFs are all empty."""
-    ctx = O.DerivationContext(model, inv.formula)
-    for rule in model.rules:
-        try:
-            ob = O.build_obligation(ctx, rule)
-        except (FragmentError, LimitExceeded):
-            continue
-        if not any(ob.neg_concl):
-            continue
-        for hyp in ob.hyp_cubes:
-            yield hyp, decide_sat(hyp), list(O.joint_cubes(hyp,
-                                                           ob.neg_concl))
+def _decisions(model, inv):
+    """(cube, after) of each decide_sat call that verify_invariant makes:
+    a root cube from scratch, a split child after its parent's decision,
+    a joint cube after its node's."""
+    calls, real = [], V.decide_sat
+
+    def recorded(cube, *, after=None):
+        calls.append((cube, after))
+        return real(cube, after=after)
+
+    V.decide_sat = recorded
+    try:
+        V.verify_invariant(model, inv)
+    finally:
+        V.decide_sat = real
+    return calls
+
+
+def _node_cubes(ob, node):
+    """(node, its cube) of each node of a case's proof."""
+    todo = [(node, ob.hyp_cubes[0])]
+    while todo:
+        node, cube = todo.pop()
+        yield node, cube
+        if isinstance(node, Split):
+            todo.extend((child, O.refine(cube, piece_cube)) for child,
+                        piece_cube in zip(node.children,
+                                          ob.splits[node.piece]))
 
 
 def _charts():
@@ -410,19 +423,17 @@ def _parity_charts():
 
 
 class TestJointCubeReplay:
-    """discharge decides each joint cube by extending its hypothesis
-    cube's simplification instead of redoing it; on these charts that
-    gives the from-scratch decision, witnesses included, so their
-    certificates do not depend on the shortcut."""
+    """discharge decides each split child and joint cube by extending its
+    parent's or node's simplification instead of redoing it; on these
+    charts that gives the from-scratch decision, witnesses included, so
+    their certificates do not depend on the shortcut."""
 
     @pytest.mark.parametrize("chart", list(_charts()), ids=lambda c: c[0])
     def test_every_joint_cube_decides_as_from_scratch(self, chart):
         _, model, inv = chart
-        for hyp, res, joints in _decided_cases(model, inv):
-            if not isinstance(res, Sat):
-                continue
-            for joint in joints:
-                assert decision(joint, after=res) == decision(joint)
+        for cube, after in _decisions(model, inv):
+            if after is not None:
+                assert decision(cube, after=after) == decision(cube)
 
     @pytest.mark.parametrize("chart", list(_charts()), ids=lambda c: c[0])
     def test_replayed_witness_is_the_decided_one(self, chart):
@@ -434,16 +445,20 @@ class TestJointCubeReplay:
         if not isinstance(res, V.Proved):
             return
         ctx = O.DerivationContext(model, inv.formula)
-        listed = {c.label: c.hyps for c in res.tree.cases}
+        listed = {c.label: c.node for c in res.tree.cases}
         for rule in O.proof_cases(model, None):
             ob = O.build_obligation(ctx, rule)
-            for hyp, entry in zip(ob.hyp_cubes, listed.get(rule.label(), ()),
-                                  strict=True):
-                if entry.contradiction is not None:
-                    pairs = [(hyp, entry.contradiction)]
+            assert (rule.label() in listed) == bool(ob.hyp_cubes)
+            if not ob.hyp_cubes:
+                continue
+            for node, cube in _node_cubes(ob, listed[rule.label()]):
+                if isinstance(node, Contradiction):
+                    pairs = [(cube, node.witness)]
+                elif isinstance(node, Cubes):
+                    pairs = zip(O.joint_cubes(cube, ob.neg_concl),
+                                node.witnesses, strict=True)
                 else:
-                    pairs = zip(O.joint_cubes(hyp, ob.neg_concl),
-                                entry.witnesses, strict=True)
+                    continue
                 for cube, witness in pairs:
                     assert decide_sat(cube).witness == witness
                     assert replay_witness(cube, witness)
@@ -461,28 +476,26 @@ class TestJointCubeReplay:
 
     def test_only_hypotheses_and_equality_joins_run_from_scratch(
             self, monkeypatch):
-        """Every hypothesis cube is decided from scratch; a joint cube is
-        decided by extending its hypothesis's simplification, or from
-        scratch when its extra members hold an equality."""
+        """Every root cube is decided from scratch; a split child or a
+        joint cube is decided by extending its parent's or node's
+        simplification, or from scratch when its extra members hold an
+        equality."""
         model, rel = lockstep("int8", 5)
         lag = P.parse_properties("invariant lag : always (y != 5 * x + 1);",
                                  model)[0]
         counts = []
         for inv in (rel, lag):
-            hyps = joints = full_joints = 0
-            for hyp, res, cubes in _decided_cases(model, inv):
-                hyps += 1
-                if not isinstance(res, Sat):
-                    continue
-                joints += len(cubes)
-                full_joints += sum(any(con.rel == "=="
-                                       for con in joint[len(hyp):])
-                                   for joint in cubes)
-            counts.append((hyps, joints, full_joints))
-        # rel: one hypothesis cube, 5 * x wrapped by a quotient variable,
-        # joined with the < and > halves of y != 5 * x; lag: the < and >
-        # halves of y != 5 * x + 1, each joined with y == 5 * x + 1
-        assert counts == [(1, 2, 0), (2, 2, 2)]
+            calls = _decisions(model, inv)
+            extending = sum(after is not None and not any(
+                con.rel == "==" for con in cube[len(after.base.cube):])
+                for cube, after in calls)
+            counts.append((len(calls) - extending, extending))
+        # rel: one root cube, 5 * x wrapped by a quotient variable, joined
+        # with the < and > halves of y != 5 * x; lag: the root joined with
+        # y == 5 * x + 1, which an assignment satisfies that falsifies the
+        # piece y != 5 * x + 1, so the root splits on its < and > halves,
+        # each joined with y == 5 * x + 1
+        assert counts == [(1, 2), (4, 2)]
         # a decision from scratch extends the empty base
         calls = {"decide_sat": 0, "extended": 0}
         decide, extend = V.decide_sat, solver._extend
@@ -497,12 +510,11 @@ class TestJointCubeReplay:
 
         monkeypatch.setattr(V, "decide_sat", counted_decide)
         monkeypatch.setattr(solver, "_extend", counted_extend)
-        for inv, (hyps, joints, full_joints) in zip((rel, lag), counts):
+        for inv, (scratch, extending) in zip((rel, lag), counts):
             calls.update(decide_sat=0, extended=0)
             assert isinstance(V.verify_invariant(model, inv), V.Proved)
-            assert calls["extended"] == joints - full_joints
-            assert calls["decide_sat"] - calls["extended"] == \
-                hyps + full_joints
+            assert calls["extended"] == extending
+            assert calls["decide_sat"] - calls["extended"] == scratch
 
 
 class TestVerifyInvariant:
@@ -752,3 +764,106 @@ class TestTreeShape:
         assert labels == [r.label() for r in loop_model.rules
                           if O.build_obligation(ctx, r).hyp_cubes]
         assert len(labels) < res.obligations == len(loop_model.rules)
+
+
+def _eager_product(ctx, rule):
+    """Each cube of the product of a case's hypothesis pieces, as a member
+    set, bounds attached: the hypothesis cubes that the proof's leaves
+    must cover, built here from the derivation context's pieces, in the
+    order the ``obligations`` docstring gives."""
+    if rule is O.ENTAIL:
+        pieces = list(ctx.pre_pieces())
+    else:
+        shape = ctx.model.rules[rule]
+        pieces = [ctx.activity(rule), *map(ctx.normalized, shape.guards),
+                  *(ctx.normalized(g, negate=True) for g in shape.blocked),
+                  *ctx.pre_pieces()]
+        if ctx.summary(rule) is not None:
+            pieces.append(ctx.definitions(rule))
+    for choice in product(*pieces):
+        members = dict.fromkeys(m for cube in choice for m in cube)
+        yield set(L.attach_bounds(tuple(members), ctx.env))
+
+
+def _proved_claims_at_seed_1():
+    """The fixture and lockstep claims and the ring, arith and fanout
+    claims at seed 1."""
+    yield from _charts()
+    for mc in benchmark_cases((1,)):
+        model = parse_model(mc.text)
+        for inv in P.parse_properties(mc.props_text(), model):
+            yield f"{mc.name}/{inv.name}", model, inv
+
+
+class TestLazySplitting:
+    """A case decides its root cube and splits on a disjunctive piece only
+    where a satisfiable joint cube needs it, choosing the first piece that
+    the joint assignment falsifies."""
+
+    def _claim(self, text):
+        model = load_model("loop")
+        inv = P.Invariant("c", formula(text, model))
+        return model, inv, V.verify_invariant(model, inv)
+
+    def test_twelve_clauses_are_refuted_not_undecided(self):
+        # the product of its pieces has 2**12 cubes, past the cap
+        _, _, res = self._claim("x <= 10 && " + step2_clauses(9, 20))
+        assert isinstance(res, V.Refuted)
+        assert res.rule == S.ExecuteAction("A_Init")
+        assert res.assignment == {"x": 10, "step:Step2": 0, "post:x": 11,
+                                  "act:A_Init": 1}
+
+    def test_falsified_piece_keeps_the_proof_small(self):
+        """x_capped_ind after 16 clauses that it implies: a split on the
+        first open piece, not on a falsified one, would take 131,114
+        nodes; the falsified piece takes at most 10 in every case."""
+        model, inv, res = self._claim(CAPPED_16)
+        assert isinstance(res, V.Proved)
+        sizes = {c.label: len(list(proof_nodes(c.node)))
+                 for c in res.tree.cases}
+        assert max(sizes.values()) <= 10, sizes
+        assert C.check(C.emit(model, inv, res.tree)).accepted
+
+    def test_nodes_past_the_cap_are_undecided(self, monkeypatch):
+        # the twelve clauses' refutation is found at the 13th node
+        monkeypatch.setattr(L, "CAP", 12)
+        _, _, res = self._claim("x <= 10 && " + step2_clauses(9, 20))
+        assert isinstance(res, V.Undecided)
+        assert res.reason == "exec:A_Init: 13 proof nodes exceed cap 12"
+
+    def test_leaves_cover_the_eager_product(self):
+        """Every cube of the product of a case's pieces, joined with each
+        negated-conclusion cube, holds as members the cube of some leaf
+        that refutes that join: a contradiction leaf, or a ``cubes`` leaf
+        whose witness for that conclusion cube replays."""
+        covered = split = 0
+        for name, model, inv in _proved_claims_at_seed_1():
+            res = V.verify_invariant(model, inv)
+            if not isinstance(res, V.Proved):
+                continue
+            ctx = O.DerivationContext(model, inv.formula)
+            nodes = {c.label: c.node for c in res.tree.cases}
+            for rule in O.proof_cases(model, None):
+                ob = O.build_obligation(ctx, rule)
+                goals = [g for dnf in ob.neg_concl for g in dnf]
+                leaves = []  # (members, the goal indices refuted)
+                for node, cube in (_node_cubes(ob, nodes[rule.label()])
+                                   if ob.hyp_cubes else ()):
+                    if isinstance(node, Contradiction):
+                        assert replay_witness(cube, node.witness)
+                        leaves.append((set(cube), range(len(goals))))
+                    elif isinstance(node, Cubes):
+                        joints = O.joint_cubes(cube, ob.neg_concl)
+                        leaves.append((set(cube), {
+                            k for k, (w, joint) in enumerate(zip(
+                                node.witnesses, joints))
+                            if replay_witness(joint, w)}))
+                for full in _eager_product(ctx, rule):
+                    for k in range(len(goals)):
+                        assert any(members <= full and k in refuted
+                                   for members, refuted in leaves), \
+                            (name, rule.label(), k)
+                        covered += 1
+                split += len(ob.splits) > 0
+        # 447 joins; 92 cases with a split piece
+        assert covered > 400 and split > 90, (covered, split)
