@@ -2,7 +2,7 @@
 
 Layout (UTF-8 text, LF line endings):
 
-    CERTPLC/6
+    CERTPLC/7
     digest: <64 hex digits of the embedded model's canonical text>
     --- model
     <canonical model text>

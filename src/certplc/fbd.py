@@ -400,19 +400,12 @@ def parse_fbd(ts: TokenStream, name: str) -> Fbd:
             if time_slice is not None:
                 ts.error("duplicate timeslice")
             ts.next()
-            at_slice = ts.pos
             time_slice = ts.integer()
-            if not 1 <= time_slice <= MAX_TIME_SLICE:
-                ts.error(f"time slice must be positive and at most "
-                         f"{MAX_TIME_SLICE}", at_slice)
             continue
         ts.expect("block")
         bid = ts.ident()
         ts.expect("=")
-        at_kind = ts.pos
         kind = ts.ident()
-        if kind not in PORTS:
-            ts.error(f"unknown block kind {kind!r}", at_kind)
         if kind == "read":
             blocks.append(Block(bid, kind, var=ts.ident()))
         elif kind == "write":
@@ -429,8 +422,6 @@ def parse_fbd(ts: TokenStream, name: str) -> Fbd:
             while ts.accept(","):
                 ops.append(_parse_operand(ts))
             ts.expect(")")
-            if len(ops) != len(PORTS[kind]):
-                ts.error(f"{kind} takes {len(PORTS[kind])} inputs", at_kind)
             blocks.append(Block(bid, kind, inputs=tuple(ops)))
     return Fbd(name, tuple(blocks),
                time_slice if time_slice is not None else 1)

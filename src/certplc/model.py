@@ -345,31 +345,22 @@ def parse_model(text: str) -> SfcModel:
     ts = TokenStream(text)
     vars_, steps, initial = [], [], []
     actions, transitions, fbds = [], [], []
-    hosts = []  # the token index of each action's step
 
     while ts.peek():
         if ts.accept("var"):
             name = ts.ident()
             ts.expect(":")
-            at_ty = ts.pos
             ty = ts.ident()
-            if ty not in E.TYPES:
-                ts.error(f"unknown type {ty!r}", at_ty)
             init = None
+            # the literal's kind: a bool reads true or false, any other
+            # type a number; the constructor checks its range
             if ts.accept("="):
-                at_init = ts.pos
-                if ts.accept("true"):
-                    init = 1
-                elif ts.accept("false"):
-                    init = 0
-                else:
+                if ty != "bool":
                     init = ts.integer()
-                if ty == "bool" and init not in (0, 1):
-                    ts.error("boolean initializer must be true or false",
-                             at_init)
-                if init > E.max_of(ty):
-                    ts.error(f"initializer {init} out of range for {ty}",
-                             at_init)
+                elif ts.peek() in ("true", "false"):
+                    init = int(ts.next() == "true")
+                else:
+                    ts.error("boolean initializer must be true or false")
             vars_.append(VarDecl(name, ty, init))
         elif ts.accept("step"):
             name = ts.ident()
@@ -381,7 +372,6 @@ def parse_model(text: str) -> SfcModel:
         elif ts.accept("action"):
             aid = ts.ident()
             ts.expect("on")
-            hosts.append(ts.pos)
             host = ts.ident()
             if ts.accept("="):
                 ts.expect("fbd")
@@ -414,12 +404,6 @@ def parse_model(text: str) -> SfcModel:
             fbds.append(F.parse_fbd(ts, name))
         else:
             ts.expected("declaration")
-
-    declared = set(steps)
-    for at_host, a in zip(hosts, actions):
-        if a.step not in declared:
-            ts.error(f"action attached to unknown step {a.step!r}", at_host)
-
     return SfcModel(vars_, steps, initial, actions, transitions, fbds)
 
 

@@ -393,22 +393,18 @@ def build_obligation(ctx: DerivationContext,
 
 
 def refine(cube: Cube, piece_cube: Cube) -> Cube:
-    """A split child's cube: *cube* followed by the members of the chosen
-    piece cube that it lacks.  It extends *cube*, and with both bounded it
-    equals ``attach_bounds`` of *cube* followed by the piece cube's members
-    before their bounds."""
-    have = set(cube)
-    return cube + tuple([c for c in piece_cube if c not in have])
+    """A split child's cube: the ``conjoin`` of *cube* and the chosen piece
+    cube.  It extends *cube*, and with both bounded it equals
+    ``attach_bounds`` of *cube* followed by the piece cube's members before
+    their bounds."""
+    return conjoin(((cube,), (piece_cube,)))[0]
 
 
 def joint_cubes(hyp_cube: Cube, neg_concl: tuple[Dnf, ...]):
     """A proof node's cube joined with each negated-conclusion cube, in
     conjunct order and then cube order: the joins the verifier refutes and
-    the checker replays witnesses against, each equal to its cube of
-    ``conjoin(((hyp_cube,), neg_dnf))``.  Lazy, and no join overflows: each
-    DNF is within the cap.
+    the checker replays witnesses against.  Lazy by conjunct, and no join
+    overflows: each DNF is within the cap.
     """
-    have = set(hyp_cube)
     for neg_dnf in neg_concl:
-        for cb in neg_dnf:
-            yield hyp_cube + tuple([c for c in cb if c not in have])
+        yield from conjoin(((hyp_cube,), neg_dnf))

@@ -68,8 +68,8 @@ class TestParse:
                        "action A on S = fbd F\nfbd F {\n  timeslice 1025\n}\n")
         assert main(["parse", str(bad)]) == 2
         assert capsys.readouterr().err == (
-            "parse error: line 5, col 13: time slice must be positive and "
-            "at most 1024\n")
+            "parse error: fbd 'F': time slice must be positive and at most "
+            "1024\n")
 
     def test_width_changing_assignment_exits_2(self, tmp_path):
         bad = tmp_path / "mixed.sfc"

@@ -162,18 +162,19 @@ class TestIterative:
         assert F.eval_iterative(program(COUNTER), dict(out=40))["out"] == 3
 
     def test_time_slice_zero_rejected_at_parse(self):
-        with pytest.raises(Exception, match="positive"):
-            parse("{ block r = read x\n timeslice 0 }")
+        with pytest.raises(ParseError, match="fbd 'F': time slice must be "
+                                             "positive"):
+            parse_model("var x : int16\nstep S [initial]\n"
+                        "action A on S = fbd F\n"
+                        "fbd F { block r = read x\n timeslice 0 }\n")
 
     def test_time_slice_bound(self):
         body = "{ block r = read x\n timeslice %d }"
-        assert parse(body % F.MAX_TIME_SLICE).time_slice == F.MAX_TIME_SLICE
-        with pytest.raises(ParseError, match="at most 1024") as err:
-            parse(body % (F.MAX_TIME_SLICE + 1))
-        assert (err.value.line, err.value.col) == (2, 12)
-        f = F.Fbd("f", (), F.MAX_TIME_SLICE + 1)
+        at_bound = parse(body % F.MAX_TIME_SLICE)
+        assert at_bound.time_slice == F.MAX_TIME_SLICE
+        F.validate_fbd(at_bound, ENV16)
         with pytest.raises(F.FbdError, match="at most 1024"):
-            F.validate_fbd(f, {})
+            F.validate_fbd(parse(body % (F.MAX_TIME_SLICE + 1)), ENV16)
 
     def test_second_time_slice_rejected(self):
         with pytest.raises(ParseError, match="duplicate timeslice") as err:
@@ -260,8 +261,8 @@ class TestSurface:
         assert again == f
 
     def test_unknown_kind(self):
-        with pytest.raises(Exception, match="unknown block kind"):
-            parse("{ block b = frobnicate(a.out) }")
+        with pytest.raises(F.FbdError, match="unknown block kind"):
+            F.validate_fbd(parse("{ block b = frobnicate(a.out) }"), {})
 
 
 _ENV = {"p": "bool", "x": "int8", "y": "int16", "z": "int32"}

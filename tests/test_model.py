@@ -74,11 +74,10 @@ class TestParse:
                         + "action A on Only = fbd F\n" + fbds)
         assert str(err.value) == "; ".join(problems)
 
-    def test_action_on_unknown_step_carries_position(self):
-        with pytest.raises(ParseError, match="unknown step 'Ghost'") as err:
+    def test_action_on_unknown_step_names_the_action(self):
+        with pytest.raises(ParseError) as err:
             parse_model(MINIMAL + "action A on Ghost { }\n")
-        assert err.value.line == 2
-        assert err.value.col == 13
+        assert str(err.value) == "action 'A' attached to unknown step 'Ghost'"
 
     def test_many_actions_on_the_last_step(self):
         """20000 steps and 20000 actions, all on the last step: finding
@@ -226,6 +225,9 @@ PROBLEMS = [
      "variable 'z' has unknown type 'int7'"),
     ("initializer-range", _with(vars=_plus(VarDecl("z", "int8", 256))),
      "initializer of 'z' out of range"),
+    # no text builds it: a bool's initializer reads true or false
+    ("boolean-initializer-range", _with(vars=_plus(VarDecl("z", "bool", 2))),
+     "initializer of 'z' out of range"),
     ("bad-step-name", _with(steps=_plus("1b")), "bad step name '1b'"),
     ("duplicate-step", _with(steps=_plus("T")), "duplicate step 'T'"),
     ("empty-initial", _with(initial=()), "empty initial step set"),
@@ -338,6 +340,51 @@ PROBLEMS = [
 ]
 
 
+BASE_TEXT = canonical_text(SfcModel(**BASE))
+
+
+def _edit(*pairs):
+    """BASE's text with each (old, new) pair replaced."""
+    text = BASE_TEXT
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def _block(block):
+    """For ``_with``: BASE's diagram with *block* added."""
+    return (replace(_F, blocks=_F.blocks + (block,)),)
+
+
+_Z7 = ("var b : bool\n", "var b : bool\nvar z : int7\n")
+_ON_G = ("step T\n", "step T\naction E on G { }\n")
+
+# Each chart rule the parser once checked too, as BASE's text edited and
+# as BASE edited in code, and a chart with two problems.  A bool
+# initializer out of range has no text: there the parser reads only true
+# or false (test_parse_errors).
+AS_TEXT = [
+    ("unknown-type", _edit(_Z7), _with(vars=_plus(VarDecl("z", "int7")))),
+    ("initializer-range",
+     _edit(("var b : bool\n", "var b : bool\nvar z : int8 = 256\n")),
+     _with(vars=_plus(VarDecl("z", "int8", 256)))),
+    ("action-unknown-step", _edit(_ON_G),
+     _with(actions=_plus(ActionBlock("E", "G", ())))),
+    ("time-slice-range", _edit(("timeslice 1", "timeslice 0")),
+     _with(fbds=(replace(_F, time_slice=0),))),
+    ("unknown-block-kind",
+     _edit(("  timeslice", "  block s = fetch(r.out)\n  timeslice")),
+     _with(fbds=_block(F.Block("s", "fetch", (F.PortRef("r"),))))),
+    ("block-arity",
+     _edit(("  timeslice", "  block s = add(r.out)\n  timeslice")),
+     _with(fbds=_block(F.Block("s", "add", (F.PortRef("r"),))))),
+    ("two-problems", _edit(_Z7, _ON_G),
+     _with(vars=_plus(VarDecl("z", "int7")),
+           actions=_plus(ActionBlock("E", "G", ())))),
+]
+
+
 class TestValidate:
     """A model is checked where it is built: the constructor raises
     ParseError naming every problem, however the model is built."""
@@ -432,6 +479,18 @@ class TestValidate:
             SfcModel(**chart)
         assert str(err.value) == message
         assert (err.value.line, err.value.col) == (None, None)
+
+    @pytest.mark.parametrize("text, chart", [c[1:] for c in AS_TEXT],
+                             ids=[c[0] for c in AS_TEXT])
+    def test_parsing_and_building_give_one_message(self, text, chart):
+        """A chart rule has one implementation, the constructor's: the
+        chart as text and the same chart built in code fail alike."""
+        with pytest.raises(ParseError) as parsed:
+            parse_model(text)
+        with pytest.raises(ParseError) as built:
+            SfcModel(**chart)
+        assert str(parsed.value) == str(built.value)
+        assert (parsed.value.line, parsed.value.col) == (None, None)
 
     def test_every_problem_is_named_in_order(self):
         chart = _with(steps=_plus("T"), initial=(),

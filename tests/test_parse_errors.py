@@ -1,10 +1,14 @@
 """Every ParseError site reached through the three text parsers, pinned.
 
 Each row names the parser, the text, and the error's full message with its
-line and column.  Sites that report a token read earlier (a variable's type
-or initializer, an action's host step, a port name, a time slice, a block
-kind, an invariant name) are included, so a change to how positions are
-found shows here first.
+line and column, or with no position where the chart's constructor finds
+the problem.  Sites that report a token read earlier (a port name, a
+duplicate time slice, an invariant name) are included, so a change to how
+positions are found shows here first.  The parser checks what the text
+alone shows: syntax, the kind of an initializer's literal, a second
+`timeslice` and the port name; a type, an initializer's range, an action's
+host step, a time slice's range, a block's kind and its input count are
+the constructor's, named without a position.
 """
 
 import pytest
@@ -45,26 +49,35 @@ CASES = [
     ("non-ascii-digit", parse_model, S + "var x : int8 = 1²", 2, 17,
      "unexpected character '²'"),
     # tokens read earlier
-    ("unknown-type", parse_model, S + "var x :\n  int7 = 3", 3, 3,
-     "unknown type 'int7'"),
     ("boolean-initializer", parse_model, S + "var b : bool =\n 2", 3, 2,
      "boolean initializer must be true or false"),
-    ("out-of-range-initializer", parse_model, "var x : int8 = 256\n" + S,
-     1, 16, "initializer 256 out of range for int8"),
-    ("unknown-host-step", parse_model,
-     S + "action A on S { }\naction B on\n  Ghost { }\nstep T", 4, 3,
-     "action attached to unknown step 'Ghost'"),
+    # an initializer's literal of the other kind: `true` read as 1 and `1`
+    # as true
+    ("boolean-literal-initializer", parse_model, "var x : int8 = true\n" + S,
+     1, 16, "expected number, found 'true'"),
+    ("number-literal-initializer", parse_model, "var b : bool = 1\n" + S,
+     1, 16, "boolean initializer must be true or false"),
     ("port-out", parse_model, FBD + "block r = read x\n"
      "block w = write x (r.value)\n}", 6, 22,
      "expected port 'out', found 'value'"),
-    ("timeslice-range", parse_model, FBD + "timeslice\n  0\n}", 6, 3,
-     "time slice must be positive and at most 1024"),
     ("duplicate-timeslice", parse_model, FBD + "timeslice 2\n timeslice 3\n}",
      6, 2, "duplicate timeslice"),
-    ("unknown-block-kind", parse_model, FBD + "block r =\n  fetch x\n}", 6, 3,
-     "unknown block kind 'fetch'"),
+    # the constructor's, without a position
+    ("unknown-type", parse_model, S + "var x :\n  int7 = 3", None, None,
+     "variable 'x' has unknown type 'int7'"),
+    ("out-of-range-initializer", parse_model, "var x : int8 = 256\n" + S,
+     None, None, "initializer of 'x' out of range"),
+    ("unknown-host-step", parse_model,
+     S + "action A on S { }\naction B on\n  Ghost { }\nstep T", None, None,
+     "action 'B' attached to unknown step 'Ghost'"),
+    ("timeslice-range", parse_model, FBD + "timeslice\n  0\n}", None, None,
+     "fbd 'F': time slice must be positive and at most 1024"),
+    ("unknown-block-kind", parse_model, FBD + "block r = read x\n"
+     "block s =\n  fetch(r.out)\n}", None, None,
+     "fbd 'F': unknown block kind 'fetch'"),
     ("block-arity", parse_model, FBD + "block r = read x\n"
-     "block s = add(r.out)\n}", 6, 11, "add takes 2 inputs"),
+     "block s = add(r.out)\n}", None, None,
+     "fbd 'F': block 's': add takes 2 inputs"),
     ("expected-constant", parse_model, FBD + "block k = const x\n}", 5, 17,
      "expected constant literal"),
     # expressions
@@ -94,7 +107,8 @@ def test_message_and_position(parse, text, line, col, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.line, err.value.col) == (line, col)
-    assert str(err.value) == f"line {line}, col {col}: {message}"
+    at = "" if line is None else f"line {line}, col {col}: "
+    assert str(err.value) == at + message
 
 
 @pytest.mark.parametrize("parse, text, message", [
