@@ -148,8 +148,15 @@ class SfcModel:
                 out.append(f"duplicate {kind} {name!r}")
             seen.add(name)
 
+        # a variable of unknown type is named once, at its declaration:
+        # nothing that uses it is typed
+        untyped = set()
+
         def typed(e):
-            """*e* annotated and its type, or as it was and its ExprError."""
+            """*e* annotated and its type, or as it was and its ExprError,
+            or as it was and None when it reads an untyped variable."""
+            if untyped and not untyped.isdisjoint(E.vars_of(e)):
+                return e, None
             try:
                 return E.typecheck(e, env)
             except E.ExprError as err:
@@ -159,6 +166,7 @@ class SfcModel:
         for v in self.vars:
             declare("variable", v.name, var_names)
             if v.ty not in E.TYPES:
+                untyped.add(v.name)
                 out.append(f"variable {v.name!r} has unknown type {v.ty!r}")
             elif v.init is not None and not 0 <= v.init <= E.max_of(v.ty):
                 out.append(f"initializer of {v.name!r} out of range")
@@ -173,6 +181,8 @@ class SfcModel:
                 out.append(f"initial step {s!r} not declared")
         for f in self.fbds:
             declare("fbd", f.name, fbds)
+            if untyped and not untyped.isdisjoint(b.var for b in f.blocks):
+                continue
             try:
                 F.validate_fbd(f, env)
             except F.FbdError as err:
@@ -199,6 +209,8 @@ class SfcModel:
                 if ty is None:
                     out.append(f"action {a.id!r} assigns undeclared "
                                f"variable {name!r}")
+                elif et is None or name in untyped:
+                    continue
                 elif isinstance(et, E.ExprError):
                     out.append(f"action {a.id!r}: {et}")
                 elif (ty == "bool") != (et == "bool"):
@@ -231,7 +243,7 @@ class SfcModel:
             guard, gt = typed(t.guard)
             if isinstance(gt, E.ExprError):
                 out.append(f"transition {i}: {gt}")
-            elif gt != "bool":
+            elif gt not in ("bool", None):
                 out.append(f"transition {i}: guard is not boolean")
             transitions.append(
                 Transition(t.sources, guard, t.targets, t.priority))

@@ -12,9 +12,23 @@ runs once per distinct input; the memo is dropped on return.  ``apply_rule``
 runs one rule instance, and ``apply_effect`` one action's assignment list,
 the concrete counterpart of ``obligations.effect_summary``.
 
+A rule has a control half and a memory half.  The control half
+(``_control``: pending, active and idle checks; ``_lists``: the successor's
+active step and pending lists) reads only the control part, the pair
+(active steps, pending actions).  The memory half (``_memory``: guards,
+blocked guards and the action's effect) reads only memory.  So which rows
+a control part enables, and the lists each one yields, are the same for
+every memory, and ``successors`` decides them once per control part of an
+exploration: the shared memo also maps each control part to its rows
+(``_enabled``), and each configuration runs only the memory half of those.
+A part's entry is its rows on the first visit, which build their lists as
+they fire; a second visit replaces it with (row, lists) pairs.  Most parts
+of a chart whose pending list piles up are visited once, and keeping their
+lists would only cost memory.  ``apply_rule`` runs both halves directly.
+
 ``successors`` is the one enumeration path, and it tries only what can
 fire: the rule table lists each transition under its first source step,
-and a configuration tries the transitions listed under its active steps,
+and a control part tries the transitions listed under its active steps,
 in declaration order (a transition fires only when all its sources are
 active).  ``reachable_bounded`` dedups on (memory values, active steps,
 sorted pending actions), which is ``SfcState.key`` without sorting memory.
@@ -32,7 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, count
+from itertools import count
 from operator import attrgetter, itemgetter
 from typing import Callable
 
@@ -188,11 +202,10 @@ def rule_table(model: SfcModel) -> RuleTable:
     return table
 
 
-def _fire(row: Row, c: SfcState, memo: dict) -> SfcState | str:
-    """Successor of *c* under *row*'s rule, or why the rule is not enabled
-    in *c*."""
-    r = row.shape
-    mem, steps, acts = c
+def _control(r: RuleShape, steps: tuple, acts: tuple) -> str | None:
+    """Why rule shape *r* cannot fire with active steps *steps* and pending
+    actions *acts*, or None: the control half of a rule, which reads no
+    memory."""
     for a in r.pending:
         if a not in acts:
             return f"action {a!r} is not pending"
@@ -202,45 +215,57 @@ def _fire(row: Row, c: SfcState, memo: dict) -> SfcState | str:
     for a in r.idle:
         if a in acts:
             return f"action {a!r} still pending"
-    for g in row.guards:
-        if not g.value(mem, memo):
-            return "guard is false"
-    for g in row.blocked:
-        if g.value(mem, memo):
-            return "an outgoing transition is enabled"
-    if row.action is not None:
-        mem = {**mem, **row.action.value(mem, memo)}
+    return None
+
+
+def _lists(r: RuleShape, steps: tuple, acts: tuple) -> tuple:
+    """The successor's (active steps, pending actions) under *r*."""
     # an unchanged list is shared with the predecessor, not copied
     # (concatenating an empty tuple returns the other operand)
     if r.steps_off:
         steps = tuple([s for s in steps if s not in r.steps_off])
     if r.acts_off:
         acts = tuple([a for a in acts if a not in r.acts_off])
-    return _state(SfcState, (mem, steps + r.steps_on, r.acts_on + acts))
+    return steps + r.steps_on, r.acts_on + acts
+
+
+def _memory(row: Row, mem: E.Memory, memo: dict) -> E.Memory | str:
+    """The successor's memory under *row*'s rule, or why a guard stops it:
+    the memory half of a rule."""
+    for g in row.guards:
+        if not g.value(mem, memo):
+            return "guard is false"
+    for g in row.blocked:
+        if g.value(mem, memo):
+            return "an outgoing transition is enabled"
+    if row.action is None:
+        return mem
+    return {**mem, **row.action.value(mem, memo)}
 
 
 def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
     """Successor of *c* under *rule*, as its ``RuleShape`` describes;
     raises NotApplicable when the rule is not enabled in *c*."""
-    out = _fire(rule_table(model).rows[rule], c, {})
-    if isinstance(out, str):
-        raise NotApplicable(out)
-    return out
+    row = rule_table(model).rows[rule]
+    mem, steps, acts = c
+    why = _control(row.shape, steps, acts)
+    if why is None:
+        mem = _memory(row, mem, {})
+        if not isinstance(mem, str):
+            return _state(SfcState, (mem,) + _lists(row.shape, steps, acts))
+        why = mem
+    raise NotApplicable(why)
 
 
-def successors(model: SfcModel, c: SfcState, memo: dict | None = None):
-    """Enabled (rule, successor) pairs in enumeration order: execute
-    instances of pending actions (first occurrence order), transitions in
-    declaration order, and reactivations of active steps.
+def _enabled(t: RuleTable, steps: tuple, acts: tuple) -> tuple[Row, ...]:
+    """The rows that control part (*steps*, *acts*) enables, in enumeration
+    order: execute rows of pending actions (first occurrence order), the
+    transitions listed under active steps that pass ``_control``, and
+    reactivations of active steps.
 
-    Only the transitions whose first source step is active are tried: the
-    others cannot fire.  *memo* holds ``Evaluator`` results; calls within
-    one exploration share it, and a fresh one is used when it is None.
+    An execute row asks only that its action be pending, and a
+    reactivation only that its step be active, so neither needs a check.
     """
-    t = rule_table(model)
-    if memo is None:
-        memo = {}
-    steps = c.active_steps
     if len(steps) == 1:
         transitions = t.leaving.get(steps[0], ())
     else:
@@ -248,14 +273,49 @@ def successors(model: SfcModel, c: SfcState, memo: dict | None = None):
         transitions = sorted({row for s in steps
                               for row in t.leaving.get(s, ())},
                              key=attrgetter("rule.index"))
+    # one pending action is its own first occurrence
+    rows = list(map(t.execute.__getitem__,
+                    acts if len(acts) < 2 else dict.fromkeys(acts)))
+    for row in transitions:
+        if _control(row.shape, steps, acts) is None:
+            rows.append(row)
+    rows.extend(map(t.reactivate.__getitem__, steps))
+    return tuple(rows)
+
+
+def successors(model: SfcModel, c: SfcState, memo: dict | None = None):
+    """Enabled (rule, successor) pairs in enumeration order: execute
+    instances of pending actions (first occurrence order), transitions in
+    declaration order, and reactivations of active steps.
+
+    *memo* holds ``Evaluator`` results, keyed by ``(id, values read)``,
+    and each control part's entry, keyed by ``(active steps, pending
+    actions)``; calls within one exploration share it, and a fresh one is
+    used when it is None.
+    """
+    if memo is None:
+        memo = {}
+    mem, steps, acts = c
+    part = c[1:]
     out = []
-    for row in chain(map(t.execute.__getitem__,
-                         dict.fromkeys(c.active_actions)),
-                     transitions,
-                     map(t.reactivate.__getitem__, steps)):
-        c2 = _fire(row, c, memo)
-        if not isinstance(c2, str):
-            out.append((row.rule, c2))
+    moves = memo.get(part)
+    if moves is None:
+        # first visit: the rows alone, each building its lists as it fires
+        moves = memo[part] = _enabled(rule_table(model), steps, acts)
+        for row in moves:
+            m2 = _memory(row, mem, memo)
+            if not isinstance(m2, str):
+                out.append((row.rule, _state(SfcState, (m2,) + _lists(
+                    row.shape, steps, acts))))
+        return out
+    if isinstance(moves, tuple):
+        # a second visit: the tuple of rows becomes a list of (row, lists)
+        moves = memo[part] = [(row, _lists(row.shape, steps, acts))
+                              for row in moves]
+    for row, lists in moves:
+        m2 = _memory(row, mem, memo)
+        if not isinstance(m2, str):
+            out.append((row.rule, _state(SfcState, (m2,) + lists)))
     return out
 
 
@@ -277,7 +337,9 @@ def reachable_bounded(model: SfcModel, depth: int, *,
         for c in frontier:
             for _, c2 in successors(model, c, memo):
                 mem, steps, acts = c2
-                k = (tuple(mem.values()), steps, tuple(sorted(acts)))
+                # a pending list of fewer than two actions is sorted
+                k = (tuple(mem.values()), steps,
+                     acts if len(acts) < 2 else tuple(sorted(acts)))
                 if k not in seen:
                     seen.add(k)
                     states.append(c2)

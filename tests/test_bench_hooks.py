@@ -99,3 +99,25 @@ def test_exploration_counts_one_evaluation_per_distinct_diagram_input(
     assert distinct > 1
     assert (distinct < len(executions)) == repeats
     assert tracer.calls["fbd.eval"] == distinct
+
+
+@pytest.mark.parametrize("depth", [1, 6, 10])
+def test_traced_exploration_calls_successors_once_per_expanded_state(
+        bench, depth):
+    """The explorer calls the wrapped ``semantics.successors`` once for
+    each configuration it expands, which are the states found one level
+    earlier: so ``successors_calls`` counts expansions and
+    ``new_state_ratio`` divides by every generated successor."""
+    tracing, api = bench
+    model = parse_model(FANOUT)
+    expanded = len(S.reachable_bounded(model, depth - 1))
+    tracer = tracing.Tracer()
+    tracing.install(tracer, api)
+    try:
+        tracer.op("op.explore", S.reachable_bounded, model, depth)
+    finally:
+        tracer.restore()
+    assert tracer.calls["semantics.successors"] == expanded
+    generated = sum(len(S.successors(model, s))
+                    for s in S.reachable_bounded(model, depth - 1))
+    assert tracer.counts["semantics.successors_out.op.explore"] == generated

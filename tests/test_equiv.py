@@ -1,6 +1,8 @@
-"""tools/equiv.py: a record is reproducible, an edited record shows in the
-diff, and certplc is imported from the named tree only."""
+"""tools/equiv.py: a record is reproducible, its explorer lines are the
+explorer's and the simulator's, an edited record shows in the diff, and
+certplc is imported from the named tree only."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import test_certificate as TC
+from certplc.semantics import reachable_bounded, run_trace, state_text
+from conftest import load_model
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "equiv.py"
@@ -39,14 +43,39 @@ def test_records_are_reproducible_and_an_edit_shows(tmp_path):
                for r in recs if r["claim"].startswith("target/")}
     assert targets == TC.TestCertificateBytes.TARGET_CERT_SHA256
 
-    edited = next(r for r in recs if r["verdict"] == "Proved")
-    edited["sha256"] = "0" * 64
-    b.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs))
-    differ = equiv("diff", a, b)
-    assert differ.returncode == 1
-    assert differ.stdout.splitlines()[0].startswith(
-        f"{edited['claim']}: sha256: ")
-    assert differ.stdout.endswith(f"1 of {len(recs)} claims differ\n")
+    # one explorer line per fixture chart, after the claims
+    explored = [r for r in recs if r["claim"].startswith("explore/")]
+    assert recs[-2:] == explored
+    for rec, name in zip(explored, ("loop", "dead_ctx")):
+        model = load_model(name)
+        states = reachable_bounded(model, 8)
+        assert rec == {
+            "claim": f"explore/fixture/{name}", "states": len(states),
+            "states_sha256": _sha256(state_text(c) for c in states),
+            "traces_sha256": {sched: _sha256(
+                f"{r.label()} {state_text(c)}"
+                for r, c in run_trace(model, sched, 150, seed=1))
+                for sched in ("priority", "fixed", "random")}}
+
+    for edit, shown in (
+            (lambda recs: next(r for r in recs if r.get("verdict")
+                               == "Proved"), "sha256"),
+            (lambda recs: recs[-1], "states_sha256")):
+        recs = [json.loads(line) for line in a.read_text().splitlines()]
+        edited = edit(recs)
+        edited[shown] = "0" * 64
+        b.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                             for r in recs))
+        differ = equiv("diff", a, b)
+        assert differ.returncode == 1
+        assert differ.stdout.splitlines()[0].startswith(
+            f"{edited['claim']}: {shown}: ")
+        assert differ.stdout.endswith(f"1 of {len(recs)} claims differ\n")
+
+
+def _sha256(lines):
+    return hashlib.sha256("".join(
+        line + "\n" for line in lines).encode()).hexdigest()
 
 
 def test_certplc_from_another_tree_is_refused(tmp_path):

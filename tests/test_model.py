@@ -468,6 +468,29 @@ class TestValidate:
                      model.actions, (t,))
         assert str(err.value) == "transition 0: duplicate source step"
 
+    @pytest.mark.parametrize("uses", [
+        "action A on S { y := x + 1; }",
+        "action A on S { x := y + 1; }",
+        "trans {S} -[ x < y ]-> {S}",
+        "trans {S} -[ x ]-> {S}",
+        "action A on S = fbd F\nfbd F {\n  block r = read x\n"
+        "  block w = write y (r.out)\n  timeslice 1\n}",
+    ], ids=["assignment-reads", "assignment-writes", "comparison",
+            "guard", "diagram"])
+    def test_unknown_type_is_named_once(self, uses):
+        # nothing that uses a variable of unknown type is typed, so its
+        # type is not reported again as a mismatch
+        text = f"var x : int7\nvar y : int8\nstep S [initial]\n{uses}\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert str(err.value) == "variable 'x' has unknown type 'int7'"
+        # a problem of its own is still named
+        with pytest.raises(ParseError) as err:
+            parse_model(text + "action B on S { z := 1; }\n")
+        assert str(err.value) == ("variable 'x' has unknown type 'int7'; "
+                                  "action 'B' assigns undeclared variable "
+                                  "'z'")
+
     def test_base_chart_is_well_formed(self):
         model = SfcModel(**BASE)
         assert parse_model(canonical_text(model)) == model

@@ -358,14 +358,48 @@ class TestMemo:
                            if isinstance(p[0], ExecuteAction)]
             return c2.mem
 
+        def evaluated():
+            # an evaluator's key is (id, values read); a control part's
+            # key is (active steps, pending actions)
+            return sum(isinstance(k[0], int) for k in memo)
+
         assert executed({"x": 1, "y": 0}) == {"x": 2, "y": 0}
-        assert len(memo) == 1
+        assert evaluated() == 1
         # y is not read: the entry is shared, y is kept from the memory
         assert executed({"x": 1, "y": 7}) == {"x": 2, "y": 7}
-        assert len(memo) == 1
+        assert evaluated() == 1
         # x is read: a new entry
         assert executed({"x": 5, "y": 7}) == {"x": 6, "y": 7}
-        assert len(memo) == 2
+        assert evaluated() == 2
+        # one control part, whatever the memory
+        assert len(memo) - evaluated() == 1
+
+    @pytest.mark.parametrize("name", ["loop", "lockstep"])
+    def test_control_half_runs_once_per_control_part(self, monkeypatch,
+                                                     name):
+        """One exploration or simulation decides the rows a control part
+        enables once, however many memories it meets the part with."""
+        model = load_model(name)
+        plain_enabled, plain_successors = S._enabled, S.successors
+        enabled, parts = [], []
+
+        def counted_enabled(t, steps, acts):
+            enabled.append((steps, acts))
+            return plain_enabled(t, steps, acts)
+
+        def recorded(model, c, memo=None):
+            parts.append((c.active_steps, c.active_actions))
+            return plain_successors(model, c, memo)
+
+        monkeypatch.setattr(S, "_enabled", counted_enabled)
+        monkeypatch.setattr(S, "successors", recorded)
+        for run in (lambda: reachable_bounded(model, 30),
+                    lambda: run_trace(model, "random", 200, seed=2)):
+            enabled.clear()
+            parts.clear()
+            run()
+            assert len(enabled) == len(set(parts)) < len(parts) / 4
+            assert set(enabled) == set(parts)
 
 
 class TestCompiledEffects:

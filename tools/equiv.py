@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Equivalence records: what certplc decides on every claim, one JSON line
-per claim, so that two source trees can be compared claim by claim.
+per claim, and what it explores and simulates on every chart, one JSON line
+per chart, so that two source trees can be compared line by line.
 
     python3 tools/equiv.py record --tree DIR [--fixtures NAME ...]
                                   [--seeds N ...] --out FILE
@@ -13,7 +14,13 @@ pins whose fixture is among them, and the invariants of the ring, arith
 and fanout charts that ``perfbench/families.py`` builds for each seed (none
 without ``--seeds``).  A record holds the verdict class, the rule label,
 the assignment, the note or reason, the obligation count, the certificate's
-SHA-256 and ``check``'s accepted, reason and path.
+SHA-256 and ``check``'s accepted, reason and path.  A chart's explorer
+line, whose claim is ``explore/`` and the chart's name, holds the state
+count of ``reachable_bounded`` (at the workload's depth, or at
+``FIXTURE_DEPTH``), the SHA-256 of its states' ``state_text`` in order,
+and for each scheduler the SHA-256 of ``run_trace``'s rule labels and
+``state_text``s (the workload's trace length, or ``FIXTURE_STEPS``; seed
+``TRACE_SEED``).
 
 ``diff`` prints the first 20 claims whose records differ, or that only one
 file has, and exits 1 if there is any.
@@ -26,12 +33,17 @@ import hashlib
 import importlib
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 WORKLOADS = ("ring", "arith", "fanout")
 SHOWN = 20
+FIXTURE_DEPTH = 8
+FIXTURE_STEPS = 150
+TRACE_SEED = 1
+SCHEDULERS = ("priority", "fixed", "random")
 
 # claim name -> (fixture, lemma, its arguments after the model), as
 # tests/test_certificate.py's target_certificates builds them
@@ -54,6 +66,45 @@ def load_certplc(tree: Path):
         raise ImportError(f"certplc was imported from {where}, not from "
                           f"{src}")
     return pkg
+
+
+def fixture_charts(api, names):
+    for name in names:
+        model = api.parse_model((FIXTURES / f"{name}.sfc").read_text())
+        yield f"fixture/{name}", model, FIXTURE_DEPTH, FIXTURE_STEPS
+
+
+def workload_cases(seeds):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        families = importlib.import_module("families")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for workload in WORKLOADS:
+        for seed in seeds:
+            for mc in families.build(workload, seed):
+                yield f"{workload}:{seed}/{mc.name}", mc
+
+
+def workload_charts(api, seeds):
+    for name, mc in workload_cases(seeds):
+        yield name, api.parse_model(mc.text), mc.depth, mc.sim_steps
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def explorer_record(api, chart, model, depth, steps) -> dict:
+    S = api.semantics
+    states = S.reachable_bounded(model, depth, state_budget=1_000_000)
+    return {"claim": f"explore/{chart}", "states": len(states),
+            "states_sha256": sha256_text(
+                "".join(S.state_text(c) + "\n" for c in states)),
+            "traces_sha256": {sched: sha256_text("".join(
+                f"{rule.label()} {S.state_text(c)}\n"
+                for rule, c in S.run_trace(model, sched, steps, TRACE_SEED)))
+                for sched in SCHEDULERS}}
 
 
 def fixture_claims(api, names):
@@ -83,18 +134,10 @@ def target_claims(api, names):
 
 
 def workload_claims(api, seeds):
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        families = importlib.import_module("families")
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    for workload in WORKLOADS:
-        for seed in seeds:
-            for mc in families.build(workload, seed):
-                model = api.parse_model(mc.text)
-                for inv in api.parse_properties(mc.props_text(), model):
-                    yield (f"{workload}:{seed}/{mc.name}/{inv.name}", model,
-                           inv, None)
+    for name, mc in workload_cases(seeds):
+        model = api.parse_model(mc.text)
+        for inv in api.parse_properties(mc.props_text(), model):
+            yield f"{name}/{inv.name}", model, inv, None
 
 
 def record_of(api, claim, model, inv, target) -> dict:
@@ -121,11 +164,13 @@ def record(args) -> int:
     names = args.fixtures or sorted(p.stem for p in FIXTURES.glob("*.sfc"))
     claims = [*fixture_claims(api, names), *target_claims(api, names),
               *workload_claims(api, args.seeds)]
+    charts = [*fixture_charts(api, names), *workload_charts(api, args.seeds)]
     with open(args.out, "w") as out:
-        for claim in claims:
-            out.write(json.dumps(record_of(api, *claim), sort_keys=True)
-                      + "\n")
-    print(f"{len(claims)} claims recorded from {api.__file__}")
+        for rec in chain((record_of(api, *c) for c in claims),
+                         (explorer_record(api, *c) for c in charts)):
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
+    print(f"{len(claims)} claims and {len(charts)} charts recorded from "
+          f"{api.__file__}")
     return 0
 
 
