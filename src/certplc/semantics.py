@@ -6,11 +6,16 @@ execute, transition and reactivate rules are described once, on
 ``model.RuleShape``.  ``rule_table`` compiles a model's shapes once into
 rows whose guards and action effects are ``Evaluator``s: pure functions of
 the variables they read, each with a small integer id and its read set.
+A guard and an assignment list run as a kernel, a closure built from the
+typed syntax tree once per rule table (``_guard_kernel``,
+``_effect_kernel``); a diagram action runs ``fbd.eval_iterative``.
 One exploration (``reachable_bounded``) or simulation (``run_trace``)
 shares a memo keyed by ``(id, values read)``, so each guard and each effect
 runs once per distinct input; the memo is dropped on return.  ``apply_rule``
-runs one rule instance, and ``apply_effect`` one action's assignment list,
-the concrete counterpart of ``obligations.effect_summary``.
+runs one rule instance.  ``expr.eval_expr`` and ``apply_effect`` (one
+action's assignment list, the concrete counterpart of
+``obligations.effect_summary``) stay the reference interpreters: each
+kernel computes what they compute, and the tests compare the two.
 
 A rule has a control half and a memory half.  The control half
 (``_control``: pending, active and idle checks; ``_lists``: the successor's
@@ -45,9 +50,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable
 
 from . import expr as E
@@ -85,7 +89,10 @@ class Evaluator:
     variables it reads.
 
     ``run(mem)`` gives a guard's value (0/1), or the values an action
-    writes (variable -> value).  ``id`` is unique within one rule table.
+    writes (variable -> value): a kernel built once per rule table, or
+    ``fbd.eval_iterative`` for a diagram.  ``value`` memoizes it, since a
+    memo hit costs less than even a kernel.  ``id`` is unique within one
+    rule table.
     """
 
     __slots__ = ("id", "reads", "run", "_values")
@@ -137,7 +144,8 @@ def apply_effect(assigns, m: E.Memory, env: dict[str, str]) -> dict:
     variable -> value it writes.
 
     Each assignment sees the values written by the previous ones and
-    stores its value wrapped at the target's declared type.
+    stores its value wrapped at the target's declared type.  The reference
+    interpreter of ``_effect_kernel``, which the rule table runs.
     """
     out: dict = {}
     for name, e in assigns:
@@ -145,6 +153,178 @@ def apply_effect(assigns, m: E.Memory, env: dict[str, str]) -> dict:
         view = {**m, **out} if out else m
         out[name] = E.eval_expr(e, view) & E.max_of(env[name])
     return out
+
+
+# --- compiled kernels -----------------------------------------------------
+#
+# A guard or an assignment list runs as a closure built from its typed
+# syntax tree once per rule table.  ``_kernel`` gives what ``E.eval_expr``
+# gives: an int for an expression that reads no variable, so a chain folds
+# its constant operands, else a function of memory that runs the operands
+# the interpreter runs, in its order, and reads with ``itemgetter``, so a
+# missing variable raises a KeyError, which the top-level kernels report
+# as the interpreter does.  A comparison's closure gives a bool, which
+# equals the interpreter's 0/1 wherever a value is used.
+
+_CMP = {"<": lt, "<=": le, "==": eq, "!=": ne, ">=": ge, ">": gt}
+
+
+def _unbound(err: KeyError) -> E.ExprError:
+    return E.ExprError(f"unbound variable {err.args[0]!r}")
+
+
+def _const(v: int):
+    return lambda m: v
+
+
+def _kernel(e: E.Expr):
+    """``E.eval_expr(e, m)`` for typed *e*: an int when *e* reads no
+    variable, else a function of *m*."""
+    if isinstance(e, E.Var):
+        return itemgetter(e.name)
+    if isinstance(e, (E.IntLit, E.BoolLit)):
+        return int(e.value)
+    if isinstance(e, E.Cmp):
+        # both operands wrapped at the annotated width
+        op, k = _CMP[e.op], E.max_of(e.width)
+        f, g = _kernel(e.lhs), _kernel(e.rhs)
+        if isinstance(f, int) and isinstance(g, int):
+            return int(op(f & k, g & k))
+        if isinstance(g, int):
+            g &= k
+            return lambda m: op(f(m) & k, g)
+        if isinstance(f, int):
+            f &= k
+            return lambda m: op(f, g(m) & k)
+        return lambda m: op(f(m) & k, g(m) & k)
+    if isinstance(e, E.Not):
+        f = _kernel(e.arg)
+        return 1 - f if isinstance(f, int) else lambda m: 1 - f(m)
+    if isinstance(e, (E.And, E.Or)):
+        return _chain(e)
+    if isinstance(e, E.Sum):
+        return _sum(e)
+    if isinstance(e, E.Prod):
+        return _prod(e)
+    raise E.ExprError(f"expected integer expression, got {type(e).__name__}")
+
+
+def _chain(e: E.And | E.Or):
+    """An ``&&`` or ``||`` chain, 0/1: the first operand whose truth is
+    the chain's decisive value (false for ``&&``) decides it, and the
+    operands after it do not run."""
+    decisive = isinstance(e, E.Or)
+    fs, end = [], int(not decisive)
+    for arg in e.args:
+        f = _kernel(arg)
+        if not isinstance(f, int):
+            fs.append(f)
+        elif bool(f) is decisive:  # decides unless an earlier operand does
+            end = int(decisive)
+            break
+    if not fs:
+        return end
+    if decisive:
+        def run(m):
+            for f in fs:
+                if f(m):
+                    return 1
+            return end
+    else:
+        def run(m):
+            for f in fs:
+                if not f(m):
+                    return 0
+            return end
+    return run
+
+
+def _sum(e: E.Sum):
+    """A sum, unwrapped, its constant operands folded into one."""
+    c, terms = 0, []
+    for arg, sign in zip(e.args, e.signs):
+        f = _kernel(arg)
+        if isinstance(f, int):
+            c += sign * f
+        else:
+            terms.append((f, sign))
+    if not terms:
+        return c
+    if len(terms) == 1:
+        (f, sign), = terms
+        if sign < 0:
+            return lambda m: c - f(m)
+        return f if c == 0 else lambda m: f(m) + c
+
+    def run(m):
+        v = c
+        for f, sign in terms:
+            v += sign * f(m)
+        return v
+    return run
+
+
+def _prod(e: E.Prod):
+    """A product, unwrapped, its constant operands folded into one."""
+    k, fs = 1, []
+    for arg in e.args:
+        f = _kernel(arg)
+        if isinstance(f, int):
+            k *= f
+        else:
+            fs.append(f)
+    if not fs:
+        return k
+    if len(fs) == 1:
+        f, = fs
+        return f if k == 1 else lambda m: k * f(m)
+
+    def run(m):
+        v = k
+        for f in fs:
+            v *= f(m)
+        return v
+    return run
+
+
+def _guard_kernel(g: E.Expr) -> Callable[[E.Memory], int]:
+    """``E.eval_expr(g, m)`` as a function of *m*, an unbound variable
+    reported as the interpreter reports it."""
+    f = _kernel(g)
+    if isinstance(f, int):
+        return _const(f)
+
+    def run(m):
+        try:
+            return f(m)
+        except KeyError as err:
+            raise _unbound(err) from None
+    return run
+
+
+def _effect_kernel(assigns, env: dict[str, str]) -> Callable[[E.Memory],
+                                                             dict]:
+    """``apply_effect(assigns, m, env)`` as a function of *m*."""
+    steps, written = [], set()
+    for name, e in assigns:
+        f = _kernel(e)
+        if isinstance(f, int):
+            f = _const(f)
+        # an assignment that reads an earlier one's target sees memory
+        # as the earlier ones left it; any other sees *m* unchanged
+        steps.append((name, f, E.max_of(env[name]),
+                      not written.isdisjoint(E.vars_of(e))))
+        written.add(name)
+
+    def run(m):
+        out = {}
+        try:
+            for name, f, mask, chained in steps:
+                out[name] = f({**m, **out} if chained else m) & mask
+        except KeyError as err:
+            raise _unbound(err) from None
+        return out
+    return run
 
 
 def _compile(model: SfcModel) -> RuleTable:
@@ -157,7 +337,7 @@ def _compile(model: SfcModel) -> RuleTable:
         ev = guards.get(g)
         if ev is None:
             ev = guards[g] = Evaluator(next(ids), tuple(sorted(E.vars_of(g))),
-                                       partial(E.eval_expr, g))
+                                       _guard_kernel(g))
         return ev
 
     def action(a):
@@ -172,7 +352,7 @@ def _compile(model: SfcModel) -> RuleTable:
         else:
             reads = tuple(sorted(set().union(
                 *(E.vars_of(e) for _, e in a.assigns))))
-            run = partial(apply_effect, a.assigns, env=env)
+            run = _effect_kernel(a.assigns, env)
         return Evaluator(next(ids), reads, run)
 
     effects = {a.id: action(a) for a in model.actions}
@@ -202,19 +382,20 @@ def rule_table(model: SfcModel) -> RuleTable:
     return table
 
 
-def _control(r: RuleShape, steps: tuple, acts: tuple) -> str | None:
-    """Why rule shape *r* cannot fire with active steps *steps* and pending
-    actions *acts*, or None: the control half of a rule, which reads no
-    memory."""
+def _control(r: RuleShape, steps: tuple, acts: tuple) -> tuple | None:
+    """The first requirement of rule shape *r* that active steps *steps*
+    and pending actions *acts* fail, as (message template, name), or None:
+    the control half of a rule, which reads no memory.  Only
+    ``apply_rule`` formats the message."""
     for a in r.pending:
         if a not in acts:
-            return f"action {a!r} is not pending"
+            return "action {!r} is not pending", a
     for s in r.steps:
         if s not in steps:
-            return f"step {s!r} inactive"
+            return "step {!r} inactive", s
     for a in r.idle:
         if a in acts:
-            return f"action {a!r} still pending"
+            return "action {!r} still pending", a
     return None
 
 
@@ -248,13 +429,14 @@ def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
     raises NotApplicable when the rule is not enabled in *c*."""
     row = rule_table(model).rows[rule]
     mem, steps, acts = c
-    why = _control(row.shape, steps, acts)
-    if why is None:
-        mem = _memory(row, mem, {})
-        if not isinstance(mem, str):
-            return _state(SfcState, (mem,) + _lists(row.shape, steps, acts))
-        why = mem
-    raise NotApplicable(why)
+    unmet = _control(row.shape, steps, acts)
+    if unmet is not None:
+        template, name = unmet
+        raise NotApplicable(template.format(name))
+    mem = _memory(row, mem, {})
+    if isinstance(mem, str):
+        raise NotApplicable(mem)
+    return _state(SfcState, (mem,) + _lists(row.shape, steps, acts))
 
 
 def _enabled(t: RuleTable, steps: tuple, acts: tuple) -> tuple[Row, ...]:

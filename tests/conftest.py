@@ -19,7 +19,8 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 # `--hypothesis-profile long` raises the example count of a test that
-# reads it (test_lia.py's joint-cube extension differential) from 500
+# reads it (test_lia.py's joint-cube extension differential and
+# test_semantics.py's kernel differential from 500, among others)
 settings.register_profile("long", max_examples=5000)
 
 # y := x + 1 wraps at int8 but stores into int16.  Accepting it would let

@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from certplc import expr as E
 from certplc import fbd as F
@@ -473,21 +475,41 @@ def _ring_with_joins(n=24):
     return parse_model("\n".join(lines) + "\n")
 
 
+def _reference_step(model, c, rule):
+    """The successor of *c* under *rule*, or None when ``_enabled_by_scan``
+    says it is not enabled: memory by the reference interpreters
+    (``apply_effect``, ``eval_iterative``), lists from the declared
+    chart."""
+    if not _enabled_by_scan(model, c, rule):
+        return None
+    mem, steps, acts = c
+    if isinstance(rule, ExecuteAction):
+        a = model.action(rule.action)
+        writes = (S.apply_effect(a.assigns, mem, model.env())
+                  if a.fbd_ref is None
+                  else F.eval_iterative(model.program(a.fbd_ref), mem))
+        return S.SfcState({**mem, **writes}, steps,
+                          tuple(x for x in acts if x != rule.action))
+    if isinstance(rule, StepTransition):
+        t = model.transitions[rule.index]
+        return S.SfcState(
+            mem, tuple(s for s in steps if s not in t.sources) + t.targets,
+            tuple(x for s in t.targets for x in model.actions_of(s)) + acts)
+    return S.SfcState(mem, steps, model.actions_of(rule.step) + acts)
+
+
 def _reference_successors(model, c):
-    """(rule, successor) pairs in enumeration order, by applying every rule
-    instance of ``model.rules`` through apply_rule: execute instances of
-    pending actions in first occurrence order, every transition in
-    declaration order, then a reactivation per active step."""
+    """(rule, successor) pairs in enumeration order, by trying every rule
+    instance of ``model.rules`` through ``_reference_step``, which runs
+    no compiled kernel: execute instances of pending actions in first
+    occurrence order, every transition in declaration order, then a
+    reactivation per active step."""
     rules = list(model.rules)
     order = ([ExecuteAction(a) for a in dict.fromkeys(c.active_actions)]
              + [r for r in rules if isinstance(r, StepTransition)]
              + [Reactivate(s) for s in c.active_steps])
-    out = []
-    for rule in order:
-        try:
-            out.append((rule, S.apply_rule(model, c, rule)))
-        except NotApplicable:
-            pass
+    out = [(rule, c2) for rule in order
+           if (c2 := _reference_step(model, c, rule)) is not None]
     # every other instance is not enabled
     for rule in set(rules) - set(order):
         with pytest.raises(NotApplicable):
@@ -596,3 +618,116 @@ class TestDifferential:
         fired = {r.index for s in states for r, _ in successors(model, s)
                  if isinstance(r, StepTransition)}
         assert {25, 26} <= fired
+
+
+# --- compiled kernels against the reference interpreters ------------------
+
+KERNEL_ENV = {"a": "int8", "b": "int8", "c": "int16", "d": "int16",
+              "e": "int32", "f": "int32", "p": "bool", "q": "bool"}
+
+
+def _edges(ty):
+    """A type's wrap edges: 0, 1, max, max - 1 and 2**(w-1)."""
+    top = E.max_of(ty)
+    return sorted({0, 1, top, top - 1, (top + 1) // 2})
+
+
+def _int_expr(draw, ty, depth=2):
+    """An integer expression over *ty*'s variables: literals at the wrap
+    edges and one past them, sums with drawn signs and products."""
+    kind = draw(st.integers(0, 3 if depth else 1))
+    if kind == 0:
+        return E.Var(draw(st.sampled_from(
+            [n for n, t in KERNEL_ENV.items() if t == ty])))
+    if kind == 1:
+        return E.IntLit(draw(st.sampled_from(_edges(ty)
+                                             + [E.max_of(ty) + 2])))
+    args = tuple(_int_expr(draw, ty, depth - 1)
+                 for _ in range(draw(st.integers(2, 3))))
+    if kind == 2:
+        return E.Sum(args, (1,) + tuple(
+            draw(st.sampled_from((1, -1))) for _ in args[1:]))
+    return E.Prod(args)
+
+
+def _bool_expr(draw, depth=2):
+    """A guard: a comparison at a drawn width, a bool literal or variable,
+    or a `!`, `&&` or `||` of guards."""
+    kind = draw(st.integers(0, 5 if depth else 2))
+    if kind == 0:
+        ty = draw(st.sampled_from(sorted(E.INT_WIDTHS)))
+        return E.Cmp(draw(st.sampled_from(E.CMP_OPS)),
+                     _int_expr(draw, ty), _int_expr(draw, ty))
+    if kind == 1:
+        return E.BoolLit(draw(st.booleans()))
+    if kind == 2:
+        return E.Var(draw(st.sampled_from(["p", "q"])))
+    if kind == 3:
+        return E.Not(_bool_expr(draw, depth - 1))
+    args = tuple(_bool_expr(draw, depth - 1)
+                 for _ in range(draw(st.integers(2, 3))))
+    return E.And(args) if kind == 4 else E.Or(args)
+
+
+def _typed(e):
+    return E.typecheck(e, KERNEL_ENV)[0]
+
+
+@st.composite
+def _guards(draw):
+    """Typechecked guards (comparison widths annotated)."""
+    return _typed(_bool_expr(draw))
+
+
+@st.composite
+def _assignments(draw):
+    """Ordered assignment lists, each right-hand side of its target's
+    type; a later one often reads an earlier target, as the variables are
+    few."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(KERNEL_ENV)))
+        ty = KERNEL_ENV[name]
+        e = _bool_expr(draw) if ty == "bool" else _int_expr(draw, ty)
+        out.append((name, _typed(e)))
+    return tuple(out)
+
+
+def _outcome(run, *args):
+    """What *run* returns, or the message of the ExprError it raises."""
+    try:
+        return run(*args)
+    except E.ExprError as err:
+        return "ExprError", str(err)
+
+
+_CHAINED = ((("a", E.Sum((E.Var("a"), E.IntLit(1)), (1, 1))),
+             ("b", E.Sum((E.Var("b"), E.Var("a")), (1, 1))),
+             ("p", _typed(E.Cmp("<", E.Var("a"), E.Var("b"))))))
+
+
+class TestKernels:
+    """Each guard and assignment list of a rule table runs as a compiled
+    kernel; on every drawn input it computes what the reference
+    interpreters ``E.eval_expr`` and ``S.apply_effect`` compute, and an
+    unbound variable raises the same ExprError."""
+
+    # tier-1 runs 500 examples; `--hypothesis-profile long` (conftest.py)
+    # runs more
+    @settings(max_examples=max(500, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(_guards(), _assignments(),
+           st.fixed_dictionaries({n: st.sampled_from(_edges(t))
+                                  for n, t in KERNEL_ENV.items()}),
+           st.none() | st.sampled_from(sorted(KERNEL_ENV)))
+    @example(_typed(E.Cmp("==", E.Sum((E.Var("a"), E.IntLit(1)), (1, 1)),
+                          E.IntLit(0))), _CHAINED,
+             {n: E.max_of(t) for n, t in KERNEL_ENV.items()}, None)
+    @example(E.BoolLit(True), _CHAINED, {"a": 7}, "b")
+    def test_kernels_equal_the_interpreters(self, guard, assigns, mem,
+                                            missing):
+        mem.pop(missing, None)
+        assert _outcome(S._guard_kernel(guard), mem) == \
+            _outcome(E.eval_expr, guard, mem)
+        assert _outcome(S._effect_kernel(assigns, KERNEL_ENV), mem) == \
+            _outcome(S.apply_effect, assigns, mem, KERNEL_ENV)
