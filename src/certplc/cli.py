@@ -2,7 +2,8 @@
 
 Exit status: 0 on success, 1 when verification or checking does not fully
 succeed (refuted, undecided, rejected, assertion violated), 2 on usage or
-parse errors and on files that cannot be opened.
+parse errors (a negative ``--depth``, ``--max-steps`` or ``--state-budget``
+included) and on files that cannot be opened.
 """
 
 from __future__ import annotations
@@ -163,6 +164,18 @@ def _cmd_check_cert(args) -> int:
     return 1
 
 
+def _size(text: str) -> int:
+    """An option value that counts something: an integer, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="certplc",
@@ -187,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheduler", choices=("priority", "fixed", "random"),
                    default="priority")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=100)
+    p.add_argument("--max-steps", type=_size, default=100)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("explore", help="bounded reachability exploration")
     common(p)
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--state-budget", type=int, default=100_000)
+    p.add_argument("--depth", type=_size, default=20)
+    p.add_argument("--state-budget", type=_size, default=100_000)
     p.add_argument("--assert", dest="check", default=None,
                    help="formula every explored state must satisfy")
     p.set_defaults(func=_cmd_explore)

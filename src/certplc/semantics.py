@@ -20,26 +20,42 @@ kernel computes what they compute, and the tests compare the two.
 A rule has a control half and a memory half.  The control half
 (``_control``: pending, active and idle checks; ``_lists``: the successor's
 active step and pending lists) reads only the control part, the pair
-(active steps, pending actions).  The memory half (``_memory``: guards,
-blocked guards and the action's effect) reads only memory.  So which rows
-a control part enables, and the lists each one yields, are the same for
-every memory, and ``successors`` decides them once per control part of an
-exploration: the shared memo also maps each control part to its rows
-(``_enabled``), and each configuration runs only the memory half of those.
-A part's entry is its rows on the first visit, which build their lists as
-they fire; a second visit replaces it with (row, lists) pairs.  Most parts
-of a chart whose pending list piles up are visited once, and keeping their
-lists would only cost memory.  ``apply_rule`` runs both halves directly.
+(active steps, pending actions).  The memory half (guards, blocked guards,
+the action's effect and the merge of its writes) reads only memory, and
+each row runs it as one row kernel, ``Row.fire``, built with the rule
+table (``_row_kernel``).  So which rows a control part enables, and the
+lists each one yields, are the same for every memory, and ``successors``
+decides them once per control part of an exploration: the shared memo
+also maps each control part to its rows (``_enabled``), and each
+configuration runs only the row kernels of those.  A part's entry is its
+rows on the first visit, which build their lists as they fire; a second
+visit replaces it with (row, lists) pairs.  Most parts of a chart whose
+pending list piles up are visited once, and keeping their lists would
+only cost memory.  ``apply_rule`` runs both halves directly, the same
+row kernel included.
+
+A row kernel folds what reads no variable.  A constant-true guard and a
+constant-false blocked guard are left out of it, and an assignment list
+that reads no variable (``valve := 1;``) has its writes computed once, so
+none of these is ever looked up in the memo.  A transition whose guard is
+constant false, or a reactivation that a constant-true guard blocks, is
+dead: it can never fire.  It stays in ``RuleTable.rows``, where
+``apply_rule`` reports it with the usual reason, but no enumeration index
+lists it, so ``successors`` never tries it.  Dropping a dead reactivation
+is exact under this module's rule that a step does not reactivate while
+any guard leaving it is true, whether or not that transition's other
+source steps are active; a rule that asked for the whole transition to be
+enabled would have to fold only single-source transitions' guards.
 
 ``successors`` is the one enumeration path, and it tries only what can
-fire: the rule table lists each transition under its first source step,
-and a control part tries the transitions listed under its active steps,
-in declaration order (a transition fires only when all its sources are
-active).  ``reachable_bounded`` dedups on (memory values, active steps,
-sorted pending actions), which is ``SfcState.key`` without sorting memory.
-That is exact because every memory of one exploration has the key order
-of ``init_state``'s, which is the order of ``model.vars``: an effect's
-writes are merged as ``{**mem, **writes}``, which keeps it.
+fire: the rule table lists each live transition under its first source
+step, and a control part tries the transitions listed under its active
+steps, in declaration order (a transition fires only when all its sources
+are active).  ``reachable_bounded`` dedups on (memory values, active
+steps, sorted pending actions), which is ``SfcState.key`` without sorting
+memory.  That is exact because every memory of one exploration has the
+key order of ``init_state``'s, which is the order of ``model.vars``: an
+effect's writes are merged as ``{**mem, **writes}``, which keeps it.
 ``SfcState.key`` stays the identity between arbitrary configurations.
 
 Nothing here is in the trusted core: the certificate checker reads the rule
@@ -119,24 +135,43 @@ class Evaluator:
 
 @dataclass(frozen=True, eq=False)
 class Row:
-    """One rule instance: its shape, with guards and action compiled."""
+    """One rule instance: its shape, and its memory half as one kernel.
+
+    ``fire(mem, memo)`` gives the successor's memory, or why a guard stops
+    the rule ("guard is false", "an outgoing transition is enabled"): it
+    runs the row's guards, then its blocked guards, then merges the
+    action's writes as ``{**mem, **writes}``.  Of a live row, the guards
+    that read no variable are left out (each is true, or false if
+    blocked), and an assignment list that reads no variable merges writes
+    computed when the table was built.  A dead row, which one such guard
+    stops, runs its guards as declared and gives that guard's reason.
+    Every other guard and effect goes through the ``Evaluator`` memo.
+    """
 
     rule: RuleInstance
     shape: RuleShape
-    guards: tuple[Evaluator, ...]
-    blocked: tuple[Evaluator, ...]
-    action: Evaluator | None
+    fire: Callable[[E.Memory, dict], E.Memory | str]
 
 
 @dataclass(frozen=True, eq=False)
 class RuleTable:
-    """A model's rows, indexed the ways ``successors`` enumerates them."""
+    """A model's rows, indexed the ways ``successors`` enumerates them.
+
+    ``rows`` holds every instance, so ``apply_rule`` can run and report a
+    dead one; ``leaving`` and ``reactivate`` hold only the live ones, so
+    no enumeration tries a row that can never fire.
+    """
 
     rows: dict[RuleInstance, Row]   # every instance, as in ``model.rules``
     execute: dict[str, Row]         # action id -> its execute row
-    # step -> the transitions whose first source it is, in declaration order
+    # step -> the live transitions whose first source it is, in
+    # declaration order
     leaving: dict[str, tuple[Row, ...]]
-    reactivate: dict[str, Row]      # step -> its reactivation row
+    reactivate: dict[str, Row]      # step -> its live reactivation row
+    # transition index -> its place in the priority scheduler's order
+    # (1 for the first); execute instances come before all (0) and
+    # reactivations after all (len + 1)
+    priority: tuple[int, ...]
 
 
 def apply_effect(assigns, m: E.Memory, env: dict[str, str]) -> dict:
@@ -327,6 +362,54 @@ def _effect_kernel(assigns, env: dict[str, str]) -> Callable[[E.Memory],
     return run
 
 
+_GUARD_FALSE = "guard is false"
+_BLOCKED = "an outgoing transition is enabled"
+
+
+def _same(mem, memo):
+    return mem
+
+
+def _row_kernel(guards, blocked, effect) -> tuple[Callable, bool]:
+    """A row's memory half as one function of (memory, memo), and whether
+    the row can ever fire.
+
+    *guards* and *blocked* are ``Evaluator``s, run in order; *effect* is a
+    function of (memory, memo) giving the successor's memory, or None for
+    a rule that writes nothing.  A guard that reads no variable is decided
+    here: a row that one stops runs its guards unfolded (only
+    ``apply_rule`` runs it), and a live row leaves the constant ones out.
+    """
+    finish = effect or _same
+    fires = (all(ev.run({}) for ev in guards if not ev.reads)
+             and not any(ev.run({}) for ev in blocked if not ev.reads))
+    if fires:
+        guards = [ev for ev in guards if ev.reads]
+        blocked = [ev for ev in blocked if ev.reads]
+        if not guards and not blocked:
+            return finish, True
+        if effect is None and len(guards) + len(blocked) == 1:
+            if guards:
+                g = guards[0].value
+                return (lambda mem, memo:
+                        mem if g(mem, memo) else _GUARD_FALSE), True
+            b = blocked[0].value
+            return (lambda mem, memo:
+                    _BLOCKED if b(mem, memo) else mem), True
+    gs = [ev.value for ev in guards]
+    bs = [ev.value for ev in blocked]
+
+    def fire(mem, memo):
+        for g in gs:
+            if not g(mem, memo):
+                return _GUARD_FALSE
+        for b in bs:
+            if b(mem, memo):
+                return _BLOCKED
+        return finish(mem, memo)
+    return fire, fires
+
+
 def _compile(model: SfcModel) -> RuleTable:
     env = model.env()
     ids = count()
@@ -340,7 +423,9 @@ def _compile(model: SfcModel) -> RuleTable:
                                        _guard_kernel(g))
         return ev
 
-    def action(a):
+    def effect(a):
+        """Action *a*'s effect as a function of (memory, memo) giving the
+        successor's memory."""
         if a.fbd_ref is not None:
             # compiled once per model; runs go through the module's
             # eval_iterative
@@ -353,24 +438,39 @@ def _compile(model: SfcModel) -> RuleTable:
             reads = tuple(sorted(set().union(
                 *(E.vars_of(e) for _, e in a.assigns))))
             run = _effect_kernel(a.assigns, env)
-        return Evaluator(next(ids), reads, run)
+            if not reads:  # constant writes, computed once
+                writes = run({})
+                return lambda mem, memo: {**mem, **writes}
+        value = Evaluator(next(ids), reads, run).value
+        return lambda mem, memo: {**mem, **value(mem, memo)}
 
-    effects = {a.id: action(a) for a in model.actions}
-    rows = {rule: Row(rule, r, tuple(map(guard, r.guards)),
-                      tuple(map(guard, r.blocked)),
-                      None if r.action is None else effects[r.action])
-            for rule, r in model.rules.items()}
+    effects = {a.id: effect(a) for a in model.actions}
+    rows: dict[RuleInstance, Row] = {}
     leaving: dict[str, tuple[Row, ...]] = {}
-    for r, row in rows.items():
-        if isinstance(r, StepTransition):
-            first = row.shape.steps[0]
+    reactivate: dict[str, Row] = {}
+    for rule, r in model.rules.items():
+        fire, live = _row_kernel(
+            tuple(map(guard, r.guards)), tuple(map(guard, r.blocked)),
+            None if r.action is None else effects[r.action])
+        row = rows[rule] = Row(rule, r, fire)
+        if not live:
+            continue
+        if isinstance(rule, StepTransition):
+            first = r.steps[0]
             leaving[first] = leaving.get(first, ()) + (row,)
+        elif isinstance(rule, Reactivate):
+            reactivate[rule.step] = row
+    ts = model.transitions
+    by_priority = sorted(range(len(ts)), key=lambda i: (
+        ts[i].priority is None, ts[i].priority or 0, i))
+    priority = [0] * len(ts)
+    for place, i in enumerate(by_priority, 1):
+        priority[i] = place
     return RuleTable(
         rows,
         {r.action: row for r, row in rows.items()
          if isinstance(r, ExecuteAction)},
-        leaving,
-        {r.step: row for r, row in rows.items() if isinstance(r, Reactivate)})
+        leaving, reactivate, tuple(priority))
 
 
 def rule_table(model: SfcModel) -> RuleTable:
@@ -410,20 +510,6 @@ def _lists(r: RuleShape, steps: tuple, acts: tuple) -> tuple:
     return steps + r.steps_on, r.acts_on + acts
 
 
-def _memory(row: Row, mem: E.Memory, memo: dict) -> E.Memory | str:
-    """The successor's memory under *row*'s rule, or why a guard stops it:
-    the memory half of a rule."""
-    for g in row.guards:
-        if not g.value(mem, memo):
-            return "guard is false"
-    for g in row.blocked:
-        if g.value(mem, memo):
-            return "an outgoing transition is enabled"
-    if row.action is None:
-        return mem
-    return {**mem, **row.action.value(mem, memo)}
-
-
 def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
     """Successor of *c* under *rule*, as its ``RuleShape`` describes;
     raises NotApplicable when the rule is not enabled in *c*."""
@@ -433,7 +519,7 @@ def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
     if unmet is not None:
         template, name = unmet
         raise NotApplicable(template.format(name))
-    mem = _memory(row, mem, {})
+    mem = row.fire(mem, {})
     if isinstance(mem, str):
         raise NotApplicable(mem)
     return _state(SfcState, (mem,) + _lists(row.shape, steps, acts))
@@ -443,10 +529,11 @@ def _enabled(t: RuleTable, steps: tuple, acts: tuple) -> tuple[Row, ...]:
     """The rows that control part (*steps*, *acts*) enables, in enumeration
     order: execute rows of pending actions (first occurrence order), the
     transitions listed under active steps that pass ``_control``, and
-    reactivations of active steps.
+    live reactivations of active steps.
 
     An execute row asks only that its action be pending, and a
     reactivation only that its step be active, so neither needs a check.
+    A dead row is in no index this reads, so it is never listed.
     """
     if len(steps) == 1:
         transitions = t.leaving.get(steps[0], ())
@@ -461,7 +548,7 @@ def _enabled(t: RuleTable, steps: tuple, acts: tuple) -> tuple[Row, ...]:
     for row in transitions:
         if _control(row.shape, steps, acts) is None:
             rows.append(row)
-    rows.extend(map(t.reactivate.__getitem__, steps))
+    rows.extend([t.reactivate[s] for s in steps if s in t.reactivate])
     return tuple(rows)
 
 
@@ -485,7 +572,7 @@ def successors(model: SfcModel, c: SfcState, memo: dict | None = None):
         # first visit: the rows alone, each building its lists as it fires
         moves = memo[part] = _enabled(rule_table(model), steps, acts)
         for row in moves:
-            m2 = _memory(row, mem, memo)
+            m2 = row.fire(mem, memo)
             if not isinstance(m2, str):
                 out.append((row.rule, _state(SfcState, (m2,) + _lists(
                     row.shape, steps, acts))))
@@ -495,7 +582,7 @@ def successors(model: SfcModel, c: SfcState, memo: dict | None = None):
         moves = memo[part] = [(row, _lists(row.shape, steps, acts))
                               for row in moves]
     for row, lists in moves:
-        m2 = _memory(row, mem, memo)
+        m2 = row.fire(mem, memo)
         if not isinstance(m2, str):
             out.append((row.rule, _state(SfcState, (m2,) + lists)))
     return out
@@ -532,21 +619,25 @@ def reachable_bounded(model: SfcModel, depth: int, *,
     return states
 
 
-def _priority_rank(model: SfcModel, rule: RuleInstance) -> tuple:
-    """The priority scheduler's order: execute instances, then transitions
-    by ascending priority then declaration order (transitions without a
-    priority last), then reactivations."""
-    if isinstance(rule, StepTransition):
-        t = model.transitions[rule.index]
-        return (1, t.priority is None, t.priority or 0, rule.index)
-    return (0,) if isinstance(rule, ExecuteAction) else (2,)
+def _priority_key(t: RuleTable):
+    """The priority scheduler's order on (rule, successor) pairs: execute
+    instances, then transitions by ascending priority then declaration
+    order (transitions without a priority last), then reactivations."""
+    places, last = t.priority, len(t.priority) + 1
+
+    def key(pair):
+        rule = pair[0]
+        if isinstance(rule, StepTransition):
+            return places[rule.index]
+        return 0 if isinstance(rule, ExecuteAction) else last
+    return key
 
 
 def run_trace(model: SfcModel, scheduler: str = "priority",
               max_steps: int = 100, seed: int = 0):
     """Deterministic simulation; returns [(rule, state-after)] pairs.
 
-    priority: the first enabled rule by ``_priority_rank``, ties (execute
+    priority: the first enabled rule by ``_priority_key``, ties (execute
     and reactivate instances) in enumeration order, so pending actions in
     pending order and reactivations in active step order.  fixed: first
     enabled rule in enumeration order.  random: uniform choice among
@@ -554,9 +645,9 @@ def run_trace(model: SfcModel, scheduler: str = "priority",
     ValueError before any rule runs.
     """
     rng = random.Random(seed)
+    key = _priority_key(rule_table(model))
     pick = {
-        "priority": lambda succ: min(
-            succ, key=lambda p: _priority_rank(model, p[0])),
+        "priority": lambda succ: min(succ, key=key),
         "fixed": itemgetter(0),
         "random": lambda succ: succ[rng.randrange(len(succ))],
     }.get(scheduler)

@@ -270,6 +270,35 @@ class TestUsage:
         assert out == ""
         assert err.startswith("parse error: ") and "0xe9" in err
 
+    @pytest.mark.parametrize("command, option", [
+        ("explore", "--depth"), ("explore", "--state-budget"),
+        ("simulate", "--max-steps")])
+    def test_negative_size_exits_2(self, capsys, command, option):
+        with pytest.raises(SystemExit) as err:
+            main([command, fx("loop.sfc"), option, "-3"])
+        assert err.value.code == 2
+        out, text = capsys.readouterr()
+        assert out == ""
+        assert text.endswith(
+            f"error: argument {option}: must not be negative, got -3\n")
+
+    def test_non_integer_size_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["explore", fx("loop.sfc"), "--depth", "two"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --depth: invalid int value: 'two'\n")
+
+    def test_zero_sizes_are_valid(self, capsys):
+        assert run(capsys, "explore", fx("loop.sfc"), "--depth", "0") == \
+            (0, "states: 1\n")
+        code, out = run(capsys, "simulate", fx("loop.sfc"),
+                        "--max-steps", "0")
+        assert code == 0 and out.startswith("init: ") and "step 1" not in out
+        # a budget of 0: the first state past the initial one exceeds it
+        assert run(capsys, "explore", fx("loop.sfc"),
+                   "--state-budget", "0") == (1, "states: 2 (partial)\n")
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -404,6 +404,90 @@ class TestMemo:
             assert set(enabled) == set(parts)
 
 
+# Constant guards the rule table decides: trans 0 (false, and first by
+# priority) can never fire, U's only leaving guard is true, so U never
+# reactivates, and S's reactivation is blocked by x >= 3 (its false guard
+# is left out).  B writes a constant.
+FOLDED = """var x : int8
+var y : int8
+step S [initial]
+step T
+step U
+action A on S { x := x + 1; }
+action B on U { y := 7; x := 0; }
+trans {S} -[ false ]-> {T} [prio 0]
+trans {S} -[ x >= 3 ]-> {U} [prio 1]
+trans {U} -[ true ]-> {S}
+trans {T} -[ true ]-> {S}
+"""
+
+
+class TestFolding:
+    """A guard that reads no variable is decided when the rule table is
+    built: a rule it stops is never enumerated, ``apply_rule`` still
+    reports it, and no constant guard reaches the memo."""
+
+    def test_dead_rows_are_never_enumerated(self):
+        model = parse_model(FOLDED)
+        dead = {StepTransition(0), Reactivate("U")}
+        states = reachable_bounded(model, 30)
+        fired = {r for c in states for r, _ in successors(model, c)}
+        assert not fired & dead
+        # both dead rules pass their control half somewhere, and S's
+        # reactivation fires
+        assert {StepTransition(1), StepTransition(2), Reactivate("S")} \
+            <= fired
+        assert all("T" not in c.active_steps for c in states)
+        assert any(c.active_steps == ("U",) and not c.active_actions
+                   for c in states)
+        for rule, c in run_trace(model, "priority", 60):
+            assert rule not in dead
+
+    def test_dead_rows_report_the_usual_reasons(self):
+        model = parse_model(FOLDED)
+        for x in (0, 5):
+            with pytest.raises(NotApplicable, match="^guard is false$"):
+                S.apply_rule(model, S.SfcState({"x": x, "y": 0}, ("S",), ()),
+                             StepTransition(0))
+            with pytest.raises(NotApplicable,
+                               match="^an outgoing transition is enabled$"):
+                S.apply_rule(model, S.SfcState({"x": x, "y": 0}, ("U",), ()),
+                             Reactivate("U"))
+        # the control half is checked first, as for every rule
+        with pytest.raises(NotApplicable, match="^step 'S' inactive$"):
+            S.apply_rule(model, S.SfcState({"x": 0, "y": 0}, ("U",), ()),
+                         StepTransition(0))
+        # the live rows around them fire
+        c = S.apply_rule(model, S.SfcState({"x": 1, "y": 0}, ("S",), ()),
+                         Reactivate("S"))
+        assert c.active_actions == ("A",)
+        c = S.apply_rule(model, S.SfcState({"x": 4, "y": 0}, ("U",),
+                                           ("B",)), ExecuteAction("B"))
+        assert c.mem == {"x": 0, "y": 7}
+
+    def test_memo_holds_no_constant_guard(self, monkeypatch):
+        """lockstep's transitions have guard true: neither exploring nor
+        simulating it looks that guard up."""
+        model = load_model("lockstep")
+        plain, memos = S.successors, []
+
+        def recorded(model, c, memo=None):
+            memos.append(memo)
+            return plain(model, c, memo)
+
+        monkeypatch.setattr(S, "successors", recorded)
+        reachable_bounded(model, 40)
+        run_trace(model, "priority", 200)
+        shared = {id(m): m for m in memos}
+        assert len(shared) == 2
+        for memo in shared.values():
+            # an evaluator's key is (id, values read): () when it reads
+            # no variable
+            evaluated = [k for k in memo if isinstance(k[0], int)]
+            assert evaluated
+            assert [k for k in evaluated if k[1] == ()] == []
+
+
 class TestCompiledEffects:
     """A diagram is validated when its model is built and compiled once,
     on first use, however often its action runs; an invalid one never
@@ -566,7 +650,7 @@ def _exact(states):
             for s in states]
 
 
-_DIFFERENTIAL = fixture_names() + ["FANOUT", "ring_with_joins"]
+_DIFFERENTIAL = fixture_names() + ["FANOUT", "ring_with_joins", "FOLDED"]
 
 
 def _differential_model(name):
@@ -574,6 +658,8 @@ def _differential_model(name):
         return parse_model(FANOUT)
     if name == "ring_with_joins":
         return _ring_with_joins()
+    if name == "FOLDED":
+        return parse_model(FOLDED)
     return load_model(name)
 
 
