@@ -24,15 +24,20 @@ active step and pending lists) reads only the control part, the pair
 the action's effect and the merge of its writes) reads only memory, and
 each row runs it as one row kernel, ``Row.fire``, built with the rule
 table (``_row_kernel``).  So which rows a control part enables, and the
-lists each one yields, are the same for every memory, and ``successors``
-decides them once per control part of an exploration: the shared memo
-also maps each control part to its rows (``_enabled``), and each
-configuration runs only the row kernels of those.  A part's entry is its
-rows on the first visit, which build their lists as they fire; a second
-visit replaces it with (row, lists) pairs.  Most parts of a chart whose
-pending list piles up are visited once, and keeping their lists would
-only cost memory.  ``apply_rule`` runs both halves directly, the same
-row kernel included.
+lists each one yields, are the same for every memory, and they are
+decided once per control part of an exploration or simulation: the
+shared memo also maps each control part to its rows (``_enabled``), and
+each configuration runs only the row kernels of those.  A part's entry is
+its rows on the first visit, which build their lists as they fire; a
+second visit replaces it with (row, lists) pairs.  Most parts of a chart
+whose pending list piles up are visited once, and keeping their lists
+would only cost memory.  The transitions and reactivations a part
+enables depend on its active step list alone, but for the transitions'
+idle checks, and many parts share a step list; so ``_step_rows`` decides
+them once per step list, kept on the rule table (``RuleTable.by_steps``),
+and a part adds its pending actions' execute rows and runs the idle
+checks.  ``apply_rule`` runs both halves directly, the same row kernel
+included.
 
 A row kernel folds what reads no variable.  A constant-true guard and a
 constant-false blocked guard are left out of it, and an assignment list
@@ -41,17 +46,23 @@ none of these is ever looked up in the memo.  A transition whose guard is
 constant false, or a reactivation that a constant-true guard blocks, is
 dead: it can never fire.  It stays in ``RuleTable.rows``, where
 ``apply_rule`` reports it with the usual reason, but no enumeration index
-lists it, so ``successors`` never tries it.  Dropping a dead reactivation
+lists it, so no enumeration tries it.  Dropping a dead reactivation
 is exact under this module's rule that a step does not reactivate while
 any guard leaving it is true, whether or not that transition's other
 source steps are active; a rule that asked for the whole transition to be
 enabled would have to fold only single-source transitions' guards.
 
-``successors`` is the one enumeration path, and it tries only what can
-fire: the rule table lists each live transition under its first source
-step, and a control part tries the transitions listed under its active
-steps, in declaration order (a transition fires only when all its sources
-are active).  ``reachable_bounded`` dedups on (memory values, active
+Two paths enumerate a configuration's rules, in the same order and from
+the same part entries.  ``successors``, the explorer's, builds every
+successor.  ``_fired``, one simulation step, fires the same rows and
+builds no configuration; ``run_trace`` builds only the one its scheduler
+picks.  ``successors`` keeps its own loop rather than running
+``_fired`` and then building, which would cost the explorer a second pass
+over every configuration's moves.  Both try only what can fire: the rule
+table lists each live transition under its first source step, and a
+control part tries the transitions listed under its active steps, in
+declaration order (a transition fires only when all its sources are
+active).  ``reachable_bounded`` dedups on (memory values, active
 steps, sorted pending actions), which is ``SfcState.key`` without sorting
 memory.  That is exact because every memory of one exploration has the
 key order of ``init_state``'s, which is the order of ``model.vars``: an
@@ -65,7 +76,7 @@ table and the initial configuration from ``model`` itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable
@@ -159,7 +170,9 @@ class RuleTable:
 
     ``rows`` holds every instance, so ``apply_rule`` can run and report a
     dead one; ``leaving`` and ``reactivate`` hold only the live ones, so
-    no enumeration tries a row that can never fire.
+    no enumeration tries a row that can never fire.  ``by_steps`` keeps
+    each active step list's step-dependent rows (``_step_rows``) once
+    they are first asked for: a pure function of the model and the list.
     """
 
     rows: dict[RuleInstance, Row]   # every instance, as in ``model.rules``
@@ -172,6 +185,8 @@ class RuleTable:
     # (1 for the first); execute instances come before all (0) and
     # reactivations after all (len + 1)
     priority: tuple[int, ...]
+    # active step list -> its step-dependent rows, filled on demand
+    by_steps: dict[tuple, tuple] = field(default_factory=dict)
 
 
 def apply_effect(assigns, m: E.Memory, env: dict[str, str]) -> dict:
@@ -525,30 +540,52 @@ def apply_rule(model: SfcModel, c: SfcState, rule: RuleInstance) -> SfcState:
     return _state(SfcState, (mem,) + _lists(row.shape, steps, acts))
 
 
+def _step_rows(t: RuleTable, steps: tuple) -> tuple:
+    """The rows that active step list *steps* enables whatever actions
+    are pending, as (transitions, reactivations).
+
+    *transitions* pairs each live transition listed under an active step
+    whose sources are all active, in index order, with the actions that
+    must not be pending for it to fire (its idle check).
+    *reactivations* are the live reactivations of the active steps, in
+    step order.
+    """
+    if len(steps) == 1:
+        listed = t.leaving.get(steps[0], ())
+    else:
+        # a step may be active twice; each transition is tried once
+        listed = sorted({row for s in steps
+                         for row in t.leaving.get(s, ())},
+                        key=attrgetter("rule.index"))
+    transitions = tuple((row, frozenset(row.shape.idle)) for row in listed
+                        if all(s in steps for s in row.shape.steps))
+    return transitions, tuple(t.reactivate[s] for s in steps
+                              if s in t.reactivate)
+
+
 def _enabled(t: RuleTable, steps: tuple, acts: tuple) -> tuple[Row, ...]:
     """The rows that control part (*steps*, *acts*) enables, in enumeration
     order: execute rows of pending actions (first occurrence order), the
     transitions listed under active steps that pass ``_control``, and
     live reactivations of active steps.
 
-    An execute row asks only that its action be pending, and a
-    reactivation only that its step be active, so neither needs a check.
-    A dead row is in no index this reads, so it is never listed.
+    The transitions and reactivations depend on *steps* alone but for the
+    transitions' idle checks, so ``_step_rows`` decides them once per
+    step list of the rule table, and a part adds its pending actions'
+    execute rows and runs the idle checks.  An execute row asks only that
+    its action be pending, and a reactivation only that its step be
+    active.  A dead row is in no index this reads, so it is never listed.
     """
-    if len(steps) == 1:
-        transitions = t.leaving.get(steps[0], ())
-    else:
-        # a step may be active twice; each transition is tried once
-        transitions = sorted({row for s in steps
-                              for row in t.leaving.get(s, ())},
-                             key=attrgetter("rule.index"))
+    try:
+        transitions, reactivations = t.by_steps[steps]
+    except KeyError:
+        transitions, reactivations = t.by_steps[steps] = \
+            _step_rows(t, steps)
     # one pending action is its own first occurrence
     rows = list(map(t.execute.__getitem__,
                     acts if len(acts) < 2 else dict.fromkeys(acts)))
-    for row in transitions:
-        if _control(row.shape, steps, acts) is None:
-            rows.append(row)
-    rows.extend([t.reactivate[s] for s in steps if s in t.reactivate])
+    rows.extend([row for row, idle in transitions if idle.isdisjoint(acts)])
+    rows.extend(reactivations)
     return tuple(rows)
 
 
@@ -619,14 +656,46 @@ def reachable_bounded(model: SfcModel, depth: int, *,
     return states
 
 
+def _fired(t: RuleTable, c: SfcState, memo: dict) -> list:
+    """The rows of *t* that fire in *c*, in enumeration order, as
+    (row, lists, memory) triples: the successor's memory, and its
+    (active steps, pending actions) or None where they are not built yet.
+
+    One simulation step: the control part's entry in *memo* is the one
+    ``successors`` keeps, so a part's first visit lists its rows and
+    gives None for every row's lists, and a later visit gives the
+    (row, lists) pairs that its second visit builds.  Only the row a
+    scheduler picks needs its lists and its configuration built.
+    """
+    mem, steps, acts = c
+    part = c[1:]
+    out = []
+    moves = memo.get(part)
+    if moves is None:
+        moves = memo[part] = _enabled(t, steps, acts)
+        for row in moves:
+            m2 = row.fire(mem, memo)
+            if not isinstance(m2, str):
+                out.append((row, None, m2))
+        return out
+    if isinstance(moves, tuple):
+        moves = memo[part] = [(row, _lists(row.shape, steps, acts))
+                              for row in moves]
+    for row, lists in moves:
+        m2 = row.fire(mem, memo)
+        if not isinstance(m2, str):
+            out.append((row, lists, m2))
+    return out
+
+
 def _priority_key(t: RuleTable):
-    """The priority scheduler's order on (rule, successor) pairs: execute
+    """The priority scheduler's order on ``_fired`` triples: execute
     instances, then transitions by ascending priority then declaration
     order (transitions without a priority last), then reactivations."""
     places, last = t.priority, len(t.priority) + 1
 
-    def key(pair):
-        rule = pair[0]
+    def key(move):
+        rule = move[0].rule
         if isinstance(rule, StepTransition):
             return places[rule.index]
         return 0 if isinstance(rule, ExecuteAction) else last
@@ -643,13 +712,18 @@ def run_trace(model: SfcModel, scheduler: str = "priority",
     enabled rule in enumeration order.  random: uniform choice among
     enabled rules, driven by the seed.  An unknown scheduler name raises
     ValueError before any rule runs.
+
+    Each step runs ``_fired``, which fires every row the configuration
+    enables, as ``successors`` does, and then builds the one successor
+    the scheduler picks.
     """
     rng = random.Random(seed)
-    key = _priority_key(rule_table(model))
+    t = rule_table(model)
+    key = _priority_key(t)
     pick = {
-        "priority": lambda succ: min(succ, key=key),
+        "priority": lambda moves: min(moves, key=key),
         "fixed": itemgetter(0),
-        "random": lambda succ: succ[rng.randrange(len(succ))],
+        "random": lambda moves: moves[rng.randrange(len(moves))],
     }.get(scheduler)
     if pick is None:
         raise ValueError(f"unknown scheduler {scheduler!r}")
@@ -657,9 +731,12 @@ def run_trace(model: SfcModel, scheduler: str = "priority",
     trace = []
     memo: dict = {}
     for _ in range(max_steps):
-        succ = successors(model, c, memo)
-        if not succ:
+        moves = _fired(t, c, memo)
+        if not moves:
             break
-        rule, c = pick(succ)
-        trace.append((rule, c))
+        row, lists, mem = pick(moves)
+        if lists is None:
+            lists = _lists(row.shape, c[1], c[2])
+        c = _state(SfcState, (mem,) + lists)
+        trace.append((row.rule, c))
     return trace

@@ -52,10 +52,13 @@ def test_records_are_reproducible_and_an_edit_shows(tmp_path):
         assert rec == {
             "claim": f"explore/fixture/{name}", "states": len(states),
             "states_sha256": _sha256(state_text(c) for c in states),
-            "traces_sha256": {sched: _sha256(
+            "traces_sha256": {key: _sha256(
                 f"{r.label()} {state_text(c)}"
-                for r, c in run_trace(model, sched, 150, seed=1))
-                for sched in ("priority", "fixed", "random")}}
+                for r, c in run_trace(model, sched, 150, seed=seed))
+                for key, sched, seed in (
+                    ("priority", "priority", 1), ("fixed", "fixed", 1),
+                    ("random:1", "random", 1), ("random:2", "random", 2),
+                    ("random:3", "random", 3))}}
 
     for edit, shown in (
             (lambda recs: next(r for r in recs if r.get("verdict")

@@ -334,15 +334,23 @@ class TestMemo:
             return states, traces
 
         shared = outputs()
-        plain, calls = S.successors, []
+        plain, plain_fired, calls, fired = S.successors, S._fired, [], []
 
         def fresh(model, c, memo=None):
             calls.append(memo)
             return plain(model, c)
 
+        def fresh_fired(t, c, memo):
+            fired.append(memo)
+            return plain_fired(t, c, {})
+
+        # the explorer's and the simulator's paths, each with a fresh memo
+        # per configuration
         monkeypatch.setattr(S, "successors", fresh)
+        monkeypatch.setattr(S, "_fired", fresh_fired)
         assert outputs() == shared
         assert calls and all(m is not None for m in calls)
+        assert fired and all(m is not None for m in fired)
 
     @pytest.mark.parametrize("body", [
         "{ x := x + 1; }",
@@ -383,6 +391,7 @@ class TestMemo:
         enables once, however many memories it meets the part with."""
         model = load_model(name)
         plain_enabled, plain_successors = S._enabled, S.successors
+        plain_fired = S._fired
         enabled, parts = [], []
 
         def counted_enabled(t, steps, acts):
@@ -393,8 +402,13 @@ class TestMemo:
             parts.append((c.active_steps, c.active_actions))
             return plain_successors(model, c, memo)
 
+        def recorded_fired(t, c, memo):
+            parts.append((c.active_steps, c.active_actions))
+            return plain_fired(t, c, memo)
+
         monkeypatch.setattr(S, "_enabled", counted_enabled)
         monkeypatch.setattr(S, "successors", recorded)
+        monkeypatch.setattr(S, "_fired", recorded_fired)
         for run in (lambda: reachable_bounded(model, 30),
                     lambda: run_trace(model, "random", 200, seed=2)):
             enabled.clear()
@@ -402,6 +416,53 @@ class TestMemo:
             run()
             assert len(enabled) == len(set(parts)) < len(parts) / 4
             assert set(enabled) == set(parts)
+
+    def test_step_rows_decided_once_per_step_list(self, monkeypatch):
+        """The transitions and reactivations an active step list enables
+        are decided once per rule table, however many control parts,
+        explorations and simulations meet the list."""
+        model = parse_model(FANOUT)
+        plain_step_rows, plain_enabled = S._step_rows, S._enabled
+        decided, parts = [], []
+
+        def counted_step_rows(t, steps):
+            decided.append(steps)
+            return plain_step_rows(t, steps)
+
+        def recorded_enabled(t, steps, acts):
+            parts.append((steps, acts))
+            return plain_enabled(t, steps, acts)
+
+        monkeypatch.setattr(S, "_step_rows", counted_step_rows)
+        monkeypatch.setattr(S, "_enabled", recorded_enabled)
+        reachable_bounded(model, 12)
+        for scheduler in ("priority", "fixed", "random"):
+            run_trace(model, scheduler, 300, seed=4)
+        reachable_bounded(model, 12)
+        step_lists = {steps for steps, _ in parts}
+        assert len(decided) == len(set(decided))
+        assert set(decided) == step_lists
+        assert len(step_lists) < len(set(parts)) / 4
+
+    @pytest.mark.parametrize("scheduler", ["priority", "fixed", "random"])
+    def test_simulator_builds_only_the_configurations_it_takes(
+            self, monkeypatch, scheduler):
+        """A simulation step fires every enabled row but builds only the
+        successor its scheduler picks, though FANOUT's steps often enable
+        several rows."""
+        model = parse_model(FANOUT)
+        plain_state, built = S._state, []
+
+        def counted_state(cls, fields):
+            built.append(fields)
+            return plain_state(cls, fields)
+
+        monkeypatch.setattr(S, "_state", counted_state)
+        trace = run_trace(model, scheduler, 400, seed=6)
+        assert len(built) == len(trace) == 400
+        monkeypatch.setattr(S, "_state", plain_state)
+        enabled = [len(successors(model, c)) for _, c in trace]
+        assert sum(enabled) > 2 * len(trace)
 
 
 # Constant guards the rule table decides: trans 0 (false, and first by
@@ -469,13 +530,18 @@ class TestFolding:
         """lockstep's transitions have guard true: neither exploring nor
         simulating it looks that guard up."""
         model = load_model("lockstep")
-        plain, memos = S.successors, []
+        plain, plain_fired, memos = S.successors, S._fired, []
 
         def recorded(model, c, memo=None):
             memos.append(memo)
             return plain(model, c, memo)
 
+        def recorded_fired(t, c, memo):
+            memos.append(memo)
+            return plain_fired(t, c, memo)
+
         monkeypatch.setattr(S, "successors", recorded)
+        monkeypatch.setattr(S, "_fired", recorded_fired)
         reachable_bounded(model, 40)
         run_trace(model, "priority", 200)
         shared = {id(m): m for m in memos}
@@ -689,6 +755,21 @@ class TestDifferential:
         model = _differential_model(name)
         got = run_trace(model, scheduler, 150, seed=3)
         want = _reference_trace(model, scheduler, 150, 3)
+        assert [(r, *_exact([s])) for r, s in got] == \
+            [(r, *_exact([s])) for r, s in want]
+
+    # tier-1 runs 200 examples; `--hypothesis-profile long` (conftest.py)
+    # runs more
+    @settings(max_examples=max(200, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(_DIFFERENTIAL),
+           st.sampled_from(["priority", "fixed", "random"]),
+           st.integers(0, 2**32 - 1), st.integers(0, 60))
+    def test_drawn_simulations_equal_reference(self, name, scheduler, seed,
+                                               max_steps):
+        model = _differential_model(name)
+        got = run_trace(model, scheduler, max_steps, seed)
+        want = _reference_trace(model, scheduler, max_steps, seed)
         assert [(r, *_exact([s])) for r, s in got] == \
             [(r, *_exact([s])) for r, s in want]
 

@@ -18,9 +18,10 @@ SHA-256 and ``check``'s accepted, reason and path.  A chart's explorer
 line, whose claim is ``explore/`` and the chart's name, holds the state
 count of ``reachable_bounded`` (at the workload's depth, or at
 ``FIXTURE_DEPTH``), the SHA-256 of its states' ``state_text`` in order,
-and for each scheduler the SHA-256 of ``run_trace``'s rule labels and
-``state_text``s (the workload's trace length, or ``FIXTURE_STEPS``; seed
-``TRACE_SEED``).
+and the SHA-256 of ``run_trace``'s rule labels and ``state_text``s (the
+workload's trace length, or ``FIXTURE_STEPS``) for the priority and fixed
+schedulers, which draw nothing, and for the random scheduler at each seed
+of ``TRACE_SEEDS``, keyed ``random:SEED``.
 
 ``diff`` prints the first 20 claims whose records differ, or that only one
 file has, and exits 1 if there is any.
@@ -42,8 +43,10 @@ WORKLOADS = ("ring", "arith", "fanout")
 SHOWN = 20
 FIXTURE_DEPTH = 8
 FIXTURE_STEPS = 150
-TRACE_SEED = 1
-SCHEDULERS = ("priority", "fixed", "random")
+TRACE_SEEDS = (1, 2, 3)
+# trace record key -> (scheduler, seed)
+TRACES = {"priority": ("priority", 1), "fixed": ("fixed", 1),
+          **{f"random:{seed}": ("random", seed) for seed in TRACE_SEEDS}}
 
 # claim name -> (fixture, lemma, its arguments after the model), as
 # tests/test_certificate.py's target_certificates builds them
@@ -101,10 +104,10 @@ def explorer_record(api, chart, model, depth, steps) -> dict:
     return {"claim": f"explore/{chart}", "states": len(states),
             "states_sha256": sha256_text(
                 "".join(S.state_text(c) + "\n" for c in states)),
-            "traces_sha256": {sched: sha256_text("".join(
+            "traces_sha256": {key: sha256_text("".join(
                 f"{rule.label()} {S.state_text(c)}\n"
-                for rule, c in S.run_trace(model, sched, steps, TRACE_SEED)))
-                for sched in SCHEDULERS}}
+                for rule, c in S.run_trace(model, sched, steps, seed)))
+                for key, (sched, seed) in TRACES.items()}}
 
 
 def fixture_claims(api, names):
