@@ -12,13 +12,18 @@ Every derived constraint remembers its provenance; refutations unwind into
 witnesses that `witness.replay_witness` checks without search.  Satisfying
 assignments are re-checked against the input cube before being returned.
 
-A cube that extends a satisfiable one by inequalities (a proof node's
+A cube that extends a hypothesis cube by inequalities (a proof node's
 joint cube, its cube plus one negated-conclusion cube, or a split child,
-its parent's cube plus one cube of the split piece) is
-decided from the hypothesis decision's simplification (`Sat.base`): each
-extra member is substituted through the hypothesis's eliminated
-equalities, in order, and one `_simplify` runs over the hypothesis's
-active nodes followed by those members.  The result is valid because
+its parent's cube plus one cube of the split piece) is decided from the
+hypothesis's simplification: `Sat.base` of its decision, or
+`Simplified.base` where `simplify`, the first stage of `decide_sat`
+alone, left the hypothesis undecided.  Each extra member is substituted
+through the hypothesis's eliminated equalities, in order, and one
+`_simplify` runs over the hypothesis's active nodes followed by those
+members.  The hypothesis itself, decided after its `Simplified`, is
+finished from the stored simplification, with no second `_simplify`,
+charging the derived count that simplification charged.  The result is
+valid because
   * substitution and tightening keep provenance, so every refutation
     unwinds into a witness of the whole cube that `replay_witness` checks;
   * the assignment is back-substituted through the eliminated stack and
@@ -57,6 +62,14 @@ class Sat:
 @dataclass
 class Unsat:
     witness: Witness
+
+
+@dataclass
+class Simplified:
+    """A cube whose top-level simplification holds no clash, not decided:
+    `decide_sat` decides the cube, or an extension of it, from here."""
+
+    base: _Base = field(repr=False)
 
 
 # the decider's budgets, read at each call: the most derived constraints
@@ -234,11 +247,16 @@ class _Base(NamedTuple):
     derived: int
 
 
+_EMPTY = _Base((), [], [], 0)
+
+
 def _extend(base: _Base, cube: Cube, limits: _Limits):
     """`_simplify`'s result for *cube*, which extends *base*'s cube, from
     *base*; the module docstring says how it can differ from a run over
     the whole cube."""
     limits.count(base.derived)
+    if len(cube) == len(base.cube):  # the base's own cube, simplified
+        return base.active, base.eliminated, None
     extra = []
     for i, con in enumerate(cube[len(base.cube):], len(base.cube)):
         nd = _tighten_node(_Node(con, "orig", i))
@@ -426,12 +444,7 @@ class _Solver:
         lo, hi, lo_nd, hi_nd = self._unit_bounds(active, var)
         if lo is None or hi is None:
             raise FragmentError(f"variable {var!r} is unbounded")
-        if lo > hi:
-            self.limits.count()
-            combo = _tighten_node(_combine_nodes(((lo_nd, 1), (hi_nd, 1))))
-            if not combo.con.const_false():
-                raise AssertionError("expected contradiction from bounds")
-            return "unsat", _extract(combo, self.n_orig, n_assume)
+        # lo <= hi: `finish` combined both bounds here, Unsat if they crossed
         if n_assume == MAX_SPLIT_NESTING:  # n_assume splits enclose this one
             raise LimitExceeded(
                 f"split nesting deeper than {MAX_SPLIT_NESTING}")
@@ -452,12 +465,27 @@ class _Solver:
         return "unsat", Witness(tuple(steps))
 
 
-def decide_sat(cube: Cube, *, after: Sat | None = None):
+def simplify(cube: Cube, *, after: Sat | Simplified | None = None):
+    """The first stage of `decide_sat` alone: Unsat with the witness that
+    `decide_sat` gives when the top-level simplification of *cube* (from
+    *after*'s, as there) clashes, else that simplification, undecided.
+    Raises as `decide_sat` does."""
+    cube = tuple(cube)
+    limits = _Limits()
+    simplified = _start(cube, after, limits)
+    if simplified[2] is not None:  # `finish` only extracts the clash
+        return Unsat(_finish(cube, simplified, limits)[1])
+    active, eliminated, _ = simplified
+    return Simplified(_Base(cube, active, eliminated, limits.derived))
+
+
+def decide_sat(cube: Cube, *, after: Sat | Simplified | None = None):
     """Sat with a checked assignment, or Unsat with a replayable witness.
 
-    *after* is the result of deciding a prefix of *cube*; when the members
-    past that prefix hold no equality, the decision extends the prefix's
-    simplification (see the module docstring).  Any other cube is decided
+    *after* is the result of deciding or simplifying a prefix of *cube*;
+    when the members past that prefix hold no equality, the decision
+    extends the prefix's simplification (see the module docstring), and
+    for the prefix itself it finishes from it.  Any other cube is decided
     from scratch, as an extension of the empty cube.  Raises LimitExceeded
     past MAX_DERIVED derived constraints, SPLIT_LIMIT split values or a
     witness nested past the recursion limit, and FragmentError for an
@@ -465,17 +493,9 @@ def decide_sat(cube: Cube, *, after: Sat | None = None):
     """
     cube = tuple(cube)
     limits = _Limits()
-    extends = after is not None and _extends(cube, after.base.cube)
-    base = after.base if extends else _Base((), [], [], 0)
-    simplified = _extend(base, cube, limits)
+    simplified = _start(cube, after, limits)
     derived = limits.derived
-    try:
-        kind, payload = _Solver(len(cube), limits).finish(simplified, 0)
-    except RecursionError:
-        # `_emit` recurses once per derivation level, which is cheaper than
-        # a walk with its own stack; a deeper derivation is a resource limit
-        raise LimitExceeded("witness derivation nested too deep for the "
-                            "recursion limit") from None
+    kind, payload = _finish(cube, simplified, limits)
     if kind == "unsat":
         return Unsat(payload)
     for con in cube:
@@ -483,6 +503,23 @@ def decide_sat(cube: Cube, *, after: Sat | None = None):
             raise AssertionError(f"internal error: model fails {con!r}")
     active, eliminated, _ = simplified
     return Sat(payload, _Base(cube, active, eliminated, derived))
+
+
+def _start(cube: Cube, after, limits: _Limits):
+    """`_simplify`'s result for *cube*, from *after*'s simplification when
+    *cube* extends its cube by members that hold no equality."""
+    extends = after is not None and _extends(cube, after.base.cube)
+    return _extend(after.base if extends else _EMPTY, cube, limits)
+
+
+def _finish(cube: Cube, simplified, limits: _Limits):
+    try:
+        return _Solver(len(cube), limits).finish(simplified, 0)
+    except RecursionError:
+        # `_emit` recurses once per derivation level, which is cheaper than
+        # a walk with its own stack; a deeper derivation is a resource limit
+        raise LimitExceeded("witness derivation nested too deep for the "
+                            "recursion limit") from None
 
 
 def _extends(cube: Cube, prefix: Cube) -> bool:

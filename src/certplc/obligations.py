@@ -296,6 +296,10 @@ class DerivationContext:
                     out.setdefault(rule, [()] * n)[i] += ((var, value),)
         return out
 
+    def framed(self, rule: RuleInstance | Entailment) -> bool:
+        """The frame rule closes the case: it derives nothing."""
+        return rule is not ENTAIL and rule not in self.readings
+
     def negated(self, conjunct: P.Formula, post: dict) -> Dnf:
         """The conjunct negated after *post*, bounds attached."""
         return tuple([attach_bounds(c, self.env) for c in self.formula_dnf(
@@ -371,12 +375,12 @@ def build_obligation(ctx: DerivationContext,
     outside the linear fragment and LimitExceeded past the disjunct cap;
     either leaves the case undecided, never wrongly proved.
     """
+    if ctx.framed(rule):  # closed: nothing of the rule is derived
+        return CaseObligation(rule, (), (FALSE_DNF,) * len(ctx.conjuncts))
     if rule is ENTAIL:
         neg = [ctx.negated(c, {}) for c in P.conjuncts(ctx.target)]
     else:
-        readings = ctx.readings.get(rule)
-        if readings is None:  # closed: nothing of the rule is derived
-            return CaseObligation(rule, (), (FALSE_DNF,) * len(ctx.conjuncts))
+        readings = ctx.readings[rule]
         pinned = ctx.pinned(rule)  # a failing effect fails first
         if pinned:  # a constant write's reading holds its value
             readings = [tuple((v, pinned.get(v, value)) for v, value in r)

@@ -8,7 +8,10 @@ transition and per step).  A case's search starts from its root cube and
 splits on a disjunctive hypothesis piece only where a satisfiable joint
 cube needs it; a node whose cube is contradictory is closed with a
 refutation witness, and the others must entail the invariant on the
-symbolic post-state.  An optional target is proved by one more case,
+symbolic post-state.  The search decides only what the proof reads: a
+node's own cube is simplified first and decided in full only when none
+of its joint cubes is satisfiable, and a case that the frame rule closes
+is skipped before any obligation is built.  An optional target is proved by one more case,
 ``entail``: every state satisfying the invariant satisfies the target.
 
 A refutation of an inductive case is reported as an inductiveness
@@ -27,7 +30,7 @@ from . import expr as E
 from . import linear
 from . import obligations as O
 from . import properties as P
-from .lia.solver import Sat, decide_sat
+from .lia.solver import Sat, Simplified, decide_sat, simplify
 # normalize is not called here, but perfbench/tracing.py wraps
 # verifier.normalize, so the name stays importable
 from .linear import WRAP_PREFIX, FragmentError, LimitExceeded, normalize
@@ -79,18 +82,31 @@ def _split_choice(ob: O.CaseObligation, assignment: dict, open_pieces):
         open_pieces[0])
 
 
-def _decide_joints(ob: O.CaseObligation, cube, res: Sat):
-    """The node of a satisfiable cube whose joint cubes are all
-    unsatisfiable, else the first satisfiable joint cube's decision."""
+def _decide_node(ob: O.CaseObligation, cube, simplified: Simplified):
+    """The first satisfiable joint cube's decision, else the node: Cubes
+    when its own cube is satisfiable, else Contradiction.  The node's cube
+    is decided, from its simplification, only when no joint cube is
+    satisfiable: a satisfiable joint cube satisfies it too."""
     witnesses = []
-    for joint in O.joint_cubes(cube, ob.neg_concl):
-        # the joint cube extends the node's cube, whose simplification the
-        # decider extends
-        sub = decide_sat(joint, after=res)
-        if isinstance(sub, Sat):
-            return sub
-        witnesses.append(sub.witness)
-    return Cubes(tuple(witnesses))
+    try:
+        for joint in O.joint_cubes(cube, ob.neg_concl):
+            # the joint cube extends the node's cube, whose simplification
+            # the decider extends
+            sub = decide_sat(joint, after=simplified)
+            if isinstance(sub, Sat):
+                return sub
+            witnesses.append(sub.witness)
+    except (FragmentError, LimitExceeded):
+        # deciding the node's cube first, a contradictory one closes the
+        # node before any joint cube is decided, and its own error is
+        # raised before a joint cube's
+        res = decide_sat(cube, after=simplified)
+        if isinstance(res, Sat):
+            raise
+        return Contradiction(res.witness)
+    res = decide_sat(cube, after=simplified)
+    return (Cubes(tuple(witnesses)) if isinstance(res, Sat)
+            else Contradiction(res.witness))
 
 
 def discharge(ob: O.CaseObligation):
@@ -99,17 +115,21 @@ def discharge(ob: O.CaseObligation):
     (LimitExceeded, FragmentError) and LimitExceeded past ``linear.CAP``
     nodes.
 
-    The search decides the root cube.  At a node whose cube and some joint
-    cube are satisfiable, it splits on the first piece, among those not
-    split on above it, that the joint cube's assignment falsifies, or on
-    the first of them when the assignment falsifies none; a satisfiable
-    joint cube of a node with no piece left refutes the case.  A
+    At each node the search simplifies the node's cube, extending its
+    parent's simplification; a clash there closes the node with a
+    contradiction, and otherwise it decides the joint cubes from that
+    simplification.  At a node with a satisfiable joint cube, it splits on
+    the first piece, among those not split on above it, that the joint
+    cube's assignment falsifies, or on the first of them when the
+    assignment falsifies none; a satisfiable joint cube of a node with no
+    piece left refutes the case.  A node whose joint cubes are all
+    unsatisfiable decides its own cube last, and only then.  A
     refutation's assignment omits the quotient variables, functions of the
     others."""
     if not ob.hyp_cubes:
         return None
     # depth first, with a stack of the splits still open: (the split
-    # node's cube, its decision, the pieces split on down to it, its
+    # node's cube, its simplification, the pieces split on down to it, its
     # children so far)
     stack: list[tuple] = []
     cube, after, used = ob.hyp_cubes[0], None, ()
@@ -117,8 +137,8 @@ def discharge(ob: O.CaseObligation):
         if nodes > linear.CAP:  # read at each node, as linear reads it
             raise LimitExceeded(f"{nodes} proof nodes exceed cap "
                                 f"{linear.CAP}")
-        res = decide_sat(cube, after=after)
-        node = (_decide_joints(ob, cube, res) if isinstance(res, Sat)
+        res = simplify(cube, after=after)
+        node = (_decide_node(ob, cube, res) if isinstance(res, Simplified)
                 else Contradiction(res.witness))
         if isinstance(node, Sat):  # a satisfiable joint cube
             open_pieces = [k for k in range(len(ob.splits)) if k not in used]
@@ -153,8 +173,9 @@ def verify_invariant(model: SfcModel, inv: P.Invariant,
     A case outside the linear fragment or past a cap or budget is
     Undecided, its reason the rule label and the cause; a refuted later
     case still wins.  Each case is derived just before it is discharged, so
-    derivation stops at the first refuted case.  The tree holds the open
-    cases only; ``obligations`` counts every case.
+    derivation stops at the first refuted case, and a framed case is
+    neither.  The tree holds the open cases only; ``obligations`` counts
+    every case.
     """
     base = check_base(model, inv.formula)
     if base is not None:
@@ -166,6 +187,8 @@ def verify_invariant(model: SfcModel, inv: P.Invariant,
     undecided = None
     for rule in rules:
         try:
+            if ctx.framed(rule):  # closed: nothing to derive or decide
+                continue
             res = discharge(O.build_obligation(ctx, rule))
         except (FragmentError, LimitExceeded) as err:
             undecided = undecided or Undecided(rule, f"{rule.label()}: {err}")

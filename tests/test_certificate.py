@@ -155,6 +155,40 @@ class TestCheckRejections:
         assert v.reason == "coverage: hypothesis cube count mismatch"
         assert v.path == ("cases", "trans:2")
 
+    @pytest.mark.parametrize("node", [
+        "cubes 0\n", "contradiction\nsteps 1\ncombine 0*1\n"])
+    def test_listed_framed_case_is_rejected_before_derivation(
+            self, node, monkeypatch):
+        # x_capped_ind frames trans:2, so the checker derives nothing for
+        # it; listed with any node, it is a count mismatch at its path
+        model, inv, data = proved_certificate()
+        ctx = O.DerivationContext(model, inv.formula)
+        rule, = (r for r in model.rules if r.label() == "trans:2")
+        assert ctx.framed(rule)
+        bad = data.decode().replace(
+            "case react:Init\n", f"case trans:2\n{node}case react:Init\n", 1)
+        built, build = [], O.build_obligation
+        monkeypatch.setattr(O, "build_obligation", lambda ctx, r: (
+            built.append(r.label()) or build(ctx, r)))
+        v = C.check(bad.encode())
+        assert v.reason == "coverage: hypothesis cube count mismatch"
+        assert v.path == ("cases", "trans:2")
+        assert built == ["exec:A_Init", "trans:0", "trans:1"]
+
+    @pytest.mark.parametrize("order, reason", [
+        (("model", "property", "property", "proof"),
+         "duplicate section '--- property'"),
+        (("property", "model", "proof"), "sections out of order"),
+    ], ids=["duplicate", "out-of-order"])
+    def test_section_marks_are_unique_and_in_order(self, order, reason):
+        _, _, data = proved_certificate()
+        head, rest = data.decode().split("--- model\n", 1)
+        body = dict(zip(("model", "property", "proof"), re.split(
+            "--- property\n|--- proof\n", rest)))
+        bad = head + "".join(f"--- {name}\n{body[name]}" for name in order)
+        v = C.check(bad.encode())
+        assert (v.reason, v.path) == (f"parse: {reason}", ())
+
     def test_listed_constant_closed_case_is_a_count_mismatch(self):
         # ``y := 1`` closes exec:A_Main; the entry a CERTPLC/5 certificate
         # listed for it names a case that derives no hypothesis cube

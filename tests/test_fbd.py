@@ -6,10 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from certplc import certificate as C
 from certplc import expr as E
 from certplc import fbd as F
+from certplc import properties as P
+from certplc import verifier as V
 from certplc.linear import FragmentError, LinForm
-from certplc.model import parse_model
+from certplc.model import canonical_text, parse_model
 from certplc.parsing import ParseError, TokenStream
 from certplc.semantics import apply_effect
 
@@ -259,6 +262,28 @@ class TestSurface:
         text = "\n".join(F.fbd_lines(f))
         again = F.parse_fbd(TokenStream(text[len("fbd FCnt "):]), "FCnt")
         assert again == f
+
+    def test_boolean_constants_parse_print_and_certify(self):
+        """``const true`` and ``const false``, as blocks and as an inline
+        operand, parse, print canonically (the blocks in id order) and
+        certify a property over the variables they write."""
+        text = ("var b : bool\nvar c : bool = true\nvar d : bool\n"
+                "step S [initial]\naction A on S = fbd F\n"
+                "fbd F {\n  block t = const true\n  block f = const false\n"
+                "  block wb = write b (t.out)\n  block wc = write c (f.out)\n"
+                "  block wd = write d (const false)\n  timeslice 1\n}\n"
+                "trans {S} -[ true ]-> {S}\n")
+        model = parse_model(text)
+        printed = canonical_text(model)
+        assert printed == text.replace(
+            "  block t = const true\n  block f = const false\n",
+            "  block f = const false\n  block t = const true\n")
+        assert canonical_text(parse_model(printed)) == printed
+        inv, = P.parse_properties(
+            "invariant p : always (!d && (b || c || action(A)));", model)
+        res = V.verify_invariant(model, inv)
+        assert isinstance(res, V.Proved)
+        assert C.check(C.emit(model, inv, res.tree)).accepted
 
     def test_unknown_kind(self):
         with pytest.raises(F.FbdError, match="unknown block kind"):

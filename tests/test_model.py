@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from certplc import canonical_text, model_digest, parse_model
 from certplc import fbd as F
-from certplc.model import (ActionBlock, ExecuteAction, SfcModel, Transition,
-                           VarDecl, init_state)
+from certplc.model import (ActionBlock, ExecuteAction, SfcModel, SfcState,
+                           Transition, VarDecl, init_state)
 from certplc.parsing import ParseError, TokenStream, parse_expression
 from certplc.semantics import apply_rule, reachable_bounded, run_trace
 from certplc import expr as E
@@ -753,3 +753,18 @@ class TestDigest:
         d = model_digest(parse_model(MINIMAL))
         assert len(d) == 64
         int(d, 16)
+
+
+class TestStateIdentity:
+    def test_equal_keyed_states_hash_alike_and_collapse(self):
+        """A state's identity is its key: memory in any insertion order and
+        pending actions in any order give equal states, which hash alike
+        and are one set member; the step list's order counts."""
+        a = SfcState({"x": 1, "y": 2}, ("S", "T"), ("A", "B", "A"))
+        b = SfcState({"y": 2, "x": 1}, ("S", "T"), ("B", "A", "A"))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other = SfcState({"x": 1, "y": 2}, ("T", "S"), ("A", "B", "A"))
+        assert other != a
+        assert len({a, b, other}) == 2

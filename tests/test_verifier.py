@@ -1,8 +1,11 @@
 import sys
 import time
-from itertools import product
+from itertools import count, product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certplc import certificate as C
 from certplc import expr as E
@@ -12,11 +15,12 @@ from certplc import properties as P
 from certplc import semantics as S
 from certplc import verifier as V
 from certplc.lia import solver
-from certplc.lia.solver import decide_sat
+from certplc.lia.solver import Sat, Unsat, decide_sat
 from certplc.lia.witness import replay_witness
 from certplc.model import parse_model
 from certplc.parsing import TokenStream
-from certplc.prooftree import Contradiction, Cubes, ProofTree, Split
+from certplc.prooftree import (CaseProof, Contradiction, Cubes, ProofTree,
+                               Split)
 from certplc.semantics import reachable_bounded
 
 from conftest import (CAPPED_16, FANOUT, NONLINEAR_ATOM, NONLINEAR_ATOM_PROP,
@@ -373,8 +377,7 @@ class TestDischarge:
 
 def _decisions(model, inv):
     """(cube, after) of each decide_sat call that verify_invariant makes:
-    a root cube from scratch, a split child after its parent's decision,
-    a joint cube after its node's."""
+    a joint cube or a node's own cube after the node's simplification."""
     calls, real = [], V.decide_sat
 
     def recorded(cube, *, after=None):
@@ -476,45 +479,329 @@ class TestJointCubeReplay:
 
     def test_only_hypotheses_and_equality_joins_run_from_scratch(
             self, monkeypatch):
-        """Every root cube is decided from scratch; a split child or a
-        joint cube is decided by extending its parent's or node's
-        simplification, or from scratch when its extra members hold an
-        equality."""
+        """Every root cube is simplified from scratch, and a split child's
+        cube by extending its parent's simplification; a joint cube is
+        decided by extending its node's simplification, or from scratch
+        when its extra members hold an equality; a node's own cube is
+        decided, from its simplification, only when every joint cube is
+        unsatisfiable."""
         model, rel = lockstep("int8", 5)
         lag = P.parse_properties("invariant lag : always (y != 5 * x + 1);",
                                  model)[0]
-        counts = []
+        calls = []
+        simplify, decide = V.simplify, V.decide_sat
+
+        def kind(cube, after):
+            if after is None:
+                return "scratch"
+            if len(cube) == len(after.base.cube):
+                return "own"
+            return ("scratch" if any(con.rel == "==" for con in
+                                     cube[len(after.base.cube):])
+                    else "extend")
+
+        def recorded(name, real):
+            def call(cube, *, after=None):
+                calls.append(f"{name} {kind(cube, after)}")
+                return real(cube, after=after)
+            return call
+
+        monkeypatch.setattr(V, "simplify", recorded("simplify", simplify))
+        monkeypatch.setattr(V, "decide_sat", recorded("decide", decide))
+        patterns = []
         for inv in (rel, lag):
-            calls = _decisions(model, inv)
-            extending = sum(after is not None and not any(
-                con.rel == "==" for con in cube[len(after.base.cube):])
-                for cube, after in calls)
-            counts.append((len(calls) - extending, extending))
-        # rel: one root cube, 5 * x wrapped by a quotient variable, joined
-        # with the < and > halves of y != 5 * x; lag: the root joined with
-        # y == 5 * x + 1, which an assignment satisfies that falsifies the
-        # piece y != 5 * x + 1, so the root splits on its < and > halves,
-        # each joined with y == 5 * x + 1
-        assert counts == [(1, 2), (4, 2)]
-        # a decision from scratch extends the empty base
-        calls = {"decide_sat": 0, "extended": 0}
-        decide, extend = V.decide_sat, solver._extend
-
-        def counted_decide(*args, **kwargs):
-            calls["decide_sat"] += 1
-            return decide(*args, **kwargs)
-
-        def counted_extend(base, *args):
-            calls["extended"] += bool(base.cube)
-            return extend(base, *args)
-
-        monkeypatch.setattr(V, "decide_sat", counted_decide)
-        monkeypatch.setattr(solver, "_extend", counted_extend)
-        for inv, (scratch, extending) in zip((rel, lag), counts):
-            calls.update(decide_sat=0, extended=0)
+            calls.clear()
             assert isinstance(V.verify_invariant(model, inv), V.Proved)
-            assert calls["extended"] == extending
-            assert calls["decide_sat"] - calls["extended"] == scratch
+            patterns.append(list(calls))
+        # rel: one root cube, 5 * x wrapped by a quotient variable, joined
+        # with the < and > halves of y != 5 * x, both unsatisfiable, so the
+        # root is decided; lag: the root joined with y == 5 * x + 1, which
+        # an assignment satisfies that falsifies the piece y != 5 * x + 1,
+        # so the root is never decided and splits on its < and > halves,
+        # each joined with y == 5 * x + 1 and then decided
+        child = ["simplify extend", "decide scratch", "decide own"]
+        assert patterns == [
+            ["simplify scratch", "decide extend", "decide extend",
+             "decide own"],
+            ["simplify scratch", "decide scratch", *child, *child]]
+        # an extension and a node's own decision start from the base
+        # they extend, a decision from scratch from the empty base
+        extended, extend = [], solver._extend
+        monkeypatch.setattr(solver, "_extend", lambda base, *args: (
+            extended.append(bool(base.cube)) or extend(base, *args)))
+        for inv, pattern in zip((rel, lag), patterns):
+            extended.clear()
+            V.verify_invariant(model, inv)
+            assert extended == [not p.endswith("scratch") for p in pattern]
+
+
+def _root_first_discharge(ob):
+    """The reference discharge: each node's cube is decided in full, from
+    its parent's decision, before any of its joint cubes, which extend
+    that decision; otherwise as ``verifier.discharge``."""
+    if not ob.hyp_cubes:
+        return None
+    stack: list[tuple] = []
+    cube, after, used = ob.hyp_cubes[0], None, ()
+    for nodes in count(1):
+        if nodes > L.CAP:
+            raise L.LimitExceeded(f"{nodes} proof nodes exceed cap {L.CAP}")
+        res = decide_sat(cube, after=after)
+        if isinstance(res, Unsat):
+            node = Contradiction(res.witness)
+        else:
+            witnesses = []
+            for joint in O.joint_cubes(cube, ob.neg_concl):
+                node = decide_sat(joint, after=res)
+                if isinstance(node, Sat):
+                    break
+                witnesses.append(node.witness)
+            else:
+                node = Cubes(tuple(witnesses))
+        if isinstance(node, Sat):
+            open_pieces = [k for k in range(len(ob.splits)) if k not in used]
+            if not open_pieces:
+                return V.Refuted(ob.rule, {
+                    v: n for v, n in node.assignment.items()
+                    if not v.startswith(L.WRAP_PREFIX)},
+                    "invariant does not imply the target"
+                    if ob.rule is O.ENTAIL else "inductive step violated")
+            stack.append((cube, res, used + (V._split_choice(
+                ob, node.assignment, open_pieces),), []))
+        else:
+            while stack:
+                _, _, path, children = stack[-1]
+                children.append(node)
+                if len(children) < len(ob.splits[path[-1]]):
+                    break
+                stack.pop()
+                node = Split(path[-1], tuple(children))
+            else:
+                return CaseProof(ob.rule.label(), node)
+        cube, after, used, children = stack[-1]
+        cube = O.refine(cube, ob.splits[used[-1]][len(children)])
+
+
+def _outcome(discharge, ob):
+    """The discharge's result, or the error it raises."""
+    try:
+        return discharge(ob)
+    except (L.FragmentError, L.LimitExceeded) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _claim_cases(model, inv, target=None):
+    """Each proof case's obligation of a claim; an error deriving one
+    leaves it out."""
+    ctx = O.DerivationContext(model, inv.formula,
+                              target=target and target.formula)
+    for rule in O.proof_cases(model, target):
+        try:
+            yield O.build_obligation(ctx, rule)
+        except (L.FragmentError, L.LimitExceeded):
+            continue
+
+
+# x and y step apart in S and y is reset in T; the drawn properties read
+# both, the steps and the action A
+DRAWN_CHART = parse_model("""var x : int8
+var y : int8
+step S [initial]
+step T
+action A on S { x := x + 1; y := y + 3; }
+action B on T { y := 0; }
+trans {S} -[ x < 10 ]-> {T}
+trans {T} -[ x + y >= 12 ]-> {S}
+""")
+
+
+@st.composite
+def _drawn_property(draw):
+    """A conjunction of one to four clauses of one to three literals over
+    DRAWN_CHART: activity atoms and linear comparisons of x and y."""
+    def literal():
+        kind = draw(st.sampled_from(("step", "action", "cmp", "cmp")))
+        if kind != "cmp":
+            return draw(st.sampled_from(
+                ("step(S)", "!step(S)", "step(T)", "!step(T)")
+                if kind == "step" else ("action(A)", "!action(A)")))
+        lhs = "0" + "".join(
+            f" {'+' if c > 0 else '-'} {abs(c)} * {v}" for v, c in (
+                ("x", draw(st.integers(-3, 3))),
+                ("y", draw(st.integers(-3, 3)))) if c)
+        op = draw(st.sampled_from(("<=", "<", "==", "!=", ">=")))
+        return f"{lhs} {op} {draw(st.integers(0, 40))}"
+
+    clauses = draw(st.lists(st.lists(st.builds(literal), min_size=1,
+                                     max_size=3), min_size=1, max_size=4))
+    return " && ".join("(" + " || ".join(c) + ")" for c in clauses)
+
+
+class TestLazyNodes:
+    """discharge decides a node's own cube only when none of its joint
+    cubes is satisfiable, and verify_invariant skips framed cases; the
+    proofs, refutations and errors equal those of deciding every node's
+    cube first, except where that decision runs past a budget that a
+    satisfiable joint cube avoids."""
+
+    @staticmethod
+    def _agree(ob, max_derived):
+        """Lazy and root-first discharge agree at the default budgets and,
+        past *max_derived* derived constraints, wherever the root-first
+        one decides."""
+        assert _outcome(V.discharge, ob) == _outcome(
+            _root_first_discharge, ob), ob.rule
+        with mock.patch.object(solver, "MAX_DERIVED", max_derived):
+            lazy = _outcome(V.discharge, ob)
+            ref = _outcome(_root_first_discharge, ob)
+        assert lazy == ref or str(ref).startswith("LimitExceeded"), \
+            (ob.rule, max_derived)
+
+    @pytest.mark.parametrize("chart", list(_charts()), ids=lambda c: c[0])
+    def test_fixture_claims_equal_the_root_first_reference(self, chart):
+        _, model, inv = chart
+        for ob in _claim_cases(model, inv):
+            for max_derived in (3, 12, 40):
+                self._agree(ob, max_derived)
+
+    # tier-1 runs 100 examples; `--hypothesis-profile long` (conftest.py)
+    # runs more
+    @settings(max_examples=max(100, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(_drawn_property(), st.integers(0, 120))
+    def test_drawn_obligations_equal_the_root_first_reference(
+            self, text, max_derived):
+        inv = P.Invariant("p", formula(text, DRAWN_CHART))
+        for ob in _claim_cases(DRAWN_CHART, inv):
+            self._agree(ob, max_derived)
+
+    def test_a_node_with_a_satisfiable_joint_never_finishes_its_cube(
+            self, monkeypatch):
+        """Per node, in the order discharge visits them (depth first,
+        children in order), the roles of the cubes that `_Solver.finish`
+        ran on: ``own`` for the node's cube (the object discharge
+        simplified), ``joint`` for a joint cube (a new object, though it
+        may equal the node's cube) and ``clash`` for the node's clashing
+        simplification.  A node with a satisfiable joint cube (a split,
+        or the node that refutes its case) never finishes its own cube; a
+        ``cubes`` node finishes it last, a contradiction too unless its
+        simplification clashed."""
+        visits = []  # [the node's cube, the roles finished since]
+        roles = []  # the role of each decision in progress
+        simplify, decide, finish = (V.simplify, V.decide_sat,
+                                    solver._Solver.finish)
+
+        def simplified(cube, *, after=None):
+            visits.append([cube, []])
+            roles.append("clash")
+            try:
+                return simplify(cube, after=after)
+            finally:
+                roles.pop()
+
+        def decided(cube, *, after=None):
+            roles.append("own" if cube is visits[-1][0] else "joint")
+            try:
+                return decide(cube, after=after)
+            finally:
+                roles.pop()
+
+        def finished(self, *args):
+            visits[-1][1].append(roles[-1])
+            return finish(self, *args)
+
+        monkeypatch.setattr(V, "simplify", simplified)
+        monkeypatch.setattr(V, "decide_sat", decided)
+        monkeypatch.setattr(solver._Solver, "finish", finished)
+        kinds = set()
+        for _, model, inv in _charts():
+            for ob in _claim_cases(model, inv):
+                visits.clear()
+                res = V.discharge(ob)
+                if res is None:
+                    assert not visits
+                    continue
+                if isinstance(res, V.Refuted):
+                    assert "own" not in visits[-1][1]
+                    kinds.add("refuted")
+                    continue
+                nodes, todo = [], [res.node]
+                while todo:  # the nodes in visiting order
+                    nodes.append(todo.pop())
+                    todo.extend(reversed(getattr(nodes[-1], "children", ())))
+                assert len(nodes) == len(visits)
+                for node, (_, done) in zip(nodes, visits):
+                    kind = type(node).__name__
+                    if isinstance(node, Split):
+                        assert "own" not in done
+                    elif isinstance(node, Cubes):
+                        assert done[-1] == "own"
+                    else:
+                        kind += done[-1]
+                        assert done[-1] in ("own", "clash")
+                    kinds.add(kind)
+        assert kinds == {"refuted", "Split", "Cubes", "Contradictionown",
+                         "Contradictionclash"}, kinds
+
+    def test_framed_cases_are_neither_derived_nor_discharged(
+            self, monkeypatch):
+        """On the proved ring claims at seed 1, and the dead_ctx claim
+        with a target, each case reaches build_obligation and discharge
+        exactly when its rule is not framed; ``obligations`` counts every
+        case."""
+        built, discharged = [], []
+        build, discharge = O.build_obligation, V.discharge
+        monkeypatch.setattr(O, "build_obligation", lambda ctx, rule: (
+            built.append(rule) or build(ctx, rule)))
+        monkeypatch.setattr(V, "discharge", lambda ob: (
+            discharged.append(ob.rule) or discharge(ob)))
+        claims = []
+        for mc in benchmark_cases((1,)):
+            if mc.name.startswith("ring"):
+                model = parse_model(mc.text)
+                claims += [(model, inv, None) for inv in
+                           P.parse_properties(mc.props_text(), model)]
+        model = load_model("dead_ctx")
+        claims.append((model, *V.check_guard_unreachable(
+            model, "Dead", (formula("0 < y", model),))))
+        framed = entailed = 0
+        for model, inv, target in claims:
+            built.clear()
+            discharged.clear()
+            res = V.verify_invariant(model, inv, target)
+            if not isinstance(res, V.Proved):
+                continue
+            ctx = O.DerivationContext(model, inv.formula, target=target
+                                      and target.formula)
+            cases = O.proof_cases(model, target)
+            assert res.obligations == len(cases)
+            opened = [r for r in cases if not ctx.framed(r)]
+            assert built == discharged == opened
+            assert (O.ENTAIL in opened) == (target is not None)
+            entailed += target is not None
+            framed += len(cases) - len(opened)
+        assert entailed == 1 and framed > 100, (entailed, framed)
+
+    def test_a_joint_cube_past_the_budget_leaves_a_contradiction(
+            self, monkeypatch):
+        """x_capped_ind's react:Init root cube is contradictory.  Under a
+        budget of 3 derived constraints its own decision refutes it, and
+        its second joint cube's runs past the budget: the case is a
+        contradiction, as when the root is decided first, not undecided."""
+        model = load_model("loop")
+        inv = load_invariants("loop", model)[1]
+        ob = O.build_obligation(O.DerivationContext(model, inv.formula),
+                                S.Reactivate("Init"))
+        monkeypatch.setattr(solver, "MAX_DERIVED", 3)
+        root = ob.hyp_cubes[0]
+        joints = list(O.joint_cubes(root, ob.neg_concl))
+        simplified = V.simplify(root)
+        assert decision(joints[1], after=simplified) == (
+            "LimitExceeded: more than 3 derived constraints")
+        expected = _root_first_discharge(ob)
+        assert expected.node == Contradiction(
+            decide_sat(root, after=simplified).witness)
+        assert V.discharge(ob) == expected
 
 
 class TestVerifyInvariant:
