@@ -45,6 +45,15 @@ most as wide as its piece, and each replay costs at most the length of
 the longest block.  The walk keeps its own stack, so nesting costs no
 Python recursion.
 
+The checker keeps the last chart it parsed and found canonical in one
+(model text, model) slot: a certificate whose model section is that text
+reuses the model and its derivation memo, skipping the parse and re-print;
+every check from the digest line on still runs.  Sound, as the model and
+each memo piece are deterministic in the text, or in an expression typed
+under its env, and memos keep only successes.  The slot is read once per
+check; what it holds grows only with the distinct property atoms checked
+against its chart, and is released when the next chart takes the slot.
+
 Rejection never means the property is false, only that this certificate
 does not establish it.
 """
@@ -66,6 +75,8 @@ from .prooftree import (Contradiction, Cubes, ProofTree, parse_proof_lines,
 MAGIC = "CERTPLC/7"
 
 _SECTIONS = ("--- model", "--- property", "--- proof")
+
+_last: tuple = ("", None)  # the slot; no model section is empty
 
 
 @dataclass(frozen=True)
@@ -148,13 +159,17 @@ def _check(data: bytes) -> CheckVerdict:
     except ValueError as err:
         return _rejected(f"parse: {err}")
 
-    try:
-        model = parse_model(model_text)
-    except ParseError as err:
-        return _rejected(f"model-parse: {err}")
-    if canonical_text(model) != model_text:
-        return _rejected("model-canonical: embedded model text is not in "
-                         "canonical form")
+    global _last
+    text, model = _last  # one read: a text never meets another's model
+    if text != model_text:
+        try:
+            model = parse_model(model_text)
+        except ParseError as err:
+            return _rejected(f"model-parse: {err}")
+        if canonical_text(model) != model_text:
+            return _rejected("model-canonical: embedded model text is not "
+                             "in canonical form")
+        _last = (model_text, model)
     if text_digest(model_text) != digest:
         return _rejected("digest: header does not match the embedded model")
 

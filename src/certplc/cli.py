@@ -149,19 +149,30 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _cmd_check_cert(args) -> int:
-    with open(args.cert, "rb") as fh:
-        data = fh.read()
-    verdict = C.check(data)
-    payload = {"accepted": verdict.accepted, "reason": verdict.reason,
-               "path": list(verdict.path)}
+def _verdict_line(verdict) -> str:
     if verdict.accepted:
-        _emit_report(args, payload, ["Accepted"])
-        return 0
+        return "Accepted"
     where = "/".join(verdict.path)
-    suffix = f" at {where}" if where else ""
-    _emit_report(args, payload, [f"Rejected: {verdict.reason}{suffix}"])
-    return 1
+    return f"Rejected: {verdict.reason}" + (f" at {where}" if where else "")
+
+
+def _cmd_check_cert(args) -> int:
+    """Check each certificate in order, so that certificates of one chart
+    given together share the checker's parse of it; report only once every
+    file has been read."""
+    verdicts = []
+    for path in args.cert:
+        with open(path, "rb") as fh:
+            verdicts.append(C.check(fh.read()))
+    payloads = [{"accepted": v.accepted, "reason": v.reason,
+                 "path": list(v.path)} for v in verdicts]
+    lines = [_verdict_line(v) for v in verdicts]
+    if len(args.cert) == 1:
+        _emit_report(args, payloads[0], lines)
+    else:
+        _emit_report(args, dict(zip(args.cert, payloads)),
+                     [f"{p}: {ln}" for p, ln in zip(args.cert, lines)])
+    return 0 if all(verdicts) else 1
 
 
 def _size(text: str) -> int:
@@ -222,8 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="invariant to certify when the file has several")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("check-cert", help="check a certificate")
-    p.add_argument("cert")
+    p = sub.add_parser("check-cert", help="check certificates")
+    p.add_argument("cert", nargs="+", help="certificate files, checked in "
+                   "order; a chart's certificates given in a row share "
+                   "one parse of it")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_check_cert)
     return parser

@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from certplc import (BudgetExceeded, SfcModel, parse_model, parse_properties,
                      reachable_bounded)
+from certplc import certificate as C
 from certplc import expr as E
 from certplc import linear as L
 from certplc import obligations as O
@@ -17,6 +18,15 @@ from certplc.linear import FragmentError, LimitExceeded
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(autouse=True)
+def _empty_checker_slot():
+    """Each test starts with the checker's last-chart slot empty, as in a
+    new process, so that what a test counts, frees or is told does not
+    depend on the test that ran before it."""
+    C._last = ("", None)
+
 
 # `--hypothesis-profile long` raises the example count of a test that
 # reads it (test_lia.py's joint-cube extension differential and

@@ -5,6 +5,7 @@ import inspect
 import pathlib
 import re
 import sys
+import threading
 import time
 import types
 from dataclasses import replace
@@ -25,7 +26,7 @@ from certplc.linear import _width_bounds
 from certplc.model import (ActionBlock, SfcModel, canonical_text,
                            model_digest, parse_model, text_digest)
 from certplc.lia.witness import MAX_SPLIT_NESTING
-from certplc.parsing import MAX_NESTING
+from certplc.parsing import MAX_NESTING, ParseError
 from certplc.prooftree import ProofTree, parse_proof_lines, proof_lines
 
 from conftest import (CAPPED_16, FANOUT, FIXTURES, NONLINEAR_GUARD, OPAQUE,
@@ -1373,6 +1374,144 @@ class TestCheckWork:
         assert compiled == ["Cnt0"]
 
 
+def _model_section(data: bytes) -> bytes:
+    return data.split(b"--- model\n", 1)[-1].split(b"--- property")[0]
+
+
+@functools.cache
+def _chart_certificates() -> tuple[bytes, ...]:
+    """The certificate of every proved fixture claim and of the two
+    target claims."""
+    return tuple(C.emit(model, inv, tree, target)
+                 for _, model, inv, target, tree in _proved_claims(()))
+
+
+def _after_another_chart(data: bytes) -> C.CheckVerdict:
+    """check's verdict on *data* checked right after an accepted
+    certificate of another chart."""
+    other = next(c for c in _chart_certificates()
+                 if _model_section(c) != _model_section(data))
+    assert C.check(other).accepted
+    return C.check(data)
+
+
+@st.composite
+def _checked_in_a_row(draw):
+    """A sequence of certificates drawn, repeats likely, from a few:
+    fixture and target certificates, structural mutants (a broken proof
+    under an unedited model section) and edited ones (a number or byte
+    changed anywhere: in the model section, a property or the proof).
+    Each may come right after one of the two certificates the mutants
+    edit, so that a mutant often follows the chart it was made from."""
+    edited = _edited_certificates().map(lambda m: m[1])
+    pool = draw(st.lists(st.one_of(
+        st.sampled_from(_chart_certificates()),
+        _broken_certificates().map(lambda m: m[1]), edited, edited),
+        min_size=1, max_size=3))
+    bases = [text.encode() for text in _mutation_inputs()]
+    lead = st.sampled_from([(), *((b,) for b in bases)])
+    picks = draw(st.lists(st.tuples(lead, st.sampled_from(pool)),
+                          min_size=1, max_size=8))
+    return [data for before, item in picks for data in (*before, item)]
+
+
+class TestLastChart:
+    """check keeps the last chart it parsed and found canonical, and
+    reuses it for a certificate whose model section is the same text."""
+
+    def _parses(self, monkeypatch) -> list[str]:
+        """The model texts check parses from now on."""
+        parsed, real = [], C.parse_model
+
+        def counted(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(C, "parse_model", counted)
+        return parsed
+
+    def test_a_chart_is_parsed_again_after_another_chart(self, monkeypatch):
+        loop = load_model("loop")
+        a, b = (C.emit(loop, inv, V.verify_invariant(loop, inv).tree)
+                for inv in load_invariants("loop", loop)
+                if inv.name in ("x_capped_ind", "acts_declared"))
+        *_, other = proved_certificate("hold_positive", 0)
+        parsed = self._parses(monkeypatch)
+        for data, count in ((a, 1), (b, 1), (a, 1), (other, 2), (b, 3)):
+            assert C.check(data).accepted
+            assert len(parsed) == count
+        assert parsed[0] == parsed[2] == canonical_text(loop)
+
+    @pytest.mark.parametrize("old, new, reason", [
+        (b"--- model\n", b"--- model\n\n", "model-canonical: "),
+        (b"step Init", b"step 1Init", "model-parse: "),
+    ], ids=["non-canonical", "parse-error"])
+    def test_a_rejected_model_section_never_fills_the_slot(
+            self, monkeypatch, old, new, reason):
+        """The text of a rejected section is parsed, and rejected, again
+        on every check, and the slot keeps the chart it held before."""
+        _, _, good = proved_certificate()
+        bad = good.replace(old, new, 1)
+        assert C.check(good).accepted
+        held = C._last
+        parsed = self._parses(monkeypatch)
+        verdicts = [C.check(bad), C.check(bad)]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0].reason.startswith(reason)
+        assert len(parsed) == 2 and C._last is held
+        assert C.check(good).accepted and len(parsed) == 2
+
+    def test_the_slot_never_holds_the_callers_model(self):
+        model, _, data = proved_certificate()
+        assert C.check(data).accepted
+        text, kept = C._last
+        assert text == canonical_text(model) and kept is not model
+
+    def test_threads_checking_other_charts_agree(self):
+        """Four threads check certificates of different charts, each a
+        proved one and the same with its proof cut short, in different
+        orders, with the interpreter switching threads every microsecond:
+        every verdict is the one a single thread gives, though the threads
+        replace the slot under each other and share its model's memo."""
+        certs = _chart_certificates()[::4]
+        certs += tuple(c[:c.rindex(b"\nsteps ")] for c in certs
+                       if b"\nsteps " in c)
+        want = [_after_another_chart(c) for c in certs]
+        assert not all(want) and any(want)
+        wrong = []
+
+        def work(k):
+            for i in range(40 * len(certs)):
+                j = (i * (k + 1) + k) % len(certs)
+                if C.check(certs[j]) != want[j]:
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @settings(max_examples=max(300, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(_checked_in_a_row())
+    def test_verdicts_do_not_depend_on_the_order(self, sequence):
+        """Each certificate of a sequence checked in a row gets the
+        verdict it gets right after a certificate of another chart; 300
+        derandomized sequences in Tier-1, more under
+        ``--hypothesis-profile long``."""
+        got = [C.check(data) for data in sequence]
+        assert got == [_after_another_chart(data) for data in sequence]
+
+
 def _chart(guard, rhs="x + 1"):
     return ("var x : int8\nstep S [initial]\nstep T\n"
             f"action A on S {{ x := {rhs}; }}\n"
@@ -1559,6 +1698,42 @@ class TestTrustedCore:
     def test_inventory_matches_import_graph(self):
         reached = _transitive_imports("certplc.certificate")
         assert reached == set(C.trusted_core_inventory())
+
+    def test_each_range_split_rejection(self):
+        """Mutants of the hand-made split witness: replay rejects each at
+        its own check, and the parser a split range past its bounds."""
+        witness = decide_sat(_PUGH).witness
+        (split,) = witness.steps
+        n = len(_PUGH)
+        mutants = [
+            ("split must be the final step",
+             W.Witness((split, W.Tighten(0)))),
+            ("empty split range", replace(split, lo=split.hi + 1)),
+            ("branch count does not match range",
+             replace(split, branches=split.branches[1:])),
+            ("index out of range", replace(split, lo_index=n)),
+            ("index out of range", replace(split, hi_index=n)),
+            ("upper bound constraint does not match",
+             replace(split, hi_index=split.lo_index)),
+        ]
+        assert W.replay_witness(_PUGH, witness)
+        raised_at = set()
+        for message, mutant in mutants:
+            if isinstance(mutant, W.RangeSplit):
+                mutant = W.Witness((mutant,))
+            assert not W.replay_witness(_PUGH, mutant), message
+            with pytest.raises(W._Reject, match=f"^{message}$") as err:
+                W._replay(list(_PUGH), n, mutant)
+            raised_at.add(err.traceback[-1].lineno)
+        assert len(raised_at) == len(mutants)
+        lines = W.witness_lines(witness)
+        assert lines[1] == (f"split x {split.lo} {split.hi} "
+                            f"{split.lo_index} {split.hi_index}")
+        for lo, hi in ((split.hi, split.lo), (0, 1_000_001)):
+            rows = [lines[0], f"split x {lo} {hi} {split.lo_index} "
+                    f"{split.hi_index}", *lines[2:]]
+            with pytest.raises(ParseError, match="^bad split range$"):
+                W.parse_witness_lines(iter(rows))
 
     def test_check_enters_every_trusted_function(self):
         """Every function and method of the trusted core is entered by

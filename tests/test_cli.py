@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from certplc import certificate as C
 from certplc.cli import main
 from certplc.parsing import MAX_NESTING
 
@@ -224,6 +225,81 @@ class TestVerifyCertify:
                      fx("hold_positive.inv"), "--out", "/tmp/ignored.cert"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestCheckSeveralCertificates:
+    """``check-cert`` with several files: one verdict per file, in order;
+    with one file the report is as it always was."""
+
+    @pytest.fixture
+    def certs(self, tmp_path, capsys):
+        """Two accepted certificates of dead_ctx, one of them tampered
+        into a third file, and one accepted certificate of loop."""
+        out = {}
+        for chart, name in (("dead_ctx", "never_dead"),
+                            ("dead_ctx", "acts_declared"),
+                            ("loop", "x_capped_ind")):
+            out[name] = tmp_path / f"{name}.cert"
+            assert main(["certify", fx(f"{chart}.sfc"), "--prop",
+                         fx(f"{chart}.inv"), "--name", name,
+                         "--out", str(out[name])]) == 0
+        data = out["never_dead"].read_bytes()
+        assert b"steps 1" in data
+        out["tampered"] = tmp_path / "tampered.cert"
+        out["tampered"].write_bytes(data.replace(b"steps 1", b"steps 0"))
+        capsys.readouterr()
+        return {k: str(v) for k, v in out.items()}
+
+    def test_one_line_per_file(self, certs, capsys):
+        order = ["never_dead", "tampered", "acts_declared", "x_capped_ind"]
+        code, out = run(capsys, "check-cert", *map(certs.get, order))
+        assert code == 1
+        single = {}
+        for name in order:
+            single[name] = run(capsys, "check-cert", certs[name])[1]
+        assert single["tampered"].startswith("Rejected: ")
+        assert out.splitlines() == [f"{certs[n]}: {single[n].strip()}"
+                                    for n in order]
+
+    def test_all_accepted_exits_0(self, certs, capsys):
+        paths = [certs["never_dead"], certs["x_capped_ind"],
+                 certs["acts_declared"]]
+        code, out = run(capsys, "check-cert", *paths)
+        assert code == 0
+        assert out.splitlines() == [f"{p}: Accepted" for p in paths]
+
+    def test_json_is_keyed_by_path(self, certs, capsys):
+        paths = [certs["x_capped_ind"], certs["tampered"],
+                 certs["never_dead"]]
+        code, out = run(capsys, "check-cert", *paths, "--report", "json")
+        assert code == 1
+        assert json.loads(out) == {
+            p: json.loads(run(capsys, "check-cert", p, "--report", "json")[1])
+            for p in paths}
+
+    def test_unreadable_file_exits_2(self, certs, capsys, tmp_path):
+        missing = str(tmp_path / "missing.cert")
+        code = main(["check-cert", certs["never_dead"], missing,
+                     certs["tampered"]])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err == f"cannot open {missing}\n"
+
+    def test_certificates_of_one_chart_share_its_parse(self, certs, capsys,
+                                                       monkeypatch):
+        parsed = []
+        original = C.parse_model
+
+        def counted(text):
+            parsed.append(text)
+            return original(text)
+
+        monkeypatch.setattr(C, "parse_model", counted)
+        code, _ = run(capsys, "check-cert", certs["x_capped_ind"],
+                      certs["never_dead"], certs["acts_declared"],
+                      certs["tampered"], certs["x_capped_ind"])
+        assert code == 1
+        assert len(parsed) == 3  # loop, dead_ctx, loop again
 
 
 class TestEndToEnd:

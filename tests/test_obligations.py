@@ -939,8 +939,10 @@ class TestModelContextSharing:
     def test_contexts_are_freed_without_the_collector(self, monkeypatch):
         """Neither a property's context nor the model's memo forms a
         reference cycle: with the cyclic collector off, both are freed as
-        soon as verify_invariant or check returns and the model is
-        dropped."""
+        soon as verify_invariant returns and the model is dropped.  A
+        context of check is freed as check returns; the model check
+        parsed, kept as its last chart, and that model's memo are freed
+        once a certificate of another chart has been checked."""
         made = []
 
         class Recorded(O.DerivationContext):
@@ -961,6 +963,10 @@ class TestModelContextSharing:
         invs = load_invariants("loop", loop_model)
         inv = next(i for i in invs if i.name == "x_capped_ind")
         refuted = next(i for i in invs if i.name == "x_capped")
+        other = load_model("hold_positive")
+        other_inv = load_invariants("hold_positive", other)[0]
+        other_cert = C.emit(other, other_inv,
+                            V.verify_invariant(other, other_inv).tree)
         gc.collect()
         gc.disable()
         try:
@@ -978,7 +984,11 @@ class TestModelContextSharing:
             assert model() is None
             made.clear()
             assert C.check(cert).accepted
-            assert parsed and made
-            assert all(ref() is None for ref in parsed + made)
+            assert len(parsed) == 1 and made
+            assert all(ref() is None for ref in made)
+            assert "_derivation" in parsed[0]().__dict__  # the slot's
+            assert C.check(other_cert).accepted
+            assert len(parsed) == 2
+            assert all(ref() is None for ref in parsed[:1] + made)
         finally:
             gc.enable()
