@@ -4,18 +4,19 @@ A configuration (``model.SfcState``, a tuple) is (memory, active step list,
 pending action list); ``model.init_state`` builds the initial one.  The
 execute, transition and reactivate rules are described once, on
 ``model.RuleShape``.  ``rule_table`` compiles a model's shapes once into
-rows whose guards and action effects are ``Evaluator``s: pure functions of
-the variables they read, each with a small integer id and its read set.
-A guard and an assignment list run as a kernel, a closure built from the
-typed syntax tree once per rule table (``_guard_kernel``,
+rows.  A guard and an assignment list run as a kernel, a closure built
+from the typed syntax tree once per rule table (``_guard_kernel``,
 ``_effect_kernel``); a diagram action runs ``fbd.eval_iterative``.
 One exploration (``reachable_bounded``) or simulation (``run_trace``)
-shares a memo keyed by ``(id, values read)``, so each guard and each effect
-runs once per distinct input; the memo is dropped on return.  ``apply_rule``
-runs one rule instance.  ``expr.eval_expr`` and ``apply_effect`` (one
-action's assignment list, the concrete counterpart of
-``obligations.effect_summary``) stay the reference interpreters: each
-kernel computes what they compute, and the tests compare the two.
+shares a memo, dropped on return, that holds two kinds of entry: each
+control part's rows (below), and each diagram's writes keyed by
+``(diagram name, values read)``, so a diagram runs once per distinct
+input.  A kernel costs less than a memo lookup, so guards and assignment
+lists never enter the memo.  ``apply_rule`` runs one rule instance.
+``expr.eval_expr`` and ``apply_effect`` (one action's assignment list, the
+concrete counterpart of ``obligations.effect_summary``) stay the reference
+interpreters: each kernel computes what they compute, and the tests
+compare the two.
 
 A rule has a control half and a memory half.  The control half
 (``_control``: pending, active and idle checks; ``_lists``: the successor's
@@ -42,7 +43,7 @@ included.
 A row kernel folds what reads no variable.  A constant-true guard and a
 constant-false blocked guard are left out of it, and an assignment list
 that reads no variable (``valve := 1;``) has its writes computed once, so
-none of these is ever looked up in the memo.  A transition whose guard is
+none of these runs when the row fires.  A transition whose guard is
 constant false, or a reactivation that a constant-true guard blocks, is
 dead: it can never fire.  It stays in ``RuleTable.rows``, where
 ``apply_rule`` reports it with the usual reason, but no enumeration index
@@ -77,7 +78,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import count
 from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne
 from typing import Callable
 
@@ -111,39 +111,6 @@ def state_text(s: SfcState) -> str:
     return f"mem{{{mem}}} steps[{steps}] acts[{acts}]"
 
 
-class Evaluator:
-    """A guard, or an action's memory effect, as a pure function of the
-    variables it reads.
-
-    ``run(mem)`` gives a guard's value (0/1), or the values an action
-    writes (variable -> value): a kernel built once per rule table, or
-    ``fbd.eval_iterative`` for a diagram.  ``value`` memoizes it, since a
-    memo hit costs less than even a kernel.  ``id`` is unique within one
-    rule table.
-    """
-
-    __slots__ = ("id", "reads", "run", "_values")
-
-    def __init__(self, id: int, reads: tuple[str, ...],
-                 run: Callable[[E.Memory], object]):
-        self.id, self.reads, self.run = id, reads, run
-        # the values read: one value for one variable, else a tuple
-        self._values = itemgetter(*reads) if reads else lambda m: ()
-
-    def value(self, mem: E.Memory, memo: dict):
-        """``run(mem)``, run once per distinct ``(id, values read)`` key
-        of *memo*."""
-        try:
-            key = self.id, self._values(mem)
-        except KeyError:  # an unbound variable, which run reports
-            return self.run(mem)
-        try:
-            return memo[key]
-        except KeyError:
-            out = memo[key] = self.run(mem)
-            return out
-
-
 @dataclass(frozen=True, eq=False)
 class Row:
     """One rule instance: its shape, and its memory half as one kernel.
@@ -156,7 +123,7 @@ class Row:
     blocked), and an assignment list that reads no variable merges writes
     computed when the table was built.  A dead row, which one such guard
     stops, runs its guards as declared and gives that guard's reason.
-    Every other guard and effect goes through the ``Evaluator`` memo.
+    Only a diagram's writes go through *memo*.
     """
 
     rule: RuleInstance
@@ -389,37 +356,38 @@ def _row_kernel(guards, blocked, effect) -> tuple[Callable, bool]:
     """A row's memory half as one function of (memory, memo), and whether
     the row can ever fire.
 
-    *guards* and *blocked* are ``Evaluator``s, run in order; *effect* is a
-    function of (memory, memo) giving the successor's memory, or None for
-    a rule that writes nothing.  A guard that reads no variable is decided
-    here: a row that one stops runs its guards unfolded (only
-    ``apply_rule`` runs it), and a live row leaves the constant ones out.
+    *guards* and *blocked* are typed guard expressions, run in order as
+    their kernels; *effect* is a function of (memory, memo) giving the
+    successor's memory, or None for a rule that writes nothing.  A guard
+    that reads no variable is decided here: a row that one stops runs its
+    guards unfolded (only ``apply_rule`` runs it), and a live row leaves
+    the constant ones out.
     """
     finish = effect or _same
-    fires = (all(ev.run({}) for ev in guards if not ev.reads)
-             and not any(ev.run({}) for ev in blocked if not ev.reads))
+    fires = (all(_guard_kernel(g)({}) for g in guards if not E.vars_of(g))
+             and not any(_guard_kernel(g)({}) for g in blocked
+                         if not E.vars_of(g)))
     if fires:
-        guards = [ev for ev in guards if ev.reads]
-        blocked = [ev for ev in blocked if ev.reads]
+        guards = [g for g in guards if E.vars_of(g)]
+        blocked = [g for g in blocked if E.vars_of(g)]
         if not guards and not blocked:
             return finish, True
         if effect is None and len(guards) + len(blocked) == 1:
             if guards:
-                g = guards[0].value
+                g = _guard_kernel(guards[0])
                 return (lambda mem, memo:
-                        mem if g(mem, memo) else _GUARD_FALSE), True
-            b = blocked[0].value
-            return (lambda mem, memo:
-                    _BLOCKED if b(mem, memo) else mem), True
-    gs = [ev.value for ev in guards]
-    bs = [ev.value for ev in blocked]
+                        mem if g(mem) else _GUARD_FALSE), True
+            b = _guard_kernel(blocked[0])
+            return (lambda mem, memo: _BLOCKED if b(mem) else mem), True
+    gs = list(map(_guard_kernel, guards))
+    bs = list(map(_guard_kernel, blocked))
 
     def fire(mem, memo):
         for g in gs:
-            if not g(mem, memo):
+            if not g(mem):
                 return _GUARD_FALSE
         for b in bs:
-            if b(mem, memo):
+            if b(mem):
                 return _BLOCKED
         return finish(mem, memo)
     return fire, fires
@@ -427,37 +395,34 @@ def _row_kernel(guards, blocked, effect) -> tuple[Callable, bool]:
 
 def _compile(model: SfcModel) -> RuleTable:
     env = model.env()
-    ids = count()
-    # keyed by value: typecheck annotates equal guards alike in one model
-    guards: dict[E.Expr, Evaluator] = {}
-
-    def guard(g):
-        ev = guards.get(g)
-        if ev is None:
-            ev = guards[g] = Evaluator(next(ids), tuple(sorted(E.vars_of(g))),
-                                       _guard_kernel(g))
-        return ev
 
     def effect(a):
         """Action *a*'s effect as a function of (memory, memo) giving the
         successor's memory."""
-        if a.fbd_ref is not None:
-            # compiled once per model; runs go through the module's
-            # eval_iterative
-            p = model.program(a.fbd_ref)
-            reads = tuple(dict.fromkeys(v for _, v, _ in p.reads))
-
-            def run(m):
-                return F.eval_iterative(p, m)
-        else:
-            reads = tuple(sorted(set().union(
-                *(E.vars_of(e) for _, e in a.assigns))))
+        if a.fbd_ref is None:
             run = _effect_kernel(a.assigns, env)
-            if not reads:  # constant writes, computed once
-                writes = run({})
-                return lambda mem, memo: {**mem, **writes}
-        value = Evaluator(next(ids), reads, run).value
-        return lambda mem, memo: {**mem, **value(mem, memo)}
+            if any(E.vars_of(e) for _, e in a.assigns):
+                return lambda mem, memo: {**mem, **run(mem)}
+            writes = run({})  # constant writes, computed once
+            return lambda mem, memo: {**mem, **writes}
+        # compiled once per model; runs go through the module's
+        # eval_iterative, once per (diagram name, values read) of *memo*
+        name = a.fbd_ref
+        p = model.program(name)
+        reads = tuple(dict.fromkeys(v for _, v, _ in p.reads))
+        values = itemgetter(*reads) if reads else lambda m: ()
+
+        def diagram(mem, memo):
+            try:
+                key = name, values(mem)
+            except KeyError as err:
+                raise _unbound(err) from None
+            try:
+                writes = memo[key]
+            except KeyError:
+                writes = memo[key] = F.eval_iterative(p, mem)
+            return {**mem, **writes}
+        return diagram
 
     effects = {a.id: effect(a) for a in model.actions}
     rows: dict[RuleInstance, Row] = {}
@@ -465,7 +430,7 @@ def _compile(model: SfcModel) -> RuleTable:
     reactivate: dict[str, Row] = {}
     for rule, r in model.rules.items():
         fire, live = _row_kernel(
-            tuple(map(guard, r.guards)), tuple(map(guard, r.blocked)),
+            r.guards, r.blocked,
             None if r.action is None else effects[r.action])
         row = rows[rule] = Row(rule, r, fire)
         if not live:
@@ -594,10 +559,10 @@ def successors(model: SfcModel, c: SfcState, memo: dict | None = None):
     instances of pending actions (first occurrence order), transitions in
     declaration order, and reactivations of active steps.
 
-    *memo* holds ``Evaluator`` results, keyed by ``(id, values read)``,
-    and each control part's entry, keyed by ``(active steps, pending
-    actions)``; calls within one exploration share it, and a fresh one is
-    used when it is None.
+    *memo* holds each control part's entry, keyed by ``(active steps,
+    pending actions)``, and diagram writes, keyed by ``(diagram name,
+    values read)``; calls within one exploration share it, and a fresh
+    one is used when it is None.
     """
     if memo is None:
         memo = {}

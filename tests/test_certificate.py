@@ -855,6 +855,23 @@ class TestCertificateMutants:
         if kind == "split-twice":
             assert v.reason.endswith(" split twice on one path"), v
 
+    def test_a_checker_crash_is_an_error_rejection(self, monkeypatch):
+        """check's catch-all turns an exception raised while checking into
+        a rejection whose reason starts with ``error: ``.  So the mutant
+        tests, which allow no such reason, fail when a mutant crashes the
+        checker, and a crash cannot pass for a rejection."""
+        _, _, data = proved_certificate()
+
+        def crash(ctx, rule):
+            raise RuntimeError("crashed")
+
+        assert _timed_check(data).accepted
+        monkeypatch.setattr(O, "build_obligation", crash)
+        v = C.check(data)
+        assert not v.accepted and v.reason == "error: crashed"
+        with pytest.raises(AssertionError):
+            _timed_check(data)
+
     @settings(max_examples=max(300, settings.default.max_examples),
               deadline=None, derandomize=True, database=None)
     @given(_edited_certificates())
@@ -1510,6 +1527,7 @@ class TestLastChart:
         ``--hypothesis-profile long``."""
         got = [C.check(data) for data in sequence]
         assert got == [_after_another_chart(data) for data in sequence]
+        assert not any(v.reason.startswith("error: ") for v in got)
 
 
 def _chart(guard, rhs="x + 1"):
@@ -1734,6 +1752,49 @@ class TestTrustedCore:
                     f"{split.hi_index}", *lines[2:]]
             with pytest.raises(ParseError, match="^bad split range$"):
                 W.parse_witness_lines(iter(rows))
+
+    def test_line_gate_allowlist_names_trusted_lines(self):
+        """Each entry of the line gate's allowlist (``trusted_lines.py``,
+        a plugin the CI runs over Tier-1) names a function-body line of
+        the trusted core and says why it never runs."""
+        from trusted_lines import load_allowlist, trusted_lines
+        known = set(trusted_lines().values())
+        allowlist = load_allowlist()
+        assert all(key in known and reason
+                   for key, reason in allowlist.items()), allowlist
+
+    def test_line_gate_verdict(self):
+        """The gate records the trusted lines a call runs, and fails on a
+        line never run and not allowlisted, on an allowlisted line that
+        ran and on an allowlist entry that names no line."""
+        from trusted_lines import LineGate
+        gate = LineGate()
+        before = sys.gettrace(), threading.gettrace()
+        gate.arm()
+        try:
+            W.witness_lines(W.Witness((W.Tighten(0),)))
+        finally:
+            gate.disarm()
+            sys.settrace(before[0])
+            threading.settrace(before[1])
+        ran = {key for where, key in gate.lines.items() if where in gate.ran}
+        assert ("certplc.lia.witness", "witness_lines",
+                'out.append(f"tighten {step.index}")') in ran
+        assert not any(key[1] == "_combine" for key in ran)
+        keys = list(gate.lines.values())
+        where, key = next((w, k) for w, k in gate.lines.items()
+                          if keys.count(k) == 1)
+        gate.ran = set(gate.lines) - {where}
+        assert gate.verdict({}) == [
+            f"never run, not allowlisted: {where[0]}:{where[1]}: "
+            f"{key[2]}  [{key[1]}]"]
+        assert gate.verdict({key: "why"}) == []
+        gate.ran.add(where)
+        assert gate.verdict({key: "why"}) == [
+            f"allowlisted, but ran: {key}"]
+        stale = ("certplc.model", "nowhere", "pass")
+        assert gate.verdict({stale: "why"}) == [
+            f"allowlisted, no such line: {stale}"]
 
     def test_check_enters_every_trusted_function(self):
         """Every function and method of the trusted core is entered by

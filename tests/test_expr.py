@@ -205,6 +205,31 @@ class TestPrinter:
         assert E.pretty(parse(text)) == text
 
 
+class _Foreign:
+    """A node of no expression kind."""
+
+
+class TestForeignNodes:
+    """Each walk over expressions names a node of no expression kind
+    rather than taking it for another kind."""
+
+    def test_typecheck(self):
+        with pytest.raises(E.ExprError,
+                           match="^unknown expression node _Foreign$"):
+            E.typecheck(E.Not(_Foreign()), {})
+
+    def test_fold(self):
+        with pytest.raises(E.ExprError, match="^expected integer "
+                           "expression, got _Foreign$"):
+            E.fold_int(E.Sum((E.IntLit(1), _Foreign()), (1, 1)),
+                       E.IntDomain, {}.get)
+
+    def test_printer(self):
+        with pytest.raises(E.ExprError,
+                           match="^unknown expression node _Foreign$"):
+            E.pretty(E.And((E.Var("a"), _Foreign())))
+
+
 class TestLongArithmetic:
     """A `+`/`-` chain is one Sum and a `*` chain one Prod, so every walk
     of a long one loops over its operands instead of recursing once per
@@ -337,6 +362,13 @@ def _agree(text, env, points):
 
 
 class TestNormalize:
+    def test_condition_as_comparison_operand(self):
+        # an unchecked comparison whose operand is a condition
+        e = E.Cmp("<", E.And((E.Var("a"), E.Var("b"))), E.IntLit(1), "int8")
+        with pytest.raises(L.FragmentError,
+                           match="^expected integer expression, got And$"):
+            L.normalize(e, {"a": "bool", "b": "bool"})
+
     def test_strict_less_becomes_bounded_le(self):
         e, _ = E.typecheck(parse("x < 10"), {"x": "int16"})
         dnf = L.normalize(e, {"x": "int16"})

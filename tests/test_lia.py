@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certplc.lia import solver
+from certplc.lia import witness as W
 from certplc.lia.solver import Sat, Unsat, decide_sat
 from certplc.linear import LimitExceeded
 from certplc.lia.witness import (MAX_SPLIT_NESTING, Combine, RangeSplit,
@@ -193,6 +194,36 @@ class TestWitnessReplay:
         # malformed steps reject, whatever the base holds
         assert not replay_witness(cube, Witness((Tighten(7),)))
         assert not replay_witness(cube, Witness((object(),)))
+
+    def test_empty_combination_rejects(self):
+        # the base's contradiction would accept a step that derives nothing
+        cube = (con({"x": 1}, "<=", 5), LinCon((), "<=", -1))
+        w = Witness((Combine(()),))
+        assert not replay_witness(cube, w)
+        with pytest.raises(W._Reject, match="^empty combination$"):
+            W._replay(list(cube), len(cube), w)
+
+    def test_tighten_on_a_derived_constant_rejects(self):
+        # x <= 5 and -x <= 5 combine to the constant 0 <= 10, which has no
+        # coefficient to divide by
+        cube = (con({"x": 1}, "<=", 5), con({"x": -1}, "<=", 5),
+                LinCon((), "<=", -1))
+        w = Witness((Combine(((0, 1), (1, 1))), Tighten(3)))
+        assert not replay_witness(cube, w)
+        with pytest.raises(W._Reject, match="^tighten on constant "
+                           "constraint$"):
+            W._replay(list(cube), len(cube), w)
+
+    def test_constant_truth_of_a_constraint(self):
+        assert LinCon((), "<=", 0).const_true()
+        assert LinCon((), "==", 1).const_false()
+        for rel in ("<=", "=="):
+            c = con({"x": 1}, rel, 0)
+            assert not c.const_true() and not c.const_false()
+
+    def test_printer_rejects_a_foreign_step(self):
+        with pytest.raises(ValueError, match="^unknown step object$"):
+            witness_lines(Witness((Tighten(0), object())))
 
     def test_valid_witness_never_scans_the_base(self, monkeypatch):
         cube = boxed([con({"x": 1}, "<=", 9), con({"x": -1}, "<=", -10)],

@@ -166,6 +166,23 @@ class TestSemantics:
         assert len(P.conjuncts(f)) == 3
 
 
+class _Foreign:
+    """A node of no formula kind."""
+
+
+class TestForeignNodes:
+    def test_truth(self, loop_model):
+        with pytest.raises(E.ExprError,
+                           match="^unknown formula node _Foreign$"):
+            P.holds_on(E.Not(_Foreign()), init_state(loop_model))
+
+    def test_reference_check(self, loop_model):
+        with pytest.raises(E.ExprError,
+                           match="^unknown formula node _Foreign$"):
+            P.check_refs(E.Or((P.Active("step", "Init"), _Foreign())),
+                         loop_model)
+
+
 class TestLongChains:
     """A chain is one node, so every walk of a long property loops over its
     operands instead of recursing once per connective."""

@@ -103,6 +103,22 @@ class TestStepTransition:
         with pytest.raises(E.ExprError, match="unbound variable 'x'"):
             S.apply_rule(loop_model, c, StepTransition(0))
 
+    def test_unbound_diagram_variable_reported(self):
+        """A diagram action on a memory that lacks a variable it reads
+        reports it as a guard or an assignment list does, also in an
+        exploration's memo that already holds its control part and a
+        result of the diagram."""
+        model = parse_model(FANOUT)
+        c = S.SfcState({"n1": 0, "n2": 0}, ("B0",), ("C0",))
+        with pytest.raises(E.ExprError, match="^unbound variable 'n0'$"):
+            S.apply_rule(model, c, ExecuteAction("C0"))
+        memo = {}
+        successors(model, c._replace(mem={"n0": 0, "n1": 0, "n2": 0}), memo)
+        for _ in range(2):
+            with pytest.raises(E.ExprError,
+                               match="^unbound variable 'n0'$"):
+                successors(model, c, memo)
+
     def test_target_actions_prepended(self, loop_model):
         c = S.SfcState({"x": 1}, ("Step2",), ())
         c2 = S.apply_rule(loop_model, c, StepTransition(1))
@@ -316,9 +332,38 @@ class TestStateText:
         assert S.SfcState({}, ("A", "B"), ()) != S.SfcState({}, ("B", "A"), ())
 
 
+def _memo_keys(monkeypatch, model, run) -> list:
+    """The keys of every memo *run* hands ``successors`` or ``_fired``."""
+    plain, plain_fired, memos = S.successors, S._fired, {}
+
+    def recorded(model, c, memo=None):
+        memos[id(memo)] = memo
+        return plain(model, c, memo)
+
+    def recorded_fired(t, c, memo):
+        memos[id(memo)] = memo
+        return plain_fired(t, c, memo)
+
+    monkeypatch.setattr(S, "successors", recorded)
+    monkeypatch.setattr(S, "_fired", recorded_fired)
+    run()
+    monkeypatch.undo()
+    assert len(memos) == 1
+    return [k for memo in memos.values() for k in memo]
+
+
+def _is_part(model, key) -> bool:
+    """Whether *key* is a control part: (active steps, pending actions)."""
+    steps, acts = key
+    return (isinstance(steps, tuple) and set(steps) <= set(model.steps)
+            and isinstance(acts, tuple)
+            and set(acts) <= {a.id for a in model.actions})
+
+
 class TestMemo:
-    """One exploration or simulation shares a memo of guard and effect
-    results keyed by (id, values read); sharing it changes no result."""
+    """One exploration or simulation shares a memo of control-part entries
+    and diagram writes keyed by (diagram name, values read); sharing it
+    changes no result."""
 
     @pytest.mark.parametrize("name", fixture_names() + ["FANOUT"])
     def test_shared_memo_matches_fresh_memo_per_state(self, monkeypatch,
@@ -353,10 +398,9 @@ class TestMemo:
         assert fired and all(m is not None for m in fired)
 
     @pytest.mark.parametrize("body", [
-        "{ x := x + 1; }",
         "= fbd Inc\nfbd Inc {\n  block r = read x\n"
         "  block a = add(r.out, const 1)\n  block w = write x (a.out)\n}",
-    ], ids=["assignments", "diagram"])
+    ], ids=["diagram"])
     def test_entries_keyed_by_the_values_read(self, body):
         model = parse_model("var x : int16\nvar y : int16\n"
                             f"step S [initial]\naction A on S {body}\n")
@@ -369,20 +413,32 @@ class TestMemo:
             return c2.mem
 
         def evaluated():
-            # an evaluator's key is (id, values read); a control part's
-            # key is (active steps, pending actions)
-            return sum(isinstance(k[0], int) for k in memo)
+            # a diagram's key is (diagram name, values read); a control
+            # part's key is (active steps, pending actions)
+            return [k for k in memo if not _is_part(model, k)]
 
         assert executed({"x": 1, "y": 0}) == {"x": 2, "y": 0}
-        assert evaluated() == 1
+        assert evaluated() == [("Inc", 1)]
         # y is not read: the entry is shared, y is kept from the memory
         assert executed({"x": 1, "y": 7}) == {"x": 2, "y": 7}
-        assert evaluated() == 1
+        assert len(evaluated()) == 1
         # x is read: a new entry
         assert executed({"x": 5, "y": 7}) == {"x": 6, "y": 7}
-        assert evaluated() == 2
+        assert evaluated() == [("Inc", 1), ("Inc", 5)]
         # one control part, whatever the memory
-        assert len(memo) - evaluated() == 1
+        assert len(memo) - len(evaluated()) == 1
+
+    @pytest.mark.parametrize("run", ["explore", "simulate"])
+    def test_guards_and_assignment_lists_never_enter_the_memo(
+            self, monkeypatch, run):
+        """loop reads x in its guards and its assignment lists: exploring
+        or simulating it leaves only control parts in the memo."""
+        model = load_model("loop")
+        keys = _memo_keys(monkeypatch, model, {
+            "explore": lambda: reachable_bounded(model, 30),
+            "simulate": lambda: run_trace(model, "random", 200, seed=3),
+        }[run])
+        assert keys and all(_is_part(model, k) for k in keys)
 
     @pytest.mark.parametrize("name", ["loop", "lockstep"])
     def test_control_half_runs_once_per_control_part(self, monkeypatch,
@@ -486,7 +542,7 @@ trans {T} -[ true ]-> {S}
 class TestFolding:
     """A guard that reads no variable is decided when the rule table is
     built: a rule it stops is never enumerated, ``apply_rule`` still
-    reports it, and no constant guard reaches the memo."""
+    reports it, and no guard reaches the memo."""
 
     def test_dead_rows_are_never_enumerated(self):
         model = parse_model(FOLDED)
@@ -526,32 +582,21 @@ class TestFolding:
                                            ("B",)), ExecuteAction("B"))
         assert c.mem == {"x": 0, "y": 7}
 
-    def test_memo_holds_no_constant_guard(self, monkeypatch):
-        """lockstep's transitions have guard true: neither exploring nor
-        simulating it looks that guard up."""
-        model = load_model("lockstep")
-        plain, plain_fired, memos = S.successors, S._fired, []
-
-        def recorded(model, c, memo=None):
-            memos.append(memo)
-            return plain(model, c, memo)
-
-        def recorded_fired(t, c, memo):
-            memos.append(memo)
-            return plain_fired(t, c, memo)
-
-        monkeypatch.setattr(S, "successors", recorded)
-        monkeypatch.setattr(S, "_fired", recorded_fired)
-        reachable_bounded(model, 40)
-        run_trace(model, "priority", 200)
-        shared = {id(m): m for m in memos}
-        assert len(shared) == 2
-        for memo in shared.values():
-            # an evaluator's key is (id, values read): () when it reads
-            # no variable
-            evaluated = [k for k in memo if isinstance(k[0], int)]
-            assert evaluated
-            assert [k for k in evaluated if k[1] == ()] == []
+    @pytest.mark.parametrize("run", ["explore", "simulate"])
+    def test_memo_holds_no_guard_at_all(self, monkeypatch, run):
+        """FANOUT's join guard reads every counter, its other guards are
+        true and its branches run diagrams: the memo holds control parts
+        and (diagram name, values read) keys, and nothing else."""
+        model = parse_model(FANOUT)
+        keys = _memo_keys(monkeypatch, model, {
+            "explore": lambda: reachable_bounded(model, 12),
+            "simulate": lambda: run_trace(model, "random", 300, seed=1),
+        }[run])
+        diagrams = [k for k in keys if not _is_part(model, k)]
+        assert diagrams and len(diagrams) < len(keys)
+        for name, value in diagrams:
+            (_, var, _), = model.program(name).reads
+            assert isinstance(value, int) and name == f"Cnt{var[1]}"
 
 
 class TestCompiledEffects:

@@ -242,6 +242,25 @@ class TestUndecidedPath:
         assert v.path == ("cases", rule.label())
 
 
+    @pytest.mark.parametrize("atom, reason", [
+        (E.Var("zz"), "trans:0: unbound variable 'zz'"),
+        (E.Var("x"), "exec:A_Init: integer variable 'x' used as condition"),
+        (E.Sum((E.Var("x"), E.IntLit(1)), (1, 1)),
+         "exec:A_Init: not a boolean expression: Sum"),
+        (E.Cmp("<", E.Var("zz"), E.IntLit(3), "int16"),
+         "trans:0: no declaration for variable 'zz'"),
+    ], ids=["unbound", "integer-condition", "integer-atom", "undeclared"])
+    def test_formula_built_in_code_and_never_checked(self, atom, reason,
+                                                     loop_model):
+        """A formula that ``check_refs`` would reject, built in code and
+        passed to ``verify_invariant`` as it is: lowering it to linear
+        constraints fails in the first case that reads it."""
+        inv = P.Invariant("p", E.Or((P.Active("step", "Init"), atom)))
+        res = V.verify_invariant(loop_model, inv)
+        assert isinstance(res, V.Undecided)
+        assert res.reason == reason
+
+
 # A chart whose only action is outside the linear fragment; y is never
 # written.
 NONLINEAR_EFFECT = ("var x : int8 = 2\nvar y : int8\nstep S [initial]\n"
