@@ -144,7 +144,7 @@ def vars_of(e: Expr, leaf=None) -> set[str]:
     if isinstance(e, Not):
         return vars_of(e.arg, leaf)
     if isinstance(e, Cmp):
-        return vars_of(e.lhs) | vars_of(e.rhs)
+        return vars_of(e.lhs, leaf) | vars_of(e.rhs, leaf)
     if isinstance(e, (Sum, Prod, And, Or)):
         return set().union(*(vars_of(arg, leaf) for arg in e.args))
     return leaf(e)

@@ -12,6 +12,19 @@ Every derived constraint remembers its provenance; refutations unwind into
 witnesses that `witness.replay_witness` checks without search.  Satisfying
 assignments are re-checked against the input cube before being returned.
 
+Each derived node is built in one pass.  Every combination has two terms
+(a clash of two equalities, a substitution through a unit equality, a
+lower bound against an upper one), and `_combine` merges the two
+name-sorted coefficient tuples, dropping what cancels.  `_tighten_node`
+stops scanning at the first gcd of 1, which leaves the node as it is.  A
+substitution reads the pivot equality's coefficient once per elimination,
+and constant nodes are told apart inline.  The nodes, their parents and
+multipliers, and so the budget charges and witnesses, are those of a
+combination through a dictionary sorted by name: given sorted inputs
+without zero coefficients (`decide_sat`'s precondition), the merge gives
+the sorted sum without zeros, which `witness._combine` re-derives, and
+each kernel keeps that form.
+
 A cube that extends a hypothesis cube by inequalities (a proof node's
 joint cube, its cube plus one negated-conclusion cube, or a split child,
 its parent's cube plus one cube of the split piece) is decided from the
@@ -88,22 +101,39 @@ class _Node:
         self.con = con
         self.kind = kind  # orig | assume | combine | tighten
         self.args = args  # orig: cube index; assume: depth;
-        #                   combine: ((node, mult), ...); tighten: node
+        #                   combine: two (node, mult) pairs; tighten: node
 
 
-def _combine_nodes(terms) -> _Node:
-    coeffs: dict[str, int] = {}
-    rhs = 0
-    rel = "=="
-    for node, mult in terms:
-        con = node.con
-        if con.rel == "<=":
-            rel = "<="
-        for v, c in con.coeffs:
-            coeffs[v] = coeffs.get(v, 0) + mult * c
-        rhs += mult * con.rhs
-    items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-    return _Node(LinCon(items, rel, rhs), "combine", tuple(terms))
+def _combine(a: _Node, ma: int, b: _Node, mb: int) -> _Node:
+    """*ma* times *a* plus *mb* times *b*: one merge of the two name-sorted
+    coefficient tuples, which drops the coefficients that cancel."""
+    ca, cb = a.con, b.con
+    xs, ys = ca.coeffs, cb.coeffs
+    nx, ny = len(xs), len(ys)
+    items = []
+    i = j = 0
+    while i < nx and j < ny:
+        v, c = xs[i]
+        w, d = ys[j]
+        if v == w:
+            k = c * ma + d * mb
+            if k:
+                items.append((v, k))
+            i += 1
+            j += 1
+        elif v < w:
+            items.append((v, c * ma))
+            i += 1
+        else:
+            items.append((w, d * mb))
+            j += 1
+    for v, c in xs[i:]:
+        items.append((v, c * ma))
+    for w, d in ys[j:]:
+        items.append((w, d * mb))
+    rel = "<=" if ca.rel == "<=" or cb.rel == "<=" else "=="
+    return _Node(LinCon(tuple(items), rel, ca.rhs * ma + cb.rhs * mb),
+                 "combine", ((a, ma), (b, mb)))
 
 
 def _coeff(con: LinCon, var: str) -> int:
@@ -114,11 +144,15 @@ def _coeff(con: LinCon, var: str) -> int:
 
 
 def _tighten_node(node: _Node) -> _Node:
+    """*node* divided by the gcd of its coefficients; *node* itself when
+    that gcd is 1, which the scan stops at, or when it has none."""
     con = node.con
     g = 0
     for _, c in con.coeffs:
-        g = gcd(g, abs(c))
-    if g <= 1:
+        g = gcd(g, c)
+        if g == 1:
+            return node
+    if not g:
         return node
     coeffs = tuple((v, c // g) for v, c in con.coeffs)
     if con.rel == "<=":
@@ -127,8 +161,6 @@ def _tighten_node(node: _Node) -> _Node:
         tight = LinCon((), "<=", -1)
     else:
         tight = LinCon(coeffs, "==", con.rhs // g)
-    if tight == con:
-        return node
     return _Node(tight, "tighten", node)
 
 
@@ -193,8 +225,8 @@ def _simplify(cons: list[_Node], limits: _Limits):
         best: dict[tuple, _Node] = {}
         for nd in work:
             con = nd.con
-            if con.is_const():
-                if con.const_false():
+            if not con.coeffs:
+                if con.rhs < 0 if con.rel == "<=" else con.rhs != 0:
                     return [], eliminated, nd
                 continue
             key = (con.coeffs, con.rel)
@@ -206,35 +238,37 @@ def _simplify(cons: list[_Node], limits: _Limits):
                     best[key] = nd
             elif con.rhs != other.con.rhs:
                 limits.count()
-                return [], eliminated, _combine_nodes(((nd, 1), (other, -1)))
+                return [], eliminated, _combine(nd, 1, other, -1)
         active = [best[key] for key in sorted(best)]
         pick = None
         for nd in active:
             if nd.con.rel != "==":
                 continue
-            units = [v for v, c in nd.con.coeffs if abs(c) == 1]
-            if units:
-                pick = (nd, min(units))
+            # the first unit coefficient is the one of the least name
+            pick = next(((nd, v, c) for v, c in nd.con.coeffs
+                         if c == 1 or c == -1), None)
+            if pick is not None:
                 break
         if pick is None:
             return active, eliminated, None
-        eq, var = pick
+        eq, var, k = pick
         work = []
         for nd in active:
             if nd is not eq:
-                work.append(_substitute(nd, var, eq, limits))
+                work.append(_substitute(nd, var, eq, k, limits))
         eliminated.append((var, eq))
 
 
-def _substitute(nd: _Node, var: str, eq: _Node, limits: _Limits) -> _Node:
-    """*nd* with *var* replaced through the unit equality *eq*, tightened;
-    *nd* itself when it does not hold *var*."""
+def _substitute(nd: _Node, var: str, eq: _Node, k: int,
+                limits: _Limits) -> _Node:
+    """*nd* with *var* replaced through the unit equality *eq*, whose
+    coefficient of *var* is *k*, tightened; *nd* itself when it does not
+    hold *var*."""
     c = _coeff(nd.con, var)
     if c == 0:
         return nd
     limits.count()
-    return _tighten_node(
-        _combine_nodes(((nd, 1), (eq, -c // _coeff(eq.con, var)))))
+    return _tighten_node(_combine(nd, 1, eq, -c // k))
 
 
 class _Base(NamedTuple):
@@ -257,12 +291,12 @@ def _extend(base: _Base, cube: Cube, limits: _Limits):
     limits.count(base.derived)
     if len(cube) == len(base.cube):  # the base's own cube, simplified
         return base.active, base.eliminated, None
-    extra = []
-    for i, con in enumerate(cube[len(base.cube):], len(base.cube)):
-        nd = _tighten_node(_Node(con, "orig", i))
-        for var, eq in base.eliminated:
-            nd = _substitute(nd, var, eq, limits)
-        extra.append(nd)
+    n = len(base.cube)
+    extra = [_tighten_node(_Node(con, "orig", i))
+             for i, con in enumerate(cube[n:], n)]
+    for var, eq in base.eliminated:
+        k = _coeff(eq.con, var)
+        extra = [_substitute(nd, var, eq, k, limits) for nd in extra]
     active, eliminated, clash = _simplify(base.active + extra, limits)
     return active, base.eliminated + eliminated, clash
 
@@ -310,13 +344,13 @@ class _Solver:
                     if lnd is und:
                         continue
                     self.limits.count()
-                    combo = _combine_nodes(((lnd, ueff * lsign),
-                                            (und, -leff * usign)))
-                    combo = _tighten_node(combo)
-                    if combo.con.const_false():
-                        return "unsat", _extract(combo, self.n_orig, n_assume)
-                    if not (combo.con.is_const() and combo.con.const_true()):
+                    combo = _tighten_node(_combine(lnd, ueff * lsign,
+                                                   und, -leff * usign))
+                    con = combo.con
+                    if con.coeffs:
                         derived.append(combo)
+                    elif con.rhs < 0 if con.rel == "<=" else con.rhs != 0:
+                        return "unsat", _extract(combo, self.n_orig, n_assume)
             levels.append((active, eliminated, var, lowers, uppers))
             simplified = _simplify(derived, self.limits)
         assignment: dict = {}
@@ -371,8 +405,6 @@ class _Solver:
                 t = tally.get(var)
                 if t is None:
                     t = tally[var] = [0, 0, True, True]
-                if c == 0:
-                    continue
                 unit = c == 1 or c == -1
                 if eq or c < 0:
                     t[0] += 1
@@ -482,6 +514,8 @@ def simplify(cube: Cube, *, after: Sat | Simplified | None = None):
 def decide_sat(cube: Cube, *, after: Sat | Simplified | None = None):
     """Sat with a checked assignment, or Unsat with a replayable witness.
 
+    Every member's coefficients must be strictly increasing by name, with
+    no zero, as `LinForm.make` builds them: the kernels merge them.
     *after* is the result of deciding or simplifying a prefix of *cube*;
     when the members past that prefix hold no equality, the decision
     extends the prefix's simplification (see the module docstring), and

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certplc import obligations as O
+from certplc import parse_model, parse_properties
 from certplc.lia import solver
 from certplc.lia import witness as W
-from certplc.lia.solver import Sat, Unsat, decide_sat
+from certplc.lia.solver import Sat, Simplified, Unsat, decide_sat
 from certplc.linear import LimitExceeded
 from certplc.lia.witness import (MAX_SPLIT_NESTING, Combine, RangeSplit,
                                  Tighten, Witness, parse_witness_lines,
@@ -18,7 +20,8 @@ from certplc.lia.witness import (MAX_SPLIT_NESTING, Combine, RangeSplit,
 from certplc.linear import LinCon, clean_cube
 from certplc.parsing import ParseError
 
-from conftest import decision
+from conftest import (benchmark_cases, decision, fixture_names,
+                      load_invariants, load_model, lockstep)
 
 
 def con(coeffs, rel, rhs):
@@ -396,14 +399,15 @@ def _pick_var_by_scan(active):
 class TestElimination:
     def test_pick_var_equals_the_scan(self):
         """The indexed scorer picks what scanning every variable over every
-        node picks, zero coefficients included, on random node lists."""
+        node picks, on random node lists whose coefficients hold no zero,
+        as `decide_sat` requires of every node."""
         rng = random.Random(5)
         names = ["a", "b", "c", "d", "e"]
         for _ in range(3000):
             nodes = []
             for i in range(rng.randrange(0, 7)):
                 coeffs = tuple(sorted(
-                    (v, rng.choice([-3, -2, -1, -1, 0, 1, 1, 2, 3]))
+                    (v, rng.choice([-3, -2, -1, -1, 1, 1, 2, 3]))
                     for v in rng.sample(names, rng.randrange(1, 4))))
                 rel = "==" if rng.random() < 0.3 else "<="
                 nodes.append(solver._Node(LinCon(coeffs, rel, 0), "orig", i))
@@ -558,3 +562,173 @@ class TestReplayAfterHypothesis:
         joint = hyp + (con({"x": 1}, "<=", 4), con({"y": -1}, "<=", -5))
         res = decide_sat(joint, after=after)
         assert isinstance(res, Unsat) and replay_witness(joint, res.witness)
+
+
+@st.composite
+def _two_terms(draw):
+    """Two name-sorted constraints without zero coefficients and the
+    multipliers a two-term combination takes: either relation, a negative
+    one only on an equality.  Some variables get coefficients that cancel
+    under the multipliers, and a common factor of the coefficients makes
+    tightening divide, often into an equality's right-hand side that it
+    does not divide."""
+    rels = [draw(st.sampled_from(("<=", "=="))) for _ in range(2)]
+    mults = [draw(st.integers(1, 4)) * (draw(st.sampled_from((1, -1)))
+                                        if rel == "==" else 1)
+             for rel in rels]
+    factor = draw(st.sampled_from((1, 1, 2, 3, 6)))
+    nonzero = st.integers(-4, 4).filter(bool)
+    coeffs: list[dict] = [{}, {}]
+    for v in ("a", "b", "c", "d"):
+        kind = draw(st.sampled_from(("none", "first", "second", "both",
+                                     "cancel")))
+        if kind == "cancel":
+            t = draw(nonzero)
+            coeffs[0][v] = factor * mults[1] * t
+            coeffs[1][v] = -factor * mults[0] * t
+            continue
+        if kind in ("first", "both"):
+            coeffs[0][v] = factor * draw(nonzero)
+        if kind in ("second", "both"):
+            coeffs[1][v] = factor * draw(nonzero)
+    for side in coeffs:
+        if not side:
+            side["e"] = factor
+    cons = [con(side, rel, draw(st.integers(-20, 20)))
+            for side, rel in zip(coeffs, rels)]
+    return cons, mults
+
+
+def _name_sorted_without_zero(c: LinCon) -> bool:
+    names = [v for v, _ in c.coeffs]
+    return (all(k for _, k in c.coeffs)
+            and all(a < b for a, b in zip(names, names[1:])))
+
+
+def _obligation_members(model, inv):
+    """Every member of every cube that build_obligation gives for the
+    cases of *inv*: root cubes, negated-conclusion cubes and split pieces,
+    of which every joint cube and split child is made."""
+    ctx = O.DerivationContext(model, inv.formula)
+    for rule in O.proof_cases(model, None):
+        if ctx.framed(rule):
+            continue
+        ob = O.build_obligation(ctx, rule)
+        for dnf in (ob.hyp_cubes, *ob.neg_concl, *ob.splits):
+            for cube in dnf:
+                yield from cube
+
+
+class TestDeciderKernels:
+    """The decider builds each derived constraint in one pass; the
+    checker's general combination and tightening re-derive it."""
+
+    # tier-1 runs 500 examples; `--hypothesis-profile long` (conftest.py)
+    # runs more
+    @settings(max_examples=max(500, settings.default.max_examples),
+              deadline=None, derandomize=True, database=None)
+    @given(_two_terms())
+    def test_two_term_kernels_equal_the_checkers(self, drawn):
+        (a, b), (ma, mb) = drawn
+        na, nb = solver._Node(a, "orig", 0), solver._Node(b, "orig", 1)
+        combo = solver._combine(na, ma, nb, mb)
+        ctx = [a, b]
+        assert combo.con == W._combine(ctx, ((0, ma), (1, mb)))
+        assert combo.kind == "combine"
+        assert combo.args == ((na, ma), (nb, mb))
+        assert _name_sorted_without_zero(combo.con)
+        tight = solver._tighten_node(combo)
+        ctx.append(combo.con)
+        if not combo.con.coeffs:  # the checker tightens no constant
+            assert tight is combo
+        elif tight is combo:  # gcd 1: tightening derives it again
+            assert W._tighten(ctx, 2) == combo.con
+        else:
+            assert tight.kind == "tighten" and tight.args is combo
+            assert tight.con == W._tighten(ctx, 2)
+            assert _name_sorted_without_zero(tight.con)
+
+    def test_obligation_members_meet_the_merge_precondition(self):
+        """decide_sat needs every member's coefficients strictly
+        increasing by name, with no zero; build_obligation gives such
+        members on the fixtures and on the benchmark charts."""
+        charts = []
+        for name in fixture_names():
+            model = load_model(name)
+            charts.append((model, load_invariants(name, model)))
+        for mc in benchmark_cases(seeds=(7,)):
+            model = parse_model(mc.text)
+            charts.append((model, parse_properties(mc.props_text(), model)))
+        seen = 0
+        for model, invs in charts:
+            for inv in invs:
+                for member in _obligation_members(model, inv):
+                    assert _name_sorted_without_zero(member), member
+                    seen += 1
+        assert seen > 10_000
+
+
+def _least_budget(decide) -> int:
+    """The smallest MAX_DERIVED at which *decide* decides."""
+    lo, hi = 0, solver.MAX_DERIVED
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            with mock.patch.object(solver, "MAX_DERIVED", mid):
+                decide()
+            hi = mid
+        except LimitExceeded:
+            lo = mid + 1
+    return lo
+
+
+def _charge(decide):
+    """A decision's kind and the derived count its simplification charged,
+    or for an Unsat the least budget it decides at."""
+    res = decide()
+    if isinstance(res, Unsat):
+        return "unsat", _least_budget(decide)
+    return type(res).__name__.lower(), res.base.derived
+
+
+def _charges(model, inv) -> dict:
+    """Per open case of *inv*: the charge of simplifying its root cube,
+    then of deciding each joint cube of the root from that."""
+    ctx = O.DerivationContext(model, inv.formula)
+    out = {}
+    for rule in O.proof_cases(model, None):
+        if ctx.framed(rule):
+            continue
+        ob = O.build_obligation(ctx, rule)
+        root = ob.hyp_cubes[0]
+        res = solver.simplify(root)
+        got = [_charge(lambda: solver.simplify(root))]
+        if isinstance(res, Simplified):
+            got += [_charge(lambda j=j: decide_sat(j, after=res))
+                    for j in O.joint_cubes(root, ob.neg_concl)]
+        out[rule.label()] = got
+    return out
+
+
+class TestBudgetCharges:
+    """The derived constraints each decision charges, pinned at what the
+    decider charged when it combined through a dictionary: a change that
+    charges more would turn a decision at a budget's edge into
+    LimitExceeded, and so a verdict into Undecided."""
+
+    @pytest.mark.parametrize("width", ["int8", "int16", "int32"])
+    def test_lockstep_exec_case(self, width):
+        # the chart of the arith workload, at its largest constant
+        model, rel = lockstep(width, 12)
+        assert _charges(model, rel) == {
+            "exec:Inc": [("simplified", 10), ("unsat", 23), ("unsat", 22)]}
+
+    def test_loop_x_capped_ind(self):
+        model = load_model("loop")
+        inv = next(i for i in load_invariants("loop", model)
+                   if i.name == "x_capped_ind")
+        assert _charges(model, inv) == {
+            "exec:A_Init": [("simplified", 4), ("sat", 5), ("sat", 6)],
+            "trans:0": [("simplified", 4), ("unsat", 5), ("unsat", 1)],
+            "trans:1": [("simplified", 2), ("sat", 2)],
+            "react:Init": [("simplified", 2), ("unsat", 3), ("unsat", 5)]}

@@ -856,6 +856,16 @@ class TestVerifyInvariant:
         with pytest.raises(E.ExprError, match="not typechecked"):
             V.verify_invariant(loop_model, P.Invariant("p", f))
 
+    def test_code_built_comparison_of_an_active_atom_is_rejected(
+            self, loop_model):
+        # the base case holds through step(Init); the frame rule reads the
+        # comparison's operands through the atom, and lowering the
+        # comparison, which carries no width, raises
+        f = E.Or((P.Active("step", "Init"),
+                  E.Cmp("<", P.Active("step", "Step2"), E.IntLit(3))))
+        with pytest.raises(E.ExprError, match="not typechecked"):
+            V.verify_invariant(loop_model, P.Invariant("p", f))
+
     def test_determinism(self, loop_model):
         inv = load_invariants("loop", loop_model)[1]
         a = V.verify_invariant(loop_model, inv)
